@@ -53,7 +53,7 @@ type t = {
   mutable snap_union : int64 array;
   vvbn_region_free : (int, int array) Hashtbl.t; (* vol id -> region free counts *)
   counters : Counters.t;
-  mutable recently_freed : int64 array; (* bitmap over pvbns; never iterated *)
+  recently_freed : Freed_set.t; (* pvbns frozen until the CP publishes *)
   mutable last_vol : Volume.t option; (* one-entry [volume] lookup cache *)
   cache : Buffer_cache.t;
   mutable snaps : Snapshot.t list;
@@ -131,7 +131,7 @@ let create ?(nvlog_half = 16384) ?nvlog_watermarks ?(cache_blocks = 65536) ?queu
       snap_union = [||];
       vvbn_region_free = Hashtbl.create 8;
       counters;
-      recently_freed = Array.make ((Geometry.total_data_blocks geometry + 63) / 64) 0L;
+      recently_freed = Freed_set.create ~bits:(Geometry.total_data_blocks geometry);
       last_vol = None;
       cache = Buffer_cache.create ~capacity:cache_blocks;
       snaps = [];
@@ -471,8 +471,7 @@ let commit_free_pvbn t pvbn =
     t.aa_free_tbl.(rg).(aa) <- t.aa_free_tbl.(rg).(aa) + 1;
     t.free_cell := !(t.free_cell) + 1
   end;
-  let w = pvbn lsr 6 in
-  t.recently_freed.(w) <- Int64.logor t.recently_freed.(w) (Int64.shift_left 1L (pvbn land 63));
+  Freed_set.add t.recently_freed pvbn;
   (* TRIM: the flash page backing a freed block is dead — without this
      the FTL's GC would keep relocating pages the file system no longer
      references, and the device-fill axis would only ever grow. *)
@@ -481,7 +480,7 @@ let commit_free_pvbn t pvbn =
 
 let pvbn_allocatable t pvbn =
   (not (Bitmap_file.mem t.agg_map pvbn))
-  && Int64.logand t.recently_freed.(pvbn lsr 6) (Int64.shift_left 1L (pvbn land 63)) = 0L
+  && (not (Freed_set.mem t.recently_freed pvbn))
   && not (snapshot_held t pvbn)
 
 let region_free t vol =
@@ -651,7 +650,11 @@ let publish_superblock t sb =
   t.cp_count <- sb.Layout.cp_count;
   if Engine.sanitizing t.eng then Engine.probe_atomic t.eng ~shared:"fs.nvlog";
   Nvlog.cp_commit (nvlog t);
-  Array.fill t.recently_freed 0 (Array.length t.recently_freed) 0L;
+  (* The published tree no longer references this CP's frees: they become
+     allocatable, and a block no snapshot holds has no reader left, so
+     its image leaves the disk. *)
+  Freed_set.release t.recently_freed (fun pvbn ->
+      if not (snapshot_held t pvbn) then Disk.discard t.pers.p_disk pvbn);
   List.iter
     (fun (_, v) ->
       Volume.clear_recent_frees v;
@@ -795,7 +798,7 @@ let recover ?(cache_blocks = 65536) ?queue_depth ?obs eng ~cost pers =
       snap_union = [||];
       vvbn_region_free = Hashtbl.create 8;
       counters;
-      recently_freed = Array.make ((Geometry.total_data_blocks geom + 63) / 64) 0L;
+      recently_freed = Freed_set.create ~bits:(Geometry.total_data_blocks geom);
       last_vol = None;
       cache = Buffer_cache.create ~capacity:cache_blocks;
       snaps = [];

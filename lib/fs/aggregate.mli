@@ -220,7 +220,9 @@ val meta_set_location : t -> meta_ref -> int -> int
 val make_superblock : t -> Layout.superblock
 val publish_superblock : t -> Layout.superblock -> unit
 (** Make the superblock durable, commit the NVRAM log half, thaw
-    recently freed VBNs, and bump the generation. *)
+    recently freed VBNs, and bump the generation.  Each pvbn this CP
+    freed that no snapshot holds has its disk image discarded, so
+    {!read_pvbn} of it returns [None] until the block is rewritten. *)
 
 val superblock : t -> Layout.superblock option
 val generation : t -> int

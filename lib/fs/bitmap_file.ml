@@ -132,17 +132,18 @@ let words_of_block t i =
   if i < 0 || i >= nblocks t then invalid_arg "Bitmap_file.words_of_block: bad block";
   let off = i * words_per_block in
   let len = min words_per_block (Array.length t.words - off) in
-  Array.sub t.words off len
+  Packed.of_int64s t.words ~pos:off ~len
 
 let load_block t i payload =
   if i < 0 || i >= nblocks t then invalid_arg "Bitmap_file.load_block: bad block";
   let off = i * words_per_block in
   let len = min words_per_block (Array.length t.words - off) in
-  if Array.length payload <> len then invalid_arg "Bitmap_file.load_block: size mismatch";
+  if Packed.length payload <> len then invalid_arg "Bitmap_file.load_block: size mismatch";
   (* Maintain the free count incrementally. *)
   for j = 0 to len - 1 do
-    t.free <- t.free + Bitops.popcount t.words.(off + j) - Bitops.popcount payload.(j);
-    t.words.(off + j) <- payload.(j)
+    let w = Packed.get_int64 payload j in
+    t.free <- t.free + Bitops.popcount t.words.(off + j) - Bitops.popcount w;
+    t.words.(off + j) <- w
   done
 
 let snapshot_words t = Array.copy t.words

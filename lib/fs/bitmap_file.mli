@@ -56,15 +56,16 @@ val mark_dirty : t -> int -> unit
 (** Explicitly dirty a block (used when relocating the block itself). *)
 
 val clear_dirty : t -> unit
-val words_of_block : t -> int -> int64 array
-(** Copy of the words backing metafile block [i], for serialization. *)
+val words_of_block : t -> int -> Wafl_util.Packed.t
+(** Packed image of the words backing metafile block [i], for
+    serialization. *)
 
 val snapshot_words : t -> int64 array
 (** Copy of the whole bit array; used to capture the block-usage state a
     snapshot pins. *)
 
-val load_block : t -> int -> int64 array -> unit
-(** Overwrite block [i]'s words from a disk payload (recovery). *)
+val load_block : t -> int -> Wafl_util.Packed.t -> unit
+(** Overwrite block [i]'s words from a disk image (recovery). *)
 
 val location : t -> int -> int
 (** Current pvbn of metafile block [i], or -1 if never written. *)

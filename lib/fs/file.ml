@@ -107,4 +107,7 @@ let of_inode_rec ~vol (rec_ : Layout.inode_rec) =
 
 let load_bmap_block t ~index ~entries =
   let base = index * Layout.entries_per_bmap_block in
-  Array.iteri (fun i vvbn -> if vvbn >= 0 then Intvec.set t.bmap (base + i) vvbn) entries
+  for i = 0 to Packed.length entries - 1 do
+    let vvbn = Packed.get entries i in
+    if vvbn >= 0 then Intvec.set t.bmap (base + i) vvbn
+  done

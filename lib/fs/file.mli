@@ -55,8 +55,8 @@ val dirty_bmap_blocks : t -> int list
 val dirty_bmap_blocks_desc : t -> int list
 (** Descending-order variant for prepend-accumulator callers. *)
 
-val bmap_entries : t -> int -> int array
-(** Serialized entries of bmap block [i] (length
+val bmap_entries : t -> int -> Wafl_util.Packed.t
+(** Packed entries of bmap block [i] (length
     {!Layout.entries_per_bmap_block}). *)
 
 val bmap_location : t -> int -> int
@@ -69,4 +69,4 @@ val of_inode_rec : vol:int -> Layout.inode_rec -> t
 (** Rebuild from a persisted inode record; bmap blocks are loaded
     afterwards with {!load_bmap_block}. *)
 
-val load_bmap_block : t -> index:int -> entries:int array -> unit
+val load_bmap_block : t -> index:int -> entries:Wafl_util.Packed.t -> unit

@@ -7,7 +7,9 @@
     every live block; recovery reads only these structures.
 
     Constants give each 4 KiB block a realistic capacity: 32768 bitmap
-    bits, 512 block-map or container entries, or 64 inode records. *)
+    bits, 512 block-map or container entries, or 64 inode records.
+    Entry and word payloads are {!Wafl_util.Packed} images, 8 bytes per
+    slot, which the GC never scans. *)
 
 val bits_per_map_block : int
 (** Bits per allocation-bitmap block (32768 = 4 KiB of bits). *)
@@ -31,15 +33,15 @@ type block =
   | Data of { vol : int; file : int; fbn : int; content : int64 }
       (** A user (or metafile-content) data block; [content] is the opaque
           write token used to verify read-back integrity. *)
-  | Bmap of { vol : int; file : int; index : int; entries : int array }
+  | Bmap of { vol : int; file : int; index : int; entries : Wafl_util.Packed.t }
       (** Block-map block [index] of a file: entry [i] maps
           fbn = index * entries_per_bmap_block + i to a vvbn (-1 = hole). *)
   | Inode_chunk of { vol : int; index : int; inodes : inode_rec list }
-  | Container of { vol : int; index : int; entries : int array }
+  | Container of { vol : int; index : int; entries : Wafl_util.Packed.t }
       (** vvbn -> pvbn translations (-1 = unmapped). *)
-  | Vol_map of { vol : int; index : int; words : int64 array }
+  | Vol_map of { vol : int; index : int; words : Wafl_util.Packed.t }
       (** Volume activemap chunk (vvbn allocation bitmap). *)
-  | Agg_map of { index : int; words : int64 array }
+  | Agg_map of { index : int; words : Wafl_util.Packed.t }
       (** Aggregate activemap chunk (pvbn allocation bitmap). *)
 
 type vol_rec = {

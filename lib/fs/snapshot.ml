@@ -54,7 +54,7 @@ let read t ~disk ~vol ~file ~fbn =
                           entries
                       | _ -> failwith "snapshot: bmap block has wrong payload"
                     in
-                    match entries.(fbn mod Layout.entries_per_bmap_block) with
+                    match Packed.get entries (fbn mod Layout.entries_per_bmap_block) with
                     | -1 -> None
                     | vvbn -> (
                         let cidx = vvbn / Layout.entries_per_container_block in
@@ -68,7 +68,9 @@ let read t ~disk ~vol ~file ~fbn =
                                   entries
                               | _ -> failwith "snapshot: container chunk has wrong payload"
                             in
-                            match centries.(vvbn mod Layout.entries_per_container_block) with
+                            match
+                              Packed.get centries (vvbn mod Layout.entries_per_container_block)
+                            with
                             | -1 -> failwith "snapshot: vvbn unmapped in container"
                             | pvbn -> (
                                 match read_block disk pvbn "data block" with

@@ -15,7 +15,7 @@ type t = {
   dirty_containers : (int, unit) Hashtbl.t;
   (* volume activemap *)
   vol_map : Bitmap_file.t;
-  recent_frees : int64 array; (* bitmap over vvbns; never iterated *)
+  recent_frees : Freed_set.t; (* vvbns frozen until the CP commits *)
   mutable last_dirty_container : int; (* last chunk marked; skips the replace *)
   (* inode file *)
   inode_locations : Intvec.t;
@@ -37,7 +37,7 @@ let create ~id ~vvbn_space =
     container_locations = Intvec.create ~default:(-1) ();
     dirty_containers = Hashtbl.create 16;
     vol_map = Bitmap_file.create ~bits:vvbn_space;
-    recent_frees = Array.make ((vvbn_space + 63) / 64) 0L;
+    recent_frees = Freed_set.create ~bits:vvbn_space;
     last_dirty_container = -1;
     inode_locations = Intvec.create ~default:(-1) ();
     dirty_inodes = Hashtbl.create 4;
@@ -129,14 +129,9 @@ let map_vvbn t ~vvbn ~pvbn =
   old
 
 let vol_map t = t.vol_map
-let note_freed_vvbn t vvbn =
-  let w = vvbn lsr 6 in
-  t.recent_frees.(w) <- Int64.logor t.recent_frees.(w) (Int64.shift_left 1L (vvbn land 63))
-
-let vvbn_reusable t vvbn =
-  Int64.logand t.recent_frees.(vvbn lsr 6) (Int64.shift_left 1L (vvbn land 63)) = 0L
-
-let clear_recent_frees t = Array.fill t.recent_frees 0 (Array.length t.recent_frees) 0L
+let note_freed_vvbn t vvbn = Freed_set.add t.recent_frees vvbn
+let vvbn_reusable t vvbn = not (Freed_set.mem t.recent_frees vvbn)
+let clear_recent_frees t = Freed_set.release t.recent_frees ignore
 
 let sorted_keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort Int.compare (* lint-ok *)
 
@@ -210,7 +205,10 @@ let of_vol_rec (r : Layout.vol_rec) =
 
 let load_container_chunk t ~index ~entries =
   let base = index * Layout.entries_per_container_block in
-  Array.iteri (fun i pvbn -> if pvbn >= 0 then Intvec.set t.container (base + i) pvbn) entries
+  for i = 0 to Packed.length entries - 1 do
+    let pvbn = Packed.get entries i in
+    if pvbn >= 0 then Intvec.set t.container (base + i) pvbn
+  done
 
 let load_inode_chunk t recs =
   List.iter

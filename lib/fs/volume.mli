@@ -66,6 +66,8 @@ val note_freed_vvbn : t -> int -> unit
 
 val vvbn_reusable : t -> int -> bool
 val clear_recent_frees : t -> unit
+(** Thaw every vvbn frozen by {!note_freed_vvbn} (CP commit); costs one
+    step per freed vvbn, not a pass over the vvbn space. *)
 
 (** {1 Metafile bookkeeping for CPs} *)
 
@@ -75,7 +77,7 @@ val dirty_container_chunks : t -> int list
 val dirty_container_chunks_desc : t -> int list
 (** Descending-order variant for prepend-accumulator callers. *)
 
-val container_entries : t -> int -> int array
+val container_entries : t -> int -> Wafl_util.Packed.t
 val container_location : t -> int -> int
 val set_container_location : t -> int -> int -> int
 val clear_dirty_containers : t -> unit
@@ -96,6 +98,6 @@ val of_vol_rec : Layout.vol_rec -> t
 (** Rebuild identity and metafile locations; chunk contents are loaded by
     the recovery driver via [load_*]. *)
 
-val load_container_chunk : t -> index:int -> entries:int array -> unit
+val load_container_chunk : t -> index:int -> entries:Wafl_util.Packed.t -> unit
 val load_inode_chunk : t -> Layout.inode_rec list -> unit
 (** Registers the files without dirtying inode chunks. *)

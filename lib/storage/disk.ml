@@ -24,6 +24,10 @@ let write t vbn payload =
   (match t.fault with Some f when Fault.media_error f vbn -> Fault.clear_media_error f vbn | _ -> ());
   t.writes <- t.writes + 1
 
+let discard t vbn =
+  check t vbn;
+  t.blocks.(vbn) <- None
+
 let read t vbn =
   check t vbn;
   t.blocks.(vbn)

@@ -24,6 +24,14 @@ val write : 'b t -> Geometry.vbn -> 'b -> unit
 (** Store a payload.  Raises [Invalid_argument] on an out-of-range VBN.
     Writing a sector with a latent media error remaps (clears) it. *)
 
+val discard : 'b t -> Geometry.vbn -> unit
+(** Drop the image stored at a VBN: {!read} returns [None] until the next
+    {!write} stores a new one.  Not a write (leaves {!writes_total} and
+    the fault plan alone).  Raises [Invalid_argument] on an out-of-range
+    VBN.  The file system calls it once the consistency point that freed
+    the block is published and no snapshot holds it, so the store keeps
+    an image only while something can still read it. *)
+
 val read : 'b t -> Geometry.vbn -> 'b option
 (** Raw store read, bypassing the fault plan: [None] if the block was
     never written.  Fault-aware callers use {!read_checked} or

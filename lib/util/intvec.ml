@@ -25,19 +25,17 @@ let set t i v =
   t.data.(i) <- v;
   if i >= t.len then t.len <- i + 1
 
-(* [extract t ~pos ~len] = [Array.init len (fun i -> get t (pos + i))]
-   as one allocation + blit: entries past [t.len] are the default, and
-   the backing array's tail beyond [t.len] already holds the default. *)
-let extract t ~pos ~len =
-  if pos < 0 || len < 0 then invalid_arg "Intvec.extract";
-  let a = Array.make len t.default in
-  let avail = t.len - pos in
-  if avail > 0 then Array.blit t.data pos a 0 (min len avail);
-  a
+(* The backing array's tail beyond [t.len] already holds the default,
+   so one pass over [data] (default past its end) is the logical range. *)
+let extract t ~pos ~len = Packed.of_ints t.data ~pos ~len ~default:t.default
 
 let iteri_set t f =
   for i = 0 to t.len - 1 do
     if t.data.(i) <> t.default then f i t.data.(i)
   done
+
+let clear t =
+  Array.fill t.data 0 t.len t.default;
+  t.len <- 0
 
 let copy t = { default = t.default; data = Array.copy t.data; len = t.len }

@@ -14,11 +14,15 @@ val get : t -> int -> int
 val set : t -> int -> int -> unit
 (** Grows the vector as needed; intermediate slots read as the default. *)
 
-val extract : t -> pos:int -> len:int -> int array
-(** [extract t ~pos ~len] equals [Array.init len (fun i -> get t (pos + i))]
-    — a block copy of the logical range, defaults where unset. *)
+val extract : t -> pos:int -> len:int -> Packed.t
+(** [extract t ~pos ~len] is the packed image of the logical range:
+    slot [i] is [get t (pos + i)], the default where unset.  Raises
+    [Invalid_argument] on a negative [pos] or [len]. *)
 
 val iteri_set : t -> (int -> int -> unit) -> unit
 (** Iterate over indices whose value differs from the default. *)
+
+val clear : t -> unit
+(** Reset to empty, keeping the backing array at its high-water size. *)
 
 val copy : t -> t

@@ -172,10 +172,11 @@ let data ~fbn = Wafl_fs.Layout.Data { vol = 0; file = 1; fbn; content = 0L }
 let test_temperature_classifier () =
   let classify = Wafl_core.Tetris.make_temperature_stream () in
   (* Metafile payloads are always hot. *)
+  let entries = Wafl_util.Packed.of_ints [||] ~pos:0 ~len:0 ~default:(-1) in
+  let words = Wafl_util.Packed.of_int64s [||] ~pos:0 ~len:0 in
   Alcotest.(check int) "bmap hot" 1
-    (classify (Wafl_fs.Layout.Bmap { vol = 0; file = 1; index = 0; entries = [||] }));
-  Alcotest.(check int) "aggmap hot" 1
-    (classify (Wafl_fs.Layout.Agg_map { index = 0; words = [||] }));
+    (classify (Wafl_fs.Layout.Bmap { vol = 0; file = 1; index = 0; entries }));
+  Alcotest.(check int) "aggmap hot" 1 (classify (Wafl_fs.Layout.Agg_map { index = 0; words }));
   (* First sighting of a data block is cold. *)
   Alcotest.(check int) "first write cold" 0 (classify (data ~fbn:0));
   (* Track a population of blocks, then rewrite one immediately: its

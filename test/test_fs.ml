@@ -449,6 +449,96 @@ let test_aggregate_free_counter_tracks () =
   Alcotest.(check int) "counter tracks" (free0 - 1)
     (Counters.read (Aggregate.counters agg) "agg_free_blocks")
 
+(* --- Block-image lifetime ---
+
+   A CP that frees a block keeps its disk image until the superblock
+   that stops referencing it is published; after that the image is gone
+   unless a snapshot holds the block.  Scenario: fbns 0..7 written and
+   snapshotted, fbns 8..15 written after the snapshot, then fbn 0 (held)
+   and fbn 8 (not held) overwritten by a third CP that the test pauses
+   between its last free and its publish. *)
+
+let content ~gen ~fbn = Int64.of_int ((gen * 1000) + fbn)
+
+let paused_freeing_cp () =
+  let eng = Wafl_sim.Engine.create ~cores:8 () in
+  let agg =
+    Aggregate.create eng ~cost:Wafl_sim.Cost.default ~geometry:(small_geom ()) ~nvlog_half:4096 ()
+  in
+  let walloc = Wafl_core.Walloc.create agg Wafl_core.Walloc.default_config in
+  let cp = Wafl_core.Walloc.cp walloc in
+  let setup = ref None in
+  ignore
+    (Wafl_sim.Engine.spawn eng ~label:"setup" (fun () ->
+         let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
+         Wafl_core.Walloc.register_volume walloc vol;
+         let f = Aggregate.create_file agg ~vol:(Volume.id vol) in
+         let write ~gen lo hi =
+           for fbn = lo to hi do
+             ignore
+               (Aggregate.write agg ~vol:(Volume.id vol) ~file:(File.id f) ~fbn
+                  ~content:(content ~gen ~fbn))
+           done
+         in
+         write ~gen:0 0 7;
+         Wafl_core.Cp.run_now cp;
+         let snap = Aggregate.create_snapshot agg ~name:"s" in
+         write ~gen:1 8 15;
+         Wafl_core.Cp.run_now cp;
+         let pvbn fbn = Volume.pvbn_of_vvbn vol (File.vvbn_of_fbn f fbn) in
+         setup := Some (vol, f, snap, pvbn 0, pvbn 8, File.bmap_location f 0);
+         write ~gen:2 0 0;
+         write ~gen:2 8 8;
+         Wafl_core.Cp.run_now cp));
+  (* Step until the third CP reaches its last phase: every free is done,
+     the publish is still pending. *)
+  while !setup = None || Wafl_core.Cp.phase cp <> "repair" do
+    Wafl_sim.Engine.run ~until:(Wafl_sim.Engine.now eng +. 1.0) eng
+  done;
+  let vol, f, snap, held_pvbn, old_pvbn, old_bmap = Option.get !setup in
+  (eng, agg, vol, f, snap, held_pvbn, old_pvbn, old_bmap)
+
+let test_image_lifetime () =
+  let eng, agg, vol, f, snap, held_pvbn, old_pvbn, old_bmap = paused_freeing_cp () in
+  let gen0 = Aggregate.generation agg in
+  let holds_fbn pvbn fbn =
+    match Aggregate.read_pvbn agg pvbn with
+    | Some (Layout.Data d) -> d.fbn = fbn
+    | _ -> false
+  in
+  Alcotest.(check bool) "old image present before publish" true (holds_fbn old_pvbn 8);
+  Alcotest.(check bool) "old pvbn frozen before publish" false
+    (Aggregate.pvbn_allocatable agg old_pvbn);
+  Alcotest.(check bool) "old bmap image present before publish" true
+    (Aggregate.read_pvbn agg old_bmap <> None);
+  Wafl_sim.Engine.run eng;
+  Alcotest.(check int) "published" (gen0 + 1) (Aggregate.generation agg);
+  Alcotest.(check bool) "freed image discarded" true (Aggregate.read_pvbn agg old_pvbn = None);
+  Alcotest.(check bool) "freed bmap image discarded" true
+    (Aggregate.read_pvbn agg old_bmap = None);
+  Alcotest.(check bool) "snapshot-held image kept" true (holds_fbn held_pvbn 0);
+  Alcotest.(check (option int64)) "snapshot reads old content"
+    (Some (content ~gen:0 ~fbn:0))
+    (Aggregate.read_snapshot agg snap ~vol:(Volume.id vol) ~file:(File.id f) ~fbn:0);
+  Alcotest.(check (option int64)) "active reads new content"
+    (Some (content ~gen:2 ~fbn:8))
+    (Aggregate.read agg ~vol:(Volume.id vol) ~file:(File.id f) ~fbn:8)
+
+let test_crash_in_freeing_cp () =
+  let _, agg, vol, f, _, _, _, _ = paused_freeing_cp () in
+  let agg2 =
+    Aggregate.recover (Wafl_sim.Engine.create ~cores:8 ()) ~cost:Wafl_sim.Cost.default
+      (Aggregate.crash agg)
+  in
+  for fbn = 0 to 15 do
+    let gen = if fbn = 0 || fbn = 8 then 2 else if fbn < 8 then 0 else 1 in
+    Alcotest.(check (option int64))
+      (Printf.sprintf "fbn %d" fbn)
+      (Some (content ~gen ~fbn))
+      (Aggregate.read agg2 ~vol:(Volume.id vol) ~file:(File.id f) ~fbn)
+  done;
+  Aggregate.fsck agg2
+
 let () =
   Alcotest.run "wafl_fs"
     [
@@ -508,5 +598,10 @@ let () =
           Alcotest.test_case "AA accounting" `Quick test_aggregate_aa_accounting;
           Alcotest.test_case "AA selection" `Quick test_aggregate_select_aa;
           Alcotest.test_case "free counter" `Quick test_aggregate_free_counter_tracks;
+        ] );
+      ( "img-lifetime",
+        [
+          Alcotest.test_case "discarded at publish unless held" `Quick test_image_lifetime;
+          Alcotest.test_case "crash inside the freeing CP" `Quick test_crash_in_freeing_cp;
         ] );
     ]

@@ -92,6 +92,18 @@ let test_disk_bounds () =
   Alcotest.check_raises "oob write" (Invalid_argument "Disk: vbn 999999 out of range")
     (fun () -> Disk.write d 999999 "x")
 
+let test_disk_discard () =
+  let d = Disk.create (geom ()) in
+  Disk.write d 42 "hello";
+  Disk.discard d 42;
+  Alcotest.(check (option string)) "read after discard" None (Disk.read d 42);
+  Alcotest.(check int) "discard is not a write" 1 (Disk.writes_total d);
+  Alcotest.check_raises "oob discard" (Invalid_argument "Disk: vbn 999999 out of range")
+    (fun () -> Disk.discard d 999999);
+  Disk.write d 42 "again";
+  Alcotest.(check (option string)) "rewrite stores again" (Some "again") (Disk.read d 42);
+  Alcotest.(check int) "rewrite counted" 2 (Disk.writes_total d)
+
 (* --- Raid --- *)
 
 let with_engine f =
@@ -379,6 +391,7 @@ let () =
         [
           Alcotest.test_case "read/write" `Quick test_disk_read_write;
           Alcotest.test_case "bounds" `Quick test_disk_bounds;
+          Alcotest.test_case "discard" `Quick test_disk_discard;
         ] );
       ( "raid",
         [

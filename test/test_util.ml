@@ -346,19 +346,51 @@ let prop_find_first_zero_correct =
 
 (* --- Intvec --- *)
 
-let test_intvec_extract () =
+(* Block-map / container images: a sparse vector (holes read -1) packed
+   over a random window, one window straddling the end and one starting
+   beyond [length]; decoding must give back the [get] loop exactly. *)
+let prop_intvec_extract_roundtrip =
+  QCheck.Test.make ~name:"extract matches get loop" ~count:200
+    QCheck.(
+      triple
+        (list_of_size Gen.(0 -- 60) (pair (int_bound 700) (int_range (-1) 1_000_000)))
+        (int_bound 800) (int_bound 600))
+    (fun (writes, pos, len) ->
+      let v = Intvec.create ~default:(-1) () in
+      List.iter (fun (i, x) -> Intvec.set v i x) writes;
+      let n = Intvec.length v in
+      List.for_all
+        (fun (pos, len) ->
+          let img = Intvec.extract v ~pos ~len in
+          Packed.length img = len
+          && List.for_all
+               (fun i -> Packed.get img i = Intvec.get v (pos + i))
+               (List.init len Fun.id))
+        [ (pos, len); (max 0 (n - 3), 8); (n + 5, 4) ])
+
+(* Activemap images: raw 64-bit words, about half with bit 63 set (which
+   no OCaml [int] can hold), packed from an interior range. *)
+let prop_packed_words_roundtrip =
+  QCheck.Test.make ~name:"bitmap words round-trip" ~count:200
+    QCheck.(pair (list (pair bool int64)) (pair small_nat small_nat))
+    (fun (cells, (a, b)) ->
+      let top_bit (top, w) =
+        if top then Int64.logor w Int64.min_int else Int64.logand w Int64.max_int
+      in
+      let words = Array.of_list (List.map top_bit cells) in
+      let n = Array.length words in
+      let pos = if n = 0 then 0 else a mod n in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      let img = Packed.of_int64s words ~pos ~len in
+      Packed.length img = len
+      && List.for_all (fun i -> Packed.get_int64 img i = words.(pos + i)) (List.init len Fun.id))
+
+let test_packed_bad_ranges () =
   let v = Intvec.create ~default:(-1) () in
-  List.iter (fun (i, x) -> Intvec.set v i x) [ (0, 10); (3, 13); (7, 17) ];
-  let model pos len = Array.init len (fun i -> Intvec.get v (pos + i)) in
-  List.iter
-    (fun (pos, len) ->
-      Alcotest.(check (array int))
-        (Printf.sprintf "extract pos=%d len=%d" pos len)
-        (model pos len)
-        (Intvec.extract v ~pos ~len))
-    [ (0, 8); (0, 0); (2, 3); (6, 10); (100, 4) ];
-  Alcotest.check_raises "negative pos rejected" (Invalid_argument "Intvec.extract") (fun () ->
-      ignore (Intvec.extract v ~pos:(-1) ~len:2))
+  Alcotest.check_raises "negative pos rejected" (Invalid_argument "Packed.of_ints") (fun () ->
+      ignore (Intvec.extract v ~pos:(-1) ~len:2));
+  Alcotest.check_raises "words past the end rejected" (Invalid_argument "Packed.of_int64s")
+    (fun () -> ignore (Packed.of_int64s [| 1L; 2L |] ~pos:1 ~len:2))
 
 
 let test_intvec_defaults () =
@@ -397,6 +429,17 @@ let test_intvec_copy_independent () =
   Intvec.set w 1 99;
   Alcotest.(check int) "original unchanged" 11 (Intvec.get v 1);
   Alcotest.(check int) "copy changed" 99 (Intvec.get w 1)
+
+let test_intvec_clear () =
+  let v = Intvec.create ~initial_capacity:2 ~default:(-1) () in
+  List.iter (fun i -> Intvec.set v (Intvec.length v) (i * 10)) [ 1; 2; 3; 4; 5 ];
+  Intvec.clear v;
+  Alcotest.(check int) "empty after clear" 0 (Intvec.length v);
+  Alcotest.(check int) "old slot reads default" (-1) (Intvec.get v 2);
+  Alcotest.(check int) "extract sees defaults" (-1)
+    (Packed.get (Intvec.extract v ~pos:0 ~len:5) 4);
+  Intvec.set v 0 7;
+  Alcotest.(check int) "reusable" 1 (Intvec.length v)
 
 let test_intvec_negative_index () =
   let v = Intvec.create ~default:0 () in
@@ -512,10 +555,16 @@ let () =
           Alcotest.test_case "defaults and holes" `Quick test_intvec_defaults;
           Alcotest.test_case "growth" `Quick test_intvec_growth;
           Alcotest.test_case "iteri_set" `Quick test_intvec_iteri_set;
-          Alcotest.test_case "extract matches get loop" `Quick test_intvec_extract;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_intvec_extract_roundtrip;
           Alcotest.test_case "copy independence" `Quick test_intvec_copy_independent;
+          Alcotest.test_case "clear" `Quick test_intvec_clear;
           Alcotest.test_case "negative index" `Quick test_intvec_negative_index;
           QCheck_alcotest.to_alcotest ~verbose:false prop_intvec_models_assoc;
+        ] );
+      ( "packed",
+        [
+          QCheck_alcotest.to_alcotest ~verbose:false prop_packed_words_roundtrip;
+          Alcotest.test_case "bad ranges rejected" `Quick test_packed_bad_ranges;
         ] );
       ( "table",
         [

@@ -14,7 +14,9 @@
      hashing makes the visit order an implementation detail);
    - qualified calls to the aggregate's partition-state mutators
      ([commit_alloc_pvbn] & friends) outside infra.ml / cp.ml — all
-     other code must go through the Scheduler.post affinity API.
+     other code must go through the Scheduler.post affinity API;
+   - [Disk.discard] outside aggregate.ml (block images die only at a
+     superblock publish).
 
    A finding is suppressed when the token "lint-ok" appears on the
    flagged line or the line directly above it (typically in a comment
@@ -78,6 +80,12 @@ let causal_whitelist = [ "trace.ml"; "causal.ml" ]
    rule names). *)
 let health_whitelist = [ "health.ml" ]
 
+(* Files allowed to drop block images from the simulated disk: the
+   aggregate, which discards a freed block only once the superblock that
+   stops referencing it is published and no snapshot holds it.  A discard
+   anywhere else could drop an image a recovery or snapshot still reads. *)
+let discard_whitelist = [ "aggregate.ml" ]
+
 let check_path src loc path =
   match path with
   | "Random" :: _ when base src.name <> "rng.ml" ->
@@ -112,6 +120,11 @@ let check_path src loc path =
             report src loc
               "Health.emit appends raw watchdog events; add a typed Health.rule evaluated \
                at window seal instead"
+      | "discard" :: "Disk" :: _ ->
+          if not (List.mem (base src.name) discard_whitelist) then
+            report src loc
+              "Disk.discard drops a block image; only the aggregate's superblock publish may \
+               discard, once no durable tree or snapshot can read the block"
       | field :: "Trace" :: _ when List.mem field causal_primitives ->
           if not (List.mem (base src.name) causal_whitelist) then
             report src loc
