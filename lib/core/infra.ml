@@ -337,18 +337,17 @@ let put t bucket =
       post_commit t ~affinity (fun () -> commit_virt_bucket t vs ~under:affinity bucket)
 
 (* Split a free batch by Range affinity so independent ranges commit in
-   parallel; within one message, charge per distinct metafile block. *)
+   parallel; within one message, charge per distinct metafile block.
+   Groups come out in ascending range order (which fixes message post
+   order), each keeping its VBNs in batch order. *)
 let group_by_range t vbns =
-  let tbl = Hashtbl.create 8 in
+  let groups = Array.make t.cfg.ranges [] in
   List.iter
     (fun v ->
       let r = v / Layout.bits_per_map_block mod t.cfg.ranges in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt tbl r) in
-      Hashtbl.replace tbl r (v :: cur))
-    vbns;
-  (* lint-ok: sorted before use. *)
-  Hashtbl.fold (fun r vs acc -> (r, List.rev vs) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      groups.(r) <- v :: groups.(r))
+    (List.rev vbns);
+  List.filter (fun g -> g <> []) (Array.to_list groups)
 
 (* A loose-accounting token is staged by its owning cleaner while commit
    messages flush it — concurrent by design, with atomic deltas in a real
@@ -369,11 +368,11 @@ let commit_frees ?owner t ~target ~vbns ~token =
     in
     let groups =
       if t.cfg.parallel then group_by_range t vbns
-      else [ (0, vbns) ] (* serialized infrastructure: one message *)
+      else [ vbns ] (* serialized infrastructure: one message *)
     in
     let first = ref true in
     List.iter
-      (fun (_, group) ->
+      (fun group ->
         let apply_token = !first in
         first := false;
         let affinity, commit_one =

@@ -54,6 +54,7 @@ type t = {
   vvbn_region_free : (int, int array) Hashtbl.t; (* vol id -> region free counts *)
   counters : Counters.t;
   recently_freed : Freed_set.t; (* pvbns frozen until the CP publishes *)
+  image_spares : Wafl_util.Packed.spares; (* buffers of images the publish discarded *)
   mutable last_vol : Volume.t option; (* one-entry [volume] lookup cache *)
   cache : Buffer_cache.t;
   mutable snaps : Snapshot.t list;
@@ -96,6 +97,10 @@ let make_raids eng cost disk geom queue_depth obs flash_cfg =
       in
       Raid.create ?queue_depth ?obs ?flash eng ~cost ~disk ~rg)
 
+(* A full packed metafile image is 512 slots (4 KiB); the shorter tail
+   block of a small map is left to the GC. *)
+let new_spares () = Wafl_util.Packed.spares ~slots:Layout.entries_per_bmap_block
+
 let init_aa_free geom =
   Array.init (Geometry.raid_group_count geom) (fun rg ->
       Array.make (Geometry.aa_count geom)
@@ -132,6 +137,7 @@ let create ?(nvlog_half = 16384) ?nvlog_watermarks ?(cache_blocks = 65536) ?queu
       vvbn_region_free = Hashtbl.create 8;
       counters;
       recently_freed = Freed_set.create ~bits:(Geometry.total_data_blocks geometry);
+      image_spares = new_spares ();
       last_vol = None;
       cache = Buffer_cache.create ~capacity:cache_blocks;
       snaps = [];
@@ -569,23 +575,39 @@ let take_dirty_meta t =
     (List.rev t.vols);
   !acc
 
+(* The spare pool is shared by phase-B serialization messages running
+   under different affinities and by the publish (a lock-free freelist
+   in a real kernel), so model it as atomic. *)
+let spares t =
+  if Engine.sanitizing t.eng then Engine.probe_atomic t.eng ~shared:"fs.image_spares";
+  t.image_spares
+
 let meta_payload t = function
   | Bmap_block { vol; file; index } ->
       let f = Volume.file_exn (volume_exn t vol) file in
-      Layout.Bmap { vol; file; index; entries = File.bmap_entries f index }
+      Layout.Bmap { vol; file; index; entries = File.bmap_entries ~spares:(spares t) f index }
   | Inode_chunk { vol; index } ->
       Layout.Inode_chunk { vol; index; inodes = Volume.inode_chunk (volume_exn t vol) index }
   | Container_chunk { vol; index } ->
       Layout.Container
-        { vol; index; entries = Volume.container_entries (volume_exn t vol) index }
+        {
+          vol;
+          index;
+          entries = Volume.container_entries ~spares:(spares t) (volume_exn t vol) index;
+        }
   | Vol_map_chunk { vol; index } ->
       if Engine.sanitizing t.eng then
         Engine.probe_locked t.eng ~shared:(vol_map_domain ~vol ~index) Race.Read;
       Layout.Vol_map
-        { vol; index; words = Bitmap_file.words_of_block (Volume.vol_map (volume_exn t vol)) index }
+        {
+          vol;
+          index;
+          words =
+            Bitmap_file.words_of_block ~spares:(spares t) (Volume.vol_map (volume_exn t vol)) index;
+        }
   | Agg_map_chunk { index } ->
       if Engine.sanitizing t.eng then Engine.probe_locked t.eng ~shared:(agg_map_domain ~index) Race.Read;
-      Layout.Agg_map { index; words = Bitmap_file.words_of_block t.agg_map index }
+      Layout.Agg_map { index; words = Bitmap_file.words_of_block ~spares:(spares t) t.agg_map index }
 
 (* Current on-disk location of a metafile block, or -1 when the owning
    volume/file no longer exists (e.g. deleted between enqueue and a CP
@@ -652,9 +674,21 @@ let publish_superblock t sb =
   Nvlog.cp_commit (nvlog t);
   (* The published tree no longer references this CP's frees: they become
      allocatable, and a block no snapshot holds has no reader left, so
-     its image leaves the disk. *)
+     its image leaves the disk and a packed image's buffer goes to the
+     spare pool for the next CP's metafile images.  Every such image
+     finished its write before this publish, so no queued write still
+     carries it. *)
+  let spares = spares t in
   Freed_set.release t.recently_freed (fun pvbn ->
-      if not (snapshot_held t pvbn) then Disk.discard t.pers.p_disk pvbn);
+      if not (snapshot_held t pvbn) then
+        match Disk.discard t.pers.p_disk pvbn with
+        | Some
+            ( Layout.Bmap { entries = img; _ }
+            | Layout.Container { entries = img; _ }
+            | Layout.Vol_map { words = img; _ }
+            | Layout.Agg_map { words = img; _ } ) ->
+            Wafl_util.Packed.recycle spares img
+        | Some (Layout.Data _ | Layout.Inode_chunk _) | None -> ());
   List.iter
     (fun (_, v) ->
       Volume.clear_recent_frees v;
@@ -799,6 +833,7 @@ let recover ?(cache_blocks = 65536) ?queue_depth ?obs eng ~cost pers =
       vvbn_region_free = Hashtbl.create 8;
       counters;
       recently_freed = Freed_set.create ~bits:(Geometry.total_data_blocks geom);
+      image_spares = new_spares ();
       last_vol = None;
       cache = Buffer_cache.create ~capacity:cache_blocks;
       snaps = [];

@@ -114,7 +114,9 @@ val buffer_cache : t -> Buffer_cache.t
 val read_pvbn : t -> int -> Layout.block option
 (** Fault-aware physical read: goes through {!Raid.read} so latent media
     errors and degraded groups are reconstructed from the parity model.
-    Raises {!Corruption} on a double failure ([`Lost]). *)
+    Raises {!Corruption} on a double failure ([`Lost]).  The payload is
+    the stored image itself: it stays valid only until the CP that frees
+    the block publishes (see {!publish_superblock}). *)
 
 val refresh_fault_counters : t -> unit
 (** Mirror the attached fault plan's counters ([media_errors],
@@ -205,7 +207,9 @@ val take_dirty_meta : t -> meta_ref list
 
 val meta_payload : t -> meta_ref -> Layout.block
 (** Serialize a metafile block for writing.  Must be called after all
-    location assignments of the current pass ({!meta_set_location}). *)
+    location assignments of the current pass ({!meta_set_location}).
+    A packed image is filled into a buffer from the aggregate's spare
+    pool when one is free, and allocated otherwise. *)
 
 val meta_location : t -> meta_ref -> int
 (** Current on-disk pvbn of a metafile block, or -1 when it was never
@@ -222,7 +226,9 @@ val publish_superblock : t -> Layout.superblock -> unit
 (** Make the superblock durable, commit the NVRAM log half, thaw
     recently freed VBNs, and bump the generation.  Each pvbn this CP
     freed that no snapshot holds has its disk image discarded, so
-    {!read_pvbn} of it returns [None] until the block is rewritten. *)
+    {!read_pvbn} of it returns [None] until the block is rewritten, and
+    a discarded packed image's buffer joins the spare pool that later
+    {!meta_payload} calls refill. *)
 
 val superblock : t -> Layout.superblock option
 val generation : t -> int

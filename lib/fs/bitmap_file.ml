@@ -128,11 +128,11 @@ let clear_dirty t =
   Hashtbl.clear t.dirty;
   t.last_dirty <- -1
 
-let words_of_block t i =
+let words_of_block ?spares t i =
   if i < 0 || i >= nblocks t then invalid_arg "Bitmap_file.words_of_block: bad block";
   let off = i * words_per_block in
   let len = min words_per_block (Array.length t.words - off) in
-  Packed.of_int64s t.words ~pos:off ~len
+  Packed.of_int64s ?spares t.words ~pos:off ~len
 
 let load_block t i payload =
   if i < 0 || i >= nblocks t then invalid_arg "Bitmap_file.load_block: bad block";

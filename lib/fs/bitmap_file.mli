@@ -56,9 +56,10 @@ val mark_dirty : t -> int -> unit
 (** Explicitly dirty a block (used when relocating the block itself). *)
 
 val clear_dirty : t -> unit
-val words_of_block : t -> int -> Wafl_util.Packed.t
+val words_of_block : ?spares:Wafl_util.Packed.spares -> t -> int -> Wafl_util.Packed.t
 (** Packed image of the words backing metafile block [i], for
-    serialization. *)
+    serialization, in a buffer from [spares] when one fits (the last
+    block of a map may be shorter than a full one). *)
 
 val snapshot_words : t -> int64 array
 (** Copy of the whole bit array; used to capture the block-usage state a

@@ -75,9 +75,9 @@ let dirty_bmap_blocks_desc t =
   Hashtbl.fold (fun k () acc -> k :: acc) t.dirty_bmap [] (* lint-ok: sorted below *)
   |> List.sort (fun a b -> Int.compare b a)
 
-let bmap_entries t index =
+let bmap_entries ?spares t index =
   let base = index * Layout.entries_per_bmap_block in
-  Intvec.extract t.bmap ~pos:base ~len:Layout.entries_per_bmap_block
+  Intvec.extract ?spares t.bmap ~pos:base ~len:Layout.entries_per_bmap_block
 
 let bmap_location t index = Intvec.get t.bmap_locations index
 

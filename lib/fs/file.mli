@@ -55,9 +55,10 @@ val dirty_bmap_blocks : t -> int list
 val dirty_bmap_blocks_desc : t -> int list
 (** Descending-order variant for prepend-accumulator callers. *)
 
-val bmap_entries : t -> int -> Wafl_util.Packed.t
+val bmap_entries : ?spares:Wafl_util.Packed.spares -> t -> int -> Wafl_util.Packed.t
 (** Packed entries of bmap block [i] (length
-    {!Layout.entries_per_bmap_block}). *)
+    {!Layout.entries_per_bmap_block}), in a buffer from [spares] when one
+    is free. *)
 
 val bmap_location : t -> int -> int
 val set_bmap_location : t -> int -> int -> int

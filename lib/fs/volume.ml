@@ -142,9 +142,9 @@ let sorted_keys_desc tbl =
 let dirty_container_chunks t = sorted_keys t.dirty_containers
 let dirty_container_chunks_desc t = sorted_keys_desc t.dirty_containers
 
-let container_entries t index =
+let container_entries ?spares t index =
   let base = index * Layout.entries_per_container_block in
-  Intvec.extract t.container ~pos:base ~len:Layout.entries_per_container_block
+  Intvec.extract ?spares t.container ~pos:base ~len:Layout.entries_per_container_block
 
 let container_location t index = Intvec.get t.container_locations index
 

@@ -77,7 +77,10 @@ val dirty_container_chunks : t -> int list
 val dirty_container_chunks_desc : t -> int list
 (** Descending-order variant for prepend-accumulator callers. *)
 
-val container_entries : t -> int -> Wafl_util.Packed.t
+val container_entries : ?spares:Wafl_util.Packed.spares -> t -> int -> Wafl_util.Packed.t
+(** Packed entries of container block [i], in a buffer from [spares]
+    when one is free. *)
+
 val container_location : t -> int -> int
 val set_container_location : t -> int -> int -> int
 val clear_dirty_containers : t -> unit

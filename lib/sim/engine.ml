@@ -34,6 +34,11 @@ type fiber = {
   mutable cell : fbox;
   mutable cell_label : string;
   mutable cell_epoch : int;
+  (* Links in the engine's registry of unfinished fibers (newest first);
+     [dummy_fiber] ends the list.  Both are reset when the fiber finishes,
+     so a finished fiber keeps no neighbour alive. *)
+  mutable older : fiber;
+  mutable newer : fiber;
   eng : t;
 }
 
@@ -63,7 +68,7 @@ and t = {
   mutable acct_epoch : int; (* bumped by reset_accounting; invalidates caches *)
   mutable window_start : float;
   mutable switches : int;
-  mutable all_fibers : fiber list; (* for stalled-fiber diagnosis *)
+  mutable newest : fiber; (* head of the unfinished-fiber registry *)
   race : Race.t option; (* Some iff created with ~sanitize:true *)
   mutable access_hook : (int -> string -> Race.mode -> unit) option;
   mutable obs_hooks : obs_hooks option; (* observability taps; None = zero cost *)
@@ -203,7 +208,7 @@ let create ?(quantum = 100.0) ?(sanitize = false) ~cores () =
     acct_epoch = 0;
     window_start = 0.0;
     switches = 0;
-    all_fibers = [];
+    newest = dummy_fiber;
     race = (if sanitize then Some (Race.create ()) else None);
     access_hook = None;
     obs_hooks = None;
@@ -307,8 +312,18 @@ let enqueue_runnable t f =
 
 let release_core t = t.free_cores <- t.free_cores + 1
 
+(* Unlink [f] from the unfinished-fiber registry in O(1); nothing else
+   in the engine refers to a finished fiber, so it becomes garbage once
+   its spawner drops the handle. *)
+let unregister t f =
+  if f.newer == dummy_fiber then t.newest <- f.older else f.newer.older <- f.older;
+  if f.older != dummy_fiber then f.older.newer <- f.newer;
+  f.older <- dummy_fiber;
+  f.newer <- dummy_fiber
+
 let finish_fiber t f =
   f.state <- Done;
+  unregister t f;
   if not f.daemon then t.live <- t.live - 1;
   release_core t;
   (match t.race with
@@ -418,12 +433,15 @@ let spawn t ?(label = "other") ?(daemon = false) ?at body =
       cell = dummy_cell;
       cell_label = "";
       cell_epoch = -1;
+      older = t.newest;
+      newer = dummy_fiber;
       eng = t;
     }
   in
   t.next_fid <- t.next_fid + 1;
   if not daemon then t.live <- t.live + 1;
-  t.all_fibers <- f :: t.all_fibers;
+  if t.newest != dummy_fiber then t.newest.newer <- f;
+  t.newest <- f;
   (match t.race with
   | Some r -> Race.add_fiber r ~parent:(current_fid t) ~fid:f.fid
   | None -> ());
@@ -486,12 +504,14 @@ let run ?until t =
 let stalled_fibers t =
   if t.heap_len > 0 || not (Queue.is_empty t.runnable) then []
   else
-    List.filter_map
-      (fun f ->
-        match f.state with
-        | Parked when not f.daemon -> Some (f.fid, f.label)
-        | _ -> None)
-      t.all_fibers
+    let rec collect acc f =
+      if f == dummy_fiber then List.rev acc
+      else
+        collect
+          (if f.state = Parked && not f.daemon then (f.fid, f.label) :: acc else acc)
+          f.older
+    in
+    collect [] t.newest
 
 let live_fibers t = t.live
 let pending_work t = t.heap_len > 0 || not (Queue.is_empty t.runnable)

@@ -51,7 +51,12 @@ val spawn : t -> ?label:string -> ?daemon:bool -> ?at:float -> (unit -> unit) ->
     scheduler worker — that legitimately parks forever between work items:
     daemons are excluded from {!live_fibers} and from {!stalled_fibers}
     diagnosis, so a run that ends with idle daemons parked still counts as
-    having run to completion. *)
+    having run to completion.
+
+    O(1) amortized.  The engine registers the fiber until it finishes and
+    keeps no reference to it afterwards, so a finished fiber is garbage
+    once the caller drops the returned handle: the host heap grows with
+    the fibers alive, not with the fibers ever spawned. *)
 
 (** {1 Running} *)
 
@@ -64,7 +69,8 @@ val run : ?until:float -> t -> unit
 val stalled_fibers : t -> (int * string) list
 (** Non-daemon fibers that are parked with nothing left in the system to
     wake them; non-empty after a full [run] indicates a deadlock or a
-    lost wakeup.  Returns [(id, label)] pairs. *)
+    lost wakeup.  Returns [(id, label)] pairs, newest fiber first.  Walks
+    only the unfinished fibers. *)
 
 val live_fibers : t -> int
 (** Non-daemon fibers spawned and not yet finished. *)

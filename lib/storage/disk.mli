@@ -7,7 +7,15 @@
     cooperation with the caller-provided overwrite check.
 
     Payloads are polymorphic: the file-system layer instantiates ['b]
-    with its on-disk block representation. *)
+    with its on-disk block representation.  Slots are stored unboxed (a
+    plain ['b array] created at the first write, beside a presence
+    bitmap), so a write allocates no per-slot box.
+
+    A payload is a shared reference, not a copy: one returned by {!read}
+    (or {!Raid.read}) stays valid only until the consistency point that
+    frees its block publishes.  The file system then {!discard}s the
+    block and may refill the dropped image's buffer for a later write
+    (DESIGN.md §4.2). *)
 
 type 'b t
 
@@ -24,13 +32,15 @@ val write : 'b t -> Geometry.vbn -> 'b -> unit
 (** Store a payload.  Raises [Invalid_argument] on an out-of-range VBN.
     Writing a sector with a latent media error remaps (clears) it. *)
 
-val discard : 'b t -> Geometry.vbn -> unit
-(** Drop the image stored at a VBN: {!read} returns [None] until the next
-    {!write} stores a new one.  Not a write (leaves {!writes_total} and
-    the fault plan alone).  Raises [Invalid_argument] on an out-of-range
-    VBN.  The file system calls it once the consistency point that freed
-    the block is published and no snapshot holds it, so the store keeps
-    an image only while something can still read it. *)
+val discard : 'b t -> Geometry.vbn -> 'b option
+(** Drop the image stored at a VBN and return it ([None] if the slot held
+    none): {!read} returns [None] until the next {!write} stores a new
+    one.  No later read can return the dropped image, so ownership passes
+    to the caller.  Not a write (leaves {!writes_total} and the
+    fault plan alone).  Raises [Invalid_argument] on an out-of-range VBN.
+    The file system calls it once the consistency point that freed the
+    block is published and no snapshot holds it, so the store keeps an
+    image only while something can still read it. *)
 
 val read : 'b t -> Geometry.vbn -> 'b option
 (** Raw store read, bypassing the fault plan: [None] if the block was

@@ -27,7 +27,7 @@ let set t i v =
 
 (* The backing array's tail beyond [t.len] already holds the default,
    so one pass over [data] (default past its end) is the logical range. *)
-let extract t ~pos ~len = Packed.of_ints t.data ~pos ~len ~default:t.default
+let extract ?spares t ~pos ~len = Packed.of_ints ?spares t.data ~pos ~len ~default:t.default
 
 let iteri_set t f =
   for i = 0 to t.len - 1 do

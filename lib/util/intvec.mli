@@ -14,9 +14,10 @@ val get : t -> int -> int
 val set : t -> int -> int -> unit
 (** Grows the vector as needed; intermediate slots read as the default. *)
 
-val extract : t -> pos:int -> len:int -> Packed.t
+val extract : ?spares:Packed.spares -> t -> pos:int -> len:int -> Packed.t
 (** [extract t ~pos ~len] is the packed image of the logical range:
-    slot [i] is [get t (pos + i)], the default where unset.  Raises
+    slot [i] is [get t (pos + i)], the default where unset, filled into
+    a buffer from [spares] when one fits ({!Packed.of_ints}).  Raises
     [Invalid_argument] on a negative [pos] or [len]. *)
 
 val iteri_set : t -> (int -> int -> unit) -> unit

@@ -1,23 +1,42 @@
-(** Packed block images: an immutable, fixed-length vector of 64-bit
-    slots stored 8 bytes apiece in one [Bytes.t].
+(** Packed block images: a fixed-length vector of 64-bit slots stored 8
+    bytes apiece in one [Bytes.t].
 
     This is the on-disk form of every metafile block whose payload is a
     run of numbers (block-map and container entries, activemap words).
     A bytes block holds no pointers, so the major GC never scans an
     image's contents, however many images the simulated disk retains.
-    Builders write every slot exactly once; nothing pre-fills. *)
+    Builders write every slot exactly once; nothing pre-fills.
+
+    An image is immutable for as long as anything can read it.  Once it
+    is dead, its owner may {!recycle} the buffer into a {!spares} pool;
+    a later build drawing from that pool overwrites it in place instead
+    of allocating a fresh buffer.  Recycling an image that is still
+    reachable corrupts it. *)
 
 type t
 
-val of_ints : int array -> pos:int -> len:int -> default:int -> t
+type spares
+(** A pool of dead image buffers, all of one size. *)
+
+val spares : slots:int -> spares
+(** An empty pool holding buffers of [slots] slots. *)
+
+val recycle : spares -> t -> unit
+(** Hand a dead image's buffer to the pool.  The caller must hold the
+    only reference: the next build that draws it overwrites every slot.
+    Images of another size are left to the GC. *)
+
+val of_ints : ?spares:spares -> int array -> pos:int -> len:int -> default:int -> t
 (** [of_ints a ~pos ~len ~default] has [len] slots; slot [i] holds
     [a.(pos + i)] when [pos + i < Array.length a] and [default]
-    otherwise.  Raises [Invalid_argument] on a negative [pos] or [len]. *)
+    otherwise.  With [spares], the image is filled into a pooled buffer
+    when one of [len] slots is available.  Raises [Invalid_argument] on
+    a negative [pos] or [len]. *)
 
-val of_int64s : int64 array -> pos:int -> len:int -> t
+val of_int64s : ?spares:spares -> int64 array -> pos:int -> len:int -> t
 (** [of_int64s a ~pos ~len] holds the raw bits of [a.(pos)] ..
-    [a.(pos + len - 1)].  Raises [Invalid_argument] if that range is not
-    inside [a]. *)
+    [a.(pos + len - 1)], filled into a pooled buffer as {!of_ints} does.
+    Raises [Invalid_argument] if that range is not inside [a]. *)
 
 val length : t -> int
 (** Number of slots. *)

@@ -14,6 +14,7 @@ let _bad_raw_restore t h = Wafl_obs.Trace.restore t ~kind:"smuggled" h
 let _bad_raw_reset t = Wafl_obs.Trace.fiber_reset t
 let _bad_raw_health t ev = Wafl_obs.Health.emit t ev
 let _bad_discard disk = Wafl_storage.Disk.discard disk 42
+let _bad_recycle spares img = Wafl_util.Packed.recycle spares img
 
 (* Suppressed: the fold result is sorted before use. lint-ok *)
 let _ok_fold tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []

@@ -539,6 +539,100 @@ let test_crash_in_freeing_cp () =
   done;
   Aggregate.fsck agg2
 
+(* Recycled image buffers: every publish hands the packed images it
+   discards to the aggregate's spare pool and later CPs refill them.
+   After a snapshot and four overwrite CPs, a buffer that held an image
+   after the first overwrite must be back on disk under another pvbn
+   (the pool was really used), no two present images may share a
+   buffer, and the snapshot, the active tree and a recovery from a crash
+   (with the last generation still only in the NVRAM log) must all read
+   the right generation. *)
+
+let packed_images agg =
+  let disk = Aggregate.disk agg in
+  let acc = ref [] in
+  for pvbn = Wafl_storage.Geometry.total_data_blocks (small_geom ()) - 1 downto 0 do
+    match Wafl_storage.Disk.read disk pvbn with
+    | Some
+        ( Layout.Bmap { entries = img; _ }
+        | Layout.Container { entries = img; _ }
+        | Layout.Vol_map { words = img; _ }
+        | Layout.Agg_map { words = img; _ } ) ->
+        acc := (pvbn, img) :: !acc
+    | _ -> ()
+  done;
+  !acc
+
+let test_spares_never_alias () =
+  let eng = Wafl_sim.Engine.create ~cores:8 () in
+  let agg =
+    Aggregate.create eng ~cost:Wafl_sim.Cost.default ~geometry:(small_geom ()) ~nvlog_half:4096 ()
+  in
+  let walloc = Wafl_core.Walloc.create agg Wafl_core.Walloc.default_config in
+  let cp = Wafl_core.Walloc.cp walloc in
+  let nfbns = 1024 and overwrites = 4 in
+  let logged = overwrites + 1 in
+  let latest fbn = if fbn < nfbns / 2 then logged else overwrites in
+  let result = ref None in
+  ignore
+    (Wafl_sim.Engine.spawn eng ~label:"setup" (fun () ->
+         let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
+         Wafl_core.Walloc.register_volume walloc vol;
+         let f = Aggregate.create_file agg ~vol:(Volume.id vol) in
+         let write ~gen n =
+           for fbn = 0 to n - 1 do
+             ignore
+               (Aggregate.write agg ~vol:(Volume.id vol) ~file:(File.id f) ~fbn
+                  ~content:(content ~gen ~fbn))
+           done
+         in
+         let write_gen gen =
+           write ~gen nfbns;
+           Wafl_core.Cp.run_now cp
+         in
+         write_gen 0;
+         let snap = Aggregate.create_snapshot agg ~name:"before" in
+         write_gen 1;
+         let after_first = packed_images agg in
+         for gen = 2 to overwrites do
+           write_gen gen
+         done;
+         write ~gen:logged (nfbns / 2);
+         result := Some (vol, f, snap, after_first)));
+  Wafl_sim.Engine.run eng;
+  let vol, f, snap, after_first = Option.get !result in
+  let now = packed_images agg in
+  let reused =
+    List.exists
+      (fun (pvbn, img) -> List.exists (fun (p0, i0) -> i0 == img && p0 <> pvbn) after_first)
+      now
+  in
+  Alcotest.(check bool) "a discarded buffer was refilled" true reused;
+  List.iteri
+    (fun i (p, img) ->
+      List.iteri
+        (fun j (q, img') ->
+          if j > i && img == img' then Alcotest.failf "pvbns %d and %d share an image buffer" p q)
+        now)
+    now;
+  Aggregate.fsck agg;
+  let vid = Volume.id vol and fid = File.id f in
+  for fbn = 0 to nfbns - 1 do
+    if Aggregate.read_snapshot agg snap ~vol:vid ~file:fid ~fbn <> Some (content ~gen:0 ~fbn)
+    then Alcotest.failf "snapshot fbn %d lost its gen-0 content" fbn;
+    if Aggregate.read agg ~vol:vid ~file:fid ~fbn <> Some (content ~gen:(latest fbn) ~fbn) then
+      Alcotest.failf "active fbn %d lost its last write" fbn
+  done;
+  let agg2 =
+    Aggregate.recover (Wafl_sim.Engine.create ~cores:8 ()) ~cost:Wafl_sim.Cost.default
+      (Aggregate.crash agg)
+  in
+  for fbn = 0 to nfbns - 1 do
+    if Aggregate.read agg2 ~vol:vid ~file:fid ~fbn <> Some (content ~gen:(latest fbn) ~fbn) then
+      Alcotest.failf "recovered fbn %d lost an acked write" fbn
+  done;
+  Aggregate.fsck agg2
+
 let () =
   Alcotest.run "wafl_fs"
     [
@@ -603,5 +697,6 @@ let () =
         [
           Alcotest.test_case "discarded at publish unless held" `Quick test_image_lifetime;
           Alcotest.test_case "crash inside the freeing CP" `Quick test_crash_in_freeing_cp;
+          Alcotest.test_case "spares never alias" `Quick test_spares_never_alias;
         ] );
     ]

@@ -204,6 +204,34 @@ let test_stalled_fiber_detection () =
   | [ (_, label) ] -> Alcotest.(check string) "stalled label" "stuck" label
   | other -> Alcotest.failf "expected one stalled fiber, got %d" (List.length other)
 
+(* The engine keeps only unfinished fibers: 100 K fibers that finish
+   leave nothing behind, while the three that park (first, middle and
+   last spawned, around a parked daemon) stay diagnosable, newest first. *)
+let test_fiber_registry_bounded () =
+  let eng = Engine.create ~cores:4 () in
+  let parked = ref [] in
+  let spawn_parked label =
+    let f = Engine.spawn eng ~label (fun () -> Engine.park eng) in
+    parked := (Engine.fiber_id f, label) :: !parked
+  in
+  let n = 100_000 in
+  spawn_parked "first";
+  for i = 1 to n do
+    ignore (Engine.spawn eng ~label:"done" (fun () -> Engine.consume 1.0));
+    if i = n / 2 then begin
+      spawn_parked "middle";
+      ignore (Engine.spawn eng ~label:"daemon" ~daemon:true (fun () -> Engine.park eng))
+    end
+  done;
+  spawn_parked "last";
+  Engine.run eng;
+  Alcotest.(check int) "only the parked fibers are live" 3 (Engine.live_fibers eng);
+  Alcotest.(check (list (pair int string))) "parked fibers, newest first" !parked
+    (Engine.stalled_fibers eng);
+  let words = Obj.reachable_words (Obj.repr eng) in
+  if words > 2_000 then
+    Alcotest.failf "engine reaches %d words after %d finished fibers" words n
+
 let test_determinism () =
   let trace () =
     let eng = Engine.create ~cores:3 () in
@@ -497,6 +525,7 @@ let () =
           Alcotest.test_case "sleep" `Quick test_sleep;
           Alcotest.test_case "sleep releases core" `Quick test_sleep_releases_core;
           Alcotest.test_case "spawn at" `Quick test_spawn_at;
+          Alcotest.test_case "fiber registry bounded" `Quick test_fiber_registry_bounded;
           Alcotest.test_case "accounting by label" `Quick test_accounting_by_label;
           Alcotest.test_case "accounting reset" `Quick test_accounting_reset;
           Alcotest.test_case "set_label" `Quick test_set_label;

@@ -95,14 +95,63 @@ let test_disk_bounds () =
 let test_disk_discard () =
   let d = Disk.create (geom ()) in
   Disk.write d 42 "hello";
-  Disk.discard d 42;
+  Alcotest.(check (option string)) "discard returns the image" (Some "hello") (Disk.discard d 42);
   Alcotest.(check (option string)) "read after discard" None (Disk.read d 42);
   Alcotest.(check int) "discard is not a write" 1 (Disk.writes_total d);
   Alcotest.check_raises "oob discard" (Invalid_argument "Disk: vbn 999999 out of range")
-    (fun () -> Disk.discard d 999999);
+    (fun () -> ignore (Disk.discard d 999999));
   Disk.write d 42 "again";
   Alcotest.(check (option string)) "rewrite stores again" (Some "again") (Disk.read d 42);
   Alcotest.(check int) "rewrite counted" 2 (Disk.writes_total d)
+
+(* Slots are unboxed: a plain payload array created at the first write,
+   beside a presence bitmap.  Exercised with a record payload, so the
+   store's polymorphism is not tied to the file system's block type. *)
+type rec_payload = { tag : int; body : string }
+
+(* Kept out of line so no register or stack slot of the caller still
+   holds the payload when the test collects. *)
+let[@inline never] write_and_discard d vbn =
+  let p = { tag = vbn; body = String.make 64 'x' } in
+  Disk.write d vbn p;
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some p);
+  (match Disk.discard d vbn with
+  | Some q -> Alcotest.(check bool) "discard hands back the stored value" true (q == p)
+  | None -> Alcotest.fail "discard lost the image");
+  w
+
+let test_disk_unboxed_slots () =
+  let d = Disk.create (geom ()) in
+  let absent what vbn = Alcotest.(check bool) what true (Disk.read d vbn = None) in
+  absent "fresh store" 0;
+  Alcotest.(check bool) "discarding an unwritten slot" true (Disk.discard d 7 = None);
+  let first = { tag = 1; body = "first" } in
+  Disk.write d 1 first;
+  absent "neighbour of the first write" 0;
+  absent "far slot" (Geometry.total_data_blocks (geom ()) - 1);
+  (match Disk.read d 1 with
+  | Some p -> Alcotest.(check bool) "read returns the stored value" true (p == first)
+  | None -> Alcotest.fail "written slot reads None");
+  for round = 1 to 3 do
+    let p = { tag = round; body = "cycle" } in
+    Disk.write d 5 p;
+    Alcotest.(check (option int)) "written" (Some round)
+      (Option.map (fun p -> p.tag) (Disk.read d 5));
+    Alcotest.(check (option int)) "discard returns it" (Some round)
+      (Option.map (fun p -> p.tag) (Disk.discard d 5));
+    absent "after discard" 5;
+    Alcotest.(check bool) "second discard" true (Disk.discard d 5 = None)
+  done;
+  Alcotest.(check int) "only writes count" 4 (Disk.writes_total d);
+  let w = write_and_discard d 9 in
+  Gc.full_major ();
+  Alcotest.(check bool) "a discarded image is not kept alive" true (Weak.get w 0 = None);
+  let oob = Invalid_argument "Disk: vbn 999999 out of range" in
+  Alcotest.check_raises "oob read" oob (fun () -> ignore (Disk.read d 999999));
+  Alcotest.check_raises "oob discard" oob (fun () -> ignore (Disk.discard d 999999));
+  Alcotest.check_raises "negative vbn" (Invalid_argument "Disk: vbn -1 out of range") (fun () ->
+      Disk.write d (-1) first)
 
 (* --- Raid --- *)
 
@@ -392,6 +441,7 @@ let () =
           Alcotest.test_case "read/write" `Quick test_disk_read_write;
           Alcotest.test_case "bounds" `Quick test_disk_bounds;
           Alcotest.test_case "discard" `Quick test_disk_discard;
+          Alcotest.test_case "unboxed slots" `Quick test_disk_unboxed_slots;
         ] );
       ( "raid",
         [

@@ -15,8 +15,9 @@
    - qualified calls to the aggregate's partition-state mutators
      ([commit_alloc_pvbn] & friends) outside infra.ml / cp.ml — all
      other code must go through the Scheduler.post affinity API;
-   - [Disk.discard] outside aggregate.ml (block images die only at a
-     superblock publish).
+   - [Disk.discard] or [Packed.recycle] outside lib/fs/aggregate.ml
+     (block images die only at a superblock publish, and only that
+     publish may hand a dead image's buffer to the spare pool).
 
    A finding is suppressed when the token "lint-ok" appears on the
    flagged line or the line directly above it (typically in a comment
@@ -80,11 +81,13 @@ let causal_whitelist = [ "trace.ml"; "causal.ml" ]
    rule names). *)
 let health_whitelist = [ "health.ml" ]
 
-(* Files allowed to drop block images from the simulated disk: the
-   aggregate, which discards a freed block only once the superblock that
-   stops referencing it is published and no snapshot holds it.  A discard
-   anywhere else could drop an image a recovery or snapshot still reads. *)
-let discard_whitelist = [ "aggregate.ml" ]
+(* The one file allowed to drop block images from the simulated disk and
+   recycle their buffers: the aggregate, which discards a freed block
+   only once the superblock that stops referencing it is published and
+   no snapshot holds it, then hands the dropped image to its spare pool.
+   A discard anywhere else could drop an image a recovery or snapshot
+   still reads; a recycle anywhere else could refill a live image. *)
+let image_owner = "lib/fs/aggregate.ml"
 
 let check_path src loc path =
   match path with
@@ -121,10 +124,15 @@ let check_path src loc path =
               "Health.emit appends raw watchdog events; add a typed Health.rule evaluated \
                at window seal instead"
       | "discard" :: "Disk" :: _ ->
-          if not (List.mem (base src.name) discard_whitelist) then
+          if not (String.ends_with ~suffix:image_owner src.name) then
             report src loc
               "Disk.discard drops a block image; only the aggregate's superblock publish may \
                discard, once no durable tree or snapshot can read the block"
+      | "recycle" :: "Packed" :: _ ->
+          if not (String.ends_with ~suffix:image_owner src.name) then
+            report src loc
+              "Packed.recycle hands an image's buffer to a spare pool for refilling; only the \
+               aggregate's superblock publish may recycle, and only images it just discarded"
       | field :: "Trace" :: _ when List.mem field causal_primitives ->
           if not (List.mem (base src.name) causal_whitelist) then
             report src loc
