@@ -25,7 +25,7 @@ type cleaner = {
   mutable phys : Bucket.t option;
   mutable virt : (int * Bucket.t) option; (* at most one volume's bucket *)
   phys_stage : Stage.t;
-  virt_stages : (int, Stage.t) Hashtbl.t;
+  virt_stages : Stage.t Wafl_util.Int_table.t; (* by volume id *)
   token : Counters.token;
   (* Cached token cells for the two per-buffer counters: skips the
      name-hash lookup on every cleaned buffer. *)
@@ -133,7 +133,7 @@ let stage_phys t c pvbn =
 
 let virt_stage t c vol =
   let vid = Volume.id vol in
-  match Hashtbl.find_opt c.virt_stages vid with
+  match Wafl_util.Int_table.find_opt c.virt_stages vid with
   | Some s -> s
   | None ->
       let s =
@@ -141,7 +141,7 @@ let virt_stage t c vol =
           ~target:(Stage.Virt { vol = vid })
           ~capacity:(Infra.config t.infra).Infra.stage_capacity
       in
-      Hashtbl.add c.virt_stages vid s;
+      Wafl_util.Int_table.replace c.virt_stages vid s;
       s
 
 let stage_virt t c vol vvbn =
@@ -211,9 +211,7 @@ let flush_cleaner t c =
   if not (Stage.is_empty c.phys_stage) then
     Infra.commit_frees ~owner:c.idx t.infra ~target:Stage.Phys
       ~vbns:(Stage.drain c.phys_stage) ~token:c.token;
-  (* lint-ok: sorted before use. *)
-  Hashtbl.fold (fun vid s acc -> (vid, s) :: acc) c.virt_stages []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  Wafl_util.Int_table.bindings c.virt_stages
   |> List.iter (fun (vid, s) ->
          if not (Stage.is_empty s) then
            Infra.commit_frees ~owner:c.idx t.infra ~target:(Stage.Virt { vol = vid })
@@ -311,7 +309,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra ~max_threads ~initial_threads 
               phys_stage =
                 Stage.create ~target:Stage.Phys
                   ~capacity:(Infra.config infra).Infra.stage_capacity;
-              virt_stages = Hashtbl.create 4;
+              virt_stages = Wafl_util.Int_table.create ();
               token;
               c_freed = Counters.token_cell token "cleaner_blocks_freed";
               c_cleaned = Counters.token_cell token "cleaner_buffers_cleaned";

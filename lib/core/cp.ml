@@ -225,7 +225,7 @@ let metafile_pass t =
         alloc_meta ()
   in
   (* Phase A: assignment fixpoint. *)
-  let assigned : (Aggregate.meta_ref, int * Bucket.t) Hashtbl.t = Hashtbl.create 256 in
+  let assigned : (Aggregate.meta_ref, unit) Hashtbl.t = Hashtbl.create 256 in
   let order = ref [] in
   let passes = ref 0 in
   let continue_passes = ref true in
@@ -244,8 +244,8 @@ let metafile_pass t =
             Engine.consume t.cost.Cost.bitmap_bit_update;
             Aggregate.commit_free_pvbn t.agg old
           end;
-          Hashtbl.add assigned ref_ (pvbn, bucket);
-          order := ref_ :: !order
+          Hashtbl.add assigned ref_ ();
+          order := (ref_, pvbn, bucket) :: !order
         end)
       refs;
     if not !progressed then continue_passes := false
@@ -257,13 +257,13 @@ let metafile_pass t =
   let batches = Hashtbl.create 16 in
   let batch_order = ref [] in
   List.iter
-    (fun ref_ ->
+    (fun ((ref_, _, _) as placed) ->
       let affinity = Infra.meta_affinity t.infra ref_ in
       (match Hashtbl.find_opt batches affinity with
       | None ->
           batch_order := affinity :: !batch_order;
-          Hashtbl.add batches affinity [ ref_ ]
-      | Some cur -> Hashtbl.replace batches affinity (ref_ :: cur)))
+          Hashtbl.add batches affinity [ placed ]
+      | Some cur -> Hashtbl.replace batches affinity (placed :: cur)))
     (List.rev !order);
   let outstanding = ref 0 in
   let me = Engine.self t.eng in
@@ -285,8 +285,7 @@ let metafile_pass t =
             incr outstanding;
             Infra.post_meta t.infra ~affinity (fun () ->
                 List.iter
-                  (fun ref_ ->
-                    let pvbn, bucket = Hashtbl.find assigned ref_ in
+                  (fun (ref_, pvbn, bucket) ->
                     let payload = Aggregate.meta_payload t.agg ref_ in
                     Engine.consume t.cost.Cost.metafile_block_touch;
                     Api.enqueue_deferred bucket ~vbn:pvbn ~payload)
@@ -413,7 +412,7 @@ let serial_alloc_vvbn t vol =
 
 let serial_enqueue_write t pvbn payload =
   let geom = Aggregate.geometry t.agg in
-  let rg = (Wafl_storage.Geometry.locate geom pvbn).Wafl_storage.Geometry.rg in
+  let rg = Wafl_storage.Geometry.rg_of geom pvbn in
   let buf = t.serial.io_buffers.(rg) in
   buf := (pvbn, payload) :: !buf;
   t.serial.io_counts.(rg) <- t.serial.io_counts.(rg) + 1;

@@ -44,7 +44,7 @@ type t = {
   agg_id : int;
   phys_cache : Bucket.t Sync.Channel.t;
   rgs : rg_state array;
-  vols : (int, vol_state) Hashtbl.t;
+  vols : vol_state Wafl_util.Int_table.t; (* by volume id *)
   (* statistics *)
   mutable n_filled : int;
   mutable n_committed : int;
@@ -307,7 +307,7 @@ let commit_virt_bucket t vs ~under bucket =
 (* --- public operations -------------------------------------------------- *)
 
 let vol_state t vol =
-  match Hashtbl.find_opt t.vols (Volume.id vol) with
+  match Wafl_util.Int_table.find_opt t.vols (Volume.id vol) with
   | Some vs -> vs
   | None -> invalid_arg (Printf.sprintf "Infra: volume %d not registered" (Volume.id vol))
 
@@ -328,7 +328,7 @@ let put t bucket =
           commit_phys_bucket t st bucket)
   | Bucket.Virt { vol } ->
       let vs =
-        match Hashtbl.find_opt t.vols vol with
+        match Wafl_util.Int_table.find_opt t.vols vol with
         | Some vs -> vs
         | None -> invalid_arg "Infra.put: unknown volume"
       in
@@ -423,7 +423,7 @@ let virt_cache_length t vol = Sync.Channel.length (vol_state t vol).cache
 (* --- construction ------------------------------------------------------- *)
 
 let register_vol_state t vol =
-  if not (Hashtbl.mem t.vols (Volume.id vol)) then begin
+  if not (Wafl_util.Int_table.mem t.vols (Volume.id vol)) then begin
     let vs =
       {
         vol;
@@ -436,7 +436,7 @@ let register_vol_state t vol =
       }
     in
     vs.next_bit <- vs.region * Aggregate.vvbn_region_bits;
-    Hashtbl.add t.vols (Volume.id vol) vs;
+    Wafl_util.Int_table.replace t.vols (Volume.id vol) vs;
     (match Sched.isolation t.sched with
     | Some iso ->
         let vid = Volume.id vol in
@@ -491,7 +491,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) sched agg cfg =
       agg_id = 0;
       phys_cache = Sync.Channel.create eng;
       rgs;
-      vols = Hashtbl.create 8;
+      vols = Wafl_util.Int_table.create ();
       n_filled = 0;
       n_committed = 0;
       n_allocated = 0;
@@ -534,9 +534,7 @@ let dump t out =
       Printf.fprintf out "  rg %d: aa=%d next_dbn=%d returned=%d/%d refills_left=%d\n%!"
         st.rg st.aa st.next_dbn st.returned (List.length st.drives) st.refills_left)
     t.rgs;
-  (* lint-ok: sorted before printing. *)
-  Hashtbl.fold (fun vid vs acc -> (vid, vs) :: acc) t.vols []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  Wafl_util.Int_table.bindings t.vols
   |> List.iter (fun (vid, vs) ->
          Printf.fprintf out "  vol %d: cache=%d region=%d next_bit=%d\n%!" vid
            (Sync.Channel.length vs.cache) vs.region vs.next_bit);

@@ -34,6 +34,14 @@ let vol_map_domain ~vol ~index = Printf.sprintf "vol/%d.map/%d" vol index
 let pvbn_domain pvbn = agg_map_domain ~index:(pvbn / Layout.bits_per_map_block)
 let vvbn_domain ~vol vvbn = vol_map_domain ~vol ~index:(vvbn / Layout.bits_per_map_block)
 
+(* A registered volume and its free-space accounting, looked up by
+   volume id on every client op and every vvbn allocation and free. *)
+type vol_slot = {
+  some_vol : Volume.t option; (* [Some vol], built once: a lookup allocates nothing *)
+  free_vvbns : int ref; (* cached vvbn-free counter cell *)
+  region_free : int array; (* free vvbns per vvbn region *)
+}
+
 type t = {
   eng : Engine.t;
   cost : Cost.t;
@@ -44,18 +52,15 @@ type t = {
   agg_map : Bitmap_file.t;
   aa_free_tbl : int array array; (* rg -> aa -> free blocks *)
   mutable vols : (int * Volume.t) list; (* ascending ids; volumes are few *)
-  vols_tbl : (int, Volume.t) Hashtbl.t; (* same volumes; O(1) lookup *)
+  mutable vol_slots : vol_slot option array; (* same volumes, by id *)
   free_cell : int ref; (* cached [free_counter] cell: no hash per block *)
   held_cell : int ref; (* cached "snapshot_held_blocks" cell *)
-  vol_free_cells : (int, int ref) Hashtbl.t; (* vid -> cached vvbn-free cell *)
   (* Union of every snapshot's held words, rebuilt whenever [snaps]
      changes, so [snapshot_held] is one bit test instead of a scan. *)
   mutable snap_union : int64 array;
-  vvbn_region_free : (int, int array) Hashtbl.t; (* vol id -> region free counts *)
   counters : Counters.t;
   recently_freed : Freed_set.t; (* pvbns frozen until the CP publishes *)
   image_spares : Wafl_util.Packed.spares; (* buffers of images the publish discarded *)
-  mutable last_vol : Volume.t option; (* one-entry [volume] lookup cache *)
   cache : Buffer_cache.t;
   mutable snaps : Snapshot.t list;
   log_space : Sync.Waitq.t;
@@ -129,16 +134,13 @@ let create ?(nvlog_half = 16384) ?nvlog_watermarks ?(cache_blocks = 65536) ?queu
       agg_map = Bitmap_file.create ~bits:(Geometry.total_data_blocks geometry);
       aa_free_tbl = init_aa_free geometry;
       vols = [];
-      vols_tbl = Hashtbl.create 8;
-      vol_free_cells = Hashtbl.create 8;
+      vol_slots = [||];
       free_cell = Counters.cell counters free_counter;
       held_cell = Counters.cell counters "snapshot_held_blocks";
       snap_union = [||];
-      vvbn_region_free = Hashtbl.create 8;
       counters;
       recently_freed = Freed_set.create ~bits:(Geometry.total_data_blocks geometry);
       image_spares = new_spares ();
-      last_vol = None;
       cache = Buffer_cache.create ~capacity:cache_blocks;
       snaps = [];
       log_space = Sync.Waitq.create eng;
@@ -185,13 +187,8 @@ let log_append t entry =
   if Engine.sanitizing t.eng then Engine.probe_atomic t.eng ~shared:"fs.nvlog";
   Nvlog.append (nvlog t) entry
 
-let volume t vid =
-  match t.last_vol with
-  | Some v when Volume.id v = vid -> t.last_vol
-  | _ ->
-      let r = Hashtbl.find_opt t.vols_tbl vid in
-      (match r with Some _ -> t.last_vol <- r | None -> ());
-      r
+let vol_slot t vid = if vid >= 0 && vid < Array.length t.vol_slots then t.vol_slots.(vid) else None
+let volume t vid = match vol_slot t vid with Some s -> s.some_vol | None -> None
 
 let volume_exn t vid =
   match volume t vid with
@@ -203,9 +200,9 @@ let volumes t = List.map snd t.vols
 let region_count vvbn_space = (vvbn_space + vvbn_region_bits - 1) / vvbn_region_bits
 
 let register_volume t vol =
-  t.vols <- t.vols @ [ (Volume.id vol, vol) ];
-  Hashtbl.replace t.vols_tbl (Volume.id vol) vol;
-  if Volume.id vol >= t.next_vol_id then t.next_vol_id <- Volume.id vol + 1;
+  let vid = Volume.id vol in
+  t.vols <- t.vols @ [ (vid, vol) ];
+  if vid >= t.next_vol_id then t.next_vol_id <- vid + 1;
   let nregions = region_count (Volume.vvbn_space vol) in
   let free = Array.make nregions 0 in
   for r = 0 to nregions - 1 do
@@ -213,10 +210,19 @@ let register_volume t vol =
     let hi = min (Volume.vvbn_space vol - 1) (((r + 1) * vvbn_region_bits) - 1) in
     free.(r) <- hi - lo + 1
   done;
-  Hashtbl.replace t.vvbn_region_free (Volume.id vol) free;
-  Counters.set t.counters (vol_free_counter (Volume.id vol)) (Volume.vvbn_space vol);
-  Hashtbl.replace t.vol_free_cells (Volume.id vol)
-    (Counters.cell t.counters (vol_free_counter (Volume.id vol)))
+  Counters.set t.counters (vol_free_counter vid) (Volume.vvbn_space vol);
+  if vid >= Array.length t.vol_slots then begin
+    let slots = Array.make (max (vid + 1) (2 * Array.length t.vol_slots)) None in
+    Array.blit t.vol_slots 0 slots 0 (Array.length t.vol_slots);
+    t.vol_slots <- slots
+  end;
+  t.vol_slots.(vid) <-
+    Some
+      {
+        some_vol = Some vol;
+        free_vvbns = Counters.cell t.counters (vol_free_counter vid);
+        region_free = free;
+      }
 
 let create_volume t ~vvbn_space =
   let vid = t.next_vol_id in
@@ -267,8 +273,7 @@ let buffer_cache t = t.cache
    media errors and degraded groups are handled (reconstruction from the
    parity model) instead of silently returning the stored payload. *)
 let read_pvbn t pvbn =
-  let loc = Geometry.locate t.geom pvbn in
-  match Raid.read t.raids.(loc.Geometry.rg) pvbn with
+  match Raid.read t.raids.(Geometry.rg_of t.geom pvbn) pvbn with
   | `Ok p -> Some p
   | `Degraded p -> Some p
   | `Absent -> None
@@ -428,20 +433,21 @@ let wait_for_log_space t =
 
 (* --- physical allocation state --- *)
 
-let aa_of_pvbn t pvbn =
-  let loc = Geometry.locate t.geom pvbn in
-  (loc.Geometry.rg, Geometry.aa_of_dbn t.geom loc.Geometry.dbn)
+(* Add [d] to the free count of the Allocation Area holding [pvbn]. *)
+let adjust_aa_free t pvbn d =
+  let counts = t.aa_free_tbl.(Geometry.rg_of t.geom pvbn) in
+  let aa = Geometry.aa_of_dbn t.geom (Geometry.dbn_of t.geom pvbn) in
+  counts.(aa) <- counts.(aa) + d
 
 let commit_alloc_pvbn t pvbn =
   if Engine.sanitizing t.eng then Engine.probe_locked t.eng ~shared:(pvbn_domain pvbn) Race.Write;
   Bitmap_file.set t.agg_map pvbn;
-  let rg, aa = aa_of_pvbn t pvbn in
-  t.aa_free_tbl.(rg).(aa) <- t.aa_free_tbl.(rg).(aa) - 1;
+  adjust_aa_free t pvbn (-1);
   t.free_cell := !(t.free_cell) - 1
 
-let vol_free_cell t vid =
-  match Hashtbl.find_opt t.vol_free_cells vid with
-  | Some c -> c
+let vol_acct t vol =
+  match vol_slot t (Volume.id vol) with
+  | Some s -> s
   | None -> invalid_arg "Aggregate: unregistered volume"
 
 let snapshot_held t pvbn =
@@ -473,8 +479,7 @@ let commit_free_pvbn t pvbn =
        it: not reusable, not free space. *)
     t.held_cell := !(t.held_cell) + 1
   else begin
-    let rg, aa = aa_of_pvbn t pvbn in
-    t.aa_free_tbl.(rg).(aa) <- t.aa_free_tbl.(rg).(aa) + 1;
+    adjust_aa_free t pvbn 1;
     t.free_cell := !(t.free_cell) + 1
   end;
   Freed_set.add t.recently_freed pvbn;
@@ -482,36 +487,33 @@ let commit_free_pvbn t pvbn =
      the FTL's GC would keep relocating pages the file system no longer
      references, and the device-fill axis would only ever grow. *)
   if t.flash_on then
-    Raid.trim t.raids.((Geometry.locate t.geom pvbn).Geometry.rg) pvbn
+    Raid.trim t.raids.(Geometry.rg_of t.geom pvbn) pvbn
 
 let pvbn_allocatable t pvbn =
   (not (Bitmap_file.mem t.agg_map pvbn))
   && (not (Freed_set.mem t.recently_freed pvbn))
   && not (snapshot_held t pvbn)
 
-let region_free t vol =
-  match Hashtbl.find_opt t.vvbn_region_free (Volume.id vol) with
-  | Some a -> a
-  | None -> invalid_arg "Aggregate: unregistered volume"
+let region_free t vol = (vol_acct t vol).region_free
 
 let commit_alloc_vvbn t ~vol vvbn =
   if Engine.sanitizing t.eng then
     Engine.probe_locked t.eng ~shared:(vvbn_domain ~vol:(Volume.id vol) vvbn) Race.Write;
   Bitmap_file.set (Volume.vol_map vol) vvbn;
-  let regions = region_free t vol in
+  let acct = vol_acct t vol in
   let r = vvbn / vvbn_region_bits in
-  regions.(r) <- regions.(r) - 1;
-  decr (vol_free_cell t (Volume.id vol))
+  acct.region_free.(r) <- acct.region_free.(r) - 1;
+  decr acct.free_vvbns
 
 let commit_free_vvbn t ~vol vvbn =
   if Engine.sanitizing t.eng then
     Engine.probe_locked t.eng ~shared:(vvbn_domain ~vol:(Volume.id vol) vvbn) Race.Write;
   Bitmap_file.clear (Volume.vol_map vol) vvbn;
-  let regions = region_free t vol in
+  let acct = vol_acct t vol in
   let r = vvbn / vvbn_region_bits in
-  regions.(r) <- regions.(r) + 1;
+  acct.region_free.(r) <- acct.region_free.(r) + 1;
   Volume.note_freed_vvbn vol vvbn;
-  incr (vol_free_cell t (Volume.id vol))
+  incr acct.free_vvbns
 
 let vvbn_allocatable t ~vol vvbn =
   ignore t;
@@ -652,13 +654,7 @@ let make_superblock t =
     Layout.generation = t.generation + 1;
     cp_count = t.cp_count + 1;
     vols = List.map (fun (_, v) -> Volume.to_vol_rec v) t.vols;
-    aggmap_pvbns =
-      (let acc = ref [] in
-       for i = Bitmap_file.nblocks t.agg_map - 1 downto 0 do
-         let loc = Bitmap_file.location t.agg_map i in
-         if loc >= 0 then acc := (i, loc) :: !acc
-       done;
-       Array.of_list !acc);
+    aggmap_pvbns = Bitmap_file.locations t.agg_map;
     free_blocks = Counters.read t.counters free_counter;
     snap_roots =
       List.map
@@ -742,8 +738,7 @@ let delete_snapshot t snap =
           if Wafl_util.Bitops.get candidates i then begin
             let pvbn = (w * 64) + i in
             if Geometry.vbn_valid t.geom pvbn && not (snapshot_held t pvbn) then begin
-              let rg, aa = aa_of_pvbn t pvbn in
-              t.aa_free_tbl.(rg).(aa) <- t.aa_free_tbl.(rg).(aa) + 1;
+              adjust_aa_free t pvbn 1;
               incr released
             end
           end
@@ -825,16 +820,13 @@ let recover ?(cache_blocks = 65536) ?queue_depth ?obs eng ~cost pers =
       agg_map = Bitmap_file.create ~bits:(Geometry.total_data_blocks geom);
       aa_free_tbl = init_aa_free geom;
       vols = [];
-      vols_tbl = Hashtbl.create 8;
-      vol_free_cells = Hashtbl.create 8;
+      vol_slots = [||];
       free_cell = Counters.cell counters free_counter;
       held_cell = Counters.cell counters "snapshot_held_blocks";
       snap_union = [||];
-      vvbn_region_free = Hashtbl.create 8;
       counters;
       recently_freed = Freed_set.create ~bits:(Geometry.total_data_blocks geom);
       image_spares = new_spares ();
-      last_vol = None;
       cache = Buffer_cache.create ~capacity:cache_blocks;
       snaps = [];
       log_space = Sync.Waitq.create eng;
@@ -948,8 +940,7 @@ let recover ?(cache_blocks = 65536) ?queue_depth ?obs eng ~cost pers =
       for pvbn = 0 to Geometry.total_data_blocks geom - 1 do
         if (not (Bitmap_file.mem t.agg_map pvbn)) && snapshot_held t pvbn then begin
           incr held;
-          let rg, aa = aa_of_pvbn t pvbn in
-          t.aa_free_tbl.(rg).(aa) <- t.aa_free_tbl.(rg).(aa) - 1
+          adjust_aa_free t pvbn (-1)
         end
       done;
       Counters.set t.counters "snapshot_held_blocks" !held;
@@ -966,10 +957,8 @@ let recover ?(cache_blocks = 65536) ?queue_depth ?obs eng ~cost pers =
     let per_rg = Array.map (fun _ -> ref []) t.raids in
     for pvbn = Geometry.total_data_blocks geom - 1 downto 0 do
       if Bitmap_file.mem t.agg_map pvbn then begin
-        let loc = Geometry.locate geom pvbn in
-        let lpn = (loc.Geometry.drive * Geometry.drive_blocks geom) + loc.Geometry.dbn in
-        let cell = per_rg.(loc.Geometry.rg) in
-        cell := lpn :: !cell
+        let cell = per_rg.(Geometry.rg_of geom pvbn) in
+        cell := Geometry.rg_offset geom pvbn :: !cell
       end
     done;
     Array.iteri

@@ -2,12 +2,18 @@ open Wafl_util
 
 let words_per_block = Layout.bits_per_map_block / 64
 
+(* The bit array lives in [Bytes], 8 bytes per word, read and written
+   through the raw 64-bit primitives: an inlined [get]/[set] keeps the
+   word unboxed, where an [int64 array] boxes every word it stores. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
 type t = {
   nbits : int;
-  words : int64 array;
+  words : Bytes.t;
   mutable free : int;
-  dirty : (int, unit) Hashtbl.t;
-  mutable last_dirty : int; (* last block marked; skips the replace *)
+  dirty : Dense_set.t;
+  mutable last_dirty : int; (* last block marked; skips the set test *)
   locations : Intvec.t; (* metafile block idx -> pvbn *)
   mutable scanned : int;
 }
@@ -16,14 +22,17 @@ let create ~bits =
   if bits <= 0 then invalid_arg "Bitmap_file.create: bits must be positive";
   {
     nbits = bits;
-    words = Array.make ((bits + 63) / 64) 0L;
+    words = Bytes.make (8 * ((bits + 63) / 64)) '\000';
     free = bits;
-    dirty = Hashtbl.create 64;
+    dirty = Dense_set.create ();
     last_dirty = -1;
     locations = Intvec.create ~default:(-1) ();
     scanned = 0;
   }
 
+let nwords t = Bytes.length t.words / 8
+let word t w = get64 t.words (8 * w)
+let set_word t w x = set64 t.words (8 * w) x
 let nbits t = t.nbits
 let nblocks t = (t.nbits + Layout.bits_per_map_block - 1) / Layout.bits_per_map_block
 let block_of_bit bit = bit / Layout.bits_per_map_block
@@ -34,27 +43,33 @@ let check t bit =
 
 let mem t bit =
   check t bit;
-  Bitops.get t.words.(bit / 64) (bit mod 64)
+  Bitops.get (word t (bit lsr 6)) (bit land 63)
 
-let touch t bit = Hashtbl.replace t.dirty (block_of_bit bit) ()
+let mark_dirty t i =
+  if i <> t.last_dirty then begin
+    Dense_set.add t.dirty i;
+    t.last_dirty <- i
+  end
 
 let set t bit =
   check t bit;
-  let w = bit / 64 and i = bit mod 64 in
-  if Bitops.get t.words.(w) i then
+  let w = bit lsr 6 and i = bit land 63 in
+  let x = word t w in
+  if Bitops.get x i then
     invalid_arg (Printf.sprintf "Bitmap_file.set: bit %d already allocated" bit);
-  t.words.(w) <- Bitops.set t.words.(w) i;
+  set_word t w (Bitops.set x i);
   t.free <- t.free - 1;
-  touch t bit
+  mark_dirty t (block_of_bit bit)
 
 let clear t bit =
   check t bit;
-  let w = bit / 64 and i = bit mod 64 in
-  if not (Bitops.get t.words.(w) i) then
+  let w = bit lsr 6 and i = bit land 63 in
+  let x = word t w in
+  if not (Bitops.get x i) then
     invalid_arg (Printf.sprintf "Bitmap_file.clear: bit %d already free" bit);
-  t.words.(w) <- Bitops.clear t.words.(w) i;
+  set_word t w (Bitops.clear x i);
   t.free <- t.free + 1;
-  touch t bit
+  mark_dirty t (block_of_bit bit)
 
 let free_count t = t.free
 let used_count t = t.nbits - t.free
@@ -71,14 +86,14 @@ let find_free t ~lo ~hi ~start =
     let last_word = hi / 64 in
     (* First, the partial word. *)
     t.scanned <- t.scanned + 1;
-    (match Bitops.find_next_zero t.words.(!w) first_bit with
+    (match Bitops.find_next_zero (word t !w) first_bit with
     | -1 -> incr w
     | i ->
         let bit = (!w * 64) + i in
         if bit <= hi then result := Some bit else w := last_word + 1);
     while !result = None && !w <= last_word do
       t.scanned <- t.scanned + 1;
-      (match Bitops.find_first_zero t.words.(!w) with
+      (match Bitops.find_first_zero (word t !w) with
       | -1 -> ()
       | i ->
           let bit = (!w * 64) + i in
@@ -98,7 +113,7 @@ let count_free_in t ~lo ~hi =
   while !bit <= hi do
     if !bit mod 64 = 0 && !bit + 63 <= hi then begin
       t.scanned <- t.scanned + 1;
-      count := !count + (64 - Bitops.popcount t.words.(!bit / 64));
+      count := !count + (64 - Bitops.popcount (word t (!bit / 64)));
       bit := !bit + 64
     end
     else begin
@@ -110,45 +125,36 @@ let count_free_in t ~lo ~hi =
 
 let words_scanned t = t.scanned
 
-let dirty_blocks t =
-  Hashtbl.fold (fun k () acc -> k :: acc) t.dirty [] |> List.sort Int.compare (* lint-ok: sorted *)
-
-let dirty_blocks_desc t =
-  Hashtbl.fold (fun k () acc -> k :: acc) t.dirty [] (* lint-ok: sorted below *)
-  |> List.sort (fun a b -> Int.compare b a)
-
-let dirty_count t = Hashtbl.length t.dirty
-let mark_dirty t i =
-  if i <> t.last_dirty then begin
-    Hashtbl.replace t.dirty i ();
-    t.last_dirty <- i
-  end
+let dirty_blocks t = Dense_set.elements t.dirty
+let dirty_blocks_desc t = Dense_set.elements_desc t.dirty
+let dirty_count t = Dense_set.cardinal t.dirty
 
 let clear_dirty t =
-  Hashtbl.clear t.dirty;
+  Dense_set.clear t.dirty;
   t.last_dirty <- -1
 
 let words_of_block ?spares t i =
   if i < 0 || i >= nblocks t then invalid_arg "Bitmap_file.words_of_block: bad block";
   let off = i * words_per_block in
-  let len = min words_per_block (Array.length t.words - off) in
-  Packed.of_int64s ?spares t.words ~pos:off ~len
+  let len = min words_per_block (nwords t - off) in
+  Packed.of_words ?spares t.words ~pos:off ~len
 
 let load_block t i payload =
   if i < 0 || i >= nblocks t then invalid_arg "Bitmap_file.load_block: bad block";
   let off = i * words_per_block in
-  let len = min words_per_block (Array.length t.words - off) in
+  let len = min words_per_block (nwords t - off) in
   if Packed.length payload <> len then invalid_arg "Bitmap_file.load_block: size mismatch";
   (* Maintain the free count incrementally. *)
   for j = 0 to len - 1 do
     let w = Packed.get_int64 payload j in
-    t.free <- t.free + Bitops.popcount t.words.(off + j) - Bitops.popcount w;
-    t.words.(off + j) <- w
+    t.free <- t.free + Bitops.popcount (word t (off + j)) - Bitops.popcount w;
+    set_word t (off + j) w
   done
 
-let snapshot_words t = Array.copy t.words
+let snapshot_words t = Array.init (nwords t) (word t)
 
 let location t i = Intvec.get t.locations i
+let locations t = Intvec.bindings t.locations
 
 let set_location t i pvbn =
   let old = Intvec.get t.locations i in

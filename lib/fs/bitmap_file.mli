@@ -71,6 +71,9 @@ val load_block : t -> int -> Wafl_util.Packed.t -> unit
 val location : t -> int -> int
 (** Current pvbn of metafile block [i], or -1 if never written. *)
 
+val locations : t -> (int * int) array
+(** [(i, location t i)] for every block ever written, ascending. *)
+
 val set_location : t -> int -> int -> int
 (** [set_location t i pvbn] records the new location and returns the
     previous one (-1 if none) so the caller can free it. *)

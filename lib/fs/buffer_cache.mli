@@ -8,8 +8,10 @@
     buffers never reach this cache — they live in the per-file dirty
     tables until their consistency point retires them.
 
-    Capacity is in blocks.  The structure is a hash table over an
-    intrusive doubly-linked LRU list: O(1) probe, insert and evict. *)
+    Capacity is in blocks.  The structure is an open-addressing int
+    index over an array-slot doubly-linked LRU list: O(1) probe, insert
+    and evict, with no allocation once the arrays have grown to the
+    working set (they double up to [capacity] slots as the cache fills). *)
 
 type t
 
@@ -19,7 +21,8 @@ val length : t -> int
 
 val probe : t -> int -> bool
 (** [probe t pvbn] is [true] on a hit (the entry is refreshed to MRU).
-    On a miss the block is inserted, evicting the LRU entry if full. *)
+    On a miss the block is inserted, evicting the LRU entry if full.
+    Raises [Invalid_argument] on a negative pvbn. *)
 
 val contains : t -> int -> bool
 (** Lookup without side effects. *)

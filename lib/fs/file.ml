@@ -6,10 +6,10 @@ type t = {
   mutable nfbns : int;
   bmap : Intvec.t; (* fbn -> vvbn *)
   bmap_locations : Intvec.t; (* bmap block idx -> pvbn *)
-  mutable front : (int, int64) Hashtbl.t;
-  mutable cp : (int, int64) Hashtbl.t;
+  mutable front : int64 Int_table.t; (* fbn -> content *)
+  mutable cp : int64 Int_table.t;
   mutable cp_outstanding : bool;
-  dirty_bmap : (int, unit) Hashtbl.t;
+  dirty_bmap : Dense_set.t;
 }
 
 let create ~vol ~id =
@@ -19,10 +19,10 @@ let create ~vol ~id =
     nfbns = 0;
     bmap = Intvec.create ~default:(-1) ();
     bmap_locations = Intvec.create ~default:(-1) ();
-    front = Hashtbl.create 16;
-    cp = Hashtbl.create 16;
+    front = Int_table.create ();
+    cp = Int_table.create ();
     cp_outstanding = false;
-    dirty_bmap = Hashtbl.create 4;
+    dirty_bmap = Dense_set.create ();
   }
 
 let vol t = t.vol
@@ -31,21 +31,21 @@ let nfbns t = t.nfbns
 
 let write t ~fbn ~content =
   if fbn < 0 then invalid_arg "File.write: negative fbn";
-  Hashtbl.replace t.front fbn content;
+  Int_table.replace t.front fbn content;
   if fbn >= t.nfbns then t.nfbns <- fbn + 1
 
 let read_cached t ~fbn =
-  match Hashtbl.find_opt t.front fbn with
+  match Int_table.find_opt t.front fbn with
   | Some c -> Some c
-  | None -> Hashtbl.find_opt t.cp fbn
+  | None -> Int_table.find_opt t.cp fbn
 
-let dirty_front t = Hashtbl.length t.front
+let dirty_front t = Int_table.length t.front
 let vvbn_of_fbn t fbn = Intvec.get t.bmap fbn
 
 let set_vvbn t ~fbn ~vvbn =
   let old = Intvec.get t.bmap fbn in
   Intvec.set t.bmap fbn vvbn;
-  Hashtbl.replace t.dirty_bmap (fbn / Layout.entries_per_bmap_block) ();
+  Dense_set.add t.dirty_bmap (fbn / Layout.entries_per_bmap_block);
   old
 
 let cp_snapshot t =
@@ -56,24 +56,17 @@ let cp_snapshot t =
   t.cp <- snapshot;
   t.cp_outstanding <- true
 
-let cp_buffers t =
-  Hashtbl.fold (fun fbn content acc -> (fbn, content) :: acc) t.cp [] (* lint-ok: sorted *)
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-let cp_buffer_count t = Hashtbl.length t.cp
+let cp_buffers t = Int_table.bindings t.cp
+let cp_buffer_count t = Int_table.length t.cp
 
 let cp_done t =
-  (* [clear], not [reset]: keep the bucket table at its high-water size so
-     per-CP reuse doesn't regrow it from scratch every cycle. *)
-  Hashtbl.clear t.cp;
+  (* [clear], not a reset: keep the bucket array at its high-water size
+     so per-CP reuse doesn't regrow it from scratch every cycle. *)
+  Int_table.clear t.cp;
   t.cp_outstanding <- false
 
-let dirty_bmap_blocks t =
-  Hashtbl.fold (fun k () acc -> k :: acc) t.dirty_bmap [] |> List.sort Int.compare (* lint-ok *)
-
-let dirty_bmap_blocks_desc t =
-  Hashtbl.fold (fun k () acc -> k :: acc) t.dirty_bmap [] (* lint-ok: sorted below *)
-  |> List.sort (fun a b -> Int.compare b a)
+let dirty_bmap_blocks t = Dense_set.elements t.dirty_bmap
+let dirty_bmap_blocks_desc t = Dense_set.elements_desc t.dirty_bmap
 
 let bmap_entries ?spares t index =
   let base = index * Layout.entries_per_bmap_block in
@@ -86,16 +79,10 @@ let set_bmap_location t index pvbn =
   Intvec.set t.bmap_locations index pvbn;
   old
 
-let clear_dirty_bmap t = Hashtbl.clear t.dirty_bmap
+let clear_dirty_bmap t = Dense_set.clear t.dirty_bmap
 
 let inode_rec t =
-  let locs = ref [] in
-  Intvec.iteri_set t.bmap_locations (fun idx pvbn -> locs := (idx, pvbn) :: !locs);
-  {
-    Layout.file_id = t.id;
-    nfbns = t.nfbns;
-    bmap_pvbns = Array.of_list (List.rev !locs);
-  }
+  { Layout.file_id = t.id; nfbns = t.nfbns; bmap_pvbns = Intvec.bindings t.bmap_locations }
 
 let of_inode_rec ~vol (rec_ : Layout.inode_rec) =
   let t = create ~vol ~id:rec_.Layout.file_id in

@@ -3,23 +3,23 @@ open Wafl_util
 type t = {
   id : int;
   vvbn_space : int;
-  files : (int, File.t) Hashtbl.t;
+  mutable files : File.t option array; (* by file id; grows *)
   mutable next_file_id : int;
   (* dirty-inode lists: [dirty] is the front list, [cp] the snapshot *)
   mutable dirty : File.t list;
-  dirty_set : (int, unit) Hashtbl.t;
+  dirty_set : Dense_set.t; (* ids of the files on [dirty] *)
   mutable cp : File.t list;
   (* container map *)
   container : Intvec.t;
   container_locations : Intvec.t;
-  dirty_containers : (int, unit) Hashtbl.t;
+  dirty_containers : Dense_set.t;
   (* volume activemap *)
   vol_map : Bitmap_file.t;
   recent_frees : Freed_set.t; (* vvbns frozen until the CP commits *)
-  mutable last_dirty_container : int; (* last chunk marked; skips the replace *)
+  mutable last_dirty_container : int; (* last chunk marked; skips the set test *)
   (* inode file *)
   inode_locations : Intvec.t;
-  dirty_inodes : (int, unit) Hashtbl.t;
+  dirty_inodes : Dense_set.t;
   mutable zombies : File.t list;
 }
 
@@ -28,19 +28,19 @@ let create ~id ~vvbn_space =
   {
     id;
     vvbn_space;
-    files = Hashtbl.create 64;
+    files = Array.make 64 None;
     next_file_id = 0;
     dirty = [];
-    dirty_set = Hashtbl.create 64;
+    dirty_set = Dense_set.create ();
     cp = [];
     container = Intvec.create ~default:(-1) ();
     container_locations = Intvec.create ~default:(-1) ();
-    dirty_containers = Hashtbl.create 16;
+    dirty_containers = Dense_set.create ();
     vol_map = Bitmap_file.create ~bits:vvbn_space;
     recent_frees = Freed_set.create ~bits:vvbn_space;
     last_dirty_container = -1;
     inode_locations = Intvec.create ~default:(-1) ();
-    dirty_inodes = Hashtbl.create 4;
+    dirty_inodes = Dense_set.create ();
     zombies = [];
   }
 
@@ -53,27 +53,35 @@ let fresh_file_id t =
   id
 
 let inode_chunk_of_file file_id = file_id / Layout.inodes_per_block
-let mark_inode_dirty t file = Hashtbl.replace t.dirty_inodes (inode_chunk_of_file (File.id file)) ()
+let mark_inode_dirty t file = Dense_set.add t.dirty_inodes (inode_chunk_of_file (File.id file))
+let file t fid = if fid >= 0 && fid < Array.length t.files then t.files.(fid) else None
 
-let add_file t file =
-  if Hashtbl.mem t.files (File.id file) then invalid_arg "Volume.add_file: duplicate id";
-  Hashtbl.add t.files (File.id file) file;
-  if File.id file >= t.next_file_id then t.next_file_id <- File.id file + 1;
-  mark_inode_dirty t file
+(* Bind (or, with [None], unbind) a file id, growing the table. *)
+let set_file t fid f =
+  if fid >= Array.length t.files then begin
+    let files = Array.make (max (fid + 1) (2 * Array.length t.files)) None in
+    Array.blit t.files 0 files 0 (Array.length t.files);
+    t.files <- files
+  end;
+  t.files.(fid) <- f;
+  if fid >= t.next_file_id then t.next_file_id <- fid + 1
 
-let file t fid = Hashtbl.find_opt t.files fid
+let add_file t f =
+  if File.id f < 0 then invalid_arg "Volume.add_file: negative id";
+  if Option.is_some (file t (File.id f)) then invalid_arg "Volume.add_file: duplicate id";
+  set_file t (File.id f) (Some f);
+  mark_inode_dirty t f
 
 let file_exn t fid =
   match file t fid with
   | Some f -> f
   | None -> invalid_arg (Printf.sprintf "Volume %d: no file %d" t.id fid)
 
-(* Sorted by file id: recovery and fsck walk this list, so its order must
-   not depend on hash internals. *)
+(* Sorted by file id: recovery and fsck walk this list. *)
 let files t =
-  Hashtbl.fold (fun _ f acc -> f :: acc) t.files [] (* lint-ok: sorted below *)
-  |> List.sort (fun a b -> Int.compare (File.id a) (File.id b))
-let file_count t = Hashtbl.length t.files
+  Array.fold_right (fun f acc -> match f with Some f -> f :: acc | None -> acc) t.files []
+
+let file_count t = Array.fold_left (fun n f -> if Option.is_some f then n + 1 else n) 0 t.files
 
 let mark_deleted t file = t.zombies <- file :: t.zombies
 
@@ -83,13 +91,13 @@ let take_zombies t =
   z
 
 let remove_file t fid =
-  if not (Hashtbl.mem t.files fid) then invalid_arg "Volume.remove_file: no such file";
-  Hashtbl.remove t.files fid;
-  Hashtbl.replace t.dirty_inodes (inode_chunk_of_file fid) ()
+  if Option.is_none (file t fid) then invalid_arg "Volume.remove_file: no such file";
+  set_file t fid None;
+  Dense_set.add t.dirty_inodes (inode_chunk_of_file fid)
 
 let note_dirty t file =
-  if not (Hashtbl.mem t.dirty_set (File.id file)) then begin
-    Hashtbl.add t.dirty_set (File.id file) ();
+  if not (Dense_set.mem t.dirty_set (File.id file)) then begin
+    Dense_set.add t.dirty_set (File.id file);
     t.dirty <- file :: t.dirty
   end
 
@@ -98,7 +106,7 @@ let dirty_inode_count t = List.length t.dirty
 let cp_snapshot t =
   let snapshot = List.rev t.dirty in
   t.dirty <- [];
-  Hashtbl.clear t.dirty_set;
+  Dense_set.clear t.dirty_set;
   List.iter File.cp_snapshot snapshot;
   t.cp <- snapshot;
   snapshot
@@ -123,7 +131,7 @@ let map_vvbn t ~vvbn ~pvbn =
   Intvec.set t.container vvbn pvbn;
   let chunk = vvbn / Layout.entries_per_container_block in
   if chunk <> t.last_dirty_container then begin
-    Hashtbl.replace t.dirty_containers chunk ();
+    Dense_set.add t.dirty_containers chunk;
     t.last_dirty_container <- chunk
   end;
   old
@@ -133,14 +141,8 @@ let note_freed_vvbn t vvbn = Freed_set.add t.recent_frees vvbn
 let vvbn_reusable t vvbn = not (Freed_set.mem t.recent_frees vvbn)
 let clear_recent_frees t = Freed_set.release t.recent_frees ignore
 
-let sorted_keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort Int.compare (* lint-ok *)
-
-let sorted_keys_desc tbl =
-  Hashtbl.fold (fun k () acc -> k :: acc) tbl [] (* lint-ok: sorted below *)
-  |> List.sort (fun a b -> Int.compare b a)
-
-let dirty_container_chunks t = sorted_keys t.dirty_containers
-let dirty_container_chunks_desc t = sorted_keys_desc t.dirty_containers
+let dirty_container_chunks t = Dense_set.elements t.dirty_containers
+let dirty_container_chunks_desc t = Dense_set.elements_desc t.dirty_containers
 
 let container_entries ?spares t index =
   let base = index * Layout.entries_per_container_block in
@@ -154,10 +156,11 @@ let set_container_location t index pvbn =
   old
 
 let clear_dirty_containers t =
-  Hashtbl.clear t.dirty_containers;
+  Dense_set.clear t.dirty_containers;
   t.last_dirty_container <- -1
-let dirty_inode_chunks t = sorted_keys t.dirty_inodes
-let dirty_inode_chunks_desc t = sorted_keys_desc t.dirty_inodes
+
+let dirty_inode_chunks t = Dense_set.elements t.dirty_inodes
+let dirty_inode_chunks_desc t = Dense_set.elements_desc t.dirty_inodes
 
 let inode_chunk t index =
   let base = index * Layout.inodes_per_block in
@@ -174,26 +177,15 @@ let set_inode_location t index pvbn =
   Intvec.set t.inode_locations index pvbn;
   old
 
-let clear_dirty_inode_chunks t = Hashtbl.clear t.dirty_inodes
-
-let locations_array vec =
-  let acc = ref [] in
-  Intvec.iteri_set vec (fun idx pvbn -> acc := (idx, pvbn) :: !acc);
-  Array.of_list (List.rev !acc)
+let clear_dirty_inode_chunks t = Dense_set.clear t.dirty_inodes
 
 let to_vol_rec t =
   {
     Layout.vol_id = t.id;
     vvbn_space = t.vvbn_space;
-    inode_chunk_pvbns = locations_array t.inode_locations;
-    container_pvbns = locations_array t.container_locations;
-    volmap_pvbns =
-      (let acc = ref [] in
-       for i = Bitmap_file.nblocks t.vol_map - 1 downto 0 do
-         let loc = Bitmap_file.location t.vol_map i in
-         if loc >= 0 then acc := (i, loc) :: !acc
-       done;
-       Array.of_list !acc);
+    inode_chunk_pvbns = Intvec.bindings t.inode_locations;
+    container_pvbns = Intvec.bindings t.container_locations;
+    volmap_pvbns = Bitmap_file.locations t.vol_map;
   }
 
 let of_vol_rec (r : Layout.vol_rec) =
@@ -213,7 +205,5 @@ let load_container_chunk t ~index ~entries =
 let load_inode_chunk t recs =
   List.iter
     (fun (r : Layout.inode_rec) ->
-      let f = File.of_inode_rec ~vol:t.id r in
-      Hashtbl.replace t.files r.Layout.file_id f;
-      if r.Layout.file_id >= t.next_file_id then t.next_file_id <- r.Layout.file_id + 1)
+      set_file t r.Layout.file_id (Some (File.of_inode_rec ~vol:t.id r)))
     recs

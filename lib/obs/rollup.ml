@@ -203,10 +203,12 @@ let roll t =
     t.cur_seq <- t.cur_seq + 1
   done
 
+(* [find] rather than [find_opt]: these run on every client op, and a
+   hit then allocates nothing. *)
 let acc_of t vol =
-  match Hashtbl.find_opt t.vols vol with
-  | Some a -> a
-  | None ->
+  match Hashtbl.find t.vols vol with
+  | a -> a
+  | exception Not_found ->
       let a =
         { a_writes = 0; a_admitted = 0; a_throttled = 0; a_shed = 0; a_completed = 0;
           a_lat = mk_lat t.cfg }
@@ -215,9 +217,9 @@ let acc_of t vol =
       a
 
 let totals_of t vol =
-  match Hashtbl.find_opt t.totals vol with
-  | Some tot -> tot
-  | None ->
+  match Hashtbl.find t.totals vol with
+  | tot -> tot
+  | exception Not_found ->
       let tot = { t_admitted = 0; t_completed = 0 } in
       Hashtbl.replace t.totals vol tot;
       tot

@@ -59,20 +59,40 @@ let vbn_of t ~rg ~drive ~dbn =
 
 let vbn_valid t v = v >= 0 && v < total_data_blocks t
 
+let check_vbn t v fn = if not (vbn_valid t v) then invalid_arg ("Geometry." ^ fn ^ ": bad vbn")
+
+(* The shift/mask forms when [drive_blocks] is a power of two. *)
+let global_drive t v = if t.drive_shift >= 0 then v lsr t.drive_shift else v / t.drive_blocks
+let dbn_unchecked t v = if t.drive_shift >= 0 then v land (t.drive_blocks - 1) else v mod t.drive_blocks
+
+(* RAID groups are few (typically 1-4); a linear scan is clear and fast. *)
+let rg_of_drive t d =
+  let rg = ref 0 in
+  while
+    let g = Array.unsafe_get t.groups !rg in
+    d >= g.first_drive + g.data
+  do
+    incr rg
+  done;
+  !rg
+
 let locate t v =
-  if not (vbn_valid t v) then invalid_arg "Geometry.locate: bad vbn";
-  let global_drive, dbn =
-    if t.drive_shift >= 0 then (v lsr t.drive_shift, v land (t.drive_blocks - 1))
-    else (v / t.drive_blocks, v mod t.drive_blocks)
-  in
-  (* RAID groups are few (typically 1-4); a linear scan is clear and fast. *)
-  let rec find rg =
-    let g = t.groups.(rg) in
-    if global_drive < g.first_drive + g.data then
-      { rg; drive = global_drive - g.first_drive; dbn }
-    else find (rg + 1)
-  in
-  find 0
+  check_vbn t v "locate";
+  let d = global_drive t v in
+  let rg = rg_of_drive t d in
+  { rg; drive = d - t.groups.(rg).first_drive; dbn = dbn_unchecked t v }
+
+let rg_of t v =
+  check_vbn t v "rg_of";
+  rg_of_drive t (global_drive t v)
+
+let dbn_of t v =
+  check_vbn t v "dbn_of";
+  dbn_unchecked t v
+
+let rg_offset t v =
+  check_vbn t v "rg_offset";
+  v - (t.groups.(rg_of_drive t (global_drive t v)).first_drive * t.drive_blocks)
 
 let aa_of_dbn t dbn =
   if dbn < 0 || dbn >= t.drive_blocks then invalid_arg "Geometry.aa_of_dbn: bad dbn";

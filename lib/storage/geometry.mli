@@ -41,6 +41,22 @@ val aa_count : t -> int
 
 val vbn_of : t -> rg:int -> drive:int -> dbn:int -> vbn
 val locate : t -> vbn -> location
+
+(** {2 Non-allocating parts of {!locate}}
+
+    For per-block hot paths; each raises [Invalid_argument] on a VBN
+    outside the geometry, as {!locate} does. *)
+
+val rg_of : t -> vbn -> int
+(** [(locate t v).rg]. *)
+
+val dbn_of : t -> vbn -> int
+(** [(locate t v).dbn]. *)
+
+val rg_offset : t -> vbn -> int
+(** Position of [v] within its RAID group's VBN range:
+    [drive * drive_blocks + dbn] for [locate t v]. *)
+
 val drive_base : t -> rg:int -> drive:int -> vbn
 (** First VBN of the given drive's contiguous range. *)
 

@@ -24,6 +24,7 @@ type 'b t = {
   m_ios : Wafl_obs.Metrics.counter;
   m_blocks : Wafl_obs.Metrics.counter;
   data_width : int;
+  mutable stripe_counts : int array; (* all zero between I/Os; see [stripe_mix] *)
   queue_depth : int;
   queue : 'b request Sync.Channel.t;
   done_q : Sync.Waitq.t;
@@ -43,20 +44,37 @@ type 'b t = {
 }
 
 (* Count full vs partial stripes in one I/O: a stripe (distinct dbn) is
-   full when every data drive of the group contributes a block. *)
+   full when every data drive of the group contributes a block.  Blocks
+   are tallied per dbn in [stripe_counts] over the I/O's dbn span (one
+   Allocation Area or so for a tetris I/O), and the closing scan zeroes
+   the tallies again. *)
 let stripe_mix t writes =
-  let per_dbn = Hashtbl.create 64 in
+  let geom = Disk.geometry t.disk in
+  let lo = ref max_int and hi = ref (-1) in
   List.iter
     (fun (vbn, _) ->
-      let loc = Geometry.locate (Disk.geometry t.disk) vbn in
-      if loc.Geometry.rg <> t.rg then invalid_arg "Raid.submit: vbn not in this group";
-      let cur = Option.value ~default:0 (Hashtbl.find_opt per_dbn loc.Geometry.dbn) in
-      Hashtbl.replace per_dbn loc.Geometry.dbn (cur + 1))
+      if Geometry.rg_of geom vbn <> t.rg then invalid_arg "Raid.submit: vbn not in this group";
+      let d = Geometry.dbn_of geom vbn in
+      if d < !lo then lo := d;
+      if d > !hi then hi := d)
     writes;
-  (* Counting full/partial stripes commutes over the visit order. lint-ok *)
-  Hashtbl.fold
-    (fun _ n (full, partial) -> if n >= t.data_width then (full + 1, partial) else (full, partial + 1))
-    per_dbn (0, 0)
+  let span = !hi - !lo + 1 in
+  if span > Array.length t.stripe_counts then t.stripe_counts <- Array.make span 0;
+  let counts = t.stripe_counts in
+  List.iter
+    (fun (vbn, _) ->
+      let i = Geometry.dbn_of geom vbn - !lo in
+      counts.(i) <- counts.(i) + 1)
+    writes;
+  let full = ref 0 and partial = ref 0 in
+  for i = 0 to span - 1 do
+    let n = counts.(i) in
+    if n > 0 then begin
+      if n >= t.data_width then incr full else incr partial;
+      counts.(i) <- 0
+    end
+  done;
+  (!full, !partial)
 
 (* Reconstruct the lost drive onto a spare, one stripe block at a time.
    Progress lives in the fault plan (it survives a crash; a re-created
@@ -176,12 +194,9 @@ let service_fiber t () =
         | None -> ()
         | Some ftl ->
             let geom = Disk.geometry t.disk in
-            let db = Geometry.drive_blocks geom in
             Wafl_flash.Ftl.host_write ftl
               (List.map
-                 (fun (vbn, payload) ->
-                   let loc = Geometry.locate geom vbn in
-                   ((loc.Geometry.drive * db) + loc.Geometry.dbn, t.stream_of payload))
+                 (fun (vbn, payload) -> (Geometry.rg_offset geom vbn, t.stream_of payload))
                  ok));
         if failed <> [] then t.failed_writes <- List.rev_append failed t.failed_writes;
         t.ios <- t.ios + 1;
@@ -218,6 +233,7 @@ let create ?(queue_depth = 4) ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost 
       m_ios = Wafl_obs.Metrics.counter m "raid.ios";
       m_blocks = Wafl_obs.Metrics.counter m "raid.blocks";
       data_width = Geometry.data_drives (Disk.geometry disk) ~rg;
+      stripe_counts = [||];
       queue_depth;
       queue = Sync.Channel.create eng;
       done_q = Sync.Waitq.create eng;
@@ -248,10 +264,7 @@ let flash t = t.flash
 let set_stream_of t f = t.stream_of <- f
 
 (* FTL logical page number of a VBN: RG-local, one page per data block. *)
-let lpn_of t vbn =
-  let geom = Disk.geometry t.disk in
-  let loc = Geometry.locate geom vbn in
-  (loc.Geometry.drive * Geometry.drive_blocks geom) + loc.Geometry.dbn
+let lpn_of t vbn = Geometry.rg_offset (Disk.geometry t.disk) vbn
 
 let trim t vbn =
   match t.flash with
@@ -260,12 +273,12 @@ let trim t vbn =
 
 let read t vbn =
   let geom = Disk.geometry t.disk in
-  let loc = Geometry.locate geom vbn in
-  if loc.Geometry.rg <> t.rg then invalid_arg "Raid.read: vbn not in this group";
+  if Geometry.rg_of geom vbn <> t.rg then invalid_arg "Raid.read: vbn not in this group";
   check_failure t;
   match Disk.fault t.disk with
   | None -> ( match Disk.read t.disk vbn with Some p -> `Ok p | None -> `Absent)
   | Some fault -> (
+      let loc = Geometry.locate geom vbn in
       let failure =
         if t.degraded then Fault.failure_for fault ~rg:t.rg ~now:(Engine.now t.eng) else None
       in

@@ -34,6 +34,20 @@ let iteri_set t f =
     if t.data.(i) <> t.default then f i t.data.(i)
   done
 
+let bindings t =
+  let n = ref 0 in
+  for i = 0 to t.len - 1 do
+    if t.data.(i) <> t.default then incr n
+  done;
+  let out = Array.make !n (0, 0) and k = ref 0 in
+  for i = 0 to t.len - 1 do
+    if t.data.(i) <> t.default then begin
+      out.(!k) <- (i, t.data.(i));
+      incr k
+    end
+  done;
+  out
+
 let clear t =
   Array.fill t.data 0 t.len t.default;
   t.len <- 0

@@ -23,6 +23,10 @@ val extract : ?spares:Packed.spares -> t -> pos:int -> len:int -> Packed.t
 val iteri_set : t -> (int -> int -> unit) -> unit
 (** Iterate over indices whose value differs from the default. *)
 
+val bindings : t -> (int * int) array
+(** The [(index, value)] pairs whose value differs from the default, in
+    ascending index order. *)
+
 val clear : t -> unit
 (** Reset to empty, keeping the backing array at its high-water size. *)
 

@@ -33,10 +33,12 @@ val of_ints : ?spares:spares -> int array -> pos:int -> len:int -> default:int -
     when one of [len] slots is available.  Raises [Invalid_argument] on
     a negative [pos] or [len]. *)
 
-val of_int64s : ?spares:spares -> int64 array -> pos:int -> len:int -> t
-(** [of_int64s a ~pos ~len] holds the raw bits of [a.(pos)] ..
-    [a.(pos + len - 1)], filled into a pooled buffer as {!of_ints} does.
-    Raises [Invalid_argument] if that range is not inside [a]. *)
+val of_words : ?spares:spares -> Bytes.t -> pos:int -> len:int -> t
+(** [of_words src ~pos ~len] copies the 64-bit words [pos] ..
+    [pos + len - 1] of [src] (8 bytes apiece, native byte order, the
+    layout of a bitmap kept in [Bytes]), filled into a pooled buffer as
+    {!of_ints} does.  Raises [Invalid_argument] if that range is not
+    inside [src]. *)
 
 val length : t -> int
 (** Number of slots. *)
@@ -45,5 +47,5 @@ val get : t -> int -> int
 (** Slot [i] as an [int]: exact for anything stored by {!of_ints}. *)
 
 val get_int64 : t -> int -> int64
-(** Slot [i] as raw 64 bits: exact for anything stored by {!of_int64s},
+(** Slot [i] as raw 64 bits: exact for anything stored by {!of_words},
     including words with bit 63 set. *)

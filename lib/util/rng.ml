@@ -1,8 +1,12 @@
-(* xoshiro256** seeded via splitmix64.  The state is four 64-bit words; all
-   arithmetic is on boxed int64 which is fast enough for simulation use and
-   keeps the implementation obviously correct against the reference. *)
+(* xoshiro256** seeded via splitmix64.  The state is four 64-bit words,
+   kept in 32 bytes and read and written through the raw 64-bit
+   primitives: once [bits64] is inlined, a draw allocates nothing, where
+   four [mutable int64] fields would box every word they store. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+type t = Bytes.t (* words s0 .. s3 at bytes 0, 8, 16, 24 *)
 
 let splitmix64 state =
   let open Int64 in
@@ -12,37 +16,33 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create ~seed =
-  let st = ref (Int64.of_int seed) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+let of_splitmix st =
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64 t (8 * i) (splitmix64 st)
+  done;
+  t
 
+let create ~seed = of_splitmix (ref (Int64.of_int seed))
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 (logxor s2 tmp);
+  set64 t 24 (rotl s3 45);
   result
 
-let split t =
-  let st = ref (bits64 t) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
-
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let split t = of_splitmix (ref (bits64 t))
+let copy t = Bytes.copy t
 
 let int t n =
   assert (n > 0);

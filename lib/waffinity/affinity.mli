@@ -32,6 +32,12 @@ type t =
   | Volume_vbn of int * int
   | Vol_range of int * int * int
 
+val equal : t -> t -> bool
+(** Structural equality, without the polymorphic compare. *)
+
+val hash : t -> int
+(** Consistent with {!equal}; for hash tables keyed by affinity. *)
+
 val parent : t -> t option
 (** [None] only for [Serial]. *)
 

@@ -1,5 +1,7 @@
 open Wafl_sim
 
+module Nodes = Hashtbl.Make (Affinity)
+
 (* One node per affinity instance.  Besides the conflict-tracking state
    (active / desc_active, as before), each node owns the FIFO of its own
    pending messages and caches everything derivable from its affinity
@@ -16,6 +18,7 @@ type node = {
   post_kind : string; (* "post " ^ kind: the causal-edge kind for this node *)
   mutable wait_h : Wafl_obs.Metrics.histo option; (* registered on first use *)
   mutable service_h : Wafl_obs.Metrics.histo option;
+  mutable executed_n : int ref; (* this kind's [by_kind] cell; [no_count] until the first *)
 }
 
 and msg = {
@@ -39,7 +42,7 @@ type t = {
   eng : Engine.t;
   cost : Cost.t;
   workers : int;
-  nodes : (Affinity.t, node) Hashtbl.t;
+  nodes : node Nodes.t;
   (* Grantable-head index: a binary min-heap of nodes keyed by the
      sequence number of each node's head (oldest) pending message.
      Invariant: a node appears in the heap or the round's stash exactly
@@ -75,6 +78,8 @@ type t = {
          affinity, as if a grant guard were dropped *)
 }
 
+let no_count = ref 0
+
 let dummy_node =
   {
     aff = Affinity.Serial;
@@ -87,6 +92,7 @@ let dummy_node =
     post_kind = "";
     wait_h = None;
     service_h = None;
+    executed_n = no_count;
   }
 
 let create ?workers ?isolation ?(obs = Wafl_obs.Trace.disabled) eng ~cost () =
@@ -97,7 +103,7 @@ let create ?workers ?isolation ?(obs = Wafl_obs.Trace.disabled) eng ~cost () =
     eng;
     cost;
     workers;
-    nodes = Hashtbl.create 64;
+    nodes = Nodes.create 64;
     hp_seq = Array.make 64 0;
     hp_node = Array.make 64 dummy_node;
     hp_len = 0;
@@ -127,9 +133,9 @@ let isolation t = t.isolation
 let set_chaos_misattribute t aff = t.chaos_misattribute <- aff
 
 let rec node t aff =
-  match Hashtbl.find_opt t.nodes aff with
-  | Some n -> n
-  | None ->
+  match Nodes.find t.nodes aff with
+  | n -> n
+  | exception Not_found ->
       let parent = Option.map (node t) (Affinity.parent aff) in
       let kind = Affinity.kind_name aff in
       let n =
@@ -144,9 +150,10 @@ let rec node t aff =
           post_kind = "post " ^ kind;
           wait_h = None;
           service_h = None;
+          executed_n = no_count;
         }
       in
-      Hashtbl.add t.nodes aff n;
+      Nodes.add t.nodes aff n;
       n
 
 let grantable n =
@@ -206,13 +213,18 @@ let rec insert_sorted key r = function
   | (k, _) :: _ as rest when String.compare key k < 0 -> (key, r) :: rest
   | kv :: rest -> kv :: insert_sorted key r rest
 
+(* The kind's cell is looked up once per node and cached on it. *)
 let count_kind t n =
-  match Hashtbl.find_opt t.by_kind_tbl n.kind with
-  | Some r -> incr r
-  | None ->
-      let r = ref 1 in
-      Hashtbl.add t.by_kind_tbl n.kind r;
-      t.by_kind <- insert_sorted n.kind r t.by_kind
+  if n.executed_n == no_count then
+    n.executed_n <-
+      (match Hashtbl.find_opt t.by_kind_tbl n.kind with
+      | Some r -> r
+      | None ->
+          let r = ref 0 in
+          Hashtbl.add t.by_kind_tbl n.kind r;
+          t.by_kind <- insert_sorted n.kind r t.by_kind;
+          r);
+  incr n.executed_n
 
 (* --- the grantable-head heap (min-heap on head-message seq) --- *)
 

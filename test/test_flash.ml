@@ -173,7 +173,7 @@ let test_temperature_classifier () =
   let classify = Wafl_core.Tetris.make_temperature_stream () in
   (* Metafile payloads are always hot. *)
   let entries = Wafl_util.Packed.of_ints [||] ~pos:0 ~len:0 ~default:(-1) in
-  let words = Wafl_util.Packed.of_int64s [||] ~pos:0 ~len:0 in
+  let words = Wafl_util.Packed.of_words Bytes.empty ~pos:0 ~len:0 in
   Alcotest.(check int) "bmap hot" 1
     (classify (Wafl_fs.Layout.Bmap { vol = 0; file = 1; index = 0; entries }));
   Alcotest.(check int) "aggmap hot" 1 (classify (Wafl_fs.Layout.Agg_map { index = 0; words }));

@@ -633,6 +633,308 @@ let test_spares_never_alias () =
   done;
   Aggregate.fsck agg2
 
+(* --- Dirty sets, the file dirty table and the LRU against models --- *)
+
+let sorted_unique l = List.sort_uniq Int.compare l
+
+(* Each [true] step checks the dirty lists and clears them; each [false]
+   step toggles a bit. *)
+let prop_bitmap_dirty_lists =
+  let bits = 5 * Layout.bits_per_map_block in
+  QCheck.Test.make ~name:"bitmap dirty lists match a sorted-unique model" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 300) (pair (int_bound 9) (int_bound (bits - 1))))
+    (fun ops ->
+      let b = Bitmap_file.create ~bits in
+      let touched = ref [] in
+      let agrees () =
+        let want = sorted_unique !touched in
+        Bitmap_file.dirty_blocks b = want
+        && Bitmap_file.dirty_blocks_desc b = List.rev want
+        && Bitmap_file.dirty_count b = List.length want
+      in
+      List.for_all
+        (fun (op, bit) ->
+          if op = 0 then begin
+            let ok = agrees () in
+            Bitmap_file.clear_dirty b;
+            touched := [];
+            ok
+          end
+          else begin
+            if Bitmap_file.mem b bit then Bitmap_file.clear b bit else Bitmap_file.set b bit;
+            touched := Bitmap_file.block_of_bit bit :: !touched;
+            true
+          end)
+        ops
+      && agrees ())
+
+let prop_volume_dirty_lists =
+  let space = 40 * Layout.entries_per_container_block in
+  QCheck.Test.make ~name:"volume dirty lists match a sorted-unique model" ~count:200
+    QCheck.(list_of_size Gen.(0 -- 300) (pair (int_bound 9) (int_bound (space - 1))))
+    (fun ops ->
+      let v = Volume.create ~id:0 ~vvbn_space:space in
+      let chunks = ref [] and inodes = ref [] in
+      let agrees () =
+        let c = sorted_unique !chunks and i = sorted_unique !inodes in
+        Volume.dirty_container_chunks v = c
+        && Volume.dirty_container_chunks_desc v = List.rev c
+        && Volume.dirty_inode_chunks v = i
+        && Volume.dirty_inode_chunks_desc v = List.rev i
+      in
+      List.for_all
+        (fun (op, x) ->
+          match op with
+          | 0 ->
+              let ok = agrees () in
+              Volume.clear_dirty_containers v;
+              Volume.clear_dirty_inode_chunks v;
+              chunks := [];
+              inodes := [];
+              ok
+          | 1 ->
+              (* a file id well past the dense range *)
+              let f = File.create ~vol:0 ~id:x in
+              if Volume.file v x = None then begin
+                Volume.add_file v f;
+                inodes := (x / Layout.inodes_per_block) :: !inodes
+              end;
+              true
+          | _ ->
+              ignore (Volume.map_vvbn v ~vvbn:x ~pvbn:x);
+              chunks := (x / Layout.entries_per_container_block) :: !chunks;
+              true)
+        ops
+      && agrees ())
+
+(* The file's dirty tables against two Hashtbl models (front and CP). *)
+type file_op = Write of int * int | Snapshot | Done | Read of int
+
+let file_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun fbn c -> Write (fbn, c)) (int_bound 2000) (int_bound 1000));
+        (1, return Snapshot);
+        (1, return Done);
+        (3, map (fun fbn -> Read fbn) (int_bound 2000));
+      ])
+
+let prop_file_dirty_table =
+  let print = function
+    | Write (f, c) -> Printf.sprintf "write %d %d" f c
+    | Snapshot -> "snapshot"
+    | Done -> "done"
+    | Read f -> Printf.sprintf "read %d" f
+  in
+  QCheck.Test.make ~name:"file dirty table matches a Hashtbl model" ~count:200
+    (QCheck.make ~print:(QCheck.Print.list print) QCheck.Gen.(list_size (0 -- 400) file_op_gen))
+    (fun ops ->
+      let f = File.create ~vol:0 ~id:0 in
+      let front = Hashtbl.create 16 and cp = Hashtbl.create 16 and outstanding = ref false in
+      let model_buffers () =
+        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) cp []) (* lint-ok: sorted *)
+      in
+      let agrees () =
+        File.dirty_front f = Hashtbl.length front
+        && File.cp_buffer_count f = Hashtbl.length cp
+        && File.cp_buffers f = model_buffers ()
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Write (fbn, c) ->
+              File.write f ~fbn ~content:(Int64.of_int c);
+              Hashtbl.replace front fbn (Int64.of_int c);
+              true
+          | Snapshot ->
+              if !outstanding then true
+              else begin
+                File.cp_snapshot f;
+                Hashtbl.reset cp;
+                Hashtbl.iter (fun k v -> Hashtbl.replace cp k v) front; (* lint-ok: a copy *)
+                Hashtbl.reset front;
+                outstanding := true;
+                true
+              end
+          | Done ->
+              File.cp_done f;
+              Hashtbl.reset cp;
+              outstanding := false;
+              true
+          | Read fbn ->
+              let want =
+                match Hashtbl.find_opt front fbn with Some c -> Some c | None -> Hashtbl.find_opt cp fbn
+              in
+              File.read_cached f ~fbn = want)
+          && agrees ())
+        ops)
+
+(* A list model of exact LRU, most recent first. *)
+type lru_model = {
+  mutable entries : int list;
+  mutable m_hits : int;
+  mutable m_misses : int;
+  mutable m_evictions : int;
+}
+
+let model_probe m ~cap k =
+  if List.mem k m.entries then begin
+    m.m_hits <- m.m_hits + 1;
+    m.entries <- k :: List.filter (( <> ) k) m.entries;
+    true
+  end
+  else begin
+    m.m_misses <- m.m_misses + 1;
+    if List.length m.entries >= cap then begin
+      m.m_evictions <- m.m_evictions + 1;
+      m.entries <- List.filteri (fun i _ -> i < cap - 1) m.entries
+    end;
+    m.entries <- k :: m.entries;
+    false
+  end
+
+(* Probe (true) or invalidate (false) each key; every probe's hit/miss,
+   the counters, the length and residency of every key must agree. *)
+let lru_agrees ~cap ~keys trace =
+  let c = Buffer_cache.create ~capacity:cap in
+  let m = { entries = []; m_hits = 0; m_misses = 0; m_evictions = 0 } in
+  List.for_all
+    (fun (probe, k) ->
+      if probe then Buffer_cache.probe c k = model_probe m ~cap k
+      else begin
+        Buffer_cache.invalidate c k;
+        m.entries <- List.filter (( <> ) k) m.entries;
+        true
+      end)
+    trace
+  && Buffer_cache.hits c = m.m_hits
+  && Buffer_cache.misses c = m.m_misses
+  && Buffer_cache.evictions c = m.m_evictions
+  && Buffer_cache.length c = List.length m.entries
+  && List.for_all (fun k -> Buffer_cache.contains c k = List.mem k m.entries) (List.init keys Fun.id)
+
+let prop_cache_matches_list_model =
+  QCheck.Test.make ~name:"cache matches a list LRU model" ~count:300
+    QCheck.(
+      pair (int_range 1 8)
+        (list_of_size Gen.(0 -- 300) (pair (map (fun x -> x < 8) (int_bound 9)) (int_bound 24))))
+    (fun (cap, trace) -> lru_agrees ~cap ~keys:25 trace)
+
+(* Past the first slot-array doubling (1024 slots) and index rebuild. *)
+let test_cache_growth_matches_model () =
+  let rng = Wafl_util.Rng.create ~seed:7 in
+  let trace =
+    List.init 12_000 (fun _ -> (Wafl_util.Rng.int rng 10 < 9, Wafl_util.Rng.int rng 2000))
+  in
+  Alcotest.(check bool) "agrees with the list model" true (lru_agrees ~cap:1500 ~keys:2000 trace)
+
+(* --- Allocation guard: the per-op primitives allocate nothing --- *)
+
+(* Minor words allocated by [f] beyond what measuring allocates. *)
+let minor_words_of f =
+  let measure g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  measure f -. measure (fun () -> ())
+
+let check_no_alloc name f = Alcotest.(check (float 0.0)) name 0.0 (minor_words_of f)
+let n_calls = 10_000
+
+let test_alloc_bitmap () =
+  let b = Bitmap_file.create ~bits:(4 * Layout.bits_per_map_block) in
+  let stride i = i * 13 mod Bitmap_file.nbits b in
+  (* One warm-up round grows the dirty set to its working size. *)
+  for i = 0 to n_calls - 1 do
+    Bitmap_file.set b (stride i)
+  done;
+  for i = 0 to n_calls - 1 do
+    Bitmap_file.clear b (stride i)
+  done;
+  Bitmap_file.clear_dirty b;
+  check_no_alloc "set" (fun () ->
+      for i = 0 to n_calls - 1 do
+        Bitmap_file.set b (stride i)
+      done);
+  let hits = ref 0 in
+  check_no_alloc "mem" (fun () ->
+      for i = 0 to n_calls - 1 do
+        if Bitmap_file.mem b (stride i) then incr hits
+      done);
+  Alcotest.(check int) "every bit set" n_calls !hits;
+  check_no_alloc "clear" (fun () ->
+      for i = 0 to n_calls - 1 do
+        Bitmap_file.clear b (stride i)
+      done)
+
+let test_alloc_freed_set () =
+  let bits = 4 * Layout.bits_per_map_block in
+  let s = Freed_set.create ~bits in
+  let stride i = i * 13 mod bits in
+  let fill () =
+    for i = 0 to n_calls - 1 do
+      Freed_set.add s (stride i)
+    done
+  in
+  fill ();
+  Freed_set.release s ignore;
+  check_no_alloc "add" fill;
+  let hits = ref 0 in
+  check_no_alloc "mem" (fun () ->
+      for i = 0 to n_calls - 1 do
+        if Freed_set.mem s (stride i) then incr hits
+      done);
+  Alcotest.(check int) "every vbn frozen" n_calls !hits
+
+let test_alloc_buffer_cache () =
+  let c = Buffer_cache.create ~capacity:n_calls in
+  for k = 0 to n_calls - 1 do
+    ignore (Buffer_cache.probe c k)
+  done;
+  check_no_alloc "probe hit" (fun () ->
+      for k = 0 to n_calls - 1 do
+        ignore (Buffer_cache.probe c k)
+      done);
+  check_no_alloc "probe miss that evicts" (fun () ->
+      for k = n_calls to (2 * n_calls) - 1 do
+        ignore (Buffer_cache.probe c k)
+      done);
+  Alcotest.(check int) "evicted" n_calls (Buffer_cache.evictions c);
+  check_no_alloc "invalidate" (fun () ->
+      for k = n_calls to (2 * n_calls) - 1 do
+        Buffer_cache.invalidate c k
+      done);
+  Alcotest.(check int) "emptied" 0 (Buffer_cache.length c)
+
+let test_alloc_file_write () =
+  let f = File.create ~vol:0 ~id:0 in
+  for fbn = 0 to n_calls - 1 do
+    File.write f ~fbn ~content:1L
+  done;
+  check_no_alloc "rewrite a dirty fbn" (fun () ->
+      for fbn = 0 to n_calls - 1 do
+        File.write f ~fbn ~content:2L
+      done);
+  Alcotest.(check int) "still one buffer per fbn" n_calls (File.dirty_front f)
+
+let test_alloc_geometry () =
+  let g =
+    Wafl_storage.Geometry.create ~drive_blocks:4096 ~aa_stripes:512
+      ~raid_groups:[ (3, 1); (4, 1) ] ()
+  in
+  let total = Wafl_storage.Geometry.total_data_blocks g in
+  let sum = ref 0 in
+  check_no_alloc "rg_of / dbn_of / rg_offset" (fun () ->
+      for i = 0 to n_calls - 1 do
+        let v = i * 7 mod total in
+        sum :=
+          !sum + Wafl_storage.Geometry.rg_of g v + Wafl_storage.Geometry.dbn_of g v
+          + Wafl_storage.Geometry.rg_offset g v
+      done);
+  Alcotest.(check bool) "computed" true (!sum > 0)
+
 let () =
   Alcotest.run "wafl_fs"
     [
@@ -648,12 +950,14 @@ let () =
           Alcotest.test_case "block serialization roundtrip" `Quick test_bitmap_block_roundtrip;
           Alcotest.test_case "locations" `Quick test_bitmap_locations;
           QCheck_alcotest.to_alcotest ~verbose:false prop_bitmap_free_count_consistent;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_bitmap_dirty_lists;
         ] );
       ( "file",
         [
           Alcotest.test_case "write/snapshot/COW" `Quick test_file_write_snapshot_cow;
           Alcotest.test_case "double snapshot rejected" `Quick test_file_double_snapshot_rejected;
           Alcotest.test_case "bmap and inode record" `Quick test_file_bmap_and_inode_rec;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_file_dirty_table;
         ] );
       ( "volume",
         [
@@ -662,6 +966,7 @@ let () =
           Alcotest.test_case "inode chunks" `Quick test_volume_inode_chunks;
           Alcotest.test_case "vol_rec roundtrip" `Quick test_volume_vol_rec_roundtrip;
           Alcotest.test_case "recent frees" `Quick test_volume_recent_frees;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_volume_dirty_lists;
         ] );
       ( "nvlog",
         [
@@ -686,6 +991,8 @@ let () =
           Alcotest.test_case "invalidate" `Quick test_cache_invalidate;
           Alcotest.test_case "hit rate" `Quick test_cache_hit_rate;
           QCheck_alcotest.to_alcotest ~verbose:false prop_cache_never_exceeds_capacity;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_cache_matches_list_model;
+          Alcotest.test_case "growth matches the model" `Quick test_cache_growth_matches_model;
         ] );
       ( "aggregate",
         [
@@ -698,5 +1005,13 @@ let () =
           Alcotest.test_case "discarded at publish unless held" `Quick test_image_lifetime;
           Alcotest.test_case "crash inside the freeing CP" `Quick test_crash_in_freeing_cp;
           Alcotest.test_case "spares never alias" `Quick test_spares_never_alias;
+        ] );
+      ( "alloc-guard",
+        [
+          Alcotest.test_case "bitmap set/clear/mem" `Quick test_alloc_bitmap;
+          Alcotest.test_case "freed set add/mem" `Quick test_alloc_freed_set;
+          Alcotest.test_case "cache probe/invalidate" `Quick test_alloc_buffer_cache;
+          Alcotest.test_case "file rewrite" `Quick test_alloc_file_write;
+          Alcotest.test_case "geometry lookups" `Quick test_alloc_geometry;
         ] );
     ]

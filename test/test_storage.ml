@@ -153,6 +153,27 @@ let test_disk_unboxed_slots () =
   Alcotest.check_raises "negative vbn" (Invalid_argument "Disk: vbn -1 out of range") (fun () ->
       Disk.write d (-1) first)
 
+(* The non-allocating lookups agree with [locate] on every VBN, with a
+   power-of-two drive size (shift/mask) and without (divide). *)
+let test_parts_match_locate () =
+  List.iter
+    (fun g ->
+      let db = Geometry.drive_blocks g in
+      for v = 0 to Geometry.total_data_blocks g - 1 do
+        let loc = Geometry.locate g v in
+        if
+          Geometry.rg_of g v <> loc.Geometry.rg
+          || Geometry.dbn_of g v <> loc.Geometry.dbn
+          || Geometry.rg_offset g v <> (loc.Geometry.drive * db) + loc.Geometry.dbn
+        then Alcotest.failf "vbn %d disagrees with locate" v
+      done;
+      Alcotest.check_raises "past the end" (Invalid_argument "Geometry.rg_of: bad vbn") (fun () ->
+          ignore (Geometry.rg_of g (Geometry.total_data_blocks g))))
+    [
+      geom ();
+      Geometry.create ~drive_blocks:1536 ~aa_stripes:512 ~raid_groups:[ (2, 1); (5, 2); (1, 1) ] ();
+    ]
+
 (* --- Raid --- *)
 
 let with_engine f =
@@ -194,6 +215,38 @@ let test_raid_full_vs_partial_stripes () =
       Alcotest.(check int) "one partial stripe" 1 (Raid.partial_stripes raid);
       Alcotest.(check int) "five blocks" 5 (Raid.blocks_written raid);
       Raid.shutdown raid)
+
+(* Random I/Os (duplicate blocks included) against a per-dbn Hashtbl
+   tally: a stripe is full when every data drive contributes a block. *)
+let prop_stripe_mix_matches_tally =
+  QCheck.Test.make ~name:"stripe counts match a per-dbn tally" ~count:100
+    QCheck.(list_of_size Gen.(1 -- 8) (list_of_size Gen.(1 -- 60) (pair (int_bound 3) (int_bound 40))))
+    (fun ios ->
+      let g = geom () in
+      let d = Disk.create g in
+      let full = ref 0 and partial = ref 0 in
+      List.iter
+        (fun io ->
+          let per_dbn = Hashtbl.create 16 in
+          List.iter
+            (fun (_, dbn) ->
+              Hashtbl.replace per_dbn dbn (1 + Option.value ~default:0 (Hashtbl.find_opt per_dbn dbn)))
+            io;
+          Hashtbl.iter (* lint-ok: counting commutes *)
+            (fun _ n -> if n >= 4 then incr full else incr partial)
+            per_dbn)
+        ios;
+      with_engine (fun eng ->
+          let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
+          List.iter
+            (fun io ->
+              Raid.submit raid
+                ~writes:(List.map (fun (drive, dbn) -> (Geometry.vbn_of g ~rg:0 ~drive ~dbn, 0)) io)
+                ~on_complete:(fun () -> ()))
+            ios;
+          Raid.quiesce raid;
+          Raid.shutdown raid;
+          Raid.full_stripes raid = !full && Raid.partial_stripes raid = !partial))
 
 let test_raid_partial_pays_parity_penalty () =
   let g = geom () in
@@ -435,6 +488,7 @@ let () =
           Alcotest.test_case "aa ranges" `Quick test_aa_ranges;
           Alcotest.test_case "validation" `Quick test_geometry_validation;
           QCheck_alcotest.to_alcotest ~verbose:false prop_locate_inverts_vbn_of;
+          Alcotest.test_case "rg_of/dbn_of/rg_offset" `Quick test_parts_match_locate;
         ] );
       ( "disk",
         [
@@ -447,6 +501,7 @@ let () =
         [
           Alcotest.test_case "write durable at completion" `Quick test_raid_write_durable;
           Alcotest.test_case "full vs partial stripes" `Quick test_raid_full_vs_partial_stripes;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_stripe_mix_matches_tally;
           Alcotest.test_case "parity penalty" `Quick test_raid_partial_pays_parity_penalty;
           Alcotest.test_case "foreign vbn rejected" `Quick test_raid_rejects_foreign_vbn;
           Alcotest.test_case "empty submit" `Quick test_raid_empty_submit_completes_inline;

@@ -379,9 +379,12 @@ let prop_packed_words_roundtrip =
       in
       let words = Array.of_list (List.map top_bit cells) in
       let n = Array.length words in
+      (* laid out as a bitmap keeps them: 8 native-order bytes apiece *)
+      let src = Bytes.create (8 * n) in
+      Array.iteri (fun i w -> Bytes.set_int64_ne src (8 * i) w) words;
       let pos = if n = 0 then 0 else a mod n in
       let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
-      let img = Packed.of_int64s words ~pos ~len in
+      let img = Packed.of_words src ~pos ~len in
       Packed.length img = len
       && List.for_all (fun i -> Packed.get_int64 img i = words.(pos + i)) (List.init len Fun.id))
 
@@ -389,8 +392,8 @@ let test_packed_bad_ranges () =
   let v = Intvec.create ~default:(-1) () in
   Alcotest.check_raises "negative pos rejected" (Invalid_argument "Packed.of_ints") (fun () ->
       ignore (Intvec.extract v ~pos:(-1) ~len:2));
-  Alcotest.check_raises "words past the end rejected" (Invalid_argument "Packed.of_int64s")
-    (fun () -> ignore (Packed.of_int64s [| 1L; 2L |] ~pos:1 ~len:2))
+  Alcotest.check_raises "words past the end rejected" (Invalid_argument "Packed.of_words")
+    (fun () -> ignore (Packed.of_words (Bytes.create 16) ~pos:1 ~len:2))
 
 
 let test_intvec_defaults () =
@@ -497,6 +500,78 @@ let test_table_cells () =
   Alcotest.(check string) "cell_pct" "+27.4%" (Table.cell_pct 27.4);
   Alcotest.(check string) "cell_pct negative" "-3.0%" (Table.cell_pct (-3.0))
 
+let test_intvec_bindings () =
+  let v = Intvec.create ~initial_capacity:2 ~default:(-1) () in
+  List.iter (fun (i, x) -> Intvec.set v i x) [ (7, 70); (0, 0); (3, 30); (5, -1) ];
+  Alcotest.(check (array (pair int int))) "non-default pairs, ascending"
+    [| (0, 0); (3, 30); (7, 70) |]
+    (Intvec.bindings v);
+  Intvec.clear v;
+  Alcotest.(check int) "empty after clear" 0 (Array.length (Intvec.bindings v))
+
+(* --- Dense_set / Int_table --- *)
+
+(* Each [None] step checks the set and clears it; [Some k] adds k. *)
+let prop_dense_set_sorted_unique =
+  QCheck.Test.make ~name:"dense set matches a sorted-unique model" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (option ~ratio:0.95 (int_bound 500)))
+    (fun ops ->
+      let d = Dense_set.create () in
+      let added = ref [] in
+      let agrees () =
+        let want = List.sort_uniq Int.compare !added in
+        Dense_set.elements d = want
+        && Dense_set.elements_desc d = List.rev want
+        && Dense_set.cardinal d = List.length want
+        && List.for_all (fun k -> Dense_set.mem d k = List.mem k want) (List.init 502 (fun i -> i - 1))
+      in
+      List.for_all
+        (function
+          | None ->
+              let ok = agrees () in
+              Dense_set.clear d;
+              added := [];
+              ok
+          | Some k ->
+              Dense_set.add d k;
+              added := k :: !added;
+              true)
+        ops
+      && agrees ())
+
+let test_dense_set_negative () =
+  Alcotest.check_raises "negative member" (Invalid_argument "Dense_set.add: negative member")
+    (fun () -> Dense_set.add (Dense_set.create ()) (-1))
+
+(* Against an assoc-list model: [None] clears, [Some (k, v)] binds. *)
+let prop_int_table_models_assoc =
+  QCheck.Test.make ~name:"int table matches an assoc model" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 400) (option ~ratio:0.97 (pair (int_bound 3000) small_int)))
+    (fun ops ->
+      let t = Int_table.create () in
+      let model = ref [] in
+      let agrees () =
+        let want = List.sort compare !model in
+        Int_table.bindings t = want
+        && Int_table.length t = List.length want
+        && List.for_all
+             (fun k -> Int_table.find_opt t k = List.assoc_opt k want && Int_table.mem t k = List.mem_assoc k want)
+             (List.init 40 (fun i -> i * 75))
+      in
+      List.for_all
+        (function
+          | None ->
+              let ok = agrees () in
+              Int_table.clear t;
+              model := [];
+              ok
+          | Some (k, v) ->
+              Int_table.replace t k v;
+              model := (k, v) :: List.remove_assoc k !model;
+              true)
+        ops
+      && agrees ())
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -558,9 +633,16 @@ let () =
           QCheck_alcotest.to_alcotest ~verbose:false prop_intvec_extract_roundtrip;
           Alcotest.test_case "copy independence" `Quick test_intvec_copy_independent;
           Alcotest.test_case "clear" `Quick test_intvec_clear;
+          Alcotest.test_case "bindings" `Quick test_intvec_bindings;
           Alcotest.test_case "negative index" `Quick test_intvec_negative_index;
           QCheck_alcotest.to_alcotest ~verbose:false prop_intvec_models_assoc;
         ] );
+      ( "dense_set",
+        [
+          QCheck_alcotest.to_alcotest ~verbose:false prop_dense_set_sorted_unique;
+          Alcotest.test_case "negative member" `Quick test_dense_set_negative;
+        ] );
+      ("int_table", [ QCheck_alcotest.to_alcotest ~verbose:false prop_int_table_models_assoc ]);
       ( "packed",
         [
           QCheck_alcotest.to_alcotest ~verbose:false prop_packed_words_roundtrip;

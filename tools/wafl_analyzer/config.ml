@@ -46,7 +46,9 @@ let containers =
     ("Histogram", [ "add"; "merge"; "clear" ], [ "percentile"; "count"; "mean"; "max" ]);
     ( "Intvec",
       [ "push"; "set"; "clear"; "extract"; "blit"; "sort" ],
-      [ "get"; "length" ] );
+      [ "get"; "length"; "bindings" ] );
+    ("Dense_set", [ "add"; "clear" ], [ "mem"; "cardinal"; "elements"; "elements_desc" ]);
+    ("Int_table", [ "replace"; "clear" ], [ "mem"; "find_opt"; "length"; "bindings" ]);
     ("Table", [ "add_row"; "clear" ], []);
     ("Stats", [ "add" ], [ "mean"; "stddev" ]);
     (* A seeded PRNG advances internal state on every draw. *)
