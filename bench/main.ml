@@ -1,6 +1,8 @@
-(* The full benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§V) on the simulated 20-core platform, then runs
-   Bechamel micro-benchmarks of the allocator's primitive operations.
+(* The figure-suite benchmark: regenerates every table and figure of the
+   paper's evaluation (§V) on the simulated 20-core platform by running
+   each entry of the experiment registry (Wafl_harness.Suite), and
+   records per-figure host and simulated cost in BENCH_paper.json.
+   Micro-benchmarks of the allocator primitives live in bench/perf.
 
      dune exec bench/main.exe              # full paper scale
      WAFL_QUICK=1 dune exec bench/main.exe # fast smoke (quarter scale)
@@ -8,100 +10,88 @@
 
 module H = Wafl_harness
 module J = Wafl_obs.Json
+module Driver = Wafl_workload.Driver
+module Histogram = Wafl_util.Histogram
 
-let section name = Printf.printf "\n=== %s ===\n%!" name
-
-(* One record per figure, accumulated for BENCH_paper.json. *)
+(* One record per figure.  The whole suite shares one context, so a spec
+   several figures request runs once; each figure is still charged for
+   every spec it requested, whether that spec ran in this figure or an
+   earlier one, so its numbers do not depend on which figures ran
+   before it. *)
 type record = {
-  r_name : string;
-  r_wall_s : float;
-  r_virtual_us : float;  (** simulated virtual time across the figure's runs *)
-  r_write_ops : int;  (** client writes across the figure's runs (cache hits included) *)
-  r_write_p50_us : float;
-  r_write_p99_us : float;
-  r_health_events : int;
-      (** health-watchdog events across the figure's runs; healthy
+  name : string;
+  wall_s : float;  (** host seconds of the figure's specs *)
+  virtual_us : float;  (** final virtual clocks of the figure's specs *)
+  write_ops : int;  (** client writes across the figure's specs *)
+  write_p50_us : float;
+  write_p99_us : float;
+  health_events : int;
+      (** health-watchdog events across the figure's specs; healthy
           figures must report 0 *)
-  r_extra : (string * J.t) list;
-      (** figure-specific columns (e.g. the overload figure's per-scenario
-          goodput / shed_rate / victim_p99 table) *)
-  r_shapes : (string * bool) list;
+  columns : H.Suite.columns;
+  shapes : H.Suite.shapes;
 }
 
-let records : record list ref = ref []
+let sum f runs = List.fold_left (fun acc r -> acc +. f r) 0.0 runs
+let virtual_us (r : H.Exp.record) = r.result.Driver.virtual_us
 
-(* A figure closure can publish extra JSON columns for its record by
-   setting this before returning its shapes; [timed] consumes it. *)
-let pending_extra : (string * J.t) list ref = ref []
+let health_events (r : H.Exp.record) =
+  match r.result.Driver.telemetry with
+  | Some tr -> List.length tr.Driver.tr_events
+  | None -> 0
 
-let virtual_total () =
-  (* Driver.run accumulates each run's final virtual clock here. *)
-  Wafl_obs.Metrics.counter_value Wafl_obs.Metrics.default "virtual_time_us"
-
-let timed name f =
-  let t0 = Unix.gettimeofday () in
-  let v0 = virtual_total () in
-  (* Fresh per-figure sink: every run under [f] (memoized or not) merges
-     its end-to-end write-latency histogram here. *)
-  let wh = Wafl_util.Histogram.create () in
-  Wafl_workload.Driver.latency_sink := Some wh;
-  (* Fresh per-figure health-event counter, fed by every run (memoized
-     cache hits replay their cached event count). *)
-  let hc = ref 0 in
-  Wafl_workload.Driver.health_sink := Some hc;
-  pending_extra := [];
-  let shapes =
-    Fun.protect
-      ~finally:(fun () ->
-        Wafl_workload.Driver.latency_sink := None;
-        Wafl_workload.Driver.health_sink := None)
-      f
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let virt = virtual_total () -. v0 in
-  let p50 = Wafl_util.Histogram.percentile wh 50.0 in
-  let p99 = Wafl_util.Histogram.percentile wh 99.0 in
-  Printf.printf "  [%s: %.1fs wall, %.2fs virtual, write p50 %.0fus p99 %.0fus, %d health events]\n%!"
-    name wall (virt /. 1e6) p50 p99 !hc;
-  records :=
+let measure ctx (e : H.Suite.entry) =
+  Printf.printf "\n=== %s ===\n%!" e.title;
+  let scope = H.Exp.scope ctx in
+  let shapes, columns = e.run scope in
+  let runs = H.Exp.charged scope in
+  let wh = Histogram.create () in
+  List.iter
+    (fun (r : H.Exp.record) -> Histogram.merge_into ~dst:wh r.result.Driver.write_latency)
+    runs;
+  let r =
     {
-      r_name = name;
-      r_wall_s = wall;
-      r_virtual_us = virt;
-      r_write_ops = Wafl_util.Histogram.count wh;
-      r_write_p50_us = p50;
-      r_write_p99_us = p99;
-      r_health_events = !hc;
-      r_extra = !pending_extra;
-      r_shapes = shapes;
+      name = e.name;
+      wall_s = sum (fun (r : H.Exp.record) -> r.wall_s) runs;
+      virtual_us = sum virtual_us runs;
+      write_ops = Histogram.count wh;
+      write_p50_us = Histogram.percentile wh 50.0;
+      write_p99_us = Histogram.percentile wh 99.0;
+      health_events = List.fold_left (fun acc r -> acc + health_events r) 0 runs;
+      columns;
+      shapes;
     }
-    :: !records;
-  pending_extra := [];
-  shapes
+  in
+  Printf.printf "  [%s: %.1fs wall, %.2fs virtual, write p50 %.0fus p99 %.0fus, %d health events]\n%!"
+    r.name r.wall_s (r.virtual_us /. 1e6) r.write_p50_us r.write_p99_us r.health_events;
+  r
 
 (* BENCH_paper.json schema (all times in the named unit):
-     { "schema": "wafl-bench/7",
+     { "schema": "wafl-bench/8",
        "scale": float,            -- WAFL_SCALE factor of THIS run
        "domains": int,            -- worker domains the harness fanned over
-       "total_wall_s": float,
-       "total_virtual_us": float, -- simulated time of actually-executed
-                                  -- runs (memoized cache hits add none)
+       "total_wall_s": float,     -- elapsed host time of the whole suite
+       "total_virtual_us": float, -- simulated time of the unique specs
+                                  -- the suite executed (each counted once)
        "speedup_vs_d1": float,    -- present when the file holds a 1-domain
                                   -- run at the same scale: its wall / ours
        "shapes_ok": int, "shapes_total": int,
-       "figures": [ { "name": str, "wall_s": float, "virtual_us": float,
-                      "write_ops": int,        -- client writes, cache hits included
+       "figures": [ { "name": str,
+                      "wall_s": float,         -- host seconds of the figure's specs
+                      "virtual_us": float,     -- their final virtual clocks
+                      "write_ops": int,        -- client writes across them
                       "write_p50_us": float,   -- end-to-end write latency
                       "write_p99_us": float,
+                      "health_events": int,
                       "shapes": [ { "name": str, "ok": bool } ] } ],
        "runs_by_config": { "0.25/d1": { scale, domains, total_wall_s, ... },
-                           "0.25/d4": { ... }, "1.00/d1": { ... } } }
+                           "0.25/d2": { ... }, "1.00/d1": { ... } } }
    The top-level fields describe the run that last wrote the file (v1
    compatibility, and what `make bench-gate` compares); "runs_by_config"
    keeps the latest run per (scale, domains) pair so one file records
    the quarter-scale smoke, the full-scale suite, and serial-vs-parallel
    pairs whose results are byte-identical by construction (only wall
-   time differs).  Figures appear in execution order; "shapes" are the
+   time differs).  Figures appear in suite order; "shapes" are the
    qualitative paper-vs-measured assertions also printed in the shape
    summary.  v3 adds the per-figure end-to-end write-latency fields; v4
    adds figure-specific extra columns — the overload figure carries
@@ -115,38 +105,42 @@ let timed name f =
    legacy v2..v5 entries are carried over under "SCALE/d1"; v7 runs the
    whole suite with fleet telemetry attached (observe-only, so every
    number is unchanged) and adds the per-figure "health_events" count —
-   0 on every healthy figure.  Older files (without these fields) are
+   0 on every healthy figure.  v8 charges each figure for every spec it
+   requested: a figure's "wall_s" and "virtual_us" are sums over its
+   specs, including those an earlier figure already ran (fig6 is fig4's
+   rows 3-4), where v7 counted only the runs the figure executed itself
+   and recorded fig6 at 0 s.  Older files (without these fields) are
    still read for carry-over. *)
-let run_record ~scale ~domains ~total_wall =
+let run_record ~ctx ~scale ~domains ~total_wall records =
   let figs =
-    List.rev_map
+    List.map
       (fun r ->
         J.Obj
           ([
-             ("name", J.Str r.r_name);
-             ("wall_s", J.Num r.r_wall_s);
-             ("virtual_us", J.Num r.r_virtual_us);
-             ("write_ops", J.Num (float_of_int r.r_write_ops));
-             ("write_p50_us", J.Num r.r_write_p50_us);
-             ("write_p99_us", J.Num r.r_write_p99_us);
-             ("health_events", J.Num (float_of_int r.r_health_events));
+             ("name", J.Str r.name);
+             ("wall_s", J.Num r.wall_s);
+             ("virtual_us", J.Num r.virtual_us);
+             ("write_ops", J.Num (float_of_int r.write_ops));
+             ("write_p50_us", J.Num r.write_p50_us);
+             ("write_p99_us", J.Num r.write_p99_us);
+             ("health_events", J.Num (float_of_int r.health_events));
            ]
-          @ r.r_extra
+          @ r.columns
           @ [
               ( "shapes",
                 J.Arr
                   (List.map
                      (fun (n, ok) -> J.Obj [ ("name", J.Str n); ("ok", J.Bool ok) ])
-                     r.r_shapes) );
+                     r.shapes) );
             ]))
-      !records
+      records
   in
-  let shapes = List.concat_map (fun r -> r.r_shapes) !records in
+  let shapes = List.concat_map (fun r -> r.shapes) records in
   [
     ("scale", J.Num scale);
     ("domains", J.Num (float_of_int domains));
     ("total_wall_s", J.Num total_wall);
-    ("total_virtual_us", J.Num (virtual_total ()));
+    ("total_virtual_us", J.Num (sum virtual_us (H.Exp.executed ctx)));
     ("shapes_ok", J.Num (float_of_int (List.length (List.filter snd shapes))));
     ("shapes_total", J.Num (float_of_int (List.length shapes)));
     ("figures", J.Arr figs);
@@ -167,7 +161,8 @@ let previous_runs ~except path =
       | Ok doc -> (
           let runs =
             match (J.member "schema" doc, J.member "runs_by_config" doc) with
-            | Some (J.Str ("wafl-bench/6" | "wafl-bench/7")), Some (J.Obj runs) -> runs
+            | Some (J.Str ("wafl-bench/6" | "wafl-bench/7" | "wafl-bench/8")), Some (J.Obj runs)
+              -> runs
             | Some (J.Str ("wafl-bench/2" | "wafl-bench/3" | "wafl-bench/4" | "wafl-bench/5")), _
               -> (
                 match J.member "runs_by_scale" doc with
@@ -180,8 +175,7 @@ let previous_runs ~except path =
 
 let config_key ~scale ~domains = Printf.sprintf "%.2f/d%d" scale domains
 
-let write_json ~scale ~domains ~total_wall path =
-  let this_run = run_record ~scale ~domains ~total_wall in
+let write_json this_run ~scale ~domains ~total_wall path =
   let key = config_key ~scale ~domains in
   let prev = previous_runs ~except:key path in
   (* Like-for-like speedup: the stored single-domain run at the same
@@ -201,7 +195,7 @@ let write_json ~scale ~domains ~total_wall path =
   let runs = prev @ [ (key, J.Obj this_run) ] in
   let runs = List.sort (fun (a, _) (b, _) -> compare a b) runs in
   let doc =
-    J.Obj ((("schema", J.Str "wafl-bench/7") :: this_run) @ [ ("runs_by_config", J.Obj runs) ])
+    J.Obj ((("schema", J.Str "wafl-bench/8") :: this_run) @ [ ("runs_by_config", J.Obj runs) ])
   in
   let oc = open_out path in
   output_string oc (J.to_string doc);
@@ -213,240 +207,44 @@ let write_json ~scale ~domains ~total_wall path =
   Printf.printf "wrote %s\n%!" path
 
 (* WAFL_BENCH_ONLY="fig4,history" restricts the suite to the named
-   figures (and drops the micro-benchmarks unless "micro" is listed) —
-   the fast subset `make check` runs as its regression gate. *)
-let only =
+   figures — the fast subset `make check` runs as its regression gate. *)
+let want =
   match Sys.getenv_opt "WAFL_BENCH_ONLY" with
-  | None | Some "" -> None
-  | Some s -> Some (String.split_on_char ',' s |> List.map String.trim)
-
-let want name = match only with None -> true | Some l -> List.mem name l
-
-let figures scale =
-  let all = ref [] in
-  let add shapes = all := !all @ shapes in
-  let run name title f = if want name then begin section title; add (timed name f) end in
-  run "fig4" "Figure 4 (sequential write, permutations)" (fun () ->
-         let rows = H.Fig4.run ~scale () in
-         H.Fig4.print rows;
-         H.Fig4.shapes rows);
-  run "fig5" "Figure 5 (cleaner-thread scaling)" (fun () ->
-         let rows = H.Fig5.run ~scale () in
-         H.Fig5.print rows;
-         H.Fig5.shapes rows);
-  run "fig6" "Figure 6 (infrastructure parallelization)" (fun () ->
-         let rows = H.Fig6.run ~scale () in
-         H.Fig6.print rows;
-         H.Fig6.shapes rows);
-  run "fig7" "Figure 7 (random write, permutations)" (fun () ->
-         let rows = H.Fig7.run ~scale () in
-         H.Fig7.print rows;
-         H.Fig7.shapes rows);
-  run "fig8" "Figure 8 (OLTP peak throughput / knee latency)" (fun () ->
-         let rows = H.Fig8.run ~scale () in
-         H.Fig8.print rows;
-         H.Fig8.shapes rows);
-  run "fig9" "Figure 9 (throughput vs latency curves)" (fun () ->
-         let rows = H.Fig9.run ~scale () in
-         H.Fig9.print rows;
-         H.Fig9.shapes rows);
-  run "batching" "Batched inode cleaning (SV-C)" (fun () ->
-         let rows = H.Batching.run ~scale () in
-         H.Batching.print rows;
-         H.Batching.shapes rows);
-  run "history" "History ablation (the SIII evolution: 2006 / 2008 / 2011)" (fun () ->
-         let rows = H.History.run ~scale () in
-         H.History.print rows;
-         H.History.shapes rows);
-  run "ablation/chunk" "Design ablation: bucket chunk size (SIV-C)" (fun () ->
-         let rows = H.Ablation.run_chunk ~scale () in
-         H.Ablation.print_chunk rows;
-         H.Ablation.shapes_chunk rows);
-  run "ablation/ranges" "Design ablation: Range-affinity instances (SIV-B2)" (fun () ->
-         let rows = H.Ablation.run_ranges ~scale () in
-         H.Ablation.print_ranges rows;
-         H.Ablation.shapes_ranges rows);
-  run "crossover" "Crossover sweep: sequential -> random write" (fun () ->
-         let rows = H.Crossover.run ~scale () in
-         H.Crossover.print rows;
-         H.Crossover.shapes rows);
-  run "overload" "Overload: noisy-neighbor tenant isolation (QoS)" (fun () ->
-         let rows = H.Overload.run ~scale () in
-         H.Overload.print rows;
-         pending_extra :=
-           [
-             ( "overload",
-               J.Arr
-                 (List.map
-                    (fun row ->
-                      J.Obj
-                        [
-                          ("scenario", J.Str (H.Overload.scenario_name row.H.Overload.scenario));
-                          ("goodput_ops_s", J.Num (H.Overload.goodput row));
-                          ("shed_rate", J.Num (H.Overload.shed_rate row));
-                          ("victim_p99_us", J.Num (H.Overload.victim_p99 row));
-                        ])
-                    rows) );
-           ];
-         H.Overload.shapes rows);
-  run "flash" "Flash media model: WAF / GC push-back vs fill, OP, streaming" (fun () ->
-         let rows = H.Flash.run ~scale () in
-         H.Flash.print rows;
-         pending_extra :=
-           [
-             ( "flash",
-               J.Arr
-                 (List.map
-                    (fun row ->
-                      J.Obj
-                        [
-                          ("scenario", J.Str (H.Flash.scenario_name row.H.Flash.scenario));
-                          ("waf", J.Num (H.Flash.waf row));
-                          ("gc_stall_ms", J.Num (H.Flash.gc_stall_us row /. 1000.0));
-                          ("write_p99_us", J.Num (H.Flash.write_p99 row));
-                        ])
-                    rows) );
-           ];
-         H.Flash.shapes rows);
-  section "Shape summary (paper-vs-measured, qualitative)";
-  H.Exp.print_shapes !all;
-  let missed = List.filter (fun (_, ok) -> not ok) !all in
-  Printf.printf "\n%d/%d shapes reproduced\n%!"
-    (List.length !all - List.length missed)
-    (List.length !all)
-
-(* --- Bechamel micro-benchmarks of allocator primitives ------------------- *)
-
-open Bechamel
-open Toolkit
-
-let bucket_bench () =
-  (* One USE (take + tetris enqueue) amortized over a fresh bucket. *)
-  let eng = Wafl_sim.Engine.create ~cores:1 () in
-  let geom =
-    Wafl_storage.Geometry.create ~drive_blocks:65536 ~aa_stripes:1024 ~raid_groups:[ (2, 1) ] ()
-  in
-  let disk = Wafl_storage.Disk.create geom in
-  let raid = Wafl_storage.Raid.create eng ~cost:Wafl_sim.Cost.free ~disk ~rg:0 in
-  let tetris =
-    Wafl_core.Tetris.create eng ~cost:Wafl_sim.Cost.free ~raid ~expected_buckets:max_int
-  in
-  let bucket = ref None in
-  let next_base = ref 0 in
-  let payload = Wafl_fs.Layout.Data { vol = 0; file = 0; fbn = 0; content = 0L } in
-  Staged.stage (fun () ->
-      let b =
-        match !bucket with
-        | Some b when not (Wafl_core.Bucket.is_exhausted b) -> b
-        | _ ->
-            let vbns = Array.init 64 (fun i -> (!next_base + i) mod 100_000) in
-            next_base := (!next_base + 64) mod 100_000;
-            let b =
-              Wafl_core.Bucket.make
-                ~target:(Wafl_core.Bucket.Phys { rg = 0; drive = 0 })
-                ~tetris ~vbns ()
-            in
-            bucket := Some b;
-            b
-      in
-      ignore (Wafl_core.Api.use b ~payload))
-
-let bitmap_bench () =
-  let map = Wafl_fs.Bitmap_file.create ~bits:(1 lsl 20) in
-  let i = ref 0 in
-  Staged.stage (fun () ->
-      let bit = !i land 0xFFFFF in
-      i := !i + 7919;
-      if Wafl_fs.Bitmap_file.mem map bit then Wafl_fs.Bitmap_file.clear map bit
-      else Wafl_fs.Bitmap_file.set map bit)
-
-let bitmap_scan_bench () =
-  let map = Wafl_fs.Bitmap_file.create ~bits:(1 lsl 20) in
-  (* Fill all but every 512th bit so scans do real word-walking. *)
-  for b = 0 to (1 lsl 20) - 1 do
-    if b land 511 <> 0 then Wafl_fs.Bitmap_file.set map b
-  done;
-  let start = ref 0 in
-  Staged.stage (fun () ->
-      match Wafl_fs.Bitmap_file.find_free map ~lo:0 ~hi:((1 lsl 20) - 1) ~start:!start with
-      | Some b -> start := (b + 1) land 0xFFFFF
-      | None -> start := 0)
-
-let stage_bench () =
-  let s = Wafl_core.Stage.create ~target:Wafl_core.Stage.Phys ~capacity:64 in
-  let i = ref 0 in
-  Staged.stage (fun () ->
-      incr i;
-      match Wafl_core.Stage.add s !i with
-      | `Ok -> ()
-      | `Full -> ignore (Wafl_core.Stage.drain s))
-
-let engine_bench () =
-  Staged.stage (fun () ->
-      let eng = Wafl_sim.Engine.create ~cores:4 () in
-      for _ = 1 to 50 do
-        ignore (Wafl_sim.Engine.spawn eng (fun () -> Wafl_sim.Engine.consume 10.0))
-      done;
-      Wafl_sim.Engine.run eng)
-
-let rng_bench () =
-  let r = Wafl_util.Rng.create ~seed:1 in
-  Staged.stage (fun () -> ignore (Wafl_util.Rng.bits64 r))
-
-let micro () =
-  section "Micro-benchmarks (real wall time of allocator primitives)";
-  let test =
-    Test.make_grouped ~name:"primitives"
-      [
-        Test.make ~name:"bucket USE (take + tetris enqueue)" (bucket_bench ());
-        Test.make ~name:"activemap bit toggle (incl. dirty tracking)" (bitmap_bench ());
-        Test.make ~name:"activemap find_free (sparse free)" (bitmap_scan_bench ());
-        Test.make ~name:"stage add (drain amortized)" (stage_bench ());
-        Test.make ~name:"DES engine: 50 fibers spawn+run" (engine_bench ());
-        Test.make ~name:"xoshiro256 star-star bits64" (rng_bench ());
-      ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg [ instance ] test in
-  let results = Analyze.all ols instance raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns = match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan in
-      rows := (name, ns) :: !rows)
-    results;
-  let t = Wafl_util.Table.create ~headers:[ "operation"; "ns/op" ] in
-  List.iter
-    (fun (name, ns) -> Wafl_util.Table.add_row t [ name; Printf.sprintf "%.1f" ns ])
-    (List.sort compare !rows);
-  Wafl_util.Table.print t
+  | None | Some "" -> fun _ -> true
+  | Some s ->
+      let names = String.split_on_char ',' s |> List.map String.trim in
+      fun name -> List.mem name names
 
 let () =
   let scale = H.Exp.of_env () in
-  (* The figure suite re-runs several identical specs (fig6 = fig4/5
-     rows, history/crossover endpoints, fig9 top-load rows); runs are
-     deterministic, so let the driver return cached results for them.
-     Per-figure virtual time then counts only actually-executed runs. *)
-  Wafl_workload.Driver.memoize := true;
   (* Fan independent runs within each figure over the host's cores
      (WAFL_DOMAINS overrides).  Results are byte-identical at any
      count — only wall time changes — so the recorded domain count
-     matters only for like-for-like wall-time comparison. *)
+     matters only for like-for-like wall-time comparison.  Fleet
+     telemetry is attached to every run: observe-only (the telemetry
+     tests pin bit-identity), and the per-figure health-event counts
+     land in BENCH_paper.json. *)
   let domains = Wafl_util.Pool.default_domains () in
-  H.Exp.domains := domains;
-  (* Always-on fleet telemetry across the whole suite: observe-only (the
-     telemetry tests pin bit-identity), and the per-figure health-event
-     counts land in BENCH_paper.json. *)
-  H.Exp.telemetry := Some Wafl_workload.Driver.default_telemetry;
+  let ctx =
+    H.Exp.context ~scale ~domains ~telemetry:Driver.default_telemetry ~clock:Unix.gettimeofday
+      ()
+  in
   Printf.printf "WAFL White Alligator reproduction benchmark harness (scale %.2f, %d domain%s)\n"
     scale domains
     (if domains = 1 then "" else "s");
   let t0 = Unix.gettimeofday () in
-  figures scale;
-  if want "micro" then micro ();
+  let records =
+    List.filter_map (fun (e : H.Suite.entry) -> if want e.name then Some (measure ctx e) else None)
+      H.Suite.entries
+  in
+  Printf.printf "\n=== Shape summary (paper-vs-measured, qualitative) ===\n%!";
+  let shapes = List.concat_map (fun r -> r.shapes) records in
+  H.Exp.print_shapes shapes;
+  let missed = List.filter (fun (_, ok) -> not ok) shapes in
+  Printf.printf "\n%d/%d shapes reproduced\n%!"
+    (List.length shapes - List.length missed)
+    (List.length shapes);
   let total_wall = Unix.gettimeofday () -. t0 in
   Printf.printf "\ntotal wall time: %.1fs\n" total_wall;
   let out = Option.value ~default:"BENCH_paper.json" (Sys.getenv_opt "WAFL_BENCH_OUT") in
-  write_json ~scale ~domains ~total_wall out
+  write_json (run_record ~ctx ~scale ~domains ~total_wall records) ~scale ~domains ~total_wall out

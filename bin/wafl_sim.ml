@@ -54,11 +54,8 @@ let report_drops t =
        ring capacity or shorten the run)\n"
       dropped
 
-let run_experiment name runner =
-  let doc = Printf.sprintf "Reproduce %s." name in
+let run_experiment name ~doc entries =
   let action scale sanitize domains trace_out causal_out =
-    H.Exp.sanitize := sanitize;
-    H.Exp.domains := max 1 domains;
     let last = ref Wafl_obs.Trace.disabled in
     let out =
       match (causal_out, trace_out) with
@@ -66,16 +63,19 @@ let run_experiment name runner =
       | None, Some path -> Some (path, false)
       | None, None -> None
     in
-    (match out with
-    | Some (_, causal) ->
-        H.Exp.trace :=
-          Some
-            (fun eng ->
-              let t = Wafl_obs.Trace.create ~causal eng in
-              last := t;
-              t)
-    | None -> ());
-    let shapes = Fun.protect ~finally:(fun () -> H.Exp.trace := None) (fun () -> runner scale) in
+    let obs =
+      Option.map
+        (fun (_, causal) eng ->
+          let t = Wafl_obs.Trace.create ~causal eng in
+          last := t;
+          t)
+        out
+    in
+    (* The tracer factory keeps the last started run's tracer, which only
+       means something when rows start in order: tracing runs serially. *)
+    let domains = if out = None then domains else 1 in
+    let ctx = H.Exp.context ~scale ~domains ~sanitize ?obs () in
+    let shapes = List.concat_map (fun e -> fst (e.H.Suite.run ctx)) entries in
     (match out with
     | None -> ()
     | Some (path, causal) ->
@@ -94,75 +94,17 @@ let run_experiment name runner =
   Cmd.v (Cmd.info name ~doc)
     Term.(ret (const action $ scale_arg $ sanitize_arg $ domains_arg $ trace_arg $ causal_arg))
 
-let fig4 scale =
-  let rows = H.Fig4.run ~scale () in
-  H.Fig4.print rows;
-  H.Fig4.shapes rows
-
-let fig5 scale =
-  let rows = H.Fig5.run ~scale () in
-  H.Fig5.print rows;
-  H.Fig5.shapes rows
-
-let fig6 scale =
-  let rows = H.Fig6.run ~scale () in
-  H.Fig6.print rows;
-  H.Fig6.shapes rows
-
-let fig7 scale =
-  let rows = H.Fig7.run ~scale () in
-  H.Fig7.print rows;
-  H.Fig7.shapes rows
-
-let fig8 scale =
-  let rows = H.Fig8.run ~scale () in
-  H.Fig8.print rows;
-  H.Fig8.shapes rows
-
-let fig9 scale =
-  let rows = H.Fig9.run ~scale () in
-  H.Fig9.print rows;
-  H.Fig9.shapes rows
-
-let batching scale =
-  let rows = H.Batching.run ~scale () in
-  H.Batching.print rows;
-  H.Batching.shapes rows
-
-let history scale =
-  let rows = H.History.run ~scale () in
-  H.History.print rows;
-  H.History.shapes rows
-
-let ablation scale =
-  let chunk = H.Ablation.run_chunk ~scale () in
-  H.Ablation.print_chunk chunk;
-  let ranges = H.Ablation.run_ranges ~scale () in
-  H.Ablation.print_ranges ranges;
-  H.Ablation.shapes_chunk chunk @ H.Ablation.shapes_ranges ranges
-
-let crossover scale =
-  let rows = H.Crossover.run ~scale () in
-  H.Crossover.print rows;
-  H.Crossover.shapes rows
-
-let overload scale =
-  let rows = H.Overload.run ~scale () in
-  H.Overload.print rows;
-  H.Overload.shapes rows
-
-let flash scale =
-  let rows = H.Flash.run ~scale () in
-  H.Flash.print rows;
-  H.Flash.shapes rows
-
-let all scale =
-  List.concat
-    [
-      fig4 scale; fig5 scale; fig6 scale; fig7 scale; fig8 scale; fig9 scale;
-      batching scale; history scale; ablation scale; crossover scale; overload scale;
-      flash scale;
-    ]
+(* One subcommand per registry group (fig4 ... flash; ablation runs both
+   ablation entries), plus [all]: one context, so a spec several figures
+   share runs once. *)
+let experiment_cmds =
+  List.map
+    (fun name ->
+      let entries = H.Suite.select name in
+      let titles = String.concat "; " (List.map (fun e -> e.H.Suite.title) entries) in
+      run_experiment name ~doc:(Printf.sprintf "Reproduce %s." titles) entries)
+    H.Suite.commands
+  @ [ run_experiment "all" ~doc:"Reproduce every experiment, in suite order." H.Suite.entries ]
 
 (* --- ad-hoc run --- *)
 
@@ -587,24 +529,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [
-            run_experiment "fig4" fig4;
-            run_experiment "fig5" fig5;
-            run_experiment "fig6" fig6;
-            run_experiment "fig7" fig7;
-            run_experiment "fig8" fig8;
-            run_experiment "fig9" fig9;
-            run_experiment "batching" batching;
-            run_experiment "history" history;
-            run_experiment "ablation" ablation;
-            run_experiment "crossover" crossover;
-            run_experiment "overload" overload;
-            run_experiment "flash" flash;
-            run_experiment "all" all;
-            run_cmd;
-            trace_cmd;
-            analyze_cmd;
-            crash_cmd;
-            shard_cmd;
-            top_cmd;
-          ]))
+          (experiment_cmds @ [ run_cmd; trace_cmd; analyze_cmd; crash_cmd; shard_cmd; top_cmd ])))

@@ -24,14 +24,15 @@ let describe name (r : Driver.result) =
 
 let () =
   let scale = Wafl_harness.Exp.of_env () in
+  let ctx = Wafl_harness.Exp.context ~scale () in
   let spec = Wafl_harness.Exp.spec_base ~scale in
   print_endline "Sequential write streams on a 20-core simulated controller\n";
   let serialized =
-    Driver.run
+    Wafl_harness.Exp.run ctx
       { spec with Driver.cfg = { Wafl_core.Walloc.serialized_config with cp_timer = Some 250_000.0 } }
   in
   describe "serialized write allocation (pre-2011 architecture)" serialized;
-  let wa = Driver.run spec in
+  let wa = Wafl_harness.Exp.run ctx spec in
   describe "White Alligator (parallel cleaners + parallel infrastructure)" wa;
   Printf.printf "speedup: %+.0f%%\n"
     ((wa.Driver.throughput /. serialized.Driver.throughput -. 1.0) *. 100.0)

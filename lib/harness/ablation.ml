@@ -4,7 +4,8 @@ open Wafl_util
 type chunk_row = { chunk : int; result : Driver.result }
 type ranges_row = { ranges : int; result : Driver.result }
 
-let run_chunk ?(scale = 1.0) ?(chunks = [ 1; 8; 64; 128; 256 ]) () =
+let run_chunk ?(chunks = [ 1; 8; 64; 128; 256 ]) ctx =
+  let scale = Exp.scale ctx in
   (* Smaller working set than the figure experiments: one-VBN buckets do
      twenty times the infrastructure message traffic, and the comparison
      between configurations is what matters here. *)
@@ -18,10 +19,10 @@ let run_chunk ?(scale = 1.0) ?(chunks = [ 1; 8; 64; 128; 256 ]) () =
       measure = Float.max 100_000.0 (400_000.0 *. scale);
     }
   in
-  Exp.par_map
+  Exp.par_map ctx
     (fun chunk ->
       let cfg = { (Exp.wa_config ~cleaners:6 ~max_cleaners:6 ()) with Wafl_core.Walloc.chunk } in
-      { chunk; result = Driver.run { spec with Driver.cfg } })
+      { chunk; result = Exp.run ctx { spec with Driver.cfg } })
     chunks
 
 let print_chunk rows =
@@ -77,17 +78,18 @@ let shapes_chunk rows =
       (tput 256 < 1.15 *. tput 128);
   ]
 
-let run_ranges ?(scale = 1.0) ?(range_counts = [ 1; 2; 4; 8; 16 ]) () =
+let run_ranges ?(range_counts = [ 1; 2; 4; 8; 16 ]) ctx =
+  let scale = Exp.scale ctx in
   let spec =
     {
       (Exp.spec_base ~scale) with
       Driver.workload = Driver.Rand_write { file_blocks = max 2048 (int_of_float (16384.0 *. scale)) };
     }
   in
-  Exp.par_map
+  Exp.par_map ctx
     (fun ranges ->
       let cfg = { (Exp.wa_config ~cleaners:6 ~max_cleaners:6 ()) with Wafl_core.Walloc.ranges } in
-      { ranges; result = Driver.run { spec with Driver.cfg } })
+      { ranges; result = Exp.run ctx { spec with Driver.cfg } })
     range_counts
 
 let print_ranges rows =

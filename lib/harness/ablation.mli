@@ -14,10 +14,10 @@
 type chunk_row = { chunk : int; result : Wafl_workload.Driver.result }
 type ranges_row = { ranges : int; result : Wafl_workload.Driver.result }
 
-val run_chunk : ?scale:float -> ?chunks:int list -> unit -> chunk_row list
+val run_chunk : ?chunks:int list -> Exp.ctx -> chunk_row list
 val print_chunk : chunk_row list -> unit
 val shapes_chunk : chunk_row list -> (string * bool) list
 
-val run_ranges : ?scale:float -> ?range_counts:int list -> unit -> ranges_row list
+val run_ranges : ?range_counts:int list -> Exp.ctx -> ranges_row list
 val print_ranges : ranges_row list -> unit
 val shapes_ranges : ranges_row list -> (string * bool) list

@@ -3,7 +3,8 @@ open Wafl_util
 
 type row = { batching : bool; result : Driver.result }
 
-let run ?(scale = 1.0) () =
+let run ctx =
+  let scale = Exp.scale ctx in
   let files = max 8 (int_of_float (48.0 *. scale)) in
   let spec =
     {
@@ -12,10 +13,10 @@ let run ?(scale = 1.0) () =
       nvlog_half = 4096;
     }
   in
-  Exp.par_map
+  Exp.par_map ctx
     (fun batching ->
       let cfg = Exp.wa_config ~cleaners:4 ~batching () in
-      { batching; result = Driver.run { spec with Driver.cfg } })
+      { batching; result = Exp.run ctx { spec with Driver.cfg } })
     [ false; true ]
 
 let print rows =

@@ -7,6 +7,6 @@
 
 type row = { batching : bool; result : Wafl_workload.Driver.result }
 
-val run : ?scale:float -> unit -> row list
+val run : Exp.ctx -> row list
 val print : row list -> unit
 val shapes : row list -> (string * bool) list

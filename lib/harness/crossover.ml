@@ -3,16 +3,17 @@ open Wafl_util
 
 type row = { random_fraction : float; result : Driver.result }
 
-let run ?(scale = 1.0) ?(fractions = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]) () =
+let run ?(fractions = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]) ctx =
+  let scale = Exp.scale ctx in
   let file_blocks = max 2048 (int_of_float (16384.0 *. scale)) in
   let spec = Exp.spec_base ~scale in
-  Exp.par_map
+  Exp.par_map ctx
     (fun random_fraction ->
       let workload = Driver.Mixed_write { file_blocks; random_fraction } in
       {
         random_fraction;
         result =
-          Driver.run
+          Exp.run ctx
             { spec with Driver.workload; cfg = Exp.wa_config ~cleaners:6 ~max_cleaners:6 () };
       })
     fractions

@@ -9,6 +9,6 @@
 
 type row = { random_fraction : float; result : Wafl_workload.Driver.result }
 
-val run : ?scale:float -> ?fractions:float list -> unit -> row list
+val run : ?fractions:float list -> Exp.ctx -> row list
 val print : row list -> unit
 val shapes : row list -> (string * bool) list

@@ -1,37 +1,108 @@
 open Wafl_workload
 
+(* An unset or empty variable takes the default; anything else must
+   parse, so a typo cannot silently run a different suite. *)
+let env_var name parse ~expected ~default =
+  match Sys.getenv_opt name with
+  | None | Some "" -> default ()
+  | Some s -> (
+      match parse (String.trim s) with
+      | Some v -> v
+      | None -> invalid_arg (Printf.sprintf "%s=%S: expected %s" name s expected))
+
 let of_env () =
-  match Sys.getenv_opt "WAFL_SCALE" with
-  | Some s -> ( match float_of_string_opt s with Some f when f > 0.0 -> f | _ -> 1.0)
-  | None -> ( match Sys.getenv_opt "WAFL_QUICK" with Some ("1" | "true") -> 0.25 | _ -> 1.0)
+  env_var "WAFL_SCALE" ~expected:"a positive number"
+    (fun s ->
+      match float_of_string_opt s with
+      | Some f when f > 0.0 && Float.is_finite f -> Some f
+      | _ -> None)
+    ~default:(fun () ->
+      env_var "WAFL_QUICK" ~expected:"1, true, 0 or false"
+        (function "1" | "true" -> Some 0.25 | "0" | "false" -> Some 1.0 | _ -> None)
+        ~default:(fun () -> 1.0))
 
-(* When set (the --sanitize flag), every experiment spec derived from
-   [spec_base] runs under the race detector and isolation checker. *)
-let sanitize = ref false
+type record = { result : Driver.result; wall_s : float }
 
-(* When set (the trace CLI / test harness), every spec derived from
-   [spec_base] attaches a tracer built by this factory. *)
-let trace : (Wafl_sim.Engine.t -> Wafl_obs.Trace.t) option ref = ref None
+type ctx = {
+  scale : float;
+  domains : int;
+  sanitize : bool;
+  telemetry : Driver.telemetry option;
+  obs : Wafl_sim.Engine.t -> Wafl_obs.Trace.t;
+  clock : unit -> float;
+  lock : Mutex.t;
+  (* Every spec run under this context, keyed by the spec with the
+     context's settings applied; shared by every [scope] of it. *)
+  runs : (Driver.spec * record) list ref;
+  (* The specs requested through this scope, for [charged]. *)
+  asked : (Driver.spec * record) list ref;
+}
 
-(* Worker-domain fan-out for experiment sweep points (the CLI's
-   --domains flag; the bench harness and Makefile smoke targets set it
-   from WAFL_DOMAINS / the host core count).  1 = serial. *)
-let domains = ref 1
+let context ?(domains = 1) ?(sanitize = false) ?telemetry ?obs ?(clock = fun () -> 0.0)
+    ~scale () =
+  {
+    scale;
+    domains = max 1 domains;
+    sanitize;
+    telemetry;
+    obs = Option.value obs ~default:Driver.default_spec.Driver.obs;
+    clock;
+    lock = Mutex.create ();
+    runs = ref [];
+    asked = ref [];
+  }
 
-(* When set (the bench harness, the top CLI), every spec derived from
-   [spec_base] attaches fleet telemetry — observe-only, so results are
-   unchanged. *)
-let telemetry : Driver.telemetry option ref = ref None
+let scale ctx = ctx.scale
+let scope ctx = { ctx with asked = ref [] }
+
+(* Specs are compared with [compare], never [=]: within one context every
+   spec carries the same [obs] closure, which [compare] accepts because
+   it is physically equal. *)
+let find spec l = List.find_map (fun (s, r) -> if compare s spec = 0 then Some r else None) l
+
+(* Runs outside the lock; a spec two rows race on runs twice and the
+   first record stays, which is safe because runs are deterministic. *)
+let run ctx spec =
+  let spec =
+    { spec with Driver.sanitize = ctx.sanitize; telemetry = ctx.telemetry; obs = ctx.obs }
+  in
+  Mutex.lock ctx.lock;
+  let cached = find spec !(ctx.runs) in
+  Mutex.unlock ctx.lock;
+  let fresh =
+    match cached with
+    | Some r -> r
+    | None ->
+        let t0 = ctx.clock () in
+        let result = Driver.run spec in
+        { result; wall_s = ctx.clock () -. t0 }
+  in
+  Mutex.lock ctx.lock;
+  let r =
+    match find spec !(ctx.runs) with
+    | Some r -> r
+    | None ->
+        ctx.runs := (spec, fresh) :: !(ctx.runs);
+        fresh
+  in
+  if Option.is_none (find spec !(ctx.asked)) then ctx.asked := (spec, r) :: !(ctx.asked);
+  Mutex.unlock ctx.lock;
+  r.result
+
+(* Sorted by virtual time so sums over the list do not depend on the
+   order in which worker domains finished. *)
+let by_virtual l =
+  List.sort
+    (fun a b -> compare a.result.Driver.virtual_us b.result.Driver.virtual_us)
+    (List.map snd l)
+
+let executed ctx = by_virtual !(ctx.runs)
+let charged ctx = by_virtual !(ctx.asked)
 
 (* Experiment rows are independent seeded runs, so they execute
    concurrently and merge in input order — byte-identical to a serial
-   sweep (tested in test_domains.ml).  Tracing forces the serial path:
-   the CLI's tracer factory captures the tracer of the *last started*
-   run through a ref, which only means something when rows start in
-   order. *)
-let par_map f xs =
-  let domains = if !trace <> None then 1 else !domains in
-  Wafl_util.Pool.map ~domains f xs
+   sweep (tested in test_domains.ml). *)
+let par_map ctx f xs = Wafl_util.Pool.map ~domains:ctx.domains f xs
 
 let spec_base ~scale =
   let d = Driver.default_spec in
@@ -41,9 +112,6 @@ let spec_base ~scale =
     measure = Float.max 200_000.0 (d.Driver.measure *. scale);
     workload =
       Driver.Seq_write { file_blocks = max 2048 (int_of_float (16384.0 *. scale)) };
-    sanitize = !sanitize;
-    telemetry = !telemetry;
-    obs = (match !trace with Some f -> f | None -> d.Driver.obs);
   }
 
 let wa_config ?(cleaners = 4) ?max_cleaners ?(parallel_infra = true) ?(dynamic = false)

@@ -1,42 +1,78 @@
 (** Shared infrastructure for the paper-reproduction experiments.
 
-    Every experiment accepts a [scale] factor: 1.0 reproduces the default
-    measurement windows; smaller values shrink warmup/measure windows and
-    working sets proportionally for quick smoke runs ([of_env] reads
-    WAFL_SCALE, with WAFL_QUICK=1 as a 0.25 shortcut). *)
+    Every experiment runs under a {!ctx}: the scale factor (1.0
+    reproduces the default measurement windows; smaller values shrink
+    warmup/measure windows and working sets proportionally for quick
+    smoke runs), the worker-domain fan-out, and the observe-only
+    attachments every run gets.  The caller builds one context and passes
+    it down; nothing here is process-wide. *)
 
 val of_env : unit -> float
-(** Scale factor from the environment; 1.0 by default. *)
+(** Scale factor from the environment: [WAFL_SCALE] (a positive number),
+    else 0.25 when [WAFL_QUICK] is [1]/[true], else 1.0.  Unset or empty
+    variables take the default.
+    @raise Invalid_argument naming the variable when a value is malformed
+    (e.g. [WAFL_SCALE=0,25]). *)
 
-val sanitize : bool ref
-(** When set (the CLI's --sanitize flag), every spec derived from
-    [spec_base] runs under the race detector and isolation checker.
-    Results are bit-identical either way; any report is a bug. *)
+type record = {
+  result : Wafl_workload.Driver.result;
+  wall_s : float;  (** host seconds the run took, by the context's clock *)
+}
+(** One executed spec.  Its final virtual clock is
+    [result.Driver.virtual_us]. *)
 
-val trace : (Wafl_sim.Engine.t -> Wafl_obs.Trace.t) option ref
-(** When set (the CLI's trace subcommand), every spec derived from
-    [spec_base] attaches a tracer built by this factory; capture the
-    tracer via a [ref] inside the closure to export it after the run.
-    Tracing never changes results. *)
+type ctx
+(** Immutable settings plus the run table they share. *)
 
-val telemetry : Wafl_workload.Driver.telemetry option ref
-(** When set (the bench harness, the CLI's top subcommand), every spec
-    derived from [spec_base] attaches fleet telemetry rollups and the
-    health watchdog.  Observe-only; results are bit-identical either
-    way. *)
+val context :
+  ?domains:int ->
+  ?sanitize:bool ->
+  ?telemetry:Wafl_workload.Driver.telemetry ->
+  ?obs:(Wafl_sim.Engine.t -> Wafl_obs.Trace.t) ->
+  ?clock:(unit -> float) ->
+  scale:float ->
+  unit ->
+  ctx
+(** A fresh context with an empty run table.
+    - [domains] (default 1): {!par_map} executes up to this many rows
+      concurrently.  Pass 1 when [obs] captures "the last run's" tracer,
+      which only means something when rows start in order.
+    - [sanitize]: every run executes under the race detector and
+      isolation checker.  Results are bit-identical either way; any
+      report is a bug.
+    - [telemetry]: every run attaches fleet rollups and the health
+      watchdog.  Observe-only.
+    - [obs]: tracer factory attached to every run; capture the tracer
+      via a [ref] inside the closure to export it afterwards.  Tracing
+      never changes results.
+    - [clock] (default: always 0): host wall clock for {!record.wall_s}.
+      The library reads no wall clock itself. *)
 
-val domains : int ref
-(** Worker-domain count for experiment fan-out (the CLI's --domains
-    flag).  1 (the default) runs sweeps serially; [n > 1] lets
-    {!par_map} execute up to [n] rows concurrently. *)
+val scale : ctx -> float
 
-val par_map : ('a -> 'b) -> 'a list -> 'b list
+val run : ctx -> Wafl_workload.Driver.spec -> Wafl_workload.Driver.result
+(** [Driver.run] with the context's [sanitize], [telemetry] and [obs]
+    put onto the spec.  Each unique spec runs once per context and a
+    repeat returns the recorded result (two rows racing on one spec may
+    both run it; runs are deterministic, so either record serves). *)
+
+val scope : ctx -> ctx
+(** The same context (same run table) with an empty request log, so a
+    caller can ask afterwards which specs one experiment requested. *)
+
+val charged : ctx -> record list
+(** Every spec requested through this scope, once each — whether it ran
+    here or was already in the table — in ascending virtual time. *)
+
+val executed : ctx -> record list
+(** Every spec run under the context, in ascending virtual time. *)
+
+val par_map : ctx -> ('a -> 'b) -> 'a list -> 'b list
 (** Map over independent sweep points (experiment rows, scenario
-    matrices), executing up to [!domains] of them concurrently on
-    worker domains ({!Wafl_util.Pool}).  Results keep input order, so
-    the sweep is byte-identical to [List.map] at any domain count.
-    When a tracer factory is installed ({!trace}), falls back to
-    serial: trace capture is start-order-dependent. *)
+    matrices), executing up to the context's [domains] of them
+    concurrently on worker domains ({!Wafl_util.Pool}).  Results keep
+    input order, so the sweep is byte-identical to [List.map] at any
+    domain count. *)
 
 val spec_base : scale:float -> Wafl_workload.Driver.spec
 (** The common 20-core paper-platform spec: SSD aggregate of 2 RAID

@@ -3,7 +3,7 @@ open Wafl_workload
 let workload scale =
   Driver.Seq_write { file_blocks = max 2048 (int_of_float (16384.0 *. scale)) }
 
-let run ?(scale = 1.0) () = Perms.run ~workload:(workload scale) ~scale ()
+let run ctx = Perms.run ~workload:(workload (Exp.scale ctx)) ctx
 
 let print rows =
   Perms.print ~title:"Figure 4: sequential write, parallelization permutations" rows

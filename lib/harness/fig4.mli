@@ -5,7 +5,7 @@
     (both), with ~6.23 cores of write-allocation work (2.35
     infrastructure + 3.88 cleaners) and all cores saturated at peak. *)
 
-val run : ?scale:float -> unit -> Perms.row list
+val run : Exp.ctx -> Perms.row list
 val print : Perms.row list -> unit
 val shapes : Perms.row list -> (string * bool) list
 (** The qualitative claims this reproduction must preserve. *)

@@ -3,12 +3,12 @@ open Wafl_util
 
 type row = { threads : int; result : Driver.result }
 
-let run ?(scale = 1.0) ?(thread_counts = [ 1; 2; 3; 4; 6; 8 ]) () =
-  let spec = Exp.spec_base ~scale in
-  Exp.par_map
+let run ?(thread_counts = [ 1; 2; 3; 4; 6; 8 ]) ctx =
+  let spec = Exp.spec_base ~scale:(Exp.scale ctx) in
+  Exp.par_map ctx
     (fun threads ->
       let cfg = Exp.wa_config ~cleaners:threads ~max_cleaners:threads () in
-      { threads; result = Driver.run { spec with Driver.cfg } })
+      { threads; result = Exp.run ctx { spec with Driver.cfg } })
     thread_counts
 
 let print rows =

@@ -6,6 +6,6 @@
 
 type row = { threads : int; result : Wafl_workload.Driver.result }
 
-val run : ?scale:float -> ?thread_counts:int list -> unit -> row list
+val run : ?thread_counts:int list -> Exp.ctx -> row list
 val print : row list -> unit
 val shapes : row list -> (string * bool) list

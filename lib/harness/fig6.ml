@@ -3,12 +3,12 @@ open Wafl_util
 
 type row = { parallel : bool; result : Driver.result }
 
-let run ?(scale = 1.0) () =
-  let spec = Exp.spec_base ~scale in
+let run ctx =
+  let spec = Exp.spec_base ~scale:(Exp.scale ctx) in
   List.map
     (fun parallel ->
       let cfg = Exp.wa_config ~cleaners:6 ~max_cleaners:6 ~parallel_infra:parallel () in
-      { parallel; result = Driver.run { spec with Driver.cfg } })
+      { parallel; result = Exp.run ctx { spec with Driver.cfg } })
     [ false; true ]
 
 let print rows =

@@ -6,6 +6,6 @@
     block frees touch many more allocation-metafile blocks; together
     they yield +50%. *)
 
-val run : ?scale:float -> unit -> Perms.row list
+val run : Exp.ctx -> Perms.row list
 val print : Perms.row list -> unit
 val shapes : Perms.row list -> (string * bool) list

@@ -13,7 +13,8 @@ let walloc_config = function
   | Static n -> Exp.wa_config ~cleaners:n ~max_cleaners:n ()
   | Dynamic -> Exp.wa_config ~cleaners:1 ~max_cleaners:4 ~dynamic:true ()
 
-let run ?(scale = 1.0) () =
+let run ctx =
+  let scale = Exp.scale ctx in
   (* A small NVRAM puts peak load in the back-to-back-CP regime where the
      cleaner-thread count governs both throughput and latency. *)
   (* A controller-sized read cache keeps the OLTP hot set resident, so
@@ -29,7 +30,7 @@ let run ?(scale = 1.0) () =
   let configs = [ Static 1; Static 2; Static 3; Static 4; Dynamic ] in
   (* Peak: closed loop at full tilt. *)
   let peaks =
-    Exp.par_map (fun c -> (c, Driver.run { spec with Driver.cfg = walloc_config c })) configs
+    Exp.par_map ctx (fun c -> (c, Exp.run ctx { spec with Driver.cfg = walloc_config c })) configs
   in
   let best_peak =
     List.fold_left (fun acc (_, r) -> Float.max acc r.Driver.throughput) 0.0 peaks
@@ -43,10 +44,10 @@ let run ?(scale = 1.0) () =
   let think =
     Float.max 20.0 ((float_of_int spec.Driver.clients /. target *. 1_000_000.0) -. 60.0)
   in
-  Exp.par_map
+  Exp.par_map ctx
     (fun (c, peak) ->
       let knee =
-        Driver.run { spec with Driver.cfg = walloc_config c; think_time = think }
+        Exp.run ctx { spec with Driver.cfg = walloc_config c; think_time = think }
       in
       { config = c; peak; knee })
     peaks

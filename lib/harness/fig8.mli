@@ -15,6 +15,6 @@ type row = {
   knee : Wafl_workload.Driver.result;  (** reduced offered load *)
 }
 
-val run : ?scale:float -> unit -> row list
+val run : Exp.ctx -> row list
 val print : row list -> unit
 val shapes : row list -> (string * bool) list

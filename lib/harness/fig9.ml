@@ -16,11 +16,11 @@ let walloc_config = function
 let think_of_level ~levels level =
   if level >= levels then 0.0 else 320.0 *. float_of_int (levels - level) /. float_of_int levels
 
-let run ?(scale = 1.0) ?(levels = 4) () =
-  let spec = Exp.spec_base ~scale in
+let run ?(levels = 4) ctx =
+  let spec = Exp.spec_base ~scale:(Exp.scale ctx) in
   (* Fan out across configs; the load levels within one series stay
      serial (one level of parallelism — see Wafl_util.Pool). *)
-  Exp.par_map
+  Exp.par_map ctx
     (fun config ->
       let cfg = walloc_config config in
       let points =
@@ -29,7 +29,7 @@ let run ?(scale = 1.0) ?(levels = 4) () =
             let think = think_of_level ~levels level in
             {
               offered_level = level;
-              result = Driver.run { spec with Driver.cfg; think_time = think };
+              result = Exp.run ctx { spec with Driver.cfg; think_time = think };
             })
       in
       { config; points })

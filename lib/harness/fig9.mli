@@ -11,6 +11,6 @@ type config = Static of int | Dynamic
 type point = { offered_level : int; result : Wafl_workload.Driver.result }
 type series = { config : config; points : point list }
 
-val run : ?scale:float -> ?levels:int -> unit -> series list
+val run : ?levels:int -> Exp.ctx -> series list
 val print : series list -> unit
 val shapes : series list -> (string * bool) list

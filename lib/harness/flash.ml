@@ -126,8 +126,8 @@ let spec ~scale ~scenario =
         open_loop = Some { Driver.arrivals = b2b_arrivals; qos = None };
       }
 
-let run_one ~scale scenario = { scenario; r = Driver.run (spec ~scale ~scenario) }
-let run ?(scale = 1.0) () = Exp.par_map (run_one ~scale) scenarios
+let run_one ctx scenario = { scenario; r = Exp.run ctx (spec ~scale:(Exp.scale ctx) ~scenario) }
+let run ctx = Exp.par_map ctx (run_one ctx) scenarios
 let find rows scenario = List.find (fun row -> row.scenario = scenario) rows
 
 (* --- bench accessors ---------------------------------------------------- *)

@@ -18,7 +18,7 @@ val scenarios : scenario list
 
 type row = { scenario : scenario; r : Wafl_workload.Driver.result }
 
-val run : ?scale:float -> unit -> row list
+val run : Exp.ctx -> row list
 (** All scenarios, deterministic per seed (the spec seed comes from
     {!Exp.spec_base}). *)
 

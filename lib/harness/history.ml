@@ -11,15 +11,15 @@ let configs =
     ("2011 white alligator", Exp.wa_config ~cleaners:6 ~max_cleaners:6 ());
   ]
 
-let run ?(scale = 1.0) () =
-  let spec = Exp.spec_base ~scale in
+let run ctx =
+  let spec = Exp.spec_base ~scale:(Exp.scale ctx) in
   (* Rows run concurrently (Exp.par_map); the 2003 baseline is the first
      row's result, read back after the sweep. *)
   let results =
-    Exp.par_map
+    Exp.par_map ctx
       (fun (era, cfg) ->
         let cfg = { cfg with Wafl_core.Walloc.cp_timer = Some 250_000.0 } in
-        (era, Driver.run { spec with Driver.cfg }))
+        (era, Exp.run ctx { spec with Driver.cfg }))
       configs
   in
   let baseline =

@@ -15,6 +15,6 @@
 
 type row = { era : string; result : Wafl_workload.Driver.result; gain : float }
 
-val run : ?scale:float -> unit -> row list
+val run : Exp.ctx -> row list
 val print : row list -> unit
 val shapes : row list -> (string * bool) list

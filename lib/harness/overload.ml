@@ -80,8 +80,8 @@ let hot row =
   | Isolated -> None
   | Noisy_off | Noisy_on -> Some row.r.Driver.tenants.(0)
 
-let run_one ~scale scenario =
-  let r = Driver.run (spec ~scale ~scenario) in
+let run_one ctx scenario =
+  let r = Exp.run ctx (spec ~scale:(Exp.scale ctx) ~scenario) in
   let victim_whist = Histogram.create () in
   let row = { scenario; r; victim_whist } in
   List.iter
@@ -89,7 +89,7 @@ let run_one ~scale scenario =
     (victims row);
   row
 
-let run ?(scale = 1.0) () = Exp.par_map (run_one ~scale) [ Isolated; Noisy_off; Noisy_on ]
+let run ctx = Exp.par_map ctx (run_one ctx) [ Isolated; Noisy_off; Noisy_on ]
 
 let find rows scenario = List.find (fun row -> row.scenario = scenario) rows
 

@@ -19,7 +19,7 @@ type row = {
       (** merged end-to-end write latency of all victim tenants *)
 }
 
-val run : ?scale:float -> unit -> row list
+val run : Exp.ctx -> row list
 (** All three scenarios, deterministic per seed (the spec seed comes from
     {!Exp.spec_base}). *)
 

@@ -3,8 +3,8 @@ open Wafl_util
 
 type row = { name : string; result : Driver.result; gain : float }
 
-let run ?(cleaners = 6) ~workload ~scale () =
-  let base_spec = { (Exp.spec_base ~scale) with Driver.workload } in
+let run ?(cleaners = 6) ~workload ctx =
+  let base_spec = { (Exp.spec_base ~scale:(Exp.scale ctx)) with Driver.workload } in
   let configs =
     [
       ("serialized baseline", Exp.wa_config ~cleaners:1 ~max_cleaners:1 ~parallel_infra:false ());
@@ -18,7 +18,7 @@ let run ?(cleaners = 6) ~workload ~scale () =
      taken from the first row's result afterwards, not via a ref inside
      the loop. *)
   let results =
-    Exp.par_map (fun (name, cfg) -> (name, Driver.run { base_spec with Driver.cfg })) configs
+    Exp.par_map ctx (fun (name, cfg) -> (name, Exp.run ctx { base_spec with Driver.cfg })) configs
   in
   let baseline =
     match results with (_, r) :: _ -> r.Driver.throughput | [] -> 0.0

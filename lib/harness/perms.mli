@@ -9,7 +9,7 @@ type row = {
   gain : float;  (** throughput gain over the serialized baseline, % *)
 }
 
-val run : ?cleaners:int -> workload:Wafl_workload.Driver.workload -> scale:float -> unit -> row list
+val run : ?cleaners:int -> workload:Wafl_workload.Driver.workload -> Exp.ctx -> row list
 (** Rows in order: serialized baseline, parallel infrastructure only,
     parallel cleaners only, full White Alligator. [cleaners] (default 6)
     is the thread count used in the "parallel cleaners" configurations. *)

@@ -20,10 +20,6 @@ type t = {
 let create () =
   { counters = Hashtbl.create 32; gauges = Hashtbl.create 32; histos = Hashtbl.create 32 }
 
-(* One registry shared by code that accumulates across runs (the bench
-   harness reads per-figure virtual-time totals from here). *)
-let default = create ()
-
 let counter t name =
   match Hashtbl.find_opt t.counters name with
   | Some c -> c

@@ -13,10 +13,6 @@ type histo
 
 val create : unit -> t
 
-val default : t
-(** A process-wide registry for values that accumulate across runs —
-    the bench harness reads per-figure virtual-time totals from here. *)
-
 (** {1 Registration (find-or-create by name)} *)
 
 val counter : t -> string -> counter

@@ -7,11 +7,11 @@
 
 let default_domains () =
   match Sys.getenv_opt "WAFL_DOMAINS" with
+  | None | Some "" -> Domain.recommended_domain_count ()
   | Some s -> (
       match int_of_string_opt (String.trim s) with
       | Some n when n >= 1 -> n
-      | _ -> 1)
-  | None -> Domain.recommended_domain_count ()
+      | _ -> invalid_arg (Printf.sprintf "WAFL_DOMAINS=%S: expected a positive integer" s))
 
 (* A task either produced a value or raised; [Pending] only survives a
    task that never ran, which cannot happen once every domain joins. *)

@@ -19,9 +19,12 @@
     seeds or windows, never both). *)
 
 val default_domains : unit -> int
-(** Worker-domain count from the environment: [WAFL_DOMAINS] if set to a
-    positive integer, else {!Domain.recommended_domain_count} (1 on a
-    single-core host, so defaults never oversubscribe). *)
+(** Worker-domain count from the environment: [WAFL_DOMAINS] (a positive
+    integer), else {!Domain.recommended_domain_count} (1 on a single-core
+    host, so defaults never oversubscribe).  Unset or empty takes the
+    default.
+    @raise Invalid_argument naming the variable when the value is
+    malformed. *)
 
 val run : domains:int -> (unit -> 'a) list -> 'a list
 (** [run ~domains tasks] executes every task and returns their results

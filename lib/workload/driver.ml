@@ -23,7 +23,7 @@ type open_loop = {
 (* Always-on fleet telemetry (DESIGN.md §4.15): bounded-memory per-volume
    rollups plus the health watchdog, evaluated lazily from write-side
    calls — attaching it never perturbs a run.  Pure data so specs stay
-   structurally comparable (and memoizable). *)
+   structurally comparable. *)
 type telemetry = {
   rollup : Wafl_obs.Rollup.config;
   rules : Wafl_obs.Health.rule list;
@@ -110,6 +110,7 @@ type tenant_stat = {
 type result = {
   ops : int;
   duration : float;
+  virtual_us : float;  (** the run's final virtual clock: warmup + window *)
   throughput : float;
   throughput_per_client : float;
   latency : Wafl_util.Histogram.t;
@@ -245,54 +246,7 @@ type tenant_acc = {
 
 let stripe_of_fbn fbn = fbn / 1024 mod 16
 
-(* Suite-level memoization.  A run is a pure function of its spec (the
-   tracer factory aside), and the figure suite re-executes several
-   byte-identical specs: Figure 6's two rows are Figure 4/5 rows, the
-   history and crossover endpoints are the white-alligator row, and
-   Figure 9's top-load rows are Figure 5's.  When enabled, a repeated
-   spec returns the cached result instead of re-simulating — the printed
-   numbers are identical because runs are deterministic.  Off by
-   default: traced and test runs must re-execute (a cache hit would skip
-   the tracer factory's side effects), so only the bench harness turns
-   this on. *)
-let memoize = ref false
-
-(* Every spec field except [obs] (a closure; bench runs all share the
-   default factory, and results do not depend on observation). *)
-let memo_key spec =
-  ( ( spec.cores,
-      spec.workload,
-      spec.clients,
-      spec.think_time,
-      spec.volumes,
-      spec.cfg,
-      spec.cost ),
-    ( spec.geometry,
-      spec.nvlog_half,
-      spec.watermarks,
-      spec.open_loop,
-      spec.flash,
-      spec.cache_blocks,
-      spec.warmup,
-      spec.measure,
-      spec.seed,
-      spec.sanitize,
-      spec.telemetry ) )
-
-(* A memo entry is either a finished result or a claim by the run that
-   is currently executing the spec: with the harness fanning runs out
-   over worker domains (Wafl_util.Pool), two rows can ask for the same
-   spec concurrently, and both executing would double-count suite-level
-   accumulators (the virtual-time total below).  The second caller
-   waits on [memo_cond] for the first to publish.  [memo_lock] also
-   guards the other process-wide accumulators at the bottom of this
-   file ([latency_sink], the bench virtual-time counter): host-side
-   locking only, never held across simulated time. *)
-let memo_lock = Mutex.create ()
-let memo_cond = Condition.create ()
-let memo_tbl : (_, [ `Done of result | `Running ]) Hashtbl.t = Hashtbl.create 32
-
-let run_uncached spec =
+let run spec =
   let eng = Engine.create ~cores:spec.cores ~sanitize:spec.sanitize () in
   let user_obs = spec.obs eng in
   (* Telemetry needs a live metrics registry; when no full tracer is
@@ -749,6 +703,7 @@ let run_uncached spec =
     {
       ops = rec_.ops;
       duration;
+      virtual_us = Engine.now eng;
       throughput = float_of_int rec_.ops /. duration *. 1_000_000.0;
       throughput_per_client =
         float_of_int rec_.ops /. duration *. 1_000_000.0 /. float_of_int spec.clients;
@@ -839,89 +794,5 @@ let run_uncached spec =
     }
   in
   Aggregate.refresh_flash_counters agg;
-  (match Sys.getenv_opt "WAFL_FLASH_DEBUG" with
-  | Some _ when ftls <> [] ->
-      List.iter
-        (fun f ->
-          Printf.eprintf
-            "[flash dbg] blocks %d free %d valid %d host %d gc %d erases %d trims %d streams [%s]\n%!"
-            (Wafl_flash.Ftl.block_count f) (Wafl_flash.Ftl.free_blocks f)
-            (Wafl_flash.Ftl.valid_pages f) (Wafl_flash.Ftl.host_pages f)
-            (Wafl_flash.Ftl.gc_pages f) (Wafl_flash.Ftl.erases f) (Wafl_flash.Ftl.trims f)
-            (String.concat ";"
-               (Array.to_list (Array.map string_of_int (Wafl_flash.Ftl.stream_appended f)))))
-        ftls
-  | _ -> ());
   stop := true;
-  (* Per-run virtual time accumulates in the process-wide registry so the
-     bench harness can report simulated seconds next to wall seconds.
-     Registry lookup and add run under the host lock: concurrent runs on
-     worker domains share this registry. *)
-  Mutex.lock memo_lock;
-  Wafl_obs.Metrics.addf
-    (Wafl_obs.Metrics.counter Wafl_obs.Metrics.default "virtual_time_us")
-    (Engine.now eng);
-  Mutex.unlock memo_lock;
   result
-
-(* When set, every run — including memoized cache hits, whose results
-   carry the histogram — merges its end-to-end write-latency histogram
-   into the sink.  The bench harness points this at a fresh histogram
-   per figure to report write p50/p99 next to wall time. *)
-let latency_sink : Wafl_util.Histogram.t option ref = ref None
-
-(* Like [latency_sink], for health: every run (cache hits included) adds
-   its health-event count to the cell.  The bench harness installs a
-   fresh cell per figure so BENCH_paper.json records events per figure. *)
-let health_sink : int ref option ref = ref None
-
-(* Memoized run with in-flight dedup: exactly one caller executes each
-   unique spec; concurrent callers of the same spec wait for its result
-   rather than re-simulating (which would be correct but would
-   double-count the virtual-time total above).  If the executing run
-   raises, the claim is withdrawn so a waiter can retry. *)
-let run_memoized spec =
-  let key = memo_key spec in
-  Mutex.lock memo_lock;
-  let rec claim () =
-    match Hashtbl.find_opt memo_tbl key with
-    | Some (`Done r) -> `Hit r
-    | Some `Running ->
-        Condition.wait memo_cond memo_lock;
-        claim ()
-    | None ->
-        Hashtbl.add memo_tbl key `Running;
-        `Mine
-  in
-  let claimed = claim () in
-  Mutex.unlock memo_lock;
-  match claimed with
-  | `Hit r -> r
-  | `Mine ->
-      let publish outcome =
-        Mutex.lock memo_lock;
-        (match outcome with
-        | Some r -> Hashtbl.replace memo_tbl key (`Done r)
-        | None -> Hashtbl.remove memo_tbl key);
-        Condition.broadcast memo_cond;
-        Mutex.unlock memo_lock
-      in
-      (match run_uncached spec with
-      | r ->
-          publish (Some r);
-          r
-      | exception e ->
-          publish None;
-          raise e)
-
-let run spec =
-  let r = if !memoize then run_memoized spec else run_uncached spec in
-  Mutex.lock memo_lock;
-  (match !latency_sink with
-  | Some dst -> Wafl_util.Histogram.merge_into ~dst r.write_latency
-  | None -> ());
-  (match (!health_sink, r.telemetry) with
-  | Some cell, Some tr -> cell := !cell + List.length tr.tr_events
-  | _ -> ());
-  Mutex.unlock memo_lock;
-  r

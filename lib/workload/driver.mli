@@ -123,6 +123,7 @@ type tenant_stat = {
 type result = {
   ops : int;
   duration : float;
+  virtual_us : float;  (** the run's final virtual clock (warmup + measurement window) *)
   throughput : float;  (** client ops per virtual second *)
   throughput_per_client : float;
   latency : Wafl_util.Histogram.t;
@@ -184,26 +185,6 @@ type result = {
 val cores_write_alloc : result -> float
 (** Cleaner + infrastructure core usage — the paper's "write allocation
     work". *)
-
-val memoize : bool ref
-(** When true, [run] caches results keyed on the spec (minus [obs]) and
-    returns the cached result for a repeated spec.  Runs are pure
-    functions of their spec, so the returned numbers are identical to a
-    re-execution.  Enabled only by the bench harness, where the figure
-    suite re-runs several identical configurations; leave off for traced
-    or sanitized runs (a cache hit skips the tracer factory). *)
-
-val latency_sink : Wafl_util.Histogram.t option ref
-(** When [Some h], every [run] — including memoized cache hits — merges
-    its result's end-to-end write-latency histogram into [h].  The bench
-    harness installs a fresh histogram per figure so BENCH_paper.json can
-    report per-figure write p50/p99. *)
-
-val health_sink : int ref option ref
-(** When [Some cell], every [run] — including memoized cache hits — adds
-    its health-event count to [cell].  The bench harness installs a fresh
-    cell per figure so BENCH_paper.json records health events per
-    figure. *)
 
 val run : spec -> result
 (** Build, populate (each client's files are written once and flushed by

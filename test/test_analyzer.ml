@@ -108,7 +108,10 @@ let test_domain_unsafe_flagged () =
        ~message_sub:"pool-executed closure" ());
   Alcotest.(check bool)
     "named worker function flagged" true
-    (has_finding ~pass:"domain-safety" ~subject_sub:"Fix_domain_unsafe.named_total" ())
+    (has_finding ~pass:"domain-safety" ~subject_sub:"Fix_domain_unsafe.named_total" ());
+  Alcotest.(check bool)
+    "shared context field written from pool closure flagged" true
+    (has_finding ~pass:"domain-safety" ~subject_sub:"Exp.runs" ())
 
 let test_domain_captured_flagged () =
   Alcotest.(check bool)
@@ -121,7 +124,10 @@ let test_domain_guarded_silent () =
      must see the held lock and stay silent. *)
   Alcotest.(check bool)
     "mutex-guarded counter not flagged" false
-    (has_finding ~pass:"domain-safety" ~subject_sub:"guarded_total" ())
+    (has_finding ~pass:"domain-safety" ~subject_sub:"guarded_total" ());
+  Alcotest.(check bool)
+    "mutex-guarded shared context field not flagged" false
+    (has_finding ~pass:"domain-safety" ~subject_sub:"Exp.asked" ())
 
 (* --- clean repo --------------------------------------------------------- *)
 

@@ -65,13 +65,12 @@ let test_worker_reset () =
 
 let causal_fig name f =
   let last = ref Trace.disabled in
-  H.Exp.trace :=
-    Some
-      (fun eng ->
-        let t = Trace.create ~causal:true eng in
-        last := t;
-        t);
-  ignore (Fun.protect ~finally:(fun () -> H.Exp.trace := None) f);
+  let obs eng =
+    let t = Trace.create ~causal:true eng in
+    last := t;
+    t
+  in
+  ignore (f (H.Exp.context ~scale ~obs ()));
   let json = Trace.export_string !last in
   match Causal.analyze_string json with
   | Error e -> Alcotest.fail (name ^ ": analyze failed: " ^ e)
@@ -91,13 +90,13 @@ let causal_fig name f =
         a.Causal.a_cps;
       a
 
-let test_dag_fig4 () = ignore (causal_fig "fig4" (fun () -> H.Fig4.run ~scale ()))
+let test_dag_fig4 () = ignore (causal_fig "fig4" H.Fig4.run)
 
 let test_dag_fig5 () =
-  ignore (causal_fig "fig5" (fun () -> H.Fig5.run ~scale ~thread_counts:[ 1; 4 ] ()))
+  ignore (causal_fig "fig5" (H.Fig5.run ~thread_counts:[ 1; 4 ]))
 
 let test_dag_fig6 () =
-  let a = causal_fig "fig6" (fun () -> H.Fig6.run ~scale ()) in
+  let a = causal_fig "fig6" H.Fig6.run in
   (* The bottleneck table attributes the whole walked critical path. *)
   Alcotest.(check bool) "fig6: bottlenecks non-empty" true (a.Causal.a_bottlenecks <> []);
   Alcotest.(check bool) "fig6: write ops decomposed" true
@@ -108,11 +107,11 @@ let test_dag_fig6 () =
   Alcotest.(check bool) "fig6: render has the bottleneck table" true
     (contains txt "bottleneck")
 
-let test_dag_fig7 () = ignore (causal_fig "fig7" (fun () -> H.Fig7.run ~scale ()))
-let test_dag_fig8 () = ignore (causal_fig "fig8" (fun () -> H.Fig8.run ~scale ()))
+let test_dag_fig7 () = ignore (causal_fig "fig7" H.Fig7.run)
+let test_dag_fig8 () = ignore (causal_fig "fig8" H.Fig8.run)
 
 let test_dag_fig9 () =
-  ignore (causal_fig "fig9" (fun () -> H.Fig9.run ~scale ~levels:2 ()))
+  ignore (causal_fig "fig9" (H.Fig9.run ~levels:2))
 
 (* --- determinism and invisibility ---------------------------------------- *)
 
@@ -143,17 +142,15 @@ let test_causal_deterministic () =
    causal recording never consumes virtual time, never schedules and
    never draws randomness. *)
 let check_fig_causal name f =
-  H.Exp.trace := None;
-  let off = f () in
-  H.Exp.trace := Some (fun eng -> Trace.create ~causal:true eng);
-  let on = Fun.protect ~finally:(fun () -> H.Exp.trace := None) f in
+  let off = f (H.Exp.context ~scale ()) in
+  let on = f (H.Exp.context ~scale ~obs:(fun eng -> Trace.create ~causal:true eng) ()) in
   Alcotest.(check bool) (name ^ ": causal run bit-identical") true (off = on)
 
 let test_causal_off_vs_on_fig4 () =
-  check_fig_causal "fig4" (fun () -> H.Fig4.run ~scale ())
+  check_fig_causal "fig4" H.Fig4.run
 
 let test_causal_off_vs_on_fig6 () =
-  check_fig_causal "fig6" (fun () -> H.Fig6.run ~scale ())
+  check_fig_causal "fig6" H.Fig6.run
 
 (* --- ring drops are surfaced, never silent ------------------------------- *)
 

@@ -9,7 +9,7 @@
    bounds, deterministic cross-partition delivery order, QCheck replay
    identity on random message topologies), and the full harnesses
    (figs 4-9, overload, flash, crash seeds, fleet shard) at
-   Exp.domains 1 vs 4 with polymorphic equality over the complete row
+   contexts of 1 vs 4 domains with polymorphic equality over the complete row
    structures, exactly like test_sanitize.ml does for the sanitizer. *)
 
 module H = Wafl_harness
@@ -151,28 +151,23 @@ let prop_partition_replay_identical =
     (fun (seed, parts) ->
       topology ~seed ~parts ~domains:1 = topology ~seed ~parts ~domains:4)
 
-(* --- harness byte-identity: Exp.domains 1 vs 4 --------------------------- *)
-
-let with_domains n f =
-  let saved = !H.Exp.domains in
-  H.Exp.domains := n;
-  Fun.protect ~finally:(fun () -> H.Exp.domains := saved) f
+(* --- harness byte-identity: 1 vs 4 domains -------------------------------- *)
 
 let check_fig name f =
-  let serial = with_domains 1 f in
-  let par = with_domains 4 f in
+  let serial = f (H.Exp.context ~scale ~domains:1 ()) in
+  let par = f (H.Exp.context ~scale ~domains:4 ()) in
   (* Polymorphic equality over the full row structure: every counter,
      float and latency histogram must match exactly. *)
   Alcotest.(check bool) (name ^ ": 4-domain run bit-identical to serial") true (serial = par)
 
-let test_fig4 () = check_fig "fig4" (fun () -> H.Fig4.run ~scale ())
-let test_fig5 () = check_fig "fig5" (fun () -> H.Fig5.run ~scale ~thread_counts:[ 1; 4 ] ())
-let test_fig6 () = check_fig "fig6" (fun () -> H.Fig6.run ~scale ())
-let test_fig7 () = check_fig "fig7" (fun () -> H.Fig7.run ~scale ())
-let test_fig8 () = check_fig "fig8" (fun () -> H.Fig8.run ~scale ())
-let test_fig9 () = check_fig "fig9" (fun () -> H.Fig9.run ~scale ~levels:2 ())
-let test_overload () = check_fig "overload" (fun () -> H.Overload.run ~scale ())
-let test_flash () = check_fig "flash" (fun () -> H.Flash.run ~scale ())
+let test_fig4 () = check_fig "fig4" H.Fig4.run
+let test_fig5 () = check_fig "fig5" (H.Fig5.run ~thread_counts:[ 1; 4 ])
+let test_fig6 () = check_fig "fig6" H.Fig6.run
+let test_fig7 () = check_fig "fig7" H.Fig7.run
+let test_fig8 () = check_fig "fig8" H.Fig8.run
+let test_fig9 () = check_fig "fig9" (H.Fig9.run ~levels:2)
+let test_overload () = check_fig "overload" H.Overload.run
+let test_flash () = check_fig "flash" H.Flash.run
 
 let test_crash_seeds () =
   let run domains =

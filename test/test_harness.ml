@@ -16,6 +16,7 @@ let synthetic ?(throughput = 100_000.0) ?(cores_cleaner = 1.0) ?(cores_infra = 0
   {
     Driver.ops = int_of_float (throughput /. 10.0);
     duration = 1_000_000.0;
+    virtual_us = 1_300_000.0;
     throughput;
     throughput_per_client = throughput /. 40.0;
     latency;
@@ -82,6 +83,68 @@ let test_spec_base_scaling () =
     (quarter.Driver.measure < full.Driver.measure);
   Alcotest.(check bool) "window floor respected" true
     (quarter.Driver.measure >= 200_000.0)
+
+(* --- environment knobs: a malformed value is an error naming it --- *)
+
+(* Runs [f] with [name] set to [value], then restores the previous value
+   (the readers treat an empty variable as unset). *)
+let with_env name value f =
+  let saved = Option.value (Sys.getenv_opt name) ~default:"" in
+  Unix.putenv name value;
+  Fun.protect ~finally:(fun () -> Unix.putenv name saved) f
+
+let rejects name value read =
+  with_env name value (fun () ->
+      match read () with
+      | _ -> Alcotest.failf "%s=%S accepted" name value
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool) (name ^ " named in the error") true
+            (String.starts_with ~prefix:name msg))
+
+let test_env_scale () =
+  with_env "WAFL_QUICK" "" (fun () ->
+      rejects "WAFL_SCALE" "0,25" H.Exp.of_env;
+      rejects "WAFL_SCALE" "-1" H.Exp.of_env;
+      with_env "WAFL_SCALE" "0.5" (fun () ->
+          Alcotest.(check (float 0.0)) "WAFL_SCALE=0.5" 0.5 (H.Exp.of_env ())))
+
+let test_env_quick () =
+  with_env "WAFL_SCALE" "" (fun () ->
+      rejects "WAFL_QUICK" "yes" H.Exp.of_env;
+      with_env "WAFL_QUICK" "1" (fun () ->
+          Alcotest.(check (float 0.0)) "WAFL_QUICK=1" 0.25 (H.Exp.of_env ()));
+      Alcotest.(check (float 0.0)) "unset" 1.0 (H.Exp.of_env ()))
+
+let test_env_domains () =
+  rejects "WAFL_DOMAINS" "two" Wafl_util.Pool.default_domains;
+  rejects "WAFL_DOMAINS" "0" Wafl_util.Pool.default_domains;
+  with_env "WAFL_DOMAINS" "3" (fun () ->
+      Alcotest.(check int) "WAFL_DOMAINS=3" 3 (Wafl_util.Pool.default_domains ()))
+
+(* --- one context: each spec runs once, every figure is charged for it --- *)
+
+(* Figure 6's two rows are Figure 4's rows 3 and 4. *)
+let test_fig6_reuses_fig4 () =
+  let scale = 0.02 and clock = Unix.gettimeofday in
+  let charge ctx =
+    let runs = H.Exp.charged ctx in
+    ( List.fold_left (fun a (r : H.Exp.record) -> a +. r.wall_s) 0.0 runs,
+      List.fold_left (fun a (r : H.Exp.record) -> a +. r.result.Driver.virtual_us) 0.0 runs )
+  in
+  let suite = H.Exp.context ~scale ~clock () in
+  ignore (H.Fig4.run (H.Exp.scope suite));
+  let executed () = List.length (H.Exp.executed suite) in
+  let before = executed () in
+  let fig6 = H.Exp.scope suite in
+  let rows = H.Fig6.run fig6 in
+  Alcotest.(check int) "fig6 executes no new spec" before (executed ());
+  let alone = H.Exp.context ~scale ~clock () in
+  Alcotest.(check bool) "rows equal fig6 under a fresh context" true (rows = H.Fig6.run alone);
+  let wall, virt = charge fig6 in
+  Alcotest.(check bool) "charged wall non-zero" true (wall > 0.0);
+  Alcotest.(check bool) "charged virtual time non-zero" true (virt > 0.0);
+  Alcotest.(check (float 0.0)) "charged virtual time independent of fig4" (snd (charge alone))
+    virt
 
 (* --- Fig4 shapes on synthetic permutation rows --- *)
 
@@ -212,7 +275,12 @@ let () =
           Alcotest.test_case "gain_pct" `Quick test_gain_pct;
           Alcotest.test_case "wa_config composition" `Quick test_wa_config_composition;
           Alcotest.test_case "spec_base scaling" `Quick test_spec_base_scaling;
+          Alcotest.test_case "WAFL_SCALE bad and good values" `Quick test_env_scale;
+          Alcotest.test_case "WAFL_QUICK bad and good values" `Quick test_env_quick;
+          Alcotest.test_case "WAFL_DOMAINS bad and good values" `Quick test_env_domains;
         ] );
+      ( "suite",
+        [ Alcotest.test_case "fig6 after fig4 reuses its runs" `Slow test_fig6_reuses_fig4 ] );
       ( "shape checks",
         [
           Alcotest.test_case "fig4 accepts paper numbers" `Quick

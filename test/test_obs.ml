@@ -205,26 +205,25 @@ let test_worker_pool_trace_identical () =
 
 (* --- tracing must not change results ------------------------------------- *)
 
-(* Runs [f] untraced then traced (via the harness hook, as the CLI's
-   trace subcommand would); the global is always restored. *)
+let scale = 0.02
+
+(* Runs [f] under an untraced then a traced context (as the CLI's
+   --trace flag would build it). *)
 let both f =
-  H.Exp.trace := None;
-  let off = f () in
-  H.Exp.trace := Some (fun eng -> Trace.create eng);
-  let on = Fun.protect ~finally:(fun () -> H.Exp.trace := None) f in
+  let off = f (H.Exp.context ~scale ()) in
+  let on = f (H.Exp.context ~scale ~obs:(fun eng -> Trace.create eng) ()) in
   (off, on)
 
 let check_fig name f =
   let off, on = both f in
   Alcotest.(check bool) (name ^ ": traced run bit-identical") true (off = on)
 
-let scale = 0.02
-let test_fig4 () = check_fig "fig4" (fun () -> H.Fig4.run ~scale ())
-let test_fig5 () = check_fig "fig5" (fun () -> H.Fig5.run ~scale ~thread_counts:[ 1; 4 ] ())
-let test_fig6 () = check_fig "fig6" (fun () -> H.Fig6.run ~scale ())
-let test_fig7 () = check_fig "fig7" (fun () -> H.Fig7.run ~scale ())
-let test_fig8 () = check_fig "fig8" (fun () -> H.Fig8.run ~scale ())
-let test_fig9 () = check_fig "fig9" (fun () -> H.Fig9.run ~scale ~levels:2 ())
+let test_fig4 () = check_fig "fig4" H.Fig4.run
+let test_fig5 () = check_fig "fig5" (H.Fig5.run ~thread_counts:[ 1; 4 ])
+let test_fig6 () = check_fig "fig6" H.Fig6.run
+let test_fig7 () = check_fig "fig7" H.Fig7.run
+let test_fig8 () = check_fig "fig8" H.Fig8.run
+let test_fig9 () = check_fig "fig9" (H.Fig9.run ~levels:2)
 
 let () =
   Alcotest.run "obs"

@@ -10,13 +10,11 @@ module Driver = Wafl_workload.Driver
 
 let scale = 0.02
 
-(* Runs [f] unsanitized then sanitized; returns both values.  The global
-   flag is always restored so test order cannot leak. *)
+(* Runs [f] under an unsanitized then a sanitized context; returns both
+   values. *)
 let both f =
-  H.Exp.sanitize := false;
-  let off = f () in
-  H.Exp.sanitize := true;
-  let on = Fun.protect ~finally:(fun () -> H.Exp.sanitize := false) f in
+  let off = f (H.Exp.context ~scale ()) in
+  let on = f (H.Exp.context ~scale ~sanitize:true ()) in
   (off, on)
 
 let check_fig name f races_of =
@@ -29,29 +27,27 @@ let check_fig name f races_of =
 let sum_results races rows = List.fold_left (fun acc r -> acc + races r) 0 rows
 let perms_races = sum_results (fun (r : H.Perms.row) -> r.H.Perms.result.Driver.races)
 
-let test_fig4 () = check_fig "fig4" (fun () -> H.Fig4.run ~scale ()) perms_races
+let test_fig4 () = check_fig "fig4" H.Fig4.run perms_races
 
 let test_fig5 () =
   check_fig "fig5"
-    (fun () -> H.Fig5.run ~scale ~thread_counts:[ 1; 4 ] ())
+    (fun ctx -> H.Fig5.run ~thread_counts:[ 1; 4 ] ctx)
     (sum_results (fun (r : H.Fig5.row) -> r.H.Fig5.result.Driver.races))
 
 let test_fig6 () =
-  check_fig "fig6"
-    (fun () -> H.Fig6.run ~scale ())
+  check_fig "fig6" H.Fig6.run
     (sum_results (fun (r : H.Fig6.row) -> r.H.Fig6.result.Driver.races))
 
-let test_fig7 () = check_fig "fig7" (fun () -> H.Fig7.run ~scale ()) perms_races
+let test_fig7 () = check_fig "fig7" H.Fig7.run perms_races
 
 let test_fig8 () =
-  check_fig "fig8"
-    (fun () -> H.Fig8.run ~scale ())
+  check_fig "fig8" H.Fig8.run
     (sum_results (fun (r : H.Fig8.row) ->
          r.H.Fig8.peak.Driver.races + r.H.Fig8.knee.Driver.races))
 
 let test_fig9 () =
   check_fig "fig9"
-    (fun () -> H.Fig9.run ~scale ~levels:2 ())
+    (fun ctx -> H.Fig9.run ~levels:2 ctx)
     (sum_results (fun (s : H.Fig9.series) ->
          sum_results (fun (p : H.Fig9.point) -> p.H.Fig9.result.Driver.races) s.H.Fig9.points))
 
@@ -62,10 +58,7 @@ let test_fig9 () =
    unsanitized run exactly. *)
 let test_worker_pool_churn () =
   let spec = { (H.Exp.spec_base ~scale:0.02) with Driver.clients = 24; seed = 11 } in
-  let off, on =
-    both (fun () ->
-        Driver.run { spec with Driver.sanitize = !H.Exp.sanitize })
-  in
+  let off, on = both (fun ctx -> H.Exp.run ctx spec) in
   Alcotest.(check int) "pool churn: zero race reports" 0 on.Driver.races;
   Alcotest.(check bool) "pool churn: sanitized run bit-identical" true (off = on)
 

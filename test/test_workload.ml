@@ -118,18 +118,6 @@ let test_five_seed_determinism () =
       Alcotest.(check bool) (Printf.sprintf "seed %d replays identically" seed) true (a = b))
     [ 1; 2; 3; 4; 5 ]
 
-let test_memoized_run_matches () =
-  let spec = small_spec () in
-  let fresh = Driver.run spec in
-  Driver.memoize := true;
-  Fun.protect
-    ~finally:(fun () -> Driver.memoize := false)
-    (fun () ->
-      let first = Driver.run spec in
-      let cached = Driver.run spec in
-      Alcotest.(check bool) "memoized result equals fresh run" true (fresh = first);
-      Alcotest.(check bool) "repeat spec returns the cached record" true (first == cached))
-
 let test_seed_changes_rand_stream () =
   let spec = small_spec ~workload:(Driver.Rand_write { file_blocks = 1024 }) () in
   let a = Driver.run spec in
@@ -173,7 +161,6 @@ let () =
           Alcotest.test_case "think time lowers load" `Quick test_think_time_lowers_load;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "five-seed replay identity" `Quick test_five_seed_determinism;
-          Alcotest.test_case "memoized runs match fresh runs" `Quick test_memoized_run_matches;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_rand_stream;
           Alcotest.test_case "alloc/free balance" `Quick test_alloc_free_balance;
           Alcotest.test_case "working-set guard" `Quick test_working_set_guard;

@@ -14,12 +14,13 @@
    field on either side (pre-v3 baselines, figures with no writes) skip
    the latency gate.  The absolute slack is a
    jitter floor: on a shared single-core host a ~5 s figure varies by
-   over 30% run-to-run, so short figures (and fig6, which is fully
-   memoized and takes ~0 s) are effectively gated by the floor while the
-   15% rule bites on the long ones, where real regressions show.  Only
-   figures
-   present in both files are compared, so a fast-subset run gates just
-   the figures it measured.  Exit status 1 on any regression.
+   over 30% run-to-run, so short figures are effectively gated by the
+   floor while the 15% rule bites on the long ones, where real
+   regressions show.  A figure's wall time is the host time of every
+   spec it requested, including specs an earlier figure already ran
+   (wafl-bench/8), so it is the same in a fast subset as in the full
+   suite.  Only figures present in both files are compared, so a
+   fast-subset run gates just the figures it measured.  Exit status 1 on any regression.
 
    Wall time scales with the worker-domain count (results don't — runs
    are byte-identical at any count), so the comparison must be

@@ -444,7 +444,7 @@ and handle_apply ctx (e : expression) f args =
           | _ -> ());
           record_call ();
           (* a partial application in a domain spawner's argument list
-             (Exp.par_map (run_one ~scale) xs) hands the named function
+             (Exp.par_map ctx (run_one ctx) xs) hands the named function
              to the pool *)
           (if ctx.domain_arg then
              match res with

@@ -77,6 +77,14 @@ let spawners = [ ("Engine", "spawn"); ("Scheduler", "post"); ("Scheduler", "post
 let domain_spawners =
   [ ("Pool", "run"); ("Pool", "map"); ("Pool", "team_run"); ("Exp", "par_map") ]
 
+(* Record fields (unit of the record type, field) whose one value is
+   built on the host before a fan-out and then mutated by every pool
+   worker: the experiment context's run table and request log.  The
+   domain-safety pass treats writes to them like writes to module-level
+   state, so each needs a held mutex.  Other fields are per-run state
+   owned by one domain and stay exempt. *)
+let shared_fields = [ ("Exp", "runs"); ("Exp", "asked") ]
+
 (* Blocking primitives for the blocking-while-holding-lock pass.
    [Sync.Mutex.lock] is deliberately absent: acquiring a second lock is
    the subject of the lock-order pass, not a blocking finding. *)

@@ -504,10 +504,12 @@ let pass_ownership prog =
      family accesses, so guarded state is naturally silent;
    - per-domain ownership: per-run records allocated inside the closure
      are not module-level families ([f_global] is false) and are
-     skipped.
-   Reads are not flagged: a flag set by the host before fan-out and
-   only read inside the pool (Exp.sanitize, Driver.memoize, ...) is the
-   sanctioned configuration pattern. *)
+     skipped — except the fields in [Config.shared_fields], whose one
+     record every worker shares (the experiment context's run table).
+   Reads are not flagged: settings fixed by the host before fan-out and
+   only read inside the pool (an [Exp.ctx]'s sanitize / telemetry /
+   domains, Cp.chaos_force_b2b, ...) are the sanctioned configuration
+   pattern. *)
 let pass_domain prog =
   let droots = List.filter (fun n -> n.n_domain) (nodes_in_order prog) in
   let reach = List.map (fun r -> (r, reach_from prog r)) droots in
@@ -522,7 +524,9 @@ let pass_domain prog =
       if
         List.mem f.f_unit Config.exempt_units
         || Config.is_container_unit f.f_unit
-        || not (f.f_global || f.f_captured)
+        || not
+             (f.f_global || f.f_captured
+             || List.mem (f.f_unit, f.f_name) Config.shared_fields)
       then None
       else
         let in_reach n =
