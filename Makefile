@@ -1,4 +1,4 @@
-.PHONY: all build test lint analyze sanitize trace-smoke analyze-smoke overload-smoke shard-smoke flash-smoke top-smoke check bench bench-quick bench-gate bench-gate-fast clean
+.PHONY: all build test lint analyze sanitize cli-errors trace-smoke analyze-smoke overload-smoke shard-smoke flash-smoke top-smoke check bench bench-quick bench-gate bench-gate-fast clean
 
 all: build
 
@@ -65,6 +65,20 @@ sanitize:
 	dune build bin/wafl_sim.exe
 	dune exec bin/wafl_sim.exe -- run --measure 0.5 --sanitize
 	dune exec bin/wafl_sim.exe -- crash --seeds 5 --sanitize --domains 2
+
+# CLI error smoke: a spec the driver rejects (no volumes, no clients) must
+# surface as a CLI error naming the field, with a non-zero exit, and not
+# as an uncaught exception ("internal error").
+cli-errors:
+	dune build bin/wafl_sim.exe
+	@for args in "top --live --volumes 0" "run --clients 0"; do \
+	  if ./_build/default/bin/wafl_sim.exe $$args > _build/cli_errors.txt 2>&1; then \
+	    echo "cli-errors FAILED: '$$args' exited 0"; exit 1; \
+	  fi; \
+	  if grep -q "internal error" _build/cli_errors.txt; then \
+	    echo "cli-errors FAILED: '$$args' raised an internal error"; exit 1; \
+	  fi; \
+	done; echo "cli-errors OK: malformed specs rejected as CLI errors"
 
 # Observability smoke: a tiny traced run must export a trace file that
 # is valid Chrome trace-event JSON (the obs test suite checks the JSON
@@ -151,6 +165,7 @@ check:
 	$(MAKE) lint
 	$(MAKE) analyze
 	$(MAKE) sanitize
+	$(MAKE) cli-errors
 	$(MAKE) trace-smoke
 	$(MAKE) analyze-smoke
 	$(MAKE) overload-smoke

@@ -122,25 +122,32 @@ let workload_conv =
   in
   Arg.conv (parse, print)
 
+(* The one workload table of [run], [trace] and [top --live]; only the
+   per-client file size differs between them. *)
+let workload_of ~file_blocks = function
+  | `Seq -> Driver.Seq_write { file_blocks }
+  | `Rand -> Driver.Rand_write { file_blocks }
+  | `Oltp -> Driver.Oltp { file_blocks; read_fraction = 0.67 }
+  | `Nfs -> Driver.Nfs_mix { files_per_client = 48; file_blocks = 64 }
+
+(* Building a spec from flags (e.g. [Arrival.population]) and [Driver.run]
+   reject malformed values with [Invalid_argument]; from the command line
+   that is a usage error, not an internal one. *)
+let with_run spec k =
+  match Driver.run (spec ()) with r -> k r | exception Invalid_argument msg -> `Error (false, msg)
+
 let custom_run workload cleaners serial_infra dynamic clients cores measure_s think seed
     sanitize causal_out =
-  let wl =
-    match workload with
-    | `Seq -> Driver.Seq_write { file_blocks = 16384 }
-    | `Rand -> Driver.Rand_write { file_blocks = 16384 }
-    | `Oltp -> Driver.Oltp { file_blocks = 16384; read_fraction = 0.67 }
-    | `Nfs -> Driver.Nfs_mix { files_per_client = 48; file_blocks = 64 }
-  in
   let cfg =
     H.Exp.wa_config ~cleaners
       ~max_cleaners:(max cleaners 4)
       ~parallel_infra:(not serial_infra) ~dynamic ()
   in
   let tracer = ref Wafl_obs.Trace.disabled in
-  let spec =
+  let spec () =
     {
       Driver.default_spec with
-      Driver.workload = wl;
+      Driver.workload = workload_of ~file_blocks:16384 workload;
       cfg;
       clients;
       cores;
@@ -158,7 +165,7 @@ let custom_run workload cleaners serial_infra dynamic clients cores measure_s th
               t);
     }
   in
-  let r = Driver.run spec in
+  with_run spec @@ fun r ->
   (match causal_out with
   | None -> ()
   | Some path ->
@@ -187,24 +194,18 @@ let custom_run workload cleaners serial_infra dynamic clients cores measure_s th
     r.Driver.vbns_allocated r.Driver.vbns_freed r.Driver.metafile_blocks_touched;
   Printf.printf "stripes        %d full, %d partial\n" r.Driver.full_stripes
     r.Driver.partial_stripes;
-  if sanitize then Printf.printf "sanitizer      %d race reports\n" r.Driver.races
+  if sanitize then Printf.printf "sanitizer      %d race reports\n" r.Driver.races;
+  `Ok ()
 
 (* --- traced run --- *)
 
 let traced_run workload cleaners clients cores measure_s seed out sample_interval top causal =
-  let wl =
-    match workload with
-    | `Seq -> Driver.Seq_write { file_blocks = 16384 }
-    | `Rand -> Driver.Rand_write { file_blocks = 16384 }
-    | `Oltp -> Driver.Oltp { file_blocks = 16384; read_fraction = 0.67 }
-    | `Nfs -> Driver.Nfs_mix { files_per_client = 48; file_blocks = 64 }
-  in
   let cfg = H.Exp.wa_config ~cleaners ~max_cleaners:(max cleaners 4) () in
   let tracer = ref Wafl_obs.Trace.disabled in
-  let spec =
+  let spec () =
     {
       Driver.default_spec with
-      Driver.workload = wl;
+      Driver.workload = workload_of ~file_blocks:16384 workload;
       cfg;
       clients;
       cores;
@@ -217,7 +218,7 @@ let traced_run workload cleaners clients cores measure_s seed out sample_interva
           t);
     }
   in
-  let r = Driver.run spec in
+  with_run spec @@ fun r ->
   let t = !tracer in
   let buf = Buffer.create 65536 in
   Wafl_obs.Trace.export t buf;
@@ -234,7 +235,8 @@ let traced_run workload cleaners clients cores measure_s seed out sample_interva
   let elapsed =
     match Wafl_obs.Trace.engine t with Some eng -> Wafl_sim.Engine.now eng | None -> 0.0
   in
-  print_string (Wafl_fs.Report.perf ~elapsed (Wafl_obs.Trace.metrics t))
+  print_string (Wafl_fs.Report.perf ~elapsed (Wafl_obs.Trace.metrics t));
+  `Ok ()
 
 let trace_cmd =
   let doc =
@@ -258,8 +260,9 @@ let trace_cmd =
   let causal = Arg.(value & flag & info [ "causal" ] ~doc:"Also record causal edges (flow events) across every asynchronous handoff, for $(b,wafl_sim analyze).") in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const traced_run $ workload $ cleaners $ clients $ cores $ measure $ seed $ out
-      $ sample_interval $ top $ causal)
+      ret
+        (const traced_run $ workload $ cleaners $ clients $ cores $ measure $ seed $ out
+       $ sample_interval $ top $ causal))
 
 (* --- trace analysis --- *)
 
@@ -408,13 +411,6 @@ let top_run file live json out workload clients volumes cores measure_s seed win
   | None, false ->
       `Error (true, "pass a wafl-top snapshot file, or --live to run one configuration")
   | None, true ->
-      let wl =
-        match workload with
-        | `Seq -> Driver.Seq_write { file_blocks = 4096 }
-        | `Rand -> Driver.Rand_write { file_blocks = 4096 }
-        | `Oltp -> Driver.Oltp { file_blocks = 4096; read_fraction = 0.67 }
-        | `Nfs -> Driver.Nfs_mix { files_per_client = 48; file_blocks = 64 }
-      in
       let rcfg0 =
         {
           Wafl_obs.Rollup.default_config with
@@ -432,10 +428,10 @@ let top_run file live json out workload clients volumes cores measure_s seed win
               ((windows + 1) * Wafl_obs.Rollup.vol_window_bytes rcfg0);
         }
       in
-      let spec =
+      let spec () =
         {
           Driver.default_spec with
-          Driver.workload = wl;
+          Driver.workload = workload_of ~file_blocks:4096 workload;
           clients;
           volumes;
           cores;
@@ -461,18 +457,15 @@ let top_run file live json out workload clients volumes cores measure_s seed win
         }
       in
       if inject_b2b then Wafl_core.Cp.chaos_force_b2b := true;
-      let r =
-        Fun.protect
-          ~finally:(fun () -> Wafl_core.Cp.chaos_force_b2b := false)
-          (fun () -> Driver.run spec)
-      in
-      (match r.Driver.telemetry with
+      Fun.protect ~finally:(fun () -> Wafl_core.Cp.chaos_force_b2b := false) @@ fun () ->
+      with_run spec @@ fun r ->
+      match r.Driver.telemetry with
       | None -> `Error (false, "driver returned no telemetry")
       | Some tr ->
           if tr.Driver.tr_health_dropped > 0 then
             Printf.eprintf "WARNING: %d health events dropped (log capacity)\n"
               tr.Driver.tr_health_dropped;
-          emit tr.Driver.tr_snapshot tr.Driver.tr_events)
+          emit tr.Driver.tr_snapshot tr.Driver.tr_events
 
 let top_cmd =
   let doc =
@@ -519,8 +512,9 @@ let run_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"RNG seed.") in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const custom_run $ workload $ cleaners $ serial_infra $ dynamic $ clients $ cores
-      $ measure $ think $ seed $ sanitize_arg $ causal_arg)
+      ret
+        (const custom_run $ workload $ cleaners $ serial_infra $ dynamic $ clients $ cores
+       $ measure $ think $ seed $ sanitize_arg $ causal_arg))
 
 let () =
   let doc = "WAFL White Alligator write-allocation reproduction" in

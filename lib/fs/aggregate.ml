@@ -289,25 +289,6 @@ let ftls t = Array.to_list t.raids |> List.filter_map Raid.flash
    model; installed by Walloc when the [streams] policy is on). *)
 let set_stream_classifier t f = Array.iter (fun r -> Raid.set_stream_of r f) t.raids
 
-(* Mirror the per-group FTL counters into the global counter table so
-   operators and tests read them through Counters / Report. *)
-let refresh_flash_counters t =
-  if t.flash_on then begin
-    let sum f = List.fold_left (fun acc ftl -> acc + f ftl) 0 (ftls t) in
-    let sumf f = List.fold_left (fun acc ftl -> acc +. f ftl) 0.0 (ftls t) in
-    Counters.set t.counters "flash_host_pages" (sum Wafl_flash.Ftl.host_pages);
-    Counters.set t.counters "flash_gc_pages" (sum Wafl_flash.Ftl.gc_pages);
-    Counters.set t.counters "flash_erases" (sum Wafl_flash.Ftl.erases);
-    Counters.set t.counters "flash_gc_runs" (sum Wafl_flash.Ftl.gc_runs);
-    Counters.set t.counters "flash_trims" (sum Wafl_flash.Ftl.trims);
-    Counters.set t.counters "flash_gc_stall_us"
-      (int_of_float (sumf Wafl_flash.Ftl.gc_stall_us));
-    (* WAF scaled by 100 (the counter table is integers). *)
-    let host = sum Wafl_flash.Ftl.host_pages and gc = sum Wafl_flash.Ftl.gc_pages in
-    if host > 0 then
-      Counters.set t.counters "flash_waf_x100" (100 * (host + gc) / host)
-  end
-
 (* Mirror the fault-plan counters into the global counter table so
    operators and tests read them through Counters / Report. *)
 let refresh_fault_counters t =

@@ -73,11 +73,6 @@ val set_stream_classifier : t -> (Layout.block -> int) -> unit
     user data).  No-op without a media model; installed by
     {!Wafl_core.Walloc} when its [streams] policy is on. *)
 
-val refresh_flash_counters : t -> unit
-(** Mirror the FTL counters (host/GC pages written, erases, GC runs,
-    TRIMs, accumulated GC stall, WAF×100) into {!counters} under the
-    ["flash_"] prefix.  No-op without a media model. *)
-
 (** {1 Client operations} *)
 
 val create_volume : t -> vvbn_space:int -> Volume.t

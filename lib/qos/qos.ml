@@ -2,29 +2,15 @@ type config = { rate_per_s : float; burst : float; queue_depth : int }
 
 let default_config = { rate_per_s = 50_000.0; burst = 64.0; queue_depth = 256 }
 
-type vol_acc = { mutable va_admitted : int; mutable va_throttled : int; mutable va_shed : int }
-
 type t = {
   cfg : config;
   eng : Wafl_sim.Engine.t option; (* sanitizer probe target; None in unit tests *)
   buckets : (int, Token_bucket.t) Hashtbl.t; (* vol id -> bucket; never iterated *)
-  vstats : (int, vol_acc) Hashtbl.t; (* vol id -> counters; never iterated *)
-  mutable admitted : int;
-  mutable throttled : int;
-  mutable shed : int;
 }
 
 let create ?eng cfg =
   if cfg.queue_depth < 0 then invalid_arg "Qos.create: negative queue depth";
-  {
-    cfg;
-    eng;
-    buckets = Hashtbl.create 16;
-    vstats = Hashtbl.create 16;
-    admitted = 0;
-    throttled = 0;
-    shed = 0;
-  }
+  { cfg; eng; buckets = Hashtbl.create 16 }
 
 let bucket t vol =
   match Hashtbl.find_opt t.buckets vol with
@@ -35,40 +21,15 @@ let bucket t vol =
       b
 
 let admit t ~vol ~now =
-  (* The bucket table, each bucket's token/debt state and the admission
-     counters are touched by every arrival fiber: in the real system an
-     atomic per-volume structure, declared as such to the sanitizer. *)
+  (* The bucket table and each bucket's token/debt state are touched by
+     every arrival fiber: in the real system an atomic per-volume
+     structure, declared as such to the sanitizer. *)
   (match t.eng with
   | Some e -> Wafl_sim.Engine.probe_atomic e ~shared:"qos.buckets"
   | None -> ());
-  let va =
-    match Hashtbl.find_opt t.vstats vol with
-    | Some va -> va
-    | None ->
-        let va = { va_admitted = 0; va_throttled = 0; va_shed = 0 } in
-        Hashtbl.add t.vstats vol va;
-        va
-  in
   match Token_bucket.reserve (bucket t vol) ~now ~max_debt:(float_of_int t.cfg.queue_depth) with
-  | Token_bucket.Admit ->
-      t.admitted <- t.admitted + 1;
-      va.va_admitted <- va.va_admitted + 1;
-      `Admit
-  | Token_bucket.Delay d ->
-      t.throttled <- t.throttled + 1;
-      va.va_throttled <- va.va_throttled + 1;
-      `Delay d
-  | Token_bucket.Shed ->
-      t.shed <- t.shed + 1;
-      va.va_shed <- va.va_shed + 1;
-      `Shed
+  | Token_bucket.Admit -> `Admit
+  | Token_bucket.Delay d -> `Delay d
+  | Token_bucket.Shed -> `Shed
 
-let admitted t = t.admitted
-let throttled t = t.throttled
-let shed t = t.shed
-
-let vol_stats t ~vol =
-  Option.map
-    (fun va -> (va.va_admitted, va.va_throttled, va.va_shed))
-    (Hashtbl.find_opt t.vstats vol)
 let bucket_state t ~vol = Option.map Token_bucket.state (Hashtbl.find_opt t.buckets vol)

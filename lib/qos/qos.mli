@@ -23,7 +23,7 @@ type t
 
 val create : ?eng:Wafl_sim.Engine.t -> config -> t
 (** [eng] is the sanitizer probe target: when given, every {!admit}
-    declares its touch of the shared bucket/counter state
+    declares its touch of the shared bucket state
     ([probe_atomic], never reported — admission order is fixed by the
     deterministic arrival process, not by affinity ownership).  Omit it
     in engine-less unit tests. *)
@@ -32,16 +32,6 @@ val admit : t -> vol:int -> now:float -> [ `Admit | `Delay of float | `Shed ]
 (** Classify an op arriving at virtual time [now] for volume [vol].
     [`Delay d] reserves the slot — the caller must start the op after [d]
     virtual µs, not re-ask. *)
-
-val admitted : t -> int
-val throttled : t -> int
-(** Ops admitted with a [`Delay]. *)
-
-val shed : t -> int
-
-val vol_stats : t -> vol:int -> (int * int * int) option
-(** [(admitted, throttled, shed)] for one volume, if it has ever seen an
-    arrival — the per-volume feed for telemetry rollups. *)
 
 val bucket_state : t -> vol:int -> (float * float) option
 (** [(tokens, last_update)] of the volume's bucket, if it exists yet —

@@ -1,7 +1,8 @@
 (* Open-loop arrival processes (DESIGN.md §4.11).
 
    A [process] is pure data — no closures — so driver specs embedding one
-   stay structurally comparable (the bench memo table keys on specs).
+   stay structurally comparable ([Exp.run]'s per-context table keys on
+   specs).
    All rates are client operations per virtual *second*; all generated
    gaps and durations are virtual microseconds, the engine's unit. *)
 

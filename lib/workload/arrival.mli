@@ -9,7 +9,8 @@
     microseconds.
 
     Processes are plain structural data so driver specs embedding them
-    remain comparable — the bench memo table keys on whole specs. *)
+    remain comparable — [Exp.run]'s per-context run table keys on whole
+    specs. *)
 
 type process =
   | Poisson of { rate : float }  (** memoryless arrivals at [rate] ops/s *)

@@ -12,18 +12,13 @@ type workload =
   | Oltp of { file_blocks : int; read_fraction : float }
   | Nfs_mix of { files_per_client : int; file_blocks : int }
 
-(* Open-loop mode: tenants (one per arrival process) issue ops at their
-   own pace regardless of completions, optionally behind per-volume QoS
-   admission.  Pure data so specs stay structurally comparable. *)
+(* Documented in driver.mli.  Pure data (no closures but [obs]) so specs
+   stay structurally comparable: [Exp.run] keys its per-context table on them. *)
 type open_loop = {
   arrivals : Arrival.process list;
   qos : Wafl_qos.Qos.config option;
 }
 
-(* Always-on fleet telemetry (DESIGN.md §4.15): bounded-memory per-volume
-   rollups plus the health watchdog, evaluated lazily from write-side
-   calls — attaching it never perturbs a run.  Pure data so specs stay
-   structurally comparable. *)
 type telemetry = {
   rollup : Wafl_obs.Rollup.config;
   rules : Wafl_obs.Health.rule list;
@@ -58,9 +53,6 @@ type spec = {
   sanitize : bool;
   telemetry : telemetry option;
   obs : Engine.t -> Wafl_obs.Trace.t;
-      (* tracer factory, called once with the run's engine; the caller
-         captures the returned tracer via a closure to read it after the
-         run.  The default attaches nothing. *)
 }
 
 let paper_geometry () =
@@ -92,16 +84,11 @@ let default_spec =
     obs = (fun _ -> Wafl_obs.Trace.disabled);
   }
 
-(* Per-tenant accounting for open-loop runs.  Offered/admitted/shed count
-   arrivals inside the measure window; completed (and the latency
-   histogram) cover those windowed arrivals that finished before the
-   measurement ended, so an overloaded tenant's unbounded backlog shows
-   up as admitted >> completed. *)
 type tenant_stat = {
-  t_rate : float;  (* configured mean offered rate, ops per virtual second *)
+  t_rate : float;
   t_offered : int;
   t_admitted : int;
-  t_throttled : int;  (* admitted after a QoS queueing delay *)
+  t_throttled : int;
   t_shed : int;
   t_completed : int;
   t_write_latency : Wafl_util.Histogram.t;
@@ -110,7 +97,7 @@ type tenant_stat = {
 type result = {
   ops : int;
   duration : float;
-  virtual_us : float;  (** the run's final virtual clock: warmup + window *)
+  virtual_us : float;
   throughput : float;
   throughput_per_client : float;
   latency : Wafl_util.Histogram.t;
@@ -136,23 +123,21 @@ type result = {
   full_stripes : int;
   partial_stripes : int;
   read_contiguity : float;
-  offered_ops : int;  (** open loop: arrivals in the window; closed loop: = ops *)
+  offered_ops : int;
   shed_ops : int;
   throttled_ops : int;
-  stall_us : float;  (** client time parked/paced in NVLog admission *)
+  stall_us : float;
   b2b_cps : int;
   b2b_episodes : int;
-  nvlog_exhausted : int;  (** writes refused on an exhausted NVLog (must be 0 with watermarks) *)
-  tenants : tenant_stat array;  (** per-tenant breakdown; [||] for closed-loop runs *)
-  races : int;  (** race-detector reports (0 unless [sanitize]; must stay 0) *)
-  (* flash media model, measured over the window; all zero / 1.0 without
-     a media model attached *)
+  nvlog_exhausted : int;
+  tenants : tenant_stat array;
+  races : int;
   flash_host_pages : int;
   flash_gc_pages : int;
   flash_erases : int;
   flash_gc_stall_us : float;
-  waf : float;  (** (host + gc pages) / host pages over the window; 1.0 when idle *)
-  telemetry : telemetry_result option;  (** rollup snapshot + health events, when enabled *)
+  waf : float;
+  telemetry : telemetry_result option;
 }
 
 let cores_write_alloc r = r.cores_cleaner +. r.cores_infra
@@ -178,75 +163,140 @@ let measure_contiguity vol file =
 
 (* --- client operation streams ------------------------------------------- *)
 
-type op = Read of int | Write of int | Meta (* block index within the client's space *)
+type op = Read of int | Write of int * int64 | Meta (* block index [, content token] *)
 
 type client_files = { vol : Volume.t; files : File.t array; file_blocks : int }
 
+(* Measure-window accounting for the run and for each open-loop tenant
+   (arrivals: tenants only); ops/writes are [hist]/[whist] counts. *)
+type tally = {
+  mutable offered : int; mutable admitted : int; mutable throttled : int; mutable shed : int;
+  mutable reads : int; mutable metas : int;
+  hist : Wafl_util.Histogram.t; whist : Wafl_util.Histogram.t;
+}
+
+(* One op source: a closed-loop client, or an open-loop tenant with its tally. *)
+type issuer = {
+  cf : client_files; rng : Wafl_util.Rng.t; tenant : tally option;
+  mutable cursor : int; mutable token : int64;
+}
+
 (* Each client owns [files] in one volume; ops address a flat block space
-   across them so one generator serves all workloads. *)
+   across them so one generator serves all workloads.  An op on a block
+   runs in the Stripe affinity of its fbn. *)
 let op_target cf idx =
   let file = cf.files.(idx / cf.file_blocks) in
   let fbn = idx mod cf.file_blocks in
-  (file, fbn)
+  (file, fbn, Aff.Stripe (0, Volume.id cf.vol, fbn / 1024 mod 16))
 
 let total_blocks cf = Array.length cf.files * cf.file_blocks
 
-let gen_op workload rng cf cursor =
+let write is idx =
+  is.token <- Int64.add is.token 1L;
+  Write (idx, is.token)
+
+let next_seq is =
+  let idx = is.cursor in
+  is.cursor <- (idx + 1) mod total_blocks is.cf;
+  write is idx
+
+let gen_op workload is =
+  let total = total_blocks is.cf in
   match workload with
-  | Seq_write _ ->
-      let idx = !cursor in
-      cursor := (idx + 1) mod total_blocks cf;
-      Write idx
-  | Rand_write _ -> Write (Wafl_util.Rng.int rng (total_blocks cf))
+  | Seq_write _ -> next_seq is
+  | Rand_write _ -> write is (Wafl_util.Rng.int is.rng total)
   | Skewed_write { hot_fraction; hot_rate; _ } ->
       (* The first [hot_fraction] of the blocks takes [hot_rate] of the
          writes — the hot/cold lifetime skew the flash streaming policy
          exploits. *)
-      let total = total_blocks cf in
       let hot = max 1 (min (total - 1) (int_of_float (hot_fraction *. float_of_int total))) in
-      if Wafl_util.Rng.float rng 1.0 < hot_rate then Write (Wafl_util.Rng.int rng hot)
-      else Write (hot + Wafl_util.Rng.int rng (total - hot))
+      if Wafl_util.Rng.float is.rng 1.0 < hot_rate then write is (Wafl_util.Rng.int is.rng hot)
+      else write is (hot + Wafl_util.Rng.int is.rng (total - hot))
   | Mixed_write { random_fraction; _ } ->
-      if Wafl_util.Rng.float rng 1.0 < random_fraction then
-        Write (Wafl_util.Rng.int rng (total_blocks cf))
-      else begin
-        let idx = !cursor in
-        cursor := (idx + 1) mod total_blocks cf;
-        Write idx
-      end
+      if Wafl_util.Rng.float is.rng 1.0 < random_fraction then
+        write is (Wafl_util.Rng.int is.rng total)
+      else next_seq is
   | Oltp { read_fraction; _ } ->
-      let idx = Wafl_util.Rng.int rng (total_blocks cf) in
-      if Wafl_util.Rng.float rng 1.0 < read_fraction then Read idx else Write idx
+      let idx = Wafl_util.Rng.int is.rng total in
+      if Wafl_util.Rng.float is.rng 1.0 < read_fraction then Read idx else write is idx
   | Nfs_mix _ ->
       (* 40% reads, 40% small writes, 20% metadata operations. *)
-      let p = Wafl_util.Rng.float rng 1.0 in
-      let idx = Wafl_util.Rng.int rng (total_blocks cf) in
-      if p < 0.4 then Read idx else if p < 0.8 then Write idx else Meta
+      let p = Wafl_util.Rng.float is.rng 1.0 in
+      let idx = Wafl_util.Rng.int is.rng total in
+      if p < 0.4 then Read idx else if p < 0.8 then write is idx else Meta
 
 (* --- the measured run ---------------------------------------------------- *)
 
-type recorder = {
-  mutable recording : bool;
-  mutable ops : int;
-  mutable reads : int;
-  mutable writes : int;
-  mutable metas : int;
-  hist : Wafl_util.Histogram.t;
-  whist : Wafl_util.Histogram.t; (* writes only: end-to-end latency *)
-}
+let tally () =
+  { offered = 0; admitted = 0; throttled = 0; shed = 0; reads = 0; metas = 0;
+    hist = Wafl_util.Histogram.create (); whist = Wafl_util.Histogram.create () }
 
-type tenant_acc = {
-  mutable a_offered : int;
-  mutable a_admitted : int;
-  mutable a_throttled : int;
-  mutable a_shed : int;
-  mutable a_completed : int;
-  a_whist : Wafl_util.Histogram.t;
-}
+let record t kind e2e =
+  (match kind with
+  | `R -> t.reads <- t.reads + 1
+  | `W -> Wafl_util.Histogram.add t.whist e2e
+  | `M -> t.metas <- t.metas + 1);
+  Wafl_util.Histogram.add t.hist e2e
 
-let stripe_of_fbn fbn = fbn / 1024 mod 16
+let files_of_workload = function
+  | Nfs_mix { files_per_client; file_blocks } -> (files_per_client, file_blocks)
+  | Seq_write { file_blocks } | Rand_write { file_blocks } | Skewed_write { file_blocks; _ }
+  | Mixed_write { file_blocks; _ } | Oltp { file_blocks; _ } -> (1, file_blocks)
+
+(* Specs reach [run] from the CLI as well as the harness: reject the ones
+   that cannot describe a server before anything is built. *)
+let validate spec =
+  let bad fmt = Printf.ksprintf invalid_arg ("Driver.run: " ^^ fmt) in
+  if spec.clients < 1 then bad "clients %d must be >= 1" spec.clients;
+  if spec.volumes < 1 then bad "volumes %d must be >= 1" spec.volumes;
+  if not (spec.measure > 0.0) then bad "measure %g must be > 0" spec.measure;
+  let files_per_client, file_blocks = files_of_workload spec.workload in
+  let working_set = spec.clients * files_per_client * file_blocks in
+  let capacity = Geometry.total_data_blocks spec.geometry in
+  if working_set * 3 / 2 >= capacity then
+    bad "working set %d too large for aggregate of %d blocks" working_set capacity
+
+(* The run's cumulative counters, by name.  The measurement window reads
+   them all when it opens and when it closes and reports its deltas from
+   them; the telemetry rollup takes its cumulative sources from here. *)
+let cumulative agg walloc metrics =
+  let cp = Wafl_core.Walloc.cp walloc
+  and infra = Wafl_core.Walloc.infra walloc
+  and pool = Wafl_core.Walloc.pool walloc
+  and ctrs = Aggregate.counters agg in
+  let int f () = float_of_int (f ()) in
+  let counter name = int (fun () -> Counters.read ctrs name) in
+  let raid f =
+    int (fun () -> Array.fold_left (fun acc r -> acc + f r) 0 (Aggregate.raid_groups agg))
+  in
+  let flash f () = List.fold_left (fun acc ftl -> acc +. f ftl) 0.0 (Aggregate.ftls agg) in
+  let flash_int f = flash (fun ftl -> float_of_int (f ftl)) in
+  [
+    ("cp.count", int (fun () -> Wafl_core.Cp.cps_completed cp));
+    ("cp.b2b", counter "b2b_cps");
+    ("cp.b2b_episodes", counter "b2b_episodes");
+    ("nvlog.stall_us", fun () -> Aggregate.stall_time agg);
+    ("nvlog.hard_dwell_us", fun () -> Aggregate.hard_dwell_time agg);
+    ("nvlog.exhausted", counter "nvlog_exhausted_writes");
+    ("cleaner.buffers", int (fun () -> Wafl_core.Cleaner_pool.buffers_cleaned pool));
+    ("cleaner.messages", int (fun () -> Wafl_core.Cleaner_pool.messages_processed pool));
+    ("cleaner.get_waits", int (fun () -> Wafl_core.Cleaner_pool.get_waits pool));
+    ("infra.vbns_allocated", int (fun () -> Wafl_core.Infra.vbns_allocated infra));
+    ("infra.vbns_freed", int (fun () -> Wafl_core.Infra.vbns_freed infra));
+    ("infra.metafile_blocks", int (fun () -> Wafl_core.Infra.metafile_blocks_touched infra));
+    ("infra.messages", int (fun () -> Wafl_core.Infra.messages_posted infra));
+    ("raid.full_stripes", raid Wafl_storage.Raid.full_stripes);
+    ("raid.partial_stripes", raid Wafl_storage.Raid.partial_stripes);
+    ("rebuild.blocks", raid Wafl_storage.Raid.rebuild_blocks);
+    ("flash.host_pages", flash_int Wafl_flash.Ftl.host_pages);
+    ("flash.gc_pages", flash_int Wafl_flash.Ftl.gc_pages);
+    ("flash.erases", flash_int Wafl_flash.Ftl.erases);
+    ("flash.gc_stall_us", flash Wafl_flash.Ftl.gc_stall_us);
+    ("qos.shed_ops", fun () -> Wafl_obs.Metrics.counter_value metrics "qos.shed_ops");
+  ]
 
 let run spec =
+  validate spec;
   let eng = Engine.create ~cores:spec.cores ~sanitize:spec.sanitize () in
   let user_obs = spec.obs eng in
   (* Telemetry needs a live metrics registry; when no full tracer is
@@ -262,9 +312,9 @@ let run spec =
       ()
   in
   let walloc = Wafl_core.Walloc.create ~obs agg spec.cfg in
-  let cp = Wafl_core.Walloc.cp walloc in
-  let infra = Wafl_core.Walloc.infra walloc in
-  let pool = Wafl_core.Walloc.pool walloc in
+  let cp = Wafl_core.Walloc.cp walloc and pool = Wafl_core.Walloc.pool walloc in
+  let m = Wafl_obs.Trace.metrics obs in
+  let readers = cumulative agg walloc m in
   (* Fleet telemetry: register cumulative sources over the existing
      counters and metrics; windows seal lazily from the per-op feeds
      below, so no fiber is spawned and the run stays bit-identical. *)
@@ -274,27 +324,10 @@ let run spec =
     | Some tcfg ->
         let roll = Wafl_obs.Rollup.create ~config:tcfg.rollup eng in
         let health = Wafl_obs.Health.create ~rules:tcfg.rules roll in
-        let m = Wafl_obs.Trace.metrics obs in
-        let ctrs = Aggregate.counters agg in
-        Wafl_obs.Rollup.add_source roll ~name:"cp.count" (fun () ->
-            float_of_int (Wafl_core.Cp.cps_completed cp));
-        Wafl_obs.Rollup.add_source roll ~name:"cp.b2b" (fun () ->
-            float_of_int (Counters.read ctrs "b2b_cps"));
-        Wafl_obs.Rollup.add_source roll ~name:"nvlog.stall_us" (fun () ->
-            Aggregate.stall_time agg);
-        Wafl_obs.Rollup.add_source roll ~name:"nvlog.hard_dwell_us" (fun () ->
-            Aggregate.hard_dwell_time agg);
-        Wafl_obs.Rollup.add_source roll ~name:"flash.gc_stall_us" (fun () ->
-            List.fold_left
-              (fun acc ftl -> acc +. Wafl_flash.Ftl.gc_stall_us ftl)
-              0.0 (Aggregate.ftls agg));
-        Wafl_obs.Rollup.add_source roll ~name:"rebuild.blocks" (fun () ->
-            float_of_int
-              (Array.fold_left
-                 (fun acc r -> acc + Wafl_storage.Raid.rebuild_blocks r)
-                 0 (Aggregate.raid_groups agg)));
-        Wafl_obs.Rollup.add_source roll ~name:"qos.shed_ops" (fun () ->
-            Wafl_obs.Metrics.counter_value m "qos.shed_ops");
+        List.iter
+          (fun name -> Wafl_obs.Rollup.add_source roll ~name (List.assoc name readers))
+          [ "cp.count"; "cp.b2b"; "nvlog.stall_us"; "nvlog.hard_dwell_us";
+            "flash.gc_stall_us"; "rebuild.blocks"; "qos.shed_ops" ];
         (* Ring drops only exist on a user-attached tracer; the internal
            metrics-only tracer records nothing. *)
         if Wafl_obs.Trace.enabled user_obs then
@@ -307,35 +340,13 @@ let run spec =
                  0 (Aggregate.raid_groups agg)));
         List.iter
           (fun name -> Wafl_obs.Rollup.add_hsource roll ~name (fun () -> Wafl_obs.Metrics.histo m name))
-          [
-            "op.e2e_us.write";
-            "qos.queue_wait_us";
-            "cp.duration_us";
-            "cp.phase_us.cleaning";
-            "cp.phase_us.flush";
-            "cp.phase_us.metafiles";
-            "cp.phase_us.io-flush";
-          ];
+          [ "op.e2e_us.write"; "qos.queue_wait_us"; "cp.duration_us"; "cp.phase_us.cleaning";
+            "cp.phase_us.flush"; "cp.phase_us.metafiles"; "cp.phase_us.io-flush" ];
         Some (roll, health)
   in
-  let files_per_client, file_blocks =
-    match spec.workload with
-    | Seq_write { file_blocks }
-    | Rand_write { file_blocks }
-    | Skewed_write { file_blocks; _ }
-    | Mixed_write { file_blocks; _ }
-    | Oltp { file_blocks; _ } ->
-        (1, file_blocks)
-    | Nfs_mix { files_per_client; file_blocks } -> (files_per_client, file_blocks)
-  in
-  let working_set = spec.clients * files_per_client * file_blocks in
-  let capacity = Geometry.total_data_blocks spec.geometry in
-  if working_set * 3 / 2 >= capacity then
-    invalid_arg
-      (Printf.sprintf "Driver.run: working set %d too large for aggregate of %d blocks"
-         working_set capacity);
+  let files_per_client, file_blocks = files_of_workload spec.workload in
   (* --- setup and prefill (not measured) --- *)
-  let client_files = Array.make spec.clients None in
+  let client_files = ref [||] in
   let setup_done = ref false in
   ignore
     (Engine.spawn eng ~label:"setup" (fun () ->
@@ -347,39 +358,36 @@ let run spec =
                Wafl_core.Walloc.register_volume walloc vol;
                vol)
          in
-         for c = 0 to spec.clients - 1 do
-           let vol = vols.(c mod spec.volumes) in
-           let files =
-             Array.init files_per_client (fun _ ->
-                 Aggregate.create_file agg ~vol:(Volume.id vol))
-           in
-           client_files.(c) <- Some { vol; files; file_blocks }
-         done;
+         client_files :=
+           Array.init spec.clients (fun c ->
+               let vol = vols.(c mod spec.volumes) in
+               let files =
+                 Array.init files_per_client (fun _ ->
+                     Aggregate.create_file agg ~vol:(Volume.id vol))
+               in
+               { vol; files; file_blocks });
          (* Prefill every block once so steady-state writes are
             overwrites (as on a system that has been running). *)
          let token = ref 0L in
          Array.iter
            (fun cf ->
-             match cf with
-             | None -> ()
-             | Some cf ->
-                 Array.iter
-                   (fun f ->
-                     for fbn = 0 to cf.file_blocks - 1 do
-                       token := Int64.add !token 1L;
-                       match
-                         Aggregate.write agg ~vol:(Volume.id cf.vol) ~file:(File.id f) ~fbn
-                           ~content:!token
-                       with
-                       | `Ok -> ()
-                       | `Log_half_full -> Wafl_core.Cp.run_now cp
-                       | `Log_exhausted ->
-                           (* run_now drains the log synchronously, so the
-                              prefill can never outrun it *)
-                           assert false
-                     done)
-                   cf.files)
-           client_files;
+             Array.iter
+               (fun f ->
+                 for fbn = 0 to cf.file_blocks - 1 do
+                   token := Int64.add !token 1L;
+                   match
+                     Aggregate.write agg ~vol:(Volume.id cf.vol) ~file:(File.id f) ~fbn
+                       ~content:!token
+                   with
+                   | `Ok -> ()
+                   | `Log_half_full -> Wafl_core.Cp.run_now cp
+                   | `Log_exhausted ->
+                       (* run_now drains the log synchronously, so the
+                          prefill can never outrun it *)
+                       assert false
+                 done)
+               cf.files)
+           !client_files;
          Wafl_core.Cp.run_now cp;
          setup_done := true));
   (* The CP timer fiber never exits, so the engine is never idle; run in
@@ -387,24 +395,14 @@ let run spec =
   while not !setup_done do
     Engine.run ~until:(Engine.now eng +. 1_000_000.0) eng
   done;
+  let client_files = !client_files in
   (* --- clients --- *)
   let sched = Wafl_core.Walloc.scheduler walloc in
-  let rec_ =
-    {
-      recording = false;
-      ops = 0;
-      reads = 0;
-      writes = 0;
-      metas = 0;
-      hist = Wafl_util.Histogram.create ();
-      whist = Wafl_util.Histogram.create ();
-    }
-  in
+  let window = tally () and recording = ref false in
   (* End-to-end latency decomposition (DESIGN.md §4.10): per-op-kind
      histograms plus the time writes spend throttled behind CP progress.
      On a disabled tracer these land in a throwaway registry. *)
   let obs_on = Wafl_obs.Trace.enabled obs in
-  let m = Wafl_obs.Trace.metrics obs in
   let h_e2e_read = Wafl_obs.Metrics.histogram m "op.e2e_us.read" in
   let h_e2e_write = Wafl_obs.Metrics.histogram m "op.e2e_us.write" in
   let h_e2e_meta = Wafl_obs.Metrics.histogram m "op.e2e_us.meta" in
@@ -413,255 +411,198 @@ let run spec =
   let c_qos_admitted = Wafl_obs.Metrics.counter m "qos.admitted_ops" in
   let c_qos_throttled = Wafl_obs.Metrics.counter m "qos.throttled_ops" in
   let c_qos_shed = Wafl_obs.Metrics.counter m "qos.shed_ops" in
-  let stop = ref false in
   let master_rng = Wafl_util.Rng.create ~seed:spec.seed in
   let active_samples = ref 0 and active_sum = ref 0 in
   (* Waiting for NVLog space is where CP back-pressure surfaces in
      client latency; measure it separately so the decomposition can
      distinguish throttling from service time. *)
   let throttled_wait () =
-    if obs_on then begin
-      let w0 = Engine.now eng in
-      Aggregate.wait_for_log_space agg;
-      Wafl_obs.Metrics.observe h_throttle (Engine.now eng -. w0)
-    end
-    else Aggregate.wait_for_log_space agg
+    let w0 = Engine.now eng in
+    Aggregate.wait_for_log_space agg;
+    if obs_on then Wafl_obs.Metrics.observe h_throttle (Engine.now eng -. w0)
   in
-  (* One client operation, executed as one causal root: the context
-     follows the op through its Waffinity message (and any downstream
-     handoffs), and the op span below closes the request's end-to-end
-     interval.  Shared by the closed- and open-loop paths; [started] is
-     the op's arrival time (for open loop, before any QoS delay). *)
-  let exec_op ~cf ~content ~started op =
-    Wafl_obs.Causal.with_root obs (fun () ->
-        let kind =
-          match op with
-          | Read idx ->
-              let file, fbn = op_target cf idx in
-              Sched.post_wait sched
-                ~affinity:(Aff.Stripe (0, Volume.id cf.vol, stripe_of_fbn fbn))
-                ~label:"client"
-                (fun () ->
-                  Engine.consume spec.cost.Cost.client_read;
-                  let _, status =
-                    Aggregate.read_cached_status agg ~vol:(Volume.id cf.vol)
-                      ~file:(File.id file) ~fbn
-                  in
-                  match status with
-                  | `Miss -> Engine.consume spec.cost.Cost.read_miss
-                  | `Hit | `Buffered -> ());
-              `R
-          | Write idx ->
-              (* Throttle against CP progress before consuming NVRAM
-                 (the message body itself must never park). *)
-              throttled_wait ();
-              let file, fbn = op_target cf idx in
-              let status =
-                Sched.post_wait sched
-                  ~affinity:(Aff.Stripe (0, Volume.id cf.vol, stripe_of_fbn fbn))
-                  ~label:"client"
-                  (fun () ->
-                    (let c = spec.cost in
-                     match spec.workload with
-                     | Seq_write _ | Nfs_mix _ -> Engine.consume c.Cost.client_write
-                     | Rand_write _ | Skewed_write _ | Oltp _ ->
-                         Engine.consume c.Cost.client_write_random
-                     | Mixed_write { random_fraction; _ } ->
-                         (* Interpolate the client-side cost with the mix. *)
-                         Engine.consume
-                           ((c.Cost.client_write *. (1.0 -. random_fraction))
-                           +. (c.Cost.client_write_random *. random_fraction)));
-                    Aggregate.write agg ~vol:(Volume.id cf.vol) ~file:(File.id file) ~fbn
-                      ~content)
-              in
-              (match status with
-              | `Ok -> ()
-              | `Log_half_full ->
-                  Wafl_core.Cp.request cp;
-                  (* Watermark admission already paced this write before
-                     it consumed NVRAM; the legacy post-hoc wait applies
-                     only to the historical throttle. *)
-                  if spec.watermarks = None then throttled_wait ()
-              | `Log_exhausted ->
-                  (* Unreachable under watermarks (the regression suite
-                     asserts so); the op is simply not acknowledged. *)
-                  ());
-              `W
-          | Meta ->
-              Sched.post_wait sched
-                ~affinity:(Aff.Volume_logical (0, Volume.id cf.vol))
-                ~label:"client"
-                (fun () -> Engine.consume spec.cost.Cost.client_meta);
-              `M
-        in
-        if obs_on then begin
-          (* Recorded inside the root so the op span carries its
-             request context. *)
-          let name, h =
-            match kind with
-            | `R -> ("read", h_e2e_read)
-            | `W -> ("write", h_e2e_write)
-            | `M -> ("meta", h_e2e_meta)
-          in
-          let dur = Engine.now eng -. started in
-          Wafl_obs.Metrics.observe h dur;
-          Wafl_obs.Trace.complete obs ~cat:"op" ~name ~ts:started ~dur ()
-        end;
-        (match telem with
-        | Some (roll, _) when kind = `W ->
-            Wafl_obs.Rollup.observe_write roll ~vol:(Volume.id cf.vol)
-              (Engine.now eng -. started)
-        | _ -> ());
-        kind)
+  let write_cost =
+    let c = spec.cost in
+    match spec.workload with
+    | Seq_write _ | Nfs_mix _ -> c.Cost.client_write
+    | Rand_write _ | Skewed_write _ | Oltp _ -> c.Cost.client_write_random
+    | Mixed_write { random_fraction; _ } ->
+        (* Interpolate the client-side cost with the mix. *)
+        (c.Cost.client_write *. (1.0 -. random_fraction))
+        +. (c.Cost.client_write_random *. random_fraction)
   in
   let telem_count vol kind =
     match telem with Some (roll, _) -> Wafl_obs.Rollup.count roll ~vol kind | None -> ()
   in
-  let n_tenants = match spec.open_loop with None -> 0 | Some ol -> List.length ol.arrivals in
-  let tstats =
-    Array.init n_tenants (fun _ ->
-        {
-          a_offered = 0;
-          a_admitted = 0;
-          a_throttled = 0;
-          a_shed = 0;
-          a_completed = 0;
-          a_whist = Wafl_util.Histogram.create ();
-        })
+  let issuer ?tenant i rng =
+    let cf = client_files.(i mod spec.clients) in
+    let cursor = Wafl_util.Rng.int rng (total_blocks cf) in
+    { cf; rng; tenant; cursor; token = Int64.of_int ((i + 1) * 1_000_000) }
   in
-  (match spec.open_loop with
-  | None ->
-      (* Closed loop: each client keeps one op outstanding. *)
-      for c = 0 to spec.clients - 1 do
-        let cf = match client_files.(c) with Some cf -> cf | None -> assert false in
-        let rng = Wafl_util.Rng.split master_rng in
-        let cursor = ref (Wafl_util.Rng.int rng (total_blocks cf)) in
-        let token = ref (Int64.of_int ((c + 1) * 1_000_000)) in
-        ignore
-          (Engine.spawn eng ~label:"client" (fun () ->
-               while not !stop do
-                 let started = Engine.now eng in
-                 let op = gen_op spec.workload rng cf cursor in
-                 let content =
-                   match op with
-                   | Write _ ->
-                       token := Int64.add !token 1L;
-                       !token
-                   | Read _ | Meta -> 0L
-                 in
-                 telem_count (Volume.id cf.vol) `Admitted;
-                 let kind = exec_op ~cf ~content ~started op in
-                 telem_count (Volume.id cf.vol) `Completed;
-                 if rec_.recording then begin
-                   (* the recorder is shared by every client fiber; the
-                      real system's stats counters are atomics *)
-                   Engine.probe_atomic eng ~shared:"driver.recorder";
-                   rec_.ops <- rec_.ops + 1;
-                   let e2e = Engine.now eng -. started in
-                   (match kind with
-                   | `R -> rec_.reads <- rec_.reads + 1
-                   | `W ->
-                       rec_.writes <- rec_.writes + 1;
-                       Wafl_util.Histogram.add rec_.whist e2e
-                   | `M -> rec_.metas <- rec_.metas + 1);
-                   Wafl_util.Histogram.add rec_.hist e2e
-                 end;
-                 if spec.think_time > 0.0 then
-                   Engine.sleep (Wafl_util.Rng.exponential rng ~mean:spec.think_time)
-                 else Engine.yield ()
-               done))
-      done
-  | Some ol ->
-      (* Open loop: tenant i's arrival fiber issues ops on its own clock
-         (each op runs in a freshly spawned fiber), optionally behind
-         per-volume QoS admission.  An op arriving inside the measure
-         window is recorded at completion — including after the window
-         closes — so queueing inflicted by overload is visible rather
-         than censored; ops still in flight when the measurement ends
-         show up as admitted - completed backlog. *)
-      let qos = Option.map (Wafl_qos.Qos.create ~eng) ol.qos in
-      List.iteri
-        (fun i proc ->
-          let cf =
-            match client_files.(i mod spec.clients) with Some cf -> cf | None -> assert false
+  (* The one op path both pacing modes share, run as one causal root: the
+     context follows the op through its Waffinity message (and downstream
+     handoffs), and the op span closes its end-to-end interval from
+     [started], the arrival time. *)
+  let serve is ~started op =
+    let vol = Volume.id is.cf.vol in
+    let kind =
+      Wafl_obs.Causal.with_root obs (fun () ->
+          let kind =
+            match op with
+            | Read idx ->
+                let file, fbn, affinity = op_target is.cf idx in
+                Sched.post_wait sched ~affinity ~label:"client" (fun () ->
+                    Engine.consume spec.cost.Cost.client_read;
+                    match Aggregate.read_cached_status agg ~vol ~file:(File.id file) ~fbn with
+                    | _, `Miss -> Engine.consume spec.cost.Cost.read_miss
+                    | _, (`Hit | `Buffered) -> ());
+                `R
+            | Write (idx, content) ->
+                (* Throttle against CP progress before consuming NVRAM
+                   (the message body itself must never park). *)
+                throttled_wait ();
+                let file, fbn, affinity = op_target is.cf idx in
+                let status =
+                  Sched.post_wait sched ~affinity ~label:"client" (fun () ->
+                      Engine.consume write_cost;
+                      Aggregate.write agg ~vol ~file:(File.id file) ~fbn ~content)
+                in
+                (match status with
+                | `Ok -> ()
+                | `Log_half_full ->
+                    Wafl_core.Cp.request cp;
+                    (* Watermark admission already paced this write before
+                       it consumed NVRAM; the legacy post-hoc wait applies
+                       only to the historical throttle. *)
+                    if spec.watermarks = None then throttled_wait ()
+                | `Log_exhausted ->
+                    (* Unreachable under watermarks (the regression suite
+                       asserts so); the op is simply not acknowledged. *)
+                    ());
+                `W
+            | Meta ->
+                Sched.post_wait sched ~affinity:(Aff.Volume_logical (0, vol)) ~label:"client"
+                  (fun () -> Engine.consume spec.cost.Cost.client_meta);
+                `M
           in
-          let rng = Wafl_util.Rng.split master_rng in
-          let arr = Arrival.start proc ~rng in
-          let cursor = ref (Wafl_util.Rng.int rng (total_blocks cf)) in
-          let token = ref (Int64.of_int ((i + 1) * 1_000_000)) in
-          let st = tstats.(i) in
+          if obs_on then begin
+            (* Recorded inside the root so the op span carries its
+               request context. *)
+            let name, h =
+              match kind with
+              | `R -> ("read", h_e2e_read)
+              | `W -> ("write", h_e2e_write)
+              | `M -> ("meta", h_e2e_meta)
+            in
+            let dur = Engine.now eng -. started in
+            Wafl_obs.Metrics.observe h dur;
+            Wafl_obs.Trace.complete obs ~cat:"op" ~name ~ts:started ~dur ()
+          end;
+          (match telem with
+          | Some (roll, _) when kind = `W ->
+              Wafl_obs.Rollup.observe_write roll ~vol (Engine.now eng -. started)
+          | _ -> ());
+          kind)
+    in
+    telem_count vol `Completed;
+    kind
+  in
+  (* Account a windowed reply in the run's tally and its tenant's (shared by
+     every op fiber; the real system's stats counters are atomics).  Each
+     pacing mode decides what is windowed: a closed-loop op if the window
+     is open when it completes, an open-loop op if it arrived inside it. *)
+  let account is kind ~started =
+    let e2e = Engine.now eng -. started in
+    (match is.tenant with
+    | Some t ->
+        Engine.probe_atomic eng ~shared:"driver.tenants";
+        record t kind e2e
+    | None -> ());
+    Engine.probe_atomic eng ~shared:"driver.recorder";
+    record window kind e2e
+  in
+  (* Closed loop: one op outstanding, then an exponential think (or a yield). *)
+  let closed_client is () =
+    while true do
+      let started = Engine.now eng in
+      let op = gen_op spec.workload is in
+      telem_count (Volume.id is.cf.vol) `Admitted;
+      let kind = serve is ~started op in
+      if !recording then account is kind ~started;
+      if spec.think_time > 0.0 then
+        Engine.sleep (Wafl_util.Rng.exponential is.rng ~mean:spec.think_time)
+      else Engine.yield ()
+    done
+  in
+  (* Open loop: the tenant issues ops on its own arrival clock, each in a
+     fresh fiber, optionally behind per-volume QoS admission.  Ops arriving
+     inside the measure window are recorded at completion, even after it
+     closes, so overload queueing is visible rather than censored; ops
+     still in flight at the end show up as admitted - completed backlog. *)
+  let open_tenant is arr acc qos () =
+    let vol = Volume.id is.cf.vol in
+    while true do
+      Engine.sleep (Arrival.next arr ~now:(Engine.now eng));
+      (* per-tenant accounting is updated from this arrival fiber and
+         every op-completion fiber *)
+      Engine.probe_atomic eng ~shared:"driver.tenants";
+      let windowed = !recording in
+      if windowed then acc.offered <- acc.offered + 1;
+      let op = gen_op spec.workload is in
+      let verdict =
+        match qos with None -> `Admit | Some q -> Wafl_qos.Qos.admit q ~vol ~now:(Engine.now eng)
+      in
+      match verdict with
+      | `Shed ->
+          if windowed then acc.shed <- acc.shed + 1;
+          telem_count vol `Shed;
+          Wafl_obs.Metrics.incr c_qos_shed
+      | (`Admit | `Delay _) as verdict ->
+          let delay = match verdict with `Delay d -> d | `Admit -> 0.0 in
+          if windowed then acc.admitted <- acc.admitted + 1;
+          telem_count vol `Admitted;
+          Wafl_obs.Metrics.incr c_qos_admitted;
+          if delay > 0.0 then begin
+            if windowed then acc.throttled <- acc.throttled + 1;
+            telem_count vol `Throttled;
+            Wafl_obs.Metrics.incr c_qos_throttled;
+            Wafl_obs.Metrics.observe h_qos_wait delay
+          end;
+          let started = Engine.now eng in
           ignore
-            (Engine.spawn eng ~label:"arrival" (fun () ->
-                 while not !stop do
-                   Engine.sleep (Arrival.next arr ~now:(Engine.now eng));
-                   if not !stop then begin
-                     (* per-tenant accounting is updated from this
-                        arrival fiber and every op-completion fiber *)
-                     Engine.probe_atomic eng ~shared:"driver.tenants";
-                     let windowed = rec_.recording in
-                     if windowed then st.a_offered <- st.a_offered + 1;
-                     let op = gen_op spec.workload rng cf cursor in
-                     let content =
-                       match op with
-                       | Write _ ->
-                           token := Int64.add !token 1L;
-                           !token
-                       | Read _ | Meta -> 0L
-                     in
-                     let verdict =
-                       match qos with
-                       | None -> `Admit
-                       | Some q ->
-                           Wafl_qos.Qos.admit q ~vol:(Volume.id cf.vol) ~now:(Engine.now eng)
-                     in
-                     match verdict with
-                     | `Shed ->
-                         if windowed then st.a_shed <- st.a_shed + 1;
-                         telem_count (Volume.id cf.vol) `Shed;
-                         Wafl_obs.Metrics.incr c_qos_shed
-                     | (`Admit | `Delay _) as verdict ->
-                         let delay = match verdict with `Delay d -> d | `Admit -> 0.0 in
-                         if windowed then begin
-                           st.a_admitted <- st.a_admitted + 1;
-                           if delay > 0.0 then st.a_throttled <- st.a_throttled + 1
-                         end;
-                         telem_count (Volume.id cf.vol) `Admitted;
-                         if delay > 0.0 then telem_count (Volume.id cf.vol) `Throttled;
-                         Wafl_obs.Metrics.incr c_qos_admitted;
-                         if delay > 0.0 then begin
-                           Wafl_obs.Metrics.incr c_qos_throttled;
-                           Wafl_obs.Metrics.observe h_qos_wait delay
-                         end;
-                         let started = Engine.now eng in
-                         ignore
-                           (Engine.spawn eng ~label:"client" (fun () ->
-                                if delay > 0.0 then Engine.sleep delay;
-                                let kind = exec_op ~cf ~content ~started op in
-                                telem_count (Volume.id cf.vol) `Completed;
-                                let e2e = Engine.now eng -. started in
-                                if windowed then begin
-                                  Engine.probe_atomic eng ~shared:"driver.tenants";
-                                  Engine.probe_atomic eng ~shared:"driver.recorder";
-                                  st.a_completed <- st.a_completed + 1;
-                                  rec_.ops <- rec_.ops + 1;
-                                  (match kind with
-                                  | `R -> rec_.reads <- rec_.reads + 1
-                                  | `W ->
-                                      rec_.writes <- rec_.writes + 1;
-                                      Wafl_util.Histogram.add rec_.whist e2e;
-                                      Wafl_util.Histogram.add st.a_whist e2e
-                                  | `M -> rec_.metas <- rec_.metas + 1);
-                                  Wafl_util.Histogram.add rec_.hist e2e
-                                end))
-                   end
-                 done)))
-        ol.arrivals);
+            (Engine.spawn eng ~label:"client" (fun () ->
+                 if delay > 0.0 then Engine.sleep delay;
+                 let kind = serve is ~started op in
+                 if windowed then account is kind ~started))
+    done
+  in
+  (* Spawn the issuers in index order, each on the next split stream.  They
+     and the sampler loop for as long as the engine is driven. *)
+  let tenants =
+    match spec.open_loop with
+    | None ->
+        for c = 0 to spec.clients - 1 do
+          let is = issuer c (Wafl_util.Rng.split master_rng) in
+          ignore (Engine.spawn eng ~label:"client" (closed_client is))
+        done;
+        [||]
+    | Some ol ->
+        let qos = Option.map (Wafl_qos.Qos.create ~eng) ol.qos in
+        Array.of_list ol.arrivals
+        |> Array.mapi (fun i proc ->
+               let rng = Wafl_util.Rng.split master_rng in
+               let arr = Arrival.start proc ~rng in
+               let acc = tally () in
+               let is = issuer ~tenant:acc i rng in
+               ignore (Engine.spawn eng ~label:"arrival" (open_tenant is arr acc qos));
+               (proc, acc))
+  in
   (* Sample the active cleaner-thread count through the measurement. *)
   ignore
     (Engine.spawn eng ~label:"sampler" (fun () ->
-         while not !stop do
+         while true do
            Engine.sleep 10_000.0;
-           if rec_.recording then begin
+           if !recording then begin
              Engine.probe_atomic eng ~shared:"driver.recorder";
              incr active_samples;
              active_sum := !active_sum + Wafl_core.Cleaner_pool.active pool
@@ -670,129 +611,90 @@ let run spec =
   (* --- warmup --- *)
   Engine.run ~until:(Engine.now eng +. spec.warmup) eng;
   Engine.reset_accounting eng;
-  rec_.recording <- true;
-  let base_cps = Wafl_core.Cp.cps_completed cp in
-  let base_buffers = Wafl_core.Cleaner_pool.buffers_cleaned pool in
-  let base_alloc = Wafl_core.Infra.vbns_allocated infra in
-  let base_freed = Wafl_core.Infra.vbns_freed infra in
-  let base_touched = Wafl_core.Infra.metafile_blocks_touched infra in
-  let base_imsgs = Wafl_core.Infra.messages_posted infra in
-  let base_cmsgs = Wafl_core.Cleaner_pool.messages_processed pool in
-  let base_waits = Wafl_core.Cleaner_pool.get_waits pool in
-  let stripes_of f = Array.fold_left (fun acc r -> acc + f r) 0 (Aggregate.raid_groups agg) in
-  let base_full = stripes_of Wafl_storage.Raid.full_stripes in
-  let base_partial = stripes_of Wafl_storage.Raid.partial_stripes in
-  let ctrs = Aggregate.counters agg in
-  let base_stall = Aggregate.stall_time agg in
-  let ftls = Aggregate.ftls agg in
-  let flash_sum f = List.fold_left (fun acc ftl -> acc + f ftl) 0 ftls in
-  let flash_sumf f = List.fold_left (fun acc ftl -> acc +. f ftl) 0.0 ftls in
-  let base_fhost = flash_sum Wafl_flash.Ftl.host_pages in
-  let base_fgc = flash_sum Wafl_flash.Ftl.gc_pages in
-  let base_ferase = flash_sum Wafl_flash.Ftl.erases in
-  let base_fstall = flash_sumf Wafl_flash.Ftl.gc_stall_us in
-  let base_b2b = Counters.read ctrs "b2b_cps" in
-  let base_b2b_ep = Counters.read ctrs "b2b_episodes" in
-  let base_exh = Counters.read ctrs "nvlog_exhausted_writes" in
-  (* --- measurement --- *)
+  (* --- measurement: one window over every cumulative reader --- *)
+  let read_all () = List.map (fun (name, read) -> (name, read ())) readers in
+  recording := true;
+  let opened = read_all () in
   let t0 = Engine.now eng in
   Engine.run ~until:(t0 +. spec.measure) eng;
-  rec_.recording <- false;
+  recording := false;
+  let closed = read_all () in
+  let delta name = List.assoc name closed -. List.assoc name opened in
+  let count name = int_of_float (delta name) in
   let duration = Engine.now eng -. t0 in
-  let result =
-    {
-      ops = rec_.ops;
-      duration;
-      virtual_us = Engine.now eng;
-      throughput = float_of_int rec_.ops /. duration *. 1_000_000.0;
-      throughput_per_client =
-        float_of_int rec_.ops /. duration *. 1_000_000.0 /. float_of_int spec.clients;
-      latency = rec_.hist;
-      write_latency = rec_.whist;
-      reads = rec_.reads;
-      writes = rec_.writes;
-      metas = rec_.metas;
-      cores_client = Engine.cores_used eng "client";
-      cores_cleaner = Engine.cores_used eng "cleaner";
-      cores_infra = Engine.cores_used eng "infra";
-      cores_cp = Engine.cores_used eng "cp";
-      cores_io_other =
-        Engine.cores_used eng "io" +. Engine.cores_used eng "other"
-        +. Engine.cores_used eng "sampler" +. Engine.cores_used eng "tuner";
-      utilization = Engine.utilization eng;
-      cps_completed = Wafl_core.Cp.cps_completed cp - base_cps;
-      buffers_cleaned = Wafl_core.Cleaner_pool.buffers_cleaned pool - base_buffers;
-      vbns_allocated = Wafl_core.Infra.vbns_allocated infra - base_alloc;
-      vbns_freed = Wafl_core.Infra.vbns_freed infra - base_freed;
-      metafile_blocks_touched = Wafl_core.Infra.metafile_blocks_touched infra - base_touched;
-      infra_messages = Wafl_core.Infra.messages_posted infra - base_imsgs;
-      cleaner_messages = Wafl_core.Cleaner_pool.messages_processed pool - base_cmsgs;
-      get_waits = Wafl_core.Cleaner_pool.get_waits pool - base_waits;
-      avg_active_cleaners =
-        (if !active_samples = 0 then float_of_int (Wafl_core.Cleaner_pool.active pool)
-         else float_of_int !active_sum /. float_of_int !active_samples);
-      full_stripes = stripes_of Wafl_storage.Raid.full_stripes - base_full;
-      partial_stripes = stripes_of Wafl_storage.Raid.partial_stripes - base_partial;
-      read_contiguity =
-        (let total = ref 0.0 and n = ref 0 in
-         Array.iter
-           (fun cf ->
-             match cf with
-             | None -> ()
-             | Some cf ->
-                 Array.iter
-                   (fun f ->
-                     total := !total +. measure_contiguity cf.vol f;
-                     incr n)
-                   cf.files)
-           client_files;
-         if !n = 0 then 0.0 else !total /. float_of_int !n);
-      offered_ops =
-        (if n_tenants = 0 then rec_.ops
-         else Array.fold_left (fun a st -> a + st.a_offered) 0 tstats);
-      shed_ops = Array.fold_left (fun a st -> a + st.a_shed) 0 tstats;
-      throttled_ops = Array.fold_left (fun a st -> a + st.a_throttled) 0 tstats;
-      stall_us = Aggregate.stall_time agg -. base_stall;
-      b2b_cps = Counters.read ctrs "b2b_cps" - base_b2b;
-      b2b_episodes = Counters.read ctrs "b2b_episodes" - base_b2b_ep;
-      nvlog_exhausted = Counters.read ctrs "nvlog_exhausted_writes" - base_exh;
-      tenants =
-        (match spec.open_loop with
-        | None -> [||]
-        | Some ol ->
-            let procs = Array.of_list ol.arrivals in
-            Array.mapi
-              (fun i st ->
-                {
-                  t_rate = Arrival.mean_rate procs.(i);
-                  t_offered = st.a_offered;
-                  t_admitted = st.a_admitted;
-                  t_throttled = st.a_throttled;
-                  t_shed = st.a_shed;
-                  t_completed = st.a_completed;
-                  t_write_latency = st.a_whist;
-                })
-              tstats);
-      races = Engine.race_report_count eng;
-      flash_host_pages = flash_sum Wafl_flash.Ftl.host_pages - base_fhost;
-      flash_gc_pages = flash_sum Wafl_flash.Ftl.gc_pages - base_fgc;
-      flash_erases = flash_sum Wafl_flash.Ftl.erases - base_ferase;
-      flash_gc_stall_us = flash_sumf Wafl_flash.Ftl.gc_stall_us -. base_fstall;
-      waf =
-        (let host = flash_sum Wafl_flash.Ftl.host_pages - base_fhost in
-         let gc = flash_sum Wafl_flash.Ftl.gc_pages - base_fgc in
-         if host = 0 then 1.0 else float_of_int (host + gc) /. float_of_int host);
-      telemetry =
-        Option.map
-          (fun (roll, health) ->
-            {
-              tr_snapshot = Wafl_obs.Rollup.snapshot roll;
-              tr_events = Wafl_obs.Health.events health;
-              tr_health_dropped = Wafl_obs.Health.dropped health;
-            })
-          telem;
-    }
-  in
-  Aggregate.refresh_flash_counters agg;
-  stop := true;
-  result
+  let ops = Wafl_util.Histogram.count window.hist in
+  let throughput = float_of_int ops /. duration *. 1_000_000.0 in
+  let tenant_sum f = Array.fold_left (fun a (_, t) -> a + f t) 0 tenants in
+  let flash_host = count "flash.host_pages" and flash_gc = count "flash.gc_pages" in
+  {
+    ops;
+    duration;
+    virtual_us = Engine.now eng;
+    throughput;
+    throughput_per_client = throughput /. float_of_int spec.clients;
+    latency = window.hist;
+    write_latency = window.whist;
+    reads = window.reads;
+    writes = Wafl_util.Histogram.count window.whist;
+    metas = window.metas;
+    cores_client = Engine.cores_used eng "client";
+    cores_cleaner = Engine.cores_used eng "cleaner";
+    cores_infra = Engine.cores_used eng "infra";
+    cores_cp = Engine.cores_used eng "cp";
+    cores_io_other =
+      Engine.cores_used eng "io" +. Engine.cores_used eng "other"
+      +. Engine.cores_used eng "sampler" +. Engine.cores_used eng "tuner";
+    utilization = Engine.utilization eng;
+    cps_completed = count "cp.count";
+    buffers_cleaned = count "cleaner.buffers";
+    vbns_allocated = count "infra.vbns_allocated";
+    vbns_freed = count "infra.vbns_freed";
+    metafile_blocks_touched = count "infra.metafile_blocks";
+    infra_messages = count "infra.messages";
+    cleaner_messages = count "cleaner.messages";
+    get_waits = count "cleaner.get_waits";
+    avg_active_cleaners =
+      (if !active_samples = 0 then float_of_int (Wafl_core.Cleaner_pool.active pool)
+       else float_of_int !active_sum /. float_of_int !active_samples);
+    full_stripes = count "raid.full_stripes";
+    partial_stripes = count "raid.partial_stripes";
+    read_contiguity =
+      (let per_file =
+         Array.to_list client_files
+         |> List.concat_map (fun cf ->
+                List.map (measure_contiguity cf.vol) (Array.to_list cf.files))
+       in
+       if per_file = [] then 0.0
+       else List.fold_left ( +. ) 0.0 per_file /. float_of_int (List.length per_file));
+    offered_ops = (if Array.length tenants = 0 then ops else tenant_sum (fun t -> t.offered));
+    shed_ops = tenant_sum (fun t -> t.shed);
+    throttled_ops = tenant_sum (fun t -> t.throttled);
+    stall_us = delta "nvlog.stall_us";
+    b2b_cps = count "cp.b2b";
+    b2b_episodes = count "cp.b2b_episodes";
+    nvlog_exhausted = count "nvlog.exhausted";
+    tenants =
+      Array.map
+        (fun (proc, t) ->
+          { t_rate = Arrival.mean_rate proc; t_offered = t.offered; t_admitted = t.admitted;
+            t_throttled = t.throttled; t_shed = t.shed;
+            t_completed = Wafl_util.Histogram.count t.hist; t_write_latency = t.whist })
+        tenants;
+    races = Engine.race_report_count eng;
+    flash_host_pages = flash_host;
+    flash_gc_pages = flash_gc;
+    flash_erases = count "flash.erases";
+    flash_gc_stall_us = delta "flash.gc_stall_us";
+    waf =
+      (if flash_host = 0 then 1.0
+       else float_of_int (flash_host + flash_gc) /. float_of_int flash_host);
+    telemetry =
+      Option.map
+        (fun (roll, health) ->
+          {
+            tr_snapshot = Wafl_obs.Rollup.snapshot roll;
+            tr_events = Wafl_obs.Health.events health;
+            tr_health_dropped = Wafl_obs.Health.dropped health;
+          })
+        telem;
+  }

@@ -1,14 +1,28 @@
 (** Workload driver: builds a simulated storage server (aggregate + White
-    Alligator stack), populates it, applies one of the paper's workloads
-    from closed-loop clients, and measures steady-state throughput,
-    latency and per-component core usage (paper §V methodology).
+    Alligator stack), populates it, applies one of the paper's workloads,
+    and measures steady-state throughput, latency and per-component core
+    usage (paper §V methodology).
 
-    Clients are Fibre-Channel-style closed-loop clients: each keeps one
-    outstanding operation, optionally separated by exponential think
-    time (used to sweep offered load for the latency curves of Figures 8
-    and 9).  Client operations execute as Waffinity messages in Stripe
-    affinities; write allocation proceeds concurrently in cleaner threads
-    and infrastructure messages, exactly as in the modelled system. *)
+    Every operation takes one path: drawn from its issuer's op stream,
+    executed as a Waffinity message in a Stripe (or volume) affinity, and
+    accounted once at its reply.  Write allocation proceeds concurrently
+    in cleaner threads and infrastructure messages, exactly as in the
+    modelled system.  Issuers differ only in pacing:
+    - closed-loop clients (the default; the paper's Fibre-Channel hosts)
+      keep one operation outstanding, optionally separated by exponential
+      think time (used to sweep offered load for the latency curves of
+      Figures 8 and 9).  An op counts toward the measurement window if
+      the window is open when it {e completes};
+    - open-loop tenants ([spec.open_loop]) issue ops on their own arrival
+      clock, behind optional per-volume QoS, each op in its own fiber.
+      An op counts if it {e arrived} inside the window, and is recorded
+      at completion even after the window closes, so overload backlog is
+      visible rather than censored.
+
+    Window counters (CPs, cleaning, allocation, stripes, NVLog, flash)
+    are deltas of one table of cumulative readers, read when the window
+    opens and when it closes; telemetry rollup sources share those
+    readers. *)
 
 type workload =
   | Seq_write of { file_blocks : int }
@@ -189,7 +203,10 @@ val cores_write_alloc : result -> float
 val run : spec -> result
 (** Build, populate (each client's files are written once and flushed by
     a CP so that steady-state writes are overwrites), warm up, measure.
-    Deterministic for a given spec. *)
+    Deterministic for a given spec.  Raises [Invalid_argument] naming the
+    field, before anything is built, when [clients] or [volumes] is below
+    1, [measure] is not positive, or the working set does not fit the
+    geometry. *)
 
 val paper_geometry : unit -> Wafl_storage.Geometry.t
 (** 2 RAID groups x (10 data + 2 parity), 262144 blocks per drive —
