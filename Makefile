@@ -82,11 +82,18 @@ cli-errors:
 
 # Observability smoke: a tiny traced run must export a trace file that
 # is valid Chrome trace-event JSON (the obs test suite checks the JSON
-# in depth; this just proves the CLI path end to end).
+# in depth; this just proves the CLI path end to end).  The trace must
+# carry counter series for counts the measurement window reads from the
+# registry, so a component that stops publishing one fails here.
 trace-smoke:
 	dune build bin/wafl_sim.exe
 	dune exec bin/wafl_sim.exe -- trace --seed 1 --measure 0.05 --out _build/trace_smoke.json
-	@test -s _build/trace_smoke.json && echo "trace smoke OK: _build/trace_smoke.json"
+	@test -s _build/trace_smoke.json || { echo "trace smoke FAILED: no trace file"; exit 1; }
+	@for c in cp.count cleaner.buffers raid.full_stripes; do \
+	  grep -q "\"name\":\"$$c\",\"cat\":\"metrics\",\"ph\":\"C\"" _build/trace_smoke.json \
+	    || { echo "trace smoke FAILED: no $$c counter series"; exit 1; }; \
+	done
+	@echo "trace smoke OK: _build/trace_smoke.json"
 
 # Causal-analysis smoke: one figure run with --causal, then the offline
 # analyzer over its trace.  Asserts the pipeline end to end: the run

@@ -40,7 +40,6 @@ type t = {
   obs : Wafl_obs.Trace.t;
   obs_on : bool; (* Trace.enabled obs, hoisted off the hot path *)
   causal_on : bool; (* Causal.enabled obs, hoisted likewise *)
-  m_busy : Wafl_obs.Metrics.counter;
   m_work : Wafl_obs.Metrics.counter;
   g_active : Wafl_obs.Metrics.gauge;
   g_pending : Wafl_obs.Metrics.gauge;
@@ -59,7 +58,6 @@ type t = {
    cumulative busy figure that survives engine accounting resets. *)
 let charge t d =
   t.busy <- t.busy +. d;
-  Wafl_obs.Metrics.addf t.m_busy d;
   Engine.consume d
 
 (* --- bucket acquisition ------------------------------------------------- *)
@@ -293,7 +291,6 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra ~max_threads ~initial_threads 
       obs;
       obs_on = Wafl_obs.Trace.enabled obs;
       causal_on = Wafl_obs.Causal.enabled obs;
-      m_busy = Wafl_obs.Metrics.counter m "cleaner.busy_us";
       m_work = Wafl_obs.Metrics.counter m "cleaner.work_msgs";
       g_active = Wafl_obs.Metrics.gauge m "cleaner.active";
       g_pending = Wafl_obs.Metrics.gauge m "cleaner.pending_msgs";
@@ -325,6 +322,11 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra ~max_threads ~initial_threads 
     }
   in
   Wafl_obs.Metrics.set t.g_active (float_of_int initial);
+  let pull name f = Wafl_obs.Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
+  pull "cleaner.buffers" (fun () -> t.n_buffers);
+  pull "cleaner.messages" (fun () -> t.n_messages);
+  pull "cleaner.get_waits" (fun () -> t.n_get_waits);
+  Wafl_obs.Metrics.pull_counter m "cleaner.busy_us" (fun () -> t.busy);
   Array.iter
     (fun c -> ignore (Engine.spawn eng ~label:"cleaner" (cleaner_loop t c)))
     t.cleaners;
@@ -399,5 +401,4 @@ let flush_and_wait t =
 let buffers_cleaned t = t.n_buffers
 let inodes_cleaned t = t.n_inodes
 let messages_processed t = t.n_messages
-let get_waits t = t.n_get_waits
 let utilization_busy t = t.busy

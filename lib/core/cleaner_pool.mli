@@ -26,8 +26,11 @@ type t
 val create : ?obs:Wafl_obs.Trace.t -> Infra.t -> max_threads:int -> initial_threads:int -> t
 (** [obs] (default disabled) wraps each cleaner work message in a
     ["clean work"] span and records pool utilization under the
-    ["cleaner."] metric prefix (cumulative busy time, active-thread and
-    pending-message gauges). *)
+    ["cleaner."] metric prefix: active-thread and pending-message gauges,
+    a work-message counter, and the pull counters ["cleaner.busy_us"],
+    ["cleaner.buffers"], ["cleaner.messages"] and ["cleaner.get_waits"]
+    (times a cleaner parked in GET because the bucket cache was empty —
+    the backpressure signal of an underpowered infrastructure). *)
 
 val engine : t -> Wafl_sim.Engine.t
 val max_threads : t -> int
@@ -53,9 +56,6 @@ val flush_and_wait : t -> unit
 val buffers_cleaned : t -> int
 val inodes_cleaned : t -> int
 val messages_processed : t -> int
-val get_waits : t -> int
-(** Times a cleaner parked in GET because the bucket cache was empty —
-    the backpressure signal of an underpowered infrastructure. *)
 
 val utilization_busy : t -> float
 (** Cumulative virtual µs cleaners spent busy (for the dynamic tuner). *)

@@ -51,15 +51,14 @@ type t = {
   cfg : config;
   agg : Aggregate.t;
   obs : Wafl_obs.Trace.t;
-  m_cps : Wafl_obs.Metrics.counter;
   h_cp : Wafl_obs.Metrics.histo;
   m_cp_buffers : Wafl_obs.Metrics.counter;
-  m_b2b : Wafl_obs.Metrics.counter;
-  m_b2b_episodes : Wafl_obs.Metrics.counter;
   (* The previous CP committed with the half-full trigger already reached
      again: the CP starting now is back-to-back (paper §II-C). *)
   mutable next_is_b2b : bool;
   mutable in_b2b_run : bool;
+  mutable n_b2b : int;
+  mutable n_b2b_episodes : int;
   serial : serial_state;
   mutable history : record list; (* newest first, bounded *)
   mutable requested : bool;
@@ -621,8 +620,6 @@ let repair_failed_writes t =
       Array.iter Wafl_storage.Raid.quiesce (Aggregate.raid_groups t.agg)
     end
   done;
-  if !repaired > 0 then
-    Counters.add (Aggregate.counters t.agg) "cp_repaired_writes" !repaired;
   !repaired
 
 (* --- the CP itself ------------------------------------------------------ *)
@@ -635,7 +632,7 @@ let repair_failed_writes t =
 let chaos_publish_before_quiesce = ref false
 
 (* Test-only chaos hook: book every CP as back-to-back.  Pure accounting
-   (counters and metrics only — scheduling is untouched), used to drive
+   (the back-to-back counts only — scheduling is untouched), used to drive
    the health watchdog's B2B-streak rule in tests. *)
 let chaos_force_b2b = ref false
 
@@ -654,12 +651,8 @@ let run_cp_body t =
      of consecutive B2B CPs is one episode. *)
   let is_b2b = t.next_is_b2b || !chaos_force_b2b in
   if is_b2b then begin
-    Counters.add (Aggregate.counters t.agg) "b2b_cps" 1;
-    Wafl_obs.Metrics.incr t.m_b2b;
-    if not t.in_b2b_run then begin
-      Counters.add (Aggregate.counters t.agg) "b2b_episodes" 1;
-      Wafl_obs.Metrics.incr t.m_b2b_episodes
-    end
+    t.n_b2b <- t.n_b2b + 1;
+    if not t.in_b2b_run then t.n_b2b_episodes <- t.n_b2b_episodes + 1
   end;
   t.in_b2b_run <- is_b2b;
   set_phase t "snapshot";
@@ -742,13 +735,11 @@ let run_cp_body t =
   ignore (repair_failed_writes t);
   (* Phase 5: the atomic commit. *)
   if not !chaos_publish_before_quiesce then publish_commit t;
-  Aggregate.refresh_fault_counters t.agg;
   t.n_cps <- t.n_cps + 1;
   t.last_duration <- Engine.now t.eng -. started;
   t.last_buffers <- !buffers_total;
   t.last_meta <- meta_blocks;
   t.last_passes <- passes;
-  Wafl_obs.Metrics.incr t.m_cps;
   Wafl_obs.Metrics.observe t.h_cp t.last_duration;
   Wafl_obs.Metrics.add t.m_cp_buffers !buffers_total;
   if Wafl_obs.Trace.enabled t.obs then
@@ -821,13 +812,12 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra pool cfg =
       cfg;
       agg;
       obs;
-      m_cps = Wafl_obs.Metrics.counter m "cp.count";
       h_cp = Wafl_obs.Metrics.histogram m "cp.duration_us";
       m_cp_buffers = Wafl_obs.Metrics.counter m "cp.buffers_cleaned";
-      m_b2b = Wafl_obs.Metrics.counter m "cp.b2b";
-      m_b2b_episodes = Wafl_obs.Metrics.counter m "cp.b2b_episodes";
       next_is_b2b = false;
       in_b2b_run = false;
+      n_b2b = 0;
+      n_b2b_episodes = 0;
       serial =
         {
           pvbn_cursor = 0;
@@ -858,6 +848,10 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra pool cfg =
       phase_histos = Hashtbl.create 16;
     }
   in
+  let pull name f = Wafl_obs.Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
+  pull "cp.count" (fun () -> t.n_cps);
+  pull "cp.b2b" (fun () -> t.n_b2b);
+  pull "cp.b2b_episodes" (fun () -> t.n_b2b_episodes);
   ignore (Engine.spawn eng ~label:"cp" (manager_loop t));
   (match cfg.timer_interval with
   | None -> ()
@@ -875,6 +869,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra pool cfg =
 let running t = t.is_running
 let phase t = t.phase
 let cps_completed t = t.n_cps
+let b2b_cps t = t.n_b2b
 let last_duration t = t.last_duration
 let buffers_last_cp t = t.last_buffers
 let meta_blocks_last_cp t = t.last_meta

@@ -37,13 +37,10 @@ val create : ?obs:Wafl_obs.Trace.t -> Infra.t -> Cleaner_pool.t -> config -> t
     timer fiber.  [obs] (default disabled) records the CP phase timeline:
     one ["cp <phase>"] span per phase, a whole-["CP"] span with
     buffer/metafile counts, per-phase duration histograms
-    (["cp.phase_us.<phase>"]) and CP count/duration metrics.
-
-    Back-to-back CPs — a CP whose predecessor committed with the
-    half-full trigger already re-reached — are counted in the aggregate's
-    {!Wafl_fs.Counters} as ["b2b_cps"] (with maximal runs counted as
-    ["b2b_episodes"]) and as the ["cp.b2b"]/["cp.b2b_episodes"]
-    metrics. *)
+    (["cp.phase_us.<phase>"]) and CP count/duration metrics.  The CP
+    count and the back-to-back counts ({!b2b_cps} and its episodes) are
+    published as the pull counters ["cp.count"], ["cp.b2b"] and
+    ["cp.b2b_episodes"]. *)
 
 val request : t -> unit
 (** Ask for a CP; no-op if one is already running (it will run again
@@ -64,7 +61,7 @@ val chaos_publish_before_quiesce : bool ref
 
 val chaos_force_b2b : bool ref
 (** Test-only chaos hook: book every CP as back-to-back.  Pure
-    accounting — counters and metrics only, scheduling untouched — used
+    accounting — the back-to-back counts only, scheduling untouched — used
     to drive the health watchdog's B2B-streak rule in tests.  Never set
     outside tests. *)
 
@@ -74,6 +71,12 @@ val phase : t -> string
 (** Diagnostic: which CP phase is executing ("idle" between CPs). *)
 
 val cps_completed : t -> int
+
+val b2b_cps : t -> int
+(** CPs that started back-to-back: the previous one committed with the
+    log-half-full trigger already reached again (paper §II-C).  Maximal
+    runs of them are published as ["cp.b2b_episodes"]. *)
+
 val last_duration : t -> float
 val buffers_last_cp : t -> int
 val meta_blocks_last_cp : t -> int

@@ -502,6 +502,12 @@ let create ?(obs = Wafl_obs.Trace.disabled) sched agg cfg =
       commit_idle = Sync.Waitq.create eng;
     }
   in
+  let m = Wafl_obs.Trace.metrics obs in
+  let pull name f = Wafl_obs.Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
+  pull "infra.vbns_allocated" (fun () -> t.n_allocated);
+  pull "infra.vbns_freed" (fun () -> t.n_freed);
+  pull "infra.metafile_blocks" (fun () -> t.n_touched);
+  pull "infra.messages" (fun () -> t.n_messages);
   (match Sched.isolation sched with
   | Some iso ->
       let nblocks =
@@ -543,7 +549,3 @@ let dump t out =
 
 let buckets_filled t = t.n_filled
 let buckets_committed t = t.n_committed
-let vbns_allocated t = t.n_allocated
-let vbns_freed t = t.n_freed
-let metafile_blocks_touched t = t.n_touched
-let messages_posted t = t.n_messages

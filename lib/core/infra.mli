@@ -32,7 +32,12 @@ val create :
   ?obs:Wafl_obs.Trace.t -> Wafl_waffinity.Scheduler.t -> Wafl_fs.Aggregate.t -> config -> t
 (** Registers every existing volume and kicks off the initial refill
     cycles (the bucket cache is being filled as this returns).  [obs]
-    (default disabled) is handed to each cycle's {!Tetris}. *)
+    (default disabled) is handed to each cycle's {!Tetris}; its registry
+    gets the pull counters ["infra.vbns_allocated"] (VBNs committed as
+    used, physical + virtual), ["infra.vbns_freed"],
+    ["infra.metafile_blocks"] (distinct metafile-block touches across all
+    commit and free messages — the quantity that separates random from
+    sequential write, §V-A2) and ["infra.messages"]. *)
 
 val register_volume : t -> Wafl_fs.Volume.t -> unit
 val config : t -> config
@@ -86,15 +91,6 @@ val live_tetrises : t -> Tetris.t list
 
 val buckets_filled : t -> int
 val buckets_committed : t -> int
-val vbns_allocated : t -> int
-(** VBNs committed as used (physical + virtual). *)
-
-val vbns_freed : t -> int
-val metafile_blocks_touched : t -> int
-(** Distinct metafile-block touches across all commit and free messages —
-    the quantity that separates random from sequential write (§V-A2). *)
-
-val messages_posted : t -> int
 
 val dump : t -> out_channel -> unit
 (** Diagnostic dump of cycle and cache state. *)

@@ -77,11 +77,6 @@ type t = {
   mutable gc_stall_us : float;
   mutable erase_until : float;  (* host programs blocked while an erase runs *)
   mutable trims : int;
-  m_host : Wafl_obs.Metrics.counter;
-  m_gc : Wafl_obs.Metrics.counter;
-  m_erase : Wafl_obs.Metrics.counter;
-  m_runs : Wafl_obs.Metrics.counter;
-  m_stall : Wafl_obs.Metrics.counter;
 }
 
 let probe t = Engine.probe_atomic t.eng ~shared:t.shared
@@ -198,7 +193,6 @@ let gc_cycle t victim =
     end
   done;
   t.gc_pages <- t.gc_pages + !moved;
-  Wafl_obs.Metrics.add t.m_gc !moved;
   let t0 = Engine.now t.eng in
   Engine.sleep (float_of_int !moved *. (t.cfg.page_read_us +. t.cfg.page_program_us));
   (* The erase occupies the die: host programs arriving inside this
@@ -211,7 +205,6 @@ let gc_cycle t victim =
   t.valid.(victim) <- 0;
   t.wear.(victim) <- t.wear.(victim) + 1;
   t.erases <- t.erases + 1;
-  Wafl_obs.Metrics.incr t.m_erase;
   Queue.push victim t.free_q;
   t.free_count <- t.free_count + 1;
   if t.obs_on then
@@ -232,7 +225,6 @@ let gc_fiber t () =
     if t.free_count >= high_blocks t then Sync.Waitq.wait t.gc_q
     else begin
       t.gc_runs <- t.gc_runs + 1;
-      Wafl_obs.Metrics.incr t.m_runs;
       (match pick_victim t with
       | Some victim -> gc_cycle t victim
       | None ->
@@ -269,7 +261,6 @@ let host_write t pairs =
             Sync.Waitq.wait t.host_q;
             let w = Engine.now t.eng -. w0 in
             t.gc_stall_us <- t.gc_stall_us +. w;
-            Wafl_obs.Metrics.addf t.m_stall w;
             if t.obs_on && w > 0.0 then
               Wafl_obs.Trace.complete t.obs ~cat:"flash" ~name:"flash stall" ~ts:w0 ~dur:w
                 ~num_args:[ ("rg", float_of_int t.rg) ]
@@ -279,7 +270,6 @@ let host_write t pairs =
       put ())
     pairs;
   t.host_pages <- t.host_pages + !n;
-  Wafl_obs.Metrics.add t.m_host !n;
   (* Programs queue behind an in-flight GC erase (the die is busy): this
      is the steady-state flavor of GC push-back, felt long before the
      free pool is exhausted. *)
@@ -288,7 +278,6 @@ let host_write t pairs =
      if now < t.erase_until then begin
        let w = t.erase_until -. now in
        t.gc_stall_us <- t.gc_stall_us +. w;
-       Wafl_obs.Metrics.addf t.m_stall w;
        if t.obs_on then
          Wafl_obs.Trace.complete t.obs ~cat:"flash" ~name:"flash stall" ~ts:now ~dur:w
            ~num_args:[ ("rg", float_of_int t.rg) ]
@@ -378,13 +367,14 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cfg ~lpns ~rg =
       gc_stall_us = 0.0;
       erase_until = 0.0;
       trims = 0;
-      m_host = Wafl_obs.Metrics.counter m "flash.host_pages";
-      m_gc = Wafl_obs.Metrics.counter m "flash.gc_pages";
-      m_erase = Wafl_obs.Metrics.counter m "flash.erases";
-      m_runs = Wafl_obs.Metrics.counter m "flash.gc_runs";
-      m_stall = Wafl_obs.Metrics.counter m "flash.gc_stall_us";
     }
   in
+  let pull name f = Wafl_obs.Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
+  pull "flash.host_pages" (fun () -> t.host_pages);
+  pull "flash.gc_pages" (fun () -> t.gc_pages);
+  pull "flash.erases" (fun () -> t.erases);
+  pull "flash.gc_runs" (fun () -> t.gc_runs);
+  Wafl_obs.Metrics.pull_counter m "flash.gc_stall_us" (fun () -> t.gc_stall_us);
   for b = 0 to nblocks - 1 do
     Queue.push b t.free_q
   done;
@@ -418,8 +408,6 @@ let stream_appended t = Array.map Stream.appended t.streams_tbl
 let host_pages t = t.host_pages
 let gc_pages t = t.gc_pages
 let erases t = t.erases
-let gc_runs t = t.gc_runs
-let gc_stall_us t = t.gc_stall_us
 let trims t = t.trims
 let free_blocks t = t.free_count
 

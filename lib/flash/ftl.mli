@@ -51,7 +51,13 @@ val create :
     [ceil(lpns * logical_capacity / pages_per_block) * (1 + op_ratio)]
     erase blocks (with a small floor so every stream can hold a block
     open), applies [cfg.prefill], and spawns the daemon GC fiber.  Must
-    be called with [eng] not yet running or from fiber context. *)
+    be called with [eng] not yet running or from fiber context.  [obs]
+    (default disabled) receives stall spans, and its registry the pull
+    counters ["flash.host_pages"], ["flash.gc_pages"], ["flash.erases"],
+    ["flash.gc_runs"] and ["flash.gc_stall_us"] (virtual µs host writers
+    spent blocked by the GC: waiting out an in-flight erase, or parked on
+    an exhausted free pool), one instrument per device, summed by
+    name. *)
 
 val host_write : t -> (int * int) list -> unit
 (** [host_write t pairs] programs each [(lpn, stream)] pair in order from
@@ -85,11 +91,6 @@ val stream_appended : t -> int array
 val host_pages : t -> int
 val gc_pages : t -> int
 val erases : t -> int
-val gc_runs : t -> int
-
-val gc_stall_us : t -> float
-(** Virtual µs host writers spent blocked by the GC: waiting out an
-    in-flight erase, or parked on an exhausted free pool. *)
 
 val trims : t -> int
 val free_blocks : t -> int

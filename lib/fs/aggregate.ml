@@ -76,11 +76,7 @@ type t = {
   mutable log_inflight : int;
   mutable stall_us : float;
   mutable hard_dwell_us : float;
-  stall_cell : int ref;
-  hard_dwell_cell : int ref;
-  exhausted_cell : int ref;
-  m_stall : Wafl_obs.Metrics.counter;
-  m_hard_dwell : Wafl_obs.Metrics.counter;
+  mutable exhausted : int; (* writes refused on exhausted NVRAM *)
 }
 
 (* Test-only chaos hook: each [wait_for_log_space] call books this many
@@ -97,10 +93,10 @@ let make_raids eng cost disk geom queue_depth obs flash_cfg =
         Option.map
           (fun cfg ->
             let lpns = Geometry.data_drives geom ~rg * Geometry.drive_blocks geom in
-            Wafl_flash.Ftl.create ?obs eng ~cfg ~lpns ~rg)
+            Wafl_flash.Ftl.create ~obs eng ~cfg ~lpns ~rg)
           flash_cfg
       in
-      Raid.create ?queue_depth ?obs ?flash eng ~cost ~disk ~rg)
+      Raid.create ?queue_depth ~obs ?flash eng ~cost ~disk ~rg)
 
 (* A full packed metafile image is 512 slots (4 KiB); the shorter tail
    block of a small map is left to the GC. *)
@@ -111,17 +107,11 @@ let init_aa_free geom =
       Array.make (Geometry.aa_count geom)
         (Geometry.aa_stripes geom * Geometry.data_drives geom ~rg))
 
-let create ?(nvlog_half = 16384) ?nvlog_watermarks ?(cache_blocks = 65536) ?queue_depth ?obs
-    ?flash eng ~cost ~geometry () =
-  let disk = Disk.create geometry in
-  let pers =
-    {
-      p_disk = disk;
-      p_sb = None;
-      p_nvlog = Nvlog.create ~half_capacity:nvlog_half ?watermarks:nvlog_watermarks ();
-      p_flash = flash;
-    }
-  in
+(* The one constructor behind [create] and [recover]: an empty aggregate
+   over [pers], with every free block counted free and the NVLog
+   accounting published to [obs]'s registry. *)
+let build ?(cache_blocks = 65536) ?queue_depth ~obs eng ~cost pers =
+  let geometry = Disk.geometry pers.p_disk in
   let counters = Counters.create () in
   let t =
     {
@@ -129,8 +119,8 @@ let create ?(nvlog_half = 16384) ?nvlog_watermarks ?(cache_blocks = 65536) ?queu
       cost;
       geom = geometry;
       pers;
-      raids = make_raids eng cost disk geometry queue_depth obs flash;
-      flash_on = flash <> None;
+      raids = make_raids eng cost pers.p_disk geometry queue_depth obs pers.p_flash;
+      flash_on = pers.p_flash <> None;
       agg_map = Bitmap_file.create ~bits:(Geometry.total_data_blocks geometry);
       aa_free_tbl = init_aa_free geometry;
       vols = [];
@@ -152,21 +142,25 @@ let create ?(nvlog_half = 16384) ?nvlog_watermarks ?(cache_blocks = 65536) ?queu
       log_inflight = 0;
       stall_us = 0.0;
       hard_dwell_us = 0.0;
-      stall_cell = Counters.cell counters "nvlog_stall_us";
-      hard_dwell_cell = Counters.cell counters "nvlog_hard_dwell_us";
-      exhausted_cell = Counters.cell counters "nvlog_exhausted_writes";
-      m_stall =
-        Wafl_obs.Metrics.counter
-          (Wafl_obs.Trace.metrics (Option.value obs ~default:Wafl_obs.Trace.disabled))
-          "nvlog.stall_us";
-      m_hard_dwell =
-        Wafl_obs.Metrics.counter
-          (Wafl_obs.Trace.metrics (Option.value obs ~default:Wafl_obs.Trace.disabled))
-          "nvlog.hard_dwell_us";
+      exhausted = 0;
     }
   in
   Counters.set t.counters free_counter (Geometry.total_data_blocks geometry);
+  let m = Wafl_obs.Trace.metrics obs in
+  Wafl_obs.Metrics.pull_counter m "nvlog.stall_us" (fun () -> t.stall_us);
+  Wafl_obs.Metrics.pull_counter m "nvlog.hard_dwell_us" (fun () -> t.hard_dwell_us);
+  Wafl_obs.Metrics.pull_counter m "nvlog.exhausted" (fun () -> float_of_int t.exhausted);
   t
+
+let create ?(nvlog_half = 16384) ?nvlog_watermarks ?cache_blocks ?queue_depth
+    ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost ~geometry () =
+  build ?cache_blocks ?queue_depth ~obs eng ~cost
+    {
+      p_disk = Disk.create geometry;
+      p_sb = None;
+      p_nvlog = Nvlog.create ~half_capacity:nvlog_half ?watermarks:nvlog_watermarks ();
+      p_flash = flash;
+    }
 
 let engine t = t.eng
 let cost t = t.cost
@@ -254,7 +248,7 @@ let write t ~vol ~file ~fbn ~content =
        simply never gets an acknowledgement for this op.  Unreachable
        once watermark back-pressure is on — admission stops at the hard
        watermark with headroom to spare. *)
-    t.exhausted_cell := !(t.exhausted_cell) + 1;
+    t.exhausted <- t.exhausted + 1;
     `Log_exhausted
   end
   else begin
@@ -288,18 +282,6 @@ let ftls t = Array.to_list t.raids |> List.filter_map Raid.flash
 (* Route tetris payloads to flash write streams (no-op without a media
    model; installed by Walloc when the [streams] policy is on). *)
 let set_stream_classifier t f = Array.iter (fun r -> Raid.set_stream_of r f) t.raids
-
-(* Mirror the fault-plan counters into the global counter table so
-   operators and tests read them through Counters / Report. *)
-let refresh_fault_counters t =
-  match Disk.fault t.pers.p_disk with
-  | None -> ()
-  | Some f ->
-      Counters.set t.counters "media_errors" (Fault.media_errors_seen f);
-      Counters.set t.counters "degraded_reads" (Fault.degraded_reads f);
-      Counters.set t.counters "transient_retries" (Fault.transient_retries f);
-      Counters.set t.counters "rebuild_blocks" (Fault.rebuild_blocks f);
-      Counters.set t.counters "unrecoverable_reads" (Fault.unrecoverable_reads f)
 
 (* Like [read] but reports whether the on-disk path hit the buffer cache;
    the caller charges the miss cost.  [`Buffered] means the block was
@@ -342,22 +324,9 @@ let read t ~vol ~file ~fbn = fst (read_cached_status t ~vol ~file ~fbn)
 let set_cp_trigger t trigger = t.cp_trigger <- Some trigger
 let request_cp t = match t.cp_trigger with Some trigger -> trigger () | None -> ()
 let stall_time t = t.stall_us
-
-let note_stall t dt =
-  if dt > 0.0 then begin
-    t.stall_us <- t.stall_us +. dt;
-    t.stall_cell := int_of_float t.stall_us;
-    Wafl_obs.Metrics.addf t.m_stall dt
-  end
-
-let hard_dwell_time t = t.hard_dwell_us
-
-let note_hard_dwell t dt =
-  if dt > 0.0 then begin
-    t.hard_dwell_us <- t.hard_dwell_us +. dt;
-    t.hard_dwell_cell := int_of_float t.hard_dwell_us;
-    Wafl_obs.Metrics.addf t.m_hard_dwell dt
-  end
+let note_stall t dt = if dt > 0.0 then t.stall_us <- t.stall_us +. dt
+let note_hard_dwell t dt = if dt > 0.0 then t.hard_dwell_us <- t.hard_dwell_us +. dt
+let exhausted_writes t = t.exhausted
 
 let wait_for_log_space t =
   if !chaos_inject_hard_dwell > 0.0 then note_hard_dwell t !chaos_inject_hard_dwell;
@@ -787,52 +756,9 @@ let recompute_vvbn_regions t vol =
       regions.(r) <- Bitmap_file.count_free_in vmap ~lo ~hi)
     regions
 
-let recover ?(cache_blocks = 65536) ?queue_depth ?obs eng ~cost pers =
+let recover ?cache_blocks ?queue_depth ?(obs = Wafl_obs.Trace.disabled) eng ~cost pers =
   let geom = Disk.geometry pers.p_disk in
-  let counters = Counters.create () in
-  let t =
-    {
-      eng;
-      cost;
-      geom;
-      pers;
-      raids = make_raids eng cost pers.p_disk geom queue_depth obs pers.p_flash;
-      flash_on = pers.p_flash <> None;
-      agg_map = Bitmap_file.create ~bits:(Geometry.total_data_blocks geom);
-      aa_free_tbl = init_aa_free geom;
-      vols = [];
-      vol_slots = [||];
-      free_cell = Counters.cell counters free_counter;
-      held_cell = Counters.cell counters "snapshot_held_blocks";
-      snap_union = [||];
-      counters;
-      recently_freed = Freed_set.create ~bits:(Geometry.total_data_blocks geom);
-      image_spares = new_spares ();
-      cache = Buffer_cache.create ~capacity:cache_blocks;
-      snaps = [];
-      log_space = Sync.Waitq.create eng;
-      next_vol_id = 0;
-      generation = 0;
-      cp_count = 0;
-      cp_in_progress = false;
-      cp_trigger = None;
-      log_inflight = 0;
-      stall_us = 0.0;
-      hard_dwell_us = 0.0;
-      stall_cell = Counters.cell counters "nvlog_stall_us";
-      hard_dwell_cell = Counters.cell counters "nvlog_hard_dwell_us";
-      exhausted_cell = Counters.cell counters "nvlog_exhausted_writes";
-      m_stall =
-        Wafl_obs.Metrics.counter
-          (Wafl_obs.Trace.metrics (Option.value obs ~default:Wafl_obs.Trace.disabled))
-          "nvlog.stall_us";
-      m_hard_dwell =
-        Wafl_obs.Metrics.counter
-          (Wafl_obs.Trace.metrics (Option.value obs ~default:Wafl_obs.Trace.disabled))
-          "nvlog.hard_dwell_us";
-    }
-  in
-  Counters.set t.counters free_counter (Geometry.total_data_blocks geom);
+  let t = build ?cache_blocks ?queue_depth ~obs eng ~cost pers in
   (match pers.p_sb with
   | None -> ()
   | Some sb ->

@@ -42,7 +42,11 @@ val create :
   unit ->
   t
 (** [obs] (default disabled) is handed to each RAID group so device
-    service spans and I/O metrics are recorded.  [nvlog_watermarks]
+    service spans and I/O metrics are recorded; the aggregate publishes
+    its NVLog accounting there as the pull counters ["nvlog.stall_us"]
+    ({!stall_time}), ["nvlog.hard_dwell_us"] (the part of it spent parked
+    above the hard watermark) and
+    ["nvlog.exhausted"] ({!exhausted_writes}).  [nvlog_watermarks]
     (default none) enables watermark back-pressure in
     {!wait_for_log_space}; the thresholds live with the NVRAM log, so
     they survive {!crash}/{!recover}.  [flash] (default none) attaches a
@@ -90,10 +94,9 @@ val write :
 (** Log the operation, dirty the buffer and queue the inode for the next
     CP.  [`Log_half_full] asks the caller to trigger a CP.
     [`Log_exhausted] means NVRAM is completely full and the operation was
-    shed {e without} being logged or applied (counted as
-    ["nvlog_exhausted_writes"] in {!counters} and reported by
-    {!Report.faults}); with watermark back-pressure enabled this is
-    unreachable. *)
+    shed {e without} being logged or applied (counted in
+    {!exhausted_writes} and reported by {!Report.faults}); with watermark
+    back-pressure enabled this is unreachable. *)
 
 val read : t -> vol:int -> file:int -> fbn:int -> int64 option
 (** Dirty buffers first, then the on-disk tree.  [None] for holes. *)
@@ -113,12 +116,6 @@ val read_pvbn : t -> int -> Layout.block option
     the stored image itself: it stays valid only until the CP that frees
     the block publishes (see {!publish_superblock}). *)
 
-val refresh_fault_counters : t -> unit
-(** Mirror the attached fault plan's counters ([media_errors],
-    [degraded_reads], [transient_retries], [rebuild_blocks],
-    [unrecoverable_reads]) into {!counters}.  No-op without a fault
-    plan. *)
-
 val wait_for_log_space : t -> unit
 (** Write-admission throttle; call once before each {!write}.
 
@@ -131,8 +128,7 @@ val wait_for_log_space : t -> unit
     watermark triggers an early CP (via {!set_cp_trigger}) and paces the
     write with a deterministic delay; at the hard watermark admission
     parks until a CP commit frees space.  Time spent parked or paced
-    accumulates in ["nvlog_stall_us"] ({!counters}) and the
-    ["nvlog.stall_us"] metric. *)
+    accumulates in {!stall_time}. *)
 
 val set_cp_trigger : t -> (unit -> unit) -> unit
 (** Install the early-CP hook used by watermark admission (normally
@@ -142,10 +138,8 @@ val stall_time : t -> float
 (** Total virtual µs clients have spent stalled (parked or paced) in
     {!wait_for_log_space}. *)
 
-val hard_dwell_time : t -> float
-(** Subset of {!stall_time}: virtual µs spent parked above the hard
-    watermark (also in the [nvlog_hard_dwell_us] counter and the
-    [nvlog.hard_dwell_us] metric). *)
+val exhausted_writes : t -> int
+(** Writes refused with [`Log_exhausted]. *)
 
 val chaos_inject_hard_dwell : float ref
 (** Test-only: extra dwell µs booked per {!wait_for_log_space} call.

@@ -22,7 +22,7 @@ let token_cell = cell
 
 let flush t tok =
   let updated = ref 0 in
-  (* Integer addition commutes, so the visit order cannot leak. lint-ok *)
+  (* Integer addition commutes, so the visit order cannot leak. *)
   (* Cells persist across flushes (holders cache them); zero them instead
      of dropping them.  The update count — which feeds a per-update CPU
      charge — counts cells with a nonzero staged delta, which matches the
@@ -39,5 +39,3 @@ let flush t tok =
 
 let exact t toks name =
   read t name + List.fold_left (fun acc tok -> acc + staged tok name) 0 toks
-
-let names t = Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort compare (* lint-ok *)

@@ -6,7 +6,14 @@
     {!token}; tokens are applied to the global counters in a batched
     fashion from infrastructure context.  Counter reads may therefore lag
     their instantaneous logical value by the amount still staged in
-    tokens; {!audit} bounds the discrepancy in tests. *)
+    tokens; {!exact} gives the audited value.
+
+    The table holds only these loose counters: free-space accounting
+    (aggregate and per-volume free blocks, snapshot-held blocks), deleted
+    files, and the cleaners' token cells.  The infrastructure flush
+    charges CPU per updated cell, so they are part of the cost model.
+    Counts that only observation needs live in the run's metrics
+    registry instead ([Wafl_obs.Metrics], DESIGN.md §4.8). *)
 
 type t
 type token
@@ -46,5 +53,3 @@ val exact : t -> token list -> string -> int
 (** The counter value with all given tokens logically applied — the
     "audited and corrected" read the paper describes for code paths that
     need precise values. *)
-
-val names : t -> string list

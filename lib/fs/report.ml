@@ -201,18 +201,16 @@ let perf ?elapsed m =
   Buffer.contents buf
 
 let faults agg =
-  Aggregate.refresh_fault_counters agg;
   let buf = Buffer.create 128 in
   (match Disk.fault (Aggregate.disk agg) with
   | None -> Buffer.add_string buf "faults: no fault plan attached\n"
-  | Some _ ->
-      let c name = Counters.read (Aggregate.counters agg) name in
+  | Some f ->
       Buffer.add_string buf
         (Printf.sprintf
            "faults: %d media errors, %d transient retries, %d degraded reads, %d rebuilt \
             blocks, %d unrecoverable\n"
-           (c "media_errors") (c "transient_retries") (c "degraded_reads") (c "rebuild_blocks")
-           (c "unrecoverable_reads"));
+           (Fault.media_errors_seen f) (Fault.transient_retries f) (Fault.degraded_reads f)
+           (Fault.rebuild_blocks f) (Fault.unrecoverable_reads f));
       Array.iter
         (fun raid ->
           if Raid.degraded raid then
@@ -222,7 +220,7 @@ let faults agg =
         (Aggregate.raid_groups agg));
   (* NVRAM exhaustion is a fault even without a disk fault plan: it means
      admission control failed to hold writes back against CP progress. *)
-  let exhausted = Counters.read (Aggregate.counters agg) "nvlog_exhausted_writes" in
+  let exhausted = Aggregate.exhausted_writes agg in
   if exhausted > 0 then
     Buffer.add_string buf
       (Printf.sprintf

@@ -28,8 +28,8 @@ val perf : ?elapsed:float -> Wafl_obs.Metrics.t -> string
 
 val faults : Aggregate.t -> string
 (** Fault-injection counters (media errors, transient retries, degraded
-    reads, rebuild progress) and any RAID group currently degraded;
-    refreshes the counters first.  One line when no plan is attached.
-    Writes refused on an exhausted NVRAM ([Nvlog.Exhausted], counter
-    ["nvlog_exhausted_writes"]) are reported here too — they indicate
+    reads, rebuild progress), read from the attached fault plan, and any
+    RAID group currently degraded.  One line when no plan is attached.
+    Writes refused on an exhausted NVRAM
+    ({!Aggregate.exhausted_writes}) are reported here too — they indicate
     admission control failed to throttle clients against CP progress. *)

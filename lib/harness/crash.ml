@@ -147,9 +147,9 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
   let mid_cp = Wafl_core.Cp.running cp in
   let cp_phase = Wafl_core.Cp.phase cp in
   let cps_before_crash = Wafl_core.Cp.cps_completed cp in
-  let b2b_cps = Counters.read (Aggregate.counters agg) "b2b_cps" in
+  let b2b_cps = Wafl_core.Cp.b2b_cps cp in
   let stall_us = Aggregate.stall_time agg in
-  let exhausted_writes = Counters.read (Aggregate.counters agg) "nvlog_exhausted_writes" in
+  let exhausted_writes = Aggregate.exhausted_writes agg in
   let ftls = Aggregate.ftls agg in
   let flash_gc_pages = List.fold_left (fun a f -> a + Wafl_flash.Ftl.gc_pages f) 0 ftls in
   let flash_erases = List.fold_left (fun a f -> a + Wafl_flash.Ftl.erases f) 0 ftls in
@@ -197,8 +197,7 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
                keys));
       Engine.run eng2;
       races := !races + Engine.race_report_count eng2;
-      (try Aggregate.fsck agg2 with Failure m -> fsck_failure := Some m);
-      Aggregate.refresh_fault_counters agg2);
+      (try Aggregate.fsck agg2 with Failure m -> fsck_failure := Some m));
   {
     seed;
     crash_time;

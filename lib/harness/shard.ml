@@ -42,7 +42,6 @@ type shard_state = {
   ops_done : int ref; (* mutated only by this shard's fibers *)
   cp : Wafl_core.Cp.t;
   roll : Wafl_obs.Rollup.t; (* fed only by this shard's fibers *)
-  metrics : Wafl_obs.Metrics.t; (* this shard's own registry (DLS-free attribution) *)
 }
 
 let setup part sid ~seed =
@@ -62,13 +61,12 @@ let setup part sid ~seed =
   in
   let walloc = Wafl_core.Walloc.create ~obs agg cfg in
   let ops_done = ref 0 in
+  let metrics = Wafl_obs.Trace.metrics obs in
+  Wafl_obs.Metrics.pull_counter metrics "ops" (fun () -> float_of_int !ops_done);
   let roll = Wafl_obs.Rollup.create ~config:rollup_config eng in
-  Wafl_obs.Rollup.add_source roll ~name:"ops" (fun () -> float_of_int !ops_done);
-  Wafl_obs.Rollup.add_source roll ~name:"cp.count" (fun () ->
-      float_of_int (Wafl_core.Cp.cps_completed (Wafl_core.Walloc.cp walloc)));
-  Wafl_obs.Rollup.add_source roll ~name:"cp.b2b" (fun () ->
-      float_of_int (Counters.read (Aggregate.counters agg) "b2b_cps"));
-  Wafl_obs.Rollup.add_source roll ~name:"nvlog.stall_us" (fun () -> Aggregate.stall_time agg);
+  Wafl_obs.Rollup.watch roll metrics
+    ~counters:[ "ops"; "cp.count"; "cp.b2b"; "nvlog.stall_us" ]
+    ~gauges:[] ~histograms:[];
   ignore
     (Engine.spawn eng ~label:"client" (fun () ->
          let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
@@ -108,7 +106,6 @@ let setup part sid ~seed =
     ops_done;
     cp = Wafl_core.Walloc.cp walloc;
     roll;
-    metrics = Wafl_obs.Trace.metrics obs;
   }
 
 let run ?(scale = 1.0) ?(shards = 4) ?(domains = 1) ?(seed = 42) () =

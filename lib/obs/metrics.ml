@@ -1,77 +1,88 @@
-(* Typed metrics registry: counters, gauges and virtual-time histograms.
+(* Typed metrics registry (see metrics.mli and DESIGN.md §4.8).  Each name
+   has one store: a pushed cell, updated on the hot path with a single
+   mutation, or the pull readers of values components keep anyway.  The
+   registry is a map keyed by name, so enumeration is in name order by
+   construction and nothing observable depends on hash order. *)
 
-   This subsumes the loose end-of-run reads of [Wafl_fs.Counters]: a
-   component registers its instruments once at construction time and
-   updates them on the hot path with a single mutation (no hashing), and
-   the tracer periodically samples every counter and gauge into the trace
-   sink as a Chrome counter-event timeseries.  All read-side iteration is
-   name-sorted so nothing observable depends on hash order. *)
+module Names = Map.Make (String)
 
-type counter = { c_name : string; mutable c_value : float }
-type gauge = { g_name : string; mutable g_value : float }
-type histo = { h_name : string; h_hist : Wafl_util.Histogram.t }
+type counter = { mutable value : float }
+type gauge = counter
+type histo = { h_hist : Wafl_util.Histogram.t }
+
+(* Pull readers are kept in registration order, the order they sum in. *)
+type store = Pushed of counter | Pulled of (unit -> float) list
 
 type t = {
-  counters : (string, counter) Hashtbl.t;
-  gauges : (string, gauge) Hashtbl.t;
-  histos : (string, histo) Hashtbl.t;
+  retain_pulls : bool;
+  mutable counters : store Names.t;
+  mutable gauges : store Names.t;
+  mutable histos : histo Names.t;
 }
 
-let create () =
-  { counters = Hashtbl.create 32; gauges = Hashtbl.create 32; histos = Hashtbl.create 32 }
+let make retain_pulls =
+  { retain_pulls; counters = Names.empty; gauges = Names.empty; histos = Names.empty }
+
+let create () = make true
+let throwaway () = make false
+let both name = invalid_arg ("Metrics: " ^ name ^ " is both pushed and pulled")
+
+let pushed stores name =
+  match Names.find_opt name stores with
+  | Some (Pushed cell) -> (cell, stores)
+  | Some (Pulled _) -> both name
+  | None ->
+      let cell = { value = 0.0 } in
+      (cell, Names.add name (Pushed cell) stores)
+
+let pulled t stores name read =
+  if not t.retain_pulls then stores
+  else
+    match Names.find_opt name stores with
+    | Some (Pushed _) -> both name
+    | Some (Pulled reads) -> Names.add name (Pulled (reads @ [ read ])) stores
+    | None -> Names.add name (Pulled [ read ]) stores
 
 let counter t name =
-  match Hashtbl.find_opt t.counters name with
-  | Some c -> c
-  | None ->
-      let c = { c_name = name; c_value = 0.0 } in
-      Hashtbl.add t.counters name c;
-      c
+  let c, stores = pushed t.counters name in
+  t.counters <- stores;
+  c
 
 let gauge t name =
-  match Hashtbl.find_opt t.gauges name with
-  | Some g -> g
-  | None ->
-      let g = { g_name = name; g_value = 0.0 } in
-      Hashtbl.add t.gauges name g;
-      g
+  let g, stores = pushed t.gauges name in
+  t.gauges <- stores;
+  g
+
+let pull_counter t name read = t.counters <- pulled t t.counters name read
+let pull_gauge t name read = t.gauges <- pulled t t.gauges name read
 
 let histogram ?(lo = 0.01) ?(hi = 1e9) t name =
-  match Hashtbl.find_opt t.histos name with
+  match Names.find_opt name t.histos with
   | Some h -> h
   | None ->
-      let h = { h_name = name; h_hist = Wafl_util.Histogram.create ~lo ~hi () } in
-      Hashtbl.add t.histos name h;
+      let h = { h_hist = Wafl_util.Histogram.create ~lo ~hi () } in
+      t.histos <- Names.add name h t.histos;
       h
 
 (* --- write side (hot path: one mutation, no lookup) ---------------------- *)
 
-let incr c = c.c_value <- c.c_value +. 1.0
-let add c n = c.c_value <- c.c_value +. float_of_int n
-let addf c d = c.c_value <- c.c_value +. d
-let set g v = g.g_value <- v
+let incr c = c.value <- c.value +. 1.0
+let add c n = c.value <- c.value +. float_of_int n
+let addf c d = c.value <- c.value +. d
+let set g v = g.value <- v
 let observe h v = Wafl_util.Histogram.add h.h_hist v
 
-(* --- read side (sorted, deterministic) ----------------------------------- *)
+(* --- read side (name order, deterministic) ------------------------------- *)
 
-let counter_value t name =
-  match Hashtbl.find_opt t.counters name with Some c -> c.c_value | None -> 0.0
+let read = function
+  | Pushed cell -> cell.value
+  | Pulled reads -> List.fold_left (fun acc read -> acc +. read ()) 0.0 reads
 
-let gauge_value t name =
-  match Hashtbl.find_opt t.gauges name with Some g -> g.g_value | None -> 0.0
-
-let histo t name = Option.map (fun h -> h.h_hist) (Hashtbl.find_opt t.histos name)
-
-let sorted_of tbl value =
-  (* lint-ok: sorted before use. *)
-  Hashtbl.fold (fun k v acc -> (k, value v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let counters t = sorted_of t.counters (fun c -> c.c_value)
-let gauges t = sorted_of t.gauges (fun g -> g.g_value)
-let histograms t = sorted_of t.histos (fun h -> h.h_hist)
-
-let clear t =
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
-  Hashtbl.reset t.histos
+let value_of stores name = match Names.find_opt name stores with Some s -> read s | None -> 0.0
+let counter_value t name = value_of t.counters name
+let gauge_value t name = value_of t.gauges name
+let histo t name = Option.map (fun h -> h.h_hist) (Names.find_opt name t.histos)
+let values stores value = List.map (fun (k, s) -> (k, value s)) (Names.bindings stores)
+let counters t = values t.counters read
+let gauges t = values t.gauges read
+let histograms t = values t.histos (fun h -> h.h_hist)

@@ -42,29 +42,35 @@ type window = {
 
 type snapshot = { s_window_us : float; s_windows : window list }
 
-(* Open-window per-volume accumulator; sealed into an immutable vol_row. *)
-type acc = {
+(* One volume's slot, indexed by volume id.  The open-window counters
+   restart at the volume's first feed in each window ([seq] tells whether
+   they belong to the open one); the cumulative admitted/completed persist
+   across windows so a quiet volume with outstanding backlog still gets a
+   row. *)
+type slot = {
+  mutable seq : int;  (* window of the counters below; -1: not fed yet *)
   mutable a_writes : int;
   mutable a_admitted : int;
   mutable a_throttled : int;
   mutable a_shed : int;
   mutable a_completed : int;
-  a_lat : Histogram.t;
+  mutable a_lat : Histogram.t;
+  mutable t_admitted : int;
+  mutable t_completed : int;
 }
-
-(* Cumulative per-volume admitted/completed, persisted across windows so a
-   quiet volume with outstanding backlog still gets a row. *)
-type totals = { mutable t_admitted : int; mutable t_completed : int }
 
 type t = {
   eng : Engine.t;
   cfg : config;
-  mutable sources : (string * (unit -> float) * float ref) list;  (* name, read, prev *)
-  mutable gauges : (string * (unit -> float)) list;
-  mutable hsources : (string * (unit -> Histogram.t option) * Histogram.t option ref) list;
+  (* The watched registry and names ({!watch}): counters with their value
+     at the previous seal, histograms with their contents then (None
+     until the instrument exists). *)
+  mutable reg : Metrics.t;
+  mutable counters : (string * float ref) list;
+  mutable gauges : string list;
+  mutable histos : (string * Histogram.t option ref) list;
   mutable seal_cbs : (t -> window -> unit) list;  (* reverse registration order *)
-  vols : (int, acc) Hashtbl.t;  (* open window *)
-  totals : (int, totals) Hashtbl.t;
+  mutable slots : slot option array;  (* by volume id *)
   mutable ring : window list;  (* newest first, length <= cfg.windows *)
   mutable cur_seq : int;  (* grid index of the open window *)
 }
@@ -87,95 +93,75 @@ let create ?(config = default_config) eng =
   {
     eng;
     cfg;
-    sources = [];
+    reg = Metrics.create ();
+    counters = [];
     gauges = [];
-    hsources = [];
+    histos = [];
     seal_cbs = [];
-    vols = Hashtbl.create 64;
-    totals = Hashtbl.create 64;
+    slots = [||];
     ring = [];
     cur_seq = seq_of cfg (Engine.now eng);
   }
 
 let config t = t.cfg
 
-let add_source t ~name f = t.sources <- t.sources @ [ (name, f, ref (f ())) ]
-let add_gauge t ~name f = t.gauges <- t.gauges @ [ (name, f) ]
-let add_hsource t ~name f = t.hsources <- t.hsources @ [ (name, f, ref None) ]
-let on_seal t cb = t.seal_cbs <- cb :: t.seal_cbs
+let watch t reg ~counters ~gauges ~histograms =
+  let names = List.sort_uniq String.compare in
+  t.reg <- reg;
+  t.counters <- List.map (fun n -> (n, ref (Metrics.counter_value reg n))) (names counters);
+  t.gauges <- names gauges;
+  t.histos <- List.map (fun n -> (n, ref None)) (names histograms)
 
-let by_name (a, _) (b, _) = compare a b
+let on_seal t cb = t.seal_cbs <- cb :: t.seal_cbs
 
 let seal_window t seq =
   let counters =
     List.map
-      (fun (name, read, prev) ->
-        let v = read () in
+      (fun (name, prev) ->
+        let v = Metrics.counter_value t.reg name in
         let d = v -. !prev in
         prev := v;
         (name, d))
-      t.sources
-    |> List.sort by_name
+      t.counters
   in
-  let gauges = List.map (fun (name, read) -> (name, read ())) t.gauges |> List.sort by_name in
+  let gauges = List.map (fun name -> (name, Metrics.gauge_value t.reg name)) t.gauges in
   let sketches =
     List.filter_map
-      (fun (name, read, prev) ->
-        match read () with
+      (fun (name, prev) ->
+        match Metrics.histo t.reg name with
         | None -> None
         | Some h ->
             let d =
               match !prev with
-              | None -> Histogram.copy h  (* instrument created after attach *)
+              | None -> Histogram.copy h  (* instrument created after [watch] *)
               | Some p -> Histogram.delta ~baseline:p h
             in
             prev := Some (Histogram.copy h);
             Some (name, d))
-      t.hsources
-    |> List.sort by_name
+      t.histos
   in
-  let backlog vol =
-    match Hashtbl.find_opt t.totals vol with
-    | None -> 0
-    | Some tot -> tot.t_admitted - tot.t_completed
-  in
-  let active =
-    Hashtbl.fold (* lint-ok: sorted before use *)
-      (fun vol a rows ->
-        ( vol,
-          {
-            vr_writes = a.a_writes;
-            vr_admitted = a.a_admitted;
-            vr_throttled = a.a_throttled;
-            vr_shed = a.a_shed;
-            vr_completed = a.a_completed;
-            vr_backlog = backlog vol;
-            vr_lat = a.a_lat;
-          } )
-        :: rows)
-      t.vols []
-  in
-  (* Quiet volumes with outstanding backlog still get a (zero-activity) row. *)
-  let quiet =
-    Hashtbl.fold (* lint-ok: sorted before use *)
-      (fun vol _tot rows ->
-        if Hashtbl.mem t.vols vol || backlog vol = 0 then rows
-        else
+  (* Rows in id order: volumes fed this window, and quiet ones with
+     outstanding backlog (zero-activity rows). *)
+  let vols = ref [] in
+  for vol = Array.length t.slots - 1 downto 0 do
+    match t.slots.(vol) with
+    | Some s when s.seq = seq || s.t_admitted <> s.t_completed ->
+        let fed = s.seq = seq in
+        let n x = if fed then x else 0 in
+        vols :=
           ( vol,
             {
-              vr_writes = 0;
-              vr_admitted = 0;
-              vr_throttled = 0;
-              vr_shed = 0;
-              vr_completed = 0;
-              vr_backlog = backlog vol;
-              vr_lat = mk_lat t.cfg;
+              vr_writes = n s.a_writes;
+              vr_admitted = n s.a_admitted;
+              vr_throttled = n s.a_throttled;
+              vr_shed = n s.a_shed;
+              vr_completed = n s.a_completed;
+              vr_backlog = s.t_admitted - s.t_completed;
+              vr_lat = (if fed then s.a_lat else mk_lat t.cfg);
             } )
-          :: rows)
-      t.totals []
-  in
-  let vols = List.sort (fun (a, _) (b, _) -> compare a b) (active @ quiet) in
-  Hashtbl.reset t.vols;
+          :: !vols
+    | _ -> ()
+  done;
   let w =
     {
       w_seq = seq;
@@ -184,7 +170,7 @@ let seal_window t seq =
       w_counters = counters;
       w_gauges = gauges;
       w_sketches = sketches;
-      w_vols = vols;
+      w_vols = !vols;
     }
   in
   t.ring <- w :: t.ring;
@@ -193,7 +179,7 @@ let seal_window t seq =
   List.iter (fun cb -> cb t w) (List.rev t.seal_cbs)
 
 (* Lazy sealing: called from every write-side entry point.  The rollup's
-   tables are touched by every client fiber, so declare them shared. *)
+   slots are touched by every client fiber, so declare them shared. *)
 let roll t =
   Engine.probe_atomic t.eng ~shared:"obs.rollup";
   let now = Engine.now t.eng in
@@ -203,48 +189,55 @@ let roll t =
     t.cur_seq <- t.cur_seq + 1
   done
 
-(* [find] rather than [find_opt]: these run on every client op, and a
-   hit then allocates nothing. *)
-let acc_of t vol =
-  match Hashtbl.find t.vols vol with
-  | a -> a
-  | exception Not_found ->
-      let a =
-        { a_writes = 0; a_admitted = 0; a_throttled = 0; a_shed = 0; a_completed = 0;
-          a_lat = mk_lat t.cfg }
-      in
-      Hashtbl.replace t.vols vol a;
-      a
-
-let totals_of t vol =
-  match Hashtbl.find t.totals vol with
-  | tot -> tot
-  | exception Not_found ->
-      let tot = { t_admitted = 0; t_completed = 0 } in
-      Hashtbl.replace t.totals vol tot;
-      tot
+(* The volume's slot with its counters in the open window.  The sealed
+   row kept the previous window's latency sketch, so a volume's first
+   feed in a window starts a fresh one. *)
+let slot_of t vol =
+  if vol >= Array.length t.slots then begin
+    let grown = Array.make (max (vol + 1) (2 * Array.length t.slots)) None in
+    Array.blit t.slots 0 grown 0 (Array.length t.slots);
+    t.slots <- grown
+  end;
+  let s =
+    match t.slots.(vol) with
+    | Some s -> s
+    | None ->
+        let s =
+          { seq = -1; a_writes = 0; a_admitted = 0; a_throttled = 0; a_shed = 0;
+            a_completed = 0; a_lat = mk_lat t.cfg; t_admitted = 0; t_completed = 0 }
+        in
+        t.slots.(vol) <- Some s;
+        s
+  in
+  if s.seq <> t.cur_seq then begin
+    if s.seq >= 0 then s.a_lat <- mk_lat t.cfg;
+    s.seq <- t.cur_seq;
+    s.a_writes <- 0;
+    s.a_admitted <- 0;
+    s.a_throttled <- 0;
+    s.a_shed <- 0;
+    s.a_completed <- 0
+  end;
+  s
 
 let observe_write t ~vol lat =
   roll t;
-  let a = acc_of t vol in
-  a.a_writes <- a.a_writes + 1;
-  Histogram.add a.a_lat lat
+  let s = slot_of t vol in
+  s.a_writes <- s.a_writes + 1;
+  Histogram.add s.a_lat lat
 
 let count t ~vol kind =
   roll t;
-  let a = acc_of t vol in
-  (match kind with
+  let s = slot_of t vol in
+  match kind with
   | `Admitted ->
-      a.a_admitted <- a.a_admitted + 1;
-      let tot = totals_of t vol in
-      tot.t_admitted <- tot.t_admitted + 1
-  | `Throttled -> a.a_throttled <- a.a_throttled + 1
-  | `Shed -> a.a_shed <- a.a_shed + 1
+      s.a_admitted <- s.a_admitted + 1;
+      s.t_admitted <- s.t_admitted + 1
+  | `Throttled -> s.a_throttled <- s.a_throttled + 1
+  | `Shed -> s.a_shed <- s.a_shed + 1
   | `Completed ->
-      a.a_completed <- a.a_completed + 1;
-      let tot = totals_of t vol in
-      tot.t_completed <- tot.t_completed + 1);
-  ()
+      s.a_completed <- s.a_completed + 1;
+      s.t_completed <- s.t_completed + 1
 
 let recent t n = List.filteri (fun i _ -> i < n) t.ring
 
@@ -366,37 +359,24 @@ let snapshot_of_json j =
 
 (* --- deterministic shard merge ------------------------------------------- *)
 
-let merge_kvs a b =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) a;
-  List.iter
-    (fun (k, v) ->
-      match Hashtbl.find_opt tbl k with
-      | None -> Hashtbl.replace tbl k v
-      | Some v0 -> Hashtbl.replace tbl k (v0 +. v))
-    b;
-  Hashtbl.fold (fun k v l -> (k, v) :: l) tbl [] (* lint-ok: sorted before use *)
-  |> List.sort by_name
-
-let merge_sketches a b =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (k, h) -> Hashtbl.replace tbl k h) a;
-  List.iter
-    (fun (k, h) ->
-      match Hashtbl.find_opt tbl k with
-      | None -> Hashtbl.replace tbl k h
-      | Some h0 -> Hashtbl.replace tbl k (Histogram.merge h0 h))
-    b;
-  Hashtbl.fold (fun k v l -> (k, v) :: l) tbl [] (* lint-ok: sorted before use *)
-  |> List.sort by_name
+(* One linear merge of two key-sorted lists; equal keys combine, [a]'s
+   value first. *)
+let rec merge_sorted cmp combine a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | ((ka, va) as x) :: ta, ((kb, vb) as y) :: tb ->
+      let c = cmp ka kb in
+      if c < 0 then x :: merge_sorted cmp combine ta b
+      else if c > 0 then y :: merge_sorted cmp combine a tb
+      else (ka, combine va vb) :: merge_sorted cmp combine ta tb
 
 let merge_windows a b =
   {
     a with
-    w_counters = merge_kvs a.w_counters b.w_counters;
-    w_gauges = merge_kvs a.w_gauges b.w_gauges;
-    w_sketches = merge_sketches a.w_sketches b.w_sketches;
-    w_vols = List.sort (fun (x, _) (y, _) -> compare x y) (a.w_vols @ b.w_vols);
+    w_counters = merge_sorted String.compare ( +. ) a.w_counters b.w_counters;
+    w_gauges = merge_sorted String.compare ( +. ) a.w_gauges b.w_gauges;
+    w_sketches = merge_sorted String.compare Histogram.merge a.w_sketches b.w_sketches;
+    w_vols = List.merge (fun (x, _) (y, _) -> Int.compare x y) a.w_vols b.w_vols;
   }
 
 let merge_snapshots snaps =
@@ -408,24 +388,18 @@ let merge_snapshots snaps =
           if s.s_window_us <> first.s_window_us then
             invalid_arg "Rollup.merge_snapshots: window_us mismatch")
         rest;
-      let namespaced (ns, s) =
+      (* Each shard's windows, oldest first and keyed by grid index, with
+         its volume ids namespaced. *)
+      let keyed (ns, s) =
         List.map
           (fun w ->
-            { w with w_vols = List.map (fun (v, r) -> ((ns lsl 16) lor v, r)) w.w_vols })
+            ( w.w_seq,
+              { w with w_vols = List.map (fun (v, r) -> ((ns lsl 16) lor v, r)) w.w_vols } ))
           s.s_windows
       in
-      let tbl = Hashtbl.create 64 in
-      List.iter
-        (fun (ns, s) ->
-          List.iter
-            (fun w ->
-              match Hashtbl.find_opt tbl w.w_seq with
-              | None -> Hashtbl.replace tbl w.w_seq w
-              | Some w0 -> Hashtbl.replace tbl w.w_seq (merge_windows w0 w))
-            (namespaced (ns, s)))
-        snaps;
       let windows =
-        Hashtbl.fold (fun _ w l -> w :: l) tbl [] (* lint-ok: sorted before use *)
-        |> List.sort (fun a b -> compare a.w_seq b.w_seq)
+        List.fold_left
+          (fun acc snap -> merge_sorted Int.compare merge_windows acc (keyed snap))
+          [] snaps
       in
-      { s_window_us = first.s_window_us; s_windows = windows }
+      { s_window_us = first.s_window_us; s_windows = List.map snd windows }

@@ -1,8 +1,9 @@
 (** Bounded-memory sliding-window telemetry rollups (virtual time).
 
     A rollup keeps a fixed ring of time windows.  Each sealed window holds
-    counter deltas (sampled from cumulative sources), gauge readings,
-    log-bucketed latency sketches, and per-volume activity rows.  Memory
+    counter deltas, gauge readings and histogram deltas, read by name
+    from the run's {!Metrics} registry ({!watch}), plus per-volume
+    activity rows with log-bucketed latency sketches.  Memory
     is O(volumes x windows), independent of run length, with an explicit
     per-volume byte budget checked at {!create}.
 
@@ -67,17 +68,15 @@ val vol_window_bytes : config -> int
 
 (** {1 Feeding} *)
 
-val add_source : t -> name:string -> (unit -> float) -> unit
-(** Register a cumulative counter source; each sealed window records the
-    delta since the previous seal (first window: since registration). *)
-
-val add_gauge : t -> name:string -> (unit -> float) -> unit
-(** Register a gauge; sampled as-is at each seal. *)
-
-val add_hsource : t -> name:string -> (unit -> Wafl_util.Histogram.t option) -> unit
-(** Register a cumulative histogram source; each sealed window records
-    the bucket-wise delta since the previous seal.  [None] readings are
-    skipped (the instrument does not exist yet). *)
+val watch :
+  t -> Metrics.t -> counters:string list -> gauges:string list -> histograms:string list -> unit
+(** Name what the rollup reads from a run's registry at each seal: every
+    sealed window records each counter's delta since the previous seal
+    (first window: since [watch]), each gauge's current value, and each
+    histogram's bucket-wise delta.  Missing counters and gauges read 0,
+    so each watched name appears in every window; a histogram appears
+    once its instrument exists.  A later [watch] replaces the earlier
+    one. *)
 
 val observe_write : t -> vol:int -> float -> unit
 (** Record one completed write for [vol] with the given end-to-end

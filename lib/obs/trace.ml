@@ -54,9 +54,10 @@ let enabled t = t.state <> None
 (* Writes to this registry are lost by design: disabled instrumentation
    that registers instruments anyway lands here.  One registry per
    domain (not one per process): concurrent untraced runs on worker
-   domains (Wafl_util.Pool) would otherwise race on the registry's
-   hash tables. *)
-let null_metrics_key : Metrics.t Domain.DLS.key = Domain.DLS.new_key Metrics.create
+   domains (Wafl_util.Pool) would otherwise race on the registry.  It
+   retains no pull instrument, so an untraced component is never kept
+   alive by it nor summed with another run's. *)
+let null_metrics_key : Metrics.t Domain.DLS.key = Domain.DLS.new_key Metrics.throwaway
 let metrics t = match t.state with Some s -> s.metrics | None -> Domain.DLS.get null_metrics_key
 let engine t = Option.map (fun s -> s.eng) t.state
 
@@ -210,6 +211,7 @@ let create ?ring_capacity ?(sample_interval = 10_000.0) ?(causal = false) eng =
       next_flow = 1;
     }
   in
+  Metrics.pull_counter s.metrics "trace.drops" (fun () -> float_of_int (Sink.dropped s.sink));
   Engine.set_obs_hooks eng
     {
       Engine.on_consume =

@@ -27,6 +27,9 @@ val create :
     [sample_interval] (default 10000.0 virtual microseconds) is the
     counter/gauge sampling period, [0.0] disables the timeseries.
 
+    The tracer publishes its ring's drop count in its registry as the
+    pull counter ["trace.drops"].
+
     [causal] (default [false]) additionally records causal edges — flow
     events pairing every asynchronous handoff's source and destination —
     and stamps each span with its fiber's active request context; see
@@ -34,10 +37,11 @@ val create :
 
 val metrics_only : Wafl_sim.Engine.t -> t
 (** Always-on telemetry attachment: {!enabled} is true, so component
-    instrumentation registers and updates in a live {!Metrics} registry,
-    but no spans are recorded, no engine hooks are installed, and the CPU
-    profile stays empty.  The cheap substrate for {!Rollup} when no full
-    tracer is attached. *)
+    instrumentation registers, updates and publishes in a live
+    {!Metrics} registry, but no spans are recorded, no engine hooks are
+    installed, and the CPU profile stays empty.  [Driver.run] attaches
+    one whenever the caller's tracer is disabled, so every run has a
+    registry its measurement window and {!Rollup} read by name. *)
 
 val enabled : t -> bool
 val causal : t -> bool
@@ -45,8 +49,9 @@ val engine : t -> Wafl_sim.Engine.t option
 
 val metrics : t -> Metrics.t
 (** The tracer's metrics registry.  On a disabled tracer this returns a
-    shared throwaway registry, so instrumentation may register and update
-    instruments unconditionally. *)
+    shared throwaway registry ({!Metrics.throwaway}: one per domain, it
+    retains no pull instrument), so instrumentation may register and
+    update instruments unconditionally. *)
 
 (** {1 Recording} *)
 

@@ -251,6 +251,11 @@ let create ?(queue_depth = 4) ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost 
       rebuilt = 0;
     }
   in
+  let pull name f = Wafl_obs.Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
+  pull "raid.full_stripes" (fun () -> t.full);
+  pull "raid.partial_stripes" (fun () -> t.partial);
+  pull "rebuild.blocks" (fun () -> t.rebuilt);
+  Wafl_obs.Metrics.pull_gauge m "rebuild.active" (fun () -> if t.degraded then 1.0 else 0.0);
   for _ = 1 to queue_depth do
     ignore (Engine.spawn eng ~label:"io" (service_fiber t))
   done;

@@ -256,56 +256,15 @@ let validate spec =
   if working_set * 3 / 2 >= capacity then
     bad "working set %d too large for aggregate of %d blocks" working_set capacity
 
-(* The run's cumulative counters, by name.  The measurement window reads
-   them all when it opens and when it closes and reports its deltas from
-   them; the telemetry rollup takes its cumulative sources from here. *)
-let cumulative agg walloc metrics =
-  let cp = Wafl_core.Walloc.cp walloc
-  and infra = Wafl_core.Walloc.infra walloc
-  and pool = Wafl_core.Walloc.pool walloc
-  and ctrs = Aggregate.counters agg in
-  let int f () = float_of_int (f ()) in
-  let counter name = int (fun () -> Counters.read ctrs name) in
-  let raid f =
-    int (fun () -> Array.fold_left (fun acc r -> acc + f r) 0 (Aggregate.raid_groups agg))
-  in
-  let flash f () = List.fold_left (fun acc ftl -> acc +. f ftl) 0.0 (Aggregate.ftls agg) in
-  let flash_int f = flash (fun ftl -> float_of_int (f ftl)) in
-  [
-    ("cp.count", int (fun () -> Wafl_core.Cp.cps_completed cp));
-    ("cp.b2b", counter "b2b_cps");
-    ("cp.b2b_episodes", counter "b2b_episodes");
-    ("nvlog.stall_us", fun () -> Aggregate.stall_time agg);
-    ("nvlog.hard_dwell_us", fun () -> Aggregate.hard_dwell_time agg);
-    ("nvlog.exhausted", counter "nvlog_exhausted_writes");
-    ("cleaner.buffers", int (fun () -> Wafl_core.Cleaner_pool.buffers_cleaned pool));
-    ("cleaner.messages", int (fun () -> Wafl_core.Cleaner_pool.messages_processed pool));
-    ("cleaner.get_waits", int (fun () -> Wafl_core.Cleaner_pool.get_waits pool));
-    ("infra.vbns_allocated", int (fun () -> Wafl_core.Infra.vbns_allocated infra));
-    ("infra.vbns_freed", int (fun () -> Wafl_core.Infra.vbns_freed infra));
-    ("infra.metafile_blocks", int (fun () -> Wafl_core.Infra.metafile_blocks_touched infra));
-    ("infra.messages", int (fun () -> Wafl_core.Infra.messages_posted infra));
-    ("raid.full_stripes", raid Wafl_storage.Raid.full_stripes);
-    ("raid.partial_stripes", raid Wafl_storage.Raid.partial_stripes);
-    ("rebuild.blocks", raid Wafl_storage.Raid.rebuild_blocks);
-    ("flash.host_pages", flash_int Wafl_flash.Ftl.host_pages);
-    ("flash.gc_pages", flash_int Wafl_flash.Ftl.gc_pages);
-    ("flash.erases", flash_int Wafl_flash.Ftl.erases);
-    ("flash.gc_stall_us", flash Wafl_flash.Ftl.gc_stall_us);
-    ("qos.shed_ops", fun () -> Wafl_obs.Metrics.counter_value metrics "qos.shed_ops");
-  ]
-
 let run spec =
   validate spec;
   let eng = Engine.create ~cores:spec.cores ~sanitize:spec.sanitize () in
   let user_obs = spec.obs eng in
-  (* Telemetry needs a live metrics registry; when no full tracer is
-     attached, the metrics-only tracer provides one without recording
-     spans or installing engine hooks. *)
-  let obs =
-    if Wafl_obs.Trace.enabled user_obs || spec.telemetry = None then user_obs
-    else Wafl_obs.Trace.metrics_only eng
-  in
+  (* Every run has a live registry: the measurement window and the
+     telemetry rollup read their counts from it by name.  When no full
+     tracer is attached, the metrics-only tracer provides one without
+     recording spans or installing engine hooks. *)
+  let obs = if Wafl_obs.Trace.enabled user_obs then user_obs else Wafl_obs.Trace.metrics_only eng in
   let agg =
     Aggregate.create eng ~cost:spec.cost ~geometry:spec.geometry ~nvlog_half:spec.nvlog_half
       ?nvlog_watermarks:spec.watermarks ?flash:spec.flash ~cache_blocks:spec.cache_blocks ~obs
@@ -314,34 +273,35 @@ let run spec =
   let walloc = Wafl_core.Walloc.create ~obs agg spec.cfg in
   let cp = Wafl_core.Walloc.cp walloc and pool = Wafl_core.Walloc.pool walloc in
   let m = Wafl_obs.Trace.metrics obs in
-  let readers = cumulative agg walloc m in
-  (* Fleet telemetry: register cumulative sources over the existing
-     counters and metrics; windows seal lazily from the per-op feeds
-     below, so no fiber is spawned and the run stays bit-identical. *)
+  (* End-to-end latency decomposition (DESIGN.md §4.10): per-op-kind
+     histograms plus the time writes spend throttled behind CP progress. *)
+  let h_e2e_read = Wafl_obs.Metrics.histogram m "op.e2e_us.read" in
+  let h_e2e_write = Wafl_obs.Metrics.histogram m "op.e2e_us.write" in
+  let h_e2e_meta = Wafl_obs.Metrics.histogram m "op.e2e_us.meta" in
+  let h_throttle = Wafl_obs.Metrics.histogram m "op.throttle_us" in
+  let h_qos_wait = Wafl_obs.Metrics.histogram m "qos.queue_wait_us" in
+  let c_qos_admitted = Wafl_obs.Metrics.counter m "qos.admitted_ops" in
+  let c_qos_throttled = Wafl_obs.Metrics.counter m "qos.throttled_ops" in
+  let c_qos_shed = Wafl_obs.Metrics.counter m "qos.shed_ops" in
+  (* Fleet telemetry: the rollup watches the run's registry; windows seal
+     lazily from the per-op feeds below, so no fiber is spawned and the
+     run stays bit-identical.  Ring drops only exist on a user-attached
+     tracer; the internal metrics-only tracer records nothing. *)
   let telem =
     match spec.telemetry with
     | None -> None
     | Some tcfg ->
         let roll = Wafl_obs.Rollup.create ~config:tcfg.rollup eng in
         let health = Wafl_obs.Health.create ~rules:tcfg.rules roll in
-        List.iter
-          (fun name -> Wafl_obs.Rollup.add_source roll ~name (List.assoc name readers))
-          [ "cp.count"; "cp.b2b"; "nvlog.stall_us"; "nvlog.hard_dwell_us";
-            "flash.gc_stall_us"; "rebuild.blocks"; "qos.shed_ops" ];
-        (* Ring drops only exist on a user-attached tracer; the internal
-           metrics-only tracer records nothing. *)
-        if Wafl_obs.Trace.enabled user_obs then
-          Wafl_obs.Rollup.add_source roll ~name:"trace.drops" (fun () ->
-              float_of_int (Wafl_obs.Trace.dropped user_obs));
-        Wafl_obs.Rollup.add_gauge roll ~name:"rebuild.active" (fun () ->
-            float_of_int
-              (Array.fold_left
-                 (fun acc r -> acc + if Wafl_storage.Raid.degraded r then 1 else 0)
-                 0 (Aggregate.raid_groups agg)));
-        List.iter
-          (fun name -> Wafl_obs.Rollup.add_hsource roll ~name (fun () -> Wafl_obs.Metrics.histo m name))
-          [ "op.e2e_us.write"; "qos.queue_wait_us"; "cp.duration_us"; "cp.phase_us.cleaning";
-            "cp.phase_us.flush"; "cp.phase_us.metafiles"; "cp.phase_us.io-flush" ];
+        Wafl_obs.Rollup.watch roll m
+          ~counters:
+            ((if Wafl_obs.Trace.enabled user_obs then [ "trace.drops" ] else [])
+            @ [ "cp.count"; "cp.b2b"; "nvlog.stall_us"; "nvlog.hard_dwell_us";
+                "flash.gc_stall_us"; "rebuild.blocks"; "qos.shed_ops" ])
+          ~gauges:[ "rebuild.active" ]
+          ~histograms:
+            [ "op.e2e_us.write"; "qos.queue_wait_us"; "cp.duration_us"; "cp.phase_us.cleaning";
+              "cp.phase_us.flush"; "cp.phase_us.metafiles"; "cp.phase_us.io-flush" ];
         Some (roll, health)
   in
   let files_per_client, file_blocks = files_of_workload spec.workload in
@@ -399,18 +359,6 @@ let run spec =
   (* --- clients --- *)
   let sched = Wafl_core.Walloc.scheduler walloc in
   let window = tally () and recording = ref false in
-  (* End-to-end latency decomposition (DESIGN.md §4.10): per-op-kind
-     histograms plus the time writes spend throttled behind CP progress.
-     On a disabled tracer these land in a throwaway registry. *)
-  let obs_on = Wafl_obs.Trace.enabled obs in
-  let h_e2e_read = Wafl_obs.Metrics.histogram m "op.e2e_us.read" in
-  let h_e2e_write = Wafl_obs.Metrics.histogram m "op.e2e_us.write" in
-  let h_e2e_meta = Wafl_obs.Metrics.histogram m "op.e2e_us.meta" in
-  let h_throttle = Wafl_obs.Metrics.histogram m "op.throttle_us" in
-  let h_qos_wait = Wafl_obs.Metrics.histogram m "qos.queue_wait_us" in
-  let c_qos_admitted = Wafl_obs.Metrics.counter m "qos.admitted_ops" in
-  let c_qos_throttled = Wafl_obs.Metrics.counter m "qos.throttled_ops" in
-  let c_qos_shed = Wafl_obs.Metrics.counter m "qos.shed_ops" in
   let master_rng = Wafl_util.Rng.create ~seed:spec.seed in
   let active_samples = ref 0 and active_sum = ref 0 in
   (* Waiting for NVLog space is where CP back-pressure surfaces in
@@ -419,7 +367,7 @@ let run spec =
   let throttled_wait () =
     let w0 = Engine.now eng in
     Aggregate.wait_for_log_space agg;
-    if obs_on then Wafl_obs.Metrics.observe h_throttle (Engine.now eng -. w0)
+    Wafl_obs.Metrics.observe h_throttle (Engine.now eng -. w0)
   in
   let write_cost =
     let c = spec.cost in
@@ -485,19 +433,17 @@ let run spec =
                   (fun () -> Engine.consume spec.cost.Cost.client_meta);
                 `M
           in
-          if obs_on then begin
-            (* Recorded inside the root so the op span carries its
-               request context. *)
-            let name, h =
-              match kind with
-              | `R -> ("read", h_e2e_read)
-              | `W -> ("write", h_e2e_write)
-              | `M -> ("meta", h_e2e_meta)
-            in
-            let dur = Engine.now eng -. started in
-            Wafl_obs.Metrics.observe h dur;
-            Wafl_obs.Trace.complete obs ~cat:"op" ~name ~ts:started ~dur ()
-          end;
+          (* Recorded inside the root so the op span carries its request
+             context. *)
+          let name, h =
+            match kind with
+            | `R -> ("read", h_e2e_read)
+            | `W -> ("write", h_e2e_write)
+            | `M -> ("meta", h_e2e_meta)
+          in
+          let dur = Engine.now eng -. started in
+          Wafl_obs.Metrics.observe h dur;
+          Wafl_obs.Trace.complete obs ~cat:"op" ~name ~ts:started ~dur ();
           (match telem with
           | Some (roll, _) when kind = `W ->
               Wafl_obs.Rollup.observe_write roll ~vol (Engine.now eng -. started)
@@ -611,15 +557,20 @@ let run spec =
   (* --- warmup --- *)
   Engine.run ~until:(Engine.now eng +. spec.warmup) eng;
   Engine.reset_accounting eng;
-  (* --- measurement: one window over every cumulative reader --- *)
-  let read_all () = List.map (fun (name, read) -> (name, read ())) readers in
+  (* --- measurement: one window over the registry's counts --- *)
+  let counted =
+    [ "cp.count"; "cp.b2b"; "cp.b2b_episodes"; "nvlog.stall_us"; "nvlog.exhausted";
+      "cleaner.buffers"; "cleaner.messages"; "cleaner.get_waits"; "infra.vbns_allocated";
+      "infra.vbns_freed"; "infra.metafile_blocks"; "infra.messages"; "raid.full_stripes";
+      "raid.partial_stripes"; "flash.host_pages"; "flash.gc_pages"; "flash.erases";
+      "flash.gc_stall_us" ]
+  in
   recording := true;
-  let opened = read_all () in
+  let opened = List.map (fun name -> (name, Wafl_obs.Metrics.counter_value m name)) counted in
   let t0 = Engine.now eng in
   Engine.run ~until:(t0 +. spec.measure) eng;
   recording := false;
-  let closed = read_all () in
-  let delta name = List.assoc name closed -. List.assoc name opened in
+  let delta name = Wafl_obs.Metrics.counter_value m name -. List.assoc name opened in
   let count name = int_of_float (delta name) in
   let duration = Engine.now eng -. t0 in
   let ops = Wafl_util.Histogram.count window.hist in

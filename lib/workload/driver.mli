@@ -19,10 +19,12 @@
       at completion even after the window closes, so overload backlog is
       visible rather than censored.
 
-    Window counters (CPs, cleaning, allocation, stripes, NVLog, flash)
-    are deltas of one table of cumulative readers, read when the window
-    opens and when it closes; telemetry rollup sources share those
-    readers. *)
+    Every run has a live metrics registry: the caller's tracer when it
+    is enabled, {!Wafl_obs.Trace.metrics_only} otherwise.  Components
+    publish their cumulative counts there (DESIGN.md §4.8), and window
+    counters (CPs, cleaning, allocation, stripes, NVLog, flash) are
+    deltas of those counts read by name when the window opens and when
+    it closes; the telemetry rollup watches the same registry. *)
 
 type workload =
   | Seq_write of { file_blocks : int }
@@ -102,15 +104,16 @@ type spec = {
   sanitize : bool;  (** run under the race detector and isolation checker *)
   telemetry : telemetry option;
       (** attach fleet telemetry; [None] (default) is bit-identical to
-          the pre-telemetry driver.  When set and no full tracer is
-          attached, the run uses {!Wafl_obs.Trace.metrics_only} so the
-          rollup can pull live metric histograms. *)
+          the pre-telemetry driver.  The rollup reads the run's registry
+          by name ({!Wafl_obs.Rollup.watch}). *)
   obs : Wafl_sim.Engine.t -> Wafl_obs.Trace.t;
       (** tracer factory, called once with the run's engine before any
           component is built.  Default returns [Wafl_obs.Trace.disabled];
           to trace a run, return [Wafl_obs.Trace.create eng] and capture
-          the tracer through a [ref] to export it afterwards.  Tracing
-          never changes results (see DESIGN.md §4.8). *)
+          the tracer through a [ref] to export it afterwards.  When the
+          returned tracer is disabled, the run attaches
+          {!Wafl_obs.Trace.metrics_only} instead, so it is metrics-only.
+          Tracing never changes results (see DESIGN.md §4.8). *)
 }
 
 val default_spec : spec

@@ -103,6 +103,36 @@ let test_metrics () =
   Metrics.incr (Metrics.counter (Trace.metrics Trace.disabled) "x");
   Alcotest.(check bool) "disabled tracer is disabled" false (Trace.enabled Trace.disabled)
 
+(* Pull instruments: a component publishes a value it keeps anyway. *)
+let test_pull_instruments () =
+  let m = Metrics.create () in
+  (* Same-name pulls sum in registration order: left to right, 1.0 is
+     absorbed by 1e16 and the sum is 0; summed in reverse it is 1. *)
+  List.iter (fun v -> Metrics.pull_counter m "p.sum" (fun () -> v)) [ 1.0; 1e16; -1e16 ];
+  Alcotest.(check (float 0.0)) "summed in registration order" 0.0
+    (Metrics.counter_value m "p.sum");
+  let cell = ref 2 in
+  Metrics.pull_counter m "b.pulled" (fun () -> float_of_int !cell);
+  Metrics.incr (Metrics.counter m "c.pushed");
+  Metrics.incr (Metrics.counter m "a.pushed");
+  cell := 5;
+  Alcotest.(check (list (pair string (float 0.0)))) "pulled and pushed, sorted by name"
+    [ ("a.pushed", 1.0); ("b.pulled", 5.0); ("c.pushed", 1.0); ("p.sum", 0.0) ]
+    (Metrics.counters m);
+  Metrics.pull_gauge m "g" (fun () -> 1.0);
+  Metrics.pull_gauge m "g" (fun () -> 1.0);
+  Alcotest.(check (float 0.0)) "pull gauges sum" 2.0 (Metrics.gauge_value m "g");
+  Alcotest.check_raises "one name is pushed or pulled, never both"
+    (Invalid_argument "Metrics: c.pushed is both pushed and pulled") (fun () ->
+      Metrics.pull_counter m "c.pushed" (fun () -> 0.0));
+  (* The disabled tracer's shared registry retains no pull instrument. *)
+  let null = Trace.metrics Trace.disabled in
+  Metrics.pull_counter null "untraced.pull" (fun () -> 1.0);
+  Metrics.pull_gauge null "untraced.gauge" (fun () -> 1.0);
+  Alcotest.(check bool) "no entry in the throwaway registry" false
+    (List.mem_assoc "untraced.pull" (Metrics.counters null)
+    || List.mem_assoc "untraced.gauge" (Metrics.gauges null))
+
 let test_ring_drop () =
   let eng = Engine.create ~cores:1 () in
   let t = Trace.create ~ring_capacity:8 ~sample_interval:0.0 eng in
@@ -234,7 +264,11 @@ let () =
           Alcotest.test_case "span closed on exception" `Quick test_span_exception;
           Alcotest.test_case "ring buffer drops oldest" `Quick test_ring_drop;
         ] );
-      ("metrics", [ Alcotest.test_case "registry" `Quick test_metrics ]);
+      ( "metrics",
+        [
+          Alcotest.test_case "registry" `Quick test_metrics;
+          Alcotest.test_case "pull instruments" `Quick test_pull_instruments;
+        ] );
       ( "export",
         [
           Alcotest.test_case "chrome trace JSON parses back" `Slow test_export_parses;

@@ -229,6 +229,58 @@ let test_thousand_volume_budget () =
     true
     (per_vol <= cfg.Rollup.vol_budget_bytes)
 
+(* --- sparse volume ids ----------------------------------------------------- *)
+
+(* Only volumes 3 and 9 are ever fed; volume 3 goes quiet with a backlog
+   (a zero-activity row) and drops out once drained.  Expected rows were
+   recorded from the hash-table implementation the slot array replaced. *)
+let test_sparse_volumes () =
+  let cfg = Rollup.default_config in
+  let w = cfg.Rollup.window_us in
+  let eng = Wafl_sim.Engine.create ~cores:1 () in
+  let roll = Rollup.create ~config:cfg eng in
+  let feed vol kinds = List.iter (fun k -> Rollup.count roll ~vol k) kinds in
+  ignore
+    (Wafl_sim.Engine.spawn eng (fun () ->
+         feed 3 [ `Admitted; `Admitted; `Admitted ];
+         Rollup.observe_write roll ~vol:3 10.0;
+         feed 3 [ `Completed ];
+         feed 9 [ `Admitted; `Throttled; `Shed ];
+         Rollup.observe_write roll ~vol:9 20.0;
+         feed 9 [ `Completed ];
+         Wafl_sim.Engine.sleep w;
+         feed 9 [ `Admitted ];
+         Rollup.observe_write roll ~vol:9 30.0;
+         Rollup.observe_write roll ~vol:9 40.0;
+         feed 9 [ `Completed ];
+         Wafl_sim.Engine.sleep w;
+         feed 3 [ `Completed; `Completed ];
+         Wafl_sim.Engine.sleep w;
+         feed 9 [ `Admitted ];
+         Wafl_sim.Engine.sleep w));
+  Wafl_sim.Engine.run eng;
+  let rows =
+    List.concat_map
+      (fun win ->
+        List.map
+          (fun (vol, r) ->
+            Printf.sprintf "w%d v%d: %d/%d/%d/%d/%d backlog %d lat %d" win.Rollup.w_seq vol
+              r.Rollup.vr_writes r.Rollup.vr_admitted r.Rollup.vr_throttled r.Rollup.vr_shed
+              r.Rollup.vr_completed r.Rollup.vr_backlog (Histogram.count r.Rollup.vr_lat))
+          win.Rollup.w_vols)
+      (Rollup.snapshot roll).Rollup.s_windows
+  in
+  Alcotest.(check (list string)) "rows"
+    [
+      "w0 v3: 1/3/0/0/1 backlog 2 lat 1";
+      "w0 v9: 1/1/1/1/1 backlog 0 lat 1";
+      "w1 v3: 0/0/0/0/0 backlog 2 lat 0";
+      "w1 v9: 2/1/0/0/1 backlog 0 lat 2";
+      "w2 v3: 0/0/0/0/2 backlog 0 lat 0";
+      "w3 v9: 0/1/0/0/0 backlog 1 lat 0";
+    ]
+    rows
+
 (* --- budget rejection ----------------------------------------------------- *)
 
 let test_budget_rejected () =
@@ -260,6 +312,7 @@ let () =
       ( "budget",
         [
           Alcotest.test_case "1000-volume smoke" `Quick test_thousand_volume_budget;
+          Alcotest.test_case "sparse volume ids" `Quick test_sparse_volumes;
           Alcotest.test_case "undersized budget rejected" `Quick test_budget_rejected;
         ] );
     ]
