@@ -54,6 +54,17 @@ let report_drops t =
        ring capacity or shorten the run)\n"
       dropped
 
+(* Write [t]'s Chrome trace to [path], then print the command's summary
+   ([summary retained dropped]) and the drop warning. *)
+let write_trace t path summary =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Wafl_obs.Trace.export_string t));
+  summary (Wafl_obs.Trace.event_count t) (Wafl_obs.Trace.dropped t);
+  report_drops t
+
+let read_file path =
+  try Ok (In_channel.with_open_bin path In_channel.input_all) with Sys_error e -> Error e
+
 let run_experiment name ~doc entries =
   let action scale sanitize domains trace_out causal_out =
     let last = ref Wafl_obs.Trace.disabled in
@@ -79,15 +90,10 @@ let run_experiment name ~doc entries =
     (match out with
     | None -> ()
     | Some (path, causal) ->
-        let oc = open_out path in
-        output_string oc (Wafl_obs.Trace.export_string !last);
-        close_out oc;
-        Printf.printf "wrote %s (the experiment's last run%s): %d events retained, %d dropped\n"
-          path
-          (if causal then ", with causal edges" else "")
-          (Wafl_obs.Trace.event_count !last)
-          (Wafl_obs.Trace.dropped !last);
-        report_drops !last);
+        write_trace !last path
+          (Printf.printf "wrote %s (the experiment's last run%s): %d events retained, %d dropped\n"
+             path
+             (if causal then ", with causal edges" else "")));
     H.Exp.print_shapes shapes;
     if List.for_all snd shapes then `Ok () else `Error (false, "some shape checks missed")
   in
@@ -169,13 +175,7 @@ let custom_run workload cleaners serial_infra dynamic clients cores measure_s th
   (match causal_out with
   | None -> ()
   | Some path ->
-      let oc = open_out path in
-      output_string oc (Wafl_obs.Trace.export_string !tracer);
-      close_out oc;
-      Printf.printf "wrote %s: %d events retained, %d dropped\n" path
-        (Wafl_obs.Trace.event_count !tracer)
-        (Wafl_obs.Trace.dropped !tracer);
-      report_drops !tracer);
+      write_trace !tracer path (Printf.printf "wrote %s: %d events retained, %d dropped\n" path));
   Printf.printf "ops            %d\n" r.Driver.ops;
   Printf.printf "throughput     %.0f ops/s (%.0f per client)\n" r.Driver.throughput
     r.Driver.throughput_per_client;
@@ -220,22 +220,14 @@ let traced_run workload cleaners clients cores measure_s seed out sample_interva
   in
   with_run spec @@ fun r ->
   let t = !tracer in
-  let buf = Buffer.create 65536 in
-  Wafl_obs.Trace.export t buf;
-  let oc = open_out out in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf "wrote %s: %d events retained, %d dropped\n" out
-    (Wafl_obs.Trace.event_count t) (Wafl_obs.Trace.dropped t);
-  report_drops t;
+  write_trace t out (Printf.printf "wrote %s: %d events retained, %d dropped\n" out);
   Printf.printf "run: %d ops, %.0f ops/s, %d CPs\n\n" r.Driver.ops r.Driver.throughput
     r.Driver.cps_completed;
   print_string (Wafl_obs.Trace.profile_table ~top t);
   print_newline ();
-  let elapsed =
-    match Wafl_obs.Trace.engine t with Some eng -> Wafl_sim.Engine.now eng | None -> 0.0
-  in
-  print_string (Wafl_fs.Report.perf ~elapsed (Wafl_obs.Trace.metrics t));
+  let eng = Option.get (Wafl_obs.Trace.engine t) in
+  print_string
+    (Wafl_fs.Report.perf ~elapsed:(Wafl_sim.Engine.now eng) (Wafl_sim.Engine.metrics eng));
   `Ok ()
 
 let trace_cmd =
@@ -267,16 +259,7 @@ let trace_cmd =
 (* --- trace analysis --- *)
 
 let analyze_run file json =
-  let contents =
-    try
-      let ic = open_in_bin file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Ok s
-    with Sys_error e -> Error e
-  in
-  match contents with
+  match read_file file with
   | Error e -> `Error (false, e)
   | Ok s -> (
       match Wafl_obs.Causal.analyze_string s with
@@ -390,16 +373,7 @@ let top_run file live json out workload clients volumes cores measure_s seed win
   in
   match (file, live) with
   | Some path, _ -> (
-      let contents =
-        try
-          let ic = open_in_bin path in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          Ok s
-        with Sys_error e -> Error e
-      in
-      match contents with
+      match read_file path with
       | Error e -> `Error (false, e)
       | Ok s -> (
           match Wafl_obs.Json.of_string s with

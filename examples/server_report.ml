@@ -80,8 +80,7 @@ let () =
                (cp.Wafl_core.Cp.duration /. 1000.0))
            (Wafl_core.Cp.history (Wafl_core.Walloc.cp walloc));
          print_endline "\n== performance (Wafl_obs) ==";
-         print_string
-           (Report.perf ~elapsed:(Engine.now eng) (Wafl_obs.Trace.metrics obs));
+         print_string (Report.perf ~elapsed:(Engine.now eng) (Engine.metrics eng));
          Aggregate.fsck agg;
          print_endline "\nfsck: clean"));
   Engine.run eng

@@ -40,9 +40,9 @@ type t = {
   obs : Wafl_obs.Trace.t;
   obs_on : bool; (* Trace.enabled obs, hoisted off the hot path *)
   causal_on : bool; (* Causal.enabled obs, hoisted likewise *)
-  m_work : Wafl_obs.Metrics.counter;
-  g_active : Wafl_obs.Metrics.gauge;
-  g_pending : Wafl_obs.Metrics.gauge;
+  m_work : Metrics.counter;
+  g_active : Metrics.gauge;
+  g_pending : Metrics.gauge;
   cleaners : cleaner array;
   mutable n_active : int;
   mutable pending_msgs : int;
@@ -254,7 +254,7 @@ let cleaner_loop t c () =
         (* Cleaner fibers are reused across unrelated work items: drop any
            leftover span/context so item A can never parent item B. *)
         if t.obs_on then Wafl_obs.Causal.fiber_reset t.obs;
-        Wafl_obs.Metrics.incr t.m_work;
+        Metrics.incr t.m_work;
         if Sync.Channel.length c.chan = 0 then release_buckets t c;
         t.n_messages <- t.n_messages + 1;
         (* Queue-depth bookkeeping is shared with submitters (an atomic
@@ -263,7 +263,7 @@ let cleaner_loop t c () =
         Engine.probe_atomic t.eng ~shared:"cleaner_pool.state";
         c.queued <- c.queued - 1;
         t.pending_msgs <- t.pending_msgs - 1;
-        Wafl_obs.Metrics.set t.g_pending (float_of_int t.pending_msgs);
+        Metrics.set t.g_pending (float_of_int t.pending_msgs);
         if t.pending_msgs = 0 then ignore (Sync.Waitq.wake_all t.idle);
         Engine.yield ();
         loop ()
@@ -282,7 +282,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra ~max_threads ~initial_threads 
   let agg = Infra.aggregate infra in
   let eng = Aggregate.engine agg in
   let counters = Aggregate.counters agg in
-  let m = Wafl_obs.Trace.metrics obs in
+  let m = Engine.metrics eng in
   let t =
     {
       eng;
@@ -291,9 +291,9 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra ~max_threads ~initial_threads 
       obs;
       obs_on = Wafl_obs.Trace.enabled obs;
       causal_on = Wafl_obs.Causal.enabled obs;
-      m_work = Wafl_obs.Metrics.counter m "cleaner.work_msgs";
-      g_active = Wafl_obs.Metrics.gauge m "cleaner.active";
-      g_pending = Wafl_obs.Metrics.gauge m "cleaner.pending_msgs";
+      m_work = Metrics.counter m "cleaner.work_msgs";
+      g_active = Metrics.gauge m "cleaner.active";
+      g_pending = Metrics.gauge m "cleaner.pending_msgs";
       cleaners =
         Array.init max_threads (fun idx ->
             let token = Counters.token counters in
@@ -321,12 +321,12 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra ~max_threads ~initial_threads 
       busy = 0.0;
     }
   in
-  Wafl_obs.Metrics.set t.g_active (float_of_int initial);
-  let pull name f = Wafl_obs.Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
+  Metrics.set t.g_active (float_of_int initial);
+  let pull name f = Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
   pull "cleaner.buffers" (fun () -> t.n_buffers);
   pull "cleaner.messages" (fun () -> t.n_messages);
   pull "cleaner.get_waits" (fun () -> t.n_get_waits);
-  Wafl_obs.Metrics.pull_counter m "cleaner.busy_us" (fun () -> t.busy);
+  Metrics.pull_counter m "cleaner.busy_us" (fun () -> t.busy);
   Array.iter
     (fun c -> ignore (Engine.spawn eng ~label:"cleaner" (cleaner_loop t c)))
     t.cleaners;
@@ -355,7 +355,7 @@ let set_active t n =
     (* Waking dormant threads has a cost (§V-B). *)
     Engine.consume (float_of_int (n - t.n_active) *. t.cost.Cost.thread_wake);
   t.n_active <- n;
-  Wafl_obs.Metrics.set t.g_active (float_of_int n)
+  Metrics.set t.g_active (float_of_int n)
 
 let submit t work =
   Engine.probe_atomic t.eng ~shared:"cleaner_pool.state";
@@ -365,7 +365,7 @@ let submit t work =
   done;
   !best.queued <- !best.queued + 1;
   t.pending_msgs <- t.pending_msgs + 1;
-  Wafl_obs.Metrics.set t.g_pending (float_of_int t.pending_msgs);
+  Metrics.set t.g_pending (float_of_int t.pending_msgs);
   Sync.Channel.send !best.chan
     (Work
        {

@@ -25,8 +25,8 @@ type t
 
 val create : ?obs:Wafl_obs.Trace.t -> Infra.t -> max_threads:int -> initial_threads:int -> t
 (** [obs] (default disabled) wraps each cleaner work message in a
-    ["clean work"] span and records pool utilization under the
-    ["cleaner."] metric prefix: active-thread and pending-message gauges,
+    ["clean work"] span.  Pool utilization goes to the engine's registry
+    under the ["cleaner."] metric prefix: active-thread and pending-message gauges,
     a work-message counter, and the pull counters ["cleaner.busy_us"],
     ["cleaner.buffers"], ["cleaner.messages"] and ["cleaner.get_waits"]
     (times a cleaner parked in GET because the bucket cache was empty —

@@ -51,8 +51,8 @@ type t = {
   cfg : config;
   agg : Aggregate.t;
   obs : Wafl_obs.Trace.t;
-  h_cp : Wafl_obs.Metrics.histo;
-  m_cp_buffers : Wafl_obs.Metrics.counter;
+  h_cp : Metrics.histo;
+  m_cp_buffers : Metrics.counter;
   (* The previous CP committed with the half-full trigger already reached
      again: the CP starting now is back-to-back (paper §II-C). *)
   mutable next_is_b2b : bool;
@@ -75,7 +75,7 @@ type t = {
   (* Phase-duration histogram handles, cached by phase name: phases
      change many times per CP and the registry lookup concats + hashes a
      string each time. *)
-  phase_histos : (string, Wafl_obs.Metrics.histo) Hashtbl.t;
+  phase_histos : (string, Metrics.histo) Hashtbl.t;
 }
 
 (* Phase transition: closes the previous phase's span (the CP timeline in
@@ -85,14 +85,14 @@ let phase_histo t name =
   match Hashtbl.find_opt t.phase_histos name with
   | Some h -> h
   | None ->
-      let h = Wafl_obs.Metrics.histogram (Wafl_obs.Trace.metrics t.obs) ("cp.phase_us." ^ name) in
+      let h = Metrics.histogram (Engine.metrics t.eng) ("cp.phase_us." ^ name) in
       Hashtbl.add t.phase_histos name h;
       h
 
 let set_phase t name =
   (if t.phase <> "idle" then begin
      let dur = Engine.now t.eng -. t.phase_start in
-     Wafl_obs.Metrics.observe (phase_histo t t.phase) dur;
+     Metrics.observe (phase_histo t t.phase) dur;
      if Wafl_obs.Trace.enabled t.obs then
        Wafl_obs.Trace.complete t.obs ~cat:"cp" ~name:("cp " ^ t.phase) ~ts:t.phase_start ~dur ()
    end);
@@ -129,16 +129,9 @@ let build_work_seq t snapshot =
               match remaining with
               | [] -> ()
               | _ ->
-                  let rec take k acc rest =
-                    if k = 0 then (List.rev acc, rest)
-                    else
-                      match rest with
-                      | [] -> (List.rev acc, [])
-                      | x :: tl -> take (k - 1) (x :: acc) tl
-                  in
-                  let seg, rest = take t.cfg.segment_buffers [] remaining in
+                  let seg, rest = Wafl_util.Lists.rev_take t.cfg.segment_buffers remaining in
                   units :=
-                    [ { Cleaner_pool.vol; file; buffers = seg; whole_inode = first } ]
+                    [ { Cleaner_pool.vol; file; buffers = List.rev seg; whole_inode = first } ]
                     :: !units;
                   split rest false
             in
@@ -273,11 +266,8 @@ let metafile_pass t =
       let rec chunks = function
         | [] -> ()
         | refs ->
-            let rec take k acc rest =
-              if k = 0 then (acc, rest)
-              else match rest with [] -> (acc, []) | x :: tl -> take (k - 1) (x :: acc) tl
-            in
-            let batch, rest = take batch_size [] refs in
+            (* Each batch runs in reverse order; the digests pin that order. *)
+            let batch, rest = Wafl_util.Lists.rev_take batch_size refs in
             (* The fan-out countdown is shared with every phase-B message
                (an atomic in a real kernel). *)
             Engine.probe_atomic t.eng ~shared:"cp.meta_outstanding";
@@ -333,12 +323,7 @@ let process_zombies t =
             let rec in_batches target = function
               | [] -> ()
               | vbns ->
-                  let rec take k acc rest =
-                    if k = 0 then (acc, rest)
-                    else
-                      match rest with [] -> (acc, []) | x :: tl -> take (k - 1) (x :: acc) tl
-                  in
-                  let batch, rest = take 64 [] vbns in
+                  let batch, rest = Wafl_util.Lists.rev_take 64 vbns in
                   Infra.commit_frees t.infra ~target ~vbns:batch ~token;
                   in_batches target rest
             in
@@ -461,14 +446,8 @@ let serial_clean t snapshot =
             let rec in_chunks = function
               | [] -> ()
               | buffers ->
-                  let rec take k acc rest =
-                    if k = 0 then (List.rev acc, rest)
-                    else
-                      match rest with
-                      | [] -> (List.rev acc, [])
-                      | x :: tl -> take (k - 1) (x :: acc) tl
-                  in
-                  let chunk, rest = take 256 [] buffers in
+                  let chunk, rest = Wafl_util.Lists.rev_take 256 buffers in
+                  let chunk = List.rev chunk in
                   Wafl_waffinity.Scheduler.post_wait sched ~affinity:Wafl_waffinity.Affinity.Serial
                     ~label:"cleaner" (fun () ->
                       Engine.consume t.cost.Cost.clean_inode_overhead;
@@ -740,8 +719,8 @@ let run_cp_body t =
   t.last_buffers <- !buffers_total;
   t.last_meta <- meta_blocks;
   t.last_passes <- passes;
-  Wafl_obs.Metrics.observe t.h_cp t.last_duration;
-  Wafl_obs.Metrics.add t.m_cp_buffers !buffers_total;
+  Metrics.observe t.h_cp t.last_duration;
+  Metrics.add t.m_cp_buffers !buffers_total;
   if Wafl_obs.Trace.enabled t.obs then
     Wafl_obs.Trace.complete t.obs ~cat:"cp" ~name:"CP" ~ts:started ~dur:t.last_duration
       ~num_args:
@@ -802,7 +781,7 @@ let run_now t =
 let create ?(obs = Wafl_obs.Trace.disabled) infra pool cfg =
   let agg = Infra.aggregate infra in
   let eng = Aggregate.engine agg in
-  let m = Wafl_obs.Trace.metrics obs in
+  let m = Engine.metrics eng in
   let t =
     {
       eng;
@@ -812,8 +791,8 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra pool cfg =
       cfg;
       agg;
       obs;
-      h_cp = Wafl_obs.Metrics.histogram m "cp.duration_us";
-      m_cp_buffers = Wafl_obs.Metrics.counter m "cp.buffers_cleaned";
+      h_cp = Metrics.histogram m "cp.duration_us";
+      m_cp_buffers = Metrics.counter m "cp.buffers_cleaned";
       next_is_b2b = false;
       in_b2b_run = false;
       n_b2b = 0;
@@ -848,7 +827,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra pool cfg =
       phase_histos = Hashtbl.create 16;
     }
   in
-  let pull name f = Wafl_obs.Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
+  let pull name f = Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
   pull "cp.count" (fun () -> t.n_cps);
   pull "cp.b2b" (fun () -> t.n_b2b);
   pull "cp.b2b_episodes" (fun () -> t.n_b2b_episodes);

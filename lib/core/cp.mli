@@ -35,9 +35,10 @@ type t
 val create : ?obs:Wafl_obs.Trace.t -> Infra.t -> Cleaner_pool.t -> config -> t
 (** Spawns the CP manager fiber (label ["cp"]) and, if configured, the
     timer fiber.  [obs] (default disabled) records the CP phase timeline:
-    one ["cp <phase>"] span per phase, a whole-["CP"] span with
-    buffer/metafile counts, per-phase duration histograms
-    (["cp.phase_us.<phase>"]) and CP count/duration metrics.  The CP
+    one ["cp <phase>"] span per phase and a whole-["CP"] span with
+    buffer/metafile counts.  The engine's registry gets per-phase
+    duration histograms (["cp.phase_us.<phase>"]) and CP count/duration
+    metrics.  The CP
     count and the back-to-back counts ({!b2b_cps} and its episodes) are
     published as the pull counters ["cp.count"], ["cp.b2b"] and
     ["cp.b2b_episodes"]. *)

@@ -502,8 +502,8 @@ let create ?(obs = Wafl_obs.Trace.disabled) sched agg cfg =
       commit_idle = Sync.Waitq.create eng;
     }
   in
-  let m = Wafl_obs.Trace.metrics obs in
-  let pull name f = Wafl_obs.Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
+  let m = Engine.metrics eng in
+  let pull name f = Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
   pull "infra.vbns_allocated" (fun () -> t.n_allocated);
   pull "infra.vbns_freed" (fun () -> t.n_freed);
   pull "infra.metafile_blocks" (fun () -> t.n_touched);

@@ -32,8 +32,8 @@ val create :
   ?obs:Wafl_obs.Trace.t -> Wafl_waffinity.Scheduler.t -> Wafl_fs.Aggregate.t -> config -> t
 (** Registers every existing volume and kicks off the initial refill
     cycles (the bucket cache is being filled as this returns).  [obs]
-    (default disabled) is handed to each cycle's {!Tetris}; its registry
-    gets the pull counters ["infra.vbns_allocated"] (VBNs committed as
+    (default disabled) is handed to each cycle's {!Tetris}.  The engine's
+    registry gets the pull counters ["infra.vbns_allocated"] (VBNs committed as
     used, physical + virtual), ["infra.vbns_freed"],
     ["infra.metafile_blocks"] (distinct metafile-block touches across all
     commit and free messages — the quantity that separates random from

@@ -5,7 +5,7 @@ type t = {
   raid : Wafl_fs.Layout.block Wafl_storage.Raid.t;
   obs : Wafl_obs.Trace.t;
   obs_on : bool;
-  m_fill : Wafl_obs.Metrics.histo;
+  m_fill : Metrics.histo;
   mutable pending : (int * Wafl_fs.Layout.block) list; (* newest first *)
   mutable pending_count : int;
   mutable outstanding : int;
@@ -21,7 +21,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cost ~raid ~expected_buckets =
     raid;
     obs;
     obs_on = Wafl_obs.Trace.enabled obs;
-    m_fill = Wafl_obs.Metrics.histogram (Wafl_obs.Trace.metrics obs) "tetris.fill_blocks";
+    m_fill = Metrics.histogram (Engine.metrics eng) "tetris.fill_blocks";
     pending = [];
     pending_count = 0;
     outstanding = expected_buckets;
@@ -47,7 +47,7 @@ let pending_blocks t = t.pending_count
 let submit_now t =
   dispatch_probe t;
   if t.pending_count > 0 then begin
-    Wafl_obs.Metrics.observe t.m_fill (float_of_int t.pending_count);
+    Metrics.observe t.m_fill (float_of_int t.pending_count);
     let writes = List.rev t.pending in
     let blocks = t.pending_count in
     t.pending <- [];

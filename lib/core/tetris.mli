@@ -18,9 +18,10 @@ val create :
   raid:Wafl_fs.Layout.block Wafl_storage.Raid.t ->
   expected_buckets:int ->
   t
-(** [obs] (default disabled) records the tetris fill — blocks accumulated
-    per submitted I/O — in the ["tetris.fill_blocks"] histogram, the
-    quantity behind the full-vs-partial-stripe mix. *)
+(** [obs] (default disabled) records a ["stripe fill"] span per submitted
+    I/O.  The tetris fill — blocks accumulated per submitted I/O, the
+    quantity behind the full-vs-partial-stripe mix — goes to the engine's
+    ["tetris.fill_blocks"] histogram. *)
 
 val enqueue : t -> vbn:int -> payload:Wafl_fs.Layout.block -> unit
 val pending_blocks : t -> int

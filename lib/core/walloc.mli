@@ -54,8 +54,9 @@ type t
 
 val create : ?obs:Wafl_obs.Trace.t -> Wafl_fs.Aggregate.t -> config -> t
 (** [obs] (default disabled) threads one tracer through every component:
-    scheduler message spans and queue histograms, cleaner-pool work spans
-    and utilization, tetris fill, and the CP phase timeline.  Note the
+    scheduler message spans, cleaner-pool work spans, tetris fill spans
+    and the CP phase timeline.  Metrics go to the engine's registry
+    whatever the tracer.  Note the
     RAID layer is instrumented separately — pass the same tracer to
     [Aggregate.create].
 

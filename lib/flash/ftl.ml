@@ -336,7 +336,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cfg ~lpns ~rg =
       (logical_blocks + cfg.streams + 1 + gc_reserve + 2)
       (int_of_float (ceil (float_of_int logical_blocks *. (1.0 +. cfg.op_ratio))))
   in
-  let m = Wafl_obs.Trace.metrics obs in
+  let m = Engine.metrics eng in
   let t =
     {
       eng;
@@ -369,12 +369,12 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cfg ~lpns ~rg =
       trims = 0;
     }
   in
-  let pull name f = Wafl_obs.Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
+  let pull name f = Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
   pull "flash.host_pages" (fun () -> t.host_pages);
   pull "flash.gc_pages" (fun () -> t.gc_pages);
   pull "flash.erases" (fun () -> t.erases);
   pull "flash.gc_runs" (fun () -> t.gc_runs);
-  Wafl_obs.Metrics.pull_counter m "flash.gc_stall_us" (fun () -> t.gc_stall_us);
+  Metrics.pull_counter m "flash.gc_stall_us" (fun () -> t.gc_stall_us);
   for b = 0 to nblocks - 1 do
     Queue.push b t.free_q
   done;

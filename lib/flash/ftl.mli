@@ -52,7 +52,7 @@ val create :
     erase blocks (with a small floor so every stream can hold a block
     open), applies [cfg.prefill], and spawns the daemon GC fiber.  Must
     be called with [eng] not yet running or from fiber context.  [obs]
-    (default disabled) receives stall spans, and its registry the pull
+    (default disabled) receives stall spans, and [eng]'s registry the pull
     counters ["flash.host_pages"], ["flash.gc_pages"], ["flash.erases"],
     ["flash.gc_runs"] and ["flash.gc_stall_us"] (virtual µs host writers
     spent blocked by the GC: waiting out an in-flight erase, or parked on

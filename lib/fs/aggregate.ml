@@ -109,7 +109,7 @@ let init_aa_free geom =
 
 (* The one constructor behind [create] and [recover]: an empty aggregate
    over [pers], with every free block counted free and the NVLog
-   accounting published to [obs]'s registry. *)
+   accounting published to the engine's registry. *)
 let build ?(cache_blocks = 65536) ?queue_depth ~obs eng ~cost pers =
   let geometry = Disk.geometry pers.p_disk in
   let counters = Counters.create () in
@@ -146,10 +146,10 @@ let build ?(cache_blocks = 65536) ?queue_depth ~obs eng ~cost pers =
     }
   in
   Counters.set t.counters free_counter (Geometry.total_data_blocks geometry);
-  let m = Wafl_obs.Trace.metrics obs in
-  Wafl_obs.Metrics.pull_counter m "nvlog.stall_us" (fun () -> t.stall_us);
-  Wafl_obs.Metrics.pull_counter m "nvlog.hard_dwell_us" (fun () -> t.hard_dwell_us);
-  Wafl_obs.Metrics.pull_counter m "nvlog.exhausted" (fun () -> float_of_int t.exhausted);
+  let m = Engine.metrics eng in
+  Metrics.pull_counter m "nvlog.stall_us" (fun () -> t.stall_us);
+  Metrics.pull_counter m "nvlog.hard_dwell_us" (fun () -> t.hard_dwell_us);
+  Metrics.pull_counter m "nvlog.exhausted" (fun () -> float_of_int t.exhausted);
   t
 
 let create ?(nvlog_half = 16384) ?nvlog_watermarks ?cache_blocks ?queue_depth

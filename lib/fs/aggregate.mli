@@ -42,8 +42,8 @@ val create :
   unit ->
   t
 (** [obs] (default disabled) is handed to each RAID group so device
-    service spans and I/O metrics are recorded; the aggregate publishes
-    its NVLog accounting there as the pull counters ["nvlog.stall_us"]
+    service spans are recorded.  The aggregate publishes its NVLog
+    accounting in the engine's registry as the pull counters ["nvlog.stall_us"]
     ({!stall_time}), ["nvlog.hard_dwell_us"] (the part of it spent parked
     above the hard watermark) and
     ["nvlog.exhausted"] ({!exhausted_writes}).  [nvlog_watermarks]

@@ -13,7 +13,7 @@
     files, and the cleaners' token cells.  The infrastructure flush
     charges CPU per updated cell, so they are part of the cost model.
     Counts that only observation needs live in the run's metrics
-    registry instead ([Wafl_obs.Metrics], DESIGN.md §4.8). *)
+    registry instead ([Wafl_sim.Metrics], DESIGN.md §4.8). *)
 
 type t
 type token

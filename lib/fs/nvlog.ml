@@ -84,12 +84,7 @@ let cp_commit t =
 let tear t ~records =
   if records < 0 then invalid_arg "Nvlog.tear: negative record count";
   let k = min records (t.filling_len - t.torn) in
-  let rec take k acc = function
-    | rest when k = 0 -> (acc, rest)
-    | [] -> (acc, [])
-    | op :: rest -> take (k - 1) (op :: acc) rest
-  in
-  let torn_ops, _ = take k [] t.filling in
+  let torn_ops, _ = Wafl_util.Lists.rev_take k t.filling in
   t.torn <- t.torn + k;
   torn_ops
 

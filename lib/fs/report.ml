@@ -83,7 +83,7 @@ let histo_line buf label h =
        (H.mean h) (H.percentile h 50.0) (H.percentile h 99.0))
 
 let perf ?elapsed m =
-  let module M = Wafl_obs.Metrics in
+  let module M = Wafl_sim.Metrics in
   let module H = Wafl_util.Histogram in
   let buf = Buffer.create 512 in
   let with_prefix prefix l =

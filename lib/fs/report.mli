@@ -14,9 +14,9 @@ val allocation_areas : Aggregate.t -> string
     emptiest / median / fullest AA) — the state the §IV-D selection
     policy operates on. *)
 
-val perf : ?elapsed:float -> Wafl_obs.Metrics.t -> string
-(** Operator performance summary from a tracer's metrics registry
-    ([Wafl_obs.Trace.metrics]): CP count and duration percentiles with
+val perf : ?elapsed:float -> Wafl_sim.Metrics.t -> string
+(** Operator performance summary from a run's metrics registry
+    ([Wafl_sim.Engine.metrics]): CP count and duration percentiles with
     per-phase virtual-time totals, per-affinity-kind queue wait/service
     p50/p99, cleaner-pool activity (utilization when [elapsed] — the
     run's virtual duration — is given), RAID I/O service times and

@@ -34,24 +34,31 @@ let raid_groups = [ (3, 1); (3, 1) ]
 let drive_blocks = 8192
 let geometry () = Geometry.create ~drive_blocks ~aa_stripes:512 ~raid_groups ()
 
+(* The expected state, keyed by (vol, file, fbn): its bindings come back
+   in key order, so the verification walk needs no sort. *)
+module Oracle = Map.Make (struct
+  type t = int * int * int
+
+  let compare = compare
+end)
+
 (* Replay the surviving (acknowledged, not torn) operation mirror into
    the expected state: (vol, file, fbn) -> content. *)
 let expected_state surviving =
-  let expected = Hashtbl.create 4096 in
   let live = Hashtbl.create 16 in
-  List.iter
-    (function
-      | Nvlog.Create_vol _ -> ()
-      | Nvlog.Create_file { vol; file } -> Hashtbl.replace live (vol, file) ()
+  List.fold_left
+    (fun expected -> function
+      | Nvlog.Create_vol _ -> expected
+      | Nvlog.Create_file { vol; file } ->
+          Hashtbl.replace live (vol, file) ();
+          expected
       | Nvlog.Write { vol; file; fbn; content } ->
-          if Hashtbl.mem live (vol, file) then Hashtbl.replace expected (vol, file, fbn) content
+          if Hashtbl.mem live (vol, file) then Oracle.add (vol, file, fbn) content expected
+          else expected
       | Nvlog.Delete_file { vol; file } ->
           Hashtbl.remove live (vol, file);
-          Hashtbl.filter_map_inplace
-            (fun (v, f, _) c -> if v = vol && f = file then None else Some c)
-            expected)
-    surviving;
-  expected
+          Oracle.filter (fun (v, f, _) _ -> v <> vol || f <> file) expected)
+    Oracle.empty surviving
 
 (* Overload mode: a small NVRAM with watermark admission, driven by a
    seeded bursty open-loop arrival plan, so crash points land inside
@@ -172,29 +179,26 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
    with
   | `Corrupt m ->
       fsck_failure := Some m;
-      lost := Hashtbl.length expected
+      lost := Oracle.cardinal expected
   | `Ok agg2 ->
       let eng2 = Aggregate.engine agg2 in
       let walloc2 = Wafl_core.Walloc.create agg2 Wafl_core.Walloc.default_config in
-      (* Sorted oracle walk: the reads consume virtual time, so hash-order
-         iteration would make the verification run seed-dependent. *)
-      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) expected [] in (* lint-ok: sorted below *)
-      let keys = List.sort compare keys in
+      (* Oracle walk in key order: the reads consume virtual time, so
+         the order must not depend on anything but the keys. *)
       ignore
         (Engine.spawn eng2 ~label:"verify" (fun () ->
              (* A post-recovery CP flushes the replayed state through the
                 still-degraded substrate, exercising the repair path. *)
              Wafl_core.Cp.run_now (Wafl_core.Walloc.cp walloc2);
              List.iter
-               (fun ((vol, file, fbn) as k) ->
-                 let content = Hashtbl.find expected k in
+               (fun ((vol, file, fbn), content) ->
                  match
                    try Aggregate.read agg2 ~vol ~file ~fbn
                    with Aggregate.Corruption _ -> None
                  with
                  | Some c when c = content -> ()
                  | _ -> incr lost)
-               keys));
+               (Oracle.bindings expected)));
       Engine.run eng2;
       races := !races + Engine.race_report_count eng2;
       (try Aggregate.fsck agg2 with Failure m -> fsck_failure := Some m));
@@ -204,7 +208,7 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
     mid_cp;
     cp_phase;
     cps_before_crash;
-    acked = Hashtbl.length expected;
+    acked = Oracle.cardinal expected;
     torn;
     lost = !lost;
     fsck_failure = !fsck_failure;

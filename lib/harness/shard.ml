@@ -46,25 +46,19 @@ type shard_state = {
 
 let setup part sid ~seed =
   let eng = Partition.engine part sid in
-  (* Each shard gets its own metrics-only tracer: a live per-engine
-     registry, so samples attribute to the owning partition engine
-     rather than the per-domain throwaway registry disabled tracers
-     share (test_domains pins this). *)
-  let obs = Wafl_obs.Trace.metrics_only eng in
-  let agg =
-    Aggregate.create eng ~cost:Cost.default ~geometry:(geometry ()) ~nvlog_half:2048 ~obs ()
-  in
+  (* Each shard's components publish into its partition engine's own
+     registry, which its rollup reads. *)
+  let agg = Aggregate.create eng ~cost:Cost.default ~geometry:(geometry ()) ~nvlog_half:2048 () in
   (* CPs come only from the global epoch barrier (and log-half-full
      self-defense), so per-shard CP counts expose the coupling. *)
   let cfg =
     { (Wafl_core.Walloc.default_config) with Wafl_core.Walloc.cleaner_threads = 2; cp_timer = None }
   in
-  let walloc = Wafl_core.Walloc.create ~obs agg cfg in
+  let walloc = Wafl_core.Walloc.create agg cfg in
   let ops_done = ref 0 in
-  let metrics = Wafl_obs.Trace.metrics obs in
-  Wafl_obs.Metrics.pull_counter metrics "ops" (fun () -> float_of_int !ops_done);
+  Metrics.pull_counter (Engine.metrics eng) "ops" (fun () -> float_of_int !ops_done);
   let roll = Wafl_obs.Rollup.create ~config:rollup_config eng in
-  Wafl_obs.Rollup.watch roll metrics
+  Wafl_obs.Rollup.watch roll
     ~counters:[ "ops"; "cp.count"; "cp.b2b"; "nvlog.stall_us" ]
     ~gauges:[] ~histograms:[];
   ignore

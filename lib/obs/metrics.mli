@@ -1,62 +1,8 @@
-(** Typed metrics registry: counters, gauges and virtual-time histograms.
+(** Alias of {!Wafl_sim.Metrics}, the registry every engine owns
+    ({!Wafl_sim.Engine.metrics}).  Kept so code written against
+    [Wafl_obs.Metrics] still compiles; its types are equal to the
+    originals. *)
 
-    Each count has one store (DESIGN.md §4.8).  A value only observation
-    needs is a {e pushed} instrument: registered once at construction
-    time (a name lookup) and updated on the hot path with a single field
-    mutation.  A value a component already keeps for its own logic is
-    published as a {e pull} instrument instead: a reader called only when
-    the registry is read, so the component never keeps a second copy.
-    Pull instruments registered under the same name sum in registration
-    order; one name cannot be both pushed and pulled.  The tracer
-    ({!Trace}) periodically samples every counter and gauge into the
-    trace sink as a Chrome counter-event timeseries; read-side
-    enumeration is in name order by construction. *)
-
-type t
-type counter
-type gauge
-type histo
-
-val create : unit -> t
-
-val throwaway : unit -> t
-(** A registry that retains no pull instrument: {!pull_counter} and
-    {!pull_gauge} on it are no-ops.  Backs disabled tracers, whose one
-    registry per domain is shared by unrelated components: retaining a
-    reader would keep its component alive and sum unrelated instances. *)
-
-(** {1 Registration (find-or-create by name)} *)
-
-val counter : t -> string -> counter
-val gauge : t -> string -> gauge
-
-val pull_counter : t -> string -> (unit -> float) -> unit
-(** Publish a cumulative value the caller already keeps.  Raises
-    [Invalid_argument] if the name is a pushed counter. *)
-
-val pull_gauge : t -> string -> (unit -> float) -> unit
-(** Same for a gauge. *)
-
-val histogram : ?lo:float -> ?hi:float -> t -> string -> histo
-(** Log-bucketed histogram of virtual-time values (default range
-    0.01..1e9 virtual microseconds). *)
-
-(** {1 Hot-path updates} *)
-
-val incr : counter -> unit
-val add : counter -> int -> unit
-val addf : counter -> float -> unit
-val set : gauge -> float -> unit
-val observe : histo -> float -> unit
-
-(** {1 Reading (deterministic: missing names read as 0 / [None])} *)
-
-val counter_value : t -> string -> float
-val gauge_value : t -> string -> float
-val histo : t -> string -> Wafl_util.Histogram.t option
-
-val counters : t -> (string * float) list
-(** All counters, pushed and pulled, sorted by name. *)
-
-val gauges : t -> (string * float) list
-val histograms : t -> (string * Wafl_util.Histogram.t) list
+include module type of struct
+  include Wafl_sim.Metrics
+end

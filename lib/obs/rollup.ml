@@ -62,10 +62,9 @@ type slot = {
 type t = {
   eng : Engine.t;
   cfg : config;
-  (* The watched registry and names ({!watch}): counters with their value
-     at the previous seal, histograms with their contents then (None
-     until the instrument exists). *)
-  mutable reg : Metrics.t;
+  (* The names watched in the engine's registry ({!watch}): counters with
+     their value at the previous seal, histograms with their contents then
+     (None until the instrument exists). *)
   mutable counters : (string * float ref) list;
   mutable gauges : string list;
   mutable histos : (string * Histogram.t option ref) list;
@@ -93,7 +92,6 @@ let create ?(config = default_config) eng =
   {
     eng;
     cfg;
-    reg = Metrics.create ();
     counters = [];
     gauges = [];
     histos = [];
@@ -105,9 +103,9 @@ let create ?(config = default_config) eng =
 
 let config t = t.cfg
 
-let watch t reg ~counters ~gauges ~histograms =
+let watch t ~counters ~gauges ~histograms =
   let names = List.sort_uniq String.compare in
-  t.reg <- reg;
+  let reg = Engine.metrics t.eng in
   t.counters <- List.map (fun n -> (n, ref (Metrics.counter_value reg n))) (names counters);
   t.gauges <- names gauges;
   t.histos <- List.map (fun n -> (n, ref None)) (names histograms)
@@ -115,20 +113,21 @@ let watch t reg ~counters ~gauges ~histograms =
 let on_seal t cb = t.seal_cbs <- cb :: t.seal_cbs
 
 let seal_window t seq =
+  let reg = Engine.metrics t.eng in
   let counters =
     List.map
       (fun (name, prev) ->
-        let v = Metrics.counter_value t.reg name in
+        let v = Metrics.counter_value reg name in
         let d = v -. !prev in
         prev := v;
         (name, d))
       t.counters
   in
-  let gauges = List.map (fun name -> (name, Metrics.gauge_value t.reg name)) t.gauges in
+  let gauges = List.map (fun name -> (name, Metrics.gauge_value reg name)) t.gauges in
   let sketches =
     List.filter_map
       (fun (name, prev) ->
-        match Metrics.histo t.reg name with
+        match Metrics.histo reg name with
         | None -> None
         | Some h ->
             let d =

@@ -2,7 +2,7 @@
 
     A rollup keeps a fixed ring of time windows.  Each sealed window holds
     counter deltas, gauge readings and histogram deltas, read by name
-    from the run's {!Metrics} registry ({!watch}), plus per-volume
+    from its engine's {!Metrics} registry ({!watch}), plus per-volume
     activity rows with log-bucketed latency sketches.  Memory
     is O(volumes x windows), independent of run length, with an explicit
     per-volume byte budget checked at {!create}.
@@ -68,9 +68,9 @@ val vol_window_bytes : config -> int
 
 (** {1 Feeding} *)
 
-val watch :
-  t -> Metrics.t -> counters:string list -> gauges:string list -> histograms:string list -> unit
-(** Name what the rollup reads from a run's registry at each seal: every
+val watch : t -> counters:string list -> gauges:string list -> histograms:string list -> unit
+(** Name what the rollup reads from its engine's registry
+    ({!Wafl_sim.Engine.metrics}) at each seal: every
     sealed window records each counter's delta since the previous seal
     (first window: since [watch]), each gauge's current value, and each
     histogram's bucket-wise delta.  Missing counters and gauges read 0,

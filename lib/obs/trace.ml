@@ -1,39 +1,37 @@
 (* Span/event tracer in virtual time.
 
-   A [t] is either disabled — the shared [disabled] value, where every
-   operation is a single branch and the instrumented code path is
-   bit-identical to an uninstrumented build — or attached to an engine,
-   in which case spans, instants and metric samples are recorded into a
-   bounded ring sink ({!Sink}) and exported as Chrome trace-event JSON
-   (loadable in Perfetto / chrome://tracing).
+   A [t] is bound to at most one engine and either records or does not.
+   The shared [disabled] value and [metrics_only] tracers record nothing:
+   every operation is a single branch, and the instrumented code path is
+   bit-identical to an uninstrumented build.  A tracer made by [create]
+   records spans, instants, flows and samples of its engine's metrics
+   registry into a bounded ring sink ({!Sink}), exported as Chrome
+   trace-event JSON (loadable in Perfetto / chrome://tracing).  The
+   registry itself belongs to the engine ({!Engine.metrics}), so
+   components publish into it whether or not the run is recorded.
 
    All timestamps are the engine's virtual clock, and recording performs
-   no allocation of virtual time and no scheduling, so an enabled run
-   still produces results bit-identical to a disabled one; because every
-   input of the recording is deterministic, two runs with the same seed
-   export byte-identical traces.
+   no allocation of virtual time and no scheduling, so a recorded run
+   still produces results bit-identical to an unrecorded one; because
+   every input of the recording is deterministic, two runs with the same
+   seed export byte-identical traces.
 
-   The tracer also owns the virtual-CPU profile: an engine hook
+   A recording tracer also owns the virtual-CPU profile: an engine hook
    attributes every [Engine.consume] charge to the charging fiber's
    current span stack, yielding a top-N table of where simulated CPU
    actually went. *)
 
 module Engine = Wafl_sim.Engine
+module Int_table = Wafl_util.Int_table
 
 type frame = { f_cat : string; f_name : string; f_ts : float }
 type prof_cell = { mutable p_total : float; mutable p_count : int }
 
-type enabled = {
+type recording = {
   eng : Engine.t;
-  record : bool;
-      (* false for a metrics-only tracer ({!metrics_only}): instruments
-         stay live (registered and updated by components), but span /
-         instant / flow recording and the CPU profile are skipped, so an
-         always-on telemetry attachment costs only the metric updates. *)
   sink : Sink.t;
-  metrics : Metrics.t;
   stacks : (int, frame list ref) Hashtbl.t; (* span stack per fiber id *)
-  names : (int, string) Hashtbl.t; (* last-seen accounting label per fiber *)
+  names : string Int_table.t; (* last-seen accounting label per fiber id *)
   profile : (string, prof_cell) Hashtbl.t;
   mutable profile_order : string list; (* first-appearance, newest first *)
   sample_interval : float; (* 0.0 disables the metrics timeseries *)
@@ -46,20 +44,19 @@ type enabled = {
   mutable next_flow : int;
 }
 
-type t = { state : enabled option }
+(* [bound]: the engine whose registry [metrics] returns; [state]: [Some]
+   exactly when the tracer records. *)
+type t = { bound : Engine.t option; state : recording option }
 
-let disabled = { state = None }
+let disabled = { bound = None; state = None }
+let metrics_only eng = { bound = Some eng; state = None }
 let enabled t = t.state <> None
+let engine t = t.bound
 
-(* Writes to this registry are lost by design: disabled instrumentation
-   that registers instruments anyway lands here.  One registry per
-   domain (not one per process): concurrent untraced runs on worker
-   domains (Wafl_util.Pool) would otherwise race on the registry.  It
-   retains no pull instrument, so an untraced component is never kept
-   alive by it nor summed with another run's. *)
-let null_metrics_key : Metrics.t Domain.DLS.key = Domain.DLS.new_key Metrics.throwaway
-let metrics t = match t.state with Some s -> s.metrics | None -> Domain.DLS.get null_metrics_key
-let engine t = Option.map (fun s -> s.eng) t.state
+let metrics t =
+  match t.bound with
+  | Some eng -> Engine.metrics eng
+  | None -> invalid_arg "Trace.metrics: the disabled tracer has no engine"
 
 (* --- metric sampling ----------------------------------------------------- *)
 
@@ -78,8 +75,9 @@ let sample s ~now =
         num_args = [];
       }
   in
-  List.iter put (Metrics.counters s.metrics);
-  List.iter put (Metrics.gauges s.metrics)
+  let m = Engine.metrics s.eng in
+  List.iter put (Metrics.counters m);
+  List.iter put (Metrics.gauges m)
 
 (* Piggybacks on trace-recording and engine-hook call sites rather than a
    dedicated fiber: a sampler fiber would occupy cores and perturb FIFO
@@ -196,11 +194,9 @@ let create ?ring_capacity ?(sample_interval = 10_000.0) ?(causal = false) eng =
   let s =
     {
       eng;
-      record = true;
       sink = Sink.create ~capacity:ring_capacity;
-      metrics = Metrics.create ();
       stacks = Hashtbl.create 64;
-      names = Hashtbl.create 64;
+      names = Int_table.create ();
       profile = Hashtbl.create 64;
       profile_order = [];
       sample_interval;
@@ -211,7 +207,8 @@ let create ?ring_capacity ?(sample_interval = 10_000.0) ?(causal = false) eng =
       next_flow = 1;
     }
   in
-  Metrics.pull_counter s.metrics "trace.drops" (fun () -> float_of_int (Sink.dropped s.sink));
+  Metrics.pull_counter (Engine.metrics eng) "trace.drops" (fun () ->
+      float_of_int (Sink.dropped s.sink));
   Engine.set_obs_hooks eng
     {
       Engine.on_consume =
@@ -220,7 +217,7 @@ let create ?ring_capacity ?(sample_interval = 10_000.0) ?(causal = false) eng =
           maybe_sample s ~now);
       on_switch =
         (fun ~fid ~label ~now ->
-          Hashtbl.replace s.names fid label;
+          Int_table.replace s.names fid label;
           maybe_sample s ~now);
       on_wake =
         (if causal then fun ~waker ~wakee ~now ->
@@ -240,41 +237,13 @@ let create ?ring_capacity ?(sample_interval = 10_000.0) ?(causal = false) eng =
            set_ctx s child (ctx_of s parent)
          else fun ~parent:_ ~child:_ ~now:_ -> ());
     };
-  { state = Some s }
-
-(* Always-on telemetry attachment: [enabled] is true — so every
-   component's instruments register in a live registry and update on the
-   hot path — but nothing is recorded into the ring, no engine hooks are
-   installed, and the CPU profile stays empty.  Rollups pull the live
-   registry; the host cost is just the metric updates. *)
-let metrics_only eng =
-  {
-    state =
-      Some
-        {
-          eng;
-          record = false;
-          sink = Sink.create ~capacity:1;
-          metrics = Metrics.create ();
-          stacks = Hashtbl.create 1;
-          names = Hashtbl.create 1;
-          profile = Hashtbl.create 1;
-          profile_order = [];
-          sample_interval = 0.0;
-          next_sample = 0.0;
-          causal = false;
-          ctxs = Hashtbl.create 1;
-          next_ctx = 1;
-          next_flow = 1;
-        };
-  }
+  { bound = Some eng; state = Some s }
 
 (* --- recording ----------------------------------------------------------- *)
 
 let with_span t ~cat ~name ?(args = []) ?(num_args = []) f =
   match t.state with
   | None -> f ()
-  | Some s when not s.record -> f ()
   | Some s ->
       let fid = Engine.current_fid s.eng in
       let ts = Engine.now s.eng in
@@ -311,7 +280,6 @@ let with_span t ~cat ~name ?(args = []) ?(num_args = []) f =
 let begin_span t ~cat ~name =
   match t.state with
   | None -> ()
-  | Some s when not s.record -> ()
   | Some s ->
       let fid = Engine.current_fid s.eng in
       let stack = stack_of s fid in
@@ -320,7 +288,6 @@ let begin_span t ~cat ~name =
 let end_span t =
   match t.state with
   | None -> ()
-  | Some s when not s.record -> ()
   | Some s -> (
       let fid = Engine.current_fid s.eng in
       match Hashtbl.find_opt s.stacks fid with
@@ -345,7 +312,6 @@ let end_span t =
 let instant t ~cat ~name ?(args = []) () =
   match t.state with
   | None -> ()
-  | Some s when not s.record -> ()
   | Some s ->
       let now = Engine.now s.eng in
       Sink.record s.sink
@@ -367,7 +333,6 @@ let instant t ~cat ~name ?(args = []) () =
 let complete t ~cat ~name ~ts ~dur ?(args = []) ?(num_args = []) () =
   match t.state with
   | None -> ()
-  | Some s when not s.record -> ()
   | Some s ->
       let fid = Engine.current_fid s.eng in
       Sink.record s.sink
@@ -451,26 +416,26 @@ let export t buf =
       Buffer.add_string buf "{\"traceEvents\":[";
       let first = ref true in
       let sep () = if !first then first := false else Buffer.add_char buf ',' in
-      (* Thread-name metadata first, sorted by fiber id, so Perfetto shows
+      (* Thread-name metadata first, in fiber-id order (the names table
+         enumerates ascending by construction), so Perfetto shows
          accounting labels instead of bare tids.  Only fibers that appear
          in a retained event get a record — long runs see one short-lived
          message fiber per client op, and naming them all would dwarf the
          bounded event ring. *)
       let live = Hashtbl.create 256 in
       Sink.iter s.sink (fun ev -> Hashtbl.replace live ev.tid ());
-      (* lint-ok: sorted before use. *)
-      Hashtbl.fold
-        (fun fid label acc -> if Hashtbl.mem live fid then (fid, label) :: acc else acc)
-        s.names []
-      |> List.sort compare
-      |> List.iter (fun (fid, label) ->
-             sep ();
-             Buffer.add_string buf
-               (Printf.sprintf
-                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":"
-                  fid);
-             Json.str_into buf (Printf.sprintf "%s/%d" label fid);
-             Buffer.add_string buf "}}");
+      List.iter
+        (fun (fid, label) ->
+          if Hashtbl.mem live fid then begin
+            sep ();
+            Buffer.add_string buf
+              (Printf.sprintf
+                 "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":"
+                 fid);
+            Json.str_into buf (Printf.sprintf "%s/%d" label fid);
+            Buffer.add_string buf "}}"
+          end)
+        (Int_table.bindings s.names);
       Sink.iter s.sink (fun ev ->
           sep ();
           emit_event buf ev);

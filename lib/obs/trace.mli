@@ -1,10 +1,16 @@
 (** Virtual-time span/event tracer with Chrome trace-event export.
 
-    A tracer is either {!disabled} — every operation is a single branch,
-    and instrumented code is bit-identical to uninstrumented code — or
-    attached to an engine with {!create}, recording spans, instants and
-    periodic metric samples into a bounded ring buffer, all timestamped
-    with the engine's virtual clock.
+    A tracer only records; it owns no metrics.  The run's registry
+    belongs to its engine ({!Wafl_sim.Engine.metrics}), and components
+    publish there whether or not a tracer records.  Three modes:
+    off ({!disabled}, or {!metrics_only} bound to an engine), where every
+    operation is a single branch and instrumented code is bit-identical
+    to uninstrumented code; recording ({!create}), which records spans,
+    instants and periodic samples of the engine's registry into a
+    bounded ring buffer, all timestamped with the engine's virtual
+    clock; and recording with causal edges ([create ~causal:true]).
+    {!enabled} means "records", so instrumentation guards span arguments
+    with it and builds none in an unrecorded run.
 
     Recording never consumes virtual time and never schedules events, so
     enabling tracing does not change simulation results; and because all
@@ -27,8 +33,9 @@ val create :
     [sample_interval] (default 10000.0 virtual microseconds) is the
     counter/gauge sampling period, [0.0] disables the timeseries.
 
-    The tracer publishes its ring's drop count in its registry as the
-    pull counter ["trace.drops"].
+    The tracer publishes its ring's drop count in the engine's registry
+    as the pull counter ["trace.drops"], and samples that registry's
+    counters and gauges.
 
     [causal] (default [false]) additionally records causal edges — flow
     events pairing every asynchronous handoff's source and destination —
@@ -36,22 +43,21 @@ val create :
     {!Causal} and DESIGN.md §4.10. *)
 
 val metrics_only : Wafl_sim.Engine.t -> t
-(** Always-on telemetry attachment: {!enabled} is true, so component
-    instrumentation registers, updates and publishes in a live
-    {!Metrics} registry, but no spans are recorded, no engine hooks are
-    installed, and the CPU profile stays empty.  [Driver.run] attaches
-    one whenever the caller's tracer is disabled, so every run has a
-    registry its measurement window and {!Rollup} read by name. *)
+(** A tracer bound to [eng] that records nothing: {!enabled} is false,
+    no engine hooks are installed and {!metrics} is [eng]'s registry.
+    Equivalent to {!disabled} for instrumentation. *)
 
 val enabled : t -> bool
+(** Whether the tracer records. *)
+
 val causal : t -> bool
 val engine : t -> Wafl_sim.Engine.t option
 
 val metrics : t -> Metrics.t
-(** The tracer's metrics registry.  On a disabled tracer this returns a
-    shared throwaway registry ({!Metrics.throwaway}: one per domain, it
-    retains no pull instrument), so instrumentation may register and
-    update instruments unconditionally. *)
+(** The registry of the engine the tracer is bound to.  Raises
+    [Invalid_argument] on {!disabled}, which has no engine.  Components
+    read {!Wafl_sim.Engine.metrics} instead ([wafl_lint] flags this call
+    in [lib/] outside [Wafl_obs]). *)
 
 (** {1 Recording} *)
 

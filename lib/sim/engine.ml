@@ -72,6 +72,7 @@ and t = {
   race : Race.t option; (* Some iff created with ~sanitize:true *)
   mutable access_hook : (int -> string -> Race.mode -> unit) option;
   mutable obs_hooks : obs_hooks option; (* observability taps; None = zero cost *)
+  metrics : Metrics.t; (* the run's one registry; components publish here *)
 }
 
 and obs_hooks = {
@@ -212,9 +213,11 @@ let create ?(quantum = 100.0) ?(sanitize = false) ~cores () =
     race = (if sanitize then Some (Race.create ()) else None);
     access_hook = None;
     obs_hooks = None;
+    metrics = Metrics.create ();
   }
 
 let cores t = t.n_cores
+let metrics t = t.metrics
 let now t = t.clock.v
 
 (* --- sanitizer plumbing --- *)

@@ -15,6 +15,10 @@
     FIFO and event ties are broken by sequence number, so a run is a pure
     function of its inputs.
 
+    Each engine owns its run's one {!Metrics} registry ({!metrics}):
+    components built on the engine publish their counts there, whether
+    or not a tracer records the run (DESIGN.md §4.8).
+
     All fiber-context functions ({!consume}, {!sleep}, {!yield}, ...)
     must be called from code running inside a fiber of the same engine;
     calling them elsewhere raises [Stdlib.Effect.Unhandled]. *)
@@ -39,6 +43,14 @@ val create : ?quantum:float -> ?sanitize:bool -> cores:int -> unit -> t
     one; with [sanitize:false] every probe is a single branch. *)
 
 val cores : t -> int
+
+val metrics : t -> Metrics.t
+(** The engine's metrics registry, created empty with the engine.  Every
+    component registers its instruments here; readers (the driver's
+    measurement window, [Wafl_obs.Rollup], the tracer's samples) read
+    it by name.  Engines never share a registry, so same-name instruments
+    on two engines neither sum nor see each other. *)
+
 val now : t -> float
 (** Current virtual time in microseconds. *)
 

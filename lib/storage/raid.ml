@@ -19,10 +19,10 @@ type 'b t = {
   obs : Wafl_obs.Trace.t;
   obs_on : bool; (* Trace.enabled obs, hoisted off the hot path *)
   causal_on : bool; (* Causal.enabled obs, hoisted likewise *)
-  m_service : Wafl_obs.Metrics.histo;
-  m_wait : Wafl_obs.Metrics.histo;
-  m_ios : Wafl_obs.Metrics.counter;
-  m_blocks : Wafl_obs.Metrics.counter;
+  m_service : Metrics.histo;
+  m_wait : Metrics.histo;
+  m_ios : Metrics.counter;
+  m_blocks : Metrics.counter;
   data_width : int;
   mutable stripe_counts : int array; (* all zero between I/Os; see [stripe_mix] *)
   queue_depth : int;
@@ -124,7 +124,7 @@ let service_fiber t () =
            wait it reveals) attribute to the submitting CP. *)
         Wafl_obs.Causal.restore t.obs ~kind:"raid" h;
         let wait = Engine.now t.eng -. submitted_at in
-        if t.obs_on then Wafl_obs.Metrics.observe t.m_wait wait;
+        Metrics.observe t.m_wait wait;
         check_failure t;
         (* the device block map and the fault plan's bookkeeping are
            touched from this service fiber, client read paths and the
@@ -160,9 +160,9 @@ let service_fiber t () =
         in
         let t0 = Engine.now t.eng in
         Engine.sleep service;
-        Wafl_obs.Metrics.observe t.m_service service;
-        Wafl_obs.Metrics.incr t.m_ios;
-        Wafl_obs.Metrics.add t.m_blocks nblocks;
+        Metrics.observe t.m_service service;
+        Metrics.incr t.m_ios;
+        Metrics.add t.m_blocks nblocks;
         if t.obs_on then
           Wafl_obs.Trace.complete t.obs ~cat:"raid" ~name:"raid io" ~ts:t0 ~dur:service
             ~num_args:
@@ -216,7 +216,7 @@ let service_fiber t () =
 
 let create ?(queue_depth = 4) ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost ~disk ~rg =
   if queue_depth <= 0 then invalid_arg "Raid.create: queue_depth must be positive";
-  let m = Wafl_obs.Trace.metrics obs in
+  let m = Engine.metrics eng in
   let t =
     {
       eng;
@@ -228,10 +228,10 @@ let create ?(queue_depth = 4) ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost 
       obs;
       obs_on = Wafl_obs.Trace.enabled obs;
       causal_on = Wafl_obs.Causal.enabled obs;
-      m_service = Wafl_obs.Metrics.histogram m "raid.io_service_us";
-      m_wait = Wafl_obs.Metrics.histogram m "raid.io_wait_us";
-      m_ios = Wafl_obs.Metrics.counter m "raid.ios";
-      m_blocks = Wafl_obs.Metrics.counter m "raid.blocks";
+      m_service = Metrics.histogram m "raid.io_service_us";
+      m_wait = Metrics.histogram m "raid.io_wait_us";
+      m_ios = Metrics.counter m "raid.ios";
+      m_blocks = Metrics.counter m "raid.blocks";
       data_width = Geometry.data_drives (Disk.geometry disk) ~rg;
       stripe_counts = [||];
       queue_depth;
@@ -251,11 +251,11 @@ let create ?(queue_depth = 4) ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost 
       rebuilt = 0;
     }
   in
-  let pull name f = Wafl_obs.Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
+  let pull name f = Metrics.pull_counter m name (fun () -> float_of_int (f ())) in
   pull "raid.full_stripes" (fun () -> t.full);
   pull "raid.partial_stripes" (fun () -> t.partial);
   pull "rebuild.blocks" (fun () -> t.rebuilt);
-  Wafl_obs.Metrics.pull_gauge m "rebuild.active" (fun () -> if t.degraded then 1.0 else 0.0);
+  Metrics.pull_gauge m "rebuild.active" (fun () -> if t.degraded then 1.0 else 0.0);
   for _ = 1 to queue_depth do
     ignore (Engine.spawn eng ~label:"io" (service_fiber t))
   done;

@@ -32,12 +32,12 @@ val create :
   'b t
 (** Spawns [queue_depth] (default 4) service fibers labelled ["io"].
     [obs] (default disabled) records a ["raid io"] span per serviced I/O
-    with stripe mix args, plus service-time histogram and I/O counters
-    under the ["raid."] metric prefix; the group's own stripe and rebuild
-    counts are published as the pull counters ["raid.full_stripes"],
-    ["raid.partial_stripes"] and ["rebuild.blocks"] and the pull gauge
-    ["rebuild.active"] (1 while degraded), each summed over the groups
-    sharing a registry.  [flash] (default none) attaches an
+    with stripe mix args.  The engine's registry gets service-time
+    histogram and I/O counters under the ["raid."] metric prefix; the
+    group's own stripe and rebuild counts are published as the pull
+    counters ["raid.full_stripes"], ["raid.partial_stripes"] and
+    ["rebuild.blocks"] and the pull gauge ["rebuild.active"] (1 while
+    degraded), each summed over the engine's groups.  [flash] (default none) attaches an
     FTL media model: durable writes additionally program NAND pages —
     charging program time and GC-induced stalls to the I/O before its
     completion is signalled — and freed blocks should be {!trim}med. *)

@@ -16,8 +16,8 @@ type node = {
   kind : string; (* Affinity.kind_name aff *)
   span_name : string; (* "msg " ^ kind *)
   post_kind : string; (* "post " ^ kind: the causal-edge kind for this node *)
-  mutable wait_h : Wafl_obs.Metrics.histo option; (* registered on first use *)
-  mutable service_h : Wafl_obs.Metrics.histo option;
+  mutable wait_h : Metrics.histo option; (* registered on first use *)
+  mutable service_h : Metrics.histo option;
   mutable executed_n : int ref; (* this kind's [by_kind] cell; [no_count] until the first *)
 }
 
@@ -70,9 +70,9 @@ type t = {
   obs : Wafl_obs.Trace.t;
   obs_on : bool; (* Trace.enabled obs, hoisted off the hot path *)
   causal_on : bool; (* Causal.enabled obs, hoisted likewise *)
-  m_msgs : Wafl_obs.Metrics.counter;
-  g_queued : Wafl_obs.Metrics.gauge;
-  g_executing : Wafl_obs.Metrics.gauge;
+  m_msgs : Metrics.counter;
+  g_queued : Metrics.gauge;
+  g_executing : Metrics.gauge;
   mutable chaos_misattribute : Affinity.t option;
       (* test-only: the next posted message is mislabelled with this
          affinity, as if a grant guard were dropped *)
@@ -98,7 +98,7 @@ let dummy_node =
 let create ?workers ?isolation ?(obs = Wafl_obs.Trace.disabled) eng ~cost () =
   let workers = match workers with Some w -> w | None -> Engine.cores eng in
   if workers <= 0 then invalid_arg "Scheduler.create: workers must be positive";
-  let m = Wafl_obs.Trace.metrics obs in
+  let m = Engine.metrics eng in
   {
     eng;
     cost;
@@ -123,9 +123,9 @@ let create ?workers ?isolation ?(obs = Wafl_obs.Trace.disabled) eng ~cost () =
     obs;
     obs_on = Wafl_obs.Trace.enabled obs;
     causal_on = Wafl_obs.Causal.enabled obs;
-    m_msgs = Wafl_obs.Metrics.counter m "sched.messages";
-    g_queued = Wafl_obs.Metrics.gauge m "sched.queued";
-    g_executing = Wafl_obs.Metrics.gauge m "sched.executing";
+    m_msgs = Metrics.counter m "sched.messages";
+    g_queued = Metrics.gauge m "sched.queued";
+    g_executing = Metrics.gauge m "sched.executing";
     chaos_misattribute = None;
   }
 
@@ -193,7 +193,7 @@ let wait_histo t n =
   | Some h -> h
   | None ->
       let h =
-        Wafl_obs.Metrics.histogram (Wafl_obs.Trace.metrics t.obs) ("sched.wait_us." ^ n.kind)
+        Metrics.histogram (Engine.metrics t.eng) ("sched.wait_us." ^ n.kind)
       in
       n.wait_h <- Some h;
       h
@@ -203,7 +203,7 @@ let service_histo t n =
   | Some h -> h
   | None ->
       let h =
-        Wafl_obs.Metrics.histogram (Wafl_obs.Trace.metrics t.obs) ("sched.service_us." ^ n.kind)
+        Metrics.histogram (Engine.metrics t.eng) ("sched.service_us." ^ n.kind)
       in
       n.service_h <- Some h;
       h
@@ -330,13 +330,11 @@ let exec t n m =
   | Some iso -> Isolation.exit iso ~fid:(Engine.current_fid t.eng)
   | None -> ());
   release n;
-  if t.obs_on then begin
-    Wafl_obs.Metrics.observe (service_histo t n) (Engine.now t.eng -. t0);
-    Wafl_obs.Metrics.incr t.m_msgs
-  end;
+  Metrics.observe (service_histo t n) (Engine.now t.eng -. t0);
+  Metrics.incr t.m_msgs;
   t.executing <- t.executing - 1;
   t.executed <- t.executed + 1;
-  if t.obs_on then Wafl_obs.Metrics.set t.g_executing (float_of_int t.executing);
+  Metrics.set t.g_executing (float_of_int t.executing);
   count_kind t n
 
 (* A worker executes its granted message, re-enters dispatch (the old
@@ -363,10 +361,8 @@ and start t n m =
   t.executing <- t.executing + 1;
   let wait = Engine.now t.eng -. m.posted_at in
   t.wait_time <- t.wait_time +. wait;
-  if t.obs_on then begin
-    Wafl_obs.Metrics.observe (wait_histo t n) wait;
-    Wafl_obs.Metrics.set t.g_executing (float_of_int t.executing)
-  end;
+  Metrics.observe (wait_histo t n) wait;
+  Metrics.set t.g_executing (float_of_int t.executing);
   (* The queue hand-off orders the poster before the message body even
      when the granting dispatch runs in an unrelated fiber. *)
   Engine.probe_atomic t.eng ~shared:"sched.queue";
@@ -398,7 +394,7 @@ and dispatch t =
     if grantable n then begin
       let m = Queue.pop n.q in
       t.pending_count <- t.pending_count - 1;
-      if t.obs_on then Wafl_obs.Metrics.set t.g_queued (float_of_int t.pending_count);
+      Metrics.set t.g_queued (float_of_int t.pending_count);
       if not (Queue.is_empty n.q) then hp_push t (Queue.peek n.q).seq n;
       start t n m
     end
@@ -433,7 +429,7 @@ let post t ~affinity ~label body =
   Queue.push m n.q;
   if was_empty then hp_push t m.seq n;
   t.pending_count <- t.pending_count + 1;
-  if t.obs_on then Wafl_obs.Metrics.set t.g_queued (float_of_int t.pending_count);
+  Metrics.set t.g_queued (float_of_int t.pending_count);
   Engine.probe_atomic t.eng ~shared:"sched.queue";
   dispatch t
 

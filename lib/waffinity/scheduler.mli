@@ -28,8 +28,9 @@ val create :
     given, every message fiber is registered with the checker for its
     lifetime, so [Engine.probe] calls from message context are validated
     against the message's affinity (see {!Isolation}).  [obs] (default
-    disabled) wraps each message body in a ["msg <kind>"] span and
-    records queue-wait and service-time histograms per affinity kind
+    disabled) wraps each message body in a ["msg <kind>"] span.  The
+    engine's registry gets queue-wait and service-time histograms per
+    affinity kind
     (["sched.wait_us.<kind>"], ["sched.service_us.<kind>"]) plus queue
     depth gauges. *)
 

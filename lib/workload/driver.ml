@@ -259,12 +259,7 @@ let validate spec =
 let run spec =
   validate spec;
   let eng = Engine.create ~cores:spec.cores ~sanitize:spec.sanitize () in
-  let user_obs = spec.obs eng in
-  (* Every run has a live registry: the measurement window and the
-     telemetry rollup read their counts from it by name.  When no full
-     tracer is attached, the metrics-only tracer provides one without
-     recording spans or installing engine hooks. *)
-  let obs = if Wafl_obs.Trace.enabled user_obs then user_obs else Wafl_obs.Trace.metrics_only eng in
+  let obs = spec.obs eng in
   let agg =
     Aggregate.create eng ~cost:spec.cost ~geometry:spec.geometry ~nvlog_half:spec.nvlog_half
       ?nvlog_watermarks:spec.watermarks ?flash:spec.flash ~cache_blocks:spec.cache_blocks ~obs
@@ -272,30 +267,32 @@ let run spec =
   in
   let walloc = Wafl_core.Walloc.create ~obs agg spec.cfg in
   let cp = Wafl_core.Walloc.cp walloc and pool = Wafl_core.Walloc.pool walloc in
-  let m = Wafl_obs.Trace.metrics obs in
+  (* The engine's registry: components publish their counts there, and
+     the measurement window and the telemetry rollup read them by name. *)
+  let m = Engine.metrics eng in
   (* End-to-end latency decomposition (DESIGN.md §4.10): per-op-kind
      histograms plus the time writes spend throttled behind CP progress. *)
-  let h_e2e_read = Wafl_obs.Metrics.histogram m "op.e2e_us.read" in
-  let h_e2e_write = Wafl_obs.Metrics.histogram m "op.e2e_us.write" in
-  let h_e2e_meta = Wafl_obs.Metrics.histogram m "op.e2e_us.meta" in
-  let h_throttle = Wafl_obs.Metrics.histogram m "op.throttle_us" in
-  let h_qos_wait = Wafl_obs.Metrics.histogram m "qos.queue_wait_us" in
-  let c_qos_admitted = Wafl_obs.Metrics.counter m "qos.admitted_ops" in
-  let c_qos_throttled = Wafl_obs.Metrics.counter m "qos.throttled_ops" in
-  let c_qos_shed = Wafl_obs.Metrics.counter m "qos.shed_ops" in
+  let h_e2e_read = Metrics.histogram m "op.e2e_us.read" in
+  let h_e2e_write = Metrics.histogram m "op.e2e_us.write" in
+  let h_e2e_meta = Metrics.histogram m "op.e2e_us.meta" in
+  let h_throttle = Metrics.histogram m "op.throttle_us" in
+  let h_qos_wait = Metrics.histogram m "qos.queue_wait_us" in
+  let c_qos_admitted = Metrics.counter m "qos.admitted_ops" in
+  let c_qos_throttled = Metrics.counter m "qos.throttled_ops" in
+  let c_qos_shed = Metrics.counter m "qos.shed_ops" in
   (* Fleet telemetry: the rollup watches the run's registry; windows seal
      lazily from the per-op feeds below, so no fiber is spawned and the
-     run stays bit-identical.  Ring drops only exist on a user-attached
-     tracer; the internal metrics-only tracer records nothing. *)
+     run stays bit-identical.  Ring drops only exist when a tracer
+     records. *)
   let telem =
     match spec.telemetry with
     | None -> None
     | Some tcfg ->
         let roll = Wafl_obs.Rollup.create ~config:tcfg.rollup eng in
         let health = Wafl_obs.Health.create ~rules:tcfg.rules roll in
-        Wafl_obs.Rollup.watch roll m
+        Wafl_obs.Rollup.watch roll
           ~counters:
-            ((if Wafl_obs.Trace.enabled user_obs then [ "trace.drops" ] else [])
+            ((if Wafl_obs.Trace.enabled obs then [ "trace.drops" ] else [])
             @ [ "cp.count"; "cp.b2b"; "nvlog.stall_us"; "nvlog.hard_dwell_us";
                 "flash.gc_stall_us"; "rebuild.blocks"; "qos.shed_ops" ])
           ~gauges:[ "rebuild.active" ]
@@ -367,7 +364,7 @@ let run spec =
   let throttled_wait () =
     let w0 = Engine.now eng in
     Aggregate.wait_for_log_space agg;
-    Wafl_obs.Metrics.observe h_throttle (Engine.now eng -. w0)
+    Metrics.observe h_throttle (Engine.now eng -. w0)
   in
   let write_cost =
     let c = spec.cost in
@@ -442,7 +439,7 @@ let run spec =
             | `M -> ("meta", h_e2e_meta)
           in
           let dur = Engine.now eng -. started in
-          Wafl_obs.Metrics.observe h dur;
+          Metrics.observe h dur;
           Wafl_obs.Trace.complete obs ~cat:"op" ~name ~ts:started ~dur ();
           (match telem with
           | Some (roll, _) when kind = `W ->
@@ -502,17 +499,17 @@ let run spec =
       | `Shed ->
           if windowed then acc.shed <- acc.shed + 1;
           telem_count vol `Shed;
-          Wafl_obs.Metrics.incr c_qos_shed
+          Metrics.incr c_qos_shed
       | (`Admit | `Delay _) as verdict ->
           let delay = match verdict with `Delay d -> d | `Admit -> 0.0 in
           if windowed then acc.admitted <- acc.admitted + 1;
           telem_count vol `Admitted;
-          Wafl_obs.Metrics.incr c_qos_admitted;
+          Metrics.incr c_qos_admitted;
           if delay > 0.0 then begin
             if windowed then acc.throttled <- acc.throttled + 1;
             telem_count vol `Throttled;
-            Wafl_obs.Metrics.incr c_qos_throttled;
-            Wafl_obs.Metrics.observe h_qos_wait delay
+            Metrics.incr c_qos_throttled;
+            Metrics.observe h_qos_wait delay
           end;
           let started = Engine.now eng in
           ignore
@@ -566,11 +563,11 @@ let run spec =
       "flash.gc_stall_us" ]
   in
   recording := true;
-  let opened = List.map (fun name -> (name, Wafl_obs.Metrics.counter_value m name)) counted in
+  let opened = List.map (fun name -> (name, Metrics.counter_value m name)) counted in
   let t0 = Engine.now eng in
   Engine.run ~until:(t0 +. spec.measure) eng;
   recording := false;
-  let delta name = Wafl_obs.Metrics.counter_value m name -. List.assoc name opened in
+  let delta name = Metrics.counter_value m name -. List.assoc name opened in
   let count name = int_of_float (delta name) in
   let duration = Engine.now eng -. t0 in
   let ops = Wafl_util.Histogram.count window.hist in

@@ -19,9 +19,9 @@
       at completion even after the window closes, so overload backlog is
       visible rather than censored.
 
-    Every run has a live metrics registry: the caller's tracer when it
-    is enabled, {!Wafl_obs.Trace.metrics_only} otherwise.  Components
-    publish their cumulative counts there (DESIGN.md §4.8), and window
+    Every run's metrics registry is its engine's
+    ({!Wafl_sim.Engine.metrics}), traced or not.  Components publish
+    their cumulative counts there (DESIGN.md §4.8), and window
     counters (CPs, cleaning, allocation, stripes, NVLog, flash) are
     deltas of those counts read by name when the window opens and when
     it closes; the telemetry rollup watches the same registry. *)
@@ -110,10 +110,10 @@ type spec = {
       (** tracer factory, called once with the run's engine before any
           component is built.  Default returns [Wafl_obs.Trace.disabled];
           to trace a run, return [Wafl_obs.Trace.create eng] and capture
-          the tracer through a [ref] to export it afterwards.  When the
-          returned tracer is disabled, the run attaches
-          {!Wafl_obs.Trace.metrics_only} instead, so it is metrics-only.
-          Tracing never changes results (see DESIGN.md §4.8). *)
+          the tracer through a [ref] to export it afterwards.  The
+          tracer only records; the run's metrics live in the engine's
+          registry either way.  Tracing never changes results (see
+          DESIGN.md §4.8). *)
 }
 
 val default_spec : spec

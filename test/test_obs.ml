@@ -99,9 +99,13 @@ let test_metrics () =
     [ "a.count" ]
     (List.map fst (Metrics.counters m));
   Alcotest.(check (float 1e-9)) "missing name reads 0" 0.0 (Metrics.counter_value m "nope");
-  (* A disabled tracer still hands out a usable registry. *)
-  Metrics.incr (Metrics.counter (Trace.metrics Trace.disabled) "x");
-  Alcotest.(check bool) "disabled tracer is disabled" false (Trace.enabled Trace.disabled)
+  Alcotest.(check bool) "disabled tracer is disabled" false (Trace.enabled Trace.disabled);
+  (* A tracer that records nothing is bound to its engine's registry. *)
+  let eng = Engine.create ~cores:1 () in
+  let off = Trace.metrics_only eng in
+  Alcotest.(check bool) "metrics-only tracer records nothing" false (Trace.enabled off);
+  Alcotest.(check bool) "its registry is the engine's" true
+    (Trace.metrics off == Engine.metrics eng)
 
 (* Pull instruments: a component publishes a value it keeps anyway. *)
 let test_pull_instruments () =
@@ -125,13 +129,18 @@ let test_pull_instruments () =
   Alcotest.check_raises "one name is pushed or pulled, never both"
     (Invalid_argument "Metrics: c.pushed is both pushed and pulled") (fun () ->
       Metrics.pull_counter m "c.pushed" (fun () -> 0.0));
-  (* The disabled tracer's shared registry retains no pull instrument. *)
-  let null = Trace.metrics Trace.disabled in
-  Metrics.pull_counter null "untraced.pull" (fun () -> 1.0);
-  Metrics.pull_gauge null "untraced.gauge" (fun () -> 1.0);
-  Alcotest.(check bool) "no entry in the throwaway registry" false
-    (List.mem_assoc "untraced.pull" (Metrics.counters null)
-    || List.mem_assoc "untraced.gauge" (Metrics.gauges null))
+  (* Each engine owns its registry: same-name pulls on two engines
+     neither sum nor show up on the other. *)
+  let a = Engine.create ~cores:1 () and b = Engine.create ~cores:1 () in
+  Metrics.pull_counter (Engine.metrics a) "engine.pull" (fun () -> 1.0);
+  Metrics.pull_counter (Engine.metrics b) "engine.pull" (fun () -> 2.0);
+  Metrics.pull_gauge (Engine.metrics a) "engine.gauge" (fun () -> 3.0);
+  Alcotest.(check (float 0.0)) "engine a reads its own pull" 1.0
+    (Metrics.counter_value (Engine.metrics a) "engine.pull");
+  Alcotest.(check (float 0.0)) "engine b reads its own pull" 2.0
+    (Metrics.counter_value (Engine.metrics b) "engine.pull");
+  Alcotest.(check (list string)) "engine b sees no gauge of engine a" []
+    (List.map fst (Metrics.gauges (Engine.metrics b)))
 
 let test_ring_drop () =
   let eng = Engine.create ~cores:1 () in

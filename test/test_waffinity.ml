@@ -408,6 +408,36 @@ let prop_no_conflicting_coschedule =
       check !intervals;
       !pairs_ok && List.length !intervals = List.length affs)
 
+(* --- Allocation guard: a tracer that records nothing costs nothing --- *)
+
+(* Minor words per [Scheduler.post_wait] message, over [n] messages
+   posted from one fiber after a warm-up round of the same size. *)
+let words_per_post_wait obs_of =
+  let eng = Engine.create ~cores:2 () in
+  let sched = Scheduler.create ~obs:(obs_of eng) eng ~cost:Cost.default () in
+  let n = 10_000 and words = ref Float.nan in
+  let round () =
+    for i = 0 to n - 1 do
+      Scheduler.post_wait sched ~affinity:(Affinity.Stripe (0, 1, i land 7)) ~label:"client" ignore
+    done
+  in
+  ignore
+    (Engine.spawn eng (fun () ->
+         round ();
+         let w0 = Gc.minor_words () in
+         round ();
+         words := (Gc.minor_words () -. w0) /. float_of_int n));
+  Engine.run eng;
+  !words
+
+(* Span arguments are built only under [Trace.enabled], which means
+   "records": a metrics-only tracer must skip them exactly as the
+   disabled one does, while both update the same engine metrics. *)
+let test_alloc_metrics_only () =
+  let disabled = words_per_post_wait (fun _ -> Wafl_obs.Trace.disabled) in
+  let metrics_only = words_per_post_wait Wafl_obs.Trace.metrics_only in
+  Alcotest.(check (float 0.0)) "minor words per message" disabled metrics_only
+
 let () =
   Alcotest.run "wafl_waffinity"
     [
@@ -447,4 +477,6 @@ let () =
           Alcotest.test_case "drain" `Quick test_drain;
           QCheck_alcotest.to_alcotest ~verbose:false prop_no_conflicting_coschedule;
         ] );
+      ( "alloc",
+        [ Alcotest.test_case "post_wait: metrics-only = disabled" `Quick test_alloc_metrics_only ] );
     ]

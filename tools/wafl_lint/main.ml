@@ -17,7 +17,9 @@
      other code must go through the Scheduler.post affinity API;
    - [Disk.discard] or [Packed.recycle] outside lib/fs/aggregate.ml
      (block images die only at a superblock publish, and only that
-     publish may hand a dead image's buffer to the spare pool).
+     publish may hand a dead image's buffer to the spare pool);
+   - [Trace.metrics] outside lib/obs (components read their engine's
+     registry, [Engine.metrics]).
 
    A finding is suppressed when the token "lint-ok" appears on the
    flagged line or the line directly above it (typically in a comment
@@ -95,6 +97,13 @@ let health_whitelist = [ "health.ml" ]
    still reads; a recycle anywhere else could refill a live image. *)
 let image_owner = "lib/fs/aggregate.ml"
 
+(* The one directory allowed to reach the metrics registry through a
+   tracer: the observability subsystem.  The registry belongs to the
+   engine, so components read [Engine.metrics]; a tracer that stood in
+   for it would make the registry's owner depend on how a run is
+   traced. *)
+let in_obs src = Filename.basename (Filename.dirname src.name) = "obs"
+
 let check_path src loc path =
   match path with
   | "Random" :: _ when base src.name <> "rng.ml" ->
@@ -139,6 +148,11 @@ let check_path src loc path =
             report src loc
               "Packed.recycle hands an image's buffer to a spare pool for refilling; only the \
                aggregate's superblock publish may recycle, and only images it just discarded"
+      | "metrics" :: "Trace" :: _ ->
+          if not (in_obs src) then
+            report src loc
+              "Trace.metrics reaches the registry through a tracer; read the engine's own \
+               registry with Engine.metrics instead"
       | field :: "Trace" :: _ when List.mem field causal_primitives ->
           if not (List.mem (base src.name) causal_whitelist) then
             report src loc
