@@ -29,8 +29,7 @@ let take t =
     Some v
   end
 
-let consumed t = Array.to_list (Array.sub t.vbns 0 t.next)
+let vbns t = t.vbns
 let consumed_count t = t.next
-let unused t = Array.to_list (Array.sub t.vbns t.next (Array.length t.vbns - t.next))
 let mark_committed t = t.committed <- true
 let is_committed t = t.committed

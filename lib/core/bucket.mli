@@ -26,16 +26,13 @@ val is_exhausted : t -> bool
 val take : t -> int option
 (** Consume the next VBN; [None] when exhausted. *)
 
-val consumed : t -> int list
-(** VBNs taken so far, ascending — what the infrastructure must commit
-    to the allocation metafiles. *)
+val vbns : t -> int array
+(** The chunk's ascending VBNs, shared with the bucket (do not mutate).
+    The first {!consumed_count} were taken — what the infrastructure
+    must commit to the allocation metafiles; the rest were never taken
+    (bucket returned early at a CP boundary) and simply remain free. *)
 
 val consumed_count : t -> int
-(** [List.length (consumed t)] without building the list. *)
-
-val unused : t -> int list
-(** VBNs never taken (bucket returned early at a CP boundary); they
-    simply remain free. *)
 
 val mark_committed : t -> unit
 (** Set by the CP metafile pass when it commits consumed VBNs inline;

@@ -4,7 +4,9 @@ open Wafl_fs
 type segment = {
   vol : Volume.t;
   file : File.t;
-  buffers : (int * int64) list;
+  fbns : int array;
+  first : int;
+  len : int;
   whole_inode : bool;
 }
 
@@ -157,41 +159,40 @@ let stage_virt t c vol vvbn =
 
 let clean_segment t c seg =
   if seg.whole_inode then charge t t.cost.Cost.clean_inode_overhead;
-  let count = ref 0 in
-  List.iter
-    (fun (fbn, content) ->
-      let vol = seg.vol and file = seg.file in
-      let vvbn = take_virt t c vol in
-      let payload =
-        Layout.Data { vol = Volume.id vol; file = File.id file; fbn; content }
-      in
-      let pvbn = take_phys t c ~payload in
-      let old_vvbn = File.set_vvbn file ~fbn ~vvbn in
-      let prev = Volume.map_vvbn vol ~vvbn ~pvbn in
-      if prev <> -1 then
+  let vol = seg.vol and file = seg.file in
+  for i = seg.first to seg.first + seg.len - 1 do
+    let fbn = seg.fbns.(i) in
+    let vvbn = take_virt t c vol in
+    let payload =
+      Layout.Data
+        { vol = Volume.id vol; file = File.id file; fbn; content = File.cp_content file fbn }
+    in
+    let pvbn = take_phys t c ~payload in
+    let old_vvbn = File.set_vvbn file ~fbn ~vvbn in
+    let prev = Volume.map_vvbn vol ~vvbn ~pvbn in
+    if prev <> -1 then
+      failwith
+        (Printf.sprintf "cleaner: fresh vvbn %d of volume %d was already mapped to %d"
+           vvbn (Volume.id vol) prev);
+    if old_vvbn >= 0 then begin
+      (* The overwrite frees the previous generation of this block, in
+         both address spaces (§II-C). *)
+      let old_pvbn = Volume.map_vvbn vol ~vvbn:old_vvbn ~pvbn:(-1) in
+      if old_pvbn < 0 then
         failwith
-          (Printf.sprintf "cleaner: fresh vvbn %d of volume %d was already mapped to %d"
-             vvbn (Volume.id vol) prev);
-      if old_vvbn >= 0 then begin
-        (* The overwrite frees the previous generation of this block, in
-           both address spaces (§II-C). *)
-        let old_pvbn = Volume.map_vvbn vol ~vvbn:old_vvbn ~pvbn:(-1) in
-        if old_pvbn < 0 then
-          failwith
-            (Printf.sprintf "cleaner: stale vvbn %d of volume %d had no container entry"
-               old_vvbn (Volume.id vol));
-        stage_virt t c vol old_vvbn;
-        stage_phys t c old_pvbn;
-        token_probe t c;
-        incr c.c_freed
-      end;
-      charge t t.cost.Cost.clean_buffer;
+          (Printf.sprintf "cleaner: stale vvbn %d of volume %d had no container entry"
+             old_vvbn (Volume.id vol));
+      stage_virt t c vol old_vvbn;
+      stage_phys t c old_pvbn;
       token_probe t c;
-      incr c.c_cleaned;
-      t.n_buffers <- t.n_buffers + 1;
-      incr count;
-      if !count mod 64 = 0 then Engine.yield ())
-    seg.buffers;
+      incr c.c_freed
+    end;
+    charge t t.cost.Cost.clean_buffer;
+    token_probe t c;
+    incr c.c_cleaned;
+    t.n_buffers <- t.n_buffers + 1;
+    if (i - seg.first + 1) mod 64 = 0 then Engine.yield ()
+  done;
   if seg.whole_inode then t.n_inodes <- t.n_inodes + 1
 
 let flush_cleaner t c =

@@ -15,7 +15,12 @@
 type segment = {
   vol : Wafl_fs.Volume.t;
   file : Wafl_fs.File.t;
-  buffers : (int * int64) list;  (** (fbn, content), ascending fbn *)
+  fbns : int array;
+      (** holds the segment's CP buffers at [first] to [first + len - 1],
+          ascending fbns of [file]'s snapshot; each buffer's content is
+          looked up ({!Wafl_fs.File.cp_content}) as it is cleaned *)
+  first : int;
+  len : int;
   whole_inode : bool;  (** charge the per-inode overhead for this segment *)
 }
 

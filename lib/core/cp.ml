@@ -60,6 +60,10 @@ type t = {
   mutable n_b2b : int;
   mutable n_b2b_episodes : int;
   serial : serial_state;
+  (* The CP's dirty fbns, each snapshot file's ascending, one file after
+     another; cleaner segments are slices of it.  Reused CP to CP at its
+     high-water size. *)
+  mutable fbns : int array;
   mutable history : record list; (* newest first, bounded *)
   mutable requested : bool;
   mutable is_running : bool;
@@ -101,7 +105,27 @@ let set_phase t name =
 
 (* --- work distribution (batching + segmentation, §V-C) ------------------ *)
 
-let build_work_seq t snapshot =
+(* Size [t.fbns] for the snapshot, with an eighth to spare so a slowly
+   rising high-water mark regrows it rarely; returns the buffer count. *)
+let reserve_fbns t snapshot =
+  let total =
+    List.fold_left
+      (fun acc (_, files) ->
+        List.fold_left (fun acc f -> acc + File.cp_buffer_count f) acc files)
+      0 snapshot
+  in
+  if total > Array.length t.fbns then t.fbns <- Array.make (total + (total / 8)) 0;
+  total
+
+(* Copy a file's snapshot fbns into [t.fbns] at [!cursor]; returns where
+   they start. *)
+let load_fbns t file ~cursor =
+  let first = !cursor in
+  File.cp_fbns_into file t.fbns ~pos:first;
+  cursor := first + File.cp_buffer_count file;
+  first
+
+let build_work_seq t snapshot ~cursor =
   let units = ref [] in
   let batch = ref [] and batch_inodes = ref 0 and batch_buffers = ref 0 in
   let flush_batch () =
@@ -116,37 +140,33 @@ let build_work_seq t snapshot =
     (fun (vol, files) ->
       List.iter
         (fun file ->
-          (* Count first — most files are clean, and the count is O(1)
-             while [cp_buffers] builds a sorted list. *)
           let n = File.cp_buffer_count file in
-          if n = 0 then ()
-          else
-            let buffers = File.cp_buffers file in
-            if n > t.cfg.segment_buffers then begin
-            (* Large inode: split so several cleaners share it. *)
-            flush_batch ();
-            let rec split remaining first =
-              match remaining with
-              | [] -> ()
-              | _ ->
-                  let seg, rest = Wafl_util.Lists.rev_take t.cfg.segment_buffers remaining in
-                  units :=
-                    [ { Cleaner_pool.vol; file; buffers = List.rev seg; whole_inode = first } ]
-                    :: !units;
-                  split rest false
+          if n > 0 then begin
+            let first = load_fbns t file ~cursor in
+            let segment ~first ~len ~whole_inode =
+              { Cleaner_pool.vol; file; fbns = t.fbns; first; len; whole_inode }
             in
-            split buffers true
-          end
-          else if t.cfg.batching then begin
-            if
-              !batch_inodes >= t.cfg.batch_max_inodes
-              || !batch_buffers + n > t.cfg.batch_max_buffers && !batch_inodes > 0
-            then flush_batch ();
-            batch := { Cleaner_pool.vol; file; buffers; whole_inode = true } :: !batch;
-            incr batch_inodes;
-            batch_buffers := !batch_buffers + n
-          end
-          else units := [ { Cleaner_pool.vol; file; buffers; whole_inode = true } ] :: !units)
+            if n > t.cfg.segment_buffers then begin
+              (* Large inode: split so several cleaners share it. *)
+              flush_batch ();
+              let off = ref 0 in
+              while !off < n do
+                let len = min t.cfg.segment_buffers (n - !off) in
+                units := [ segment ~first:(first + !off) ~len ~whole_inode:(!off = 0) ] :: !units;
+                off := !off + len
+              done
+            end
+            else if t.cfg.batching then begin
+              if
+                !batch_inodes >= t.cfg.batch_max_inodes
+                || !batch_buffers + n > t.cfg.batch_max_buffers && !batch_inodes > 0
+              then flush_batch ();
+              batch := segment ~first ~len:n ~whole_inode:true :: !batch;
+              incr batch_inodes;
+              batch_buffers := !batch_buffers + n
+            end
+            else units := [ segment ~first ~len:n ~whole_inode:true ] :: !units
+          end)
         files)
     snapshot;
   flush_batch ();
@@ -157,9 +177,11 @@ let build_work_seq t snapshot =
    volumes.  Cleaners pull units in submission order, so interleaving the
    list bounds how long any volume waits behind a hot neighbour. *)
 let build_work t snapshot =
+  let cursor = ref 0 in
   if t.cfg.fair_cp then
-    Wafl_qos.Fair.interleave (List.map (fun entry -> build_work_seq t [ entry ]) snapshot)
-  else build_work_seq t snapshot
+    Wafl_qos.Fair.interleave
+      (List.map (fun entry -> build_work_seq t [ entry ] ~cursor) snapshot)
+  else build_work_seq t snapshot ~cursor
 
 (* --- metafile pass ------------------------------------------------------ *)
 
@@ -324,7 +346,7 @@ let process_zombies t =
               | [] -> ()
               | vbns ->
                   let batch, rest = Wafl_util.Lists.rev_take 64 vbns in
-                  Infra.commit_frees t.infra ~target ~vbns:batch ~token;
+                  Infra.commit_frees t.infra ~target ~vbns:(Array.of_list batch) ~token;
                   in_batches target rest
             in
             in_batches (Stage.Virt { vol = Volume.id vol }) !vvbns;
@@ -418,7 +440,7 @@ let serial_flush_io t =
       end)
     t.serial.io_buffers
 
-let serial_clean_buffer t vol file (fbn, content) =
+let serial_clean_buffer t vol file fbn =
   let vvbn = serial_alloc_vvbn t vol in
   let pvbn = serial_alloc_pvbn t in
   let old_vvbn = File.set_vvbn file ~fbn ~vvbn in
@@ -430,32 +452,30 @@ let serial_clean_buffer t vol file (fbn, content) =
     Aggregate.commit_free_pvbn t.agg old_pvbn
   end;
   serial_enqueue_write t pvbn
-    (Layout.Data { vol = Volume.id vol; file = File.id file; fbn; content });
+    (Layout.Data
+       { vol = Volume.id vol; file = File.id file; fbn; content = File.cp_content file fbn });
   Engine.consume t.cost.Cost.clean_buffer
 
 (* Clean everything through Serial-affinity messages of bounded size;
    each message excludes the whole file system while it runs. *)
 let serial_clean t snapshot =
   let sched = Infra.scheduler t.infra in
+  let cursor = ref 0 in
   List.iter
     (fun (vol, files) ->
       List.iter
         (fun file ->
-          let buffers = File.cp_buffers file in
-          if buffers <> [] then begin
-            let rec in_chunks = function
-              | [] -> ()
-              | buffers ->
-                  let chunk, rest = Wafl_util.Lists.rev_take 256 buffers in
-                  let chunk = List.rev chunk in
-                  Wafl_waffinity.Scheduler.post_wait sched ~affinity:Wafl_waffinity.Affinity.Serial
-                    ~label:"cleaner" (fun () ->
-                      Engine.consume t.cost.Cost.clean_inode_overhead;
-                      List.iter (serial_clean_buffer t vol file) chunk);
-                  in_chunks rest
-            in
-            in_chunks buffers
-          end)
+          let chunk = ref (load_fbns t file ~cursor) in
+          while !chunk < !cursor do
+            let lo = !chunk and hi = min !cursor (!chunk + 256) - 1 in
+            Wafl_waffinity.Scheduler.post_wait sched ~affinity:Wafl_waffinity.Affinity.Serial
+              ~label:"cleaner" (fun () ->
+                Engine.consume t.cost.Cost.clean_inode_overhead;
+                for i = lo to hi do
+                  serial_clean_buffer t vol file t.fbns.(i)
+                done);
+            chunk := hi + 1
+          done)
         files)
     snapshot
 
@@ -647,15 +667,11 @@ let run_cp_body t =
         (vol, List.filter (fun f -> not (deleted (vol, files) f)) files))
       snapshot
   in
-  let buffers_total = ref 0 in
+  let buffers_total = reserve_fbns t snapshot in
   let meta_blocks, passes =
     if t.cfg.serial_cleaning then begin
       (* Historical path: everything in the Serial affinity. *)
       set_phase t "cleaning";
-      List.iter
-        (fun (_, files) ->
-          List.iter (fun f -> buffers_total := !buffers_total + File.cp_buffer_count f) files)
-        snapshot;
       serial_clean t snapshot;
       set_phase t "metafiles";
       Engine.set_label t.eng "infra";
@@ -674,14 +690,6 @@ let run_cp_body t =
     else begin
       (* Phase 1: clean all dirty inodes through the cleaner pool. *)
       let work = build_work t snapshot in
-      buffers_total :=
-        List.fold_left
-          (fun acc w ->
-            acc
-            + List.fold_left
-                (fun a (s : Cleaner_pool.segment) -> a + List.length s.buffers)
-                0 w)
-          0 work;
       set_phase t "cleaning";
       List.iter (fun w -> Cleaner_pool.submit t.pool w) work;
       Cleaner_pool.wait_idle t.pool;
@@ -716,17 +724,17 @@ let run_cp_body t =
   if not !chaos_publish_before_quiesce then publish_commit t;
   t.n_cps <- t.n_cps + 1;
   t.last_duration <- Engine.now t.eng -. started;
-  t.last_buffers <- !buffers_total;
+  t.last_buffers <- buffers_total;
   t.last_meta <- meta_blocks;
   t.last_passes <- passes;
   Metrics.observe t.h_cp t.last_duration;
-  Metrics.add t.m_cp_buffers !buffers_total;
+  Metrics.add t.m_cp_buffers buffers_total;
   if Wafl_obs.Trace.enabled t.obs then
     Wafl_obs.Trace.complete t.obs ~cat:"cp" ~name:"CP" ~ts:started ~dur:t.last_duration
       ~num_args:
         [
           ("generation", float_of_int (Aggregate.generation t.agg));
-          ("buffers", float_of_int !buffers_total);
+          ("buffers", float_of_int buffers_total);
           ("meta_blocks", float_of_int meta_blocks);
           ("passes", float_of_int passes);
         ]
@@ -812,6 +820,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra pool cfg =
                  (Aggregate.geometry (Infra.aggregate infra)))
               0;
         };
+      fbns = [||];
       history = [];
       requested = false;
       is_running = false;

@@ -103,53 +103,56 @@ let quiesce_commits t =
 
 (* --- cost helpers ------------------------------------------------------ *)
 
-(* Distinct metafile blocks covered by a VBN list, plus its length, in
-   one pass.  Every caller passes an ascending list already — buckets
-   consume their VBN array front-to-back and stage drains are sorted —
-   so the sort is normally skipped; the run-count over a sorted list is
-   the distinct-block count either way. *)
-let rec sorted_from prev = function
-  | [] -> true
-  | v :: rest -> prev <= v && sorted_from v rest
-
-let blocks_and_len vbns =
+(* Distinct metafile blocks covered by the first [len] VBNs of [vbns]:
+   the run count over them sorted.  Bucket prefixes and stage drains are
+   ascending already; only a deleted file's free batches (fbn order) are
+   sorted, on a copy. *)
+let distinct_blocks vbns ~len =
+  let ascending = ref true in
+  for i = 1 to len - 1 do
+    if vbns.(i - 1) > vbns.(i) then ascending := false
+  done;
   let vbns =
-    match vbns with
-    | [] -> vbns
-    | v :: rest -> if sorted_from v rest then vbns else List.sort Int.compare vbns
+    if !ascending then vbns
+    else begin
+      let copy = Array.sub vbns 0 len in
+      Array.sort Int.compare copy;
+      copy
+    end
   in
-  let rec go acc len prev = function
-    | [] -> (acc, len)
-    | v :: rest ->
-        let b = v / Layout.bits_per_map_block in
-        if b = prev then go acc (len + 1) prev rest else go (acc + 1) (len + 1) b rest
-  in
-  go 0 0 (-1) vbns
+  let blocks = ref 0 and prev = ref (-1) in
+  for i = 0 to len - 1 do
+    let b = vbns.(i) / Layout.bits_per_map_block in
+    if b <> !prev then begin
+      incr blocks;
+      prev := b
+    end
+  done;
+  !blocks
 
-(* Charges the per-block and per-bit update costs; returns the list
-   length so callers need not re-walk the list to count it. *)
-let charge_bit_updates t vbns =
-  let blocks, len = blocks_and_len vbns in
+(* Charges the per-block and per-bit update costs of the first [len]
+   VBNs of [vbns]. *)
+let charge_bit_updates t vbns ~len =
+  let blocks = distinct_blocks vbns ~len in
   t.n_touched <- t.n_touched + blocks;
   Engine.consume
     ((float_of_int blocks *. t.cost.Cost.metafile_block_touch)
-    +. (float_of_int len *. t.cost.Cost.bitmap_bit_update));
-  len
+    +. (float_of_int len *. t.cost.Cost.bitmap_bit_update))
 
-(* Collect allocatable VBNs in [lo, hi] and charge scan cost. *)
+(* The allocatable VBNs in [lo, hi], ascending, as a bucket's array;
+   charges the scan cost. *)
 let scan_range t map ~lo ~hi ~allocatable =
   let before = Bitmap_file.words_scanned map in
-  let rec go acc pos =
-    if pos > hi then acc
-    else
-      match Bitmap_file.find_free map ~lo ~hi ~start:pos with
-      | None -> acc
-      | Some v -> if allocatable v then go (v :: acc) (v + 1) else go acc (v + 1)
-  in
-  let found = List.rev (go [] lo) in
+  let found = Array.make (max 0 (hi - lo + 1)) 0 in
+  let n = ref 0 in
+  Bitmap_file.iter_free map ~lo ~hi (fun v ->
+      if allocatable v then begin
+        found.(!n) <- v;
+        incr n
+      end);
   let scanned = Bitmap_file.words_scanned map - before in
   Engine.consume (float_of_int scanned *. t.cost.Cost.bitmap_scan_word);
-  found
+  if !n = Array.length found then found else Array.sub found 0 !n
 
 (* --- physical bucket cycle (per RAID group) ---------------------------- *)
 
@@ -187,7 +190,7 @@ let refill_drive t st ~drive ~base ~lo_dbn =
      the paired probes express as release/acquire edges. *)
   if Engine.sanitizing t.eng then
     Engine.probe_atomic t.eng ~shared:(Printf.sprintf "infra.rg%d.cycle" st.rg);
-  st.filled <- (drive, Array.of_list vbns) :: st.filled;
+  st.filled <- (drive, vbns) :: st.filled;
   st.refills_left <- st.refills_left - 1;
   if st.refills_left = 0 then begin
     let tetris =
@@ -225,13 +228,15 @@ let start_rg_cycle t st =
 
 let commit_phys_bucket t st bucket =
   Engine.consume (t.cost.Cost.bucket_fixed +. t.cost.Cost.summary_update);
+  let used = Bucket.consumed_count bucket in
   if not (Bucket.is_committed bucket) then begin
-    let used = Bucket.consumed bucket in
-    let n = charge_bit_updates t used in
-    List.iter (fun v -> Aggregate.commit_alloc_pvbn t.agg v) used;
-    t.n_allocated <- t.n_allocated + n
-  end
-  else t.n_allocated <- t.n_allocated + Bucket.consumed_count bucket;
+    let vbns = Bucket.vbns bucket in
+    charge_bit_updates t vbns ~len:used;
+    for i = 0 to used - 1 do
+      Aggregate.commit_alloc_pvbn t.agg vbns.(i)
+    done
+  end;
+  t.n_allocated <- t.n_allocated + used;
   t.n_committed <- t.n_committed + 1;
   if Engine.sanitizing t.eng then
     Engine.probe_atomic t.eng ~shared:(Printf.sprintf "infra.rg%d.cycle" st.rg);
@@ -272,7 +277,7 @@ let scan_virt_chunk t vs ~lo ~hi =
   in
   t.n_filled <- t.n_filled + 1;
   Sync.Channel.send vs.cache
-    (Bucket.make ~target:(Bucket.Virt { vol = Volume.id vs.vol }) ~vbns:(Array.of_list vbns) ())
+    (Bucket.make ~target:(Bucket.Virt { vol = Volume.id vs.vol }) ~vbns ())
 
 (* The cursor is cheap shared state (an atomic word in a real kernel),
    but the map scan it steers must run under the Range affinity that owns
@@ -294,13 +299,15 @@ let refill_virt t vs ~under =
 
 let commit_virt_bucket t vs ~under bucket =
   Engine.consume (t.cost.Cost.bucket_fixed +. t.cost.Cost.summary_update);
+  let used = Bucket.consumed_count bucket in
   if not (Bucket.is_committed bucket) then begin
-    let used = Bucket.consumed bucket in
-    let n = charge_bit_updates t used in
-    List.iter (fun v -> Aggregate.commit_alloc_vvbn t.agg ~vol:vs.vol v) used;
-    t.n_allocated <- t.n_allocated + n
-  end
-  else t.n_allocated <- t.n_allocated + Bucket.consumed_count bucket;
+    let vbns = Bucket.vbns bucket in
+    charge_bit_updates t vbns ~len:used;
+    for i = 0 to used - 1 do
+      Aggregate.commit_alloc_vvbn t.agg ~vol:vs.vol vbns.(i)
+    done
+  end;
+  t.n_allocated <- t.n_allocated + used;
   t.n_committed <- t.n_committed + 1;
   refill_virt t vs ~under
 
@@ -319,11 +326,15 @@ let get_virt t vol =
   Engine.consume t.cost.Cost.lock_acquire;
   Sync.Channel.recv (vol_state t vol).cache
 
+(* The bucket's first consumed VBN, which picks its commit affinity. *)
+let first_consumed bucket ~default =
+  if Bucket.consumed_count bucket > 0 then (Bucket.vbns bucket).(0) else default
+
 let put t bucket =
   match Bucket.target bucket with
   | Bucket.Phys { rg; drive = _ } ->
       let st = t.rgs.(rg) in
-      let sample = match Bucket.consumed bucket with v :: _ -> v | [] -> snd (List.hd st.drives) in
+      let sample = first_consumed bucket ~default:(snd (List.hd st.drives)) in
       post_commit t ~affinity:(phys_affinity t ~sample_vbn:sample) (fun () ->
           commit_phys_bucket t st bucket)
   | Bucket.Virt { vol } ->
@@ -332,22 +343,26 @@ let put t bucket =
         | Some vs -> vs
         | None -> invalid_arg "Infra.put: unknown volume"
       in
-      let sample = match Bucket.consumed bucket with v :: _ -> v | [] -> 0 in
+      let sample = first_consumed bucket ~default:0 in
       let affinity = virt_affinity t ~vol ~sample_vvbn:sample in
       post_commit t ~affinity (fun () -> commit_virt_bucket t vs ~under:affinity bucket)
 
 (* Split a free batch by Range affinity so independent ranges commit in
-   parallel; within one message, charge per distinct metafile block.
-   Groups come out in ascending range order (which fixes message post
-   order), each keeping its VBNs in batch order. *)
+   parallel: one array per range, indexed by range (which fixes message
+   post order), each keeping its VBNs in batch order. *)
 let group_by_range t vbns =
-  let groups = Array.make t.cfg.ranges [] in
-  List.iter
+  let range v = v / Layout.bits_per_map_block mod t.cfg.ranges in
+  let fill = Array.make t.cfg.ranges 0 in
+  Array.iter (fun v -> fill.(range v) <- fill.(range v) + 1) vbns;
+  let groups = Array.map (fun n -> Array.make n 0) fill in
+  Array.fill fill 0 t.cfg.ranges 0;
+  Array.iter
     (fun v ->
-      let r = v / Layout.bits_per_map_block mod t.cfg.ranges in
-      groups.(r) <- v :: groups.(r))
-    (List.rev vbns);
-  List.filter (fun g -> g <> []) (Array.to_list groups)
+      let r = range v in
+      groups.(r).(fill.(r)) <- v;
+      fill.(r) <- fill.(r) + 1)
+    vbns;
+  groups
 
 (* A loose-accounting token is staged by its owning cleaner while commit
    messages flush it — concurrent by design, with atomic deltas in a real
@@ -360,38 +375,38 @@ let token_probe t ~owner =
   | _ -> ()
 
 let commit_frees ?owner t ~target ~vbns ~token =
-  if vbns <> [] then begin
+  if Array.length vbns > 0 then begin
     let flush_token () =
       token_probe t ~owner;
       let updates = Counters.flush (Aggregate.counters t.agg) token in
       Engine.consume (float_of_int updates *. t.cost.Cost.lock_acquire)
     in
-    let groups =
-      if t.cfg.parallel then group_by_range t vbns
-      else [ vbns ] (* serialized infrastructure: one message *)
-    in
     let first = ref true in
-    List.iter
-      (fun group ->
-        let apply_token = !first in
-        first := false;
-        let affinity, commit_one =
-          match target with
-          | Stage.Phys ->
-              ( phys_affinity t ~sample_vbn:(List.hd group),
-                fun v -> Aggregate.commit_free_pvbn t.agg v )
-          | Stage.Virt { vol } ->
-              let v = Aggregate.volume_exn t.agg vol in
-              ( virt_affinity t ~vol ~sample_vvbn:(List.hd group),
-                fun vvbn -> Aggregate.commit_free_vvbn t.agg ~vol:v vvbn )
-        in
-        post_commit t ~affinity (fun () ->
-            Engine.consume t.cost.Cost.stage_commit_fixed;
-            let n = charge_bit_updates t group in
-            List.iter commit_one group;
-            t.n_freed <- t.n_freed + n;
-            if apply_token then flush_token ()))
-      groups
+    (* One commit message per group; the batch's first message also
+       applies the token. *)
+    let post_group group =
+      let apply_token = !first in
+      first := false;
+      let affinity, commit_one =
+        match target with
+        | Stage.Phys ->
+            ( phys_affinity t ~sample_vbn:group.(0),
+              fun v -> Aggregate.commit_free_pvbn t.agg v )
+        | Stage.Virt { vol } ->
+            let v = Aggregate.volume_exn t.agg vol in
+            ( virt_affinity t ~vol ~sample_vvbn:group.(0),
+              fun vvbn -> Aggregate.commit_free_vvbn t.agg ~vol:v vvbn )
+      in
+      post_commit t ~affinity (fun () ->
+          Engine.consume t.cost.Cost.stage_commit_fixed;
+          charge_bit_updates t group ~len:(Array.length group);
+          Array.iter commit_one group;
+          t.n_freed <- t.n_freed + Array.length group;
+          if apply_token then flush_token ())
+    in
+    if t.cfg.parallel then
+      Array.iter (fun g -> if Array.length g > 0 then post_group g) (group_by_range t vbns)
+    else post_group vbns (* serialized infrastructure: one message *)
   end
 
 (* Affinity under which a metafile block's serialization/write-out runs

@@ -55,10 +55,12 @@ val put : t -> Bucket.t -> unit
     infrastructure message; does not block). *)
 
 val commit_frees :
-  ?owner:int -> t -> target:Stage.target -> vbns:int list -> token:Wafl_fs.Counters.token -> unit
+  ?owner:int -> t -> target:Stage.target -> vbns:int array -> token:Wafl_fs.Counters.token -> unit
 (** Post messages committing staged frees to the allocation metafiles,
     split by metafile block range so they parallelize across Range
-    affinities.  Also applies the cleaner's loose-accounting token.
+    affinities; each message commits its range's VBNs in batch order.
+    The serialized infrastructure's one message keeps [vbns], so the
+    caller must not reuse it.  Also applies the cleaner's loose-accounting token.
     [owner] is the staging cleaner's index; when sanitizing, the token
     flush probes that cleaner's token domain (see DESIGN.md §4.7). *)
 

@@ -19,8 +19,11 @@ val length : t -> int
 val is_empty : t -> bool
 
 val add : t -> int -> [ `Ok | `Full ]
-(** Push a freed VBN; [`Full] means the stage just reached capacity and
-    must be drained now. *)
+(** Push a freed VBN into the stage's fixed [capacity]-sized array
+    (allocates nothing); [`Full] means the stage just reached capacity
+    and must be drained now.  Raises [Invalid_argument] on a full
+    stage. *)
 
-val drain : t -> int list
-(** Take every staged VBN (ascending) and empty the stage. *)
+val drain : t -> int array
+(** Take every staged VBN, ascending, as a fresh array and empty the
+    stage. *)

@@ -82,19 +82,27 @@ let blocks_submitted t = t.blocks
    hints a host passes to a multi-stream SSD; it is deterministic, so a
    seeded run classifies identically on replay. *)
 let make_temperature_stream () : Wafl_fs.Layout.block -> int =
-  let last = Hashtbl.create 4096 in
-  let n = ref 0 in
+  let module T = Wafl_util.Int_table in
+  let find_or_add tbl k make =
+    if T.mem tbl k then T.find tbl k
+    else begin
+      let v = make () in
+      T.replace tbl k v;
+      v
+    end
+  in
+  (* Last placement stamp by vol, file and fbn; -1 for never placed. *)
+  let last = T.create () in
+  let tracked = ref 0 and n = ref 0 in
   function
   | Wafl_fs.Layout.Data { vol; file; fbn; _ } ->
       incr n;
-      let key = (vol, file, fbn) in
-      let tracked = Hashtbl.length last in
-      let hot =
-        match Hashtbl.find_opt last key with
-        | Some prev -> !n - prev < tracked
-        | None -> false
-      in
-      Hashtbl.replace last key !n;
+      let files = find_or_add last vol T.create in
+      let stamps = find_or_add files file (fun () -> Wafl_util.Intvec.create ~default:(-1) ()) in
+      let prev = Wafl_util.Intvec.get stamps fbn in
+      let hot = prev >= 0 && !n - prev < !tracked in
+      if prev < 0 then incr tracked;
+      Wafl_util.Intvec.set stamps fbn !n;
       if hot then 1 else 0
   | Wafl_fs.Layout.Bmap _ | Wafl_fs.Layout.Inode_chunk _ | Wafl_fs.Layout.Container _
   | Wafl_fs.Layout.Vol_map _ | Wafl_fs.Layout.Agg_map _ ->

@@ -103,6 +103,32 @@ let find_free t ~lo ~hi ~start =
     !result
   end
 
+(* A loop of [find_free] calls scans, per call, every word from the one
+   holding its start through the one holding its answer (or through
+   [hi]'s word when there is none).  [pos] tracks where that loop's next
+   call would start, so [scanned] grows by exactly what the loop adds. *)
+let iter_free t ~lo ~hi f =
+  if lo <= hi then begin
+    check t lo;
+    check t hi;
+    let first = lo lsr 6 and last = hi lsr 6 in
+    let pos = ref lo in
+    for w = first to last do
+      let free = ref (Int64.lognot (word t w)) in
+      if w = first then free := Int64.logand !free (Int64.shift_left (-1L) (lo land 63));
+      if w = last then
+        free := Int64.logand !free (Int64.shift_right_logical (-1L) (63 - (hi land 63)));
+      while !free <> 0L do
+        let v = (w lsl 6) + Bitops.ctz !free in
+        t.scanned <- t.scanned + w - (!pos lsr 6) + 1;
+        pos := v + 1;
+        f v;
+        free := Int64.logand !free (Int64.sub !free 1L)
+      done
+    done;
+    if !pos <= hi then t.scanned <- t.scanned + last - (!pos lsr 6) + 1
+  end
+
 let count_free_in t ~lo ~hi =
   check t lo;
   check t hi;

@@ -36,6 +36,14 @@ val find_free : t -> lo:int -> hi:int -> start:int -> int option
 (** Lowest clear bit in [\[max lo start, hi\]], scanning word-at-a-time.
     [None] when the range is fully allocated. *)
 
+val iter_free : t -> lo:int -> hi:int -> (int -> unit) -> unit
+(** [iter_free t ~lo ~hi f] calls [f] on every clear bit in
+    [\[lo, hi\]], ascending, reading each word once.  It adds to
+    {!words_scanned} exactly what a loop of [find_free] calls adds that
+    starts at [lo], restarts one past each bit found and stops at
+    [None], so the scan cost charged from that count does not change.
+    [f] must not set or clear bits of [t]. *)
+
 val count_free_in : t -> lo:int -> hi:int -> int
 val words_scanned : t -> int
 (** Cumulative 64-bit words examined by [find_free] / [count_free_in];

@@ -56,8 +56,9 @@ let cp_snapshot t =
   t.cp <- snapshot;
   t.cp_outstanding <- true
 
-let cp_buffers t = Int_table.bindings t.cp
 let cp_buffer_count t = Int_table.length t.cp
+let cp_fbns_into t dst ~pos = Int_table.keys_into t.cp dst ~pos
+let cp_content t fbn = Int_table.find t.cp fbn
 
 let cp_done t =
   (* [clear], not a reset: keep the bucket array at its high-water size

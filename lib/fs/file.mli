@@ -40,12 +40,18 @@ val cp_snapshot : t -> unit
 (** Swap front into the CP table.  Raises [Invalid_argument] if a CP
     snapshot is still outstanding. *)
 
-val cp_buffers : t -> (int * int64) list
-(** The snapshot's (fbn, content) pairs in ascending fbn order — the
-    cleaning order, which makes consecutive file blocks land on
-    consecutive bucket VBNs. *)
-
 val cp_buffer_count : t -> int
+
+val cp_fbns_into : t -> int array -> pos:int -> unit
+(** Write the snapshot's fbns in ascending order — the cleaning order,
+    which makes consecutive file blocks land on consecutive bucket VBNs
+    — into [dst.(pos)] onward; [dst] needs room for
+    {!cp_buffer_count} of them. *)
+
+val cp_content : t -> int -> int64
+(** Content of a snapshot buffer.  Raises [Not_found] for an fbn the
+    snapshot does not hold. *)
+
 val cp_done : t -> unit
 
 (** {1 Block-map metafile bookkeeping} *)

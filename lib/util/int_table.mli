@@ -28,6 +28,15 @@ val replace : 'a t -> int -> 'a -> unit
 val mem : 'a t -> int -> bool
 val find_opt : 'a t -> int -> 'a option
 
+val find : 'a t -> int -> 'a
+(** Like {!find_opt} without the option box; raises [Not_found] on an
+    unbound key. *)
+
+val keys_into : 'a t -> int array -> pos:int -> unit
+(** [keys_into t dst ~pos] writes every bound key, ascending, into
+    [dst.(pos)] to [dst.(pos + length t - 1)], read off the presence
+    bitmap without allocating. *)
+
 val bindings : 'a t -> (int * 'a) list
 (** Every binding, in ascending key order. *)
 

@@ -23,8 +23,8 @@ let test_bucket_take_order () =
   Alcotest.(check int) "capacity" 3 (Bucket.capacity b);
   Alcotest.(check (option int)) "first" (Some 10) (Bucket.take b);
   Alcotest.(check (option int)) "second" (Some 11) (Bucket.take b);
-  Alcotest.(check (list int)) "consumed so far" [ 10; 11 ] (Bucket.consumed b);
-  Alcotest.(check (list int)) "unused" [ 13 ] (Bucket.unused b);
+  Alcotest.(check int) "consumed so far" 2 (Bucket.consumed_count b);
+  Alcotest.(check (array int)) "consumed first, unused after" [| 10; 11; 13 |] (Bucket.vbns b);
   Alcotest.(check (option int)) "third" (Some 13) (Bucket.take b);
   Alcotest.(check (option int)) "exhausted" None (Bucket.take b);
   Alcotest.(check bool) "flag" true (Bucket.is_exhausted b)
@@ -53,7 +53,9 @@ let test_stage_fill_drain () =
   Alcotest.(check bool) "not full" true (Stage.add s 5 = `Ok);
   Alcotest.(check bool) "not full" true (Stage.add s 3 = `Ok);
   Alcotest.(check bool) "full on capacity" true (Stage.add s 9 = `Full);
-  Alcotest.(check (list int)) "drain sorted" [ 3; 5; 9 ] (Stage.drain s);
+  Alcotest.check_raises "no room past capacity" (Invalid_argument "Stage.add: stage is full")
+    (fun () -> ignore (Stage.add s 1));
+  Alcotest.(check (array int)) "drain sorted" [| 3; 5; 9 |] (Stage.drain s);
   Alcotest.(check bool) "empty after drain" true (Stage.is_empty s)
 
 (* --- Tetris --- *)
@@ -205,7 +207,7 @@ let test_infra_frees_committed () =
       (* Allocate a pvbn directly, then free it through the stage path. *)
       Aggregate.commit_alloc_pvbn st.agg 4242;
       let token = Counters.token (Aggregate.counters st.agg) in
-      Infra.commit_frees infra ~target:Stage.Phys ~vbns:[ 4242 ] ~token;
+      Infra.commit_frees infra ~target:Stage.Phys ~vbns:[| 4242 |] ~token;
       Infra.quiesce_commits infra;
       Alcotest.(check bool) "bit cleared" false (Bitmap_file.mem (Aggregate.agg_map st.agg) 4242);
       Alcotest.(check bool) "frozen until CP" false (Aggregate.pvbn_allocatable st.agg 4242))
@@ -241,7 +243,10 @@ let test_pool_cleans_and_is_idempotent_on_wait () =
           (fun (vol, files) ->
             List.map
               (fun file ->
-                { Cleaner_pool.vol; file; buffers = File.cp_buffers file; whole_inode = true })
+                let fbns = Array.make (File.cp_buffer_count file) 0 in
+                File.cp_fbns_into file fbns ~pos:0;
+                let len = Array.length fbns in
+                { Cleaner_pool.vol; file; fbns; first = 0; len; whole_inode = true })
               files)
           snap
       in

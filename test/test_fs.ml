@@ -106,7 +106,62 @@ let prop_bitmap_free_count_consistent =
       Bitmap_file.free_count b = 8192 - List.length distinct
       && Bitmap_file.count_free_in b ~lo:0 ~hi:8191 = Bitmap_file.free_count b)
 
+(* The free-bit walk against a loop of [find_free] calls: same bits,
+   same [words_scanned] charge.  Maps mix full, empty and random words;
+   ranges start and end mid-word, and a third are a single bit. *)
+let walk_case_gen =
+  QCheck.Gen.(
+    let word =
+      frequency
+        [
+          (1, return (Array.make 64 false));
+          (2, return (Array.make 64 true));
+          (3, array_repeat 64 bool);
+        ]
+    in
+    int_range 1 6 >>= fun nwords ->
+    list_repeat nwords word >>= fun words ->
+    let nbits = 64 * nwords in
+    int_bound (nbits - 1) >>= fun lo ->
+    frequency [ (1, return lo); (2, int_range lo (nbits - 1)) ] >>= fun hi ->
+    return (Array.concat words, lo, hi))
+
+let prop_bitmap_walk_matches_find_free =
+  let print (used, lo, hi) =
+    Printf.sprintf "lo=%d hi=%d used=%s" lo hi
+      (String.concat "" (Array.to_list (Array.map (fun u -> if u then "1" else "0") used)))
+  in
+  QCheck.Test.make ~name:"free-bit walk matches repeated find_free" ~count:500
+    (QCheck.make ~print walk_case_gen)
+    (fun (used, lo, hi) ->
+      let b = Bitmap_file.create ~bits:(Array.length used) in
+      Array.iteri (fun i u -> if u then Bitmap_file.set b i) used;
+      let scanned f =
+        let before = Bitmap_file.words_scanned b in
+        let bits = f () in
+        (bits, Bitmap_file.words_scanned b - before)
+      in
+      let walk () =
+        let acc = ref [] in
+        Bitmap_file.iter_free b ~lo ~hi (fun v -> acc := v :: !acc);
+        List.rev !acc
+      in
+      let rec loop acc pos =
+        if pos > hi then List.rev acc
+        else
+          match Bitmap_file.find_free b ~lo ~hi ~start:pos with
+          | None -> List.rev acc
+          | Some v -> loop (v :: acc) (v + 1)
+      in
+      scanned walk = scanned (fun () -> loop [] lo))
+
 (* --- File --- *)
+
+(* A file's snapshot as ascending (fbn, content) pairs. *)
+let cp_buffers f =
+  let fbns = Array.make (File.cp_buffer_count f) 0 in
+  File.cp_fbns_into f fbns ~pos:0;
+  Array.to_list (Array.map (fun fbn -> (fbn, File.cp_content f fbn)) fbns)
 
 let test_file_write_snapshot_cow () =
   let f = File.create ~vol:0 ~id:1 in
@@ -120,7 +175,7 @@ let test_file_write_snapshot_cow () =
   File.write f ~fbn:10 ~content:999L;
   Alcotest.(check (list (pair int int64))) "snapshot unchanged"
     [ (10, 100L); (11, 110L) ]
-    (File.cp_buffers f);
+    (cp_buffers f);
   Alcotest.(check (option int64)) "read sees newest" (Some 999L) (File.read_cached f ~fbn:10);
   Alcotest.(check (option int64)) "cp visible through cache" (Some 110L)
     (File.read_cached f ~fbn:11);
@@ -738,7 +793,7 @@ let prop_file_dirty_table =
       let agrees () =
         File.dirty_front f = Hashtbl.length front
         && File.cp_buffer_count f = Hashtbl.length cp
-        && File.cp_buffers f = model_buffers ()
+        && cp_buffers f = model_buffers ()
       in
       List.for_all
         (fun op ->
@@ -919,6 +974,36 @@ let test_alloc_file_write () =
       done);
   Alcotest.(check int) "still one buffer per fbn" n_calls (File.dirty_front f)
 
+let test_alloc_stage () =
+  let module Stage = Wafl_core.Stage in
+  let s = Stage.create ~target:Stage.Phys ~capacity:n_calls in
+  (* Unsorted input with repeats drains ascending, and a drained stage
+     refills and drains the same way. *)
+  let fill () =
+    for i = 0 to n_calls - 1 do
+      ignore (Stage.add s (i * 7919 mod (n_calls / 2)))
+    done
+  in
+  let want = Array.init n_calls (fun i -> i * 7919 mod (n_calls / 2)) in
+  Array.sort compare want;
+  fill ();
+  Alcotest.(check (array int)) "drained ascending" want (Stage.drain s);
+  Alcotest.(check bool) "empty after drain" true (Stage.is_empty s);
+  check_no_alloc "add up to capacity" fill;
+  Alcotest.(check bool) "full" true (Stage.length s = Stage.capacity s);
+  Alcotest.(check (array int)) "drained the same again" want (Stage.drain s)
+
+let test_alloc_free_walk () =
+  let bits = 4 * Layout.bits_per_map_block in
+  let b = Bitmap_file.create ~bits in
+  for i = 0 to bits - 1 do
+    if i mod 3 <> 0 then Bitmap_file.set b i
+  done;
+  check_no_alloc "walk with a no-op callback" (fun () ->
+      for i = 0 to 99 do
+        Bitmap_file.iter_free b ~lo:(i * 7) ~hi:(bits - 1 - i) (fun _ -> ())
+      done)
+
 let test_alloc_geometry () =
   let g =
     Wafl_storage.Geometry.create ~drive_blocks:4096 ~aa_stripes:512
@@ -951,6 +1036,7 @@ let () =
           Alcotest.test_case "locations" `Quick test_bitmap_locations;
           QCheck_alcotest.to_alcotest ~verbose:false prop_bitmap_free_count_consistent;
           QCheck_alcotest.to_alcotest ~verbose:false prop_bitmap_dirty_lists;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_bitmap_walk_matches_find_free;
         ] );
       ( "file",
         [
@@ -1013,5 +1099,7 @@ let () =
           Alcotest.test_case "cache probe/invalidate" `Quick test_alloc_buffer_cache;
           Alcotest.test_case "file rewrite" `Quick test_alloc_file_write;
           Alcotest.test_case "geometry lookups" `Quick test_alloc_geometry;
+          Alcotest.test_case "stage add and drain" `Quick test_alloc_stage;
+          Alcotest.test_case "free-bit walk" `Quick test_alloc_free_walk;
         ] );
     ]

@@ -552,8 +552,12 @@ let prop_int_table_models_assoc =
       let model = ref [] in
       let agrees () =
         let want = List.sort compare !model in
+        let keys = Array.make (Int_table.length t + 2) (-1) in
+        Int_table.keys_into t keys ~pos:1;
         Int_table.bindings t = want
         && Int_table.length t = List.length want
+        && Array.to_list keys = (-1 :: List.map fst want) @ [ -1 ]
+        && List.for_all (fun (k, v) -> Int_table.find t k = v) want
         && List.for_all
              (fun k -> Int_table.find_opt t k = List.assoc_opt k want && Int_table.mem t k = List.mem_assoc k want)
              (List.init 40 (fun i -> i * 75))

@@ -48,7 +48,9 @@ let containers =
       [ "push"; "set"; "clear"; "extract"; "blit"; "sort" ],
       [ "get"; "length"; "bindings" ] );
     ("Dense_set", [ "add"; "clear" ], [ "mem"; "cardinal"; "elements"; "elements_desc" ]);
-    ("Int_table", [ "replace"; "clear" ], [ "mem"; "find_opt"; "length"; "bindings" ]);
+    ( "Int_table",
+      [ "replace"; "clear" ],
+      [ "mem"; "find_opt"; "find"; "length"; "bindings"; "keys_into" ] );
     ("Table", [ "add_row"; "clear" ], []);
     ("Stats", [ "add" ], [ "mean"; "stddev" ]);
     (* A seeded PRNG advances internal state on every draw. *)
