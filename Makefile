@@ -29,6 +29,15 @@ lint:
 	else \
 	  echo "lint self-check OK: negative fixture flagged"; \
 	fi
+	@out=$$($(LINT) test/fixtures/lint_negative.ml 2>&1); \
+	missed=$$(grep -n '^let _bad_' test/fixtures/lint_negative.ml | cut -d: -f1 | while read n; do \
+	  echo "$$out" | grep -q "^test/fixtures/lint_negative.ml:$$n:" || echo $$n; done); \
+	if [ -n "$$missed" ]; then \
+	  echo "lint self-check FAILED: negative fixture lines not flagged:" $$missed; \
+	  exit 1; \
+	else \
+	  echo "lint self-check OK: every _bad_ line of the negative fixture flagged"; \
+	fi
 	@if $(LINT) --max-lint-ok 1 test/fixtures/lint_escapes.ml >/dev/null 2>&1 \
 	  || ! $(LINT) --max-lint-ok 2 test/fixtures/lint_escapes.ml >/dev/null 2>&1; then \
 	  echo "lint ratchet self-check FAILED: escape fixture not counted exactly"; \

@@ -668,7 +668,7 @@ let create_snapshot t ~name =
   snap
 
 let read_snapshot t snap ~vol ~file ~fbn =
-  Snapshot.read snap ~disk:t.pers.p_disk ~vol ~file ~fbn
+  Snapshot.read snap ~read_pvbn:(read_pvbn t) ~vol ~file ~fbn
 
 (* Blocks that become reusable when [snap] goes away: held by it, free in
    the active map, and not held by any remaining snapshot. *)

@@ -236,6 +236,10 @@ val snapshot_held : t -> int -> bool
 (** Whether any snapshot references the given pvbn. *)
 
 val read_snapshot : t -> Snapshot.t -> vol:int -> file:int -> fbn:int -> int64 option
+(** Read a block as of the snapshot.  Every block of the walk goes through
+    {!read_pvbn}: a media error is reconstructed and counted, and a block
+    lost in a degraded group raises {!Corruption}. *)
+
 val delete_snapshot : t -> Snapshot.t -> unit
 (** Release the snapshot; blocks no longer referenced by the active tree
     or another snapshot become allocatable again. *)

@@ -13,8 +13,8 @@ let holds t pvbn =
 
 let held_words t = t.words
 
-let read_block disk pvbn what =
-  match Wafl_storage.Disk.read disk pvbn with
+let read_block read pvbn what =
+  match read pvbn with
   | Some payload -> payload
   | None -> failwith (Printf.sprintf "snapshot: %s at pvbn %d missing" what pvbn)
 
@@ -23,7 +23,7 @@ let assoc_location locations idx =
   Array.iter (fun (i, pvbn) -> if i = idx then found := pvbn) locations;
   !found
 
-let read t ~disk ~vol ~file ~fbn =
+let read t ~read_pvbn ~vol ~file ~fbn =
   match List.find_opt (fun (vr : Layout.vol_rec) -> vr.Layout.vol_id = vol) t.sb.Layout.vols with
   | None -> None
   | Some vr -> (
@@ -32,7 +32,7 @@ let read t ~disk ~vol ~file ~fbn =
       | -1 -> None
       | chunk_pvbn -> (
           let inodes =
-            match read_block disk chunk_pvbn "inode chunk" with
+            match read_block read_pvbn chunk_pvbn "inode chunk" with
             | Layout.Inode_chunk { vol = v; index; inodes } when v = vol && index = chunk_idx
               ->
                 inodes
@@ -48,7 +48,7 @@ let read t ~disk ~vol ~file ~fbn =
                 | -1 -> None
                 | bmap_pvbn -> (
                     let entries =
-                      match read_block disk bmap_pvbn "bmap block" with
+                      match read_block read_pvbn bmap_pvbn "bmap block" with
                       | Layout.Bmap { vol = v; file = f; index; entries }
                         when v = vol && f = file && index = bmap_idx ->
                           entries
@@ -62,7 +62,7 @@ let read t ~disk ~vol ~file ~fbn =
                         | -1 -> failwith "snapshot: vvbn has no container chunk"
                         | container_pvbn -> (
                             let centries =
-                              match read_block disk container_pvbn "container chunk" with
+                              match read_block read_pvbn container_pvbn "container chunk" with
                               | Layout.Container { vol = v; index; entries }
                                 when v = vol && index = cidx ->
                                   entries
@@ -73,7 +73,7 @@ let read t ~disk ~vol ~file ~fbn =
                             with
                             | -1 -> failwith "snapshot: vvbn unmapped in container"
                             | pvbn -> (
-                                match read_block disk pvbn "data block" with
+                                match read_block read_pvbn pvbn "data block" with
                                 | Layout.Data d
                                   when d.vol = vol && d.file = file && d.fbn = fbn ->
                                     Some d.content

@@ -9,7 +9,8 @@
 
     Reads against a snapshot walk the persisted structures directly:
     superblock → inode chunk → block-map block → container chunk → data
-    block, touching nothing in the live file system. *)
+    block, touching nothing in the live file system.  Each block comes
+    through the caller's block reader, which is the RAID read path. *)
 
 type t
 
@@ -26,7 +27,10 @@ val held_words : t -> int64 array
 (** The raw pinned-block words (not a copy; treat as read-only). *)
 
 val read :
-  t -> disk:Layout.block Wafl_storage.Disk.t -> vol:int -> file:int -> fbn:int -> int64 option
-(** Read a block as of the snapshot.  [None] for holes or absent
-    files/volumes; raises [Failure] if the persisted structure is
-    malformed (which a correct allocator can never cause). *)
+  t -> read_pvbn:(int -> Layout.block option) -> vol:int -> file:int -> fbn:int -> int64 option
+(** Read a block as of the snapshot, fetching each block of the walk with
+    [read_pvbn] (the aggregate's fault-aware [Aggregate.read_pvbn], so a
+    media error is reconstructed and a block lost in a degraded group
+    raises its [Corruption]).  [None] for holes or absent files/volumes;
+    raises [Failure] if the persisted structure is malformed (which a
+    correct allocator can never cause). *)

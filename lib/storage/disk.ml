@@ -1,8 +1,10 @@
-(* Slots are stored unboxed: [images] is created at the first write, with
-   every slot holding that write's payload, and a presence bit says
-   whether a slot's image is real.  An absent slot is pointed back at
-   [fill] so a discarded image is not kept alive by its old slot. *)
-type 'b store = Unwritten | Images of { images : 'b array; fill : 'b }
+(* Slots are stored unboxed in fixed pages of [page_slots] VBNs, and a
+   presence bit says whether a slot's image is real.  A page is created
+   at the first write into it, with every slot pointing at [fill] (the
+   store's first payload); a page never written is the shared empty
+   array.  An absent slot is pointed back at [fill] so a discarded image
+   is not kept alive by its old slot. *)
+type 'b store = Unwritten | Images of { pages : 'b array array; fill : 'b }
 
 type 'b t = {
   geometry : Geometry.t;
@@ -11,6 +13,12 @@ type 'b t = {
   mutable writes : int;
   mutable fault : Fault.t option;
 }
+
+(* 4096 slots: 32 KiB of slot words per page, two Allocation Areas of
+   one drive on the paper geometry. *)
+let page_bits = 12
+let page_slots = 1 lsl page_bits
+let page_mask = page_slots - 1
 
 let create geometry =
   {
@@ -37,13 +45,22 @@ let set_present t vbn on =
   Bytes.unsafe_set t.present (vbn lsr 3)
     (Char.unsafe_chr (if on then byte lor bit else byte land lnot bit))
 
+(* The last page is short when the aggregate is not a whole number of
+   pages. *)
+let new_page t p fill =
+  Array.make (min page_slots (Geometry.total_data_blocks t.geometry - (p lsl page_bits))) fill
+
 let write t vbn payload =
   check t vbn;
+  let p = vbn lsr page_bits in
   (match t.store with
-  | Images s -> s.images.(vbn) <- payload
+  | Images s ->
+      if Array.length s.pages.(p) = 0 then s.pages.(p) <- new_page t p s.fill;
+      s.pages.(p).(vbn land page_mask) <- payload
   | Unwritten ->
-      t.store <-
-        Images { images = Array.make (Geometry.total_data_blocks t.geometry) payload; fill = payload });
+      let pages = Array.make ((Geometry.total_data_blocks t.geometry + page_mask) lsr page_bits) [||] in
+      pages.(p) <- new_page t p payload;
+      t.store <- Images { pages; fill = payload });
   set_present t vbn true;
   (* A write remaps the sector, clearing any latent media error. *)
   (match t.fault with Some f when Fault.media_error f vbn -> Fault.clear_media_error f vbn | _ -> ());
@@ -52,16 +69,17 @@ let write t vbn payload =
 let read t vbn =
   check t vbn;
   match t.store with
-  | Images s when mem t vbn -> Some s.images.(vbn)
+  | Images s when mem t vbn -> Some s.pages.(vbn lsr page_bits).(vbn land page_mask)
   | _ -> None
 
 let discard t vbn =
   check t vbn;
   match t.store with
   | Images s when mem t vbn ->
-      let dropped = s.images.(vbn) in
+      let page = s.pages.(vbn lsr page_bits) in
+      let dropped = page.(vbn land page_mask) in
       set_present t vbn false;
-      s.images.(vbn) <- s.fill;
+      page.(vbn land page_mask) <- s.fill;
       Some dropped
   | _ -> None
 

@@ -7,9 +7,11 @@
     cooperation with the caller-provided overwrite check.
 
     Payloads are polymorphic: the file-system layer instantiates ['b]
-    with its on-disk block representation.  Slots are stored unboxed (a
-    plain ['b array] created at the first write, beside a presence
-    bitmap), so a write allocates no per-slot box.
+    with its on-disk block representation.  Slots are stored unboxed,
+    beside a presence bitmap, so a write allocates no per-slot box.  They
+    live in fixed pages of 4096 VBNs, and a page is created at the first
+    write into it, so host memory follows the pages ever written, not
+    the aggregate's size.
 
     A payload is a shared reference, not a copy: one returned by {!read}
     (or {!Raid.read}) stays valid only until the consistency point that
@@ -45,7 +47,8 @@ val discard : 'b t -> Geometry.vbn -> 'b option
 val read : 'b t -> Geometry.vbn -> 'b option
 (** Raw store read, bypassing the fault plan: [None] if the block was
     never written.  Fault-aware callers use {!read_checked} or
-    {!Raid.read}. *)
+    {!Raid.read}; outside the storage layer, [wafl_lint] rejects raw
+    reads ({!read}, {!read_checked}, {!read_exn}). *)
 
 val read_checked : 'b t -> Geometry.vbn -> [ `Ok of 'b | `Absent | `Media_error ]
 (** Like {!read} but surfaces latent media errors from the fault plan;

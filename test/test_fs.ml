@@ -1020,6 +1020,39 @@ let test_alloc_geometry () =
       done);
   Alcotest.(check bool) "computed" true (!sum > 0)
 
+(* Slot traffic into pages the store already holds: a write into a
+   present or an absent slot, and a discard.  A discard allocates only
+   the [Some] it returns (two words). *)
+let test_alloc_disk () =
+  let module Disk = Wafl_storage.Disk in
+  let g =
+    Wafl_storage.Geometry.create ~drive_blocks:8192 ~aa_stripes:512 ~raid_groups:[ (2, 1) ] ()
+  in
+  let d = Disk.create g in
+  let payload = "image" in
+  let vbn i = ((i mod 4) * 4096) + (i / 4) in
+  let write_all () =
+    for i = 0 to n_calls - 1 do
+      Disk.write d (vbn i) payload
+    done
+  in
+  let dropped = ref 0 in
+  let discard_all () =
+    for i = 0 to n_calls - 1 do
+      match Disk.discard d (vbn i) with Some _ -> incr dropped | None -> ()
+    done
+  in
+  write_all ();
+  discard_all ();
+  check_no_alloc "write an absent slot" write_all;
+  check_no_alloc "write a present slot" write_all;
+  dropped := 0;
+  Alcotest.(check (float 0.0))
+    "discard: only the returned option"
+    (float_of_int (2 * n_calls))
+    (minor_words_of discard_all);
+  Alcotest.(check int) "every image dropped" n_calls !dropped
+
 let () =
   Alcotest.run "wafl_fs"
     [
@@ -1101,5 +1134,6 @@ let () =
           Alcotest.test_case "geometry lookups" `Quick test_alloc_geometry;
           Alcotest.test_case "stage add and drain" `Quick test_alloc_stage;
           Alcotest.test_case "free-bit walk" `Quick test_alloc_free_walk;
+          Alcotest.test_case "disk slot traffic" `Quick test_alloc_disk;
         ] );
     ]

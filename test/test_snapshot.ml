@@ -227,6 +227,49 @@ let test_snapshot_holes_and_absent_files () =
       Alcotest.(check (option int64)) "absent volume" None
         (Aggregate.read_snapshot env.agg snap ~vol:42 ~file:0 ~fbn:0))
 
+(* Snapshot reads go through the RAID read path, so the fault plan
+   applies to blocks only a snapshot still holds.  [with_snapshot_only_block]
+   pins gen 0 of a file, overwrites it, attaches a plan and hands the
+   body the pvbn that now holds fbn 7 for the snapshot alone. *)
+let with_snapshot_only_block body =
+  let env = make_env () in
+  in_sim env (fun () ->
+      let f = Aggregate.create_file env.agg ~vol:(Volume.id env.vol) in
+      write_gen env f ~blocks:50 ~gen:0;
+      run_cp env;
+      let snap = Aggregate.create_snapshot env.agg ~name:"held" in
+      let pvbn = Volume.pvbn_of_vvbn env.vol (File.vvbn_of_fbn f 7) in
+      write_gen env f ~blocks:50 ~gen:1;
+      run_cp env;
+      run_cp env;
+      Alcotest.(check bool) "moved by the overwrite" true
+        (Volume.pvbn_of_vvbn env.vol (File.vvbn_of_fbn f 7) <> pvbn);
+      Alcotest.(check bool) "held by the snapshot" true (Aggregate.snapshot_held env.agg pvbn);
+      let plan = Wafl_storage.Fault.create ~seed:1 () in
+      Wafl_storage.Disk.set_fault (Aggregate.disk env.agg) plan;
+      Wafl_storage.Fault.add_media_error plan pvbn;
+      body env plan pvbn (fun () ->
+          Aggregate.read_snapshot env.agg snap ~vol:(Volume.id env.vol) ~file:(File.id f) ~fbn:7))
+
+let test_snapshot_media_error_reconstructed () =
+  with_snapshot_only_block (fun _ plan pvbn read ->
+      Alcotest.(check (option int64)) "reconstructed" (Some (token ~gen:0 ~fbn:7)) (read ());
+      Alcotest.(check int) "counted" 1 (Wafl_storage.Fault.media_errors_seen plan);
+      Alcotest.(check bool) "sector repaired" false (Wafl_storage.Fault.media_error plan pvbn))
+
+let test_snapshot_lost_block_is_corruption () =
+  with_snapshot_only_block (fun env plan pvbn read ->
+      let g = Aggregate.geometry env.agg in
+      let loc = Geometry.locate g pvbn in
+      let peer = if loc.Geometry.drive = 0 then 1 else 0 in
+      Wafl_storage.Fault.fail_disk plan ~rg:loc.Geometry.rg ~drive:peer
+        ~at:(Engine.now env.eng);
+      (match read () with
+      | _ -> Alcotest.fail "a block lost in a degraded group read as good data"
+      | exception Aggregate.Corruption _ -> ());
+      Alcotest.(check int) "counted unrecoverable" 1
+        (Wafl_storage.Fault.unrecoverable_reads plan))
+
 let prop_snapshot_immutable_under_random_traffic =
   QCheck.Test.make ~name:"snapshot content immutable under random overwrites" ~count:6
     QCheck.(int_bound 10_000)
@@ -312,6 +355,10 @@ let () =
             test_snapshot_holes_and_absent_files;
           QCheck_alcotest.to_alcotest ~verbose:false
             prop_snapshot_immutable_under_random_traffic;
+          Alcotest.test_case "media error reconstructed" `Quick
+            test_snapshot_media_error_reconstructed;
+          Alcotest.test_case "lost block is corruption" `Quick
+            test_snapshot_lost_block_is_corruption;
         ] );
       ( "reports",
         [

@@ -104,8 +104,8 @@ let test_disk_discard () =
   Alcotest.(check (option string)) "rewrite stores again" (Some "again") (Disk.read d 42);
   Alcotest.(check int) "rewrite counted" 2 (Disk.writes_total d)
 
-(* Slots are unboxed: a plain payload array created at the first write,
-   beside a presence bitmap.  Exercised with a record payload, so the
+(* Slots are unboxed: plain payload arrays (one per page of slots) beside
+   a presence bitmap.  Exercised with a record payload, so the
    store's polymorphism is not tied to the file system's block type. *)
 type rec_payload = { tag : int; body : string }
 
@@ -152,6 +152,68 @@ let test_disk_unboxed_slots () =
   Alcotest.check_raises "oob discard" oob (fun () -> ignore (Disk.discard d 999999));
   Alcotest.check_raises "negative vbn" (Invalid_argument "Disk: vbn -1 out of range") (fun () ->
       Disk.write d (-1) first)
+
+(* The store is paged (4096 slots a page): host memory follows the pages
+   ever written, not the aggregate's size. *)
+let paper_geometry () = Geometry.create ~drive_blocks:262144 ~raid_groups:[ (10, 2); (10, 2) ] ()
+
+let test_disk_pages_made_at_first_write () =
+  let g = paper_geometry () in
+  let d = Disk.create g in
+  let words () = Obj.reachable_words (Obj.repr d) in
+  Disk.write d 5 "first";
+  let one_write = words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "one write on %d blocks: %d words" (Geometry.total_data_blocks g) one_write)
+    true (one_write < 150_000);
+  let far = Geometry.total_data_blocks g - 1 in
+  let big = String.make 80_000 'x' in
+  Disk.write d far big;
+  Alcotest.(check int) "a second page costs its slots and its image"
+    (one_write + 4097 + Obj.reachable_words (Obj.repr big))
+    (words ());
+  Alcotest.(check (option string)) "last image handed back" (Some big) (Disk.discard d far);
+  Alcotest.(check int) "the page stays, its discarded image is not kept alive" (one_write + 4097)
+    (words ());
+  Alcotest.(check (option string)) "discarded slot reads absent" None (Disk.read d far);
+  Disk.write d far "again";
+  Alcotest.(check (option string)) "written again" (Some "again") (Disk.read d far)
+
+let test_disk_discard_keeps_neighbours () =
+  let d = Disk.create (paper_geometry ()) in
+  Disk.write d 4096 10;
+  Disk.write d 4097 11;
+  Disk.write d 8191 12;
+  Alcotest.(check (option int)) "discard" (Some 10) (Disk.discard d 4096);
+  Alcotest.(check (option int)) "neighbour survives" (Some 11) (Disk.read d 4097);
+  Alcotest.(check (option int)) "end of page survives" (Some 12) (Disk.read d 8191);
+  Alcotest.(check (option int)) "discarded slot absent" None (Disk.read d 4096);
+  Alcotest.(check (option int)) "second discard" (Some 11) (Disk.discard d 4097);
+  Alcotest.(check (option int)) "last one still there" (Some 12) (Disk.read d 8191)
+
+(* The last page covers what is left of the aggregate: a whole page with
+   three groups of 1536-block drives (12288 blocks), and a short one of
+   2560 slots without the last group (10752 blocks). *)
+let test_disk_last_page () =
+  List.iter
+    (fun raid_groups ->
+      let g = Geometry.create ~drive_blocks:1536 ~aa_stripes:512 ~raid_groups () in
+      let total = Geometry.total_data_blocks g in
+      let first = total - 1 - ((total - 1) mod 4096) in
+      let d = Disk.create g in
+      List.iter (fun vbn -> Disk.write d vbn vbn) [ first; total - 1 ];
+      Alcotest.(check (option int)) "first slot of the last page" (Some first) (Disk.read d first);
+      Alcotest.(check (option int)) "last slot" (Some (total - 1)) (Disk.read d (total - 1));
+      Alcotest.(check (option int)) "between them" None (Disk.read d (first + 1));
+      Alcotest.check_raises "one past the end"
+        (Invalid_argument (Printf.sprintf "Disk: vbn %d out of range" total))
+        (fun () -> Disk.write d total 0);
+      Alcotest.(check (option int)) "discard last" (Some (total - 1)) (Disk.discard d (total - 1));
+      Alcotest.(check (option int)) "discard first" (Some first) (Disk.discard d first);
+      Alcotest.(check (option int)) "discarded slot absent" None (Disk.read d (total - 1));
+      Disk.write d (total - 1) 7;
+      Alcotest.(check (option int)) "written again" (Some 7) (Disk.read d (total - 1)))
+    [ [ (2, 1); (5, 2); (1, 1) ]; [ (2, 1); (5, 2) ] ]
 
 (* The non-allocating lookups agree with [locate] on every VBN, with a
    power-of-two drive size (shift/mask) and without (divide). *)
@@ -496,6 +558,9 @@ let () =
           Alcotest.test_case "bounds" `Quick test_disk_bounds;
           Alcotest.test_case "discard" `Quick test_disk_discard;
           Alcotest.test_case "unboxed slots" `Quick test_disk_unboxed_slots;
+          Alcotest.test_case "pages made at first write" `Quick test_disk_pages_made_at_first_write;
+          Alcotest.test_case "discard keeps neighbours" `Quick test_disk_discard_keeps_neighbours;
+          Alcotest.test_case "last page" `Quick test_disk_last_page;
         ] );
       ( "raid",
         [

@@ -18,6 +18,9 @@
    - [Disk.discard] or [Packed.recycle] outside lib/fs/aggregate.ml
      (block images die only at a superblock publish, and only that
      publish may hand a dead image's buffer to the spare pool);
+   - raw store reads ([Disk.read], [Disk.read_checked], [Disk.read_exn])
+     outside lib/storage (everything else reads through [Raid.read],
+     which applies the fault plan);
    - [Trace.metrics] outside lib/obs (components read their engine's
      registry, [Engine.metrics]).
 
@@ -97,6 +100,13 @@ let health_whitelist = [ "health.ml" ]
    still reads; a recycle anywhere else could refill a live image. *)
 let image_owner = "lib/fs/aggregate.ml"
 
+(* The one directory allowed to read the block store directly: the
+   storage layer, where [Raid.read] applies the fault plan (media errors
+   reconstructed and counted, a block lost in a degraded group reported
+   as lost).  A raw read anywhere else returns stored data the fault
+   plan says is unreadable. *)
+let in_storage src = contains_sub src.name "lib/storage/"
+
 (* The one directory allowed to reach the metrics registry through a
    tracer: the observability subsystem.  The registry belongs to the
    engine, so components read [Engine.metrics]; a tracer that stood in
@@ -143,6 +153,13 @@ let check_path src loc path =
             report src loc
               "Disk.discard drops a block image; only the aggregate's superblock publish may \
                discard, once no durable tree or snapshot can read the block"
+      | (("read" | "read_checked" | "read_exn") as field) :: "Disk" :: _ ->
+          if not (in_storage src) then
+            report src loc
+              (Printf.sprintf
+                 "Disk.%s reads the block store past the fault plan; read through Raid.read \
+                  (Aggregate.read_pvbn in the file system) instead"
+                 field)
       | "recycle" :: "Packed" :: _ ->
           if not (String.ends_with ~suffix:image_owner src.name) then
             report src loc
