@@ -156,7 +156,7 @@ let create ?(nvlog_half = 16384) ?nvlog_watermarks ?cache_blocks ?queue_depth
     ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost ~geometry () =
   build ?cache_blocks ?queue_depth ~obs eng ~cost
     {
-      p_disk = Disk.create geometry;
+      p_disk = Disk.create ~codec:Layout.data_codec geometry;
       p_sb = None;
       p_nvlog = Nvlog.create ~half_capacity:nvlog_half ?watermarks:nvlog_watermarks ();
       p_flash = flash;
@@ -634,6 +634,7 @@ let publish_superblock t sb =
             | Layout.Vol_map { words = img; _ }
             | Layout.Agg_map { words = img; _ } ) ->
             Wafl_util.Packed.recycle spares img
+        (* A compact data image has no buffer to hand back. *)
         | Some (Layout.Data _ | Layout.Inode_chunk _) | None -> ());
   List.iter
     (fun (_, v) ->
@@ -671,7 +672,11 @@ let read_snapshot t snap ~vol ~file ~fbn =
   Snapshot.read snap ~read_pvbn:(read_pvbn t) ~vol ~file ~fbn
 
 (* Blocks that become reusable when [snap] goes away: held by it, free in
-   the active map, and not held by any remaining snapshot. *)
+   the active map, and not held by any remaining snapshot.  The published
+   superblock still lists [snap] until the next CP publishes, and a crash
+   before then recovers it, so each such block is frozen with the next CP's
+   frees: it is not reallocated before that publish, which then drops
+   its image and recycles a packed image's buffer. *)
 let delete_snapshot t snap =
   if t.cp_in_progress then invalid_arg "Aggregate.delete_snapshot: CP in flight";
   if not (List.memq snap t.snaps) then invalid_arg "Aggregate.delete_snapshot: unknown snapshot";
@@ -689,6 +694,8 @@ let delete_snapshot t snap =
             let pvbn = (w * 64) + i in
             if Geometry.vbn_valid t.geom pvbn && not (snapshot_held t pvbn) then begin
               adjust_aa_free t pvbn 1;
+              if not (Freed_set.mem t.recently_freed pvbn) then
+                Freed_set.add t.recently_freed pvbn;
               incr released
             end
           end

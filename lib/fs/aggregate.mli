@@ -241,8 +241,12 @@ val read_snapshot : t -> Snapshot.t -> vol:int -> file:int -> fbn:int -> int64 o
     lost in a degraded group raises {!Corruption}. *)
 
 val delete_snapshot : t -> Snapshot.t -> unit
-(** Release the snapshot; blocks no longer referenced by the active tree
-    or another snapshot become allocatable again. *)
+(** Release the snapshot.  Blocks no longer referenced by the active
+    tree or another snapshot count as free at once, but stay frozen, with
+    their images intact, until the next CP publishes a superblock that no
+    longer lists the snapshot (a crash before then recovers it).  That
+    publish makes them allocatable and drops their images, as it does
+    for the blocks its own CP freed. *)
 
 (** {1 Crash and recovery} *)
 

@@ -29,3 +29,27 @@ type superblock = {
   free_blocks : int;
   snap_roots : (string * superblock) list;
 }
+
+(* A data image's key: vol in bits 54-61, file in bits 32-53, fbn in
+   bits 0-31.  62 bits, so a key is never negative. *)
+let file_bits = 22
+let fbn_bits = 32
+
+let data_key = function
+  | Data { vol; file; fbn; _ } when vol lsr 8 = 0 && file lsr file_bits = 0 && fbn lsr fbn_bits = 0
+    ->
+      (((vol lsl file_bits) lor file) lsl fbn_bits) lor fbn
+  | _ -> -1
+
+let data_word = function Data { content; _ } -> content | _ -> 0L
+
+let unpack_data key content =
+  Data
+    {
+      vol = key lsr (file_bits + fbn_bits);
+      file = (key lsr fbn_bits) land ((1 lsl file_bits) - 1);
+      fbn = key land ((1 lsl fbn_bits) - 1);
+      content;
+    }
+
+let data_codec = { Wafl_storage.Disk.key = data_key; word = data_word; unpack = unpack_data }

@@ -62,3 +62,12 @@ type superblock = {
       (** read-only snapshots: name and the superblock of the CP each one
           pins (nested snapshots lists are empty) *)
 }
+
+val data_codec : block Wafl_storage.Disk.codec
+(** The disk store's codec for data images.  A [Data] block packs into
+    two words: its key holds [vol] in bits 54–61, [file] in bits 32–53
+    and [fbn] in bits 0–31, and its word is [content].  So a [Data]
+    with [0 <= vol < 256], [0 <= file < 2^22] and [0 <= fbn < 2^32] is
+    kept compact; any other [Data], and every metafile image, is stored
+    boxed.  An unpacked image is a fresh value equal to the one
+    written. *)

@@ -13,15 +13,30 @@
     write into it, so host memory follows the pages ever written, not
     the aggregate's size.
 
-    A payload is a shared reference, not a copy: one returned by {!read}
-    (or {!Raid.read}) stays valid only until the consistency point that
-    frees its block publishes.  The file system then {!discard}s the
-    block and may refill the dropped image's buffer for a later write
-    (DESIGN.md §4.2). *)
+    A store made with a {!codec} keeps every image the codec can pack
+    ({e compact} images) as two unboxed 64-bit words in the page, in
+    storage the GC never scans; every other image is {e boxed}, stored
+    by reference as above.  Without a codec every image is boxed.
+
+    A boxed payload is a shared reference, not a copy: one returned by
+    {!read} (or {!Raid.read}) stays valid only until the consistency
+    point that frees its block publishes.  The file system then
+    {!discard}s the block and may refill the dropped image's buffer for
+    a later write (DESIGN.md §4.2).  A compact payload is a value copy:
+    each {!read} builds a fresh value equal to the one written, so
+    callers compare payloads structurally, never with [==]. *)
 
 type 'b t
 
-val create : Geometry.t -> 'b t
+type 'b codec = { key : 'b -> int; word : 'b -> int64; unpack : int -> int64 -> 'b }
+(** How to pack an image as two words.  [key p] is a non-negative
+    identity key for a packable [p], or negative to store [p] boxed;
+    [word p] is its 64-bit content; [unpack (key p) (word p)] must equal
+    [p] structurally. *)
+
+val create : ?codec:'b codec -> Geometry.t -> 'b t
+(** An empty store.  With [codec], images it packs are kept compact. *)
+
 val geometry : 'b t -> Geometry.t
 
 val set_fault : 'b t -> Fault.t -> unit
@@ -35,20 +50,24 @@ val write : 'b t -> Geometry.vbn -> 'b -> unit
     Writing a sector with a latent media error remaps (clears) it. *)
 
 val discard : 'b t -> Geometry.vbn -> 'b option
-(** Drop the image stored at a VBN and return it ([None] if the slot held
-    none): {!read} returns [None] until the next {!write} stores a new
-    one.  No later read can return the dropped image, so ownership passes
-    to the caller.  Not a write (leaves {!writes_total} and the
-    fault plan alone).  Raises [Invalid_argument] on an out-of-range VBN.
-    The file system calls it once the consistency point that freed the
-    block is published and no snapshot holds it, so the store keeps an
-    image only while something can still read it. *)
+(** Drop the image stored at a VBN and return it if it was boxed ([None]
+    if the slot held none, or held a compact image: there is no buffer to
+    hand back, so dropping one allocates nothing).  {!read} returns
+    [None] until the next {!write} stores a new one.  No later read can
+    return a dropped boxed image, so ownership passes to the caller.
+    Not a write (leaves {!writes_total} and the fault plan alone).
+    Raises [Invalid_argument] on an out-of-range VBN.  The file system
+    calls it once the consistency point that freed the block is
+    published and no snapshot holds it, so the store keeps an image only
+    while something can still read it. *)
 
 val read : 'b t -> Geometry.vbn -> 'b option
 (** Raw store read, bypassing the fault plan: [None] if the block was
-    never written.  Fault-aware callers use {!read_checked} or
-    {!Raid.read}; outside the storage layer, [wafl_lint] rejects raw
-    reads ({!read}, {!read_checked}, {!read_exn}). *)
+    never written (or was discarded).  A boxed image is returned by
+    reference; a compact one is unpacked into a fresh value-equal copy.
+    Fault-aware callers use {!read_checked} or {!Raid.read}; outside the
+    storage layer, [wafl_lint] rejects raw reads ({!read},
+    {!read_checked}, {!read_exn}). *)
 
 val read_checked : 'b t -> Geometry.vbn -> [ `Ok of 'b | `Absent | `Media_error ]
 (** Like {!read} but surfaces latent media errors from the fault plan;

@@ -688,6 +688,83 @@ let test_spares_never_alias () =
   done;
   Aggregate.fsck agg2
 
+(* Deleting a snapshot releases the blocks only it still held, and with
+   them their images.  The published superblock lists the snapshot until
+   the next CP publishes, so until then the images stay (a crash recovers
+   the snapshot intact); that publish drops them like its own frees, and
+   the snapshot's block-map buffer goes to the spare pool, which the CP
+   after it refills.  Scenario: fbns 0..7 written, snapshotted and then
+   overwritten, so every block of the first CP is held by the snapshot
+   alone. *)
+let test_delete_snapshot_drops_images () =
+  let eng = Wafl_sim.Engine.create ~cores:8 () in
+  let agg =
+    Aggregate.create eng ~cost:Wafl_sim.Cost.default ~geometry:(small_geom ()) ~nvlog_half:4096 ()
+  in
+  let walloc = Wafl_core.Walloc.create agg Wafl_core.Walloc.default_config in
+  let cp = Wafl_core.Walloc.cp walloc in
+  let steps = ref [] in
+  let step what ok = steps := (what, ok) :: !steps in
+  ignore
+    (Wafl_sim.Engine.spawn eng ~label:"setup" (fun () ->
+         let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
+         Wafl_core.Walloc.register_volume walloc vol;
+         let vid = Volume.id vol in
+         let f = Aggregate.create_file agg ~vol:vid in
+         let fid = File.id f in
+         let write_gen ?(bmaps = 1) gen =
+           List.iter
+             (fun fbn ->
+               ignore (Aggregate.write agg ~vol:vid ~file:fid ~fbn ~content:(content ~gen ~fbn)))
+             (List.init 8 Fun.id
+             @ List.init (bmaps - 1) (fun i -> (i + 1) * Layout.entries_per_bmap_block));
+           Wafl_core.Cp.run_now cp
+         in
+         write_gen 0;
+         let snap = Aggregate.create_snapshot agg ~name:"s" in
+         let data_pvbn = Volume.pvbn_of_vvbn vol (File.vvbn_of_fbn f 0) in
+         let bmap_pvbn = File.bmap_location f 0 in
+         let bmap_img () =
+           match Wafl_storage.Disk.read (Aggregate.disk agg) bmap_pvbn with
+           | Some (Layout.Bmap { entries; _ }) -> Some entries
+           | _ -> None
+         in
+         write_gen 1;
+         let img = bmap_img () in
+         Aggregate.delete_snapshot agg snap;
+         step "held data image kept until the next publish"
+           (Aggregate.read_pvbn agg data_pvbn <> None);
+         step "held bmap image kept until the next publish" (img <> None && bmap_img () = img);
+         step "released block frozen until the next publish"
+           (not (Aggregate.pvbn_allocatable agg data_pvbn));
+         let agg2 =
+           Aggregate.recover (Wafl_sim.Engine.create ~cores:8 ()) ~cost:Wafl_sim.Cost.default
+             (Aggregate.crash agg)
+         in
+         step "a crash before that publish recovers the snapshot"
+           (match Aggregate.find_snapshot agg2 "s" with
+           | Some s2 ->
+               Aggregate.read_snapshot agg2 s2 ~vol:vid ~file:fid ~fbn:0
+               = Some (content ~gen:0 ~fbn:0)
+           | None -> false);
+         Aggregate.fsck agg2;
+         write_gen 2;
+         step "released data image discarded at the publish"
+           (Aggregate.read_pvbn agg data_pvbn = None);
+         step "released bmap image discarded at the publish" (bmap_img () = None);
+         (* The pool hands out its newest buffers first, and the last
+            publish also recycled its own frees: dirty enough block-map
+            blocks to draw every buffer it holds. *)
+         write_gen ~bmaps:16 3;
+         step "released bmap buffer refilled by a later CP"
+           (List.exists
+              (fun (_, live) -> match img with Some old -> live == old | None -> false)
+              (packed_images agg))));
+  Wafl_sim.Engine.run eng;
+  Alcotest.(check int) "every step ran" 7 (List.length !steps);
+  List.iter (fun (what, ok) -> Alcotest.(check bool) what true ok) (List.rev !steps);
+  Aggregate.fsck agg
+
 (* --- Dirty sets, the file dirty table and the LRU against models --- *)
 
 let sorted_unique l = List.sort_uniq Int.compare l
@@ -1053,6 +1130,81 @@ let test_alloc_disk () =
     (minor_words_of discard_all);
   Alcotest.(check int) "every image dropped" n_calls !dropped
 
+(* The same traffic on a store with the data codec: compact writes and
+   discards allocate nothing, not even the option a boxed discard
+   returns. *)
+let test_alloc_disk_compact () =
+  let module Disk = Wafl_storage.Disk in
+  let g =
+    Wafl_storage.Geometry.create ~drive_blocks:8192 ~aa_stripes:512 ~raid_groups:[ (2, 1) ] ()
+  in
+  let d = Disk.create ~codec:Layout.data_codec g in
+  let payload = Layout.Data { vol = 3; file = 5; fbn = 7; content = 0x1234_5678_9abc_def0L } in
+  let vbn i = ((i mod 4) * 4096) + (i / 4) in
+  let write_all () =
+    for i = 0 to n_calls - 1 do
+      Disk.write d (vbn i) payload
+    done
+  in
+  let kept = ref 0 in
+  let discard_all () =
+    for i = 0 to n_calls - 1 do
+      match Disk.discard d (vbn i) with Some _ -> incr kept | None -> ()
+    done
+  in
+  write_all ();
+  discard_all ();
+  check_no_alloc "compact write, absent slot" write_all;
+  check_no_alloc "compact write, present slot" write_all;
+  Alcotest.(check bool) "stored compact" true (Disk.read d (vbn 17) = Some payload);
+  check_no_alloc "compact discard" discard_all;
+  Alcotest.(check int) "no image handed back" 0 !kept;
+  Alcotest.(check bool) "discarded" true (Disk.read d (vbn 17) = None)
+
+(* Memory guard: a data block written through the aggregate and a CP
+   adds no heap block to the disk.  Its two compact words live in a page
+   that the first batches already made, so what a block adds is its
+   share of the metafile images that map it (a block-map and a
+   container entry, 8 bytes each): about 2 words, where a boxed record
+   and its boxed int64 content cost 8 more. *)
+let test_disk_words_per_data_block () =
+  let eng = Wafl_sim.Engine.create ~cores:8 () in
+  let agg =
+    Aggregate.create eng ~cost:Wafl_sim.Cost.default ~geometry:(small_geom ()) ~nvlog_half:8192 ()
+  in
+  let walloc = Wafl_core.Walloc.create agg Wafl_core.Walloc.default_config in
+  let cp = Wafl_core.Walloc.cp walloc in
+  let batch = 2048 and prefill = 3 and measured = 2 in
+  let words () = Obj.reachable_words (Obj.repr (Aggregate.disk agg)) in
+  let growth = ref None in
+  ignore
+    (Wafl_sim.Engine.spawn eng ~label:"setup" (fun () ->
+         let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
+         Wafl_core.Walloc.register_volume walloc vol;
+         let f = Aggregate.create_file agg ~vol:(Volume.id vol) in
+         let fill i =
+           for fbn = i * batch to ((i + 1) * batch) - 1 do
+             ignore
+               (Aggregate.write agg ~vol:(Volume.id vol) ~file:(File.id f) ~fbn
+                  ~content:(content ~gen:0 ~fbn))
+           done;
+           Wafl_core.Cp.run_now cp
+         in
+         for i = 0 to prefill - 1 do
+           fill i
+         done;
+         let w0 = words () in
+         for i = prefill to prefill + measured - 1 do
+           fill i
+         done;
+         growth := Some (words () - w0)));
+  Wafl_sim.Engine.run eng;
+  let g = Option.get !growth and blocks = measured * batch in
+  let per_block = float_of_int g /. float_of_int blocks in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words for %d data blocks (%.2f a block)" g blocks per_block)
+    true (per_block <= 3.0)
+
 let () =
   Alcotest.run "wafl_fs"
     [
@@ -1124,6 +1276,8 @@ let () =
           Alcotest.test_case "discarded at publish unless held" `Quick test_image_lifetime;
           Alcotest.test_case "crash inside the freeing CP" `Quick test_crash_in_freeing_cp;
           Alcotest.test_case "spares never alias" `Quick test_spares_never_alias;
+          Alcotest.test_case "snapshot delete drops images" `Quick
+            test_delete_snapshot_drops_images;
         ] );
       ( "alloc-guard",
         [
@@ -1135,5 +1289,7 @@ let () =
           Alcotest.test_case "stage add and drain" `Quick test_alloc_stage;
           Alcotest.test_case "free-bit walk" `Quick test_alloc_free_walk;
           Alcotest.test_case "disk slot traffic" `Quick test_alloc_disk;
+          Alcotest.test_case "compact slot traffic" `Quick test_alloc_disk_compact;
+          Alcotest.test_case "disk words per data block" `Quick test_disk_words_per_data_block;
         ] );
     ]

@@ -215,6 +215,131 @@ let test_disk_last_page () =
       Alcotest.(check (option int)) "written again" (Some 7) (Disk.read d (total - 1)))
     [ [ (2, 1); (5, 2); (1, 1) ]; [ (2, 1); (5, 2) ] ]
 
+(* --- The compact store ---
+
+   With the file system's data codec, an in-range data image is kept as
+   two words (key, content) and read back as a fresh equal value; any
+   other image is stored boxed, by reference, as without a codec. *)
+
+module Layout = Wafl_fs.Layout
+
+let data ~vol ~file ~fbn content = Layout.Data { vol; file; fbn; content }
+let compact_disk () = Disk.create ~codec:Layout.data_codec (paper_geometry ())
+
+let test_compact_round_trip () =
+  let d = compact_disk () in
+  let images =
+    [
+      data ~vol:0 ~file:0 ~fbn:0 0L;
+      data ~vol:3 ~file:5 ~fbn:7 0x1234_5678_9abc_def0L;
+      data ~vol:255 ~file:((1 lsl 22) - 1) ~fbn:((1 lsl 32) - 1) Int64.min_int;
+      data ~vol:1 ~file:(1 lsl 21) ~fbn:(1 lsl 31) (-1L);
+    ]
+  in
+  List.iteri
+    (fun i img ->
+      let vbn = 4096 + i in
+      Disk.write d vbn img;
+      match Disk.read d vbn with
+      | Some back ->
+          Alcotest.(check bool) "read back equal" true (back = img);
+          Alcotest.(check bool) "a value copy, not the written block" false (back == img)
+      | None -> Alcotest.fail "compact image lost")
+    images;
+  (* A compact page costs two words a slot (8192, a padding word and a
+     header) and no block per image. *)
+  let words () = Obj.reachable_words (Obj.repr d) in
+  let w0 = words () in
+  Disk.write d 8192 (data ~vol:1 ~file:2 ~fbn:3 42L);
+  Alcotest.(check int) "a page of compact words" (w0 + 8194) (words ());
+  for vbn = 8193 to 12287 do
+    Disk.write d vbn (data ~vol:1 ~file:2 ~fbn:vbn (Int64.of_int vbn))
+  done;
+  Alcotest.(check int) "filling the page adds nothing" (w0 + 8194) (words ());
+  Alcotest.(check bool) "last slot of the page" true
+    (Disk.read d 12287 = Some (data ~vol:1 ~file:2 ~fbn:12287 12287L))
+
+let test_compact_boxed_fallback () =
+  let d = compact_disk () in
+  List.iteri
+    (fun i img ->
+      let vbn = 100 + i in
+      Disk.write d vbn img;
+      (match Disk.read d vbn with
+      | Some back -> Alcotest.(check bool) "boxed: the written block itself" true (back == img)
+      | None -> Alcotest.fail "boxed image lost");
+      match Disk.discard d vbn with
+      | Some back -> Alcotest.(check bool) "discard hands the boxed block back" true (back == img)
+      | None -> Alcotest.fail "boxed discard returned nothing")
+    [
+      data ~vol:256 ~file:0 ~fbn:0 1L;
+      data ~vol:(-1) ~file:0 ~fbn:0 2L;
+      data ~vol:0 ~file:(1 lsl 22) ~fbn:0 3L;
+      data ~vol:0 ~file:(-1) ~fbn:0 4L;
+      data ~vol:0 ~file:0 ~fbn:(1 lsl 32) 5L;
+      data ~vol:0 ~file:0 ~fbn:(-1) 6L;
+      Layout.Inode_chunk { vol = 0; index = 0; inodes = [] };
+    ]
+
+(* Kept out of line, as [write_and_discard], so only the store can hold
+   the boxed image when the test collects. *)
+let[@inline never] write_boxed d vbn tag =
+  let img = data ~vol:0 ~file:0 ~fbn:(-1) (Int64.of_int tag) in
+  Disk.write d vbn img;
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some img);
+  w
+
+let test_compact_overwrite () =
+  let d = compact_disk () in
+  (* The store's first boxed image is its fill value, kept for good. *)
+  ignore (write_boxed d 0 0);
+  let vbn = 5000 in
+  let reads what want = Alcotest.(check bool) what true (Disk.read d vbn = Some want) in
+  let boxed tag = data ~vol:0 ~file:0 ~fbn:(-1) (Int64.of_int tag) in
+  let compact tag = data ~vol:2 ~file:9 ~fbn:vbn (Int64.of_int tag) in
+  Disk.write d vbn (compact 1);
+  reads "compact" (compact 1);
+  let w = write_boxed d vbn 2 in
+  reads "compact -> boxed" (boxed 2);
+  Disk.write d vbn (compact 3);
+  reads "boxed -> compact" (compact 3);
+  Gc.full_major ();
+  Alcotest.(check bool) "the overwritten boxed image is not kept alive" true (Weak.get w 0 = None);
+  let w = write_boxed d vbn 4 in
+  reads "compact -> boxed again" (boxed 4);
+  Disk.write d vbn (compact 5);
+  reads "boxed -> compact again" (compact 5);
+  Gc.full_major ();
+  Alcotest.(check bool) "nor the second one" true (Weak.get w 0 = None);
+  Alcotest.(check bool) "a compact discard hands nothing back" true (Disk.discard d vbn = None);
+  Alcotest.(check bool) "and reads absent" true (Disk.read d vbn = None);
+  ignore (write_boxed d vbn 6);
+  reads "boxed after a compact discard" (boxed 6);
+  Alcotest.(check int) "every write counted" 7 (Disk.writes_total d)
+
+let test_compact_discard_keeps_neighbours () =
+  let d = compact_disk () in
+  let img vbn = data ~vol:1 ~file:1 ~fbn:vbn (Int64.of_int (vbn * 3)) in
+  let boxed = Layout.Inode_chunk { vol = 1; index = 0; inodes = [] } in
+  (* The boxed image comes first, so the page's compact words are made
+     after it and must still say "boxed" for its slot. *)
+  Disk.write d 4098 boxed;
+  List.iter (fun vbn -> Disk.write d vbn (img vbn)) [ 4096; 4097; 8191 ];
+  Alcotest.(check bool) "discard" true (Disk.discard d 4097 = None);
+  Alcotest.(check bool) "discarded slot absent" true (Disk.read d 4097 = None);
+  Alcotest.(check bool) "second discard" true (Disk.discard d 4097 = None);
+  Alcotest.(check bool) "left neighbour survives" true (Disk.read d 4096 = Some (img 4096));
+  Alcotest.(check bool) "end of page survives" true (Disk.read d 8191 = Some (img 8191));
+  Alcotest.(check bool) "boxed neighbour survives" true
+    (match Disk.read d 4098 with Some b -> b == boxed | None -> false);
+  Disk.write d 4097 (img 9);
+  Alcotest.(check bool) "written again" true (Disk.read d 4097 = Some (img 9));
+  Alcotest.(check bool) "boxed discard still hands back" true
+    (match Disk.discard d 4098 with Some b -> b == boxed | None -> false);
+  Alcotest.(check bool) "compact neighbour of a boxed discard" true
+    (Disk.read d 4097 = Some (img 9))
+
 (* The non-allocating lookups agree with [locate] on every VBN, with a
    power-of-two drive size (shift/mask) and without (divide). *)
 let test_parts_match_locate () =
@@ -561,6 +686,11 @@ let () =
           Alcotest.test_case "pages made at first write" `Quick test_disk_pages_made_at_first_write;
           Alcotest.test_case "discard keeps neighbours" `Quick test_disk_discard_keeps_neighbours;
           Alcotest.test_case "last page" `Quick test_disk_last_page;
+          Alcotest.test_case "compact round trip" `Quick test_compact_round_trip;
+          Alcotest.test_case "compact boxed fallback" `Quick test_compact_boxed_fallback;
+          Alcotest.test_case "compact/boxed overwrite" `Quick test_compact_overwrite;
+          Alcotest.test_case "compact discard keeps neighbours" `Quick
+            test_compact_discard_keeps_neighbours;
         ] );
       ( "raid",
         [
