@@ -1,4 +1,4 @@
-.PHONY: all build test lint analyze sanitize cli-errors trace-smoke analyze-smoke overload-smoke shard-smoke flash-smoke top-smoke check bench bench-quick bench-gate bench-gate-fast clean
+.PHONY: all build test golden lint analyze sanitize cli-errors trace-smoke analyze-smoke overload-smoke shard-smoke flash-smoke top-smoke check bench bench-quick bench-gate bench-gate-fast clean
 
 all: build
 
@@ -7,6 +7,14 @@ build:
 
 test:
 	dune runtest
+
+# Print the golden digest table (test/golden.ml) in the source form of
+# test/golden_table.ml, computed afresh from the plain run of every
+# subject.  `diff <(make -s golden) test/golden_table.ml` shows what a
+# change moved; see test/golden.ml for when an entry may be re-recorded.
+golden:
+	@dune build test/print_golden.exe
+	@./_build/default/test/print_golden.exe
 
 LINT = ./_build/default/tools/wafl_lint/main.exe
 LINT_OK_CEILING = $(shell cat tools/wafl_lint/lint_ok_ceiling)
@@ -171,7 +179,7 @@ flash-smoke:
 
 # Full gate: build everything (lib/ with warnings as errors), run the
 # whole test suite (including the Wafl_obs suite: span nesting, trace
-# parse-back, byte-identical same-seed traces, off-vs-on bit-identity),
+# parse-back, golden same-seed traces, traced runs against the goldens),
 # the determinism lint, the sanitized smoke, a traced-run smoke, then a
 # 5-seed crash-harness smoke (random fault plans, crash, recover, fsck,
 # acknowledged-write verification).

@@ -62,14 +62,17 @@ type var = {
 }
 
 type t = {
-  fibers : (int, fib) Hashtbl.t; (* live fibers, including main *)
+  fibers : (int, fib) Hashtbl.t; (* live fibers by fid, including main; lookups only *)
+  mutable by_slot : fib option array;
+      (* the same live fibers by slot (live fibers hold distinct slots):
+         the enumeration order, fixed by construction *)
   finished : (int, vc) Hashtbl.t; (* final clocks, for join-after-finish *)
   finished_order : int Queue.t; (* finish order, oldest first, for pruning *)
   ancient : vc; (* join of all pruned finished clocks *)
   slot_clock : vc; (* per-slot scalar-clock floor, monotonic across recycling *)
   mutable free_slots : int list;
   mutable n_slots : int;
-  syncs : (int, vc) Hashtbl.t;
+  mutable syncs : vc array; (* by sync id; ids are dense below [next_sync] *)
   sync_names : (string, int) Hashtbl.t;
   mutable next_sync : int;
   vars : (string, var) Hashtbl.t;
@@ -93,13 +96,14 @@ let create () =
   let t =
     {
       fibers = Hashtbl.create 64;
+      by_slot = Array.make 64 None;
       finished = Hashtbl.create 256;
       finished_order = Queue.create ();
       ancient = vc_create ();
       slot_clock = vc_create ();
       free_slots = [];
       n_slots = 1;
-      syncs = Hashtbl.create 32;
+      syncs = Array.make 32 (vc_create ());
       sync_names = Hashtbl.create 32;
       next_sync = 0;
       vars = Hashtbl.create 256;
@@ -111,7 +115,9 @@ let create () =
   let v = vc_create () in
   set v 0 1;
   set t.slot_clock 0 1;
-  Hashtbl.replace t.fibers main_fid { slot = 0; vc = v };
+  let main = { slot = 0; vc = v } in
+  Hashtbl.replace t.fibers main_fid main;
+  t.by_slot.(0) <- Some main;
   t
 
 let fib t fid =
@@ -141,7 +147,14 @@ let add_fiber t ~parent ~fid =
   let c = get t.slot_clock slot + 1 in
   set v slot c;
   set t.slot_clock slot c;
-  Hashtbl.replace t.fibers fid { slot; vc = v };
+  let f = { slot; vc = v } in
+  Hashtbl.replace t.fibers fid f;
+  if slot >= Array.length t.by_slot then begin
+    let bigger = Array.make (2 * Array.length t.by_slot) None in
+    Array.blit t.by_slot 0 bigger 0 (Array.length t.by_slot);
+    t.by_slot <- bigger
+  end;
+  t.by_slot.(slot) <- Some f;
   inc t p
 
 let finish_fiber t ~fid =
@@ -149,6 +162,7 @@ let finish_fiber t ~fid =
   Hashtbl.replace t.finished fid f.vc;
   Queue.push fid t.finished_order;
   Hashtbl.remove t.fibers fid;
+  t.by_slot.(f.slot) <- None;
   t.free_slots <- f.slot :: t.free_slots;
   while Hashtbl.length t.finished > finished_cap do
     let old = Queue.pop t.finished_order in
@@ -176,7 +190,12 @@ let edge t ~from_ ~to_ =
 let new_sync t =
   let id = t.next_sync in
   t.next_sync <- id + 1;
-  Hashtbl.replace t.syncs id (vc_create ());
+  if id >= Array.length t.syncs then begin
+    let bigger = Array.make (2 * Array.length t.syncs) (vc_create ()) in
+    Array.blit t.syncs 0 bigger 0 id;
+    t.syncs <- bigger
+  end;
+  t.syncs.(id) <- vc_create ();
   id
 
 let sync_id t name =
@@ -187,11 +206,16 @@ let sync_id t name =
       Hashtbl.replace t.sync_names name id;
       id
 
-let acquire t ~fid ~sync = join (fib t fid).vc (Hashtbl.find t.syncs sync)
+let sync_vc t sync =
+  if sync < 0 || sync >= t.next_sync then
+    invalid_arg (Printf.sprintf "Race: unknown sync object %d" sync);
+  t.syncs.(sync)
+
+let acquire t ~fid ~sync = join (fib t fid).vc (sync_vc t sync)
 
 let release t ~fid ~sync =
   let f = fib t fid in
-  join (Hashtbl.find t.syncs sync) f.vc;
+  join (sync_vc t sync) f.vc;
   inc t f
 
 let access t ~fid ~label ~now ~shared mode =
@@ -261,25 +285,25 @@ type stats = {
 let stats t =
   let max_vc = ref (Array.length t.slot_clock.a) in
   let see (v : vc) = if Array.length v.a > !max_vc then max_vc := Array.length v.a in
-  (* lint-ok: max is order-independent. *)
-  Hashtbl.iter (fun _ f -> see f.vc) t.fibers;
-  (* lint-ok: same. *)
-  Hashtbl.iter (fun _ v -> see v) t.syncs;
+  Array.iter (Option.iter (fun f -> see f.vc)) t.by_slot;
+  for id = 0 to t.next_sync - 1 do
+    see t.syncs.(id)
+  done;
   {
     live_fibers = Hashtbl.length t.fibers;
     n_slots = t.n_slots;
     finished_kept = Hashtbl.length t.finished;
-    n_syncs = Hashtbl.length t.syncs;
+    n_syncs = t.next_sync;
     n_vars = Hashtbl.length t.vars;
     max_vc_words = !max_vc;
   }
 
 let absorb_all t =
   let m = fib t main_fid in
-  (* lint-ok: vector-clock join is a pointwise max — order-independent. *)
-  Hashtbl.iter (fun fid f -> if fid <> main_fid then join m.vc f.vc) t.fibers;
-  (* lint-ok: same commutative join. *)
-  Hashtbl.iter (fun _ v -> join m.vc v) t.syncs
+  Array.iter (Option.iter (fun f -> if f != m then join m.vc f.vc)) t.by_slot;
+  for id = 0 to t.next_sync - 1 do
+    join m.vc t.syncs.(id)
+  done
 
 let mode_name = function Read -> "read" | Write -> "write"
 

@@ -1,0 +1,37 @@
+(* Written by `make golden`; see golden.ml. *)
+let recorded =
+  [
+    ("fig4", "9d215d8effe12db02ad5b3871cbc630e");
+    ("fig5", "4636cff9c826e682372023bcaa3ffe4a");
+    ("fig6", "4c47d01c37ed3f8edec10d90bbbce2d8");
+    ("fig7", "5f5497eceb453d4faa329a5b0c460564");
+    ("fig8", "52680e508ce60926b22b1b5258270f49");
+    ("fig9", "3eccc0852fc1c351f9bebce6e108a92f");
+    ("overload", "3cba205ed4dc5792f88b4082eb2242b3");
+    ("flash", "fbcdee827b1d47c2544e48f6e92dbbdb");
+    ("crash 5 seeds", "37dd6724962f154e3dcf653b44033910");
+    ("shard scale 0.1, 3 shards", "7a2819ec21be2bf1457e9ef0f359b1fe");
+    ("spec_base seed 7", "9eb353aeb4e63774ba38587b89b06d04");
+    ("spec_base seed 7 | trace export", "f7c282b4116a888b71962269ac934837");
+    ("spec_base seed 7 | causal export", "4136fdd12f68be31efbcb4b681767c15");
+    ("spec_base 24 clients seed 11", "144fd3f390afb85a0a40cf5b7b26e458");
+    ("spec_base 24 clients seed 11 | trace export", "abfa0f02e6d48883b54f7bf4c9d5b513");
+    ("open_spec + qos", "ae7c992e82beb2c45ca26d39038ba81d");
+    ("open_spec + qos seed 1", "cbee644298d9e24c5d050e0d2497541d");
+    ("open_spec + qos seed 2", "cb7e82e50e1680c4bd1bcfd5057a2e8b");
+    ("open_spec + qos seed 3", "8836b5b308fe6800f295d7f6bed9c851");
+    ("open_spec + qos + fair CP", "c0d9dfd3813d964eb55f5f68dbab1abe");
+    ("two-volume seq_write", "a8bd9c421741342c4caf99f3725c7b1a");
+    ("four-tenant Zipf open loop", "23c52d5fed99c7d3ba9288bd04998bd5");
+    ("closed seq_write", "3bd0af82b64e77153f57ffa220309d3f");
+    ("closed rand_write + think", "f565599d73e5d47ea93bb4e594f0b58d");
+    ("nfs_mix", "cc534803d2b2eea40b6fc8c1941e48db");
+    ("open loop + qos + watermarks + telemetry", "69bbcd73b65c895ad53fd40b81cdca2c");
+    ("skewed_write on flash", "ed5d5cab65cabd8cdacb40a4c8fd6727");
+    ("wafl_sim crash --seeds 8", "eb128b9ed58dfc8edc0ff8ab4374e0fe");
+    ("wafl_sim crash --flash --seeds 4", "c26fdafdbbf176f25041d7f09843aef2");
+    ("wafl_sim shard --scale 0.25 --shards 3 --domains 2", "2013724b7241fc5001ba68b4bb01c55c");
+    ("wafl_sim overload --scale 0.1", "3cba205ed4dc5792f88b4082eb2242b3");
+    ("wafl_sim fig6 --scale 0.1", "4c47d01c37ed3f8edec10d90bbbce2d8");
+    ("wafl_sim top --live --measure 0.5 --json", "11ae08adec1f8acf712b6030642254de");
+  ]

@@ -3,11 +3,11 @@
 
    Four legs: (1) every causal trace of a figure run parses into a
    connected, acyclic DAG whose per-CP critical paths cover the whole CP
-   interval; (2) causal tracing is deterministic (same seed, byte-equal
-   trace) and invisible (results bit-identical with causal tracing on and
-   off); (3) pooled worker fibers reset their span stack and causal
-   context between messages, so state leaked by one message cannot attach
-   to the next; (4) ring-buffer drops are surfaced through the analyzer
+   interval; (2) causal tracing is deterministic (the same-seed trace
+   matches its golden digest) and invisible (traced results match the
+   plain runs' goldens, golden.ml); (3) pooled worker fibers reset their
+   span stack and causal context between messages, so state leaked by one
+   message cannot attach to the next; (4) ring-buffer drops are surfaced through the analyzer
    so a truncated trace is never mistaken for a complete one. *)
 
 module H = Wafl_harness
@@ -63,16 +63,14 @@ let test_worker_reset () =
 
 (* --- figure traces form connected, acyclic causal DAGs ------------------- *)
 
-let causal_fig name f =
-  let last = ref Trace.disabled in
-  let obs eng =
-    let t = Trace.create ~causal:true eng in
-    last := t;
-    t
-  in
-  ignore (f (H.Exp.context ~scale ~obs ()));
-  let json = Trace.export_string !last in
-  match Causal.analyze_string json with
+(* Runs [s] causally traced; returns its value and the analysis of its
+   last run's trace (the tracer itself is dropped: a causal ring is
+   large). *)
+let causal_run s =
+  let v, t = Golden.run s Golden.Causal in
+  (v, Causal.analyze_string (Trace.export_string t))
+
+let check_dag name = function
   | Error e -> Alcotest.fail (name ^ ": analyze failed: " ^ e)
   | Ok a ->
       Alcotest.(check bool) (name ^ ": acyclic") true a.Causal.a_acyclic;
@@ -90,13 +88,21 @@ let causal_fig name f =
         a.Causal.a_cps;
       a
 
-let test_dag_fig4 () = ignore (causal_fig "fig4" H.Fig4.run)
+(* The traced rows must also match the plain run's golden. *)
+let causal_fig name s =
+  let v, a = causal_run s in
+  Golden.expect s Golden.Causal v;
+  ignore (check_dag name a)
 
-let test_dag_fig5 () =
-  ignore (causal_fig "fig5" (H.Fig5.run ~thread_counts:[ 1; 4 ]))
+(* Figs 4 and 6 serve both the DAG checks and the golden checks below
+   from one causally traced run each. *)
+let fig4_causal = lazy (causal_run Golden.fig4)
+let fig6_causal = lazy (causal_run Golden.fig6)
+let test_dag_fig4 () = ignore (check_dag "fig4" (snd (Lazy.force fig4_causal)))
+let test_dag_fig5 () = causal_fig "fig5" Golden.fig5
 
 let test_dag_fig6 () =
-  let a = causal_fig "fig6" H.Fig6.run in
+  let a = check_dag "fig6" (snd (Lazy.force fig6_causal)) in
   (* The bottleneck table attributes the whole walked critical path. *)
   Alcotest.(check bool) "fig6: bottlenecks non-empty" true (a.Causal.a_bottlenecks <> []);
   Alcotest.(check bool) "fig6: write ops decomposed" true
@@ -107,50 +113,21 @@ let test_dag_fig6 () =
   Alcotest.(check bool) "fig6: render has the bottleneck table" true
     (contains txt "bottleneck")
 
-let test_dag_fig7 () = ignore (causal_fig "fig7" H.Fig7.run)
-let test_dag_fig8 () = ignore (causal_fig "fig8" H.Fig8.run)
-
-let test_dag_fig9 () =
-  ignore (causal_fig "fig9" (H.Fig9.run ~levels:2))
+let test_dag_fig7 () = causal_fig "fig7" Golden.fig7
+let test_dag_fig8 () = causal_fig "fig8" Golden.fig8
+let test_dag_fig9 () = causal_fig "fig9" Golden.fig9
 
 (* --- determinism and invisibility ---------------------------------------- *)
 
-let causal_traced_run seed =
-  let tracer = ref Trace.disabled in
-  let spec =
-    {
-      (H.Exp.spec_base ~scale) with
-      Driver.seed;
-      obs =
-        (fun eng ->
-          let t = Trace.create ~causal:true eng in
-          tracer := t;
-          t);
-    }
-  in
-  let r = Driver.run spec in
-  (r, !tracer)
+(* The causally traced run's result matches the plain run's golden, and
+   its causal trace export matches the export recorded in another
+   process. *)
+let test_causal_deterministic () = ignore (Golden.check Golden.same_seed Golden.Causal)
 
-let test_causal_deterministic () =
-  let r1, t1 = causal_traced_run 7 in
-  let r2, t2 = causal_traced_run 7 in
-  Alcotest.(check bool) "same-seed results identical" true (r1 = r2);
-  Alcotest.(check string) "same-seed causal traces byte-identical"
-    (Trace.export_string t1) (Trace.export_string t2)
-
-(* Runs [f] untraced, then causally traced; results must be bit-equal —
-   causal recording never consumes virtual time, never schedules and
-   never draws randomness. *)
-let check_fig_causal name f =
-  let off = f (H.Exp.context ~scale ()) in
-  let on = f (H.Exp.context ~scale ~obs:(fun eng -> Trace.create ~causal:true eng) ()) in
-  Alcotest.(check bool) (name ^ ": causal run bit-identical") true (off = on)
-
-let test_causal_off_vs_on_fig4 () =
-  check_fig_causal "fig4" H.Fig4.run
-
-let test_causal_off_vs_on_fig6 () =
-  check_fig_causal "fig6" H.Fig6.run
+(* Causal recording never consumes virtual time, never schedules and
+   never draws randomness: the traced figures match the plain goldens. *)
+let test_causal_fig4 () = Golden.expect Golden.fig4 Golden.Causal (fst (Lazy.force fig4_causal))
+let test_causal_fig6 () = Golden.expect Golden.fig6 Golden.Causal (fst (Lazy.force fig6_causal))
 
 (* --- ring drops are surfaced, never silent ------------------------------- *)
 
@@ -200,9 +177,9 @@ let () =
           Alcotest.test_case "same seed, byte-identical causal trace" `Slow
             test_causal_deterministic;
           Alcotest.test_case "fig4 bit-identical with causal tracing" `Slow
-            test_causal_off_vs_on_fig4;
+            test_causal_fig4;
           Alcotest.test_case "fig6 bit-identical with causal tracing" `Slow
-            test_causal_off_vs_on_fig6;
+            test_causal_fig6;
         ] );
       ( "completeness",
         [ Alcotest.test_case "ring drops surfaced by the analyzer" `Quick test_drops_surfaced ] );

@@ -8,16 +8,14 @@
    propagation, barrier reuse), Partition (conservative-lookahead
    bounds, deterministic cross-partition delivery order, QCheck replay
    identity on random message topologies), and the full harnesses
-   (figs 4-9, overload, flash, crash seeds, fleet shard) at
-   contexts of 1 vs 4 domains with polymorphic equality over the complete row
-   structures, exactly like test_sanitize.ml does for the sanitizer. *)
+   (figs 4-9, overload, flash, crash seeds, fleet shard) fanned over 4
+   domains (the shard also over 2) against the golden digests of their
+   serial runs (golden.ml), as test_sanitize.ml does for the sanitizer. *)
 
 module H = Wafl_harness
 module Pool = Wafl_util.Pool
 module Rng = Wafl_util.Rng
 open Wafl_sim
-
-let scale = 0.02
 
 (* --- Pool ---------------------------------------------------------------- *)
 
@@ -151,38 +149,20 @@ let prop_partition_replay_identical =
     (fun (seed, parts) ->
       topology ~seed ~parts ~domains:1 = topology ~seed ~parts ~domains:4)
 
-(* --- harness byte-identity: 1 vs 4 domains -------------------------------- *)
+(* --- harness byte-identity: 4 domains against the golden ----------------- *)
 
-let check_fig name f =
-  let serial = f (H.Exp.context ~scale ~domains:1 ()) in
-  let par = f (H.Exp.context ~scale ~domains:4 ()) in
-  (* Polymorphic equality over the full row structure: every counter,
-     float and latency histogram must match exactly. *)
-  Alcotest.(check bool) (name ^ ": 4-domain run bit-identical to serial") true (serial = par)
-
-let test_fig4 () = check_fig "fig4" H.Fig4.run
-let test_fig5 () = check_fig "fig5" (H.Fig5.run ~thread_counts:[ 1; 4 ])
-let test_fig6 () = check_fig "fig6" H.Fig6.run
-let test_fig7 () = check_fig "fig7" H.Fig7.run
-let test_fig8 () = check_fig "fig8" H.Fig8.run
-let test_fig9 () = check_fig "fig9" (H.Fig9.run ~levels:2)
-let test_overload () = check_fig "overload" H.Overload.run
-let test_flash () = check_fig "flash" H.Flash.run
+(* The subject fanned over 4 worker domains matches the golden digest of
+   its serial run (golden.ml): every counter, float and latency histogram
+   of the full row structure. *)
+let check_d4 s () = ignore (Golden.check s (Golden.Domains 4))
 
 let test_crash_seeds () =
-  let run domains =
-    H.Crash.run_seeds ~ops:20_000 ~horizon:20_000.0 ~domains ~first_seed:1 ~count:5 ()
-  in
-  let serial = run 1 and par = run 4 in
-  Alcotest.(check bool) "crash: all seeds pass" true (List.for_all H.Crash.passed par);
-  Alcotest.(check bool) "crash: 4-domain outcomes bit-identical" true (serial = par)
+  let par = Golden.check Golden.crash (Golden.Domains 4) in
+  Alcotest.(check bool) "crash: all seeds pass" true (List.for_all H.Crash.passed par)
 
 let test_shard_digest () =
-  let digest domains = H.Shard.digest (H.Shard.run ~scale:0.1 ~shards:3 ~domains ()) in
-  let d1 = digest 1 in
-  Alcotest.(check string) "shard: 2-domain digest identical" d1 (digest 2);
-  Alcotest.(check string) "shard: 4-domain digest identical" d1 (digest 4);
-  let o = H.Shard.run ~scale:0.1 ~shards:3 ~domains:4 () in
+  ignore (Golden.check Golden.shard (Golden.Domains 2));
+  let o = Golden.check Golden.shard (Golden.Domains 4) in
   List.iter
     (fun (name, ok) -> Alcotest.(check bool) name true ok)
     (H.Shard.shapes o)
@@ -206,14 +186,14 @@ let () =
         ] );
       ( "byte-identity",
         [
-          Alcotest.test_case "fig4" `Slow test_fig4;
-          Alcotest.test_case "fig5" `Slow test_fig5;
-          Alcotest.test_case "fig6" `Slow test_fig6;
-          Alcotest.test_case "fig7" `Slow test_fig7;
-          Alcotest.test_case "fig8" `Slow test_fig8;
-          Alcotest.test_case "fig9" `Slow test_fig9;
-          Alcotest.test_case "overload" `Slow test_overload;
-          Alcotest.test_case "flash" `Slow test_flash;
+          Alcotest.test_case "fig4" `Slow (check_d4 Golden.fig4);
+          Alcotest.test_case "fig5" `Slow (check_d4 Golden.fig5);
+          Alcotest.test_case "fig6" `Slow (check_d4 Golden.fig6);
+          Alcotest.test_case "fig7" `Slow (check_d4 Golden.fig7);
+          Alcotest.test_case "fig8" `Slow (check_d4 Golden.fig8);
+          Alcotest.test_case "fig9" `Slow (check_d4 Golden.fig9);
+          Alcotest.test_case "overload" `Slow (check_d4 Golden.overload);
+          Alcotest.test_case "flash" `Slow (check_d4 Golden.flash);
           Alcotest.test_case "crash five seeds" `Slow test_crash_seeds;
           Alcotest.test_case "fleet shard digest" `Slow test_shard_digest;
         ] );

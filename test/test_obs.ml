@@ -1,15 +1,13 @@
 (* Wafl_obs: span tracer, metrics registry, trace export and the
-   off-vs-on bit-identity guarantee.
+   observe-only guarantee.
 
    The subsystem's contract has three legs: (1) spans and the
    virtual-CPU profile attribute correctly across fiber switches,
    (2) the Chrome trace-event export is well-formed JSON and
-   deterministic for a given seed, and (3) attaching a tracer never
-   changes simulation results — every paper experiment must be
-   bit-identical with tracing on and off. *)
+   deterministic for a given seed (it matches its golden digest), and
+   (3) attaching a tracer never changes simulation results — every
+   paper experiment traced matches the plain run's golden (golden.ml). *)
 
-module H = Wafl_harness
-module Driver = Wafl_workload.Driver
 module Engine = Wafl_sim.Engine
 module Trace = Wafl_obs.Trace
 module Metrics = Wafl_obs.Metrics
@@ -156,25 +154,15 @@ let test_ring_drop () =
 
 (* --- export: well-formed, complete, deterministic ------------------------ *)
 
-let traced_run seed =
-  let tracer = ref Trace.disabled in
-  let spec =
-    {
-      (H.Exp.spec_base ~scale:0.02) with
-      Driver.seed;
-      obs =
-        (fun eng ->
-          let t = Trace.create eng in
-          tracer := t;
-          t);
-    }
-  in
-  let r = Driver.run spec in
-  (r, !tracer)
+(* One traced run, exported once, serves the parse test and the golden
+   check. *)
+let same_seed_traced =
+  lazy
+    (let r, t = Golden.run Golden.same_seed Golden.Trace in
+     (r, t, Trace.export_string t))
 
 let test_export_parses () =
-  let _, t = traced_run 1 in
-  let json = Trace.export_string t in
+  let _, t, json = Lazy.force same_seed_traced in
   match Json.of_string json with
   | Error msg -> Alcotest.fail ("trace JSON does not parse: " ^ msg)
   | Ok doc ->
@@ -208,61 +196,22 @@ let test_export_parses () =
         events;
       Alcotest.(check bool) "profile non-empty" true (Trace.profile_rows t <> [])
 
+(* The traced run's result matches the plain run's golden, and its trace
+   export matches the export recorded in another process. *)
 let test_deterministic () =
-  let r1, t1 = traced_run 7 in
-  let r2, t2 = traced_run 7 in
-  Alcotest.(check bool) "same-seed results identical" true (r1 = r2);
-  Alcotest.(check string) "same-seed traces byte-identical" (Trace.export_string t1)
-    (Trace.export_string t2)
+  let r, _, export = Lazy.force same_seed_traced in
+  Golden.expect ~export Golden.same_seed Golden.Trace r
 
 (* Same property with enough concurrent clients to grow the scheduler's
    worker-fiber pool and recycle workers across messages: pool reuse
    must leave no mark on the trace. *)
-let test_worker_pool_trace_identical () =
-  let churn_run seed =
-    let tracer = ref Trace.disabled in
-    let spec =
-      {
-        (H.Exp.spec_base ~scale:0.02) with
-        Driver.seed;
-        clients = 24;
-        obs =
-          (fun eng ->
-            let t = Trace.create eng in
-            tracer := t;
-            t);
-      }
-    in
-    let r = Driver.run spec in
-    (r, !tracer)
-  in
-  let r1, t1 = churn_run 11 in
-  let r2, t2 = churn_run 11 in
-  Alcotest.(check bool) "pool-churn results identical" true (r1 = r2);
-  Alcotest.(check string) "pool-churn traces byte-identical" (Trace.export_string t1)
-    (Trace.export_string t2)
+let test_worker_pool_trace_identical () = ignore (Golden.check Golden.pool_churn Golden.Trace)
 
 (* --- tracing must not change results ------------------------------------- *)
 
-let scale = 0.02
-
-(* Runs [f] under an untraced then a traced context (as the CLI's
-   --trace flag would build it). *)
-let both f =
-  let off = f (H.Exp.context ~scale ()) in
-  let on = f (H.Exp.context ~scale ~obs:(fun eng -> Trace.create eng) ()) in
-  (off, on)
-
-let check_fig name f =
-  let off, on = both f in
-  Alcotest.(check bool) (name ^ ": traced run bit-identical") true (off = on)
-
-let test_fig4 () = check_fig "fig4" H.Fig4.run
-let test_fig5 () = check_fig "fig5" (H.Fig5.run ~thread_counts:[ 1; 4 ])
-let test_fig6 () = check_fig "fig6" H.Fig6.run
-let test_fig7 () = check_fig "fig7" H.Fig7.run
-let test_fig8 () = check_fig "fig8" H.Fig8.run
-let test_fig9 () = check_fig "fig9" (H.Fig9.run ~levels:2)
+(* Each figure traced (as the CLI's --trace flag would attach it) matches
+   the plain run's golden. *)
+let check_fig s () = ignore (Golden.check s Golden.Trace)
 
 let () =
   Alcotest.run "obs"
@@ -287,11 +236,11 @@ let () =
         ] );
       ( "bit-identity",
         [
-          Alcotest.test_case "fig4" `Slow test_fig4;
-          Alcotest.test_case "fig5" `Slow test_fig5;
-          Alcotest.test_case "fig6" `Slow test_fig6;
-          Alcotest.test_case "fig7" `Slow test_fig7;
-          Alcotest.test_case "fig8" `Slow test_fig8;
-          Alcotest.test_case "fig9" `Slow test_fig9;
+          Alcotest.test_case "fig4" `Slow (check_fig Golden.fig4);
+          Alcotest.test_case "fig5" `Slow (check_fig Golden.fig5);
+          Alcotest.test_case "fig6" `Slow (check_fig Golden.fig6);
+          Alcotest.test_case "fig7" `Slow (check_fig Golden.fig7);
+          Alcotest.test_case "fig8" `Slow (check_fig Golden.fig8);
+          Alcotest.test_case "fig9" `Slow (check_fig Golden.fig9);
         ] );
     ]

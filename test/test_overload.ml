@@ -5,33 +5,13 @@
 
 open Wafl_workload
 
-let watermarks = { Wafl_fs.Nvlog.soft = 0.5; hard = 0.9; pace = 25.0 }
-
 (* One hot bursty tenant and two polite victims, each on its own volume,
-   against a deliberately small NVRAM. *)
-let hot =
-  Arrival.Bursty
-    { base_rate = 5_000.0; burst_rate = 400_000.0; mean_on_us = 3_000.0; mean_off_us = 10_000.0 }
+   against a deliberately small NVRAM (golden.ml, which pins its runs). *)
+let open_spec = Golden.open_spec
 
-let victim = Arrival.Poisson { rate = 2_000.0 }
-
-let open_spec ?(qos = None) ?(watermarks = Some watermarks) ?(nvlog_half = 256) () =
-  {
-    Driver.default_spec with
-    Driver.cores = 8;
-    workload = Driver.Rand_write { file_blocks = 1024 };
-    clients = 3;
-    volumes = 3;
-    geometry = Driver.small_geometry ();
-    nvlog_half;
-    watermarks;
-    open_loop = Some { Driver.arrivals = [ hot; victim; victim ]; qos };
-    warmup = 60_000.0;
-    measure = 200_000.0;
-    cfg = { Wafl_core.Walloc.default_config with cp_timer = Some 100_000.0 };
-  }
-
-let qos_config = { Wafl_qos.Qos.rate_per_s = 12_000.0; burst = 32.0; queue_depth = 64 }
+(* The QoS-on overload run, asserted against its golden where first
+   used, and shared by the QoS tests. *)
+let qos_on = lazy (Golden.check Golden.open_qos Golden.Plain)
 
 (* --- the back-to-back-CP regime ------------------------------------------ *)
 
@@ -86,7 +66,7 @@ let test_watermarks_make_exhaustion_unreachable () =
 (* --- QoS semantics under overload ---------------------------------------- *)
 
 let test_qos_sheds_hot_tenant_only () =
-  let r = Driver.run (open_spec ~qos:(Some qos_config) ()) in
+  let r = Lazy.force qos_on in
   Alcotest.(check int) "three tenants accounted" 3 (Array.length r.Driver.tenants);
   let h = r.Driver.tenants.(0) in
   Alcotest.(check bool)
@@ -119,7 +99,7 @@ let test_qos_bounds_backlog () =
     h.Driver.t_admitted - h.Driver.t_completed
   in
   let off = Driver.run (open_spec ()) in
-  let on = Driver.run (open_spec ~qos:(Some qos_config) ()) in
+  let on = Lazy.force qos_on in
   Alcotest.(check bool)
     (Printf.sprintf "qos bounds the hot backlog (%d off vs %d on)" (backlog off) (backlog on))
     true
@@ -128,44 +108,24 @@ let test_qos_bounds_backlog () =
 let test_fair_cp_admission () =
   (* Fair CP admission (Walloc.config.fair_cp): per-volume work units are
      round-robined through Wafl_qos.Fair.interleave.  The reordering must
-     leave the run deterministic and the CP pipeline fully functional. *)
-  let spec fair_cp =
-    let s = open_spec ~qos:(Some qos_config) () in
-    { s with Driver.cfg = { s.Driver.cfg with Wafl_core.Walloc.fair_cp } }
-  in
-  let fair = Driver.run (spec true) in
+     leave the run deterministic (it matches its golden) and the CP
+     pipeline fully functional. *)
+  let fair = Golden.check Golden.fair_cp Golden.Plain in
   Alcotest.(check bool) "CPs complete under fair admission" true (fair.Driver.cps_completed > 0);
   Alcotest.(check bool) "cleaning happens under fair admission" true
     (fair.Driver.buffers_cleaned > 0);
-  Alcotest.(check int) "still no exhausted writes" 0 fair.Driver.nvlog_exhausted;
-  let again = Driver.run (spec true) in
-  Alcotest.(check bool) "fair admission replays identically" true (fair = again)
+  Alcotest.(check int) "still no exhausted writes" 0 fair.Driver.nvlog_exhausted
 
 (* --- determinism and observer invisibility -------------------------------- *)
 
+(* Each seed's run matches the digest recorded in another process. *)
 let test_open_loop_replay_identity () =
-  List.iter
-    (fun seed ->
-      let spec = { (open_spec ~qos:(Some qos_config) ()) with Driver.seed } in
-      let a = Driver.run spec and b = Driver.run spec in
-      Alcotest.(check bool) (Printf.sprintf "seed %d replays identically" seed) true (a = b))
-    [ 1; 2; 3 ]
+  List.iter (fun s -> ignore (Golden.check s Golden.Plain)) Golden.open_qos_seeds
 
-let test_open_loop_sanitize_bit_identity () =
-  let spec = open_spec ~qos:(Some qos_config) () in
-  let plain = Driver.run spec in
-  let sane = Driver.run { spec with Driver.sanitize = true } in
-  Alcotest.(check int) "no races under the detector" 0 sane.Driver.races;
-  Alcotest.(check bool) "sanitized overload run bit-identical" true (plain = sane)
+(* The digest covers [races], 0 in the plain run: no reports either. *)
+let test_open_loop_sanitize_bit_identity () = ignore (Golden.check Golden.open_qos Golden.Sanitize)
 
-let test_open_loop_causal_bit_identity () =
-  let spec = open_spec ~qos:(Some qos_config) () in
-  let plain = Driver.run spec in
-  let traced =
-    Driver.run
-      { spec with Driver.obs = (fun eng -> Wafl_obs.Trace.create ~causal:true eng) }
-  in
-  Alcotest.(check bool) "causally traced overload run bit-identical" true (plain = traced)
+let test_open_loop_causal_bit_identity () = ignore (Golden.check Golden.open_qos Golden.Causal)
 
 (* --- crash harness overload mode ------------------------------------------ *)
 

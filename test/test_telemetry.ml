@@ -1,8 +1,9 @@
 (* Tests for the always-on fleet telemetry (DESIGN.md §4.15): the
-   observe-only invariant (telemetry on is bit-identical to telemetry
-   off), the health watchdog's quiet-on-healthy / loud-on-injected
-   behavior via the chaos hooks, snapshot JSON round-trips, merge
-   determinism, and the fleet-scale memory budget. *)
+   observe-only invariant (a telemetry-on result, telemetry stripped,
+   matches the telemetry-off golden), the health watchdog's
+   quiet-on-healthy / loud-on-injected behavior via the chaos hooks,
+   snapshot JSON round-trips, merge determinism, and the fleet-scale
+   memory budget. *)
 
 open Wafl_workload
 module Rollup = Wafl_obs.Rollup
@@ -11,42 +12,7 @@ module Top = Wafl_obs.Top
 module Json = Wafl_obs.Json
 module Histogram = Wafl_util.Histogram
 
-let small_spec ?(workload = Driver.Seq_write { file_blocks = 1024 }) ?(clients = 6) () =
-  {
-    Driver.default_spec with
-    Driver.cores = 8;
-    workload;
-    clients;
-    volumes = 2;
-    geometry = Driver.small_geometry ();
-    nvlog_half = 2048;
-    warmup = 80_000.0;
-    measure = 250_000.0;
-    cfg = { Wafl_core.Walloc.default_config with cp_timer = Some 100_000.0 };
-  }
-
-(* Every result field except [telemetry] itself, rendered to a string:
-   if any of these moves when telemetry is attached, the observe-only
-   invariant is broken. *)
-let digest (r : Driver.result) =
-  let h hist =
-    Printf.sprintf "%d/%.3f/%.1f/%.1f" (Histogram.count hist) (Histogram.mean hist)
-      (Histogram.percentile hist 50.0)
-      (Histogram.percentile hist 99.0)
-  in
-  Printf.sprintf
-    "%d;%.6f;%.6f;%.6f;%s;%s;%d;%d;%d;%.6f;%.6f;%.6f;%.6f;%.6f;%.6f;%d;%d;%d;%d;%d;%d;%d;%d;%.6f;%d;%d;%.6f;%d;%d;%d;%.6f;%d;%d;%d;%d;%d;%d;%.6f;%.6f"
-    r.Driver.ops r.Driver.duration r.Driver.throughput r.Driver.throughput_per_client
-    (h r.Driver.latency) (h r.Driver.write_latency) r.Driver.reads r.Driver.writes
-    r.Driver.metas r.Driver.cores_client r.Driver.cores_cleaner r.Driver.cores_infra
-    r.Driver.cores_cp r.Driver.cores_io_other r.Driver.utilization r.Driver.cps_completed
-    r.Driver.buffers_cleaned r.Driver.vbns_allocated r.Driver.vbns_freed
-    r.Driver.metafile_blocks_touched r.Driver.infra_messages r.Driver.cleaner_messages
-    r.Driver.get_waits r.Driver.avg_active_cleaners r.Driver.full_stripes
-    r.Driver.partial_stripes r.Driver.read_contiguity r.Driver.offered_ops r.Driver.shed_ops
-    r.Driver.throttled_ops r.Driver.stall_us r.Driver.b2b_cps r.Driver.b2b_episodes
-    r.Driver.nvlog_exhausted r.Driver.races r.Driver.flash_host_pages r.Driver.flash_gc_pages
-    r.Driver.flash_gc_stall_us r.Driver.waf
+let small_spec ?workload ?clients () = Golden.small_spec ?workload ?clients ~volumes:2 ()
 
 let with_telemetry ?(rollup = Rollup.default_config) ?(rules = Health.default_rules)
     (spec : Driver.spec) =
@@ -59,31 +25,21 @@ let telem r =
 
 (* --- observe-only invariant ---------------------------------------------- *)
 
+(* A telemetry-on result with its telemetry stripped must match the
+   golden digest of the telemetry-off run (golden.ml). *)
+let without_telemetry r = { r with Driver.telemetry = None }
+
+(* The telemetry-on closed-loop run, shared by the tests that read it. *)
+let closed_on = lazy (fst (Golden.run Golden.telemetry_closed Golden.Telemetry))
+
 let test_bit_identity () =
-  let off = Driver.run (small_spec ()) in
-  let on = Driver.run (with_telemetry (small_spec ())) in
-  Alcotest.(check string) "telemetry on is bit-identical to off" (digest off) (digest on);
+  let on = Lazy.force closed_on in
+  Golden.expect ~pin:without_telemetry Golden.telemetry_closed Golden.Telemetry on;
   let tr = telem on in
   Alcotest.(check bool) "rollup sealed windows" true (tr.Driver.tr_snapshot.Rollup.s_windows <> [])
 
 let test_bit_identity_open_loop () =
-  let spec =
-    {
-      (small_spec ()) with
-      Driver.clients = 4;
-      volumes = 4;
-      open_loop =
-        Some
-          {
-            Driver.arrivals = Arrival.population ~n:4 ~total_rate:40_000.0 ~alpha:1.0;
-            qos = Some Wafl_qos.Qos.default_config;
-          };
-    }
-  in
-  let off = Driver.run spec in
-  let on = Driver.run (with_telemetry spec) in
-  Alcotest.(check string) "open-loop telemetry on is bit-identical to off" (digest off)
-    (digest on);
+  let on = Golden.check ~pin:without_telemetry Golden.telemetry_open Golden.Telemetry in
   (* Shed/throttle/admit verdicts land in the per-volume rows. *)
   let tr = telem on in
   let sum f =
@@ -97,15 +53,16 @@ let test_bit_identity_open_loop () =
 (* --- watchdog: quiet on healthy runs ------------------------------------- *)
 
 let test_healthy_zero_events () =
+  let quiet name r =
+    Alcotest.(check int)
+      (name ^ ": healthy run emits no health events")
+      0
+      (List.length (telem r).Driver.tr_events)
+  in
+  quiet "seq" (Lazy.force closed_on);
   List.iter
-    (fun (name, spec) ->
-      let tr = telem (Driver.run (with_telemetry spec)) in
-      Alcotest.(check int)
-        (name ^ ": healthy run emits no health events")
-        0
-        (List.length tr.Driver.tr_events))
+    (fun (name, spec) -> quiet name (Driver.run (with_telemetry spec)))
     [
-      ("seq", small_spec ());
       ("oltp", small_spec ~workload:(Driver.Oltp { file_blocks = 1024; read_fraction = 0.67 }) ());
       ("nfs", small_spec ~workload:(Driver.Nfs_mix { files_per_client = 16; file_blocks = 32 }) ());
     ]
@@ -153,7 +110,7 @@ let test_chaos_hard_dwell () =
 (* --- snapshot JSON round-trips ------------------------------------------- *)
 
 let test_snapshot_roundtrip () =
-  let tr = telem (Driver.run (with_telemetry (small_spec ()))) in
+  let tr = telem (Lazy.force closed_on) in
   let s1 = Json.to_string (Rollup.snapshot_to_json tr.Driver.tr_snapshot) in
   let reparsed =
     match Json.of_string s1 with
@@ -176,7 +133,7 @@ let test_snapshot_roundtrip () =
     (Top.render snap2 events2)
 
 let test_merge_deterministic () =
-  let tr = telem (Driver.run (with_telemetry (small_spec ()))) in
+  let tr = telem (Lazy.force closed_on) in
   let snap = tr.Driver.tr_snapshot in
   let m1 = Rollup.merge_snapshots [ (0, snap); (1, snap) ] in
   let m2 = Rollup.merge_snapshots [ (1, snap); (0, snap) ] in

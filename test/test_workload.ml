@@ -4,21 +4,7 @@
 
 open Wafl_workload
 
-let small_spec ?(workload = Driver.Seq_write { file_blocks = 1024 }) ?(clients = 6)
-    ?(think = 0.0) () =
-  {
-    Driver.default_spec with
-    Driver.cores = 8;
-    workload;
-    clients;
-    think_time = think;
-    volumes = 1;
-    geometry = Driver.small_geometry ();
-    nvlog_half = 2048;
-    warmup = 80_000.0;
-    measure = 250_000.0;
-    cfg = { Wafl_core.Walloc.default_config with cp_timer = Some 100_000.0 };
-  }
+let small_spec = Golden.small_spec
 
 let test_seq_write_basics () =
   let r = Driver.run (small_spec ()) in
@@ -158,88 +144,24 @@ let test_working_set_guard () =
       ("Driver.run: measure -1 must be > 0", { (small_spec ()) with Driver.measure = -1.0 });
     ]
 
-(* Golden digests of whole [Driver.result]s, recorded from the build
-   before the driver's two client loops were merged into one op path.
-   The byte-identity tests elsewhere compare on/off pairs within one
-   build; these pin the absolute results, so a refactor that shifts a
+(* Golden digests of whole [Driver.result]s (golden.ml), first recorded
+   from the build before the driver's two client loops were merged into
+   one op path.  They pin absolute results, so a refactor that shifts a
    single RNG draw or window delta fails here even when no shape flips.
-   Re-record only for a deliberate change to the cost model or the
-   workload streams. *)
-let golden_specs =
-  let overload_qos =
-    {
-      (small_spec ~workload:(Driver.Rand_write { file_blocks = 512 }) ~clients:3 ()) with
-      Driver.volumes = 3;
-      nvlog_half = 64;
-      watermarks = Some { Wafl_fs.Nvlog.soft = 0.5; hard = 0.9; pace = 25.0 };
-      open_loop =
-        Some
-          {
-            Driver.arrivals =
-              [
-                Arrival.Bursty
-                  {
-                    base_rate = 5_000.0;
-                    burst_rate = 300_000.0;
-                    mean_on_us = 3_000.0;
-                    mean_off_us = 10_000.0;
-                  };
-                Arrival.Poisson { rate = 3_000.0 };
-                Arrival.Poisson { rate = 3_000.0 };
-              ];
-            qos = Some { Wafl_qos.Qos.rate_per_s = 30_000.0; burst = 8.0; queue_depth = 16 };
-          };
-      telemetry = Some Driver.default_telemetry;
-      warmup = 40_000.0;
-      measure = 120_000.0;
-    }
-  in
-  let skewed_flash =
-    {
-      (small_spec
-         ~workload:
-           (Driver.Skewed_write { file_blocks = 2048; hot_fraction = 0.2; hot_rate = 0.8 })
-         ~clients:4 ())
-      with
-      Driver.flash =
-        Some
-          {
-            Wafl_flash.Ftl.default_config with
-            Wafl_flash.Ftl.pages_per_block = 64;
-            logical_capacity = 0.16;
-            op_ratio = 0.1;
-            streams = 2;
-          };
-      measure = 150_000.0;
-    }
-  in
-  [
-    ("closed seq_write", small_spec (), "3bd0af82b64e77153f57ffa220309d3f");
-    ( "closed rand_write + think",
-      small_spec ~workload:(Driver.Rand_write { file_blocks = 1024 }) ~think:40.0 (),
-      "f565599d73e5d47ea93bb4e594f0b58d" );
-    ( "nfs_mix",
-      small_spec ~workload:(Driver.Nfs_mix { files_per_client = 8; file_blocks = 32 }) (),
-      "cc534803d2b2eea40b6fc8c1941e48db" );
-    ("open loop + qos + watermarks + telemetry", overload_qos, "69bbcd73b65c895ad53fd40b81cdca2c");
-    ("skewed_write on flash", skewed_flash, "ed5d5cab65cabd8cdacb40a4c8fd6727");
-  ]
-
-let result_digest (r : Driver.result) =
-  Digest.to_hex (Digest.string (Marshal.to_string r [ Marshal.No_sharing ]))
-
+   The [golden] group below asserts the plain run of every other subject
+   of the table, and the observe-only suites assert their own runs
+   against the same digests. *)
 let test_golden_digests () =
   List.iter
-    (fun (name, spec, expected) ->
-      let r = Driver.run spec in
-      if Option.is_some spec.Driver.open_loop then
+    (fun s ->
+      let r = Golden.check s Golden.Plain in
+      if Array.length r.Driver.tenants > 0 then
         Alcotest.(check bool)
           (Printf.sprintf "QoS both delays and sheds (%d throttled, %d shed)"
              r.Driver.throttled_ops r.Driver.shed_ops)
           true
-          (r.Driver.throttled_ops > 0 && r.Driver.shed_ops > 0);
-      Alcotest.(check string) name expected (result_digest r))
-    golden_specs
+          (r.Driver.throttled_ops > 0 && r.Driver.shed_ops > 0))
+    Golden.driver_results
 
 let () =
   Alcotest.run "wafl_workload"
@@ -260,4 +182,7 @@ let () =
           Alcotest.test_case "working-set guard" `Quick test_working_set_guard;
           Alcotest.test_case "golden result digests" `Quick test_golden_digests;
         ] );
+      ( "golden",
+        Alcotest.test_case "table lists every subject" `Quick Golden.test_table_complete
+        :: Golden.plain_cases () );
     ]
