@@ -204,7 +204,7 @@ bench:
 
 # Quarter-scale benchmark pass; still writes BENCH_paper.json.
 bench-quick:
-	WAFL_QUICK=1 dune exec bench/main.exe
+	WAFL_SCALE=0.25 dune exec bench/main.exe
 
 BENCH_GATE = ./_build/default/tools/bench_gate/main.exe
 
@@ -213,14 +213,14 @@ BENCH_GATE = ./_build/default/tools/bench_gate/main.exe
 # 15% (+2 s jitter floor) of the committed per-figure wall times.
 bench-gate:
 	dune build bench/main.exe tools/bench_gate/main.exe
-	WAFL_QUICK=1 WAFL_BENCH_OUT=_build/bench_gate.json dune exec bench/main.exe
+	WAFL_SCALE=0.25 WAFL_BENCH_OUT=_build/bench_gate.json dune exec bench/main.exe
 	$(BENCH_GATE) BENCH_paper.json _build/bench_gate.json
 
 # Fast subset of the gate for make check: four cheap figures (~5 s of
 # simulation) instead of the full ~50 s suite.
 bench-gate-fast:
 	dune build bench/main.exe tools/bench_gate/main.exe
-	WAFL_QUICK=1 WAFL_BENCH_OUT=_build/bench_gate_fast.json WAFL_BENCH_ONLY=fig4,batching,history,overload dune exec bench/main.exe
+	WAFL_SCALE=0.25 WAFL_BENCH_OUT=_build/bench_gate_fast.json WAFL_BENCH_ONLY=fig4,batching,history,overload dune exec bench/main.exe
 	$(BENCH_GATE) BENCH_paper.json _build/bench_gate_fast.json
 
 clean:

@@ -4,9 +4,9 @@
    records per-figure host and simulated cost in BENCH_paper.json.
    Micro-benchmarks of the allocator primitives live in bench/perf.
 
-     dune exec bench/main.exe              # full paper scale
-     WAFL_QUICK=1 dune exec bench/main.exe # fast smoke (quarter scale)
-     WAFL_SCALE=0.5 ...                    # custom scale *)
+     dune exec bench/main.exe                 # full paper scale
+     WAFL_SCALE=0.25 dune exec bench/main.exe # fast smoke (quarter scale)
+     WAFL_SCALE=0.5 ...                       # custom scale *)
 
 module H = Wafl_harness
 module J = Wafl_obs.Json

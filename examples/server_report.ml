@@ -1,5 +1,5 @@
 (* Operator's view: run a mixed workload against the simulated controller
-   and print the df/snap-list style reports plus the per-CP history and
+   and print the df/snap-list style reports plus a consistency-point summary and
    the Wafl_obs performance summary — the observability a storage admin
    of the real system would expect.
 
@@ -70,15 +70,13 @@ let () =
          print_endline "\n== allocation areas ==";
          print_string (Report.allocation_areas agg);
          print_endline "\n== consistency points ==";
-         List.iter
-           (fun (cp : Wafl_core.Cp.record) ->
-             Printf.printf
-               "  gen %-3d at %8.1f ms: %6d buffers, %4d metafile blocks, %d passes, %.2f ms\n"
-               cp.Wafl_core.Cp.generation
-               (cp.Wafl_core.Cp.started_at /. 1000.0)
-               cp.Wafl_core.Cp.buffers cp.Wafl_core.Cp.meta_blocks cp.Wafl_core.Cp.passes
-               (cp.Wafl_core.Cp.duration /. 1000.0))
-           (Wafl_core.Cp.history (Wafl_core.Walloc.cp walloc));
+         let m = Engine.metrics eng in
+         Printf.printf "  %d CPs, %.0f buffers cleaned, %.2f ms mean duration\n"
+           (Wafl_core.Cp.cps_completed (Wafl_core.Walloc.cp walloc))
+           (Metrics.counter_value m "cp.buffers_cleaned")
+           (match Metrics.histo m "cp.duration_us" with
+           | Some h -> Wafl_util.Histogram.mean h /. 1000.0
+           | None -> 0.0);
          print_endline "\n== performance (Wafl_obs) ==";
          print_string (Report.perf ~elapsed:(Engine.now eng) (Engine.metrics eng));
          Aggregate.fsck agg;

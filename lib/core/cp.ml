@@ -34,15 +34,6 @@ type serial_state = {
   io_counts : int array;
 }
 
-type record = {
-  generation : int;
-  started_at : float;
-  duration : float;
-  buffers : int;
-  meta_blocks : int;
-  passes : int;
-}
-
 type t = {
   eng : Engine.t;
   cost : Cost.t;
@@ -64,7 +55,6 @@ type t = {
      another; cleaner segments are slices of it.  Reused CP to CP at its
      high-water size. *)
   mutable fbns : int array;
-  mutable history : record list; (* newest first, bounded *)
   mutable requested : bool;
   mutable is_running : bool;
   manager : Sync.Waitq.t;
@@ -739,17 +729,6 @@ let run_cp_body t =
           ("passes", float_of_int passes);
         ]
       ();
-  t.history <-
-    {
-      generation = Aggregate.generation t.agg;
-      started_at = started;
-      duration = t.last_duration;
-      buffers = t.last_buffers;
-      meta_blocks;
-      passes;
-    }
-    :: (if List.length t.history >= 64 then List.filteri (fun i _ -> i < 63) t.history
-        else t.history);
   t.next_is_b2b <- Nvlog.is_half_full (Aggregate.nvlog t.agg);
   t.is_running <- false;
   set_phase t "idle";
@@ -821,7 +800,6 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra pool cfg =
               0;
         };
       fbns = [||];
-      history = [];
       requested = false;
       is_running = false;
       manager = Sync.Waitq.create eng;
@@ -862,4 +840,3 @@ let last_duration t = t.last_duration
 let buffers_last_cp t = t.last_buffers
 let meta_blocks_last_cp t = t.last_meta
 let meta_passes_last_cp t = t.last_passes
-let history t = List.rev t.history

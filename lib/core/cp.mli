@@ -83,16 +83,3 @@ val buffers_last_cp : t -> int
 val meta_blocks_last_cp : t -> int
 val meta_passes_last_cp : t -> int
 (** Iterations the metafile fixpoint took (bounded; typically 2-3). *)
-
-type record = {
-  generation : int;  (** superblock generation the CP published *)
-  started_at : float;
-  duration : float;
-  buffers : int;
-  meta_blocks : int;
-  passes : int;
-}
-
-val history : t -> record list
-(** The most recent CPs (up to 64), oldest first — per-CP observability
-    for operators and the test suite. *)

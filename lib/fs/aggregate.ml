@@ -87,7 +87,7 @@ let chaos_inject_hard_dwell = ref 0.0
 let free_counter = "agg_free_blocks"
 let vol_free_counter vid = Printf.sprintf "vol%d_free_vvbns" vid
 
-let make_raids eng cost disk geom queue_depth obs flash_cfg =
+let make_raids eng cost disk geom obs flash_cfg =
   Array.init (Geometry.raid_group_count geom) (fun rg ->
       let flash =
         Option.map
@@ -96,7 +96,7 @@ let make_raids eng cost disk geom queue_depth obs flash_cfg =
             Wafl_flash.Ftl.create ~obs eng ~cfg ~lpns ~rg)
           flash_cfg
       in
-      Raid.create ?queue_depth ~obs ?flash eng ~cost ~disk ~rg)
+      Raid.create ~obs ?flash eng ~cost ~disk ~rg)
 
 (* A full packed metafile image is 512 slots (4 KiB); the shorter tail
    block of a small map is left to the GC. *)
@@ -110,7 +110,7 @@ let init_aa_free geom =
 (* The one constructor behind [create] and [recover]: an empty aggregate
    over [pers], with every free block counted free and the NVLog
    accounting published to the engine's registry. *)
-let build ?(cache_blocks = 65536) ?queue_depth ~obs eng ~cost pers =
+let build ?(cache_blocks = 65536) ~obs eng ~cost pers =
   let geometry = Disk.geometry pers.p_disk in
   let counters = Counters.create () in
   let t =
@@ -119,7 +119,7 @@ let build ?(cache_blocks = 65536) ?queue_depth ~obs eng ~cost pers =
       cost;
       geom = geometry;
       pers;
-      raids = make_raids eng cost pers.p_disk geometry queue_depth obs pers.p_flash;
+      raids = make_raids eng cost pers.p_disk geometry obs pers.p_flash;
       flash_on = pers.p_flash <> None;
       agg_map = Bitmap_file.create ~bits:(Geometry.total_data_blocks geometry);
       aa_free_tbl = init_aa_free geometry;
@@ -152,9 +152,9 @@ let build ?(cache_blocks = 65536) ?queue_depth ~obs eng ~cost pers =
   Metrics.pull_counter m "nvlog.exhausted" (fun () -> float_of_int t.exhausted);
   t
 
-let create ?(nvlog_half = 16384) ?nvlog_watermarks ?cache_blocks ?queue_depth
-    ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost ~geometry () =
-  build ?cache_blocks ?queue_depth ~obs eng ~cost
+let create ?(nvlog_half = 16384) ?nvlog_watermarks ?cache_blocks ?(obs = Wafl_obs.Trace.disabled)
+    ?flash eng ~cost ~geometry () =
+  build ?cache_blocks ~obs eng ~cost
     {
       p_disk = Disk.create ~codec:Layout.data_codec geometry;
       p_sb = None;
@@ -623,8 +623,10 @@ let publish_superblock t sb =
      its image leaves the disk and a packed image's buffer goes to the
      spare pool for the next CP's metafile images.  Every such image
      finished its write before this publish, so no queued write still
-     carries it. *)
+     carries it.  The spares this CP left undrawn go first, so the pool
+     never holds more than one publish's images. *)
   let spares = spares t in
+  Wafl_util.Packed.drop_spares spares;
   Freed_set.release t.recently_freed (fun pvbn ->
       if not (snapshot_held t pvbn) then
         match Disk.discard t.pers.p_disk pvbn with
@@ -763,9 +765,9 @@ let recompute_vvbn_regions t vol =
       regions.(r) <- Bitmap_file.count_free_in vmap ~lo ~hi)
     regions
 
-let recover ?cache_blocks ?queue_depth ?(obs = Wafl_obs.Trace.disabled) eng ~cost pers =
+let recover ?cache_blocks ?(obs = Wafl_obs.Trace.disabled) eng ~cost pers =
   let geom = Disk.geometry pers.p_disk in
-  let t = build ?cache_blocks ?queue_depth ~obs eng ~cost pers in
+  let t = build ?cache_blocks ~obs eng ~cost pers in
   (match pers.p_sb with
   | None -> ()
   | Some sb ->

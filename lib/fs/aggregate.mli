@@ -33,7 +33,6 @@ val create :
   ?nvlog_half:int ->
   ?nvlog_watermarks:Nvlog.watermarks ->
   ?cache_blocks:int ->
-  ?queue_depth:int ->
   ?obs:Wafl_obs.Trace.t ->
   ?flash:Wafl_flash.Ftl.config ->
   Wafl_sim.Engine.t ->
@@ -254,7 +253,6 @@ val persist : t -> persist
 val crash : t -> persist
 val recover :
   ?cache_blocks:int ->
-  ?queue_depth:int ->
   ?obs:Wafl_obs.Trace.t ->
   Wafl_sim.Engine.t ->
   cost:Wafl_sim.Cost.t ->

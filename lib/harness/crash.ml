@@ -11,6 +11,7 @@ type outcome = {
   mid_cp : bool;
   cp_phase : string;
   cps_before_crash : int;
+  last_ack_us : float;
   acked : int;
   torn : int;
   lost : int;
@@ -106,6 +107,7 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
      is exactly the nvlog's tail: the torn records at crash are the
      newest [torn] entries here. *)
   let oplog = ref [] in
+  let last_ack_us = ref 0.0 in
   ignore
     (Engine.spawn eng ~label:"client" (fun () ->
          let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
@@ -141,10 +143,10 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
               shed write is never acknowledged and never enters the
               mirror. *)
            (match Aggregate.write agg ~vol:vid ~file ~fbn ~content with
-           | `Ok -> oplog := Nvlog.Write { vol = vid; file; fbn; content } :: !oplog
-           | `Log_half_full ->
-               Wafl_core.Cp.request (Wafl_core.Walloc.cp walloc);
-               oplog := Nvlog.Write { vol = vid; file; fbn; content } :: !oplog
+           | (`Ok | `Log_half_full) as r ->
+               if r = `Log_half_full then Wafl_core.Cp.request (Wafl_core.Walloc.cp walloc);
+               oplog := Nvlog.Write { vol = vid; file; fbn; content } :: !oplog;
+               last_ack_us := Engine.now eng
            | `Log_exhausted -> ());
            if not overload then Engine.consume 3.0
          done));
@@ -208,6 +210,7 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
     mid_cp;
     cp_phase;
     cps_before_crash;
+    last_ack_us = !last_ack_us;
     acked = Oracle.cardinal expected;
     torn;
     lost = !lost;

@@ -24,6 +24,7 @@ type outcome = {
   mid_cp : bool;  (** a CP was running when the crash hit *)
   cp_phase : string;  (** CP engine phase at the crash instant *)
   cps_before_crash : int;
+  last_ack_us : float;  (** virtual µs at which the last write before the crash was acknowledged *)
   acked : int;  (** distinct acknowledged blocks the oracle checked *)
   torn : int;  (** NVRAM records torn off at the crash *)
   lost : int;  (** acked blocks missing or wrong after recovery *)

@@ -16,10 +16,7 @@ let of_env () =
       match float_of_string_opt s with
       | Some f when f > 0.0 && Float.is_finite f -> Some f
       | _ -> None)
-    ~default:(fun () ->
-      env_var "WAFL_QUICK" ~expected:"1, true, 0 or false"
-        (function "1" | "true" -> Some 0.25 | "0" | "false" -> Some 1.0 | _ -> None)
-        ~default:(fun () -> 1.0))
+    ~default:(fun () -> 1.0)
 
 type record = { result : Driver.result; wall_s : float }
 

@@ -9,8 +9,7 @@
 
 val of_env : unit -> float
 (** Scale factor from the environment: [WAFL_SCALE] (a positive number),
-    else 0.25 when [WAFL_QUICK] is [1]/[true], else 1.0.  Unset or empty
-    variables take the default.
+    1.0 when unset or empty.
     @raise Invalid_argument naming the variable when a value is malformed
     (e.g. [WAFL_SCALE=0,25]). *)
 

@@ -37,6 +37,7 @@ let record t ev =
   t.buf.(t.next) <- Some ev;
   t.next <- (t.next + 1) mod t.cap
 
+let capacity t = t.cap
 let length t = t.len
 let dropped t = t.n_dropped
 

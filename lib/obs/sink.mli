@@ -24,6 +24,7 @@ type t
 
 val create : capacity:int -> t
 val record : t -> ev -> unit
+val capacity : t -> int
 val length : t -> int
 val dropped : t -> int
 

@@ -60,31 +60,29 @@ let metrics t =
 
 (* --- metric sampling ----------------------------------------------------- *)
 
-let sample s ~now =
-  let put (name, v) =
-    Sink.record s.sink
-      {
-        ph = 'C';
-        cat = "metrics";
-        name;
-        ts = now;
-        dur = v;
-        tid = 0;
-        flow = 0;
-        args = [];
-        num_args = [];
-      }
+let sample_events s ~now =
+  let ev (name, v) =
+    {
+      Sink.ph = 'C';
+      cat = "metrics";
+      name;
+      ts = now;
+      dur = v;
+      tid = 0;
+      flow = 0;
+      args = [];
+      num_args = [];
+    }
   in
   let m = Engine.metrics s.eng in
-  List.iter put (Metrics.counters m);
-  List.iter put (Metrics.gauges m)
+  List.map ev (Metrics.counters m @ Metrics.gauges m)
 
 (* Piggybacks on trace-recording and engine-hook call sites rather than a
    dedicated fiber: a sampler fiber would occupy cores and perturb FIFO
    ordering, breaking the off-vs-on bit-identity guarantee. *)
 let maybe_sample s ~now =
   if s.sample_interval > 0.0 && now >= s.next_sample then begin
-    sample s ~now;
+    List.iter (Sink.record s.sink) (sample_events s ~now);
     s.next_sample <- now +. s.sample_interval
   end
 
@@ -349,8 +347,30 @@ let complete t ~cat ~name ~ts ~dur ?(args = []) ?(num_args = []) () =
         };
       maybe_sample s ~now:(Engine.now s.eng)
 
-let event_count t = match t.state with Some s -> Sink.length s.sink | None -> 0
-let dropped t = match t.state with Some s -> Sink.dropped s.sink | None -> 0
+(* What an export holds: the ring's events, then a closing sample of
+   every metric, counted as if the ring had recorded it.  When that
+   overflows the ring, the oldest [recorded - kept] events are left out
+   and counted as dropped; the ring itself is never touched. *)
+let exported s =
+  let closing =
+    if s.sample_interval > 0.0 then sample_events s ~now:(Engine.now s.eng) else []
+  in
+  let recorded = Sink.length s.sink + List.length closing in
+  (closing, recorded, min recorded (Sink.capacity s.sink))
+
+let event_count t =
+  match t.state with
+  | Some s ->
+      let _, _, kept = exported s in
+      kept
+  | None -> 0
+
+let dropped t =
+  match t.state with
+  | Some s ->
+      let _, recorded, kept = exported s in
+      Sink.dropped s.sink + recorded - kept
+  | None -> 0
 
 (* --- Chrome trace-event export ------------------------------------------- *)
 
@@ -411,8 +431,17 @@ let export t buf =
   match t.state with
   | None -> Buffer.add_string buf "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}"
   | Some s ->
-      (* Close the timeseries so the last window is visible. *)
-      if s.sample_interval > 0.0 then sample s ~now:(Engine.now s.eng);
+      (* The closing sample shows the last window of the timeseries. *)
+      let closing, recorded, kept = exported s in
+      let iter f =
+        let i = ref 0 in
+        let visit ev =
+          if !i >= recorded - kept then f ev;
+          incr i
+        in
+        Sink.iter s.sink visit;
+        List.iter visit closing
+      in
       Buffer.add_string buf "{\"traceEvents\":[";
       let first = ref true in
       let sep () = if !first then first := false else Buffer.add_char buf ',' in
@@ -423,7 +452,7 @@ let export t buf =
          message fiber per client op, and naming them all would dwarf the
          bounded event ring. *)
       let live = Hashtbl.create 256 in
-      Sink.iter s.sink (fun ev -> Hashtbl.replace live ev.tid ());
+      iter (fun ev -> Hashtbl.replace live ev.tid ());
       List.iter
         (fun (fid, label) ->
           if Hashtbl.mem live fid then begin
@@ -436,15 +465,16 @@ let export t buf =
             Buffer.add_string buf "}}"
           end)
         (Int_table.bindings s.names);
-      Sink.iter s.sink (fun ev ->
+      iter (fun ev ->
           sep ();
           emit_event buf ev);
       Buffer.add_string buf "],\"displayTimeUnit\":\"ms\",\"otherData\":{";
       Buffer.add_string buf
         (Printf.sprintf
            "\"clock\":\"virtual-us\",\"events\":%d,\"dropped\":%d,\"causal\":%b,\"sample_interval_us\":%s}}"
-           (Sink.length s.sink) (Sink.dropped s.sink) s.causal
-           (Json.num_str s.sample_interval))
+           kept
+           (Sink.dropped s.sink + recorded - kept)
+           s.causal (Json.num_str s.sample_interval))
 
 let export_string t =
   let buf = Buffer.create 65536 in

@@ -100,6 +100,8 @@ val complete :
 
 val event_count : t -> int
 val dropped : t -> int
+(** The counts {!export} writes: the ring's events and drops, with the
+    closing counter sample counted as if recorded. *)
 
 (** {1 Causal edges}
 
@@ -145,7 +147,10 @@ val export : t -> Buffer.t -> unit
 (** Append the whole trace as Chrome trace-event JSON
     ([{"traceEvents": [...], ...}]), loadable in Perfetto or
     chrome://tracing.  Timestamps and durations are virtual microseconds,
-    [tid] is the fiber id, and counter samples appear as 'C' events. *)
+    [tid] is the fiber id, and counter samples appear as 'C' events.
+    The document ends with a closing sample of every metric, counted as
+    if the ring had recorded it, but the ring is left as it is: two
+    exports of one tracer are equal. *)
 
 val export_string : t -> string
 

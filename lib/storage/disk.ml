@@ -1,46 +1,49 @@
 type 'b codec = { key : 'b -> int; word : 'b -> int64; unpack : int -> int64 -> 'b }
 
-(* Boxed images sit directly (no option box) in the slots of fixed pages
-   of [page_slots] VBNs, and a presence bit says whether a slot's image
-   is real.  A page is created at the first boxed write into it, with
-   every slot pointing at [fill] (the store's first boxed payload); a
-   page never written is the shared empty array.  A slot that holds no
-   boxed image is pointed back at [fill] so a discarded or overwritten
-   image is not kept alive by its old slot. *)
-type 'b store = Unwritten | Images of { pages : 'b array array; fill : 'b }
-
+(* Every slot is two 64-bit words in its page: a key, then a word.  Key
+   -1 is an absent slot, [boxed_key] a boxed image whose word is its
+   index in [images], and any key >= 0 a compact image whose word is its
+   content.  A page is made at its first write with every key -1
+   ([Bytes.empty] before that).  [images] is dense: freed indices are
+   stacked on [free] for reuse, and a vacated entry points back at
+   [fill] (the store's first boxed image), so no dropped image is kept
+   alive. *)
 type 'b t = {
   geometry : Geometry.t;
-  codec : 'b codec option;
-  mutable store : 'b store;
-  (* Compact pages, with a codec: two 64-bit words a slot (the key, then
-     the word), made at the page's first compact write with every key -1;
-     [Bytes.empty] before that.  [[||]] without a codec. *)
-  words : Bytes.t array;
-  present : Bytes.t; (* one bit per VBN *)
+  codec : 'b codec;
+  pages : Bytes.t array;
+  mutable images : 'b array;
+  mutable fill : 'b option;
+  mutable free : int array;
+  mutable n_free : int;
   mutable writes : int;
   mutable fault : Fault.t option;
 }
 
-(* 4096 slots: 32 KiB of boxed slot words (64 KiB of compact words) per
-   page, two Allocation Areas of one drive on the paper geometry. *)
+(* 4096 slots (64 KiB of words) per page: two Allocation Areas of one
+   drive on the paper geometry. *)
 let page_bits = 12
 let page_slots = 1 lsl page_bits
 let page_mask = page_slots - 1
+let absent_key = -1
+let boxed_key = -2
 
 external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let page_count geometry = (Geometry.total_data_blocks geometry + page_mask) lsr page_bits
+let never_packs =
+  { key = (fun _ -> boxed_key); word = (fun _ -> 0L); unpack = (fun _ _ -> assert false) }
 
-let create ?codec geometry =
+let create ?(codec = never_packs) geometry =
+  let blocks = Geometry.total_data_blocks geometry in
   {
     geometry;
     codec;
-    store = Unwritten;
-    words =
-      (match codec with Some _ -> Array.make (page_count geometry) Bytes.empty | None -> [||]);
-    present = Bytes.make ((Geometry.total_data_blocks geometry + 7) / 8) '\000';
+    pages = Array.make ((blocks + page_mask) lsr page_bits) Bytes.empty;
+    images = [||];
+    fill = None;
+    free = [||];
+    n_free = 0;
     writes = 0;
     fault = None;
   }
@@ -53,103 +56,89 @@ let check t vbn =
   if not (Geometry.vbn_valid t.geometry vbn) then
     invalid_arg (Printf.sprintf "Disk: vbn %d out of range" vbn)
 
-let mem t vbn = Char.code (Bytes.unsafe_get t.present (vbn lsr 3)) land (1 lsl (vbn land 7)) <> 0
+let page t vbn = Array.unsafe_get t.pages (vbn lsr page_bits)
+let off vbn = 16 * (vbn land page_mask)
 
-let set_present t vbn on =
-  let byte = Char.code (Bytes.unsafe_get t.present (vbn lsr 3)) in
-  let bit = 1 lsl (vbn land 7) in
-  Bytes.unsafe_set t.present (vbn lsr 3)
-    (Char.unsafe_chr (if on then byte lor bit else byte land lnot bit))
-
-(* The last page is short when the aggregate is not a whole number of
-   pages. *)
-let page_len t p = min page_slots (Geometry.total_data_blocks t.geometry - (p lsl page_bits))
-
-(* The key stored at a present slot of a store with a codec: >= 0 for a
-   compact image, -1 for a boxed one. *)
 let key_at t vbn =
-  let w = Array.unsafe_get t.words (vbn lsr page_bits) in
-  if Bytes.length w = 0 then -1 else Int64.to_int (get64u w (16 * (vbn land page_mask)))
+  let p = page t vbn in
+  if Bytes.length p = 0 then absent_key else Int64.to_int (get64u p (off vbn))
 
-let store_boxed t vbn payload =
-  let p = vbn lsr page_bits in
-  match t.store with
-  | Images s ->
-      if Array.length s.pages.(p) = 0 then s.pages.(p) <- Array.make (page_len t p) s.fill;
-      s.pages.(p).(vbn land page_mask) <- payload
-  | Unwritten ->
-      let pages = Array.make (page_count t.geometry) [||] in
-      pages.(p) <- Array.make (page_len t p) payload;
-      t.store <- Images { pages; fill = payload }
+let word_at t vbn = get64u (page t vbn) (off vbn + 8)
 
-let write_compact t vbn key word =
+let set_slot t vbn key word =
   let p = vbn lsr page_bits in
-  (* A boxed image this slot held is dropped, not kept alive. *)
-  (if mem t vbn && key_at t vbn < 0 then
-     match t.store with
-     | Images s -> s.pages.(p).(vbn land page_mask) <- s.fill
-     | Unwritten -> ());
-  let w =
-    let w = Array.unsafe_get t.words p in
-    if Bytes.length w <> 0 then w
+  let pg =
+    let pg = Array.unsafe_get t.pages p in
+    if Bytes.length pg <> 0 then pg
     else begin
-      let w = Bytes.make (16 * page_len t p) '\255' in
-      t.words.(p) <- w;
-      w
+      (* The last page is short when the aggregate is not a whole number
+         of pages. *)
+      let len = min page_slots (Geometry.total_data_blocks t.geometry - (p lsl page_bits)) in
+      let pg = Bytes.make (16 * len) '\255' in
+      t.pages.(p) <- pg;
+      pg
     end
   in
-  let off = 16 * (vbn land page_mask) in
-  set64u w off (Int64.of_int key);
-  set64u w (off + 8) word
+  set64u pg (off vbn) (Int64.of_int key);
+  set64u pg (off vbn + 8) word
+
+(* A boxed image's index, popped from the free stack.  When none is
+   free, [images] doubles, new entries pointing at [fill], and the stack
+   takes the new indices, lowest on top. *)
+let take_index t payload =
+  if t.n_free = 0 then begin
+    let n = Array.length t.images in
+    let fill = match t.fill with Some f -> f | None -> payload in
+    let cap = max 16 (2 * n) in
+    t.images <- Array.append t.images (Array.make (cap - n) fill);
+    t.fill <- Some fill;
+    t.free <- Array.init cap (fun i -> cap - 1 - i);
+    t.n_free <- cap - n
+  end;
+  t.n_free <- t.n_free - 1;
+  t.free.(t.n_free)
+
+(* Vacate a boxed image's entry, returning the image it held. *)
+let release t i =
+  let dropped = t.images.(i) in
+  (match t.fill with Some f -> t.images.(i) <- f | None -> ());
+  t.free.(t.n_free) <- i;
+  t.n_free <- t.n_free + 1;
+  dropped
 
 let write t vbn payload =
   check t vbn;
-  (match t.codec with
-  | None -> store_boxed t vbn payload
-  | Some c ->
-      let key = c.key payload in
-      if key >= 0 then write_compact t vbn key (c.word payload)
-      else begin
-        store_boxed t vbn payload;
-        let w = Array.unsafe_get t.words (vbn lsr page_bits) in
-        if Bytes.length w <> 0 then set64u w (16 * (vbn land page_mask)) (-1L)
-      end);
-  set_present t vbn true;
+  let old = key_at t vbn in
+  let key = t.codec.key payload in
+  if key >= 0 then begin
+    if old = boxed_key then ignore (release t (Int64.to_int (word_at t vbn)));
+    set_slot t vbn key (t.codec.word payload)
+  end
+  else if old = boxed_key then t.images.(Int64.to_int (word_at t vbn)) <- payload
+  else begin
+    let i = take_index t payload in
+    t.images.(i) <- payload;
+    set_slot t vbn boxed_key (Int64.of_int i)
+  end;
   (* A write remaps the sector, clearing any latent media error. *)
   (match t.fault with Some f when Fault.media_error f vbn -> Fault.clear_media_error f vbn | _ -> ());
   t.writes <- t.writes + 1
 
-let read_boxed t vbn =
-  match t.store with
-  | Images s -> Some s.pages.(vbn lsr page_bits).(vbn land page_mask)
-  | Unwritten -> None
-
 let read t vbn =
   check t vbn;
-  if not (mem t vbn) then None
-  else
-    match t.codec with
-    | None -> read_boxed t vbn
-    | Some c ->
-        let key = key_at t vbn in
-        if key < 0 then read_boxed t vbn
-        else
-          let w = Array.unsafe_get t.words (vbn lsr page_bits) in
-          Some (c.unpack key (get64u w ((16 * (vbn land page_mask)) + 8)))
+  let key = key_at t vbn in
+  if key = absent_key then None
+  else if key = boxed_key then Some t.images.(Int64.to_int (word_at t vbn))
+  else Some (t.codec.unpack key (word_at t vbn))
 
 let discard t vbn =
   check t vbn;
-  if not (mem t vbn) then None
+  let key = key_at t vbn in
+  if key = absent_key then None
   else begin
-    set_present t vbn false;
-    match (t.codec, t.store) with
-    | Some _, _ when key_at t vbn >= 0 -> None
-    | _, Images s ->
-        let page = s.pages.(vbn lsr page_bits) in
-        let dropped = page.(vbn land page_mask) in
-        page.(vbn land page_mask) <- s.fill;
-        Some dropped
-    | _, Unwritten -> None
+    let word = word_at t vbn in
+    set64u (page t vbn) (off vbn) (Int64.of_int absent_key);
+    if key = boxed_key then Some (release t (Int64.to_int word)) else None
   end
 
 let read_checked t vbn =

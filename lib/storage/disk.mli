@@ -7,16 +7,13 @@
     cooperation with the caller-provided overwrite check.
 
     Payloads are polymorphic: the file-system layer instantiates ['b]
-    with its on-disk block representation.  Slots are stored unboxed,
-    beside a presence bitmap, so a write allocates no per-slot box.  They
-    live in fixed pages of 4096 VBNs, and a page is created at the first
-    write into it, so host memory follows the pages ever written, not
-    the aggregate's size.
-
-    A store made with a {!codec} keeps every image the codec can pack
-    ({e compact} images) as two unboxed 64-bit words in the page, in
-    storage the GC never scans; every other image is {e boxed}, stored
-    by reference as above.  Without a codec every image is boxed.
+    with its on-disk block representation.  Every slot is two unboxed
+    64-bit words in a page of 4096 VBNs, made at the first write into
+    it, so host memory follows the pages ever written, not the
+    aggregate's size.  An image the store's {!codec} packs (a {e compact}
+    image) is those two words, in storage the GC never scans; any other
+    image is {e boxed}: the words hold its index in one dense vector of
+    references.  Without a codec every image is boxed.
 
     A boxed payload is a shared reference, not a copy: one returned by
     {!read} (or {!Raid.read}) stays valid only until the consistency

@@ -3,6 +3,7 @@ type spares = { slots : int; mutable free : t list }
 
 let spares ~slots = { slots; free = [] }
 let recycle s b = if Bytes.length b = 8 * s.slots then s.free <- b :: s.free
+let drop_spares s = s.free <- []
 
 (* A buffer of [len] slots, contents unspecified: a spare when one fits. *)
 let buffer spares len =

@@ -26,6 +26,9 @@ val recycle : spares -> t -> unit
     only reference: the next build that draws it overwrites every slot.
     Images of another size are left to the GC. *)
 
+val drop_spares : spares -> unit
+(** Leave every pooled buffer to the GC. *)
+
 val of_ints : ?spares:spares -> int array -> pos:int -> len:int -> default:int -> t
 (** [of_ints a ~pos ~len ~default] has [len] slots; slot [i] holds
     [a.(pos + i)] when [pos + i < Array.length a] and [default]

@@ -9,7 +9,7 @@ let recorded =
     ("fig9", "3eccc0852fc1c351f9bebce6e108a92f");
     ("overload", "3cba205ed4dc5792f88b4082eb2242b3");
     ("flash", "fbcdee827b1d47c2544e48f6e92dbbdb");
-    ("crash 5 seeds", "37dd6724962f154e3dcf653b44033910");
+    ("crash 5 seeds", "f01f8461b3e83c90cac270a79660d3a2");
     ("shard scale 0.1, 3 shards", "7a2819ec21be2bf1457e9ef0f359b1fe");
     ("spec_base seed 7", "9eb353aeb4e63774ba38587b89b06d04");
     ("spec_base seed 7 | trace export", "f7c282b4116a888b71962269ac934837");
@@ -28,8 +28,8 @@ let recorded =
     ("nfs_mix", "cc534803d2b2eea40b6fc8c1941e48db");
     ("open loop + qos + watermarks + telemetry", "69bbcd73b65c895ad53fd40b81cdca2c");
     ("skewed_write on flash", "ed5d5cab65cabd8cdacb40a4c8fd6727");
-    ("wafl_sim crash --seeds 8", "eb128b9ed58dfc8edc0ff8ab4374e0fe");
-    ("wafl_sim crash --flash --seeds 4", "c26fdafdbbf176f25041d7f09843aef2");
+    ("wafl_sim crash --seeds 8", "2bd5bf23e294b7318bbb6e676b8be251");
+    ("wafl_sim crash --flash --seeds 4", "8e624cbaa1a33bb55522a3bd152d62fe");
     ("wafl_sim shard --scale 0.25 --shards 3 --domains 2", "2013724b7241fc5001ba68b4bb01c55c");
     ("wafl_sim overload --scale 0.1", "3cba205ed4dc5792f88b4082eb2242b3");
     ("wafl_sim fig6 --scale 0.1", "4c47d01c37ed3f8edec10d90bbbce2d8");

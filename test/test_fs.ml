@@ -765,6 +765,74 @@ let test_delete_snapshot_drops_images () =
   List.iter (fun (what, ok) -> Alcotest.(check bool) what true ok) (List.rev !steps);
   Aggregate.fsck agg
 
+(* The spare pool holds at most one publish's images: each publish drops
+   the spares the CP before it left undrawn before recycling its own
+   discards.  A snapshot holding sixteen block-map blocks alone is
+   deleted; its publish hands all sixteen buffers to the pool, and the
+   CPs after it dirty one block-map block each.  Once two later CPs have
+   published, every such buffer is either refilled (a live image on
+   disk) or unreachable.  The disk keeps its first boxed image for good
+   (as the fill of vacated entries), so the snapshot is taken after the
+   file's first overwrite. *)
+
+(* Kept out of line so only the store holds the images when the test
+   collects. *)
+let[@inline never] weak_images disk pvbns =
+  let w = Weak.create (List.length pvbns) in
+  List.iteri
+    (fun i pvbn ->
+      match Wafl_storage.Disk.read disk pvbn with
+      | Some (Layout.Bmap { entries; _ }) -> Weak.set w i (Some entries)
+      | _ -> Alcotest.failf "pvbn %d holds no block-map image" pvbn)
+    pvbns;
+  w
+
+let test_spare_pool_bounded () =
+  let eng = Wafl_sim.Engine.create ~cores:8 () in
+  let agg =
+    Aggregate.create eng ~cost:Wafl_sim.Cost.default ~geometry:(small_geom ()) ~nvlog_half:4096 ()
+  in
+  let walloc = Wafl_core.Walloc.create agg Wafl_core.Walloc.default_config in
+  let cp = Wafl_core.Walloc.cp walloc in
+  let bmaps = 16 in
+  let held = ref None in
+  ignore
+    (Wafl_sim.Engine.spawn eng ~label:"setup" (fun () ->
+         let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
+         Wafl_core.Walloc.register_volume walloc vol;
+         let vid = Volume.id vol in
+         let f = Aggregate.create_file agg ~vol:vid in
+         let write_gen n gen =
+           for i = 0 to n - 1 do
+             let fbn = i * Layout.entries_per_bmap_block in
+             ignore
+               (Aggregate.write agg ~vol:vid ~file:(File.id f) ~fbn ~content:(content ~gen ~fbn))
+           done;
+           Wafl_core.Cp.run_now cp
+         in
+         write_gen bmaps 0;
+         write_gen bmaps 1;
+         let snap = Aggregate.create_snapshot agg ~name:"s" in
+         let pvbns = List.init bmaps (File.bmap_location f) in
+         write_gen bmaps 2;
+         let w = weak_images (Aggregate.disk agg) pvbns in
+         Aggregate.delete_snapshot agg snap;
+         write_gen 1 3;
+         write_gen 1 4;
+         held := Some w));
+  Wafl_sim.Engine.run eng;
+  let w = Option.get !held in
+  Gc.full_major ();
+  let live = packed_images agg in
+  let parked = ref 0 in
+  for i = 0 to Weak.length w - 1 do
+    match Weak.get w i with
+    | Some img when not (List.exists (fun (_, l) -> l == img) live) -> incr parked
+    | _ -> ()
+  done;
+  Alcotest.(check int) "deleted snapshot buffers parked in the pool" 0 !parked;
+  Aggregate.fsck agg
+
 (* --- Dirty sets, the file dirty table and the LRU against models --- *)
 
 let sorted_unique l = List.sort_uniq Int.compare l
@@ -1278,6 +1346,7 @@ let () =
           Alcotest.test_case "spares never alias" `Quick test_spares_never_alias;
           Alcotest.test_case "snapshot delete drops images" `Quick
             test_delete_snapshot_drops_images;
+          Alcotest.test_case "spare pool holds one publish" `Quick test_spare_pool_bounded;
         ] );
       ( "alloc-guard",
         [

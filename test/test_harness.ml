@@ -102,17 +102,11 @@ let rejects name value read =
             (String.starts_with ~prefix:name msg))
 
 let test_env_scale () =
-  with_env "WAFL_QUICK" "" (fun () ->
-      rejects "WAFL_SCALE" "0,25" H.Exp.of_env;
-      rejects "WAFL_SCALE" "-1" H.Exp.of_env;
-      with_env "WAFL_SCALE" "0.5" (fun () ->
-          Alcotest.(check (float 0.0)) "WAFL_SCALE=0.5" 0.5 (H.Exp.of_env ())))
-
-let test_env_quick () =
+  rejects "WAFL_SCALE" "0,25" H.Exp.of_env;
+  rejects "WAFL_SCALE" "-1" H.Exp.of_env;
+  with_env "WAFL_SCALE" "0.5" (fun () ->
+      Alcotest.(check (float 0.0)) "WAFL_SCALE=0.5" 0.5 (H.Exp.of_env ()));
   with_env "WAFL_SCALE" "" (fun () ->
-      rejects "WAFL_QUICK" "yes" H.Exp.of_env;
-      with_env "WAFL_QUICK" "1" (fun () ->
-          Alcotest.(check (float 0.0)) "WAFL_QUICK=1" 0.25 (H.Exp.of_env ()));
       Alcotest.(check (float 0.0)) "unset" 1.0 (H.Exp.of_env ()))
 
 let test_env_domains () =
@@ -277,7 +271,6 @@ let () =
           Alcotest.test_case "wa_config composition" `Quick test_wa_config_composition;
           Alcotest.test_case "spec_base scaling" `Quick test_spec_base_scaling;
           Alcotest.test_case "WAFL_SCALE bad and good values" `Quick test_env_scale;
-          Alcotest.test_case "WAFL_QUICK bad and good values" `Quick test_env_quick;
           Alcotest.test_case "WAFL_DOMAINS bad and good values" `Quick test_env_domains;
         ] );
       ( "suite",

@@ -154,6 +154,35 @@ let test_ring_drop () =
 
 (* --- export: well-formed, complete, deterministic ------------------------ *)
 
+(* Export writes the closing counter sample into its output, not into the
+   ring: a full ring exports as if the sample had evicted its oldest
+   events, and exporting again gives the same document. *)
+let test_export_pure () =
+  let eng = Engine.create ~cores:1 () in
+  let t = Trace.create ~ring_capacity:8 ~sample_interval:1000.0 eng in
+  (* With [trace.drops], three metrics: six instants and the sample
+     overflow the ring by one. *)
+  List.iter (fun name -> Metrics.pull_gauge (Engine.metrics eng) name (fun () -> 1.0)) [ "a"; "b" ];
+  ignore
+    (Engine.spawn eng (fun () ->
+         for i = 1 to 6 do
+           Trace.instant t ~cat:"test" ~name:(string_of_int i) ()
+         done));
+  Engine.run eng;
+  let first = Trace.export_string t in
+  Alcotest.(check string) "a second export equals the first" first (Trace.export_string t);
+  let other field =
+    match Json.of_string first with
+    | Ok doc ->
+        Option.map int_of_float
+          (Option.bind (Option.bind (Json.member "otherData" doc) (Json.member field)) Json.to_float)
+    | Error msg -> Alcotest.fail msg
+  in
+  Alcotest.(check (option int)) "events as if the sample was recorded" (Some 8) (other "events");
+  Alcotest.(check (option int)) "the evicted event counted as dropped" (Some 1) (other "dropped");
+  Alcotest.(check (pair int int)) "the tracer reports the exported counts" (8, 1)
+    (Trace.event_count t, Trace.dropped t)
+
 (* One traced run, exported once, serves the parse test and the golden
    check. *)
 let same_seed_traced =
@@ -221,6 +250,7 @@ let () =
           Alcotest.test_case "span nesting across fiber switches" `Quick test_span_nesting;
           Alcotest.test_case "span closed on exception" `Quick test_span_exception;
           Alcotest.test_case "ring buffer drops oldest" `Quick test_ring_drop;
+          Alcotest.test_case "export leaves the ring alone" `Quick test_export_pure;
         ] );
       ( "metrics",
         [

@@ -104,8 +104,8 @@ let test_disk_discard () =
   Alcotest.(check (option string)) "rewrite stores again" (Some "again") (Disk.read d 42);
   Alcotest.(check int) "rewrite counted" 2 (Disk.writes_total d)
 
-(* Slots are unboxed: plain payload arrays (one per page of slots) beside
-   a presence bitmap.  Exercised with a record payload, so the
+(* Slots are unboxed: two words in a page of slots, a boxed image held by
+   its index in one dense vector.  Exercised with a record payload, so the
    store's polymorphism is not tied to the file system's block type. *)
 type rec_payload = { tag : int; body : string }
 
@@ -154,26 +154,35 @@ let test_disk_unboxed_slots () =
       Disk.write d (-1) first)
 
 (* The store is paged (4096 slots a page): host memory follows the pages
-   ever written, not the aggregate's size. *)
+   ever written, not the aggregate's size.  A page is two words a slot
+   (8192, a padding word and a header); the first boxed image also makes
+   the 16-entry image vector and its free-index stack (17 words each)
+   and the fill option (2), in place of the empty array (one header)
+   both began as. *)
 let paper_geometry () = Geometry.create ~drive_blocks:262144 ~raid_groups:[ (10, 2); (10, 2) ] ()
 
 let test_disk_pages_made_at_first_write () =
   let g = paper_geometry () in
   let d = Disk.create g in
   let words () = Obj.reachable_words (Obj.repr d) in
-  Disk.write d 5 "first";
-  let one_write = words () in
+  let empty = words () in
   Alcotest.(check bool)
-    (Printf.sprintf "one write on %d blocks: %d words" (Geometry.total_data_blocks g) one_write)
-    true (one_write < 150_000);
+    (Printf.sprintf "an empty store on %d blocks: %d words" (Geometry.total_data_blocks g) empty)
+    true (empty < 2_000);
+  let first = String.make 40 'f' in
+  Disk.write d 5 first;
+  let one_write = words () in
+  Alcotest.(check int) "the first write costs a page, the image vector and its image"
+    (empty + 8194 + 17 + 17 + 2 - 1 + Obj.reachable_words (Obj.repr first))
+    one_write;
   let far = Geometry.total_data_blocks g - 1 in
   let big = String.make 80_000 'x' in
   Disk.write d far big;
   Alcotest.(check int) "a second page costs its slots and its image"
-    (one_write + 4097 + Obj.reachable_words (Obj.repr big))
+    (one_write + 8194 + Obj.reachable_words (Obj.repr big))
     (words ());
   Alcotest.(check (option string)) "last image handed back" (Some big) (Disk.discard d far);
-  Alcotest.(check int) "the page stays, its discarded image is not kept alive" (one_write + 4097)
+  Alcotest.(check int) "the page stays, its discarded image is not kept alive" (one_write + 8194)
     (words ());
   Alcotest.(check (option string)) "discarded slot reads absent" None (Disk.read d far);
   Disk.write d far "again";

@@ -52,7 +52,6 @@ let containers =
       [ "replace"; "clear" ],
       [ "mem"; "find_opt"; "find"; "length"; "bindings"; "keys_into" ] );
     ("Table", [ "add_row"; "clear" ], []);
-    ("Stats", [ "add" ], [ "mean"; "stddev" ]);
     (* A seeded PRNG advances internal state on every draw. *)
     ("Rng", [ "int"; "float"; "bool"; "exponential"; "split"; "shuffle" ], []);
   ]
