@@ -61,6 +61,7 @@ type t = {
   counters : Counters.t;
   recently_freed : Freed_set.t; (* pvbns frozen until the CP publishes *)
   image_spares : Wafl_util.Packed.spares; (* buffers of images the publish discarded *)
+  buffers : File.buffers; (* every file's dirty buffers *)
   cache : Buffer_cache.t;
   mutable snaps : Snapshot.t list;
   log_space : Sync.Waitq.t;
@@ -131,6 +132,7 @@ let build ?(cache_blocks = 65536) ~obs eng ~cost pers =
       counters;
       recently_freed = Freed_set.create ~bits:(Geometry.total_data_blocks geometry);
       image_spares = new_spares ();
+      buffers = File.buffers ();
       cache = Buffer_cache.create ~capacity:cache_blocks;
       snaps = [];
       log_space = Sync.Waitq.create eng;
@@ -169,6 +171,7 @@ let disk t = t.pers.p_disk
 let raid t ~rg = t.raids.(rg)
 let raid_groups t = t.raids
 let nvlog t = t.pers.p_nvlog
+let dirty_buffers t = File.buffered t.buffers
 let counters t = t.counters
 let agg_map t = t.agg_map
 
@@ -177,8 +180,10 @@ let agg_map t = t.agg_map
 (* The NVRAM log is an append-only device with its own internal ordering
    (a lock in real WAFL whose cost the write path amortizes); appends
    from different affinities are legal, so model it as atomic. *)
+let probe_log t = if Engine.sanitizing t.eng then Engine.probe_atomic t.eng ~shared:"fs.nvlog"
+
 let log_append t entry =
-  if Engine.sanitizing t.eng then Engine.probe_atomic t.eng ~shared:"fs.nvlog";
+  probe_log t;
   Nvlog.append (nvlog t) entry
 
 let vol_slot t vid = if vid >= 0 && vid < Array.length t.vol_slots then t.vol_slots.(vid) else None
@@ -228,7 +233,7 @@ let create_volume t ~vvbn_space =
 let create_file t ~vol =
   let v = volume_exn t vol in
   let fid = Volume.fresh_file_id v in
-  let f = File.create ~vol ~id:fid in
+  let f = File.create_in t.buffers ~vol ~id:fid in
   Volume.add_file v f;
   ignore (log_append t (Nvlog.Create_file { vol; file = fid }));
   f
@@ -256,7 +261,8 @@ let write t ~vol ~file ~fbn ~content =
     let f = Volume.file_exn v file in
     File.write f ~fbn ~content;
     Volume.note_dirty v f;
-    match log_append t (Nvlog.Write { vol; file; fbn; content }) with
+    probe_log t;
+    match Nvlog.append_write (nvlog t) ~vol ~file ~fbn ~content with
     | `Ok -> `Ok
     | `Half_full -> `Log_half_full
   end
@@ -347,7 +353,7 @@ let wait_for_log_space t =
          already admitted but not yet appended (their messages are in
          flight through the scheduler), so a burst cannot slip past the
          throttle before any of its appends land. *)
-      if Engine.sanitizing t.eng then Engine.probe_atomic t.eng ~shared:"fs.nvlog";
+      probe_log t;
       let cap = float_of_int (Nvlog.capacity nv) in
       let fill () = float_of_int (Nvlog.total_pending nv + t.log_inflight) /. cap in
       if fill () >= wm.Nvlog.soft then begin
@@ -490,7 +496,7 @@ let vvbn_region_free t ~vol ~region = (region_free t vol).(region)
 let cp_snapshot t =
   if t.cp_in_progress then invalid_arg "Aggregate.cp_snapshot: CP already running";
   t.cp_in_progress <- true;
-  if Engine.sanitizing t.eng then Engine.probe_atomic t.eng ~shared:"fs.nvlog";
+  probe_log t;
   Nvlog.cp_begin (nvlog t);
   List.map (fun (_, v) -> (v, Volume.cp_snapshot v)) t.vols
 
@@ -616,7 +622,7 @@ let publish_superblock t sb =
   t.pers.p_sb <- Some sb;
   t.generation <- sb.Layout.generation;
   t.cp_count <- sb.Layout.cp_count;
-  if Engine.sanitizing t.eng then Engine.probe_atomic t.eng ~shared:"fs.nvlog";
+  probe_log t;
   Nvlog.cp_commit (nvlog t);
   (* The published tree no longer references this CP's frees: they become
      allocatable, and a block no snapshot holds has no reader left, so
@@ -729,7 +735,7 @@ let apply_op t = function
       let v = volume_exn t vol in
       match Volume.file v file with
       | Some _ -> ()
-      | None -> Volume.add_file v (File.create ~vol ~id:file))
+      | None -> Volume.add_file v (File.create_in t.buffers ~vol ~id:file))
   | Nvlog.Write { vol; file; fbn; content } ->
       let v = volume_exn t vol in
       let f = Volume.file_exn v file in
@@ -811,7 +817,7 @@ let recover ?cache_blocks ?(obs = Wafl_obs.Trace.disabled) eng ~cost pers =
               match read_meta_block t pvbn "inode chunk" with
               | Layout.Inode_chunk { vol; index; inodes }
                 when vol = vr.Layout.vol_id && index = idx ->
-                  Volume.load_inode_chunk v inodes
+                  Volume.load_inode_chunk ~buffers:t.buffers v inodes
               | _ -> raise (Corruption "recovery: inode chunk has wrong payload"))
             vr.Layout.inode_chunk_pvbns;
           Volume.clear_dirty_inode_chunks v;

@@ -62,6 +62,11 @@ val disk : t -> Layout.block Wafl_storage.Disk.t
 val raid : t -> rg:int -> Layout.block Wafl_storage.Raid.t
 val raid_groups : t -> Layout.block Wafl_storage.Raid.t array
 val nvlog : t -> Nvlog.t
+
+val dirty_buffers : t -> int
+(** Dirty buffers held over every file, front and CP: at most
+    {!Nvlog.total_pending}, since each is covered by a log record. *)
+
 val counters : t -> Counters.t
 val agg_map : t -> Bitmap_file.t
 

@@ -1,16 +1,39 @@
 (** In-memory inode: dirty buffers, block map and CP snapshot state.
 
-    Client writes land in the {e front} dirty-buffer table.  When a CP
-    starts, the front table becomes the {e CP} table (an O(1) swap — the
-    in-memory copy-on-write of §II-C: later client writes repopulate the
-    front table and never disturb the snapshot being flushed).  Cleaner
-    threads walk the CP table, assign VBNs and update the block map; CP
+    Client writes land in the {e front} dirty buffers.  When a CP
+    starts, the front buffers become the {e CP} snapshot (an O(1) flip —
+    the in-memory copy-on-write of §II-C: later client writes fill a new
+    front and never disturb the snapshot being flushed).  Cleaner
+    threads walk the snapshot, assign VBNs and update the block map; CP
     buffers stay readable until {!cp_done} so reads never race the
-    in-flight tetris I/Os. *)
+    in-flight tetris I/Os.
+
+    The buffers' contents are unboxed words in one {!buffers} table that
+    every file of an aggregate shares, keyed by (file, fbn, generation);
+    a file keeps only a front and a CP presence bitmap.  {!cp_snapshot}
+    flips the file's generation, so the front keys become the
+    snapshot's, and {!cp_done} unbinds the snapshot's keys by walking
+    its bitmap.  Every front buffer is covered by a record in the NVLog's
+    filling half, and every snapshot buffer by one in the half its CP
+    drains, so the table holds at most {!Nvlog.total_pending} bindings.
+    Writing, snapshotting and finishing a CP allocate nothing once the
+    table and the bitmaps have grown to their working size. *)
+
+type buffers
+(** A dirty-buffer table shared by files. *)
+
+val buffers : unit -> buffers
+val buffered : buffers -> int
+(** Buffers held, front and CP, over every file in the table. *)
 
 type t
 
 val create : vol:int -> id:int -> t
+(** A file with a private {!buffers} table. *)
+
+val create_in : buffers -> vol:int -> id:int -> t
+(** A file whose buffers live in a shared table. *)
+
 val vol : t -> int
 val id : t -> int
 val nfbns : t -> int
@@ -19,6 +42,8 @@ val nfbns : t -> int
 (** {1 Front (client) side} *)
 
 val write : t -> fbn:int -> content:int64 -> unit
+(** Raises [Invalid_argument] unless [0 <= fbn < 2^32]. *)
+
 val read_cached : t -> fbn:int -> int64 option
 (** Front table first, then the CP snapshot. *)
 
@@ -37,7 +62,7 @@ val set_vvbn : t -> fbn:int -> vvbn:int -> int
 (** {1 CP snapshot} *)
 
 val cp_snapshot : t -> unit
-(** Swap front into the CP table.  Raises [Invalid_argument] if a CP
+(** Make the front buffers the CP snapshot.  Raises [Invalid_argument] if a CP
     snapshot is still outstanding. *)
 
 val cp_buffer_count : t -> int
@@ -72,8 +97,9 @@ val set_bmap_location : t -> int -> int -> int
 
 val clear_dirty_bmap : t -> unit
 val inode_rec : t -> Layout.inode_rec
-val of_inode_rec : vol:int -> Layout.inode_rec -> t
-(** Rebuild from a persisted inode record; bmap blocks are loaded
-    afterwards with {!load_bmap_block}. *)
+val of_inode_rec : ?buffers:buffers -> vol:int -> Layout.inode_rec -> t
+(** Rebuild from a persisted inode record, in [buffers] (default: a
+    private table); bmap blocks are loaded afterwards with
+    {!load_bmap_block}. *)
 
 val load_bmap_block : t -> index:int -> entries:Wafl_util.Packed.t -> unit

@@ -52,4 +52,11 @@ let unpack_data key content =
       content;
     }
 
-let data_codec = { Wafl_storage.Disk.key = data_key; word = data_word; unpack = unpack_data }
+(* What the disk's vacated boxed entries hold: an image of no volume. *)
+let data_codec =
+  {
+    Wafl_storage.Disk.key = data_key;
+    word = data_word;
+    unpack = unpack_data;
+    vacant = Some (Inode_chunk { vol = -1; index = -1; inodes = [] });
+  }

@@ -70,4 +70,5 @@ val data_codec : block Wafl_storage.Disk.codec
     with [0 <= vol < 256], [0 <= file < 2^22] and [0 <= fbn < 2^32] is
     kept compact; any other [Data], and every metafile image, is stored
     boxed.  An unpacked image is a fresh value equal to the one
-    written. *)
+    written.  Vacated boxed entries hold an inode chunk of volume -1,
+    which no user writes. *)

@@ -9,7 +9,14 @@
 
     The log has two halves, as in ONTAP: while a CP drains one half, new
     operations fill the other.  {!append} reports when the filling half
-    has reached its capacity, which is the primary CP trigger. *)
+    has reached its capacity, which is the primary CP trigger.
+
+    Records are fixed-width slots of four unboxed words in one ring that
+    grows on demand: the CP half and the filling half are two contiguous
+    ranges of it, so {!cp_begin} and {!cp_commit} only move indices, and
+    {!append_write} (the client write path) allocates nothing once the
+    ring has grown.  Only the crash and recovery paths ({!tear},
+    {!replay_ops}) decode slots back into {!op} values. *)
 
 type op =
   | Create_vol of { vol : int; vvbn_space : int }
@@ -48,6 +55,10 @@ val append : t -> op -> [ `Ok | `Half_full ]
     whole NVRAM (both halves) is full — the caller must throttle clients
     against CP progress before that point. *)
 
+val append_write : t -> vol:int -> file:int -> fbn:int -> content:int64 -> [ `Ok | `Half_full ]
+(** [append t (Write { vol; file; fbn; content })] without building the
+    record. *)
+
 val is_half_full : t -> bool
 (** CP-trigger threshold reached. *)
 
@@ -82,10 +93,12 @@ val cp_commit : t -> unit
 
 val tear : t -> records:int -> op list
 (** Simulate a torn NVRAM tail at crash: the newest [records] operations
-    of the filling half (whose DMA was still in flight — their replies
-    never left the box) become unreadable.  Clamped to the filling half's
-    live length; returns the torn operations oldest-first so the crash
-    harness can retract those acknowledgements from its oracle.
+    of the filling half still readable (whose DMA was still in flight —
+    their replies never left the box) become unreadable, so a second
+    tear takes the records just older than the first one's.  Clamped to
+    the filling half's readable length; returns the torn operations
+    oldest-first so the crash harness can retract those acknowledgements
+    from its oracle.
     {!replay_ops} then stops cleanly at the first torn record instead of
     replaying garbage, and {!recover_reset} discards them. *)
 

@@ -202,8 +202,8 @@ let load_container_chunk t ~index ~entries =
     if pvbn >= 0 then Intvec.set t.container (base + i) pvbn
   done
 
-let load_inode_chunk t recs =
+let load_inode_chunk ~buffers t recs =
   List.iter
     (fun (r : Layout.inode_rec) ->
-      set_file t r.Layout.file_id (Some (File.of_inode_rec ~vol:t.id r)))
+      set_file t r.Layout.file_id (Some (File.of_inode_rec ~buffers ~vol:t.id r)))
     recs

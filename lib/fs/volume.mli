@@ -102,5 +102,6 @@ val of_vol_rec : Layout.vol_rec -> t
     the recovery driver via [load_*]. *)
 
 val load_container_chunk : t -> index:int -> entries:Wafl_util.Packed.t -> unit
-val load_inode_chunk : t -> Layout.inode_rec list -> unit
-(** Registers the files without dirtying inode chunks. *)
+val load_inode_chunk : buffers:File.buffers -> t -> Layout.inode_rec list -> unit
+(** Registers the files, their dirty buffers in [buffers], without
+    dirtying inode chunks. *)

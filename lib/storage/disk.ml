@@ -1,4 +1,9 @@
-type 'b codec = { key : 'b -> int; word : 'b -> int64; unpack : int -> int64 -> 'b }
+type 'b codec = {
+  key : 'b -> int;
+  word : 'b -> int64;
+  unpack : int -> int64 -> 'b;
+  vacant : 'b option;
+}
 
 (* Every slot is two 64-bit words in its page: a key, then a word.  Key
    -1 is an absent slot, [boxed_key] a boxed image whose word is its
@@ -6,8 +11,9 @@ type 'b codec = { key : 'b -> int; word : 'b -> int64; unpack : int -> int64 -> 
    content.  A page is made at its first write with every key -1
    ([Bytes.empty] before that).  [images] is dense: freed indices are
    stacked on [free] for reuse, and a vacated entry points back at
-   [fill] (the store's first boxed image), so no dropped image is kept
-   alive. *)
+   [fill], so no dropped image is kept alive.  [fill] is the codec's
+   vacant image, which no user wrote; a store without one falls back to
+   its first boxed image. *)
 type 'b t = {
   geometry : Geometry.t;
   codec : 'b codec;
@@ -32,7 +38,12 @@ external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let never_packs =
-  { key = (fun _ -> boxed_key); word = (fun _ -> 0L); unpack = (fun _ _ -> assert false) }
+  {
+    key = (fun _ -> boxed_key);
+    word = (fun _ -> 0L);
+    unpack = (fun _ _ -> assert false);
+    vacant = None;
+  }
 
 let create ?(codec = never_packs) geometry =
   let blocks = Geometry.total_data_blocks geometry in
@@ -41,7 +52,7 @@ let create ?(codec = never_packs) geometry =
     codec;
     pages = Array.make ((blocks + page_mask) lsr page_bits) Bytes.empty;
     images = [||];
-    fill = None;
+    fill = codec.vacant;
     free = [||];
     n_free = 0;
     writes = 0;

@@ -25,11 +25,19 @@
 
 type 'b t
 
-type 'b codec = { key : 'b -> int; word : 'b -> int64; unpack : int -> int64 -> 'b }
+type 'b codec = {
+  key : 'b -> int;
+  word : 'b -> int64;
+  unpack : int -> int64 -> 'b;
+  vacant : 'b option;
+}
 (** How to pack an image as two words.  [key p] is a non-negative
     identity key for a packable [p], or negative to store [p] boxed;
     [word p] is its 64-bit content; [unpack (key p) (word p)] must equal
-    [p] structurally. *)
+    [p] structurally.  [vacant] is an image no user writes: the boxed
+    vector's vacated entries hold it, so they keep no user image
+    reachable.  Without one (and in a store without a codec) they hold
+    the store's first boxed image instead. *)
 
 val create : ?codec:'b codec -> Geometry.t -> 'b t
 (** An empty store.  With [codec], images it packs are kept compact. *)

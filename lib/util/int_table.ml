@@ -43,17 +43,6 @@ let mem t k = present t k
 let find_opt t k = if present t k then Some (H.find t.tbl k) else None
 let find t k = if present t k then H.find t.tbl k else raise Not_found
 
-let keys_into t dst ~pos =
-  let i = ref pos in
-  for w = 0 to (Bytes.length t.present / 8) - 1 do
-    let x = ref (get64 t.present (8 * w)) in
-    while !x <> 0L do
-      dst.(!i) <- (64 * w) + Bitops.ctz !x;
-      incr i;
-      x := Int64.logand !x (Int64.sub !x 1L)
-    done
-  done
-
 (* Walk [present] from the highest word down, consing each word's keys
    onto the result lowest last. *)
 let bindings t =

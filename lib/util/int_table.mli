@@ -1,20 +1,17 @@
 (** A hash table keyed by small non-negative ints that enumerates its
     bindings in ascending key order without a sort.
 
-    Built for a file's dirty buffers (fbn -> content).  The bindings live
-    in a chained [Hashtbl] specialized to [int] keys (a multiplicative
-    hash, no polymorphic hash call), and a bitmap with one bit per key,
-    up to the largest key ever bound, records which keys are present.
-    Rebinding a key allocates nothing, and a value is stored as it is
-    passed: a boxed [int64] content stays the one box that the NVRAM log
-    entry and the block written at the CP share.  There is no single-key
-    removal: a table is filled, enumerated and cleared as a whole.
-
-    Open addressing was measured against this and lost on memory: at a
-    load factor of at most one half it holds 4-8 words per binding
-    against the chained table's ~5, and a cleared table keeps either
-    that high-water capacity (a prefill's whole file) or regrows it
-    every consistency point.  Both raised the benchmark's peak RSS. *)
+    For small, long-lived maps by id: trace labels by fiber, cleaner
+    stages and infra state by volume, and the flash temperature
+    classifier's per-volume and per-file tables.  The bindings live in a
+    chained [Hashtbl] specialized to [int] keys (a multiplicative hash,
+    no polymorphic hash call), and a bitmap with one bit per key, up to
+    the largest key ever bound, records which keys are present, so a
+    miss is one bit test.  Rebinding a key allocates nothing, and a
+    value is stored as it is passed.  There is no single-key removal: a
+    table is filled, enumerated and cleared as a whole.  The dirty
+    buffers, keyed per write and unbound one at a time, use
+    {!Word_table} instead. *)
 
 type 'a t
 
@@ -31,11 +28,6 @@ val find_opt : 'a t -> int -> 'a option
 val find : 'a t -> int -> 'a
 (** Like {!find_opt} without the option box; raises [Not_found] on an
     unbound key. *)
-
-val keys_into : 'a t -> int array -> pos:int -> unit
-(** [keys_into t dst ~pos] writes every bound key, ascending, into
-    [dst.(pos)] to [dst.(pos + length t - 1)], read off the presence
-    bitmap without allocating. *)
 
 val bindings : 'a t -> (int * 'a) list
 (** Every binding, in ascending key order. *)

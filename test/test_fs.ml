@@ -380,6 +380,112 @@ let test_nvlog_recover_reset_discards_torn () =
   Alcotest.(check (list int)) "surviving order preserved" [ 0; 1; 2; 3; 4; 5 ]
     (fbns_of (Nvlog.replay_ops log))
 
+(* A second tear reaches the records just older than the first one's. *)
+let test_nvlog_second_tear () =
+  let log = Nvlog.create ~half_capacity:32 () in
+  for i = 1 to 20 do
+    ignore (Nvlog.append log (wop i))
+  done;
+  let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i) in
+  Alcotest.(check (list int)) "first tear" (range 11 20) (fbns_of (Nvlog.tear log ~records:10));
+  Alcotest.(check (list int)) "second tear" (range 6 10) (fbns_of (Nvlog.tear log ~records:5));
+  Alcotest.(check int) "fifteen torn" 15 (Nvlog.torn log);
+  Alcotest.(check (list int)) "replay stops at the older tear" (range 1 5)
+    (fbns_of (Nvlog.replay_ops log))
+
+(* The ring against a list model: the CP half and the filling half as
+   oldest-first op lists, and the count of torn records.  A torn log
+   takes only more tears, replays and recovery, as after a crash. *)
+type log_step = Log of Nvlog.op | Cp_begin | Cp_commit | Tear of int | Replay | Recover
+
+let log_step_gen =
+  let open QCheck.Gen in
+  let vol = int_range (-2) 300 and word = map Int64.of_int int in
+  frequency
+    [
+      (2, map2 (fun vol vvbn_space -> Log (Nvlog.Create_vol { vol; vvbn_space })) vol nat);
+      (2, map2 (fun vol file -> Log (Nvlog.Create_file { vol; file })) vol nat);
+      ( 20,
+        map
+          (fun (vol, file, fbn, content) -> Log (Nvlog.Write { vol; file; fbn; content }))
+          (quad vol nat nat word) );
+      (2, map2 (fun vol file -> Log (Nvlog.Delete_file { vol; file })) vol nat);
+      (2, return Cp_begin);
+      (2, return Cp_commit);
+      (1, map (fun k -> Tear k) (int_bound 12));
+      (2, return Replay);
+      (1, return Recover);
+    ]
+
+let prop_nvlog_ring =
+  let print = function
+    | Log (Nvlog.Write { fbn; _ }) -> Printf.sprintf "write %d" fbn
+    | Log _ -> "log"
+    | Cp_begin -> "cp_begin"
+    | Cp_commit -> "cp_commit"
+    | Tear k -> Printf.sprintf "tear %d" k
+    | Replay -> "replay"
+    | Recover -> "recover"
+  in
+  QCheck.Test.make ~name:"nvlog ring matches a list model" ~count:300
+    (QCheck.make
+       ~print:(fun (half, steps) -> Printf.sprintf "half %d: %s" half (QCheck.Print.list print steps))
+       QCheck.Gen.(pair (int_range 1 80) (list_size (0 -- 600) log_step_gen)))
+    (fun (half, steps) ->
+      let log = Nvlog.create ~half_capacity:half () in
+      let cp = ref [] and filling = ref [] and cp_active = ref false and torn = ref 0 in
+      let readable () =
+        let all = !cp @ !filling in
+        List.filteri (fun i _ -> i < List.length all - !torn) all
+      in
+      let agrees () =
+        let pending = List.length !filling and in_cp = List.length !cp in
+        Nvlog.pending log = pending
+        && Nvlog.in_cp log = in_cp
+        && Nvlog.total_pending log = pending + in_cp
+        && Nvlog.torn log = !torn
+        && Nvlog.is_half_full log = (pending >= half)
+        && Nvlog.is_exhausted log = (pending >= 2 * half)
+      in
+      List.for_all
+        (fun step ->
+          (match step with
+          | Log op when !torn = 0 -> (
+              match Nvlog.append log op with
+              | r ->
+                  filling := !filling @ [ op ];
+                  r = if List.length !filling >= half then `Half_full else `Ok
+              | exception Nvlog.Exhausted -> List.length !filling >= 2 * half)
+          | Cp_begin when !torn = 0 && not !cp_active ->
+              Nvlog.cp_begin log;
+              cp := !filling;
+              filling := [];
+              cp_active := true;
+              true
+          | Cp_commit when !torn = 0 && !cp_active ->
+              Nvlog.cp_commit log;
+              cp := [];
+              cp_active := false;
+              true
+          | Tear k ->
+              let live = readable () in
+              let k = min k (List.length !filling - !torn) in
+              let want = List.filteri (fun i _ -> i >= List.length live - k) live in
+              torn := !torn + k;
+              Nvlog.tear log ~records:k = want
+          | Replay -> Nvlog.replay_ops log = readable ()
+          | Recover ->
+              filling := readable ();
+              cp := [];
+              cp_active := false;
+              torn := 0;
+              Nvlog.recover_reset log;
+              true
+          | Log _ | Cp_begin | Cp_commit -> true)
+          && agrees ())
+        steps
+      && Nvlog.replay_ops log = readable ())
+
 (* --- Counters --- *)
 
 let test_counters_loose_accounting () =
@@ -833,6 +939,62 @@ let test_spare_pool_bounded () =
   Alcotest.(check int) "deleted snapshot buffers parked in the pool" 0 !parked;
   Aggregate.fsck agg
 
+(* Weak references to the block-map image records at [pvbns]. *)
+let[@inline never] weak_records disk pvbns =
+  let w = Weak.create (List.length pvbns) in
+  List.iteri
+    (fun i pvbn ->
+      match Wafl_storage.Disk.read disk pvbn with
+      | Some (Layout.Bmap _ as img) -> Weak.set w i (Some img)
+      | _ -> Alcotest.failf "pvbn %d holds no block-map image" pvbn)
+    pvbns;
+  w
+
+(* A snapshot taken at the file's first CP, then deleted: once the
+   publish discards its block-map images, nothing keeps one reachable,
+   not even the disk's vacated vector entries (the spare pool keeps only
+   their buffers). *)
+let test_first_cp_snapshot_dropped () =
+  let eng = Wafl_sim.Engine.create ~cores:8 () in
+  let agg =
+    Aggregate.create eng ~cost:Wafl_sim.Cost.default ~geometry:(small_geom ()) ~nvlog_half:4096 ()
+  in
+  let walloc = Wafl_core.Walloc.create agg Wafl_core.Walloc.default_config in
+  let cp = Wafl_core.Walloc.cp walloc in
+  let bmaps = 16 in
+  let held = ref None in
+  ignore
+    (Wafl_sim.Engine.spawn eng ~label:"setup" (fun () ->
+         let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
+         Wafl_core.Walloc.register_volume walloc vol;
+         let vid = Volume.id vol in
+         let f = Aggregate.create_file agg ~vol:vid in
+         let write_gen n gen =
+           for i = 0 to n - 1 do
+             let fbn = i * Layout.entries_per_bmap_block in
+             ignore
+               (Aggregate.write agg ~vol:vid ~file:(File.id f) ~fbn ~content:(content ~gen ~fbn))
+           done;
+           Wafl_core.Cp.run_now cp
+         in
+         write_gen bmaps 0;
+         let snap = Aggregate.create_snapshot agg ~name:"s" in
+         let w = weak_records (Aggregate.disk agg) (List.init bmaps (File.bmap_location f)) in
+         write_gen bmaps 1;
+         Aggregate.delete_snapshot agg snap;
+         write_gen 1 2;
+         write_gen 1 3;
+         held := Some w));
+  Wafl_sim.Engine.run eng;
+  let w = Option.get !held in
+  Gc.full_major ();
+  let reachable = ref 0 in
+  for i = 0 to Weak.length w - 1 do
+    if Weak.check w i then incr reachable
+  done;
+  Alcotest.(check int) "deleted snapshot's block-map images reachable" 0 !reachable;
+  Aggregate.fsck agg
+
 (* --- Dirty sets, the file dirty table and the LRU against models --- *)
 
 let sorted_unique l = List.sort_uniq Int.compare l
@@ -907,68 +1069,130 @@ let prop_volume_dirty_lists =
         ops
       && agrees ())
 
-(* The file's dirty tables against two Hashtbl models (front and CP). *)
-type file_op = Write of int * int | Snapshot | Done | Read of int
+(* Several files over one shared dirty-buffer table, each against its
+   own front and CP Hashtbl models, with snapshots and CP completions
+   interleaved across files. *)
+type file_op = Write of int * int * int | Snapshot of int | Done of int | Read of int * int
+
+let shared_files = 3
 
 let file_op_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (6, map2 (fun fbn c -> Write (fbn, c)) (int_bound 2000) (int_bound 1000));
-        (1, return Snapshot);
-        (1, return Done);
-        (3, map (fun fbn -> Read fbn) (int_bound 2000));
-      ])
+  let open QCheck.Gen in
+  let file = int_bound (shared_files - 1) in
+  frequency
+    [
+      (6, map3 (fun f fbn c -> Write (f, fbn, c)) file (int_bound 700) int);
+      (1, map (fun f -> Snapshot f) file);
+      (1, map (fun f -> Done f) file);
+      (3, map2 (fun f fbn -> Read (f, fbn)) file (int_bound 700));
+    ]
 
 let prop_file_dirty_table =
   let print = function
-    | Write (f, c) -> Printf.sprintf "write %d %d" f c
-    | Snapshot -> "snapshot"
-    | Done -> "done"
-    | Read f -> Printf.sprintf "read %d" f
+    | Write (f, fbn, c) -> Printf.sprintf "write %d %d %d" f fbn c
+    | Snapshot f -> Printf.sprintf "snapshot %d" f
+    | Done f -> Printf.sprintf "done %d" f
+    | Read (f, fbn) -> Printf.sprintf "read %d %d" f fbn
   in
   QCheck.Test.make ~name:"file dirty table matches a Hashtbl model" ~count:200
-    (QCheck.make ~print:(QCheck.Print.list print) QCheck.Gen.(list_size (0 -- 400) file_op_gen))
+    (QCheck.make ~print:(QCheck.Print.list print) QCheck.Gen.(list_size (0 -- 500) file_op_gen))
     (fun ops ->
-      let f = File.create ~vol:0 ~id:0 in
-      let front = Hashtbl.create 16 and cp = Hashtbl.create 16 and outstanding = ref false in
-      let model_buffers () =
-        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) cp []) (* lint-ok: sorted *)
+      let buffers = File.buffers () in
+      let files = Array.init shared_files (fun id -> File.create_in buffers ~vol:(id mod 2) ~id) in
+      let front = Array.init shared_files (fun _ -> Hashtbl.create 16) in
+      let cp = Array.init shared_files (fun _ -> Hashtbl.create 16) in
+      let outstanding = Array.make shared_files false in
+      let agrees i =
+        let sorted = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) cp.(i) []) (* lint-ok: sorted *) in
+        File.dirty_front files.(i) = Hashtbl.length front.(i)
+        && File.cp_buffer_count files.(i) = Hashtbl.length cp.(i)
+        && cp_buffers files.(i) = sorted
       in
-      let agrees () =
-        File.dirty_front f = Hashtbl.length front
-        && File.cp_buffer_count f = Hashtbl.length cp
-        && cp_buffers f = model_buffers ()
+      let held () =
+        Array.fold_left (fun n h -> n + Hashtbl.length h) 0 front
+        + Array.fold_left (fun n h -> n + Hashtbl.length h) 0 cp
       in
       List.for_all
         (fun op ->
           (match op with
-          | Write (fbn, c) ->
-              File.write f ~fbn ~content:(Int64.of_int c);
-              Hashtbl.replace front fbn (Int64.of_int c);
+          | Write (i, fbn, c) ->
+              File.write files.(i) ~fbn ~content:(Int64.of_int c);
+              Hashtbl.replace front.(i) fbn (Int64.of_int c);
               true
-          | Snapshot ->
-              if !outstanding then true
-              else begin
-                File.cp_snapshot f;
-                Hashtbl.reset cp;
-                Hashtbl.iter (fun k v -> Hashtbl.replace cp k v) front; (* lint-ok: a copy *)
-                Hashtbl.reset front;
-                outstanding := true;
-                true
-              end
-          | Done ->
-              File.cp_done f;
-              Hashtbl.reset cp;
-              outstanding := false;
+          | Snapshot i ->
+              if not outstanding.(i) then begin
+                File.cp_snapshot files.(i);
+                Hashtbl.reset cp.(i);
+                Hashtbl.iter (fun k v -> Hashtbl.replace cp.(i) k v) front.(i); (* lint-ok: a copy *)
+                Hashtbl.reset front.(i);
+                outstanding.(i) <- true
+              end;
               true
-          | Read fbn ->
+          | Done i ->
+              File.cp_done files.(i);
+              Hashtbl.reset cp.(i);
+              outstanding.(i) <- false;
+              true
+          | Read (i, fbn) ->
               let want =
-                match Hashtbl.find_opt front fbn with Some c -> Some c | None -> Hashtbl.find_opt cp fbn
+                match Hashtbl.find_opt front.(i) fbn with
+                | Some c -> Some c
+                | None -> Hashtbl.find_opt cp.(i) fbn
               in
-              File.read_cached f ~fbn = want)
-          && agrees ())
+              File.read_cached files.(i) ~fbn = want)
+          && File.buffered buffers = held ()
+          && List.for_all agrees (List.init shared_files Fun.id))
         ops)
+
+(* The NVLog bound: every buffer the aggregate holds, front or CP, is
+   covered by a log record, so the shared table never holds more
+   bindings than the log holds records.  A client fiber writes random
+   fbns of two files and starts CPs in the background; a monitor fiber
+   checks the bound every half virtual microsecond, and the client after
+   each write. *)
+let prop_dirty_buffers_bounded_by_nvlog =
+  QCheck.Test.make ~name:"dirty buffers never exceed the NVLog's records" ~count:25
+    QCheck.(list_of_size Gen.(1 -- 400) (option ~ratio:0.97 (pair bool (int_bound 600))))
+    (fun steps ->
+      let eng = Wafl_sim.Engine.create ~cores:8 () in
+      let agg =
+        Aggregate.create eng ~cost:Wafl_sim.Cost.default ~geometry:(small_geom ()) ~nvlog_half:256
+          ()
+      in
+      let walloc = Wafl_core.Walloc.create agg Wafl_core.Walloc.default_config in
+      let cp = Wafl_core.Walloc.cp walloc in
+      let within () = Aggregate.dirty_buffers agg <= Nvlog.total_pending (Aggregate.nvlog agg) in
+      let ok = ref true and finished = ref false and cps = ref 0 in
+      ignore
+        (Wafl_sim.Engine.spawn eng ~label:"client" (fun () ->
+             let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
+             Wafl_core.Walloc.register_volume walloc vol;
+             let vid = Volume.id vol in
+             let files = Array.init 2 (fun _ -> File.id (Aggregate.create_file agg ~vol:vid)) in
+             List.iteri
+               (fun i step ->
+                 match step with
+                 | Some (second, fbn) ->
+                     Aggregate.wait_for_log_space agg;
+                     ignore
+                       (Aggregate.write agg ~vol:vid ~file:files.(Bool.to_int second) ~fbn
+                          ~content:(content ~gen:i ~fbn));
+                     if not (within ()) then ok := false;
+                     Wafl_sim.Engine.sleep 0.2
+                 | None ->
+                     incr cps;
+                     ignore (Wafl_sim.Engine.spawn eng ~label:"cp" (fun () -> Wafl_core.Cp.run_now cp)))
+               steps;
+             Wafl_core.Cp.run_now cp;
+             finished := true));
+      ignore
+        (Wafl_sim.Engine.spawn eng ~label:"monitor" (fun () ->
+             while not !finished do
+               if not (within ()) then ok := false;
+               Wafl_sim.Engine.sleep 0.5
+             done));
+      Wafl_sim.Engine.run eng;
+      !finished && !ok && Aggregate.dirty_buffers agg = 0)
 
 (* A list model of exact LRU, most recent first. *)
 type lru_model = {
@@ -1107,6 +1331,63 @@ let test_alloc_buffer_cache () =
         Buffer_cache.invalidate c k
       done);
   Alcotest.(check int) "emptied" 0 (Buffer_cache.length c)
+
+(* A client write's whole host path: the NVLog append and the dirty
+   insert.  Two CPs first grow the log ring, the shared table and both
+   of the file's presence bitmaps to the working size, and one write
+   puts the file back on its volume's dirty list (a list cell); after
+   that, writing fbns no buffer holds allocates nothing. *)
+let test_alloc_aggregate_write () =
+  let n = 2048 (* two CPs of it fit the small geometry *) in
+  let eng = Wafl_sim.Engine.create ~cores:8 () in
+  let agg =
+    Aggregate.create eng ~cost:Wafl_sim.Cost.default ~geometry:(small_geom ())
+      ~nvlog_half:(4 * n) ()
+  in
+  let walloc = Wafl_core.Walloc.create agg Wafl_core.Walloc.default_config in
+  let cp = Wafl_core.Walloc.cp walloc in
+  let ids = ref None in
+  let write_range vol file lo hi =
+    for fbn = lo to hi - 1 do
+      ignore (Aggregate.write agg ~vol ~file ~fbn ~content:1L)
+    done
+  in
+  ignore
+    (Wafl_sim.Engine.spawn eng ~label:"setup" (fun () ->
+         let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
+         Wafl_core.Walloc.register_volume walloc vol;
+         let vol = Volume.id vol in
+         let file = File.id (Aggregate.create_file agg ~vol) in
+         for _ = 1 to 2 do
+           write_range vol file 0 n;
+           Wafl_core.Cp.run_now cp
+         done;
+         ids := Some (vol, file)));
+  Wafl_sim.Engine.run eng;
+  let vol, file = Option.get !ids in
+  Alcotest.(check int) "drained" 0 (Aggregate.dirty_buffers agg);
+  write_range vol file 0 1;
+  check_no_alloc "log and buffer fresh fbns" (fun () -> write_range vol file 1 n);
+  Alcotest.(check int) "one buffer per fbn" n (Aggregate.dirty_buffers agg);
+  Alcotest.(check int) "one record per write" n (Nvlog.pending (Aggregate.nvlog agg))
+
+(* The CP side of the dirty buffers: a snapshot is a generation flip and
+   its completion unbinds each buffer in place. *)
+let test_alloc_file_cp () =
+  let f = File.create ~vol:0 ~id:0 in
+  let fill () =
+    for fbn = 0 to n_calls - 1 do
+      File.write f ~fbn ~content:1L
+    done
+  in
+  fill ();
+  File.cp_snapshot f;
+  File.cp_done f;
+  fill ();
+  check_no_alloc "cp_snapshot" (fun () -> File.cp_snapshot f);
+  Alcotest.(check int) "snapshot holds every buffer" n_calls (File.cp_buffer_count f);
+  check_no_alloc "cp_done" (fun () -> File.cp_done f);
+  Alcotest.(check int) "snapshot released" 0 (File.cp_buffer_count f)
 
 let test_alloc_file_write () =
   let f = File.create ~vol:0 ~id:0 in
@@ -1317,6 +1598,8 @@ let () =
           Alcotest.test_case "replay stops at torn" `Quick test_nvlog_replay_stops_at_torn;
           Alcotest.test_case "recover reset discards torn" `Quick
             test_nvlog_recover_reset_discards_torn;
+          Alcotest.test_case "second tear" `Quick test_nvlog_second_tear;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_nvlog_ring;
         ] );
       ( "counters",
         [
@@ -1338,6 +1621,7 @@ let () =
           Alcotest.test_case "AA accounting" `Quick test_aggregate_aa_accounting;
           Alcotest.test_case "AA selection" `Quick test_aggregate_select_aa;
           Alcotest.test_case "free counter" `Quick test_aggregate_free_counter_tracks;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_dirty_buffers_bounded_by_nvlog;
         ] );
       ( "img-lifetime",
         [
@@ -1347,6 +1631,8 @@ let () =
           Alcotest.test_case "snapshot delete drops images" `Quick
             test_delete_snapshot_drops_images;
           Alcotest.test_case "spare pool holds one publish" `Quick test_spare_pool_bounded;
+          Alcotest.test_case "first-CP snapshot images dropped" `Quick
+            test_first_cp_snapshot_dropped;
         ] );
       ( "alloc-guard",
         [
@@ -1354,6 +1640,8 @@ let () =
           Alcotest.test_case "freed set add/mem" `Quick test_alloc_freed_set;
           Alcotest.test_case "cache probe/invalidate" `Quick test_alloc_buffer_cache;
           Alcotest.test_case "file rewrite" `Quick test_alloc_file_write;
+          Alcotest.test_case "aggregate write of fresh fbns" `Quick test_alloc_aggregate_write;
+          Alcotest.test_case "file cp snapshot and done" `Quick test_alloc_file_cp;
           Alcotest.test_case "geometry lookups" `Quick test_alloc_geometry;
           Alcotest.test_case "stage add and drain" `Quick test_alloc_stage;
           Alcotest.test_case "free-bit walk" `Quick test_alloc_free_walk;

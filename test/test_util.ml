@@ -505,11 +505,8 @@ let prop_int_table_models_assoc =
       let model = ref [] in
       let agrees () =
         let want = List.sort compare !model in
-        let keys = Array.make (Int_table.length t + 2) (-1) in
-        Int_table.keys_into t keys ~pos:1;
         Int_table.bindings t = want
         && Int_table.length t = List.length want
-        && Array.to_list keys = (-1 :: List.map fst want) @ [ -1 ]
         && List.for_all (fun (k, v) -> Int_table.find t k = v) want
         && List.for_all
              (fun k -> Int_table.find_opt t k = List.assoc_opt k want && Int_table.mem t k = List.mem_assoc k want)
@@ -528,6 +525,43 @@ let prop_int_table_models_assoc =
               true)
         ops
       && agrees ())
+
+(* Against a Hashtbl model: [(k, Some v)] binds, [(k, None)] removes.
+   Keys collide in a handful of slots, so runs wrap the table's end and
+   removals shift long runs back. *)
+let prop_word_table_models_hashtbl =
+  QCheck.Test.make ~name:"word table matches a Hashtbl model" ~count:300
+    QCheck.(
+      list_of_size Gen.(0 -- 500) (pair (int_bound 300) (option ~ratio:0.6 (map Int64.of_int int))))
+    (fun ops ->
+      let t = Word_table.create () in
+      let model = Hashtbl.create 16 in
+      let agrees () =
+        Word_table.length t = Hashtbl.length model
+        && List.for_all
+             (fun k ->
+               Word_table.mem t k = Hashtbl.mem model k
+               && (match Hashtbl.find_opt model k with
+                  | Some v -> Word_table.find t k = v
+                  | None -> (
+                      match Word_table.find t k with _ -> false | exception Not_found -> true)))
+             (List.init 302 (fun i -> i - 1))
+      in
+      List.for_all
+        (fun (k, v) ->
+          (match v with
+          | Some v ->
+              Word_table.replace t k v;
+              Hashtbl.replace model k v
+          | None ->
+              Word_table.remove t k;
+              Hashtbl.remove model k);
+          agrees ())
+        ops)
+
+let test_word_table_negative () =
+  Alcotest.check_raises "negative key" (Invalid_argument "Word_table.replace: negative key")
+    (fun () -> Word_table.replace (Word_table.create ()) (-1) 0L)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
@@ -592,6 +626,11 @@ let () =
           Alcotest.test_case "negative member" `Quick test_dense_set_negative;
         ] );
       ("int_table", [ QCheck_alcotest.to_alcotest ~verbose:false prop_int_table_models_assoc ]);
+      ( "wordtable",
+        [
+          QCheck_alcotest.to_alcotest ~verbose:false prop_word_table_models_hashtbl;
+          Alcotest.test_case "negative key" `Quick test_word_table_negative;
+        ] );
       ( "packed",
         [
           QCheck_alcotest.to_alcotest ~verbose:false prop_packed_words_roundtrip;

@@ -50,7 +50,8 @@ let containers =
     ("Dense_set", [ "add"; "clear" ], [ "mem"; "cardinal"; "elements"; "elements_desc" ]);
     ( "Int_table",
       [ "replace"; "clear" ],
-      [ "mem"; "find_opt"; "find"; "length"; "bindings"; "keys_into" ] );
+      [ "mem"; "find_opt"; "find"; "length"; "bindings" ] );
+    ("Word_table", [ "replace"; "remove" ], [ "mem"; "find"; "length" ]);
     ("Table", [ "add_row"; "clear" ], []);
     (* A seeded PRNG advances internal state on every draw. *)
     ("Rng", [ "int"; "float"; "bool"; "exponential"; "split"; "shuffle" ], []);
