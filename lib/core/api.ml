@@ -14,6 +14,12 @@ let use bucket ~payload =
       Tetris.enqueue tetris ~vbn ~payload;
       Some vbn
 
+let[@inline] use_data bucket ~vol ~file ~fbn ~content =
+  let tetris = phys_tetris bucket in
+  let vbn = Bucket.take_vbn bucket in
+  if vbn >= 0 then Tetris.enqueue_data tetris ~vbn ~vol ~file ~fbn ~content;
+  vbn
+
 let use_virt bucket =
   (match Bucket.target bucket with
   | Bucket.Virt _ -> ()

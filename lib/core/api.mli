@@ -22,6 +22,13 @@ val use : Bucket.t -> payload:Wafl_fs.Layout.block -> int option
     into the tetris; [None] when the bucket is exhausted (PUT it and GET
     a fresh one).  Raises [Invalid_argument] on a virtual bucket. *)
 
+val use_data : Bucket.t -> vol:int -> file:int -> fbn:int -> content:int64 -> int
+(** {!use} for a user data block, given by its fields: the block enters
+    the tetris as its codec key and content word, and no image is built
+    (unless the fields overflow the key: then it is enqueued boxed, as
+    the disk would store it).  The VBN, or [-1] when the bucket is
+    exhausted. *)
+
 val use_virt : Bucket.t -> int option
 (** Consume the next vvbn of a virtual bucket. *)
 

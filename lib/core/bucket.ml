@@ -21,13 +21,17 @@ let capacity t = Array.length t.vbns
 let remaining t = Array.length t.vbns - t.next
 let is_exhausted t = remaining t = 0
 
-let take t =
-  if is_exhausted t then None
+let[@inline] take_vbn t =
+  if is_exhausted t then -1
   else begin
     let v = t.vbns.(t.next) in
     t.next <- t.next + 1;
-    Some v
+    v
   end
+
+let take t =
+  let v = take_vbn t in
+  if v < 0 then None else Some v
 
 let vbns t = t.vbns
 let consumed_count t = t.next

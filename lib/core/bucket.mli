@@ -26,6 +26,9 @@ val is_exhausted : t -> bool
 val take : t -> int option
 (** Consume the next VBN; [None] when exhausted. *)
 
+val take_vbn : t -> int
+(** {!take} without the option: [-1] when exhausted. *)
+
 val vbns : t -> int array
 (** The chunk's ascending VBNs, shared with the bucket (do not mutate).
     The first {!consumed_count} were taken — what the infrastructure

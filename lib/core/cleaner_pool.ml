@@ -91,24 +91,24 @@ let rec take_virt ?(spin = 0) t c vol =
       c.virt <- Some (Volume.id vol, b);
       take_virt ~spin:(spin + 1) t c vol
 
-let rec take_phys ?(spin = 0) t c ~payload =
+(* The cleaner's physical bucket, with a VBN left: an exhausted one is
+   PUT and a fresh one taken. *)
+let rec phys_bucket ?(spin = 0) t c =
   if spin > 50_000 then
     failwith
       (Printf.sprintf "take_phys: livelock, cache=%d" (Infra.phys_cache_length t.infra));
   match c.phys with
-  | Some b -> (
-      match Api.use b ~payload with
-      | Some v -> v
-      | None ->
-          Api.put t.infra b;
-          c.phys <- None;
-          take_phys ~spin:(spin + 1) t c ~payload)
+  | Some b when not (Bucket.is_exhausted b) -> b
+  | Some b ->
+      Api.put t.infra b;
+      c.phys <- None;
+      phys_bucket ~spin:(spin + 1) t c
   | None ->
       if Infra.phys_cache_length t.infra = 0 then t.n_get_waits <- t.n_get_waits + 1;
       charge t t.cost.Cost.lock_acquire;
       let b = Infra.get_phys t.infra in
       c.phys <- Some b;
-      take_phys ~spin:(spin + 1) t c ~payload
+      phys_bucket ~spin:(spin + 1) t c
 
 (* --- free staging ------------------------------------------------------- *)
 
@@ -163,11 +163,12 @@ let clean_segment t c seg =
   for i = seg.first to seg.first + seg.len - 1 do
     let fbn = seg.fbns.(i) in
     let vvbn = take_virt t c vol in
-    let payload =
-      Layout.Data
-        { vol = Volume.id vol; file = File.id file; fbn; content = File.cp_content file fbn }
+    (* The block goes to the tetris as the disk's two words: its key
+       and its content. *)
+    let content = File.cp_content file fbn in
+    let pvbn =
+      Api.use_data (phys_bucket t c) ~vol:(Volume.id vol) ~file:(File.id file) ~fbn ~content
     in
-    let pvbn = take_phys t c ~payload in
     let old_vvbn = File.set_vvbn file ~fbn ~vvbn in
     let prev = Volume.map_vvbn vol ~vvbn ~pvbn in
     if prev <> -1 then

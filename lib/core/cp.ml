@@ -30,8 +30,7 @@ let default_config =
 type serial_state = {
   mutable pvbn_cursor : int;
   vvbn_cursors : (int, int ref) Hashtbl.t;
-  io_buffers : (int * Layout.block) list ref array; (* per RAID group *)
-  io_counts : int array;
+  io_batches : Layout.block Wafl_storage.Raid.batch option array; (* per RAID group *)
 }
 
 type t = {
@@ -406,29 +405,37 @@ let serial_alloc_vvbn t vol =
   Aggregate.commit_alloc_vvbn t.agg ~vol v;
   v
 
+(* The serial path keeps one open write batch per RAID group, taken from
+   the group's pool at its first block and submitted at 1024 blocks. *)
+let serial_batch t rg =
+  match t.serial.io_batches.(rg) with
+  | Some b -> b
+  | None ->
+      let b = Wafl_storage.Raid.batch (Aggregate.raid t.agg ~rg) in
+      t.serial.io_batches.(rg) <- Some b;
+      b
+
+let serial_submit t rg =
+  match t.serial.io_batches.(rg) with
+  | Some b ->
+      t.serial.io_batches.(rg) <- None;
+      Wafl_storage.Raid.submit_batch (Aggregate.raid t.agg ~rg) b ~on_complete:(fun () -> ())
+  | None -> ()
+
+let serial_submit_full t rg =
+  if Wafl_storage.Raid.batch_length (serial_batch t rg) >= 1024 then serial_submit t rg
+
+let serial_rg t pvbn = Wafl_storage.Geometry.rg_of (Aggregate.geometry t.agg) pvbn
+
 let serial_enqueue_write t pvbn payload =
-  let geom = Aggregate.geometry t.agg in
-  let rg = Wafl_storage.Geometry.rg_of geom pvbn in
-  let buf = t.serial.io_buffers.(rg) in
-  buf := (pvbn, payload) :: !buf;
-  t.serial.io_counts.(rg) <- t.serial.io_counts.(rg) + 1;
-  if t.serial.io_counts.(rg) >= 1024 then begin
-    Wafl_storage.Raid.submit (Aggregate.raid t.agg ~rg) ~writes:(List.rev !buf)
-      ~on_complete:(fun () -> ());
-    buf := [];
-    t.serial.io_counts.(rg) <- 0
-  end
+  let rg = serial_rg t pvbn in
+  Wafl_storage.Raid.add (serial_batch t rg) pvbn payload;
+  serial_submit_full t rg
 
 let serial_flush_io t =
-  Array.iteri
-    (fun rg buf ->
-      if !buf <> [] then begin
-        Wafl_storage.Raid.submit (Aggregate.raid t.agg ~rg) ~writes:(List.rev !buf)
-          ~on_complete:(fun () -> ());
-        buf := [];
-        t.serial.io_counts.(rg) <- 0
-      end)
-    t.serial.io_buffers
+  for rg = 0 to Array.length t.serial.io_batches - 1 do
+    serial_submit t rg
+  done
 
 let serial_clean_buffer t vol file fbn =
   let vvbn = serial_alloc_vvbn t vol in
@@ -441,9 +448,10 @@ let serial_clean_buffer t vol file fbn =
     Aggregate.commit_free_vvbn t.agg ~vol old_vvbn;
     Aggregate.commit_free_pvbn t.agg old_pvbn
   end;
-  serial_enqueue_write t pvbn
-    (Layout.Data
-       { vol = Volume.id vol; file = File.id file; fbn; content = File.cp_content file fbn });
+  let rg = serial_rg t pvbn in
+  Layout.add_data (serial_batch t rg) pvbn ~vol:(Volume.id vol) ~file:(File.id file) ~fbn
+    ~content:(File.cp_content file fbn);
+  serial_submit_full t rg;
   Engine.consume t.cost.Cost.clean_buffer
 
 (* Clean everything through Serial-affinity messages of bounded size;
@@ -788,16 +796,11 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra pool cfg =
         {
           pvbn_cursor = 0;
           vvbn_cursors = Hashtbl.create 4;
-          io_buffers =
-            Array.init
-              (Wafl_storage.Geometry.raid_group_count
-                 (Aggregate.geometry (Infra.aggregate infra)))
-              (fun _ -> ref []);
-          io_counts =
+          io_batches =
             Array.make
               (Wafl_storage.Geometry.raid_group_count
                  (Aggregate.geometry (Infra.aggregate infra)))
-              0;
+              None;
         };
       fbns = [||];
       requested = false;

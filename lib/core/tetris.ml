@@ -1,13 +1,13 @@
 open Wafl_sim
+module Raid = Wafl_storage.Raid
 
 type t = {
   eng : Engine.t;
-  raid : Wafl_fs.Layout.block Wafl_storage.Raid.t;
+  raid : Wafl_fs.Layout.block Raid.t;
   obs : Wafl_obs.Trace.t;
   obs_on : bool;
   m_fill : Metrics.histo;
-  mutable pending : (int * Wafl_fs.Layout.block) list; (* newest first *)
-  mutable pending_count : int;
+  mutable batch : Wafl_fs.Layout.block Raid.batch option; (* taken at the first enqueue *)
   mutable outstanding : int;
   mutable ios : int;
   mutable blocks : int;
@@ -22,8 +22,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cost ~raid ~expected_buckets =
     obs;
     obs_on = Wafl_obs.Trace.enabled obs;
     m_fill = Metrics.histogram (Engine.metrics eng) "tetris.fill_blocks";
-    pending = [];
-    pending_count = 0;
+    batch = None;
     outstanding = expected_buckets;
     ios = 0;
     blocks = 0;
@@ -34,33 +33,42 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cost ~raid ~expected_buckets =
    affinity or cleaner may enqueue, so model it as atomic. *)
 let dispatch_probe t =
   if Engine.sanitizing t.eng then
-    Engine.probe_atomic t.eng
-      ~shared:(Printf.sprintf "tetris.rg%d" (Wafl_storage.Raid.rg t.raid))
+    Engine.probe_atomic t.eng ~shared:(Printf.sprintf "tetris.rg%d" (Raid.rg t.raid))
+
+let batch t =
+  match t.batch with
+  | Some b -> b
+  | None ->
+      let b = Raid.batch t.raid in
+      t.batch <- Some b;
+      b
 
 let enqueue t ~vbn ~payload =
   dispatch_probe t;
-  t.pending <- (vbn, payload) :: t.pending;
-  t.pending_count <- t.pending_count + 1
+  Raid.add (batch t) vbn payload
 
-let pending_blocks t = t.pending_count
+let[@inline] enqueue_data t ~vbn ~vol ~file ~fbn ~content =
+  dispatch_probe t;
+  Wafl_fs.Layout.add_data (batch t) vbn ~vol ~file ~fbn ~content
+
+let pending_blocks t = match t.batch with Some b -> Raid.batch_length b | None -> 0
 
 let submit_now t =
   dispatch_probe t;
-  if t.pending_count > 0 then begin
-    Metrics.observe t.m_fill (float_of_int t.pending_count);
-    let writes = List.rev t.pending in
-    let blocks = t.pending_count in
-    t.pending <- [];
-    t.ios <- t.ios + 1;
-    t.blocks <- t.blocks + blocks;
-    t.pending_count <- 0;
-    let submit () = Wafl_storage.Raid.submit t.raid ~writes ~on_complete:(fun () -> ()) in
-    if t.obs_on then
-      Wafl_obs.Trace.with_span t.obs ~cat:"tetris" ~name:"stripe fill"
-        ~num_args:[ ("blocks", float_of_int blocks) ]
-        submit
-    else submit ()
-  end
+  match t.batch with
+  | Some b when Raid.batch_length b > 0 ->
+      let blocks = Raid.batch_length b in
+      Metrics.observe t.m_fill (float_of_int blocks);
+      t.batch <- None;
+      t.ios <- t.ios + 1;
+      t.blocks <- t.blocks + blocks;
+      let submit () = Raid.submit_batch t.raid b ~on_complete:(fun () -> ()) in
+      if t.obs_on then
+        Wafl_obs.Trace.with_span t.obs ~cat:"tetris" ~name:"stripe fill"
+          ~num_args:[ ("blocks", float_of_int blocks) ]
+          submit
+      else submit ()
+  | Some _ | None -> ()
 
 let bucket_done t =
   dispatch_probe t;
@@ -81,7 +89,7 @@ let blocks_submitted t = t.blocks
    tracker is the write-allocator's equivalent of the per-write stream
    hints a host passes to a multi-stream SSD; it is deterministic, so a
    seeded run classifies identically on replay. *)
-let make_temperature_stream () : Wafl_fs.Layout.block -> int =
+let make_temperature_stream () : int -> Wafl_fs.Layout.block option -> int =
   let module T = Wafl_util.Int_table in
   let find_or_add tbl k make =
     if T.mem tbl k then T.find tbl k
@@ -94,16 +102,23 @@ let make_temperature_stream () : Wafl_fs.Layout.block -> int =
   (* Last placement stamp by vol, file and fbn; -1 for never placed. *)
   let last = T.create () in
   let tracked = ref 0 and n = ref 0 in
-  function
-  | Wafl_fs.Layout.Data { vol; file; fbn; _ } ->
-      incr n;
-      let files = find_or_add last vol T.create in
-      let stamps = find_or_add files file (fun () -> Wafl_util.Intvec.create ~default:(-1) ()) in
-      let prev = Wafl_util.Intvec.get stamps fbn in
-      let hot = prev >= 0 && !n - prev < !tracked in
-      if prev < 0 then incr tracked;
-      Wafl_util.Intvec.set stamps fbn !n;
-      if hot then 1 else 0
-  | Wafl_fs.Layout.Bmap _ | Wafl_fs.Layout.Inode_chunk _ | Wafl_fs.Layout.Container _
-  | Wafl_fs.Layout.Vol_map _ | Wafl_fs.Layout.Agg_map _ ->
-      1
+  let data ~vol ~file ~fbn =
+    incr n;
+    let files = find_or_add last vol T.create in
+    let stamps = find_or_add files file (fun () -> Wafl_util.Intvec.create ~default:(-1) ()) in
+    let prev = Wafl_util.Intvec.get stamps fbn in
+    let hot = prev >= 0 && !n - prev < !tracked in
+    if prev < 0 then incr tracked;
+    Wafl_util.Intvec.set stamps fbn !n;
+    if hot then 1 else 0
+  in
+  fun key boxed ->
+    match boxed with
+    | None ->
+        let open Wafl_fs.Layout in
+        data ~vol:(key_vol key) ~file:(key_file key) ~fbn:(key_fbn key)
+    | Some (Wafl_fs.Layout.Data { vol; file; fbn; _ }) -> data ~vol ~file ~fbn
+    | Some
+        ( Wafl_fs.Layout.Bmap _ | Wafl_fs.Layout.Inode_chunk _ | Wafl_fs.Layout.Container _
+        | Wafl_fs.Layout.Vol_map _ | Wafl_fs.Layout.Agg_map _ ) ->
+        1

@@ -272,20 +272,20 @@ let buffer_cache t = t.cache
 (* All on-disk reads funnel through the RAID read path so that latent
    media errors and degraded groups are handled (reconstruction from the
    parity model) instead of silently returning the stored payload. *)
+let lost pvbn =
+  Corruption (Printf.sprintf "pvbn %d unrecoverable: media error in a degraded RAID group" pvbn)
+
 let read_pvbn t pvbn =
   match Raid.read t.raids.(Geometry.rg_of t.geom pvbn) pvbn with
   | `Ok p -> Some p
   | `Degraded p -> Some p
   | `Absent -> None
-  | `Lost ->
-      raise
-        (Corruption
-           (Printf.sprintf "pvbn %d unrecoverable: media error in a degraded RAID group" pvbn))
+  | `Lost -> raise (lost pvbn)
 
 let flash_enabled t = t.flash_on
 let ftls t = Array.to_list t.raids |> List.filter_map Raid.flash
 
-(* Route tetris payloads to flash write streams (no-op without a media
+(* Route tetris writes to flash write streams (no-op without a media
    model; installed by Walloc when the [streams] policy is on). *)
 let set_stream_classifier t f = Array.iter (fun r -> Raid.set_stream_of r f) t.raids
 
@@ -310,20 +310,25 @@ let read_cached_status t ~vol ~file ~fbn =
           | pvbn -> (
               if Engine.sanitizing t.eng then Engine.probe_atomic t.eng ~shared:"fs.buffer_cache";
               let status = if Buffer_cache.probe t.cache pvbn then `Hit else `Miss in
-              match read_pvbn t pvbn with
-              | Some (Layout.Data d) when d.vol = vol && d.file = file && d.fbn = fbn ->
+              (* A compact block is checked by its key, and no image is
+                 built; one whose fields overflow the key is boxed. *)
+              let key = Layout.key_of_data ~vol ~file ~fbn in
+              match Raid.read_word t.raids.(Geometry.rg_of t.geom pvbn) pvbn ~key with
+              | `Word content -> (Some content, status)
+              | `Other (Layout.Data d) when d.vol = vol && d.file = file && d.fbn = fbn ->
                   (Some d.content, status)
-              | Some _ ->
+              | `Other _ ->
                   raise
                     (Corruption
                        (Printf.sprintf
                           "vol %d file %d fbn %d: pvbn %d holds someone else's block" vol
                           file fbn pvbn))
-              | None ->
+              | `Absent ->
                   raise
                     (Corruption
                        (Printf.sprintf "vol %d file %d fbn %d: pvbn %d never written" vol
-                          file fbn pvbn)))))
+                          file fbn pvbn))
+              | `Lost -> raise (lost pvbn))))
 
 let read t ~vol ~file ~fbn = fst (read_cached_status t ~vol ~file ~fbn)
 

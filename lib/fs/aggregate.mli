@@ -76,9 +76,10 @@ val ftls : t -> Wafl_flash.Ftl.t list
 (** The per-RAID-group FTLs, in group order; empty without a media
     model. *)
 
-val set_stream_classifier : t -> (Layout.block -> int) -> unit
-(** Route tetris payloads to flash write streams (hot metafiles vs cold
-    user data).  No-op without a media model; installed by
+val set_stream_classifier : t -> (int -> Layout.block option -> int) -> unit
+(** Route tetris writes to flash write streams (hot metafiles vs cold
+    user data), by codec key and boxed payload as
+    {!Wafl_storage.Raid.set_stream_of} describes.  No-op without a media model; installed by
     {!Wafl_core.Walloc} when its [streams] policy is on. *)
 
 (** {1 Client operations} *)

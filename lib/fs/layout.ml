@@ -35,22 +35,19 @@ type superblock = {
 let file_bits = 22
 let fbn_bits = 32
 
-let data_key = function
-  | Data { vol; file; fbn; _ } when vol lsr 8 = 0 && file lsr file_bits = 0 && fbn lsr fbn_bits = 0
-    ->
-      (((vol lsl file_bits) lor file) lsl fbn_bits) lor fbn
-  | _ -> -1
+let key_of_data ~vol ~file ~fbn =
+  if vol lsr 8 = 0 && file lsr file_bits = 0 && fbn lsr fbn_bits = 0 then
+    (((vol lsl file_bits) lor file) lsl fbn_bits) lor fbn
+  else -1
 
+let key_vol key = key lsr (file_bits + fbn_bits)
+let key_file key = (key lsr fbn_bits) land ((1 lsl file_bits) - 1)
+let key_fbn key = key land ((1 lsl fbn_bits) - 1)
+let data_key = function Data { vol; file; fbn; _ } -> key_of_data ~vol ~file ~fbn | _ -> -1
 let data_word = function Data { content; _ } -> content | _ -> 0L
 
 let unpack_data key content =
-  Data
-    {
-      vol = key lsr (file_bits + fbn_bits);
-      file = (key lsr fbn_bits) land ((1 lsl file_bits) - 1);
-      fbn = key land ((1 lsl fbn_bits) - 1);
-      content;
-    }
+  Data { vol = key_vol key; file = key_file key; fbn = key_fbn key; content }
 
 (* What the disk's vacated boxed entries hold: an image of no volume. *)
 let data_codec =
@@ -60,3 +57,8 @@ let data_codec =
     unpack = unpack_data;
     vacant = Some (Inode_chunk { vol = -1; index = -1; inodes = [] });
   }
+
+let[@inline] add_data batch vbn ~vol ~file ~fbn ~content =
+  let key = key_of_data ~vol ~file ~fbn in
+  if key >= 0 then Wafl_storage.Raid.add_compact batch vbn ~key ~word:content
+  else Wafl_storage.Raid.add batch vbn (Data { vol; file; fbn; content })

@@ -72,3 +72,20 @@ val data_codec : block Wafl_storage.Disk.codec
     boxed.  An unpacked image is a fresh value equal to the one
     written.  Vacated boxed entries hold an inode chunk of volume -1,
     which no user writes. *)
+
+val key_of_data : vol:int -> file:int -> fbn:int -> int
+(** The {!data_codec} key of a [Data] block with these fields, without
+    building it: [-1] when they overflow the key, so the block is stored
+    boxed.  The write path packs cleaned blocks with it. *)
+
+val key_vol : int -> int
+val key_file : int -> int
+
+val key_fbn : int -> int
+(** The fields a non-negative key packs. *)
+
+val add_data :
+  block Wafl_storage.Raid.batch -> int -> vol:int -> file:int -> fbn:int -> content:int64 -> unit
+(** Append a [Data] block to a write batch in the disk's format: its
+    {!key_of_data} and content word, building no image, or the boxed
+    image when the fields overflow the key. *)

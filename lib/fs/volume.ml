@@ -33,7 +33,8 @@ let create ~id ~vvbn_space =
     dirty = [];
     dirty_set = Dense_set.create ();
     cp = [];
-    container = Intvec.create ~default:(-1) ();
+    (* One entry per vvbn: the space is fixed, so the map never grows. *)
+    container = Intvec.create ~initial_capacity:vvbn_space ~default:(-1) ();
     container_locations = Intvec.create ~default:(-1) ();
     dirty_containers = Dense_set.create ();
     vol_map = Bitmap_file.create ~bits:vvbn_space;
@@ -124,6 +125,8 @@ let check_vvbn t vvbn =
 let pvbn_of_vvbn t vvbn =
   check_vvbn t vvbn;
   Intvec.get t.container vvbn
+
+let container_capacity t = Intvec.capacity t.container
 
 let map_vvbn t ~vvbn ~pvbn =
   check_vvbn t vvbn;

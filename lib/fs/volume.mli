@@ -56,6 +56,10 @@ val map_vvbn : t -> vvbn:int -> pvbn:int -> int
 (** Record a translation (or clear it with [pvbn:-1]); returns the
     previous pvbn (-1 if none) and dirties the covering container chunk. *)
 
+val container_capacity : t -> int
+(** Entries the container map holds: one per vvbn, made at creation, so
+    mapping never grows it. *)
+
 (** {1 Volume activemap} *)
 
 val vol_map : t -> Bitmap_file.t

@@ -9,11 +9,12 @@ type 'b codec = {
    -1 is an absent slot, [boxed_key] a boxed image whose word is its
    index in [images], and any key >= 0 a compact image whose word is its
    content.  A page is made at its first write with every key -1
-   ([Bytes.empty] before that).  [images] is dense: freed indices are
-   stacked on [free] for reuse, and a vacated entry points back at
-   [fill], so no dropped image is kept alive.  [fill] is the codec's
-   vacant image, which no user wrote; a store without one falls back to
-   its first boxed image. *)
+   ([Bytes.empty] before that); its first word counts its present
+   slots, and the discard that empties it hands it back to [Bytes.empty].
+   [images] is dense: freed indices are stacked on [free] for reuse, and
+   a vacated entry points back at [fill], so no dropped image is kept
+   alive.  [fill] is the codec's vacant image, which no user wrote; a
+   store without one falls back to its first boxed image. *)
 type 'b t = {
   geometry : Geometry.t;
   codec : 'b codec;
@@ -68,7 +69,9 @@ let check t vbn =
     invalid_arg (Printf.sprintf "Disk: vbn %d out of range" vbn)
 
 let page t vbn = Array.unsafe_get t.pages (vbn lsr page_bits)
-let off vbn = 16 * (vbn land page_mask)
+let off vbn = 8 + (16 * (vbn land page_mask))
+let present pg = Int64.to_int (get64u pg 0)
+let set_present pg n = set64u pg 0 (Int64.of_int n)
 
 let key_at t vbn =
   let p = page t vbn in
@@ -76,7 +79,9 @@ let key_at t vbn =
 
 let word_at t vbn = get64u (page t vbn) (off vbn + 8)
 
-let set_slot t vbn key word =
+(* Store a slot's two words, making its page (every slot absent) at the
+   page's first write and counting a slot that was absent. *)
+let[@inline] set_slot t vbn key word =
   let p = vbn lsr page_bits in
   let pg =
     let pg = Array.unsafe_get t.pages p in
@@ -85,13 +90,16 @@ let set_slot t vbn key word =
       (* The last page is short when the aggregate is not a whole number
          of pages. *)
       let len = min page_slots (Geometry.total_data_blocks t.geometry - (p lsl page_bits)) in
-      let pg = Bytes.make (16 * len) '\255' in
+      let pg = Bytes.make (8 + (16 * len)) '\255' in
+      set_present pg 0;
       t.pages.(p) <- pg;
       pg
     end
   in
-  set64u pg (off vbn) (Int64.of_int key);
-  set64u pg (off vbn + 8) word
+  let o = off vbn in
+  if Int64.to_int (get64u pg o) = absent_key then set_present pg (present pg + 1);
+  set64u pg o (Int64.of_int key);
+  set64u pg (o + 8) word
 
 (* A boxed image's index, popped from the free stack.  When none is
    free, [images] doubles, new entries pointing at [fill], and the stack
@@ -117,23 +125,31 @@ let release t i =
   t.n_free <- t.n_free + 1;
   dropped
 
-let write t vbn payload =
-  check t vbn;
-  let old = key_at t vbn in
-  let key = t.codec.key payload in
-  if key >= 0 then begin
-    if old = boxed_key then ignore (release t (Int64.to_int (word_at t vbn)));
-    set_slot t vbn key (t.codec.word payload)
-  end
-  else if old = boxed_key then t.images.(Int64.to_int (word_at t vbn)) <- payload
-  else begin
-    let i = take_index t payload in
-    t.images.(i) <- payload;
-    set_slot t vbn boxed_key (Int64.of_int i)
-  end;
-  (* A write remaps the sector, clearing any latent media error. *)
+(* A write remaps the sector, clearing any latent media error. *)
+let[@inline] note_write t vbn =
   (match t.fault with Some f when Fault.media_error f vbn -> Fault.clear_media_error f vbn | _ -> ());
   t.writes <- t.writes + 1
+
+let[@inline] write_compact t vbn ~key ~word =
+  check t vbn;
+  if key < 0 then invalid_arg "Disk.write_compact: negative key";
+  if key_at t vbn = boxed_key then ignore (release t (Int64.to_int (word_at t vbn)));
+  set_slot t vbn key word;
+  note_write t vbn
+
+let write t vbn payload =
+  let key = t.codec.key payload in
+  if key >= 0 then write_compact t vbn ~key ~word:(t.codec.word payload)
+  else begin
+    check t vbn;
+    if key_at t vbn = boxed_key then t.images.(Int64.to_int (word_at t vbn)) <- payload
+    else begin
+      let i = take_index t payload in
+      t.images.(i) <- payload;
+      set_slot t vbn boxed_key (Int64.of_int i)
+    end;
+    note_write t vbn
+  end
 
 let read t vbn =
   check t vbn;
@@ -147,10 +163,21 @@ let discard t vbn =
   let key = key_at t vbn in
   if key = absent_key then None
   else begin
+    let pg = page t vbn in
     let word = word_at t vbn in
-    set64u (page t vbn) (off vbn) (Int64.of_int absent_key);
+    set64u pg (off vbn) (Int64.of_int absent_key);
+    let n = present pg - 1 in
+    if n = 0 then t.pages.(vbn lsr page_bits) <- Bytes.empty else set_present pg n;
     if key = boxed_key then Some (release t (Int64.to_int word)) else None
   end
+
+let[@inline] compact_key t vbn =
+  check t vbn;
+  let key = key_at t vbn in
+  if key >= 0 then key else -1
+
+let[@inline] compact_word t vbn = word_at t vbn
+let codec t = t.codec
 
 let read_checked t vbn =
   check t vbn;

@@ -9,11 +9,14 @@
     Payloads are polymorphic: the file-system layer instantiates ['b]
     with its on-disk block representation.  Every slot is two unboxed
     64-bit words in a page of 4096 VBNs, made at the first write into
-    it, so host memory follows the pages ever written, not the
-    aggregate's size.  An image the store's {!codec} packs (a {e compact}
+    it and handed back when a {!discard} empties it, so host memory
+    follows the pages that hold images, not the aggregate's size.  An image the store's {!codec} packs (a {e compact}
     image) is those two words, in storage the GC never scans; any other
     image is {e boxed}: the words hold its index in one dense vector of
-    references.  Without a codec every image is boxed.
+    references.  Without a codec every image is boxed.  The write path
+    carries compact images as those two words too: {!Raid}'s batches
+    hold a block's key and word and store them with {!write_compact},
+    so no image value is built between the cleaner and the store.
 
     A boxed payload is a shared reference, not a copy: one returned by
     {!read} (or {!Raid.read}) stays valid only until the consistency
@@ -50,9 +53,18 @@ val set_fault : 'b t -> Fault.t -> unit
 
 val fault : 'b t -> Fault.t option
 
+val codec : 'b t -> 'b codec
+(** The store's codec (one that packs nothing when made without one). *)
+
 val write : 'b t -> Geometry.vbn -> 'b -> unit
 (** Store a payload.  Raises [Invalid_argument] on an out-of-range VBN.
     Writing a sector with a latent media error remaps (clears) it. *)
+
+val write_compact : 'b t -> Geometry.vbn -> key:int -> word:int64 -> unit
+(** [write t vbn p] for the compact image whose codec key is [key] and
+    word is [word], without building [p]: the same slot, the same count
+    and the same media-error remap.  Raises [Invalid_argument] on an
+    out-of-range VBN or a negative key. *)
 
 val discard : 'b t -> Geometry.vbn -> 'b option
 (** Drop the image stored at a VBN and return it if it was boxed ([None]
@@ -60,7 +72,8 @@ val discard : 'b t -> Geometry.vbn -> 'b option
     hand back, so dropping one allocates nothing).  {!read} returns
     [None] until the next {!write} stores a new one.  No later read can
     return a dropped boxed image, so ownership passes to the caller.
-    Not a write (leaves {!writes_total} and the fault plan alone).
+    Not a write (leaves {!writes_total} and the fault plan alone).  The
+    discard that leaves a page with no image hands the page back.
     Raises [Invalid_argument] on an out-of-range VBN.  The file system
     calls it once the consistency point that freed the block is
     published and no snapshot holds it, so the store keeps an image only
@@ -72,7 +85,16 @@ val read : 'b t -> Geometry.vbn -> 'b option
     reference; a compact one is unpacked into a fresh value-equal copy.
     Fault-aware callers use {!read_checked} or {!Raid.read}; outside the
     storage layer, [wafl_lint] rejects raw reads ({!read},
-    {!read_checked}, {!read_exn}). *)
+    {!read_checked}, {!read_exn}, {!compact_key}, {!compact_word}). *)
+
+val compact_key : 'b t -> Geometry.vbn -> int
+(** The codec key of the compact image a slot holds, or -1 if it holds
+    none (absent or boxed).  A raw read, as {!read}: outside the storage
+    layer, go through {!Raid.read_word}. *)
+
+val compact_word : 'b t -> Geometry.vbn -> int64
+(** The word of the compact image a slot holds; meaningless unless
+    {!compact_key} is non-negative.  A raw read, as {!read}. *)
 
 val read_checked : 'b t -> Geometry.vbn -> [ `Ok of 'b | `Absent | `Media_error ]
 (** Like {!read} but surfaces latent media errors from the fault plan;

@@ -1,8 +1,24 @@
 open Wafl_sim
 
+(* A batch is one write I/O's entries in submission order, 24 bytes each
+   in [slots]: the vbn, the disk codec's key and its word.  A compact
+   image is that key (>= 0) and word, exactly the disk slot it becomes;
+   a boxed one has key [boxed_entry] and its payload in [boxed], at the
+   index its word holds.  [slots] and [boxed] grow on demand and are kept
+   when the group recycles the batch, but [boxed] is refilled with the
+   codec's vacant image (or dropped, without one), so a recycled batch
+   keeps no payload reachable. *)
+type 'b batch = {
+  disk : 'b Disk.t;
+  mutable n : int;
+  mutable slots : Bytes.t;
+  mutable boxed : 'b array;
+  mutable n_boxed : int;
+}
+
 type 'b request =
   | Io of {
-      writes : (Geometry.vbn * 'b) list;
+      batch : 'b batch;
       on_complete : unit -> unit;
       submitted_at : float;
       h : Wafl_obs.Causal.handoff; (* submitter's causal context *)
@@ -15,7 +31,7 @@ type 'b t = {
   disk : 'b Disk.t;
   rg : int;
   flash : Wafl_flash.Ftl.t option; (* FTL media model, None = flat slab *)
-  mutable stream_of : 'b -> int; (* payload -> flash write stream *)
+  mutable stream_of : int -> 'b option -> int; (* codec key, boxed payload -> stream *)
   obs : Wafl_obs.Trace.t;
   obs_on : bool; (* Trace.enabled obs, hoisted off the hot path *)
   causal_on : bool; (* Causal.enabled obs, hoisted likewise *)
@@ -25,6 +41,7 @@ type 'b t = {
   m_blocks : Metrics.counter;
   data_width : int;
   mutable stripe_counts : int array; (* all zero between I/Os; see [stripe_mix] *)
+  mutable spare_batches : 'b batch list; (* recycled, empty *)
   queue_depth : int;
   queue : 'b request Sync.Channel.t;
   done_q : Sync.Waitq.t;
@@ -43,29 +60,101 @@ type 'b t = {
   mutable rebuilt : int;
 }
 
+(* --- batches ------------------------------------------------------------ *)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let entry_bytes = 24
+let boxed_entry = -1
+let batch_length (b : _ batch) = b.n
+let[@inline] entry_vbn b i = Int64.to_int (get64u b.slots (entry_bytes * i))
+let[@inline] entry_key b i = Int64.to_int (get64u b.slots ((entry_bytes * i) + 8))
+let[@inline] entry_word b i = get64u b.slots ((entry_bytes * i) + 16)
+let entry_boxed b i = b.boxed.(Int64.to_int (entry_word b i))
+
+(* The payload of entry [i], for the failure path: the only place a
+   compact entry is unpacked. *)
+let entry_payload (b : _ batch) i =
+  let key = entry_key b i in
+  if key >= 0 then (Disk.codec b.disk).Disk.unpack key (entry_word b i) else entry_boxed b i
+
+let grow_slots (b : _ batch) =
+  let bigger = Bytes.create (max (64 * entry_bytes) (2 * Bytes.length b.slots)) in
+  Bytes.blit b.slots 0 bigger 0 (entry_bytes * b.n);
+  b.slots <- bigger
+
+let[@inline] add_entry (b : _ batch) vbn key word =
+  if entry_bytes * (b.n + 1) > Bytes.length b.slots then grow_slots b;
+  let o = entry_bytes * b.n in
+  set64u b.slots o (Int64.of_int vbn);
+  set64u b.slots (o + 8) (Int64.of_int key);
+  set64u b.slots (o + 16) word;
+  b.n <- b.n + 1
+
+let[@inline] add_compact b vbn ~key ~word =
+  if key < 0 then invalid_arg "Raid.add_compact: negative key";
+  add_entry b vbn key word
+
+let add_boxed (b : _ batch) vbn payload =
+  if b.n_boxed = Array.length b.boxed then begin
+    let fill = match (Disk.codec b.disk).Disk.vacant with Some v -> v | None -> payload in
+    let bigger = Array.make (max 16 (2 * b.n_boxed)) fill in
+    Array.blit b.boxed 0 bigger 0 b.n_boxed;
+    b.boxed <- bigger
+  end;
+  b.boxed.(b.n_boxed) <- payload;
+  add_entry b vbn boxed_entry (Int64.of_int b.n_boxed);
+  b.n_boxed <- b.n_boxed + 1
+
+let add (b : _ batch) vbn payload =
+  let codec = Disk.codec b.disk in
+  let key = codec.Disk.key payload in
+  if key >= 0 then add_entry b vbn key (codec.Disk.word payload) else add_boxed b vbn payload
+
+(* The batch pool is shared by every submitter and the service fibers,
+   behind the I/O dispatch lock. *)
+let pool_probe t = if Engine.sanitizing t.eng then Engine.probe_atomic t.eng ~shared:"raid.pool"
+
+let batch t =
+  pool_probe t;
+  match t.spare_batches with
+  | b :: rest ->
+      t.spare_batches <- rest;
+      b
+  | [] -> { disk = t.disk; n = 0; slots = Bytes.empty; boxed = [||]; n_boxed = 0 }
+
+let recycle t (b : _ batch) =
+  (match (Disk.codec t.disk).Disk.vacant with
+  | Some v -> Array.fill b.boxed 0 b.n_boxed v
+  | None -> b.boxed <- [||]);
+  b.n <- 0;
+  b.n_boxed <- 0;
+  pool_probe t;
+  t.spare_batches <- b :: t.spare_batches
+
 (* Count full vs partial stripes in one I/O: a stripe (distinct dbn) is
    full when every data drive of the group contributes a block.  Blocks
    are tallied per dbn in [stripe_counts] over the I/O's dbn span (one
    Allocation Area or so for a tetris I/O), and the closing scan zeroes
    the tallies again. *)
-let stripe_mix t writes =
+let[@inline never] stripe_mix t (b : _ batch) =
   let geom = Disk.geometry t.disk in
   let lo = ref max_int and hi = ref (-1) in
-  List.iter
-    (fun (vbn, _) ->
-      if Geometry.rg_of geom vbn <> t.rg then invalid_arg "Raid.submit: vbn not in this group";
-      let d = Geometry.dbn_of geom vbn in
-      if d < !lo then lo := d;
-      if d > !hi then hi := d)
-    writes;
+  for i = 0 to b.n - 1 do
+    let vbn = entry_vbn b i in
+    if Geometry.rg_of geom vbn <> t.rg then invalid_arg "Raid.submit: vbn not in this group";
+    let d = Geometry.dbn_of geom vbn in
+    if d < !lo then lo := d;
+    if d > !hi then hi := d
+  done;
   let span = !hi - !lo + 1 in
   if span > Array.length t.stripe_counts then t.stripe_counts <- Array.make span 0;
   let counts = t.stripe_counts in
-  List.iter
-    (fun (vbn, _) ->
-      let i = Geometry.dbn_of geom vbn - !lo in
-      counts.(i) <- counts.(i) + 1)
-    writes;
+  for i = 0 to b.n - 1 do
+    let d = Geometry.dbn_of geom (entry_vbn b i) - !lo in
+    counts.(d) <- counts.(d) + 1
+  done;
   let full = ref 0 and partial = ref 0 in
   for i = 0 to span - 1 do
     let n = counts.(i) in
@@ -75,6 +164,41 @@ let stripe_mix t writes =
     end
   done;
   (!full, !partial)
+
+(* Make the durable entries of a batch durable, in submission order: one
+   [Fault.write_fails] test per entry, a failed entry unpacked onto
+   [failed_writes], every other one stored in its slot format and, with
+   a flash model, classified and programmed.  [give_up] (transient
+   retries exhausted) fails every entry untested.
+
+   This and [stripe_mix] stay out of line: the service fiber's [loop] is
+   the bottom frame of its stack, and a poll inlined into it records no
+   source location, so a host-time sample taken there (the [bench/perf]
+   sampler, DESIGN.md §4.9) could not be charged to this library. *)
+let[@inline never] write_batch t (b : _ batch) ~give_up =
+  let fault = Disk.fault t.disk in
+  let geom = Disk.geometry t.disk in
+  let pages = ref [] in
+  for i = 0 to b.n - 1 do
+    let vbn = entry_vbn b i in
+    if give_up || match fault with Some f -> Fault.write_fails f vbn | None -> false then
+      t.failed_writes <- (vbn, entry_payload b i) :: t.failed_writes
+    else begin
+      let key = entry_key b i in
+      if key >= 0 then Disk.write_compact t.disk vbn ~key ~word:(entry_word b i)
+      else Disk.write t.disk vbn (entry_boxed b i);
+      (* With a flash model attached, the durable writes also program
+         NAND pages. *)
+      match t.flash with
+      | None -> ()
+      | Some _ ->
+          let boxed = if key >= 0 then None else Some (entry_boxed b i) in
+          pages := (Geometry.rg_offset geom vbn, t.stream_of key boxed) :: !pages
+    end
+  done;
+  (* Programming charges program time and any GC-induced stall before
+     on_complete, so media push-back shows up in CP write latency. *)
+  match t.flash with None -> () | Some ftl -> Wafl_flash.Ftl.host_write ftl (List.rev !pages)
 
 (* Reconstruct the lost drive onto a spare, one stripe block at a time.
    Progress lives in the fault plan (it survives a crash; a re-created
@@ -118,7 +242,7 @@ let service_fiber t () =
   let rec loop () =
     match Sync.Channel.recv t.queue with
     | Stop -> ()
-    | Io { writes; on_complete; submitted_at; h } ->
+    | Io { batch; on_complete; submitted_at; h } ->
         (* The service fiber picks up the request: the submitter's causal
            context becomes this fiber's, so the I/O span (and the queue
            wait it reveals) attribute to the submitting CP. *)
@@ -151,8 +275,8 @@ let service_fiber t () =
               in
               attempt 0 t.cost.Cost.transient_retry_backoff
         in
-        let full, partial = stripe_mix t writes in
-        let nblocks = List.length writes in
+        let full, partial = stripe_mix t batch in
+        let nblocks = batch.n in
         let service =
           t.cost.Cost.device_base_latency
           +. (float_of_int nblocks *. t.cost.Cost.device_write_per_block)
@@ -176,29 +300,8 @@ let service_fiber t () =
                in
                if t.causal_on then ("wait_us", wait) :: base else base)
             ();
-        let failed, ok =
-          match outcome with
-          | `Give_up -> (writes, []) (* retries exhausted: nothing became durable *)
-          | `Proceed ->
-              List.partition
-                (fun (vbn, _) ->
-                  match fault with Some f when Fault.write_fails f vbn -> true | _ -> false)
-                writes
-        in
-        List.iter (fun (vbn, payload) -> Disk.write t.disk vbn payload) ok;
-        (* With a flash model attached, the durable writes also program
-           NAND pages: this charges program time and any GC-induced stall
-           before on_complete, so media push-back shows up in CP write
-           latency. *)
-        (match t.flash with
-        | None -> ()
-        | Some ftl ->
-            let geom = Disk.geometry t.disk in
-            Wafl_flash.Ftl.host_write ftl
-              (List.map
-                 (fun (vbn, payload) -> (Geometry.rg_offset geom vbn, t.stream_of payload))
-                 ok));
-        if failed <> [] then t.failed_writes <- List.rev_append failed t.failed_writes;
+        write_batch t batch ~give_up:(outcome = `Give_up);
+        recycle t batch;
         t.ios <- t.ios + 1;
         t.blocks <- t.blocks + nblocks;
         t.full <- t.full + full;
@@ -224,7 +327,7 @@ let create ?(queue_depth = 4) ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost 
       disk;
       rg;
       flash;
-      stream_of = (fun _ -> 0);
+      stream_of = (fun _ _ -> 0);
       obs;
       obs_on = Wafl_obs.Trace.enabled obs;
       causal_on = Wafl_obs.Causal.enabled obs;
@@ -234,6 +337,7 @@ let create ?(queue_depth = 4) ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost 
       m_blocks = Metrics.counter m "raid.blocks";
       data_width = Geometry.data_drives (Disk.geometry disk) ~rg;
       stripe_counts = [||];
+      spare_batches = [];
       queue_depth;
       queue = Sync.Channel.create eng;
       done_q = Sync.Waitq.create eng;
@@ -276,13 +380,18 @@ let trim t vbn =
   | None -> ()
   | Some ftl -> Wafl_flash.Ftl.trim ftl ~lpn:(lpn_of t vbn)
 
-let read t vbn =
+(* The fault-aware half of every read: [`Ok] when the slot can be served
+   as stored, [`Degraded] when the block is reconstructed from the parity
+   model (the reconstruction rewrites a bad sector, so the slot then
+   serves it too), [`Lost] on a double failure.  Counters and repairs
+   happen here; presence is the caller's to check. *)
+let read_path t vbn =
   let geom = Disk.geometry t.disk in
   if Geometry.rg_of geom vbn <> t.rg then invalid_arg "Raid.read: vbn not in this group";
   check_failure t;
   match Disk.fault t.disk with
-  | None -> ( match Disk.read t.disk vbn with Some p -> `Ok p | None -> `Absent)
-  | Some fault -> (
+  | None -> `Ok
+  | Some fault ->
       let loc = Geometry.locate geom vbn in
       let failure =
         if t.degraded then Fault.failure_for fault ~rg:t.rg ~now:(Engine.now t.eng) else None
@@ -312,50 +421,68 @@ let read t vbn =
         else begin
           Fault.note_degraded_read fault;
           t.degraded_reads_served <- t.degraded_reads_served + 1;
-          match Disk.read t.disk vbn with Some p -> `Degraded p | None -> `Absent
+          `Degraded
         end
       end
-      else
-        match Disk.read_checked t.disk vbn with
-        | `Ok p -> `Ok p
-        | `Absent -> `Absent
-        | `Media_error ->
-            (* Reconstruction needs every other drive of the stripe — in
-               degraded mode the failed drive's copy is gone too. *)
-            let failed_peer_needed =
-              match failure with
-              | Some f ->
-                  f.Fault.fail_drive <> loc.Geometry.drive
-                  && loc.Geometry.dbn >= f.Fault.rebuilt_to
-              | None -> false
-            in
-            if failed_peer_needed then begin
-              Fault.note_unrecoverable fault;
-              `Lost
-            end
-            else begin
-              Fault.note_media_error fault;
-              Fault.note_degraded_read fault;
-              t.degraded_reads_served <- t.degraded_reads_served + 1;
-              (* The reconstructed block is rewritten, repairing the sector. *)
-              Fault.clear_media_error fault vbn;
-              match Disk.read t.disk vbn with Some p -> `Degraded p | None -> `Absent
-            end)
+      else if not (Fault.media_error fault vbn) then `Ok
+      else begin
+        (* Reconstruction needs every other drive of the stripe — in
+           degraded mode the failed drive's copy is gone too. *)
+        let failed_peer_needed =
+          match failure with
+          | Some f ->
+              f.Fault.fail_drive <> loc.Geometry.drive && loc.Geometry.dbn >= f.Fault.rebuilt_to
+          | None -> false
+        in
+        if failed_peer_needed then begin
+          Fault.note_unrecoverable fault;
+          `Lost
+        end
+        else begin
+          Fault.note_media_error fault;
+          Fault.note_degraded_read fault;
+          t.degraded_reads_served <- t.degraded_reads_served + 1;
+          (* The reconstructed block is rewritten, repairing the sector. *)
+          Fault.clear_media_error fault vbn;
+          `Degraded
+        end
+      end
 
-let submit t ~writes ~on_complete =
-  if writes = [] then on_complete ()
+let read t vbn =
+  match read_path t vbn with
+  | `Lost -> `Lost
+  | `Ok -> ( match Disk.read t.disk vbn with Some p -> `Ok p | None -> `Absent)
+  | `Degraded -> ( match Disk.read t.disk vbn with Some p -> `Degraded p | None -> `Absent)
+
+let read_word t vbn ~key =
+  match read_path t vbn with
+  | `Lost -> `Lost
+  | `Ok | `Degraded -> (
+      if key >= 0 && Disk.compact_key t.disk vbn = key then `Word (Disk.compact_word t.disk vbn)
+      else match Disk.read t.disk vbn with Some p -> `Other p | None -> `Absent)
+
+let submit_batch t (b : _ batch) ~on_complete =
+  if b.n = 0 then begin
+    recycle t b;
+    on_complete ()
+  end
   else begin
     Engine.consume t.cost.Cost.raid_io_dispatch;
     t.outstanding <- t.outstanding + 1;
     Sync.Channel.send t.queue
       (Io
          {
-           writes;
+           batch = b;
            on_complete;
            submitted_at = Engine.now t.eng;
            h = Wafl_obs.Causal.capture t.obs ~kind:"raid";
          })
   end
+
+let submit t ~writes ~on_complete =
+  let b = batch t in
+  List.iter (fun (vbn, payload) -> add b vbn payload) writes;
+  submit_batch t b ~on_complete
 
 let quiesce t =
   while t.outstanding > 0 do

@@ -7,6 +7,15 @@
     writes need no parity reads).  Payloads become durable — visible in
     the {!Disk} — at I/O completion.
 
+    An I/O is a {!batch}: its entries in submission order, each a vbn and
+    either the disk's own slot format for a compact image (the codec key
+    and word, see {!Disk.codec}) or a boxed payload.  The service fiber
+    stores each entry with {!Disk.write_compact} or {!Disk.write}, so a
+    cleaned data block travels from the cleaner to the store as two
+    words and no image value.  Each group pools its batches: a completed
+    I/O's batch is emptied (keeping no payload reachable) and handed out
+    again by {!batch}; its arrays grow on demand.
+
     Statistics exposed here (full vs partial stripe counts) back the
     allocation-quality ablation benchmarks.
 
@@ -47,10 +56,12 @@ val rg : 'b t -> int
 val flash : 'b t -> Wafl_flash.Ftl.t option
 (** The attached FTL media model, if any. *)
 
-val set_stream_of : 'b t -> ('b -> int) -> unit
-(** Install the payload -> flash-write-stream classifier (default: all
-    payloads to stream 0).  Only consulted when a flash model is
-    attached. *)
+val set_stream_of : 'b t -> (int -> 'b option -> int) -> unit
+(** Install the flash-write-stream classifier (default: every write to
+    stream 0), called once per durable entry in submission order.  It
+    gets the entry's codec key, and [Some payload] for a boxed entry;
+    for a compact one (key [>= 0]) it gets [None], and no image is
+    built.  Only consulted when a flash model is attached. *)
 
 val trim : 'b t -> Geometry.vbn -> unit
 (** Tell the FTL this block's previous contents are dead (no-op without a
@@ -65,12 +76,45 @@ val read : 'b t -> Geometry.vbn -> [ `Ok of 'b | `Degraded of 'b | `Absent | `Lo
     this is exactly {!Disk.read}.  Usable outside fiber context (it
     never charges CPU); every VBN must belong to this group. *)
 
-val submit : 'b t -> writes:(Geometry.vbn * 'b) list -> on_complete:(unit -> unit) -> unit
-(** Enqueue one tetris I/O.  Charges the submitting fiber the CPU dispatch
-    cost; device service happens asynchronously in virtual time.
+val read_word :
+  'b t -> Geometry.vbn -> key:int -> [ `Word of int64 | `Other of 'b | `Absent | `Lost ]
+(** {!read} for a block expected to hold the compact image whose codec
+    key is [key] ([>= 0]): [`Word w] when it does, without building the
+    image, and [`Other p] when the slot holds any other image.  The same
+    fault-aware path as {!read}: a degraded read counts and repairs the
+    same way, and serves [`Word] or [`Other] as {!read} serves [`Degraded]. *)
+
+type 'b batch
+(** The entries of one write I/O, in submission order. *)
+
+val batch : 'b t -> 'b batch
+(** An empty batch for this group: a recycled one from the pool, or a
+    fresh one. *)
+
+val add : 'b batch -> Geometry.vbn -> 'b -> unit
+(** Append a write, packed through the disk's codec: compact when the
+    codec packs the payload, boxed otherwise. *)
+
+val add_compact : 'b batch -> Geometry.vbn -> key:int -> word:int64 -> unit
+(** Append the compact image whose codec key is [key] and word is
+    [word], without building it.  Raises [Invalid_argument] on a
+    negative key. *)
+
+val batch_length : 'b batch -> int
+
+val submit_batch : 'b t -> 'b batch -> on_complete:(unit -> unit) -> unit
+(** Enqueue one tetris I/O, handing the batch to the group: the caller
+    must not touch it again.  Charges the submitting fiber the CPU
+    dispatch cost; device service happens asynchronously in virtual
+    time, and the batch goes back to the pool when it completes.
     [on_complete] runs in a service-fiber context after the payloads are
     durable — it must only update counters / wake fibers.  Every VBN must
-    belong to this RAID group. *)
+    belong to this RAID group.  An empty batch completes at once. *)
+
+val submit : 'b t -> writes:(Geometry.vbn * 'b) list -> on_complete:(unit -> unit) -> unit
+(** {!submit_batch} of a batch holding [writes], added in order.  The
+    file system submits batches; this form serves the per-layer
+    micro-benchmarks. *)
 
 val quiesce : 'b t -> unit
 (** Park until all submitted I/Os have completed. *)

@@ -6,6 +6,7 @@ let create ?(initial_capacity = 16) ~default () =
 
 let default t = t.default
 let length t = t.len
+let capacity t = Array.length t.data
 
 let get t i =
   if i < 0 then invalid_arg "Intvec.get: negative index";

@@ -10,6 +10,9 @@ val default : t -> int
 val length : t -> int
 (** One past the highest index ever written. *)
 
+val capacity : t -> int
+(** Entries in the backing array: {!set} below it never reallocates. *)
+
 val get : t -> int -> int
 val set : t -> int -> int -> unit
 (** Grows the vector as needed; intermediate slots read as the default. *)

@@ -15,6 +15,7 @@ let _bad_raw_reset t = Wafl_obs.Trace.fiber_reset t
 let _bad_raw_health t ev = Wafl_obs.Health.emit t ev
 let _bad_discard disk = Wafl_storage.Disk.discard disk 42
 let _bad_raw_read disk = Wafl_storage.Disk.read disk 42
+let _bad_raw_word disk = Wafl_storage.Disk.compact_word disk 42
 let _bad_recycle spares img = Wafl_util.Packed.recycle spares img
 let _bad_registry t = Wafl_obs.Trace.metrics t
 

@@ -101,6 +101,87 @@ let test_tetris_submit_now_then_more () =
            (Wafl_storage.Disk.read disk 2 <> None)));
   Engine.run eng
 
+(* --- Allocation guard: the data-block write path ---
+
+   Once the pools are warm (the group's batch has grown to the I/O's
+   size, the disk's pages exist), a data block cleaned through
+   [Api.use_data] into a tetris and made durable by the RAID group
+   allocates nothing: its key and content travel as words from the call
+   to the disk slot.  What an I/O allocates for itself (its request, the
+   completion closure, the service fiber's bookkeeping) does not depend
+   on its size, so two I/Os of different sizes allocate the same. *)
+
+let test_alloc_clean_to_disk () =
+  let eng = Engine.create ~cores:1 () in
+  let geom = Geometry.create ~drive_blocks:8192 ~aa_stripes:512 ~raid_groups:[ (3, 1) ] () in
+  let disk = Wafl_storage.Disk.create ~codec:Layout.data_codec geom in
+  let raid = Wafl_storage.Raid.create eng ~cost:Cost.default ~disk ~rg:0 in
+  let clean n =
+    let words = ref nan in
+    ignore
+      (Engine.spawn eng ~label:"cleaner" (fun () ->
+           let tetris = Tetris.create eng ~cost:Cost.default ~raid ~expected_buckets:1 in
+           let b = Bucket.make ~target:phys_target ~tetris ~vbns:(Array.init n Fun.id) () in
+           let w0 = Gc.minor_words () in
+           for fbn = 0 to n - 1 do
+             ignore (Api.use_data b ~vol:1 ~file:2 ~fbn ~content:(Int64.of_int (fbn * 3)))
+           done;
+           Tetris.bucket_done tetris;
+           Wafl_storage.Raid.quiesce raid;
+           words := Gc.minor_words () -. w0));
+    Engine.run eng;
+    !words
+  in
+  ignore (clean 4096);
+  ignore (clean 1024);
+  let small = clean 1024 and large = clean 4096 in
+  Alcotest.(check (float 0.0)) "words per block" 0.0 ((large -. small) /. 3072.0);
+  Alcotest.(check bool) "durable, compact" true
+    (Wafl_storage.Disk.read disk 4095
+    = Some (Layout.Data { vol = 1; file = 2; fbn = 4095; content = Int64.of_int (4095 * 3) }))
+
+(* The same path inside a whole CP, cleaner pool included: a CP over
+   fresh blocks allocates about 10 words a block, for what the cleaner,
+   the infrastructure and the metafile images need per block; the data
+   block itself adds nothing.  A [Layout.Data] built per block (a record
+   and its boxed content, 8 words) breaks the bound. *)
+let test_alloc_cp_per_block () =
+  let eng = Engine.create ~cores:8 () in
+  let geometry =
+    Geometry.create ~drive_blocks:16384 ~aa_stripes:512 ~raid_groups:[ (3, 1) ] ()
+  in
+  let agg = Aggregate.create eng ~cost:Cost.default ~geometry ~nvlog_half:8192 () in
+  let walloc = Walloc.create agg Walloc.default_config in
+  let per_block = ref nan in
+  ignore
+    (Engine.spawn eng ~label:"setup" (fun () ->
+         let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
+         Walloc.register_volume walloc vol;
+         let f = Aggregate.create_file agg ~vol:(Volume.id vol) in
+         let next = ref 0 in
+         let cp n =
+           for fbn = !next to !next + n - 1 do
+             ignore
+               (Aggregate.write agg ~vol:(Volume.id vol) ~file:(File.id f) ~fbn
+                  ~content:(Int64.of_int fbn))
+           done;
+           next := !next + n;
+           let w0 = Gc.minor_words () in
+           Cp.run_now (Walloc.cp walloc);
+           Gc.minor_words () -. w0
+         in
+         ignore (cp 2048);
+         ignore (cp 2048);
+         let extra = ref 0.0 in
+         for _ = 1 to 3 do
+           let small = cp 1024 in
+           extra := !extra +. (cp 2048 -. small)
+         done;
+         per_block := !extra /. 3072.0));
+  Engine.run eng;
+  Alcotest.(check bool) (Printf.sprintf "%.2f words a cleaned block" !per_block) true
+    (!per_block <= 12.0)
+
 (* --- a full stack for infra / pool tests --- *)
 
 let small_geom () = Geometry.create ~drive_blocks:8192 ~aa_stripes:512 ~raid_groups:[ (3, 1) ] ()
@@ -424,6 +505,11 @@ let () =
             test_infra_equal_progress_per_drive;
           Alcotest.test_case "frees committed and frozen" `Quick test_infra_frees_committed;
           Alcotest.test_case "virt bucket roundtrip" `Quick test_infra_virt_bucket_roundtrip;
+        ] );
+      ( "alloc-guard",
+        [
+          Alcotest.test_case "clean to disk, per block" `Quick test_alloc_clean_to_disk;
+          Alcotest.test_case "cp words per data block" `Quick test_alloc_cp_per_block;
         ] );
       ( "cleaner_pool",
         [

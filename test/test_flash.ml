@@ -167,16 +167,21 @@ let test_seed_changes_signature () =
 
 (* --- temperature classifier --------------------------------------------- *)
 
-let data ~fbn = Wafl_fs.Layout.Data { vol = 0; file = 1; fbn; content = 0L }
+(* The classifier sees what a RAID batch holds: a compact data block as
+   its codec key (no image), anything else as the boxed payload. *)
+let data ~fbn = (Wafl_fs.Layout.key_of_data ~vol:0 ~file:1 ~fbn, None)
 
 let test_temperature_classifier () =
-  let classify = Wafl_core.Tetris.make_temperature_stream () in
+  let stream = Wafl_core.Tetris.make_temperature_stream () in
+  let classify (key, boxed) = stream key boxed in
+  let boxed p = (-1, Some p) in
   (* Metafile payloads are always hot. *)
   let entries = Wafl_util.Packed.of_ints [||] ~pos:0 ~len:0 ~default:(-1) in
   let words = Wafl_util.Packed.of_words Bytes.empty ~pos:0 ~len:0 in
   Alcotest.(check int) "bmap hot" 1
-    (classify (Wafl_fs.Layout.Bmap { vol = 0; file = 1; index = 0; entries }));
-  Alcotest.(check int) "aggmap hot" 1 (classify (Wafl_fs.Layout.Agg_map { index = 0; words }));
+    (classify (boxed (Wafl_fs.Layout.Bmap { vol = 0; file = 1; index = 0; entries })));
+  Alcotest.(check int) "aggmap hot" 1
+    (classify (boxed (Wafl_fs.Layout.Agg_map { index = 0; words })));
   (* First sighting of a data block is cold. *)
   Alcotest.(check int) "first write cold" 0 (classify (data ~fbn:0));
   (* Track a population of blocks, then rewrite one immediately: its
@@ -186,6 +191,10 @@ let test_temperature_classifier () =
   done;
   ignore (classify (data ~fbn:0));
   Alcotest.(check int) "rapid rewrite hot" 1 (classify (data ~fbn:0));
+  (* The same block boxed (as one whose fields overflowed the key would
+     be) is tracked by the same stamps. *)
+  Alcotest.(check int) "boxed rewrite hot" 1
+    (classify (boxed (Wafl_fs.Layout.Data { vol = 0; file = 1; fbn = 0; content = 0L })));
   (* A block not seen since the start of tracking reads as cold. *)
   Alcotest.(check int) "stale rewrite cold" 0 (classify (data ~fbn:1))
 

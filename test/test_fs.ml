@@ -243,6 +243,18 @@ let test_volume_container_map () =
   Alcotest.(check int) "cleared" (-1) (Volume.pvbn_of_vvbn v 100);
   Alcotest.(check (list int)) "chunk dirty" [ 0 ] (Volume.dirty_container_chunks v)
 
+(* The vvbn space is fixed at creation, and so is the container map: a
+   volume with every vvbn mapped holds exactly one entry per vvbn. *)
+let test_volume_container_sized () =
+  let space = 557_056 in
+  let v = Volume.create ~id:0 ~vvbn_space:space in
+  Alcotest.(check int) "sized at creation" space (Volume.container_capacity v);
+  for vvbn = 0 to space - 1 do
+    ignore (Volume.map_vvbn v ~vvbn ~pvbn:vvbn)
+  done;
+  Alcotest.(check int) "every vvbn mapped" (space - 1) (Volume.pvbn_of_vvbn v (space - 1));
+  Alcotest.(check int) "no growth" space (Volume.container_capacity v)
+
 let test_volume_inode_chunks () =
   let v = Volume.create ~id:0 ~vvbn_space:1000 in
   for _ = 1 to 70 do
@@ -954,6 +966,44 @@ let[@inline never] weak_records disk pvbns =
    publish discards its block-map images, nothing keeps one reachable,
    not even the disk's vacated vector entries (the spare pool keeps only
    their buffers). *)
+(* A completed I/O's batch goes back to its group's pool keeping no
+   payload: once the store drops a metafile image the I/O carried,
+   nothing holds it, with the data codec's vacant image as the batch's
+   fill and without a codec alike.  Kept out of line so no register of
+   the test holds the image. *)
+let[@inline never] submit_metafile raid vbn =
+  let img = Layout.Inode_chunk { vol = 0; index = vbn; inodes = [] } in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some img);
+  let b = Wafl_storage.Raid.batch raid in
+  Wafl_storage.Raid.add b (vbn + 1) (Layout.Data { vol = 0; file = 1; fbn = 2; content = 3L });
+  Wafl_storage.Raid.add b vbn img;
+  Wafl_storage.Raid.submit_batch raid b ~on_complete:ignore;
+  w
+
+let test_batch_keeps_no_image () =
+  List.iter
+    (fun codec ->
+      let module Disk = Wafl_storage.Disk in
+      let eng = Wafl_sim.Engine.create ~cores:1 () in
+      let disk = Disk.create ?codec (small_geom ()) in
+      let w = ref (Weak.create 1) and group = ref None in
+      ignore
+        (Wafl_sim.Engine.spawn eng ~label:"io" (fun () ->
+             let raid = Wafl_storage.Raid.create eng ~cost:Wafl_sim.Cost.default ~disk ~rg:0 in
+             group := Some raid;
+             w := submit_metafile raid 100;
+             Wafl_storage.Raid.quiesce raid;
+             Alcotest.(check bool) "durable" true (Disk.discard disk 100 <> None);
+             Wafl_storage.Raid.shutdown raid));
+      Wafl_sim.Engine.run eng;
+      Gc.full_major ();
+      Alcotest.(check bool) "the image is not kept alive" true (Weak.get !w 0 = None);
+      (* The group, and so its pool, is still live here. *)
+      Alcotest.(check int) "one I/O" 1
+        (Wafl_storage.Raid.ios_completed (Option.get !group)))
+    [ Some Layout.data_codec; None ]
+
 let test_first_cp_snapshot_dropped () =
   let eng = Wafl_sim.Engine.create ~cores:8 () in
   let agg =
@@ -1448,7 +1498,8 @@ let test_alloc_geometry () =
 
 (* Slot traffic into pages the store already holds: a write into a
    present or an absent slot, and a discard.  A discard allocates only
-   the [Some] it returns (two words). *)
+   the [Some] it returns (two words).  The last slot of each page holds
+   an image throughout, so no discard empties its page. *)
 let test_alloc_disk () =
   let module Disk = Wafl_storage.Disk in
   let g =
@@ -1457,6 +1508,9 @@ let test_alloc_disk () =
   let d = Disk.create g in
   let payload = "image" in
   let vbn i = ((i mod 4) * 4096) + (i / 4) in
+  for page = 0 to 3 do
+    Disk.write d ((page * 4096) + 4095) payload
+  done;
   let write_all () =
     for i = 0 to n_calls - 1 do
       Disk.write d (vbn i) payload
@@ -1479,9 +1533,9 @@ let test_alloc_disk () =
     (minor_words_of discard_all);
   Alcotest.(check int) "every image dropped" n_calls !dropped
 
-(* The same traffic on a store with the data codec: compact writes and
-   discards allocate nothing, not even the option a boxed discard
-   returns. *)
+(* The same traffic on a store with the data codec (and the same kept
+   last slots): compact writes and discards allocate nothing, not even
+   the option a boxed discard returns. *)
 let test_alloc_disk_compact () =
   let module Disk = Wafl_storage.Disk in
   let g =
@@ -1490,6 +1544,9 @@ let test_alloc_disk_compact () =
   let d = Disk.create ~codec:Layout.data_codec g in
   let payload = Layout.Data { vol = 3; file = 5; fbn = 7; content = 0x1234_5678_9abc_def0L } in
   let vbn i = ((i mod 4) * 4096) + (i / 4) in
+  for page = 0 to 3 do
+    Disk.write d ((page * 4096) + 4095) payload
+  done;
   let write_all () =
     for i = 0 to n_calls - 1 do
       Disk.write d (vbn i) payload
@@ -1509,6 +1566,50 @@ let test_alloc_disk_compact () =
   check_no_alloc "compact discard" discard_all;
   Alcotest.(check int) "no image handed back" 0 !kept;
   Alcotest.(check bool) "discarded" true (Disk.read d (vbn 17) = None)
+
+(* A cached read of an on-disk compact block checks the slot's key and
+   takes its word: it builds no [Layout.Data] (a 5-word record, with the
+   [Some] and the [`Ok] around it, 9 words more: 23 in all).  What is
+   left is the result (the pair, its [Some] and the boxed content), the
+   RAID read's [`Word] and the options of the volume and file lookups:
+   14 words. *)
+let test_alloc_compact_read () =
+  let eng = Wafl_sim.Engine.create ~cores:8 () in
+  let agg =
+    Aggregate.create eng ~cost:Wafl_sim.Cost.default ~geometry:(small_geom ()) ~nvlog_half:4096 ()
+  in
+  let walloc = Wafl_core.Walloc.create agg Wafl_core.Walloc.default_config in
+  let ids = ref None in
+  ignore
+    (Wafl_sim.Engine.spawn eng ~label:"setup" (fun () ->
+         let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
+         Wafl_core.Walloc.register_volume walloc vol;
+         let f = Aggregate.create_file agg ~vol:(Volume.id vol) in
+         for fbn = 0 to 63 do
+           ignore
+             (Aggregate.write agg ~vol:(Volume.id vol) ~file:(File.id f) ~fbn
+                ~content:(content ~gen:0 ~fbn))
+         done;
+         Wafl_core.Cp.run_now (Wafl_core.Walloc.cp walloc);
+         ids := Some (Volume.id vol, File.id f)));
+  Wafl_sim.Engine.run eng;
+  let vol, file = Option.get !ids in
+  let sum = ref 0L in
+  let reads () =
+    for i = 0 to n_calls - 1 do
+      match Aggregate.read_cached_status agg ~vol ~file ~fbn:(i land 63) with
+      | Some c, (`Hit | `Miss) -> sum := Int64.add !sum c
+      | _ -> Alcotest.fail "expected an on-disk read"
+    done
+  in
+  reads ();
+  let per_read = minor_words_of reads /. float_of_int n_calls in
+  Alcotest.(check (float 0.0)) "words a read" 14.0 per_read;
+  let expected = ref 0 in
+  for i = 0 to n_calls - 1 do
+    expected := !expected + (2 * (i land 63))
+  done;
+  Alcotest.(check int64) "contents, both passes" (Int64.of_int !expected) !sum
 
 (* Memory guard: a data block written through the aggregate and a CP
    adds no heap block to the disk.  Its two compact words live in a page
@@ -1583,6 +1684,8 @@ let () =
         [
           Alcotest.test_case "dirty inode tracking" `Quick test_volume_dirty_inode_tracking;
           Alcotest.test_case "container map" `Quick test_volume_container_map;
+          Alcotest.test_case "container map sized at creation" `Quick
+            test_volume_container_sized;
           Alcotest.test_case "inode chunks" `Quick test_volume_inode_chunks;
           Alcotest.test_case "vol_rec roundtrip" `Quick test_volume_vol_rec_roundtrip;
           Alcotest.test_case "recent frees" `Quick test_volume_recent_frees;
@@ -1633,6 +1736,8 @@ let () =
           Alcotest.test_case "spare pool holds one publish" `Quick test_spare_pool_bounded;
           Alcotest.test_case "first-CP snapshot images dropped" `Quick
             test_first_cp_snapshot_dropped;
+          Alcotest.test_case "completed I/O batches keep no image" `Quick
+            test_batch_keeps_no_image;
         ] );
       ( "alloc-guard",
         [
@@ -1648,5 +1753,6 @@ let () =
           Alcotest.test_case "disk slot traffic" `Quick test_alloc_disk;
           Alcotest.test_case "compact slot traffic" `Quick test_alloc_disk_compact;
           Alcotest.test_case "disk words per data block" `Quick test_disk_words_per_data_block;
+          Alcotest.test_case "cached read of a compact block" `Quick test_alloc_compact_read;
         ] );
     ]

@@ -154,11 +154,12 @@ let test_disk_unboxed_slots () =
       Disk.write d (-1) first)
 
 (* The store is paged (4096 slots a page): host memory follows the pages
-   ever written, not the aggregate's size.  A page is two words a slot
-   (8192, a padding word and a header); the first boxed image also makes
-   the 16-entry image vector and its free-index stack (17 words each)
-   and the fill option (2), in place of the empty array (one header)
-   both began as. *)
+   that hold images, not the aggregate's size.  A page is two words a
+   slot (8192), its present-slot count, a padding word and a header; the
+   first boxed image also makes the 16-entry image vector and its
+   free-index stack (17 words each) and the fill option (2), in place of
+   the empty array (one header) both began as.  The discard that empties
+   a page hands it back. *)
 let paper_geometry () = Geometry.create ~drive_blocks:262144 ~raid_groups:[ (10, 2); (10, 2) ] ()
 
 let test_disk_pages_made_at_first_write () =
@@ -173,20 +174,39 @@ let test_disk_pages_made_at_first_write () =
   Disk.write d 5 first;
   let one_write = words () in
   Alcotest.(check int) "the first write costs a page, the image vector and its image"
-    (empty + 8194 + 17 + 17 + 2 - 1 + Obj.reachable_words (Obj.repr first))
+    (empty + 8195 + 17 + 17 + 2 - 1 + Obj.reachable_words (Obj.repr first))
     one_write;
   let far = Geometry.total_data_blocks g - 1 in
   let big = String.make 80_000 'x' in
   Disk.write d far big;
   Alcotest.(check int) "a second page costs its slots and its image"
-    (one_write + 8194 + Obj.reachable_words (Obj.repr big))
+    (one_write + 8195 + Obj.reachable_words (Obj.repr big))
     (words ());
   Alcotest.(check (option string)) "last image handed back" (Some big) (Disk.discard d far);
-  Alcotest.(check int) "the page stays, its discarded image is not kept alive" (one_write + 8194)
-    (words ());
+  Alcotest.(check int) "the emptied page goes back with its image" one_write (words ());
   Alcotest.(check (option string)) "discarded slot reads absent" None (Disk.read d far);
   Disk.write d far "again";
-  Alcotest.(check (option string)) "written again" (Some "again") (Disk.read d far)
+  Alcotest.(check (option string)) "written again" (Some "again") (Disk.read d far);
+  (* Filling a page and discarding every slot of it returns the store to
+     its size before the page (compact images, so the page is all the
+     filling adds). *)
+  let c = Disk.create ~codec:Wafl_fs.Layout.data_codec g in
+  let words () = Obj.reachable_words (Obj.repr c) in
+  let before = words () in
+  let base = 3 * 4096 in
+  let img vbn = Wafl_fs.Layout.Data { vol = 0; file = 0; fbn = vbn; content = 0L } in
+  for vbn = base to base + 4095 do
+    Disk.write c vbn (img vbn)
+  done;
+  Alcotest.(check int) "a full page" (before + 8195) (words ());
+  for vbn = base to base + 4094 do
+    ignore (Disk.discard c vbn)
+  done;
+  Alcotest.(check int) "one slot keeps the page" (before + 8195) (words ());
+  Alcotest.(check bool) "the last slot survives" true
+    (Disk.read c (base + 4095) = Some (img (base + 4095)));
+  ignore (Disk.discard c (base + 4095));
+  Alcotest.(check int) "the emptied page is handed back" before (words ())
 
 let test_disk_discard_keeps_neighbours () =
   let d = Disk.create (paper_geometry ()) in
@@ -255,16 +275,16 @@ let test_compact_round_trip () =
           Alcotest.(check bool) "a value copy, not the written block" false (back == img)
       | None -> Alcotest.fail "compact image lost")
     images;
-  (* A compact page costs two words a slot (8192, a padding word and a
-     header) and no block per image. *)
+  (* A compact page costs two words a slot (8192), its present-slot
+     count, a padding word and a header, and no block per image. *)
   let words () = Obj.reachable_words (Obj.repr d) in
   let w0 = words () in
   Disk.write d 8192 (data ~vol:1 ~file:2 ~fbn:3 42L);
-  Alcotest.(check int) "a page of compact words" (w0 + 8194) (words ());
+  Alcotest.(check int) "a page of compact words" (w0 + 8195) (words ());
   for vbn = 8193 to 12287 do
     Disk.write d vbn (data ~vol:1 ~file:2 ~fbn:vbn (Int64.of_int vbn))
   done;
-  Alcotest.(check int) "filling the page adds nothing" (w0 + 8194) (words ());
+  Alcotest.(check int) "filling the page adds nothing" (w0 + 8195) (words ());
   Alcotest.(check bool) "last slot of the page" true
     (Disk.read d 12287 = Some (data ~vol:1 ~file:2 ~fbn:12287 12287L))
 
@@ -379,6 +399,12 @@ let with_engine f =
   Engine.run eng;
   match !result with Some v -> v | None -> Alcotest.fail "test fiber did not finish"
 
+(* One I/O of [writes], in order, as a batch from the group's pool. *)
+let submit raid ~writes ~on_complete =
+  let b = Raid.batch raid in
+  List.iter (fun (vbn, payload) -> Raid.add b vbn payload) writes;
+  Raid.submit_batch raid b ~on_complete
+
 let test_raid_write_durable () =
   let g = geom () in
   let d = Disk.create g in
@@ -386,7 +412,7 @@ let test_raid_write_durable () =
       let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
       let writes = List.init 8 (fun i -> (Geometry.vbn_of g ~rg:0 ~drive:(i mod 4) ~dbn:(i / 4), i)) in
       let completed = ref false in
-      Raid.submit raid ~writes ~on_complete:(fun () -> completed := true);
+      submit raid ~writes ~on_complete:(fun () -> completed := true);
       Alcotest.(check bool) "asynchronous" false !completed;
       Raid.quiesce raid;
       Alcotest.(check bool) "completed" true !completed;
@@ -405,7 +431,7 @@ let test_raid_full_vs_partial_stripes () =
         List.init 4 (fun drive -> (Geometry.vbn_of g ~rg:0 ~drive ~dbn:0, drive))
         @ [ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:1, 99) ]
       in
-      Raid.submit raid ~writes ~on_complete:(fun () -> ());
+      submit raid ~writes ~on_complete:(fun () -> ());
       Raid.quiesce raid;
       Alcotest.(check int) "one full stripe" 1 (Raid.full_stripes raid);
       Alcotest.(check int) "one partial stripe" 1 (Raid.partial_stripes raid);
@@ -436,7 +462,7 @@ let prop_stripe_mix_matches_tally =
           let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
           List.iter
             (fun io ->
-              Raid.submit raid
+              submit raid
                 ~writes:(List.map (fun (drive, dbn) -> (Geometry.vbn_of g ~rg:0 ~drive ~dbn, 0)) io)
                 ~on_complete:(fun () -> ()))
             ios;
@@ -454,7 +480,7 @@ let test_raid_partial_pays_parity_penalty () =
           if full then List.init 4 (fun drive -> (Geometry.vbn_of g ~rg:0 ~drive ~dbn:0, drive))
           else List.init 4 (fun dbn -> (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn, dbn))
         in
-        Raid.submit raid ~writes ~on_complete:(fun () -> ());
+        submit raid ~writes ~on_complete:(fun () -> ());
         Raid.quiesce raid;
         Raid.device_busy raid)
   in
@@ -474,7 +500,7 @@ let test_raid_rejects_foreign_vbn () =
     (Engine.spawn eng ~label:"test" (fun () ->
          let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
          let foreign = Geometry.vbn_of g ~rg:1 ~drive:0 ~dbn:0 in
-         Raid.submit raid ~writes:[ (foreign, 0) ] ~on_complete:(fun () -> ())));
+         submit raid ~writes:[ (foreign, 0) ] ~on_complete:(fun () -> ())));
   Alcotest.check_raises "foreign vbn rejected"
     (Invalid_argument "Raid.submit: vbn not in this group") (fun () -> Engine.run eng)
 
@@ -484,7 +510,7 @@ let test_raid_empty_submit_completes_inline () =
   with_engine (fun eng ->
       let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
       let completed = ref false in
-      Raid.submit raid ~writes:[] ~on_complete:(fun () -> completed := true);
+      submit raid ~writes:[] ~on_complete:(fun () -> completed := true);
       Alcotest.(check bool) "inline completion" true !completed;
       Raid.shutdown raid)
 
@@ -494,7 +520,7 @@ let test_raid_many_ios_in_order_counts () =
   with_engine (fun eng ->
       let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 ~queue_depth:2 in
       for i = 0 to 9 do
-        Raid.submit raid
+        submit raid
           ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:i, i) ]
           ~on_complete:(fun () -> ())
       done;
@@ -512,7 +538,7 @@ let test_media_error_reconstructed_and_repaired () =
   with_engine (fun eng ->
       let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
       let vbn = Geometry.vbn_of g ~rg:0 ~drive:1 ~dbn:5 in
-      Raid.submit raid ~writes:[ (vbn, 41) ] ~on_complete:(fun () -> ());
+      submit raid ~writes:[ (vbn, 41) ] ~on_complete:(fun () -> ());
       Raid.quiesce raid;
       Fault.add_media_error plan vbn;
       (match Raid.read raid vbn with
@@ -535,7 +561,7 @@ let test_transient_failures_retried_in_virtual_time () =
     with_engine (fun eng ->
         let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
         for i = 0 to 19 do
-          Raid.submit raid
+          submit raid
             ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:i, i) ]
             ~on_complete:(fun () -> ())
         done;
@@ -565,7 +591,7 @@ let test_disk_failure_degraded_then_rebuilt () =
   with_engine (fun eng ->
       let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
       let vbn = Geometry.vbn_of g ~rg:0 ~drive:2 ~dbn:100 in
-      Raid.submit raid ~writes:[ (vbn, 5) ] ~on_complete:(fun () -> ());
+      submit raid ~writes:[ (vbn, 5) ] ~on_complete:(fun () -> ());
       Raid.quiesce raid;
       Fault.fail_disk plan ~rg:0 ~drive:2 ~at:(Engine.now eng);
       (match Raid.read raid vbn with
@@ -591,7 +617,7 @@ let test_double_failure_is_lost () =
       let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
       let on_failed = Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:9 in
       let peer = Geometry.vbn_of g ~rg:0 ~drive:1 ~dbn:9 in
-      Raid.submit raid ~writes:[ (on_failed, 1); (peer, 2) ] ~on_complete:(fun () -> ());
+      submit raid ~writes:[ (on_failed, 1); (peer, 2) ] ~on_complete:(fun () -> ());
       Raid.quiesce raid;
       Fault.fail_disk plan ~rg:0 ~drive:0 ~at:(Engine.now eng);
       Fault.add_media_error plan peer;
@@ -613,7 +639,7 @@ let test_write_error_lands_in_take_failed () =
       let good = Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:0 in
       let bad = Geometry.vbn_of g ~rg:0 ~drive:1 ~dbn:0 in
       Fault.add_write_error plan bad;
-      Raid.submit raid ~writes:[ (good, 1); (bad, 2) ] ~on_complete:(fun () -> ());
+      submit raid ~writes:[ (good, 1); (bad, 2) ] ~on_complete:(fun () -> ());
       Raid.quiesce raid;
       Alcotest.(check (option int)) "good write durable" (Some 1) (Disk.read d good);
       Alcotest.(check (option int)) "bad write not durable" None (Disk.read d bad);
@@ -630,7 +656,7 @@ let test_shutdown_drains_queued_ios () =
   with_engine (fun eng ->
       let raid = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 ~queue_depth:1 in
       for i = 0 to 11 do
-        Raid.submit raid
+        submit raid
           ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:i, i) ]
           ~on_complete:(fun () -> ())
       done;
@@ -641,6 +667,123 @@ let test_shutdown_drains_queued_ios () =
         Alcotest.(check (option int)) "payload durable" (Some i)
           (Disk.read d (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:i))
       done)
+
+(* A batch against a list model.  Random I/Os mix compact data images,
+   data images whose fields overflow the key (so they are boxed) and
+   metafile images, added through each of the batch's entry points, on a
+   disk with the data codec and a flash model.  The fault plan fails the
+   writes of some vbns, and some I/Os exhaust their transient retries.
+   The model applies each I/O's (vbn, image) list in order: the disk's
+   contents, the [take_failed] list and every (lpn, stream) pair
+   programmed (the classifier's calls, and the FTL's layout against a
+   model FTL fed the model's pairs) must agree, and the classifier gets
+   no image for a compact entry. *)
+let prop_batch_matches_list_model =
+  let entry = QCheck.(triple (int_bound 2) (int_bound 199) (int_bound 2)) in
+  QCheck.Test.make ~name:"batch I/O matches a list model" ~count:60
+    QCheck.(list_of_size Gen.(1 -- 6) (pair bool (list_of_size Gen.(0 -- 30) entry)))
+    (fun ios ->
+      let g = geom () in
+      let vbn_of_slot slot = slot * 61 mod 16384 in
+      let image kind slot =
+        match kind with
+        | 0 -> data ~vol:1 ~file:2 ~fbn:slot (Int64.of_int (slot * 7))
+        | 1 -> data ~vol:300 ~file:2 ~fbn:slot (Int64.of_int slot)
+        | _ -> Layout.Inode_chunk { vol = 1; index = slot; inodes = [] }
+      in
+      let failing slot = slot mod 7 = 3 in
+      let cfg =
+        { Wafl_flash.Ftl.default_config with pages_per_block = 16; prefill = 0.0; streams = 2 }
+      in
+      let lpns = Geometry.data_drives g ~rg:0 * Geometry.drive_blocks g in
+      (* The model. *)
+      let model_disk = Hashtbl.create 64 and model_failed = ref [] and model_pages = ref [] in
+      let model_boxed = ref [] in
+      let stream_of_image = function Layout.Data { fbn; _ } -> fbn land 1 | _ -> 1 in
+      List.iter
+        (fun (give_up, entries) ->
+          let pages = ref [] in
+          List.iter
+            (fun (kind, slot, _) ->
+              let vbn = vbn_of_slot slot and img = image kind slot in
+              if give_up || failing slot then model_failed := (vbn, img) :: !model_failed
+              else begin
+                Hashtbl.replace model_disk vbn img;
+                model_boxed := (kind <> 0) :: !model_boxed;
+                pages := (Geometry.rg_offset g vbn, stream_of_image img) :: !pages
+              end)
+            entries;
+          model_pages := List.rev !pages :: !model_pages)
+        ios;
+      let model_pages = List.rev !model_pages in
+      let model_ftl =
+        with_engine (fun eng ->
+            let ftl = Wafl_flash.Ftl.create eng ~cfg ~lpns ~rg:0 in
+            List.iter (Wafl_flash.Ftl.host_write ftl) model_pages;
+            ftl)
+      in
+      (* The batches. *)
+      let d = Disk.create ~codec:Layout.data_codec g in
+      let plan = Fault.create ~max_retries:1 ~seed:3 () in
+      Disk.set_fault d plan;
+      List.iter
+        (fun (_, entries) ->
+          List.iter (fun (_, slot, _) -> if failing slot then Fault.add_write_error plan (vbn_of_slot slot)) entries)
+        ios;
+      let streams = ref [] in
+      let failed, ftl =
+        with_engine (fun eng ->
+            let ftl = Wafl_flash.Ftl.create eng ~cfg ~lpns ~rg:0 in
+            let raid = Raid.create eng ~cost:Cost.default ~flash:ftl ~disk:d ~rg:0 in
+            Raid.set_stream_of raid (fun key boxed ->
+                let s =
+                  match boxed with
+                  | None -> Layout.key_fbn key land 1
+                  | Some img -> stream_of_image img
+                in
+                streams := (s, Option.is_some boxed) :: !streams;
+                s);
+            List.iter
+              (fun (give_up, entries) ->
+                Fault.set_transient_p plan (if give_up then 1.0 -. epsilon_float else 0.0);
+                let b = Raid.batch raid in
+                List.iter
+                  (fun (kind, slot, how) ->
+                    let vbn = vbn_of_slot slot in
+                    match (kind, how) with
+                    | 0, 0 ->
+                        Raid.add_compact b vbn
+                          ~key:(Layout.key_of_data ~vol:1 ~file:2 ~fbn:slot)
+                          ~word:(Int64.of_int (slot * 7))
+                    | (0 | 1), 1 -> (
+                        match image kind slot with
+                        | Layout.Data { vol; file; fbn; content } ->
+                            Layout.add_data b vbn ~vol ~file ~fbn ~content
+                        | _ -> assert false)
+                    | _ -> Raid.add b vbn (image kind slot))
+                  entries;
+                Raid.submit_batch raid b ~on_complete:ignore;
+                Raid.quiesce raid)
+              ios;
+            let failed = Raid.take_failed raid in
+            Raid.shutdown raid;
+            (failed, ftl))
+      in
+      let disk_agrees =
+        List.for_all
+          (fun (_, entries) ->
+            List.for_all
+              (fun (_, slot, _) ->
+                let vbn = vbn_of_slot slot in
+                Disk.read d vbn = Hashtbl.find_opt model_disk vbn)
+              entries)
+          ios
+      in
+      disk_agrees
+      && failed = List.rev !model_failed
+      && List.rev !streams
+         = List.combine (List.concat_map (List.map snd) model_pages) (List.rev !model_boxed)
+      && Wafl_flash.Ftl.signature ftl = Wafl_flash.Ftl.signature model_ftl)
 
 let test_quiesce_races_concurrent_submit () =
   (* One fiber quiesces while another keeps submitting: device service
@@ -656,12 +799,12 @@ let test_quiesce_races_concurrent_submit () =
     (Engine.spawn eng ~label:"submitter" (fun () ->
          let r = Raid.create eng ~cost:Cost.default ~disk:d ~rg:0 in
          raid := Some r;
-         Raid.submit r ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:0, 0) ]
+         submit r ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:0, 0) ]
            ~on_complete:(fun () -> ());
          Engine.sleep 5.0;
-         Raid.submit r ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:1, 1) ]
+         submit r ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:1, 1) ]
            ~on_complete:(fun () -> ());
-         Raid.submit r ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:2, 2) ]
+         submit r ~writes:[ (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:2, 2) ]
            ~on_complete:(fun () -> ())));
   ignore
     (Engine.spawn eng ~label:"quiescer" (fun () ->
@@ -706,6 +849,7 @@ let () =
           Alcotest.test_case "write durable at completion" `Quick test_raid_write_durable;
           Alcotest.test_case "full vs partial stripes" `Quick test_raid_full_vs_partial_stripes;
           QCheck_alcotest.to_alcotest ~verbose:false prop_stripe_mix_matches_tally;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_batch_matches_list_model;
           Alcotest.test_case "parity penalty" `Quick test_raid_partial_pays_parity_penalty;
           Alcotest.test_case "foreign vbn rejected" `Quick test_raid_rejects_foreign_vbn;
           Alcotest.test_case "empty submit" `Quick test_raid_empty_submit_completes_inline;

@@ -18,9 +18,10 @@
    - [Disk.discard] or [Packed.recycle] outside lib/fs/aggregate.ml
      (block images die only at a superblock publish, and only that
      publish may hand a dead image's buffer to the spare pool);
-   - raw store reads ([Disk.read], [Disk.read_checked], [Disk.read_exn])
-     outside lib/storage (everything else reads through [Raid.read],
-     which applies the fault plan);
+   - raw store reads ([Disk.read], [Disk.read_checked], [Disk.read_exn],
+     [Disk.compact_key], [Disk.compact_word]) outside lib/storage
+     (everything else reads through [Raid.read] or [Raid.read_word],
+     which apply the fault plan);
    - [Trace.metrics] outside lib/obs (components read their engine's
      registry, [Engine.metrics]).
 
@@ -153,7 +154,8 @@ let check_path src loc path =
             report src loc
               "Disk.discard drops a block image; only the aggregate's superblock publish may \
                discard, once no durable tree or snapshot can read the block"
-      | (("read" | "read_checked" | "read_exn") as field) :: "Disk" :: _ ->
+      | (("read" | "read_checked" | "read_exn" | "compact_key" | "compact_word") as field)
+        :: "Disk" :: _ ->
           if not (in_storage src) then
             report src loc
               (Printf.sprintf
