@@ -495,7 +495,7 @@ let serial_metafile_pass t =
     List.iter
       (fun ref_ ->
         match ref_ with
-        | Aggregate.Agg_map_chunk _ ->
+        | Blockref.Agg_map_chunk _ ->
             if not (Hashtbl.mem aggmap_assigned ref_) then begin
               progressed := true;
               let pvbn = serial_alloc_pvbn t in
@@ -535,14 +535,6 @@ let serial_metafile_pass t =
   (!written, !passes)
 
 (* --- repair of failed writes (fault injection) -------------------------- *)
-
-let meta_ref_of_payload = function
-  | Layout.Bmap { vol; file; index; _ } -> Some (Aggregate.Bmap_block { vol; file; index })
-  | Layout.Inode_chunk { vol; index; _ } -> Some (Aggregate.Inode_chunk { vol; index })
-  | Layout.Container { vol; index; _ } -> Some (Aggregate.Container_chunk { vol; index })
-  | Layout.Vol_map { vol; index; _ } -> Some (Aggregate.Vol_map_chunk { vol; index })
-  | Layout.Agg_map { index; _ } -> Some (Aggregate.Agg_map_chunk { index })
-  | Layout.Data _ -> None
 
 (* Free a pvbn whose write failed, unless something else already released
    it (the mapping moved on within this CP). *)
@@ -598,7 +590,7 @@ let repair_failed_writes t =
                       end;
                       repair_free t old_pvbn))
           | meta -> (
-              match meta_ref_of_payload meta with
+              match Blockref.of_block meta with
               | Some ref_ when Aggregate.meta_location t.agg ref_ = old_pvbn ->
                   let pvbn = serial_alloc_pvbn t in
                   ignore (Aggregate.meta_set_location t.agg ref_ pvbn);

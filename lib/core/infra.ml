@@ -416,12 +416,12 @@ let meta_affinity t (ref_ : Aggregate.meta_ref) =
   if not t.cfg.parallel then Aff.Aggregate_vbn t.agg_id
   else
     match ref_ with
-    | Aggregate.Agg_map_chunk { index } -> Aff.Agg_range (t.agg_id, index mod t.cfg.ranges)
-    | Aggregate.Vol_map_chunk { vol; index }
-    | Aggregate.Container_chunk { vol; index }
-    | Aggregate.Inode_chunk { vol; index } ->
+    | Blockref.Agg_map_chunk { index } -> Aff.Agg_range (t.agg_id, index mod t.cfg.ranges)
+    | Blockref.Vol_map_chunk { vol; index }
+    | Blockref.Container_chunk { vol; index }
+    | Blockref.Inode_chunk { vol; index } ->
         Aff.Vol_range (t.agg_id, vol, index mod t.cfg.ranges)
-    | Aggregate.Bmap_block { vol; file; index } ->
+    | Blockref.Bmap_block { vol; file; index } ->
         Aff.Vol_range (t.agg_id, vol, (file + index) mod t.cfg.ranges)
 
 let post_meta t ~affinity body = post t ~affinity body

@@ -2,12 +2,9 @@ open Wafl_storage
 
 open Wafl_sim
 
-type meta_ref =
-  | Bmap_block of { vol : int; file : int; index : int }
-  | Inode_chunk of { vol : int; index : int }
-  | Container_chunk of { vol : int; index : int }
-  | Vol_map_chunk of { vol : int; index : int }
-  | Agg_map_chunk of { index : int }
+open Blockref
+
+type meta_ref = Blockref.t
 
 type persist = {
   p_disk : Layout.block Disk.t;
@@ -19,7 +16,7 @@ type persist = {
          by re-deriving fill from the recovered activemap) *)
 }
 
-exception Corruption of string
+exception Corruption = Blockref.Corruption
 
 let vvbn_region_bits = Layout.bits_per_map_block
 
@@ -576,22 +573,15 @@ let meta_payload t = function
    volume/file no longer exists (e.g. deleted between enqueue and a CP
    repair round) or the block was never placed. *)
 let meta_location t ref_ =
+  let in_vol vol loc = match volume t vol with Some v -> loc v | None -> -1 in
   match ref_ with
-  | Bmap_block { vol; file; index } -> (
-      match volume t vol with
-      | None -> -1
-      | Some v -> (
-          match Volume.file v file with
-          | None -> -1
-          | Some f -> File.bmap_location f index))
-  | Inode_chunk { vol; index } -> (
-      match volume t vol with None -> -1 | Some v -> Volume.inode_location v index)
-  | Container_chunk { vol; index } -> (
-      match volume t vol with None -> -1 | Some v -> Volume.container_location v index)
-  | Vol_map_chunk { vol; index } -> (
-      match volume t vol with
-      | None -> -1
-      | Some v -> Bitmap_file.location (Volume.vol_map v) index)
+  | Bmap_block { vol; file; index } ->
+      in_vol vol (fun v ->
+          match Volume.file v file with Some f -> File.bmap_location f index | None -> -1)
+  | Inode_chunk { vol; index } -> in_vol vol (fun v -> Volume.inode_location v index)
+  | Container_chunk { vol; index } -> in_vol vol (fun v -> Volume.container_location v index)
+  | Vol_map_chunk { vol; index } ->
+      in_vol vol (fun v -> Bitmap_file.location (Volume.vol_map v) index)
   | Agg_map_chunk { index } -> Bitmap_file.location t.agg_map index
 
 let meta_set_location t ref_ pvbn =
@@ -719,16 +709,7 @@ let delete_snapshot t snap =
 
 (* --- crash and recovery --- *)
 
-let persist t = t.pers
 let crash t = t.pers
-
-(* Recovery reads go through the fault-aware RAID path too: a latent
-   media error under a metafile block must be reconstructed, not treated
-   as corruption. *)
-let read_meta_block t pvbn describe =
-  match read_pvbn t pvbn with
-  | Some payload -> payload
-  | None -> raise (Corruption (Printf.sprintf "recovery: %s at pvbn %d missing" describe pvbn))
 
 let apply_op t = function
   | Nvlog.Create_vol { vol; vvbn_space } ->
@@ -750,128 +731,99 @@ let apply_op t = function
       let v = volume_exn t vol in
       Volume.mark_deleted v (Volume.file_exn v file)
 
-let recompute_aa_free t =
-  let geom = t.geom in
-  for rg = 0 to Geometry.raid_group_count geom - 1 do
-    for aa = 0 to Geometry.aa_count geom - 1 do
-      let lo_dbn, hi_dbn = Geometry.aa_dbn_range geom ~aa in
-      let free = ref 0 in
-      List.iter
-        (fun (drive, _) ->
-          let lo = Geometry.vbn_of geom ~rg ~drive ~dbn:lo_dbn in
-          let hi = Geometry.vbn_of geom ~rg ~drive ~dbn:hi_dbn in
-          free := !free + Bitmap_file.count_free_in t.agg_map ~lo ~hi)
-        (Geometry.drives_of_rg geom ~rg);
-      t.aa_free_tbl.(rg).(aa) <- !free
-    done
-  done
+(* Blocks in [lo, hi] free in the activemap but held by a snapshot: not
+   free space, and not allocatable. *)
+let held_only t ~lo ~hi =
+  let n = ref 0 in
+  if t.snaps <> [] then
+    for pvbn = lo to hi do
+      if (not (Bitmap_file.mem t.agg_map pvbn)) && snapshot_held t pvbn then incr n
+    done;
+  !n
 
-let recompute_vvbn_regions t vol =
-  let regions = region_free t vol in
-  let vmap = Volume.vol_map vol in
-  Array.iteri
-    (fun r _ ->
-      let lo = r * vvbn_region_bits in
-      let hi = min (Volume.vvbn_space vol - 1) (((r + 1) * vvbn_region_bits) - 1) in
-      regions.(r) <- Bitmap_file.count_free_in vmap ~lo ~hi)
-    regions
+(* The free space of one Allocation Area, as [aa_free_tbl] keeps it: the
+   activemap's free blocks there, less the snapshot-held ones. *)
+let aa_free_blocks t ~rg ~aa =
+  let lo_dbn, hi_dbn = Geometry.aa_dbn_range t.geom ~aa in
+  List.fold_left
+    (fun free (drive, _) ->
+      let lo = Geometry.vbn_of t.geom ~rg ~drive ~dbn:lo_dbn in
+      let hi = Geometry.vbn_of t.geom ~rg ~drive ~dbn:hi_dbn in
+      free + Bitmap_file.count_free_in t.agg_map ~lo ~hi - held_only t ~lo ~hi)
+    0
+    (Geometry.drives_of_rg t.geom ~rg)
+
+(* The inode records of a volume's files in file-id order: the table
+   that lists each file's block-map blocks. *)
+let inode_recs t vol = List.map File.inode_rec (Volume.files (volume_exn t vol))
+
+(* Load one checked metafile block of a published tree; an activemap
+   chunk goes into [map]. *)
+let load_block t map pvbn = function
+  | Layout.Agg_map { index; words } ->
+      Bitmap_file.load_block map index words;
+      ignore (Bitmap_file.set_location map index pvbn)
+  | Layout.Vol_map { vol; index; words } ->
+      Bitmap_file.load_block (Volume.vol_map (volume_exn t vol)) index words
+  | Layout.Container { vol; index; entries } ->
+      Volume.load_container_chunk (volume_exn t vol) ~index ~entries
+  | Layout.Inode_chunk { vol; inodes; _ } ->
+      Volume.load_inode_chunk ~buffers:t.buffers (volume_exn t vol) inodes
+  | Layout.Bmap { vol; file; index; entries } ->
+      File.load_bmap_block (Volume.file_exn (volume_exn t vol) file) ~index ~entries
+  | Layout.Data _ -> assert false (* [Blockref.fetch] checked the kind *)
+
+(* Read the whole published tree, then each snapshot's activemap: the
+   rest of a snapshot's tree is read on demand by [Snapshot.read]. *)
+let load_tree t (sb : Layout.superblock) =
+  let read = read_pvbn t in
+  List.iter (fun vr -> register_volume t (Volume.of_vol_rec vr)) sb.vols;
+  Blockref.iter sb ~inodes:(inode_recs t) (fun r pvbn ->
+      load_block t t.agg_map pvbn (Blockref.fetch ~read r pvbn));
+  List.iter
+    (fun (name, (snap_sb : Layout.superblock)) ->
+      let map = Bitmap_file.create ~bits:(Geometry.total_data_blocks t.geom) in
+      Blockref.iter snap_sb ~inodes:(fun _ -> []) (fun r pvbn ->
+          match r with
+          | Agg_map_chunk _ -> load_block t map pvbn (Blockref.fetch ~read r pvbn)
+          | _ -> ());
+      let words = Bitmap_file.snapshot_words map in
+      t.snaps <- t.snaps @ [ Snapshot.make ~name ~sb:snap_sb ~words ])
+    sb.snap_roots
 
 let recover ?cache_blocks ?(obs = Wafl_obs.Trace.disabled) eng ~cost pers =
-  let geom = Disk.geometry pers.p_disk in
   let t = build ?cache_blocks ~obs eng ~cost pers in
-  (match pers.p_sb with
-  | None -> ()
-  | Some sb ->
-      t.generation <- sb.Layout.generation;
-      t.cp_count <- sb.Layout.cp_count;
-      (* Aggregate activemap. *)
-      Array.iter
-        (fun (idx, pvbn) ->
-          (match read_meta_block t pvbn "aggmap chunk" with
-          | Layout.Agg_map { index; words } when index = idx ->
-              Bitmap_file.load_block t.agg_map idx words
-          | _ -> raise (Corruption "recovery: aggmap chunk has wrong payload"));
-          ignore (Bitmap_file.set_location t.agg_map idx pvbn))
-        sb.Layout.aggmap_pvbns;
+  let geom = t.geom in
+  Option.iter
+    (fun (sb : Layout.superblock) ->
+      t.generation <- sb.generation;
+      t.cp_count <- sb.cp_count;
+      (try load_tree t sb with Corruption m -> raise (Corruption ("recovery: " ^ m)));
+      (* The loaded tree is what the disk holds: none of it is dirty. *)
       Bitmap_file.clear_dirty t.agg_map;
-      (* Volumes. *)
       List.iter
-        (fun (vr : Layout.vol_rec) ->
-          let v = Volume.of_vol_rec vr in
-          register_volume t v;
-          Array.iter
-            (fun (idx, pvbn) ->
-              match read_meta_block t pvbn "volmap chunk" with
-              | Layout.Vol_map { vol; index; words } when vol = vr.Layout.vol_id && index = idx
-                ->
-                  Bitmap_file.load_block (Volume.vol_map v) idx words
-              | _ -> raise (Corruption "recovery: volmap chunk has wrong payload"))
-            vr.Layout.volmap_pvbns;
-          Bitmap_file.clear_dirty (Volume.vol_map v);
-          Array.iter
-            (fun (idx, pvbn) ->
-              match read_meta_block t pvbn "container chunk" with
-              | Layout.Container { vol; index; entries }
-                when vol = vr.Layout.vol_id && index = idx ->
-                  Volume.load_container_chunk v ~index:idx ~entries
-              | _ -> raise (Corruption "recovery: container chunk has wrong payload"))
-            vr.Layout.container_pvbns;
+        (fun (vid, v) ->
+          let vmap = Volume.vol_map v and regions = region_free t v in
+          Bitmap_file.clear_dirty vmap;
           Volume.clear_dirty_containers v;
-          Array.iter
-            (fun (idx, pvbn) ->
-              match read_meta_block t pvbn "inode chunk" with
-              | Layout.Inode_chunk { vol; index; inodes }
-                when vol = vr.Layout.vol_id && index = idx ->
-                  Volume.load_inode_chunk ~buffers:t.buffers v inodes
-              | _ -> raise (Corruption "recovery: inode chunk has wrong payload"))
-            vr.Layout.inode_chunk_pvbns;
           Volume.clear_dirty_inode_chunks v;
-          (* File block maps. *)
-          List.iter
-            (fun f ->
-              let rec_ = File.inode_rec f in
-              Array.iter
-                (fun (idx, pvbn) ->
-                  match read_meta_block t pvbn "bmap block" with
-                  | Layout.Bmap { vol; file; index; entries }
-                    when vol = vr.Layout.vol_id && file = File.id f && index = idx ->
-                      File.load_bmap_block f ~index:idx ~entries
-                  | _ -> raise (Corruption "recovery: bmap block has wrong payload"))
-                rec_.Layout.bmap_pvbns;
-              File.clear_dirty_bmap f)
-            (Volume.files v);
-          recompute_vvbn_regions t v;
-          Counters.set t.counters (vol_free_counter vr.Layout.vol_id)
-            (Bitmap_file.free_count (Volume.vol_map v)))
-        sb.Layout.vols;
-      (* Snapshots: rebuild each pinned block set from the snapshot's own
-         persisted activemap chunks. *)
-      List.iter
-        (fun (name, (snap_sb : Layout.superblock)) ->
-          let snap_map = Bitmap_file.create ~bits:(Geometry.total_data_blocks geom) in
-          Array.iter
-            (fun (idx, pvbn) ->
-              match read_meta_block t pvbn "snapshot aggmap chunk" with
-              | Layout.Agg_map { index; words } when index = idx ->
-                  Bitmap_file.load_block snap_map idx words
-              | _ -> raise (Corruption "recovery: snapshot aggmap chunk has wrong payload"))
-            snap_sb.Layout.aggmap_pvbns;
-          t.snaps <-
-            t.snaps @ [ Snapshot.make ~name ~sb:snap_sb ~words:(Bitmap_file.snapshot_words snap_map) ])
-        sb.Layout.snap_roots;
+          List.iter File.clear_dirty_bmap (Volume.files v);
+          Array.iteri
+            (fun r _ ->
+              let lo = r * vvbn_region_bits in
+              let hi = min (Volume.vvbn_space v - 1) (lo + vvbn_region_bits - 1) in
+              regions.(r) <- Bitmap_file.count_free_in vmap ~lo ~hi)
+            regions;
+          Counters.set t.counters (vol_free_counter vid) (Bitmap_file.free_count vmap))
+        t.vols;
       rebuild_snap_union t;
-      recompute_aa_free t;
-      (* Subtract snapshot-held blocks from the free space and summaries:
-         they are map-free but not allocatable. *)
-      let held = ref 0 in
-      for pvbn = 0 to Geometry.total_data_blocks geom - 1 do
-        if (not (Bitmap_file.mem t.agg_map pvbn)) && snapshot_held t pvbn then begin
-          incr held;
-          adjust_aa_free t pvbn (-1)
-        end
-      done;
-      Counters.set t.counters "snapshot_held_blocks" !held;
-      Counters.set t.counters free_counter (Bitmap_file.free_count t.agg_map - !held));
+      Array.iteri
+        (fun rg counts -> Array.iteri (fun aa _ -> counts.(aa) <- aa_free_blocks t ~rg ~aa) counts)
+        t.aa_free_tbl;
+      let held = held_only t ~lo:0 ~hi:(Geometry.total_data_blocks geom - 1) in
+      Counters.set t.counters "snapshot_held_blocks" held;
+      Counters.set t.counters free_counter (Bitmap_file.free_count t.agg_map - held))
+    pers.p_sb;
   (* Replay the surviving NVRAM log on top of the recovered tree. *)
   let ops = Nvlog.replay_ops pers.p_nvlog in
   Nvlog.recover_reset pers.p_nvlog;
@@ -901,73 +853,74 @@ let recover ?cache_blocks ?(obs = Wafl_obs.Trace.disabled) eng ~cost pers =
 
 let fail_fsck fmt = Printf.ksprintf (fun s -> failwith ("fsck: " ^ s)) fmt
 
+(* Each referenced block is claimed once in a dense array per block space
+   (pvbns, each volume's vvbns) holding the claimant's code, -1 while
+   unclaimed: a data block's [Layout.key_of_data], or a code below -1
+   naming a metafile block (or a data block that overflows the key) in
+   [named].  A data block allocates nothing; messages format on failure. *)
 let fsck t =
   if t.cp_in_progress then fail_fsck "called with a CP in flight";
-  let used_pvbns = Hashtbl.create 4096 in
-  let claim_pvbn pvbn what =
-    if not (Geometry.vbn_valid t.geom pvbn) then fail_fsck "%s: invalid pvbn %d" what pvbn;
-    (match Hashtbl.find_opt used_pvbns pvbn with
-    | Some other -> fail_fsck "pvbn %d claimed by both %s and %s" pvbn other what
-    | None -> Hashtbl.add used_pvbns pvbn what);
-    if not (Bitmap_file.mem t.agg_map pvbn) then
-      fail_fsck "%s: pvbn %d not marked used in aggregate map" what pvbn
+  let named = Hashtbl.create 64 in
+  let name describe =
+    let code = -2 - Hashtbl.length named in
+    Hashtbl.add named code describe;
+    code
   in
-  (* Aggregate map chunk locations. *)
-  for i = 0 to Bitmap_file.nblocks t.agg_map - 1 do
-    let loc = Bitmap_file.location t.agg_map i in
-    if loc >= 0 then claim_pvbn loc (Printf.sprintf "aggmap chunk %d" i)
-  done;
+  let data vol file fbn = Printf.sprintf "vol %d file %d fbn %d" vol file fbn in
+  let describe code =
+    if code >= 0 then data (Layout.key_vol code) (Layout.key_file code) (Layout.key_fbn code)
+    else Hashtbl.find named code ()
+  in
+  let data_code ~vol ~file ~fbn =
+    match Layout.key_of_data ~vol ~file ~fbn with
+    | -1 -> name (fun () -> data vol file fbn)
+    | key -> key
+  in
+  let pvbn_claims = Array.make (Geometry.total_data_blocks t.geom) (-1) and claimed = ref 0 in
+  let claim_pvbn pvbn code =
+    if not (Geometry.vbn_valid t.geom pvbn) then
+      fail_fsck "%s: invalid pvbn %d" (describe code) pvbn;
+    if pvbn_claims.(pvbn) <> -1 then
+      fail_fsck "pvbn %d claimed by both %s and %s" pvbn (describe pvbn_claims.(pvbn))
+        (describe code);
+    pvbn_claims.(pvbn) <- code;
+    incr claimed;
+    if not (Bitmap_file.mem t.agg_map pvbn) then
+      fail_fsck "%s: pvbn %d not marked used in aggregate map" (describe code) pvbn
+  in
+  (* The metafile blocks: the tree these tables would publish, walked as
+     recovery walks a published one. *)
+  Blockref.iter (make_superblock t) ~inodes:(inode_recs t) (fun r pvbn ->
+      claim_pvbn pvbn (name (fun () -> Blockref.to_string r)));
   List.iter
     (fun (vid, v) ->
-      let used_vvbns = Hashtbl.create 4096 in
       let vmap = Volume.vol_map v in
-      for i = 0 to Bitmap_file.nblocks vmap - 1 do
-        let loc = Bitmap_file.location vmap i in
-        if loc >= 0 then claim_pvbn loc (Printf.sprintf "vol %d volmap chunk %d" vid i)
-      done;
-      List.iter
-        (fun idx -> claim_pvbn (Volume.container_location v idx)
-            (Printf.sprintf "vol %d container chunk %d" vid idx))
-        (List.filter
-           (fun idx -> Volume.container_location v idx >= 0)
-           (List.init
-              ((Volume.vvbn_space v + Layout.entries_per_container_block - 1)
-              / Layout.entries_per_container_block)
-              Fun.id));
-      List.iter
-        (fun idx ->
-          claim_pvbn (Volume.inode_location v idx) (Printf.sprintf "vol %d inode chunk %d" vid idx))
-        (List.filter
-           (fun idx -> Volume.inode_location v idx >= 0)
-           (List.init ((Volume.file_count v / Layout.inodes_per_block) + 1) Fun.id));
+      let vvbn_claims = Array.make (Volume.vvbn_space v) (-1) and used = ref 0 in
       List.iter
         (fun f ->
-          let rec_ = File.inode_rec f in
-          Array.iter
-            (fun (idx, pvbn) ->
-              claim_pvbn pvbn (Printf.sprintf "vol %d file %d bmap %d" vid (File.id f) idx))
-            rec_.Layout.bmap_pvbns;
           for fbn = 0 to File.nfbns f - 1 do
             let vvbn = File.vvbn_of_fbn f fbn in
             if vvbn >= 0 then begin
-              (match Hashtbl.find_opt used_vvbns vvbn with
-              | Some other ->
-                  fail_fsck "vol %d vvbn %d claimed by both %s and file %d/%d" vid vvbn other
-                    (File.id f) fbn
-              | None ->
-                  Hashtbl.add used_vvbns vvbn (Printf.sprintf "file %d/%d" (File.id f) fbn));
+              let code = data_code ~vol:vid ~file:(File.id f) ~fbn in
+              if vvbn >= Volume.vvbn_space v then
+                fail_fsck "%s: vvbn %d out of range" (describe code) vvbn;
+              if vvbn_claims.(vvbn) <> -1 then
+                fail_fsck "vol %d vvbn %d claimed by both %s and %s" vid vvbn
+                  (describe vvbn_claims.(vvbn)) (describe code);
+              vvbn_claims.(vvbn) <- code;
+              incr used;
               if not (Bitmap_file.mem vmap vvbn) then
                 fail_fsck "vol %d: vvbn %d referenced but free in volume map" vid vvbn;
               let pvbn = Volume.pvbn_of_vvbn v vvbn in
               if pvbn < 0 then fail_fsck "vol %d: vvbn %d has no container entry" vid vvbn;
-              claim_pvbn pvbn (Printf.sprintf "vol %d vvbn %d" vid vvbn)
+              claim_pvbn pvbn code
             end
           done)
         (Volume.files v);
       (* Every used vvbn must be referenced by exactly one (file, fbn). *)
-      if Bitmap_file.used_count vmap <> Hashtbl.length used_vvbns then
+      if Bitmap_file.used_count vmap <> !used then
         fail_fsck "vol %d: volume map says %d used vvbns but %d are referenced" vid
-          (Bitmap_file.used_count vmap) (Hashtbl.length used_vvbns);
+          (Bitmap_file.used_count vmap) !used;
       (* Container entries must exist only for used vvbns. *)
       for vvbn = 0 to Volume.vvbn_space v - 1 do
         let mapped = Volume.pvbn_of_vvbn v vvbn >= 0 in
@@ -982,39 +935,23 @@ let fsck t =
           (Bitmap_file.free_count vmap))
     t.vols;
   (* No leaked pvbns: everything marked used must have been claimed. *)
-  if Bitmap_file.used_count t.agg_map <> Hashtbl.length used_pvbns then
+  if Bitmap_file.used_count t.agg_map <> !claimed then
     fail_fsck "aggregate map says %d used pvbns but %d are referenced"
-      (Bitmap_file.used_count t.agg_map) (Hashtbl.length used_pvbns);
-  (* Snapshot-held blocks are map-free but not free space. *)
-  let held_only = ref 0 in
-  if t.snaps <> [] then
-    for pvbn = 0 to Geometry.total_data_blocks t.geom - 1 do
-      if (not (Bitmap_file.mem t.agg_map pvbn)) && snapshot_held t pvbn then incr held_only
-    done;
+      (Bitmap_file.used_count t.agg_map) !claimed;
+  let held = held_only t ~lo:0 ~hi:(Geometry.total_data_blocks t.geom - 1) in
   let counter = Counters.read t.counters free_counter in
-  if counter <> Bitmap_file.free_count t.agg_map - !held_only then
+  if counter <> Bitmap_file.free_count t.agg_map - held then
     fail_fsck "aggregate free counter %d but activemap says %d (%d snapshot-held)" counter
-      (Bitmap_file.free_count t.agg_map) !held_only;
+      (Bitmap_file.free_count t.agg_map) held;
   let held_counter = Counters.read t.counters "snapshot_held_blocks" in
-  if held_counter <> !held_only then
-    fail_fsck "snapshot-held counter %d but %d blocks are held-only" held_counter !held_only;
-  (* AA summary consistency. *)
-  for rg = 0 to Geometry.raid_group_count t.geom - 1 do
-    for aa = 0 to Geometry.aa_count t.geom - 1 do
-      let lo_dbn, hi_dbn = Geometry.aa_dbn_range t.geom ~aa in
-      let free = ref 0 in
-      List.iter
-        (fun (drive, _) ->
-          let lo = Geometry.vbn_of t.geom ~rg ~drive ~dbn:lo_dbn in
-          let hi = Geometry.vbn_of t.geom ~rg ~drive ~dbn:hi_dbn in
-          free := !free + Bitmap_file.count_free_in t.agg_map ~lo ~hi;
-          if t.snaps <> [] then
-            for pvbn = lo to hi do
-              if (not (Bitmap_file.mem t.agg_map pvbn)) && snapshot_held t pvbn then decr free
-            done)
-        (Geometry.drives_of_rg t.geom ~rg);
-      if !free <> t.aa_free_tbl.(rg).(aa) then
-        fail_fsck "rg %d aa %d: summary says %d free, activemap says %d" rg aa
-          t.aa_free_tbl.(rg).(aa) !free
-    done
-  done
+  if held_counter <> held then
+    fail_fsck "snapshot-held counter %d but %d blocks are held-only" held_counter held;
+  Array.iteri
+    (fun rg counts ->
+      Array.iteri
+        (fun aa n ->
+          let free = aa_free_blocks t ~rg ~aa in
+          if n <> free then
+            fail_fsck "rg %d aa %d: summary says %d free, activemap says %d" rg aa n free)
+        counts)
+    t.aa_free_tbl

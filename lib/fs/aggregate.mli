@@ -14,20 +14,17 @@
 
 type t
 
-type meta_ref =
-  | Bmap_block of { vol : int; file : int; index : int }
-  | Inode_chunk of { vol : int; index : int }
-  | Container_chunk of { vol : int; index : int }
-  | Vol_map_chunk of { vol : int; index : int }
-  | Agg_map_chunk of { index : int }
+type meta_ref = Blockref.t
 
 type persist
 (** What survives a crash: the disk image, the last durable superblock
     and the NVRAM log. *)
 
 exception Corruption of string
-(** Raised by {!read} when an on-disk block does not match the metadata
-    that references it — the invariant a broken allocator violates. *)
+(** {!Blockref.Corruption}: raised by {!read}, {!read_snapshot} and
+    {!recover} when an on-disk block is unreadable or does not match the
+    metadata that references it — the invariant a broken allocator
+    violates. *)
 
 val create :
   ?nvlog_half:int ->
@@ -241,9 +238,10 @@ val snapshot_held : t -> int -> bool
 (** Whether any snapshot references the given pvbn. *)
 
 val read_snapshot : t -> Snapshot.t -> vol:int -> file:int -> fbn:int -> int64 option
-(** Read a block as of the snapshot.  Every block of the walk goes through
-    {!read_pvbn}: a media error is reconstructed and counted, and a block
-    lost in a degraded group raises {!Corruption}. *)
+(** Read a block as of the snapshot ({!Snapshot.read}), each block
+    through {!read_pvbn}.  A media error is reconstructed and counted; a
+    block lost in a degraded group or a malformed tree raises
+    {!Corruption}. *)
 
 val delete_snapshot : t -> Snapshot.t -> unit
 (** Release the snapshot.  Blocks no longer referenced by the active
@@ -255,7 +253,6 @@ val delete_snapshot : t -> Snapshot.t -> unit
 
 (** {1 Crash and recovery} *)
 
-val persist : t -> persist
 val crash : t -> persist
 val recover :
   ?cache_blocks:int ->
@@ -264,12 +261,20 @@ val recover :
   cost:Wafl_sim.Cost.t ->
   persist ->
   t
-(** Mount from the persistent image: load the superblock tree, recompute
-    allocation summaries and counters, then replay the NVRAM log. *)
+(** Mount from the persistent image: load the superblock's tree, walked
+    by {!Blockref.iter} with each block read by {!Blockref.fetch} on
+    {!read_pvbn}, and each snapshot's activemap chunks the same way;
+    recompute allocation summaries and counters; replay the NVRAM log.
+    Raises {!Corruption} (["recovery: "] and the fetch's message) at the
+    first block that is missing, lost or not the one referenced. *)
 
 (** {1 Integrity checking (tests)} *)
 
 val fsck : t -> unit
-(** Full cross-check of block maps, container maps, activemaps and
-    counters.  Raises [Failure] with a description on any inconsistency.
-    Call at quiescent points (no CP in flight). *)
+(** Cross-check the in-memory tables: the metafile blocks {!recover}'s
+    walk would visit in the tree they describe, then every file's data
+    blocks, each claimed once in a used pvbn and vvbn, with no used one
+    unclaimed; free counters and Allocation Area summaries must match the
+    maps less the snapshot-held blocks.  Reads nothing from disk, so a
+    referenced block that never landed passes.  Raises [Failure]
+    (["fsck: ..."]).  Call at quiescent points (no CP in flight). *)

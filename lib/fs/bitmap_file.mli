@@ -13,8 +13,6 @@ val create : bits:int -> t
 (** All bits clear (everything free). *)
 
 val nbits : t -> int
-val nblocks : t -> int
-(** Number of metafile blocks backing the bitmap. *)
 
 val block_of_bit : int -> int
 (** Which metafile block covers a given bit (see

@@ -5,7 +5,7 @@
     CP (the set of pvbns the snapshot references).  Because WAFL never
     overwrites in place, none of those blocks change afterwards — the
     active file system simply stops freeing them for reuse while the
-    snapshot exists ({!Aggregate.pvbn_allocatable} consults {!holds}).
+    snapshot exists ({!Aggregate.pvbn_allocatable} consults its words).
 
     Reads against a snapshot walk the persisted structures directly:
     superblock → inode chunk → block-map block → container chunk → data
@@ -20,8 +20,6 @@ val generation : t -> int
 (** The CP generation this snapshot pins. *)
 
 val superblock : t -> Layout.superblock
-val holds : t -> int -> bool
-(** Whether the snapshot references the given pvbn. *)
 
 val held_words : t -> int64 array
 (** The raw pinned-block words (not a copy; treat as read-only). *)
@@ -31,6 +29,8 @@ val read :
 (** Read a block as of the snapshot, fetching each block of the walk with
     [read_pvbn] (the aggregate's fault-aware [Aggregate.read_pvbn], so a
     media error is reconstructed and a block lost in a degraded group
-    raises its [Corruption]).  [None] for holes or absent files/volumes;
-    raises [Failure] if the persisted structure is malformed (which a
-    correct allocator can never cause). *)
+    raises its [Corruption]).  [None] for holes or absent files/volumes.
+    Each metafile block comes through {!Blockref.fetch}, so a malformed
+    tree (which a correct allocator can never cause) raises
+    {!Blockref.Corruption} naming the reference and pvbn; so does a data
+    block that is not the one the tree maps. *)

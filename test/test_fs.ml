@@ -1611,6 +1611,59 @@ let test_alloc_compact_read () =
   done;
   Alcotest.(check int64) "contents, both passes" (Int64.of_int !expected) !sum
 
+(* An aggregate holding one file (vol 0, file 0) of [blocks] data
+   blocks, all committed by one CP. *)
+let agg_with_blocks blocks =
+  let eng = Wafl_sim.Engine.create ~cores:8 () in
+  let geometry =
+    Wafl_storage.Geometry.create ~drive_blocks:8192 ~aa_stripes:512 ~raid_groups:[ (3, 1) ] ()
+  in
+  let agg = Aggregate.create eng ~cost:Wafl_sim.Cost.default ~geometry ~nvlog_half:16384 () in
+  let walloc = Wafl_core.Walloc.create agg Wafl_core.Walloc.default_config in
+  ignore
+    (Wafl_sim.Engine.spawn eng ~label:"setup" (fun () ->
+         let vol = Aggregate.create_volume agg ~vvbn_space:65536 in
+         Wafl_core.Walloc.register_volume walloc vol;
+         let f = Aggregate.create_file agg ~vol:(Volume.id vol) in
+         for fbn = 0 to blocks - 1 do
+           ignore
+             (Aggregate.write agg ~vol:(Volume.id vol) ~file:(File.id f) ~fbn
+                ~content:(content ~gen:0 ~fbn))
+         done;
+         Wafl_core.Cp.run_now (Wafl_core.Walloc.cp walloc)));
+  Wafl_sim.Engine.run eng;
+  agg
+
+(* fsck claims each block in a dense array and formats a message only
+   when a check fails, so the words it allocates do not grow with the
+   data blocks it checks.  Each block once cost two formatted strings
+   and two hash-table entries: 124.5 words. *)
+let test_alloc_fsck_per_data_block () =
+  let fsck_words blocks =
+    let agg = agg_with_blocks blocks in
+    Aggregate.fsck agg;
+    minor_words_of (fun () -> Aggregate.fsck agg)
+  in
+  let small = fsck_words 2_000 and large = fsck_words 12_000 in
+  let per_block = (large -. small) /. 10_000.0 in
+  if per_block >= 1.0 then Alcotest.failf "fsck allocates %.2f words per data block" per_block
+
+(* A claim is decoded only when a check fails: a block-map block moved
+   onto a data block's pvbn is reported with both claimants named. *)
+let test_fsck_names_double_claim () =
+  let agg = agg_with_blocks 600 in
+  let v = Aggregate.volume_exn agg 0 in
+  let pvbn = Volume.pvbn_of_vvbn v (File.vvbn_of_fbn (Volume.file_exn v 0) 7) in
+  ignore
+    (Aggregate.meta_set_location agg (Blockref.Bmap_block { vol = 0; file = 0; index = 1 }) pvbn);
+  match Aggregate.fsck agg with
+  | () -> Alcotest.fail "fsck passed a pvbn claimed twice"
+  | exception Failure m ->
+      Alcotest.(check string) "both claimants"
+        (Printf.sprintf
+           "fsck: pvbn %d claimed by both vol 0 file 0 bmap block 1 and vol 0 file 0 fbn 7" pvbn)
+        m
+
 (* Memory guard: a data block written through the aggregate and a CP
    adds no heap block to the disk.  Its two compact words live in a page
    that the first batches already made, so what a block adds is its
@@ -1725,6 +1778,7 @@ let () =
           Alcotest.test_case "AA selection" `Quick test_aggregate_select_aa;
           Alcotest.test_case "free counter" `Quick test_aggregate_free_counter_tracks;
           QCheck_alcotest.to_alcotest ~verbose:false prop_dirty_buffers_bounded_by_nvlog;
+          Alcotest.test_case "fsck names both claimants" `Quick test_fsck_names_double_claim;
         ] );
       ( "img-lifetime",
         [
@@ -1754,5 +1808,6 @@ let () =
           Alcotest.test_case "compact slot traffic" `Quick test_alloc_disk_compact;
           Alcotest.test_case "disk words per data block" `Quick test_disk_words_per_data_block;
           Alcotest.test_case "cached read of a compact block" `Quick test_alloc_compact_read;
+          Alcotest.test_case "fsck words per data block" `Quick test_alloc_fsck_per_data_block;
         ] );
     ]

@@ -479,7 +479,21 @@ let test_crash_harness_50_seeds () =
 (* Negative control: deliberately publish the superblock before the
    tetris flush has quiesced (a broken commit ordering, enabled through
    a test-only chaos hook).  The harness must catch it — otherwise its
-   oracle proves nothing. *)
+   oracle proves nothing.  A seed whose recovery fails must name the
+   block reference it could not load, with its index and pvbn.  The
+   seeds that do recover lose acked writes while fsck passes: fsck
+   checks the in-memory tables, not that the blocks they reference
+   landed (DESIGN.md §4.6). *)
+let names_index_and_pvbn m =
+  let is_num s = s <> "" && String.for_all (fun c -> '0' <= c && c <= '9') s in
+  let rec scan = function
+    | index :: "at" :: "pvbn" :: pvbn :: _ when is_num index ->
+        String.ends_with ~suffix:":" pvbn && is_num (String.sub pvbn 0 (String.length pvbn - 1))
+    | _ :: rest -> scan rest
+    | [] -> false
+  in
+  scan (String.split_on_char ' ' m)
+
 let test_chaos_broken_commit_ordering_caught () =
   Fun.protect
     ~finally:(fun () -> Wafl_core.Cp.chaos_publish_before_quiesce := false)
@@ -487,7 +501,21 @@ let test_chaos_broken_commit_ordering_caught () =
       Wafl_core.Cp.chaos_publish_before_quiesce := true;
       let outcomes = Crash.run_seeds ~first_seed:1 ~count:6 () in
       Alcotest.(check bool) "harness catches publish-before-quiesce" true
-        (List.exists (fun o -> not (Crash.passed o)) outcomes))
+        (List.exists (fun o -> not (Crash.passed o)) outcomes);
+      let recovery_failures =
+        List.filter_map
+          (fun o ->
+            match o.Crash.fsck_failure with
+            | Some m when String.starts_with ~prefix:"recovery: " m -> Some m
+            | _ -> None)
+          outcomes
+      in
+      Alcotest.(check bool) "some seed fails in recovery" true (recovery_failures <> []);
+      List.iter
+        (fun m ->
+          if not (names_index_and_pvbn m) then
+            Alcotest.failf "recovery failure names no reference index and pvbn: %s" m)
+        recovery_failures)
 
 let () =
   Alcotest.run "integration"

@@ -270,6 +270,50 @@ let test_snapshot_lost_block_is_corruption () =
       Alcotest.(check int) "counted unrecoverable" 1
         (Wafl_storage.Fault.unrecoverable_reads plan))
 
+(* A published tree whose location tables point a metafile block at a
+   block of another kind.  [misplace locations ~index pvbn] moves entry
+   [index] of a superblock's location table to [pvbn]. *)
+let misplace locations ~index pvbn =
+  Array.iteri (fun i (idx, _) -> if idx = index then locations.(i) <- (idx, pvbn)) locations
+
+let test_recover_names_wrong_payload () =
+  let env = make_env () in
+  in_sim env (fun () ->
+      let f = Aggregate.create_file env.agg ~vol:(Volume.id env.vol) in
+      write_gen env f ~blocks:100 ~gen:0;
+      run_cp env);
+  let vr = List.hd (Option.get (Aggregate.superblock env.agg)).Layout.vols in
+  let volmap_index, volmap_pvbn = vr.Layout.volmap_pvbns.(0) in
+  misplace vr.Layout.inode_chunk_pvbns ~index:0 volmap_pvbn;
+  match Aggregate.recover (Engine.create ~cores:8 ()) ~cost:Cost.default (Aggregate.crash env.agg) with
+  | _ -> Alcotest.fail "recovered a tree whose inode chunk is a volume-map chunk"
+  | exception Aggregate.Corruption m ->
+      Alcotest.(check string) "kind, owner, index and pvbn"
+        (Printf.sprintf "recovery: vol 0 inode chunk 0 at pvbn %d: holds vol 0 volmap chunk %d"
+           volmap_pvbn volmap_index)
+        m
+
+let test_snapshot_malformed_tree_is_corruption () =
+  let env = make_env () in
+  in_sim env (fun () ->
+      let f = Aggregate.create_file env.agg ~vol:(Volume.id env.vol) in
+      write_gen env f ~blocks:10 ~gen:0;
+      run_cp env;
+      let snap = Aggregate.create_snapshot env.agg ~name:"bent" in
+      let vr = List.hd (Snapshot.superblock snap).Layout.vols in
+      let _, inode_pvbn = vr.Layout.inode_chunk_pvbns.(0) in
+      let index = File.vvbn_of_fbn f 3 / Layout.entries_per_container_block in
+      misplace vr.Layout.container_pvbns ~index inode_pvbn;
+      match
+        Aggregate.read_snapshot env.agg snap ~vol:(Volume.id env.vol) ~file:(File.id f) ~fbn:3
+      with
+      | _ -> Alcotest.fail "read through a container chunk that is an inode chunk"
+      | exception Aggregate.Corruption m ->
+          Alcotest.(check string) "kind, owner, index and pvbn"
+            (Printf.sprintf "vol 0 container chunk %d at pvbn %d: holds vol 0 inode chunk 0" index
+               inode_pvbn)
+            m)
+
 let prop_snapshot_immutable_under_random_traffic =
   QCheck.Test.make ~name:"snapshot content immutable under random overwrites" ~count:6
     QCheck.(int_bound 10_000)
@@ -359,6 +403,10 @@ let () =
             test_snapshot_media_error_reconstructed;
           Alcotest.test_case "lost block is corruption" `Quick
             test_snapshot_lost_block_is_corruption;
+          Alcotest.test_case "malformed tree is corruption" `Quick
+            test_snapshot_malformed_tree_is_corruption;
+          Alcotest.test_case "recovery names a wrong payload" `Quick
+            test_recover_names_wrong_payload;
         ] );
       ( "reports",
         [
