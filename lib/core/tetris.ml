@@ -99,17 +99,26 @@ let make_temperature_stream () : int -> Wafl_fs.Layout.block option -> int =
       v
     end
   in
-  (* Last placement stamp by vol, file and fbn; -1 for never placed. *)
+  (* Last placement stamp by vol, file and fbn; -1 for never placed.  A
+     stamp counts every data block the run places, so it outgrows the
+     32-bit entries of an [Intvec]: each file's stamps are a plain [int
+     array], grown by doubling. *)
   let last = T.create () in
   let tracked = ref 0 and n = ref 0 in
   let data ~vol ~file ~fbn =
     incr n;
     let files = find_or_add last vol T.create in
-    let stamps = find_or_add files file (fun () -> Wafl_util.Intvec.create ~default:(-1) ()) in
-    let prev = Wafl_util.Intvec.get stamps fbn in
+    let stamps = find_or_add files file (fun () -> ref [||]) in
+    let a = !stamps in
+    let prev = if fbn < Array.length a then a.(fbn) else -1 in
     let hot = prev >= 0 && !n - prev < !tracked in
     if prev < 0 then incr tracked;
-    Wafl_util.Intvec.set stamps fbn !n;
+    if fbn >= Array.length a then begin
+      let b = Array.make (max (fbn + 1) (2 * Array.length a)) (-1) in
+      Array.blit a 0 b 0 (Array.length a);
+      stamps := b
+    end;
+    !stamps.(fbn) <- !n;
     if hot then 1 else 0
   in
   fun key boxed ->

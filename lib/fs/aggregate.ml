@@ -96,8 +96,9 @@ let make_raids eng cost disk geom obs flash_cfg =
       in
       Raid.create ~obs ?flash eng ~cost ~disk ~rg)
 
-(* A full packed metafile image is 512 slots (4 KiB); the shorter tail
-   block of a small map is left to the GC. *)
+(* A full metafile image is 512 slots: 2 KiB of entries or 4 KiB of
+   words, pooled apart.  The shorter tail block of a small map is left
+   to the GC. *)
 let new_spares () = Wafl_util.Packed.spares ~slots:Layout.entries_per_bmap_block
 
 let init_aa_free geom =
@@ -221,6 +222,9 @@ let register_volume t vol =
       }
 
 let create_volume t ~vvbn_space =
+  (* A file's block map keeps each vvbn in 32 bits. *)
+  if vvbn_space >= 1 lsl 31 then
+    invalid_arg "Aggregate.create_volume: vvbn_space must be below 2^31";
   let vid = t.next_vol_id in
   let vol = Volume.create ~id:vid ~vvbn_space in
   register_volume t vol;
@@ -631,11 +635,9 @@ let publish_superblock t sb =
   Freed_set.release t.recently_freed (fun pvbn ->
       if not (snapshot_held t pvbn) then
         match Disk.discard t.pers.p_disk pvbn with
-        | Some
-            ( Layout.Bmap { entries = img; _ }
-            | Layout.Container { entries = img; _ }
-            | Layout.Vol_map { words = img; _ }
-            | Layout.Agg_map { words = img; _ } ) ->
+        | Some (Layout.Bmap { entries = img; _ } | Layout.Container { entries = img; _ }) ->
+            Wafl_util.Packed.recycle spares img
+        | Some (Layout.Vol_map { words = img; _ } | Layout.Agg_map { words = img; _ }) ->
             Wafl_util.Packed.recycle spares img
         (* A compact data image has no buffer to hand back. *)
         | Some (Layout.Data _ | Layout.Inode_chunk _) | None -> ());

@@ -82,6 +82,9 @@ val set_stream_classifier : t -> (int -> Layout.block option -> int) -> unit
 (** {1 Client operations} *)
 
 val create_volume : t -> vvbn_space:int -> Volume.t
+(** Raises [Invalid_argument] on a [vvbn_space] of 2^31 or more: block
+    maps keep each vvbn in 32 bits. *)
+
 val volume : t -> int -> Volume.t option
 val volume_exn : t -> int -> Volume.t
 val volumes : t -> Volume.t list

@@ -169,7 +169,7 @@ let load_block t i payload =
   if i < 0 || i >= nblocks t then invalid_arg "Bitmap_file.load_block: bad block";
   let off = i * words_per_block in
   let len = min words_per_block (nwords t - off) in
-  if Packed.length payload <> len then invalid_arg "Bitmap_file.load_block: size mismatch";
+  if Packed.word_count payload <> len then invalid_arg "Bitmap_file.load_block: size mismatch";
   (* Maintain the free count incrementally. *)
   for j = 0 to len - 1 do
     let w = Packed.get_int64 payload j in

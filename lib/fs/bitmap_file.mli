@@ -62,7 +62,7 @@ val mark_dirty : t -> int -> unit
 (** Explicitly dirty a block (used when relocating the block itself). *)
 
 val clear_dirty : t -> unit
-val words_of_block : ?spares:Wafl_util.Packed.spares -> t -> int -> Wafl_util.Packed.t
+val words_of_block : ?spares:Wafl_util.Packed.spares -> t -> int -> Wafl_util.Packed.words
 (** Packed image of the words backing metafile block [i], for
     serialization, in a buffer from [spares] when one fits (the last
     block of a map may be shorter than a full one). *)
@@ -71,7 +71,7 @@ val snapshot_words : t -> int64 array
 (** Copy of the whole bit array; used to capture the block-usage state a
     snapshot pins. *)
 
-val load_block : t -> int -> Wafl_util.Packed.t -> unit
+val load_block : t -> int -> Wafl_util.Packed.words -> unit
 (** Overwrite block [i]'s words from a disk image (recovery). *)
 
 val location : t -> int -> int

@@ -1,11 +1,13 @@
 (* Exact LRU over array slots.  Each resident pvbn owns a slot in [slots]
-   (stride 3: pvbn, prev slot, next slot; -1 ends a list); the list head
-   is the most recently used entry and the tail the eviction victim.
+   (stride 2: pvbn, then the slot's links); the list head is the most
+   recently used entry and the tail the eviction victim.  A links word
+   packs prev + 1 above next + 1, 31 bits each, so -1 (nil) ends a list.
    Unused slots are chained through their next field.  [index] is an
-   open-addressing table (stride 2: pvbn, slot; -1 marks an empty entry)
-   with linear probing and backward-shift deletion, so no tombstones
-   accumulate.  Nothing here allocates once the arrays have grown to the
-   working set; they double up to [capacity] slots as the cache fills. *)
+   open-addressing table of one word per entry, the pvbn above its slot
+   (31 bits; -1 marks an empty entry), with linear probing and
+   backward-shift deletion, so no tombstones accumulate.  Nothing here
+   allocates once the arrays have grown to the working set; they double
+   up to [capacity] slots as the cache fills. *)
 
 type t = {
   capacity : int;
@@ -24,18 +26,26 @@ type t = {
 let nil = -1
 let initial_slots = 1024
 
+(* Pvbns and slots are below 2^31: one 31-bit field each. *)
+let field_bits = 31
+let field_mask = (1 lsl field_bits) - 1
+
 (* Slot [s]'s fields. *)
-let key t s = Array.unsafe_get t.slots (3 * s)
-let prev t s = Array.unsafe_get t.slots ((3 * s) + 1)
-let next t s = Array.unsafe_get t.slots ((3 * s) + 2)
-let set_prev t s p = Array.unsafe_set t.slots ((3 * s) + 1) p
-let set_next t s n = Array.unsafe_set t.slots ((3 * s) + 2) n
+let key t s = Array.unsafe_get t.slots (2 * s)
+let links t s = Array.unsafe_get t.slots ((2 * s) + 1)
+let prev t s = (links t s lsr field_bits) - 1
+let next t s = (links t s land field_mask) - 1
+let set_links t s ~prev ~next =
+  Array.unsafe_set t.slots ((2 * s) + 1) (((prev + 1) lsl field_bits) lor (next + 1))
+
+let set_prev t s p = set_links t s ~prev:p ~next:(next t s)
+let set_next t s n = set_links t s ~prev:(prev t s) ~next:n
 
 (* Slots [from .. nslots - 1] become the free chain. *)
 let chain_free t ~from ~nslots =
   for s = from to nslots - 1 do
-    Array.unsafe_set t.slots (3 * s) nil;
-    set_next t s (if s + 1 < nslots then s + 1 else nil)
+    Array.unsafe_set t.slots (2 * s) nil;
+    set_links t s ~prev:nil ~next:(if s + 1 < nslots then s + 1 else nil)
   done;
   t.free <- (if from < nslots then from else nil)
 
@@ -48,48 +58,50 @@ let index_bits_for nslots =
 let home t pvbn = (pvbn * 0x9E3779B97F4A7C1) lsr (63 - t.index_bits)
 let mask t = (1 lsl t.index_bits) - 1
 
+(* An index entry's pvbn (-1 when empty) and slot. *)
+let entry_key e = e asr field_bits
+let entry_slot e = e land field_mask
+let entry pvbn s = (pvbn lsl field_bits) lor s
+
 (* Index entry holding [pvbn], or the empty entry where it would go. *)
 let find t pvbn =
   let m = mask t in
   let i = ref (home t pvbn) in
   while
-    let k = Array.unsafe_get t.index (2 * !i) in
+    let k = entry_key (Array.unsafe_get t.index !i) in
     k <> pvbn && k <> nil
   do
     i := (!i + 1) land m
   done;
   !i
 
-let index_set t i pvbn s =
-  Array.unsafe_set t.index (2 * i) pvbn;
-  Array.unsafe_set t.index ((2 * i) + 1) s
-
 let index_remove t i =
   let m = mask t in
   let hole = ref i and j = ref ((i + 1) land m) in
-  while Array.unsafe_get t.index (2 * !j) <> nil do
-    let k = Array.unsafe_get t.index (2 * !j) in
-    let h = home t k in
+  while Array.unsafe_get t.index !j <> nil do
+    let e = Array.unsafe_get t.index !j in
+    let h = home t (entry_key e) in
     (* Entry [j] may move back into the hole unless its home lies
        cyclically in (hole, j]. *)
     let stays = if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j in
     if not stays then begin
-      index_set t !hole k (Array.unsafe_get t.index ((2 * !j) + 1));
+      Array.unsafe_set t.index !hole e;
       hole := !j
     end;
     j := (!j + 1) land m
   done;
-  index_set t !hole nil nil
+  Array.unsafe_set t.index !hole nil
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Buffer_cache.create: capacity must be positive";
+  if capacity > field_mask then invalid_arg "Buffer_cache.create: capacity must be below 2^31";
   let nslots = min capacity initial_slots in
   let index_bits = index_bits_for nslots in
   let t =
     {
       capacity;
-      slots = Array.make (3 * nslots) nil;
-      index = Array.make (2 lsl index_bits) nil;
+      slots = Array.make (2 * nslots) nil;
+      index = Array.make (1 lsl index_bits) nil;
       index_bits;
       free = nil;
       head = nil;
@@ -109,17 +121,17 @@ let length t = t.len
 (* Double the slot array (up to [capacity]) and rebuild the index for
    the new slot count. *)
 let grow t =
-  let old = Array.length t.slots / 3 in
+  let old = Array.length t.slots / 2 in
   let nslots = min t.capacity (2 * old) in
-  let slots = Array.make (3 * nslots) nil in
-  Array.blit t.slots 0 slots 0 (3 * old);
+  let slots = Array.make (2 * nslots) nil in
+  Array.blit t.slots 0 slots 0 (2 * old);
   t.slots <- slots;
   chain_free t ~from:old ~nslots;
   t.index_bits <- index_bits_for nslots;
-  t.index <- Array.make (2 lsl t.index_bits) nil;
+  t.index <- Array.make (1 lsl t.index_bits) nil;
   for s = 0 to old - 1 do
     let k = key t s in
-    if k <> nil then index_set t (find t k) k s
+    if k <> nil then Array.unsafe_set t.index (find t k) (entry k s)
   done
 
 let unlink t s =
@@ -128,8 +140,7 @@ let unlink t s =
   if n = nil then t.tail <- p else set_prev t n p
 
 let push_front t s =
-  set_prev t s nil;
-  set_next t s t.head;
+  set_links t s ~prev:nil ~next:t.head;
   if t.head = nil then t.tail <- s else set_prev t t.head s;
   t.head <- s
 
@@ -138,7 +149,7 @@ let push_front t s =
 let drop t s i =
   unlink t s;
   index_remove t i;
-  Array.unsafe_set t.slots (3 * s) nil;
+  Array.unsafe_set t.slots (2 * s) nil;
   set_next t s t.free;
   t.free <- s;
   t.len <- t.len - 1
@@ -152,10 +163,12 @@ let evict_lru t =
 
 let probe t pvbn =
   if pvbn < 0 then invalid_arg "Buffer_cache.probe: negative pvbn";
+  if pvbn > field_mask then invalid_arg "Buffer_cache.probe: pvbn must be below 2^31";
   let i = find t pvbn in
-  if Array.unsafe_get t.index (2 * i) = pvbn then begin
+  let e = Array.unsafe_get t.index i in
+  if entry_key e = pvbn then begin
     t.n_hits <- t.n_hits + 1;
-    let s = Array.unsafe_get t.index ((2 * i) + 1) in
+    let s = entry_slot e in
     if s <> t.head then begin
       unlink t s;
       push_front t s
@@ -168,19 +181,21 @@ let probe t pvbn =
     else if t.free = nil then grow t;
     let s = t.free in
     t.free <- next t s;
-    Array.unsafe_set t.slots (3 * s) pvbn;
+    Array.unsafe_set t.slots (2 * s) pvbn;
     push_front t s;
     (* Eviction and growth both move index entries: probe again. *)
-    index_set t (find t pvbn) pvbn s;
+    Array.unsafe_set t.index (find t pvbn) (entry pvbn s);
     t.len <- t.len + 1;
     false
   end
 
-let contains t pvbn = pvbn >= 0 && Array.unsafe_get t.index (2 * find t pvbn) = pvbn
+(* An empty index entry reads as pvbn -1, which is never resident. *)
+let contains t pvbn = pvbn >= 0 && entry_key (Array.unsafe_get t.index (find t pvbn)) = pvbn
 
 let invalidate t pvbn =
   let i = find t pvbn in
-  if pvbn >= 0 && Array.unsafe_get t.index (2 * i) = pvbn then drop t (Array.unsafe_get t.index ((2 * i) + 1)) i
+  let e = Array.unsafe_get t.index i in
+  if pvbn >= 0 && entry_key e = pvbn then drop t (entry_slot e) i
 
 let hits t = t.n_hits
 let misses t = t.n_misses
@@ -191,7 +206,7 @@ let hit_rate t =
   if total = 0 then 0.0 else float_of_int t.n_hits /. float_of_int total
 
 let clear t =
-  let nslots = Array.length t.slots / 3 in
+  let nslots = Array.length t.slots / 2 in
   Array.fill t.index 0 (Array.length t.index) nil;
   chain_free t ~from:0 ~nslots;
   t.head <- nil;

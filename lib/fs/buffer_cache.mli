@@ -11,18 +11,26 @@
     Capacity is in blocks.  The structure is an open-addressing int
     index over an array-slot doubly-linked LRU list: O(1) probe, insert
     and evict, with no allocation once the arrays have grown to the
-    working set (they double up to [capacity] slots as the cache fills). *)
+    working set (they double up to [capacity] slots as the cache fills).
+    An index entry packs a pvbn and its slot into one word, and a slot
+    packs its two list links into one, 31 bits a field: so pvbns and the
+    capacity are below 2^31, as on every geometry the storage layer
+    accepts. *)
 
 type t
 
 val create : capacity:int -> t
+(** Raises [Invalid_argument] on a capacity that is not positive or not
+    below 2^31. *)
+
 val capacity : t -> int
 val length : t -> int
 
 val probe : t -> int -> bool
 (** [probe t pvbn] is [true] on a hit (the entry is refreshed to MRU).
     On a miss the block is inserted, evicting the LRU entry if full.
-    Raises [Invalid_argument] on a negative pvbn. *)
+    Raises [Invalid_argument] on a pvbn that is negative or not below
+    2^31. *)
 
 val contains : t -> int -> bool
 (** Lookup without side effects. *)

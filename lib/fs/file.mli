@@ -86,7 +86,7 @@ val dirty_bmap_blocks : t -> int list
 val dirty_bmap_blocks_desc : t -> int list
 (** Descending-order variant for prepend-accumulator callers. *)
 
-val bmap_entries : ?spares:Wafl_util.Packed.spares -> t -> int -> Wafl_util.Packed.t
+val bmap_entries : ?spares:Wafl_util.Packed.spares -> t -> int -> Wafl_util.Packed.entries
 (** Packed entries of bmap block [i] (length
     {!Layout.entries_per_bmap_block}), in a buffer from [spares] when one
     is free. *)
@@ -102,4 +102,4 @@ val of_inode_rec : ?buffers:buffers -> vol:int -> Layout.inode_rec -> t
     private table); bmap blocks are loaded afterwards with
     {!load_bmap_block}. *)
 
-val load_bmap_block : t -> index:int -> entries:Wafl_util.Packed.t -> unit
+val load_bmap_block : t -> index:int -> entries:Wafl_util.Packed.entries -> unit

@@ -7,11 +7,11 @@ type inode_rec = { file_id : int; nfbns : int; bmap_pvbns : (int * int) array }
 
 type block =
   | Data of { vol : int; file : int; fbn : int; content : int64 }
-  | Bmap of { vol : int; file : int; index : int; entries : Wafl_util.Packed.t }
+  | Bmap of { vol : int; file : int; index : int; entries : Wafl_util.Packed.entries }
   | Inode_chunk of { vol : int; index : int; inodes : inode_rec list }
-  | Container of { vol : int; index : int; entries : Wafl_util.Packed.t }
-  | Vol_map of { vol : int; index : int; words : Wafl_util.Packed.t }
-  | Agg_map of { index : int; words : Wafl_util.Packed.t }
+  | Container of { vol : int; index : int; entries : Wafl_util.Packed.entries }
+  | Vol_map of { vol : int; index : int; words : Wafl_util.Packed.words }
+  | Agg_map of { index : int; words : Wafl_util.Packed.words }
 
 type vol_rec = {
   vol_id : int;

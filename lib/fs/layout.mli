@@ -8,8 +8,11 @@
 
     Constants give each 4 KiB block a realistic capacity: 32768 bitmap
     bits, 512 block-map or container entries, or 64 inode records.
-    Entry and word payloads are {!Wafl_util.Packed} images, 8 bytes per
-    slot, which the GC never scans. *)
+    Payloads are {!Wafl_util.Packed} images, which the GC never scans:
+    block-map and container entries are entry images, 4 bytes per slot,
+    so every VBN they hold (and -1) lies in [[-2^31, 2^31)]; activemap
+    chunks are word images, 8 bytes per slot.  The modelled block stays
+    4 KiB either way: only the host keeps fewer bytes per entry. *)
 
 val bits_per_map_block : int
 (** Bits per allocation-bitmap block (32768 = 4 KiB of bits). *)
@@ -33,15 +36,15 @@ type block =
   | Data of { vol : int; file : int; fbn : int; content : int64 }
       (** A user (or metafile-content) data block; [content] is the opaque
           write token used to verify read-back integrity. *)
-  | Bmap of { vol : int; file : int; index : int; entries : Wafl_util.Packed.t }
+  | Bmap of { vol : int; file : int; index : int; entries : Wafl_util.Packed.entries }
       (** Block-map block [index] of a file: entry [i] maps
           fbn = index * entries_per_bmap_block + i to a vvbn (-1 = hole). *)
   | Inode_chunk of { vol : int; index : int; inodes : inode_rec list }
-  | Container of { vol : int; index : int; entries : Wafl_util.Packed.t }
+  | Container of { vol : int; index : int; entries : Wafl_util.Packed.entries }
       (** vvbn -> pvbn translations (-1 = unmapped). *)
-  | Vol_map of { vol : int; index : int; words : Wafl_util.Packed.t }
+  | Vol_map of { vol : int; index : int; words : Wafl_util.Packed.words }
       (** Volume activemap chunk (vvbn allocation bitmap). *)
-  | Agg_map of { index : int; words : Wafl_util.Packed.t }
+  | Agg_map of { index : int; words : Wafl_util.Packed.words }
       (** Aggregate activemap chunk (pvbn allocation bitmap). *)
 
 type vol_rec = {

@@ -81,7 +81,8 @@ val dirty_container_chunks : t -> int list
 val dirty_container_chunks_desc : t -> int list
 (** Descending-order variant for prepend-accumulator callers. *)
 
-val container_entries : ?spares:Wafl_util.Packed.spares -> t -> int -> Wafl_util.Packed.t
+val container_entries :
+  ?spares:Wafl_util.Packed.spares -> t -> int -> Wafl_util.Packed.entries
 (** Packed entries of container block [i], in a buffer from [spares]
     when one is free. *)
 
@@ -105,7 +106,7 @@ val of_vol_rec : Layout.vol_rec -> t
 (** Rebuild identity and metafile locations; chunk contents are loaded by
     the recovery driver via [load_*]. *)
 
-val load_container_chunk : t -> index:int -> entries:Wafl_util.Packed.t -> unit
+val load_container_chunk : t -> index:int -> entries:Wafl_util.Packed.entries -> unit
 val load_inode_chunk : buffers:File.buffers -> t -> Layout.inode_rec list -> unit
 (** Registers the files, their dirty buffers in [buffers], without
     dirtying inode chunks. *)

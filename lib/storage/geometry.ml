@@ -26,6 +26,9 @@ let create ?(drive_blocks = 65536) ?(aa_stripes = 1024) ~raid_groups () =
            g)
     |> Array.of_list
   in
+  (* Block maps and container maps keep a VBN in 32 bits. *)
+  if !next * drive_blocks >= 1 lsl 31 then
+    invalid_arg "Geometry.create: an aggregate holds fewer than 2^31 data blocks";
   let drive_shift =
     if drive_blocks land (drive_blocks - 1) = 0 then
       let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1) in

@@ -25,7 +25,10 @@ val create :
     with one RAID group of [d1] data and [p1] parity drives, etc.
     [drive_blocks] (default 65536) is the per-drive capacity in 4 KiB
     blocks; [aa_stripes] (default 1024) the Allocation Area depth.
-    [drive_blocks] must be a multiple of [aa_stripes]. *)
+    [drive_blocks] must be a multiple of [aa_stripes], and the data
+    drives must hold fewer than 2^31 blocks in all, so that every VBN
+    fits the 32-bit entries of block maps and container maps.  Raises
+    [Invalid_argument] otherwise. *)
 
 val total_data_blocks : t -> int
 val raid_group_count : t -> int

@@ -1,56 +1,74 @@
-type t = { default : int; mutable data : int array; mutable len : int }
+(* Entries are signed 32-bit ints, 4 bytes apiece in one [Bytes] (the
+   layout of a {!Packed} entry image), so the GC never scans them and
+   [extract] is one blit.  Every slot at or past [len] holds the
+   default. *)
+type t = { default : int; mutable data : Bytes.t; mutable len : int }
+
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let in_range v = v >= Packed.min_entry && v <= Packed.max_entry
+
+let fill data ~from ~upto v =
+  let x = Int32.of_int v in
+  for i = from to upto - 1 do
+    set32u data (4 * i) x
+  done
 
 let create ?(initial_capacity = 16) ~default () =
   if initial_capacity <= 0 then invalid_arg "Intvec.create: bad capacity";
-  { default; data = Array.make initial_capacity default; len = 0 }
+  if not (in_range default) then invalid_arg "Intvec.create: default outside [-2^31, 2^31)";
+  let data = Bytes.create (4 * initial_capacity) in
+  fill data ~from:0 ~upto:initial_capacity default;
+  { default; data; len = 0 }
 
 let default t = t.default
 let length t = t.len
-let capacity t = Array.length t.data
+let capacity t = Bytes.length t.data / 4
+
+(* Below [t.len], so inside [data]. *)
+let[@inline] raw t i = Int32.to_int (get32u t.data (4 * i))
 
 let get t i =
   if i < 0 then invalid_arg "Intvec.get: negative index";
-  if i >= t.len then t.default else t.data.(i)
+  if i >= t.len then t.default else raw t i
 
 let set t i v =
   if i < 0 then invalid_arg "Intvec.set: negative index";
-  if i >= Array.length t.data then begin
-    let cap = ref (Array.length t.data) in
-    while i >= !cap do
-      cap := !cap * 2
+  if not (in_range v) then invalid_arg "Intvec.set: value outside [-2^31, 2^31)";
+  let cap = capacity t in
+  if i >= cap then begin
+    let n = ref cap in
+    while i >= !n do
+      n := !n * 2
     done;
-    let bigger = Array.make !cap t.default in
-    Array.blit t.data 0 bigger 0 t.len;
+    let bigger = Bytes.create (4 * !n) in
+    Bytes.blit t.data 0 bigger 0 (4 * cap);
+    fill bigger ~from:cap ~upto:!n t.default;
     t.data <- bigger
   end;
-  t.data.(i) <- v;
+  set32u t.data (4 * i) (Int32.of_int v);
   if i >= t.len then t.len <- i + 1
 
-(* The backing array's tail beyond [t.len] already holds the default,
-   so one pass over [data] (default past its end) is the logical range. *)
-let extract ?spares t ~pos ~len = Packed.of_ints ?spares t.data ~pos ~len ~default:t.default
+let extract ?spares t ~pos ~len = Packed.of_entries ?spares t.data ~pos ~len ~default:t.default
 
 let iteri_set t f =
   for i = 0 to t.len - 1 do
-    if t.data.(i) <> t.default then f i t.data.(i)
+    let v = raw t i in
+    if v <> t.default then f i v
   done
 
 let bindings t =
   let n = ref 0 in
-  for i = 0 to t.len - 1 do
-    if t.data.(i) <> t.default then incr n
-  done;
+  iteri_set t (fun _ _ -> incr n);
   let out = Array.make !n (0, 0) and k = ref 0 in
-  for i = 0 to t.len - 1 do
-    if t.data.(i) <> t.default then begin
-      out.(!k) <- (i, t.data.(i));
-      incr k
-    end
-  done;
+  iteri_set t (fun i v ->
+      out.(!k) <- (i, v);
+      incr k);
   out
 
 let clear t =
-  Array.fill t.data 0 t.len t.default;
+  fill t.data ~from:0 ~upto:t.len t.default;
   t.len <- 0
 
-let copy t = { default = t.default; data = Array.copy t.data; len = t.len }
+let copy t = { t with data = Bytes.copy t.data }

@@ -1,46 +1,71 @@
-type t = Bytes.t
-type spares = { slots : int; mutable free : t list }
+type 'k t = Bytes.t
+type entry
+type word
+type entries = entry t
+type words = word t
 
-let spares ~slots = { slots; free = [] }
-let recycle s b = if Bytes.length b = 8 * s.slots then s.free <- b :: s.free
-let drop_spares s = s.free <- []
+let min_entry = -0x8000_0000
+let max_entry = 0x7FFF_FFFF
+
+type spares = { slots : int; mutable entry_bufs : Bytes.t list; mutable word_bufs : Bytes.t list }
+
+let spares ~slots = { slots; entry_bufs = []; word_bufs = [] }
+
+(* A dead buffer is bytes of one size or the other: a full block of
+   either kind is refilled as any image of its size. *)
+let recycle s b =
+  let n = Bytes.length b in
+  if n = 4 * s.slots then s.entry_bufs <- b :: s.entry_bufs
+  else if n = 8 * s.slots then s.word_bufs <- b :: s.word_bufs
+
+let drop_spares s =
+  s.entry_bufs <- [];
+  s.word_bufs <- []
 
 (* A buffer of [len] slots, contents unspecified: a spare when one fits. *)
-let buffer spares len =
+let entry_buffer spares len =
   match spares with
-  | Some ({ free = b :: rest; _ } as s) when s.slots = len ->
-      s.free <- rest;
+  | Some ({ entry_bufs = b :: rest; _ } as s) when s.slots = len ->
+      s.entry_bufs <- rest;
+      b
+  | _ -> Bytes.create (4 * len)
+
+let word_buffer spares len =
+  match spares with
+  | Some ({ word_bufs = b :: rest; _ } as s) when s.slots = len ->
+      s.word_bufs <- rest;
       b
   | _ -> Bytes.create (8 * len)
 
-external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
 
-(* [fill_ints] and [of_words]'s blit are the only code that writes
-   slots: every slot of [b] is written exactly once.  [of_ints] has
-   checked [pos >= 0] and picked the buffer, so slots below [avail] read
-   inside [a] and the copy loops need no bounds checks. *)
-let fill_ints b a ~pos ~default =
-  let len = Bytes.length b / 8 in
-  let avail = max 0 (min len (Array.length a - pos)) in
-  for i = 0 to avail - 1 do
-    set64u b (8 * i) (Int64.of_int (Array.unsafe_get a (pos + i)))
-  done;
-  let d = Int64.of_int default in
-  for i = avail to len - 1 do
-    set64u b (8 * i) d
+let in_entry_range v = v >= min_entry && v <= max_entry
+
+(* [fill_default] and the two blits are the only code that writes
+   slots: every slot of an image is written exactly once. *)
+let fill_default b ~from ~default =
+  let d = Int32.of_int default in
+  for i = from to (Bytes.length b / 4) - 1 do
+    set32u b (4 * i) d
   done;
   b
 
-let of_ints ?spares a ~pos ~len ~default =
-  if pos < 0 || len < 0 then invalid_arg "Packed.of_ints";
-  fill_ints (buffer spares len) a ~pos ~default
+let of_entries ?spares src ~pos ~len ~default =
+  if pos < 0 || len < 0 || not (in_entry_range default) then invalid_arg "Packed.of_entries";
+  let b = entry_buffer spares len in
+  let avail = max 0 (min len ((Bytes.length src / 4) - pos)) in
+  if avail > 0 then Bytes.blit src (4 * pos) b 0 (4 * avail);
+  fill_default b ~from:avail ~default
+
+let length b = Bytes.length b / 4
+
+let get b i = Int32.to_int (Bytes.get_int32_ne b (4 * i))
 
 let of_words ?spares src ~pos ~len =
   if pos < 0 || len < 0 || 8 * (pos + len) > Bytes.length src then invalid_arg "Packed.of_words";
-  let b = buffer spares len in
+  let b = word_buffer spares len in
   Bytes.blit src (8 * pos) b 0 (8 * len);
   b
 
-let length b = Bytes.length b / 8
+let word_count b = Bytes.length b / 8
 let get_int64 b i = Bytes.get_int64_ne b (8 * i)
-let get b i = Int64.to_int (get_int64 b i)

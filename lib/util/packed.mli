@@ -1,11 +1,17 @@
-(** Packed block images: a fixed-length vector of 64-bit slots stored 8
-    bytes apiece in one [Bytes.t].
+(** Packed block images: a fixed-length vector of slots stored in one
+    [Bytes.t], in one of two kinds.
 
-    This is the on-disk form of every metafile block whose payload is a
-    run of numbers (block-map and container entries, activemap words).
-    A bytes block holds no pointers, so the major GC never scans an
-    image's contents, however many images the simulated disk retains.
-    Builders write every slot exactly once; nothing pre-fills.
+    - An {e entry} image ({!entries}) holds signed 32-bit slots, 4 bytes
+      apiece: the block-map and container entries, each a VBN or -1.
+      Every value must lie in [[-2^31, 2^31)].
+    - A {e word} image ({!words}) holds raw 64-bit slots, 8 bytes apiece:
+      the activemap words.
+
+    The kind is in the type, so no read branches on slot width.  This is
+    the on-disk form of every metafile block whose payload is a run of
+    numbers.  A bytes block holds no pointers, so the major GC never
+    scans an image's contents, however many images the simulated disk
+    retains.  Builders write every slot exactly once; nothing pre-fills.
 
     An image is immutable for as long as anything can read it.  Once it
     is dead, its owner may {!recycle} the buffer into a {!spares} pool;
@@ -13,15 +19,31 @@
     of allocating a fresh buffer.  Recycling an image that is still
     reachable corrupts it. *)
 
-type t
+type 'k t
+
+type entry
+type word
+
+type entries = entry t
+(** 4-byte signed slots. *)
+
+type words = word t
+(** 8-byte slots. *)
+
+val min_entry : int
+(** [-2^31], the least value an entry slot holds. *)
+
+val max_entry : int
+(** [2^31 - 1], the greatest value an entry slot holds. *)
 
 type spares
-(** A pool of dead image buffers, all of one size. *)
+(** A pool of dead image buffers of full blocks: entry buffers and word
+    buffers, each kind at its own size. *)
 
 val spares : slots:int -> spares
-(** An empty pool holding buffers of [slots] slots. *)
+(** An empty pool holding buffers of [slots] slots of either kind. *)
 
-val recycle : spares -> t -> unit
+val recycle : spares -> _ t -> unit
 (** Hand a dead image's buffer to the pool.  The caller must hold the
     only reference: the next build that draws it overwrites every slot.
     Images of another size are left to the GC. *)
@@ -29,26 +51,31 @@ val recycle : spares -> t -> unit
 val drop_spares : spares -> unit
 (** Leave every pooled buffer to the GC. *)
 
-val of_ints : ?spares:spares -> int array -> pos:int -> len:int -> default:int -> t
-(** [of_ints a ~pos ~len ~default] has [len] slots; slot [i] holds
-    [a.(pos + i)] when [pos + i < Array.length a] and [default]
-    otherwise.  With [spares], the image is filled into a pooled buffer
-    when one of [len] slots is available.  Raises [Invalid_argument] on
-    a negative [pos] or [len]. *)
+val of_entries : ?spares:spares -> Bytes.t -> pos:int -> len:int -> default:int -> entries
+(** [of_entries src ~pos ~len ~default] has [len] slots, read from the
+    signed 32-bit entries of [src] (4 bytes apiece, native byte order,
+    the layout of an {!entries} image): slot [i] holds entry [pos + i]
+    of [src] when that lies inside [src] and [default] otherwise.  The
+    entries inside [src] are copied as one blit.  With [spares], the
+    image is filled into a pooled buffer when one of [len] slots is
+    available.  Raises [Invalid_argument] on a negative [pos] or [len],
+    or a [default] outside [[min_entry, max_entry]]. *)
 
-val of_words : ?spares:spares -> Bytes.t -> pos:int -> len:int -> t
+val length : entries -> int
+(** Number of slots. *)
+
+val get : entries -> int -> int
+(** Slot [i], sign-extended. *)
+
+val of_words : ?spares:spares -> Bytes.t -> pos:int -> len:int -> words
 (** [of_words src ~pos ~len] copies the 64-bit words [pos] ..
     [pos + len - 1] of [src] (8 bytes apiece, native byte order, the
     layout of a bitmap kept in [Bytes]), filled into a pooled buffer as
-    {!of_ints} does.  Raises [Invalid_argument] if that range is not
+    {!of_entries} does.  Raises [Invalid_argument] if that range is not
     inside [src]. *)
 
-val length : t -> int
+val word_count : words -> int
 (** Number of slots. *)
 
-val get : t -> int -> int
-(** Slot [i] as an [int]: exact for anything stored by {!of_ints}. *)
-
-val get_int64 : t -> int -> int64
-(** Slot [i] as raw 64 bits: exact for anything stored by {!of_words},
-    including words with bit 63 set. *)
+val get_int64 : words -> int -> int64
+(** Slot [i] as raw 64 bits, including words with bit 63 set. *)

@@ -278,6 +278,17 @@ let driver_results =
       ("skewed_write on flash", skewed_flash);
     ]
 
+(* The small spec replayed at five more seeds (its default seed is
+   "closed seq_write" above): each run once against its digest, where
+   the replay checks used to run it twice and compare. *)
+let small_spec_seeds =
+  List.map
+    (fun seed ->
+      spec_subject ~owner:"driver five-seed replay identity"
+        (Printf.sprintf "small_spec seed %d" seed)
+        { (small_spec ()) with Driver.seed })
+    [ 1; 2; 3; 4; 5 ]
+
 (* The values CLI commands print (or write), at their default flags: the
    checks each change used to diff by hand against its parent. *)
 let cli_crash ?flash key count =

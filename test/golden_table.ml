@@ -28,6 +28,11 @@ let recorded =
     ("nfs_mix", "cc534803d2b2eea40b6fc8c1941e48db");
     ("open loop + qos + watermarks + telemetry", "69bbcd73b65c895ad53fd40b81cdca2c");
     ("skewed_write on flash", "ed5d5cab65cabd8cdacb40a4c8fd6727");
+    ("small_spec seed 1", "3001a0ffbd31fe60f0a43c05aace0259");
+    ("small_spec seed 2", "8212315e13a049afc2d9fa3010b59927");
+    ("small_spec seed 3", "a800dcf9470d06ba20c5373f4e443cc0");
+    ("small_spec seed 4", "1b78b876f9dc380a5215d4eb38c823ef");
+    ("small_spec seed 5", "7bd56ceab9c61a0213427d0cdc0f6b0f");
     ("wafl_sim crash --seeds 8", "2bd5bf23e294b7318bbb6e676b8be251");
     ("wafl_sim crash --flash --seeds 4", "8e624cbaa1a33bb55522a3bd152d62fe");
     ("wafl_sim shard --scale 0.25 --shards 3 --domains 2", "2013724b7241fc5001ba68b4bb01c55c");

@@ -591,6 +591,50 @@ let make_agg () =
   let eng = Wafl_sim.Engine.create ~cores:2 () in
   Aggregate.create eng ~cost:Wafl_sim.Cost.default ~geometry:(small_geom ()) ()
 
+(* --- 32-bit entries --- *)
+
+(* A full block-map image keeps its 512 entries in 2 KiB of host bytes
+   (the modelled block stays 4 KiB); the image is one [Bytes] block, so
+   its header and the padding word that ends every [Bytes] are all it
+   adds. *)
+let test_bmap_image_bytes () =
+  let f = File.create ~vol:0 ~id:0 in
+  for fbn = 0 to Layout.entries_per_bmap_block - 1 do
+    ignore (File.set_vvbn f ~fbn ~vvbn:((1 lsl 31) - 1 - fbn))
+  done;
+  let img = File.bmap_entries f 0 in
+  Alcotest.(check int) "full block" Layout.entries_per_bmap_block (Wafl_util.Packed.length img);
+  Alcotest.(check int) "widest vvbn kept" ((1 lsl 31) - 1) (Wafl_util.Packed.get img 0);
+  let payload = 8 * (Obj.reachable_words (Obj.repr img) - 2) in
+  if payload > 2048 then Alcotest.failf "block-map image holds %d bytes of payload" payload
+
+(* A volume's container map costs 4 bytes per vvbn: a whole volume
+   holds no more than that beyond its activemap and frozen-vvbn bitmaps
+   (1 bit per vvbn each) and a fixed allowance for its other tables. *)
+let test_volume_container_bytes () =
+  let space = 1 lsl 20 in
+  let v = Volume.create ~id:0 ~vvbn_space:space in
+  let bytes = 8 * Obj.reachable_words (Obj.repr v) in
+  let bound = (4 * space) + (space / 4) + 65536 in
+  if bytes > bound then
+    Alcotest.failf "volume of %d vvbns holds %d bytes (bound %d)" space bytes bound
+
+let test_wide_sizes_rejected () =
+  Alcotest.check_raises "cache capacity"
+    (Invalid_argument "Buffer_cache.create: capacity must be below 2^31") (fun () ->
+      ignore (Buffer_cache.create ~capacity:(1 lsl 31)));
+  let c = Buffer_cache.create ~capacity:4 in
+  Alcotest.check_raises "cache pvbn"
+    (Invalid_argument "Buffer_cache.probe: pvbn must be below 2^31") (fun () ->
+      ignore (Buffer_cache.probe c (1 lsl 31)));
+  Alcotest.(check bool) "widest pvbn cached" false (Buffer_cache.probe c ((1 lsl 31) - 1));
+  Alcotest.(check bool) "and found" true (Buffer_cache.contains c ((1 lsl 31) - 1));
+  let agg = make_agg () in
+  Alcotest.check_raises "vvbn space"
+    (Invalid_argument "Aggregate.create_volume: vvbn_space must be below 2^31") (fun () ->
+      ignore (Aggregate.create_volume agg ~vvbn_space:(1 lsl 31)));
+  Alcotest.(check int) "no volume made" 0 (List.length (Aggregate.volumes agg))
+
 let test_aggregate_aa_accounting () =
   let agg = make_agg () in
   Alcotest.(check int) "aa 0 initially full" (512 * 3) (Aggregate.aa_free agg ~rg:0 ~aa:0);
@@ -721,17 +765,17 @@ let test_crash_in_freeing_cp () =
    (with the last generation still only in the NVRAM log) must all read
    the right generation. *)
 
+(* Every packed image on disk, entry and word images alike, as the
+   buffer the tests compare by identity. *)
 let packed_images agg =
   let disk = Aggregate.disk agg in
   let acc = ref [] in
   for pvbn = Wafl_storage.Geometry.total_data_blocks (small_geom ()) - 1 downto 0 do
     match Wafl_storage.Disk.read disk pvbn with
-    | Some
-        ( Layout.Bmap { entries = img; _ }
-        | Layout.Container { entries = img; _ }
-        | Layout.Vol_map { words = img; _ }
-        | Layout.Agg_map { words = img; _ } ) ->
-        acc := (pvbn, img) :: !acc
+    | Some (Layout.Bmap { entries = img; _ } | Layout.Container { entries = img; _ }) ->
+        acc := (pvbn, Obj.repr img) :: !acc
+    | Some (Layout.Vol_map { words = img; _ } | Layout.Agg_map { words = img; _ }) ->
+        acc := (pvbn, Obj.repr img) :: !acc
     | _ -> ()
   done;
   !acc
@@ -876,7 +920,7 @@ let test_delete_snapshot_drops_images () =
          write_gen ~bmaps:16 3;
          step "released bmap buffer refilled by a later CP"
            (List.exists
-              (fun (_, live) -> match img with Some old -> live == old | None -> false)
+              (fun (_, live) -> match img with Some old -> live == Obj.repr old | None -> false)
               (packed_images agg))));
   Wafl_sim.Engine.run eng;
   Alcotest.(check int) "every step ran" 7 (List.length !steps);
@@ -945,7 +989,7 @@ let test_spare_pool_bounded () =
   let parked = ref 0 in
   for i = 0 to Weak.length w - 1 do
     match Weak.get w i with
-    | Some img when not (List.exists (fun (_, l) -> l == img) live) -> incr parked
+    | Some img when not (List.exists (fun (_, l) -> l == Obj.repr img) live) -> incr parked
     | _ -> ()
   done;
   Alcotest.(check int) "deleted snapshot buffers parked in the pool" 0 !parked;
@@ -1771,6 +1815,13 @@ let () =
           QCheck_alcotest.to_alcotest ~verbose:false prop_cache_never_exceeds_capacity;
           QCheck_alcotest.to_alcotest ~verbose:false prop_cache_matches_list_model;
           Alcotest.test_case "growth matches the model" `Quick test_cache_growth_matches_model;
+        ] );
+      ( "entry-width",
+        [
+          Alcotest.test_case "block-map image in 2 KiB" `Quick test_bmap_image_bytes;
+          Alcotest.test_case "container map at 4 bytes per vvbn" `Quick
+            test_volume_container_bytes;
+          Alcotest.test_case "sizes of 2^31 rejected" `Quick test_wide_sizes_rejected;
         ] );
       ( "aggregate",
         [

@@ -62,6 +62,14 @@ let test_geometry_validation () =
   Alcotest.check_raises "bad alignment"
     (Invalid_argument "Geometry.create: drive_blocks must be a positive multiple of aa_stripes")
     (fun () -> ignore (Geometry.create ~drive_blocks:100 ~aa_stripes:64 ~raid_groups:[ (2, 1) ] ()));
+  (* VBNs are kept in 32-bit map entries. *)
+  Alcotest.check_raises "2^31 data blocks"
+    (Invalid_argument "Geometry.create: an aggregate holds fewer than 2^31 data blocks")
+    (fun () ->
+      ignore (Geometry.create ~drive_blocks:(1 lsl 27) ~raid_groups:[ (10, 2); (6, 1) ] ()));
+  Alcotest.(check int) "one drive fewer is accepted" ((1 lsl 31) - (1 lsl 27))
+    (Geometry.total_data_blocks
+       (Geometry.create ~drive_blocks:(1 lsl 27) ~raid_groups:[ (10, 2); (5, 1) ] ()));
   let g = geom () in
   Alcotest.(check bool) "invalid vbn" false (Geometry.vbn_valid g (7 * 4096));
   Alcotest.(check bool) "valid vbn" true (Geometry.vbn_valid g 0)

@@ -338,13 +338,13 @@ let prop_packed_words_roundtrip =
       let pos = if n = 0 then 0 else a mod n in
       let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
       let img = Packed.of_words src ~pos ~len in
-      Packed.length img = len
+      Packed.word_count img = len
       && List.for_all (fun i -> Packed.get_int64 img i = words.(pos + i)) (List.init len Fun.id))
 
 let test_packed_bad_ranges () =
   let v = Intvec.create ~default:(-1) () in
-  Alcotest.check_raises "negative pos rejected" (Invalid_argument "Packed.of_ints") (fun () ->
-      ignore (Intvec.extract v ~pos:(-1) ~len:2));
+  Alcotest.check_raises "negative pos rejected" (Invalid_argument "Packed.of_entries")
+    (fun () -> ignore (Intvec.extract v ~pos:(-1) ~len:2));
   Alcotest.check_raises "words past the end rejected" (Invalid_argument "Packed.of_words")
     (fun () -> ignore (Packed.of_words (Bytes.create 16) ~pos:1 ~len:2))
 
@@ -417,6 +417,67 @@ let prop_intvec_models_assoc =
         (fun i ->
           Intvec.get v i = Option.value ~default:(-1000) (Hashtbl.find_opt model i))
         (List.init 501 Fun.id))
+
+(* Entries are 32 bits wide: the two ends of the range, and -1 (a hole
+   or an unmapped VBN), must survive the vector and its images, and one
+   past either end must be refused. *)
+let wide = 1 lsl 31
+let edges = [ -wide; -1; 0; wide - 1 ]
+
+let prop_intvec_models_edges =
+  QCheck.Test.make ~name:"intvec keeps 32-bit edge values" ~count:200
+    QCheck.(
+      list_of_size Gen.(1 -- 100)
+        (pair (int_bound 300) (oneof [ oneofl edges; int_range (-wide) (wide - 1) ])))
+    (fun writes ->
+      let v = Intvec.create ~default:(-1) () in
+      let model = Hashtbl.create 64 in
+      List.iter
+        (fun (i, x) ->
+          Intvec.set v i x;
+          Hashtbl.replace model i x)
+        writes;
+      let img = Intvec.extract v ~pos:0 ~len:301 in
+      List.for_all
+        (fun i ->
+          let want = Option.value ~default:(-1) (Hashtbl.find_opt model i) in
+          Intvec.get v i = want && Packed.get img i = want)
+        (List.init 301 Fun.id))
+
+let test_intvec_rejects_wide () =
+  Alcotest.(check (pair int int)) "entry range" (-wide, wide - 1)
+    (Packed.min_entry, Packed.max_entry);
+  let v = Intvec.create ~default:(-1) () in
+  List.iter
+    (fun x ->
+      Alcotest.check_raises (Printf.sprintf "set %d" x)
+        (Invalid_argument "Intvec.set: value outside [-2^31, 2^31)") (fun () -> Intvec.set v 3 x))
+    [ wide; -wide - 1 ];
+  Alcotest.(check int) "nothing written" 0 (Intvec.length v);
+  Alcotest.check_raises "wide default"
+    (Invalid_argument "Intvec.create: default outside [-2^31, 2^31)") (fun () ->
+      ignore (Intvec.create ~default:wide ()))
+
+let test_packed_entry_edges () =
+  let a = Array.of_list edges in
+  let v = Intvec.create ~initial_capacity:2 ~default:(wide - 1) () in
+  Array.iteri (Intvec.set v) a;
+  let img = Intvec.extract v ~pos:0 ~len:6 in
+  Alcotest.(check (list int)) "extract round trip, default past the end"
+    (edges @ [ wide - 1; wide - 1 ])
+    (List.init (Packed.length img) (Packed.get img));
+  let v = Intvec.create ~initial_capacity:2 ~default:(-wide) () in
+  Array.iteri (Intvec.set v) a;
+  let img = Intvec.extract v ~pos:1 ~len:5 in
+  Alcotest.(check (list int)) "interior extract, low default past the end"
+    [ -1; 0; wide - 1; -wide; -wide ]
+    (List.init (Packed.length img) (Packed.get img));
+  List.iter
+    (fun x ->
+      Alcotest.check_raises (Printf.sprintf "of_entries default %d" x)
+        (Invalid_argument "Packed.of_entries") (fun () ->
+          ignore (Packed.of_entries Bytes.empty ~pos:0 ~len:2 ~default:x)))
+    [ wide; -wide - 1 ]
 
 (* --- Table --- *)
 
@@ -619,6 +680,8 @@ let () =
           Alcotest.test_case "bindings" `Quick test_intvec_bindings;
           Alcotest.test_case "negative index" `Quick test_intvec_negative_index;
           QCheck_alcotest.to_alcotest ~verbose:false prop_intvec_models_assoc;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_intvec_models_edges;
+          Alcotest.test_case "32-bit values only" `Quick test_intvec_rejects_wide;
         ] );
       ( "dense_set",
         [
@@ -635,6 +698,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest ~verbose:false prop_packed_words_roundtrip;
           Alcotest.test_case "bad ranges rejected" `Quick test_packed_bad_ranges;
+          Alcotest.test_case "entry edges round trip" `Quick test_packed_entry_edges;
         ] );
       ( "table",
         [

@@ -85,24 +85,11 @@ let test_think_time_lowers_load () =
     (Wafl_util.Histogram.mean idle.Driver.latency
     <= Wafl_util.Histogram.mean busy.Driver.latency)
 
-let test_determinism () =
-  let a = Driver.run (small_spec ()) in
-  let b = Driver.run (small_spec ()) in
-  Alcotest.(check int) "identical op counts" a.Driver.ops b.Driver.ops;
-  Alcotest.(check int) "identical CP counts" a.Driver.cps_completed b.Driver.cps_completed;
-  Alcotest.(check int) "identical allocation traffic" a.Driver.vbns_allocated
-    b.Driver.vbns_allocated;
-  Alcotest.(check (float 0.0)) "identical throughput" a.Driver.throughput b.Driver.throughput
-
+(* Whole results (counters, floats, histograms) of the small spec at
+   five seeds, each against its golden digest.  The default seed's run
+   is "closed seq_write", asserted by [test_golden_digests]. *)
 let test_five_seed_determinism () =
-  (* Whole-result structural equality (counters, floats, histograms)
-     across an immediate replay, for five distinct seeds. *)
-  List.iter
-    (fun seed ->
-      let spec = { (small_spec ()) with Driver.seed } in
-      let a = Driver.run spec and b = Driver.run spec in
-      Alcotest.(check bool) (Printf.sprintf "seed %d replays identically" seed) true (a = b))
-    [ 1; 2; 3; 4; 5 ]
+  List.iter (fun s -> ignore (Golden.check s Golden.Plain)) Golden.small_spec_seeds
 
 let test_seed_changes_rand_stream () =
   let spec = small_spec ~workload:(Driver.Rand_write { file_blocks = 1024 }) () in
@@ -175,7 +162,6 @@ let () =
           Alcotest.test_case "random write metafile pressure" `Quick
             test_rand_write_touches_more_metafile_blocks;
           Alcotest.test_case "think time lowers load" `Quick test_think_time_lowers_load;
-          Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "five-seed replay identity" `Quick test_five_seed_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_seed_changes_rand_stream;
           Alcotest.test_case "alloc/free balance" `Quick test_alloc_free_balance;
