@@ -418,6 +418,7 @@ let top_run file live json out workload clients volumes cores measure_s seed win
                   Wafl_core.Walloc.cp_timer = Some (ms *. 1000.0) });
           measure = measure_s *. 1_000_000.0;
           seed;
+          chaos = { Wafl_storage.Fault.no_chaos with force_b2b = inject_b2b };
           telemetry = Some { Driver.rollup = rcfg; rules = Wafl_obs.Health.default_rules };
           open_loop =
             (match open_loop with
@@ -430,8 +431,6 @@ let top_run file live json out workload clients volumes cores measure_s seed win
                   });
         }
       in
-      if inject_b2b then Wafl_core.Cp.chaos_force_b2b := true;
-      Fun.protect ~finally:(fun () -> Wafl_core.Cp.chaos_force_b2b := false) @@ fun () ->
       with_run spec @@ fun r ->
       match r.Driver.telemetry with
       | None -> `Error (false, "driver returned no telemetry")

@@ -613,18 +613,6 @@ let repair_failed_writes t =
 
 (* --- the CP itself ------------------------------------------------------ *)
 
-(* Test-only chaos hook: publish the superblock before the io-flush
-   quiesce and write repair, deliberately breaking the commit-point
-   ordering.  The crash harness must catch the resulting data loss when
-   a crash lands in the publish-to-quiesce window — proof that its
-   oracle has teeth. *)
-let chaos_publish_before_quiesce = ref false
-
-(* Test-only chaos hook: book every CP as back-to-back.  Pure accounting
-   (the back-to-back counts only — scheduling is untouched), used to drive
-   the health watchdog's B2B-streak rule in tests. *)
-let chaos_force_b2b = ref false
-
 let publish_commit t =
   Engine.consume t.cost.Cost.cp_fixed;
   let sb = Aggregate.make_superblock t.agg in
@@ -633,12 +621,13 @@ let publish_commit t =
 
 let run_cp_body t =
   let started = Engine.now t.eng in
+  let chaos = Aggregate.chaos t.agg in
   t.is_running <- true;
   (* Back-to-back bookkeeping: this CP is B2B when the previous one
      committed with the half-full trigger already re-reached, i.e. demand
      filled a log half faster than one CP could drain it.  A maximal run
      of consecutive B2B CPs is one episode. *)
-  let is_b2b = t.next_is_b2b || !chaos_force_b2b in
+  let is_b2b = t.next_is_b2b || chaos.force_b2b in
   if is_b2b then begin
     t.n_b2b <- t.n_b2b + 1;
     if not t.in_b2b_run then t.n_b2b_episodes <- t.n_b2b_episodes + 1
@@ -671,7 +660,7 @@ let run_cp_body t =
             serial_metafile_pass t)
       in
       Engine.set_label t.eng "cp";
-      if !chaos_publish_before_quiesce then publish_commit t;
+      if chaos.publish_before_quiesce then publish_commit t;
       set_phase t "io-flush";
       serial_flush_io t;
       Array.iter Wafl_storage.Raid.quiesce (Aggregate.raid_groups t.agg);
@@ -697,7 +686,7 @@ let run_cp_body t =
       Engine.set_label t.eng "cp";
       set_phase t "quiesce-commits-2";
       Infra.quiesce_commits t.infra;
-      if !chaos_publish_before_quiesce then publish_commit t;
+      if chaos.publish_before_quiesce then publish_commit t;
       (* Phase 4: push out all remaining buffered blocks and wait for
          durability. *)
       set_phase t "io-flush";
@@ -711,7 +700,7 @@ let run_cp_body t =
   set_phase t "repair";
   ignore (repair_failed_writes t);
   (* Phase 5: the atomic commit. *)
-  if not !chaos_publish_before_quiesce then publish_commit t;
+  if not chaos.publish_before_quiesce then publish_commit t;
   t.n_cps <- t.n_cps + 1;
   t.last_duration <- Engine.now t.eng -. started;
   t.last_buffers <- buffers_total;

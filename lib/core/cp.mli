@@ -38,7 +38,8 @@ val create : ?obs:Wafl_obs.Trace.t -> Infra.t -> Cleaner_pool.t -> config -> t
     one ["cp <phase>"] span per phase and a whole-["CP"] span with
     buffer/metafile counts.  The engine's registry gets per-phase
     duration histograms (["cp.phase_us.<phase>"]) and CP count/duration
-    metrics.  The CP
+    metrics.  Every CP runs under its aggregate's chaos plan
+    ({!Wafl_fs.Aggregate.chaos}).  The CP
     count and the back-to-back counts ({!b2b_cps} and its episodes) are
     published as the pull counters ["cp.count"], ["cp.b2b"] and
     ["cp.b2b_episodes"]. *)
@@ -51,20 +52,6 @@ val request : t -> unit
 val run_now : t -> unit
 (** Fiber context: request a CP and park until one full CP (snapshotting
     state at least as new as now) has committed. *)
-
-val chaos_publish_before_quiesce : bool ref
-(** Test-only chaos hook: when set, the CP publishes the superblock
-    {e before} the io-flush quiesce and failed-write repair — a
-    deliberately broken commit ordering.  A crash landing in the
-    publish-to-quiesce window then loses acknowledged writes, which the
-    randomized crash harness must detect (negative control proving the
-    harness oracle works).  Never set outside tests. *)
-
-val chaos_force_b2b : bool ref
-(** Test-only chaos hook: book every CP as back-to-back.  Pure
-    accounting — the back-to-back counts only, scheduling untouched — used
-    to drive the health watchdog's B2B-streak rule in tests.  Never set
-    outside tests. *)
 
 val running : t -> bool
 

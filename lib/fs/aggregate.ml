@@ -14,6 +14,7 @@ type persist = {
       (* media model config; the FTL state itself is volatile (the real
          device rebuilds its L2P from NAND metadata on power-on, modeled
          by re-deriving fill from the recovered activemap) *)
+  p_chaos : Fault.chaos; (* the run's, so a recovery keeps it *)
 }
 
 exception Corruption = Blockref.Corruption
@@ -76,11 +77,6 @@ type t = {
   mutable hard_dwell_us : float;
   mutable exhausted : int; (* writes refused on exhausted NVRAM *)
 }
-
-(* Test-only chaos hook: each [wait_for_log_space] call books this many
-   extra virtual µs of hard-watermark dwell.  Pure accounting — no sleep,
-   no scheduling — so runs stay bit-identical with it set. *)
-let chaos_inject_hard_dwell = ref 0.0
 
 let free_counter = "agg_free_blocks"
 let vol_free_counter vid = Printf.sprintf "vol%d_free_vvbns" vid
@@ -153,13 +149,14 @@ let build ?(cache_blocks = 65536) ~obs eng ~cost pers =
   t
 
 let create ?(nvlog_half = 16384) ?nvlog_watermarks ?cache_blocks ?(obs = Wafl_obs.Trace.disabled)
-    ?flash eng ~cost ~geometry () =
+    ?flash ?(chaos = Fault.no_chaos) eng ~cost ~geometry () =
   build ?cache_blocks ~obs eng ~cost
     {
       p_disk = Disk.create ~codec:Layout.data_codec geometry;
       p_sb = None;
       p_nvlog = Nvlog.create ~half_capacity:nvlog_half ?watermarks:nvlog_watermarks ();
       p_flash = flash;
+      p_chaos = chaos;
     }
 
 let engine t = t.eng
@@ -169,6 +166,7 @@ let disk t = t.pers.p_disk
 let raid t ~rg = t.raids.(rg)
 let raid_groups t = t.raids
 let nvlog t = t.pers.p_nvlog
+let chaos t = t.pers.p_chaos
 let dirty_buffers t = File.buffered t.buffers
 let counters t = t.counters
 let agg_map t = t.agg_map
@@ -341,7 +339,7 @@ let note_hard_dwell t dt = if dt > 0.0 then t.hard_dwell_us <- t.hard_dwell_us +
 let exhausted_writes t = t.exhausted
 
 let wait_for_log_space t =
-  if !chaos_inject_hard_dwell > 0.0 then note_hard_dwell t !chaos_inject_hard_dwell;
+  note_hard_dwell t t.pers.p_chaos.hard_dwell_us;
   let nv = nvlog t in
   match Nvlog.watermarks nv with
   | None ->

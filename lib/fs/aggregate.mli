@@ -32,6 +32,7 @@ val create :
   ?cache_blocks:int ->
   ?obs:Wafl_obs.Trace.t ->
   ?flash:Wafl_flash.Ftl.config ->
+  ?chaos:Wafl_storage.Fault.chaos ->
   Wafl_sim.Engine.t ->
   cost:Wafl_sim.Cost.t ->
   geometry:Wafl_storage.Geometry.t ->
@@ -50,7 +51,10 @@ val create :
     NAND pages (with GC push-back), frees are TRIMmed, and the config
     survives {!crash}/{!recover} (the L2P itself is re-derived from the
     recovered activemap).  Off means the device is the flat slab it was
-    before — bit-identical behavior. *)
+    before — bit-identical behavior.  [chaos] (default
+    {!Wafl_storage.Fault.no_chaos}) is the run's chaos plan; it too
+    survives {!crash}/{!recover}, so a recovered CP engine runs under the
+    same plan. *)
 
 val engine : t -> Wafl_sim.Engine.t
 val cost : t -> Wafl_sim.Cost.t
@@ -59,6 +63,9 @@ val disk : t -> Layout.block Wafl_storage.Disk.t
 val raid : t -> rg:int -> Layout.block Wafl_storage.Raid.t
 val raid_groups : t -> Layout.block Wafl_storage.Raid.t array
 val nvlog : t -> Nvlog.t
+
+val chaos : t -> Wafl_storage.Fault.chaos
+(** The chaos plan the aggregate was created with. *)
 
 val dirty_buffers : t -> int
 (** Dirty buffers held over every file, front and CP: at most
@@ -145,10 +152,6 @@ val stall_time : t -> float
 
 val exhausted_writes : t -> int
 (** Writes refused with [`Log_exhausted]. *)
-
-val chaos_inject_hard_dwell : float ref
-(** Test-only: extra dwell µs booked per {!wait_for_log_space} call.
-    Pure accounting (no sleep), so setting it cannot perturb a run. *)
 
 (** {1 Physical allocation state (infrastructure side)} *)
 

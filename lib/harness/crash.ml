@@ -84,11 +84,10 @@ let flash_config =
   }
 
 let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize = false)
-    ?(overload = false) ?(flash = false) ~seed () =
+    ?(overload = false) ?(flash = false) ?chaos ~seed () =
   let geom = geometry () in
   let plan =
-    Fault.random ~seed ~total_vbns:(Geometry.total_data_blocks geom) ~raid_groups ~drive_blocks
-      ~horizon
+    Fault.random ~seed ~total_vbns:(Geometry.total_data_blocks geom) ~raid_groups ~horizon
   in
   let eng = Engine.create ~cores:8 ~sanitize () in
   let agg =
@@ -96,7 +95,7 @@ let run_one ?(ops = 100_000) ?(fbn_space = 700) ?(horizon = 60_000.0) ?(sanitize
       ~nvlog_half:(if overload then 512 else 2048)
       ?nvlog_watermarks:(if overload then Some overload_watermarks else None)
       ?flash:(if flash then Some flash_config else None)
-      ()
+      ?chaos ()
   in
   Disk.set_fault (Aggregate.disk agg) plan;
   let cfg = { Wafl_core.Walloc.default_config with cp_timer = Some 6_000.0 } in
@@ -233,10 +232,10 @@ let passed o = o.lost = 0 && o.fsck_failure = None
 (* Seeds are fully independent runs (each builds its own engines), so
    they fan out over worker domains; the outcome list keeps seed order,
    byte-identical to a serial sweep at any [domains]. *)
-let run_seeds ?ops ?fbn_space ?horizon ?sanitize ?overload ?flash ?(domains = 1) ~first_seed
-    ~count () =
+let run_seeds ?ops ?fbn_space ?horizon ?sanitize ?overload ?flash ?chaos ?(domains = 1)
+    ~first_seed ~count () =
   Wafl_util.Pool.map ~domains
-    (fun seed -> run_one ?ops ?fbn_space ?horizon ?sanitize ?overload ?flash ~seed ())
+    (fun seed -> run_one ?ops ?fbn_space ?horizon ?sanitize ?overload ?flash ?chaos ~seed ())
     (List.init count (fun i -> first_seed + i))
 
 let summarize outcomes =

@@ -53,6 +53,7 @@ val run_one :
   ?sanitize:bool ->
   ?overload:bool ->
   ?flash:bool ->
+  ?chaos:Wafl_storage.Fault.chaos ->
   seed:int ->
   unit ->
   outcome
@@ -69,14 +70,17 @@ val run_one :
     [flash] (default false) attaches a nearly-full {!Wafl_flash.Ftl} to
     every RAID group so the crash routinely lands mid-GC-cycle; the
     volatile L2P table is rebuilt on recovery and read-back must still
-    hold. *)
+    hold.  [chaos] (default [Fault.no_chaos]) is the run's chaos plan;
+    the recovered aggregate keeps it, so the post-recovery CP runs under
+    it too. *)
 
 val passed : outcome -> bool
 (** No acknowledged write lost and fsck clean. *)
 
 val run_seeds :
   ?ops:int -> ?fbn_space:int -> ?horizon:float -> ?sanitize:bool -> ?overload:bool ->
-  ?flash:bool -> ?domains:int -> first_seed:int -> count:int -> unit -> outcome list
+  ?flash:bool -> ?chaos:Wafl_storage.Fault.chaos -> ?domains:int -> first_seed:int ->
+  count:int -> unit -> outcome list
 (** [count] outcomes for consecutive seeds from [first_seed], in seed
     order.  [domains] (default 1) fans the seeds out over that many
     worker domains ({!Wafl_util.Pool}); outcomes are byte-identical at

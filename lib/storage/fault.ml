@@ -58,8 +58,7 @@ let create ?(media_errors = []) ?(write_errors = []) ?(transient_p = 0.0) ?(max_
    a handful of latent media errors or one whole-disk failure (never both,
    so single-parity reconstruction always has enough surviving drives),
    plus independent transient-failure, write-error and torn-tail choices. *)
-let random ~seed ~total_vbns ~raid_groups ~drive_blocks ~horizon =
-  ignore drive_blocks;
+let random ~seed ~total_vbns ~raid_groups ~horizon =
   let r = Wafl_util.Rng.create ~seed in
   let crash_at = (0.3 +. Wafl_util.Rng.float r 0.7) *. horizon in
   let mode = Wafl_util.Rng.int r 10 in
@@ -130,3 +129,7 @@ let degraded_reads t = t.n_degraded
 let transient_retries t = t.n_retries
 let rebuild_blocks t = t.n_rebuilt
 let unrecoverable_reads t = t.n_unrecoverable
+
+type chaos = { publish_before_quiesce : bool; force_b2b : bool; hard_dwell_us : float }
+
+let no_chaos = { publish_before_quiesce = false; force_b2b = false; hard_dwell_us = 0.0 }

@@ -51,8 +51,7 @@ val create :
     [disk_failures]: [(rg, drive, at)] whole-disk losses.  [crash_at]:
     virtual time the crash harness should crash at (0.0 = none). *)
 
-val random : seed:int -> total_vbns:int -> raid_groups:(int * int) list ->
-  drive_blocks:int -> horizon:float -> t
+val random : seed:int -> total_vbns:int -> raid_groups:(int * int) list -> horizon:float -> t
 (** Derive a randomized plan from a seed: a crash point inside the
     horizon, and independently chosen media errors {e or} one disk failure
     (never both, so single-parity reconstruction always succeeds), a
@@ -96,3 +95,18 @@ val degraded_reads : t -> int
 val transient_retries : t -> int
 val rebuild_blocks : t -> int
 val unrecoverable_reads : t -> int
+
+(** {1 Chaos plan} *)
+
+type chaos = {
+  publish_before_quiesce : bool;
+      (** the CP publishes its superblock before the io-flush quiesce and
+          write repair: a broken commit ordering the crash harness must catch *)
+  force_b2b : bool;  (** book every CP as back-to-back (accounting only) *)
+  hard_dwell_us : float;  (** hard-watermark dwell booked per admission (accounting only) *)
+}
+(** A run's deliberate defects, which tests switch on to prove that their
+    checks have teeth.  Immutable, and given to the aggregate when it is
+    built, so runs with different plans can share worker domains. *)
+
+val no_chaos : chaos

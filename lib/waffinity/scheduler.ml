@@ -18,7 +18,7 @@ type node = {
   post_kind : string; (* "post " ^ kind: the causal-edge kind for this node *)
   mutable wait_h : Metrics.histo option; (* registered on first use *)
   mutable service_h : Metrics.histo option;
-  mutable executed_n : int ref; (* this kind's [by_kind] cell; [no_count] until the first *)
+  mutable executed_n : int ref; (* this kind's [by_kind] cell; the filler's until the first *)
 }
 
 and msg = {
@@ -50,6 +50,9 @@ type t = {
   mutable hp_seq : int array;
   mutable hp_node : node array;
   mutable hp_len : int;
+  filler : node;
+      (* fills empty heap and stash slots and is never granted; its
+         [executed_n] marks a node whose kind has no count cell yet *)
   (* Nodes popped but not grantable during the current dispatch round;
      re-pushed when the round ends.  Within a round grantability only
      shrinks (grants add blockers, releases re-enter dispatch), so a
@@ -78,37 +81,37 @@ type t = {
          affinity, as if a grant guard were dropped *)
 }
 
-let no_count = ref 0
-
-let dummy_node =
+let new_node ~aff ~parent ~kind ~executed_n =
   {
-    aff = Affinity.Serial;
-    parent = None;
+    aff;
+    parent;
     active = false;
     desc_active = 0;
     q = Queue.create ();
-    kind = "";
-    span_name = "";
-    post_kind = "";
+    kind;
+    span_name = "msg " ^ kind;
+    post_kind = "post " ^ kind;
     wait_h = None;
     service_h = None;
-    executed_n = no_count;
+    executed_n;
   }
 
 let create ?workers ?isolation ?(obs = Wafl_obs.Trace.disabled) eng ~cost () =
   let workers = match workers with Some w -> w | None -> Engine.cores eng in
   if workers <= 0 then invalid_arg "Scheduler.create: workers must be positive";
   let m = Engine.metrics eng in
+  let filler = new_node ~aff:Affinity.Serial ~parent:None ~kind:"" ~executed_n:(ref 0) in
   {
     eng;
     cost;
     workers;
     nodes = Nodes.create 64;
     hp_seq = Array.make 64 0;
-    hp_node = Array.make 64 dummy_node;
+    hp_node = Array.make 64 filler;
     hp_len = 0;
+    filler;
     st_seq = Array.make 64 0;
-    st_node = Array.make 64 dummy_node;
+    st_node = Array.make 64 filler;
     st_len = 0;
     next_seq = 0;
     pending_count = 0;
@@ -137,21 +140,8 @@ let rec node t aff =
   | n -> n
   | exception Not_found ->
       let parent = Option.map (node t) (Affinity.parent aff) in
-      let kind = Affinity.kind_name aff in
       let n =
-        {
-          aff;
-          parent;
-          active = false;
-          desc_active = 0;
-          q = Queue.create ();
-          kind;
-          span_name = "msg " ^ kind;
-          post_kind = "post " ^ kind;
-          wait_h = None;
-          service_h = None;
-          executed_n = no_count;
-        }
+        new_node ~aff ~parent ~kind:(Affinity.kind_name aff) ~executed_n:t.filler.executed_n
       in
       Nodes.add t.nodes aff n;
       n
@@ -215,7 +205,7 @@ let rec insert_sorted key r = function
 
 (* The kind's cell is looked up once per node and cached on it. *)
 let count_kind t n =
-  if n.executed_n == no_count then
+  if n.executed_n == t.filler.executed_n then
     n.executed_n <-
       (match Hashtbl.find_opt t.by_kind_tbl n.kind with
       | Some r -> r
@@ -232,7 +222,7 @@ let hp_push t seq n =
   let cap = Array.length t.hp_seq in
   if t.hp_len = cap then begin
     let cap' = 2 * cap in
-    let sq = Array.make cap' 0 and nd = Array.make cap' dummy_node in
+    let sq = Array.make cap' 0 and nd = Array.make cap' t.filler in
     Array.blit t.hp_seq 0 sq 0 t.hp_len;
     Array.blit t.hp_node 0 nd 0 t.hp_len;
     t.hp_seq <- sq;
@@ -257,10 +247,10 @@ let hp_push t seq n =
 let hp_remove_min t =
   t.hp_len <- t.hp_len - 1;
   let n = t.hp_len in
-  if n = 0 then t.hp_node.(0) <- dummy_node
+  if n = 0 then t.hp_node.(0) <- t.filler
   else begin
     let seq = t.hp_seq.(n) and node = t.hp_node.(n) in
-    t.hp_node.(n) <- dummy_node;
+    t.hp_node.(n) <- t.filler;
     let i = ref 0 in
     let continue_down = ref true in
     while !continue_down do
@@ -285,7 +275,7 @@ let stash t seq n =
   let cap = Array.length t.st_seq in
   if t.st_len = cap then begin
     let cap' = 2 * cap in
-    let sq = Array.make cap' 0 and nd = Array.make cap' dummy_node in
+    let sq = Array.make cap' 0 and nd = Array.make cap' t.filler in
     Array.blit t.st_seq 0 sq 0 t.st_len;
     Array.blit t.st_node 0 nd 0 t.st_len;
     t.st_seq <- sq;
@@ -402,7 +392,7 @@ and dispatch t =
   done;
   for i = 0 to t.st_len - 1 do
     hp_push t t.st_seq.(i) t.st_node.(i);
-    t.st_node.(i) <- dummy_node
+    t.st_node.(i) <- t.filler
   done;
   t.st_len <- 0
 

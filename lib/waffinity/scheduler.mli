@@ -37,9 +37,9 @@ val create :
 val isolation : t -> Isolation.t option
 
 val set_chaos_misattribute : t -> Affinity.t option -> unit
-(** Test-only chaos hook (compare [Cp.chaos_publish_before_quiesce]):
-    the next posted message is granted and checked under the given
-    affinity instead of its own — simulating a message posted to the
+(** Test-only chaos hook (compare [Wafl_storage.Fault.chaos]): the next
+    posted message is granted and checked under the given affinity
+    instead of its own — simulating a message posted to the
     wrong affinity, i.e. a dropped isolation guard.  The sanitizers must
     catch the resulting violation. *)
 

@@ -51,6 +51,7 @@ type spec = {
   measure : float;
   seed : int;
   sanitize : bool;
+  chaos : Wafl_storage.Fault.chaos;
   telemetry : telemetry option;
   obs : Engine.t -> Wafl_obs.Trace.t;
 }
@@ -80,6 +81,7 @@ let default_spec =
     measure = 1_000_000.0;
     seed = 42;
     sanitize = false;
+    chaos = Wafl_storage.Fault.no_chaos;
     telemetry = None;
     obs = (fun _ -> Wafl_obs.Trace.disabled);
   }
@@ -263,7 +265,7 @@ let run spec =
   let agg =
     Aggregate.create eng ~cost:spec.cost ~geometry:spec.geometry ~nvlog_half:spec.nvlog_half
       ?nvlog_watermarks:spec.watermarks ?flash:spec.flash ~cache_blocks:spec.cache_blocks ~obs
-      ()
+      ~chaos:spec.chaos ()
   in
   let walloc = Wafl_core.Walloc.create ~obs agg spec.cfg in
   let cp = Wafl_core.Walloc.cp walloc and pool = Wafl_core.Walloc.pool walloc in

@@ -102,6 +102,9 @@ type spec = {
   measure : float;
   seed : int;
   sanitize : bool;  (** run under the race detector and isolation checker *)
+  chaos : Wafl_storage.Fault.chaos;
+      (** the run's chaos plan, handed to its aggregate; default
+          {!Wafl_storage.Fault.no_chaos} *)
   telemetry : telemetry option;
       (** attach fleet telemetry; [None] (default) is bit-identical to
           the pre-telemetry driver.  The rollup reads the run's registry

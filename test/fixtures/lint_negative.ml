@@ -18,6 +18,8 @@ let _bad_raw_read disk = Wafl_storage.Disk.read disk 42
 let _bad_raw_word disk = Wafl_storage.Disk.compact_word disk 42
 let _bad_recycle spares img = Wafl_util.Packed.recycle spares img
 let _bad_registry t = Wafl_obs.Trace.metrics t
+let _bad_global_ref = ref 0
+let _bad_shared_record = { kind = ""; pending = Queue.create () }
 
 (* Suppressed: the fold result is sorted before use. lint-ok *)
 let _ok_fold tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []

@@ -136,6 +136,15 @@ let crash =
       H.Crash.run_seeds ~ops:20_000 ~horizon:20_000.0 ~sanitize:st.sanitize
         ~domains:st.domains ~first_seed:1 ~count:5 ())
 
+(* The crash harness's negative control: CPs that publish before the
+   io-flush quiesce (owned by the test that shows the harness catches it). *)
+let crash_chaos =
+  subject ~owner:"broken commit ordering caught" "crash 6 seeds publish-before-quiesce"
+    (fun st ->
+      H.Crash.run_seeds
+        ~chaos:{ Wafl_storage.Fault.no_chaos with publish_before_quiesce = true }
+        ~sanitize:st.sanitize ~domains:st.domains ~first_seed:1 ~count:6 ())
+
 let shard =
   subject "shard scale 0.1, 3 shards" (fun st ->
       H.Shard.run ~scale:0.1 ~shards:3 ~domains:st.domains ())
@@ -308,28 +317,44 @@ let cli_overload =
 
 let cli_fig6 = subject "wafl_sim fig6 --scale 0.1" (fun st -> H.Fig6.run (ctx ~scale:0.1 st))
 
-(* [top --live --measure 0.5 --json]: the document it writes. *)
-let cli_top =
-  subject "wafl_sim top --live --measure 0.5 --json" (fun _ ->
-      let module Rollup = Wafl_obs.Rollup in
-      let ring = { Rollup.default_config with Rollup.window_us = 100_000.0; windows = 8 } in
-      let budget = max ring.Rollup.vol_budget_bytes (9 * Rollup.vol_window_bytes ring) in
-      let rollup = { ring with Rollup.vol_budget_bytes = budget } in
-      let r =
-        Driver.run
+(* [top --live --measure 0.5 ... --json]: the document it writes, with
+   [tweak] applying the flags past the defaults. *)
+let top_live ?(window_us = 100_000.0) tweak =
+  let module Rollup = Wafl_obs.Rollup in
+  let ring = { Rollup.default_config with Rollup.window_us; windows = 8 } in
+  let budget = max ring.Rollup.vol_budget_bytes (9 * Rollup.vol_window_bytes ring) in
+  let rollup = { ring with Rollup.vol_budget_bytes = budget } in
+  let r =
+    Driver.run
+      (tweak
+         {
+           Driver.default_spec with
+           Driver.workload = Driver.Seq_write { file_blocks = 4096 };
+           clients = 40;
+           volumes = 8;
+           cores = 20;
+           measure = 500_000.0;
+           seed = 42;
+           telemetry = Some { Driver.rollup; rules = Wafl_obs.Health.default_rules };
+         })
+  in
+  let tr = Option.get r.Driver.telemetry in
+  Wafl_obs.Json.to_string (Wafl_obs.Top.to_json tr.Driver.tr_snapshot tr.Driver.tr_events)
+
+let cli_top = subject "wafl_sim top --live --measure 0.5 --json" (fun _ -> top_live Fun.id)
+
+(* The light-load run of [make top-smoke] that injects back-to-back CPs. *)
+let cli_top_b2b =
+  subject
+    "wafl_sim top --live --measure 0.5 --think 300 --cp-ms 3 --window 200 --inject-b2b --json"
+    (fun _ ->
+      top_live ~window_us:200_000.0 (fun spec ->
           {
-            Driver.default_spec with
-            Driver.workload = Driver.Seq_write { file_blocks = 4096 };
-            clients = 40;
-            volumes = 8;
-            cores = 20;
-            measure = 500_000.0;
-            seed = 42;
-            telemetry = Some { Driver.rollup; rules = Wafl_obs.Health.default_rules };
-          }
-      in
-      let tr = Option.get r.Driver.telemetry in
-      Wafl_obs.Json.to_string (Wafl_obs.Top.to_json tr.Driver.tr_snapshot tr.Driver.tr_events))
+            spec with
+            Driver.think_time = 300.0;
+            cfg = { spec.Driver.cfg with Wafl_core.Walloc.cp_timer = Some 3_000.0 };
+            chaos = { Wafl_storage.Fault.no_chaos with force_b2b = true };
+          }))
 
 let entries = List.rev !registry
 

@@ -10,6 +10,7 @@ let recorded =
     ("overload", "3cba205ed4dc5792f88b4082eb2242b3");
     ("flash", "fbcdee827b1d47c2544e48f6e92dbbdb");
     ("crash 5 seeds", "f01f8461b3e83c90cac270a79660d3a2");
+    ("crash 6 seeds publish-before-quiesce", "9291c9f000d7dca80cbd3f8b52e9986a");
     ("shard scale 0.1, 3 shards", "7a2819ec21be2bf1457e9ef0f359b1fe");
     ("spec_base seed 7", "9eb353aeb4e63774ba38587b89b06d04");
     ("spec_base seed 7 | trace export", "f7c282b4116a888b71962269ac934837");
@@ -39,4 +40,5 @@ let recorded =
     ("wafl_sim overload --scale 0.1", "3cba205ed4dc5792f88b4082eb2242b3");
     ("wafl_sim fig6 --scale 0.1", "4c47d01c37ed3f8edec10d90bbbce2d8");
     ("wafl_sim top --live --measure 0.5 --json", "11ae08adec1f8acf712b6030642254de");
+    ("wafl_sim top --live --measure 0.5 --think 300 --cp-ms 3 --window 200 --inject-b2b --json", "976bd0fe6d5660b23a873234d6135d3a");
   ]

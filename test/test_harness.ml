@@ -141,6 +141,20 @@ let test_fig6_reuses_fig4 () =
     (List.fold_left (fun a (r : H.Fig6.row) -> a +. r.result.Driver.virtual_us) 0.0 rows)
     virt
 
+(* A spec's chaos plan is part of its run-table key: the same spec with
+   and without forced back-to-back CPs is two runs, not a cached one. *)
+let test_chaos_keys_run_table () =
+  let ctx = H.Exp.context ~scale:0.02 () in
+  let spec = Golden.small_spec () in
+  let plain = H.Exp.run ctx spec in
+  let b2b =
+    H.Exp.run ctx
+      { spec with Driver.chaos = { Wafl_storage.Fault.no_chaos with force_b2b = true } }
+  in
+  Alcotest.(check bool) "forced b2b changes b2b_cps" true
+    (b2b.Driver.b2b_cps <> plain.Driver.b2b_cps);
+  Alcotest.(check int) "both runs executed" 2 (List.length (H.Exp.executed ctx))
+
 (* --- Fig4 shapes on synthetic permutation rows --- *)
 
 let perm_rows ~base ~infra ~cleaners ~both =
@@ -274,7 +288,10 @@ let () =
           Alcotest.test_case "WAFL_DOMAINS bad and good values" `Quick test_env_domains;
         ] );
       ( "suite",
-        [ Alcotest.test_case "fig6 after fig4 reuses its runs" `Slow test_fig6_reuses_fig4 ] );
+        [
+          Alcotest.test_case "fig6 after fig4 reuses its runs" `Slow test_fig6_reuses_fig4;
+          Alcotest.test_case "chaos plan keys the run table" `Quick test_chaos_keys_run_table;
+        ] );
       ( "shape checks",
         [
           Alcotest.test_case "fig4 accepts paper numbers" `Quick

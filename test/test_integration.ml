@@ -477,9 +477,10 @@ let test_crash_harness_50_seeds () =
     (List.exists (fun o -> o.Crash.disk_failure_active) outcomes)
 
 (* Negative control: deliberately publish the superblock before the
-   tetris flush has quiesced (a broken commit ordering, enabled through
-   a test-only chaos hook).  The harness must catch it — otherwise its
-   oracle proves nothing.  A seed whose recovery fails must name the
+   tetris flush has quiesced (a broken commit ordering, switched on by
+   the run's chaos plan).  The harness must catch it — otherwise its
+   oracle proves nothing.  The seeds fan out over two worker domains and
+   must still match their golden outcomes.  A seed whose recovery fails must name the
    block reference it could not load, with its index and pvbn.  The
    seeds that do recover lose acked writes while fsck passes: fsck
    checks the in-memory tables, not that the blocks they reference
@@ -495,27 +496,23 @@ let names_index_and_pvbn m =
   scan (String.split_on_char ' ' m)
 
 let test_chaos_broken_commit_ordering_caught () =
-  Fun.protect
-    ~finally:(fun () -> Wafl_core.Cp.chaos_publish_before_quiesce := false)
-    (fun () ->
-      Wafl_core.Cp.chaos_publish_before_quiesce := true;
-      let outcomes = Crash.run_seeds ~first_seed:1 ~count:6 () in
-      Alcotest.(check bool) "harness catches publish-before-quiesce" true
-        (List.exists (fun o -> not (Crash.passed o)) outcomes);
-      let recovery_failures =
-        List.filter_map
-          (fun o ->
-            match o.Crash.fsck_failure with
-            | Some m when String.starts_with ~prefix:"recovery: " m -> Some m
-            | _ -> None)
-          outcomes
-      in
-      Alcotest.(check bool) "some seed fails in recovery" true (recovery_failures <> []);
-      List.iter
-        (fun m ->
-          if not (names_index_and_pvbn m) then
-            Alcotest.failf "recovery failure names no reference index and pvbn: %s" m)
-        recovery_failures)
+  let outcomes = Golden.check Golden.crash_chaos (Golden.Domains 2) in
+  Alcotest.(check bool) "harness catches publish-before-quiesce" true
+    (List.exists (fun o -> not (Crash.passed o)) outcomes);
+  let recovery_failures =
+    List.filter_map
+      (fun o ->
+        match o.Crash.fsck_failure with
+        | Some m when String.starts_with ~prefix:"recovery: " m -> Some m
+        | _ -> None)
+      outcomes
+  in
+  Alcotest.(check bool) "some seed fails in recovery" true (recovery_failures <> []);
+  List.iter
+    (fun m ->
+      if not (names_index_and_pvbn m) then
+        Alcotest.failf "recovery failure names no reference index and pvbn: %s" m)
+    recovery_failures
 
 let () =
   Alcotest.run "integration"

@@ -1,7 +1,7 @@
 (* Tests for the always-on fleet telemetry (DESIGN.md §4.15): the
    observe-only invariant (a telemetry-on result, telemetry stripped,
    matches the telemetry-off golden), the health watchdog's
-   quiet-on-healthy / loud-on-injected behavior via the chaos hooks,
+   quiet-on-healthy / loud-on-injected behavior via chaos plans,
    snapshot JSON round-trips, merge determinism, and the fleet-scale
    memory budget. *)
 
@@ -81,15 +81,22 @@ let frequent_cp_spec () =
     measure = 500_000.0;
   }
 
+(* A healthy spec and its twin under [chaos], run side by side on two
+   worker domains: each run carries its own plan. *)
+let with_twin ?rollup spec chaos =
+  match
+    Wafl_util.Pool.map ~domains:2
+      (fun spec -> telem (Driver.run (with_telemetry ?rollup spec)))
+      [ spec; { spec with Driver.chaos } ]
+  with
+  | [ healthy; injected ] -> (healthy, injected)
+  | _ -> assert false
+
 let test_chaos_b2b_streak () =
-  let healthy = telem (Driver.run (with_telemetry (frequent_cp_spec ()))) in
-  Alcotest.(check int) "frequent CPs alone stay quiet" 0 (List.length healthy.Driver.tr_events);
-  Wafl_core.Cp.chaos_force_b2b := true;
-  let tr =
-    Fun.protect
-      ~finally:(fun () -> Wafl_core.Cp.chaos_force_b2b := false)
-      (fun () -> telem (Driver.run (with_telemetry (frequent_cp_spec ()))))
+  let healthy, tr =
+    with_twin (frequent_cp_spec ()) { Wafl_storage.Fault.no_chaos with force_b2b = true }
   in
+  Alcotest.(check int) "frequent CPs alone stay quiet" 0 (List.length healthy.Driver.tr_events);
   let b2b = List.filter (fun ev -> ev.Health.ev_rule = "b2b_streak") tr.Driver.tr_events in
   Alcotest.(check bool) "injected b2b streak detected" true (b2b <> []);
   List.iter
@@ -98,14 +105,12 @@ let test_chaos_b2b_streak () =
 
 let test_chaos_hard_dwell () =
   let rollup = { Rollup.default_config with Rollup.window_us = 50_000.0 } in
-  Wafl_fs.Aggregate.chaos_inject_hard_dwell := 25.0;
-  let tr =
-    Fun.protect
-      ~finally:(fun () -> Wafl_fs.Aggregate.chaos_inject_hard_dwell := 0.0)
-      (fun () -> telem (Driver.run (with_telemetry ~rollup (small_spec ()))))
+  let healthy, tr =
+    with_twin ~rollup (small_spec ()) { Wafl_storage.Fault.no_chaos with hard_dwell_us = 25.0 }
   in
-  let dwell = List.filter (fun ev -> ev.Health.ev_rule = "hard_dwell") tr.Driver.tr_events in
-  Alcotest.(check bool) "injected hard-watermark dwell detected" true (dwell <> [])
+  let dwell tr = List.filter (fun ev -> ev.Health.ev_rule = "hard_dwell") tr.Driver.tr_events in
+  Alcotest.(check int) "no hard-watermark dwell without injection" 0 (List.length (dwell healthy));
+  Alcotest.(check bool) "injected hard-watermark dwell detected" true (dwell tr <> [])
 
 (* --- snapshot JSON round-trips ------------------------------------------- *)
 

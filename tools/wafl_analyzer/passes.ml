@@ -506,10 +506,11 @@ let pass_ownership prog =
      are not module-level families ([f_global] is false) and are
      skipped — except the fields in [Config.shared_fields], whose one
      record every worker shares (the experiment context's run table).
-   Reads are not flagged: settings fixed by the host before fan-out and
-   only read inside the pool (an [Exp.ctx]'s sanitize / telemetry /
-   domains, Cp.chaos_force_b2b, ...) are the sanctioned configuration
-   pattern. *)
+   Reads are not flagged: immutable per-run settings built before
+   fan-out and only read inside the pool (an [Exp.ctx]'s sanitize /
+   telemetry / domains, a spec's [Fault.chaos] plan, ...) are the
+   sanctioned configuration pattern.  Module-level mutable state in lib/
+   and bin/ is a wafl_lint error. *)
 let pass_domain prog =
   let droots = List.filter (fun n -> n.n_domain) (nodes_in_order prog) in
   let reach = List.map (fun r -> (r, reach_from prog r)) droots in

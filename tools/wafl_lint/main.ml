@@ -23,7 +23,12 @@
      (everything else reads through [Raid.read] or [Raid.read_word],
      which apply the fault plan);
    - [Trace.metrics] outside lib/obs (components read their engine's
-     registry, [Engine.metrics]).
+     registry, [Engine.metrics]);
+   - module-level mutable state: a top-level value whose evaluation
+     makes a [ref], a [Hashtbl]/[Queue]/[Stack]/[Buffer] ([create]) or
+     an [Atomic] ([make]), even inside a record or tuple.  Every run in
+     the process, on every worker domain, would share it; per-run state
+     belongs to a value the run is built with.
 
    A finding is suppressed when the token "lint-ok" appears on the
    flagged line or the line directly above it (typically in a comment
@@ -181,6 +186,55 @@ let check_path src loc path =
                  field)
       | _ -> ())
 
+let makes_mutable_state path =
+  match List.rev path with
+  | [ "ref" ] | [ "ref"; "Stdlib" ]
+  | "create" :: ("Hashtbl" | "Queue" | "Stack" | "Buffer") :: _
+  | "make" :: "Atomic" :: _ ->
+      true
+  | _ -> false
+
+(* The mutable-state maker [e] calls when module initialisation
+   evaluates it, if any.  Function bodies and lazy values are not
+   searched: initialisation does not run them. *)
+let eager_maker (e : Parsetree.expression) =
+  let found = ref None in
+  let open Ast_iterator in
+  let expr it (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_fun _ | Pexp_function _ | Pexp_newtype _ | Pexp_lazy _ -> ()
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _)
+      when makes_mutable_state (Longident.flatten txt) ->
+        if !found = None then found := Some (String.concat "." (Longident.flatten txt))
+    | _ -> default_iterator.expr it e
+  in
+  let it = { default_iterator with expr } in
+  it.expr it e;
+  !found
+
+(* Top-level bindings, including those of nested structures. *)
+let rec check_module_state src (items : Parsetree.structure) =
+  List.iter
+    (fun (item : Parsetree.structure_item) ->
+      match item.pstr_desc with
+      | Pstr_value (_, bindings) ->
+          List.iter
+            (fun (vb : Parsetree.value_binding) ->
+              match eager_maker vb.pvb_expr with
+              | Some maker ->
+                  report src vb.pvb_loc
+                    (Printf.sprintf
+                       "top-level %s is module-level mutable state, shared by every run in \
+                        the process; build it per run (a create function, or a value the \
+                        run is built with)"
+                       maker)
+              | None -> ())
+            bindings
+      | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure items; _ }; _ } ->
+          check_module_state src items
+      | _ -> ())
+    items
+
 (* A handler pattern that swallows every exception: [_], possibly
    aliased or in an or-pattern arm. *)
 let rec catch_all (p : Parsetree.pattern) =
@@ -236,7 +290,8 @@ let lint_file path =
   match Parse.implementation lexbuf with
   | ast ->
       let it = iterator src in
-      it.Ast_iterator.structure it ast
+      it.Ast_iterator.structure it ast;
+      check_module_state src ast
   | exception _ ->
       incr findings;
       Printf.printf "%s:1: parse error (file skipped)\n" path
