@@ -820,7 +820,6 @@ let running t = t.is_running
 let phase t = t.phase
 let cps_completed t = t.n_cps
 let b2b_cps t = t.n_b2b
-let last_duration t = t.last_duration
 let buffers_last_cp t = t.last_buffers
 let meta_blocks_last_cp t = t.last_meta
 let meta_passes_last_cp t = t.last_passes

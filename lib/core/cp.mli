@@ -65,7 +65,6 @@ val b2b_cps : t -> int
     log-half-full trigger already reached again (paper §II-C).  Maximal
     runs of them are published as ["cp.b2b_episodes"]. *)
 
-val last_duration : t -> float
 val buffers_last_cp : t -> int
 val meta_blocks_last_cp : t -> int
 val meta_passes_last_cp : t -> int

@@ -46,7 +46,6 @@ type t = {
   rgs : rg_state array;
   vols : vol_state Wafl_util.Int_table.t; (* by volume id *)
   (* statistics *)
-  mutable n_filled : int;
   mutable n_committed : int;
   mutable n_allocated : int;
   mutable n_freed : int;
@@ -184,7 +183,6 @@ let refill_drive t st ~drive ~base ~lo_dbn =
     scan_range t (Aggregate.agg_map t.agg) ~lo ~hi ~allocatable:(fun v ->
         Aggregate.pvbn_allocatable t.agg v)
   in
-  t.n_filled <- t.n_filled + 1;
   (* Per-cycle bookkeeping is shared across the group's Range affinities;
      its mutations are chained (last commit -> refills -> commits), which
      the paired probes express as release/acquire edges. *)
@@ -275,7 +273,6 @@ let scan_virt_chunk t vs ~lo ~hi =
     scan_range t (Volume.vol_map vs.vol) ~lo ~hi ~allocatable:(fun v ->
         Aggregate.vvbn_allocatable t.agg ~vol:vs.vol v)
   in
-  t.n_filled <- t.n_filled + 1;
   Sync.Channel.send vs.cache
     (Bucket.make ~target:(Bucket.Virt { vol = Volume.id vs.vol }) ~vbns ())
 
@@ -507,7 +504,6 @@ let create ?(obs = Wafl_obs.Trace.disabled) sched agg cfg =
       phys_cache = Sync.Channel.create eng;
       rgs;
       vols = Wafl_util.Int_table.create ();
-      n_filled = 0;
       n_committed = 0;
       n_allocated = 0;
       n_freed = 0;
@@ -562,5 +558,4 @@ let dump t out =
   Printf.fprintf out "  infra: physcache=%d pending_commits=%d messages=%d\n%!"
     (Sync.Channel.length t.phys_cache) t.pending_commits t.n_messages
 
-let buckets_filled t = t.n_filled
 let buckets_committed t = t.n_committed

@@ -91,7 +91,6 @@ val live_tetrises : t -> Tetris.t list
 
 (** {1 Statistics} *)
 
-val buckets_filled : t -> int
 val buckets_committed : t -> int
 
 val dump : t -> out_channel -> unit

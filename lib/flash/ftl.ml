@@ -64,7 +64,7 @@ type t = {
   wear : int array;  (* per block: erase count *)
   btime : float array;  (* per block: virtual time of last open (CB age) *)
   closed : bool array;  (* per block: fully programmed, GC candidate *)
-  free_q : int Queue.t;  (* erased blocks, FIFO for natural wear rotation *)
+  free_q : int Wafl_util.Fifo.t;  (* erased blocks, FIFO for natural wear rotation *)
   mutable free_count : int;
   streams_tbl : Stream.t array;  (* cfg.streams host streams + 1 GC stream *)
   rng : Wafl_util.Rng.t;
@@ -94,7 +94,7 @@ let take_free t ~for_gc =
   let floor = if for_gc then 0 else gc_reserve in
   if t.free_count <= floor then None
   else begin
-    let b = Queue.pop t.free_q in
+    let b = Wafl_util.Fifo.pop t.free_q in
     t.free_count <- t.free_count - 1;
     Some b
   end
@@ -205,7 +205,7 @@ let gc_cycle t victim =
   t.valid.(victim) <- 0;
   t.wear.(victim) <- t.wear.(victim) + 1;
   t.erases <- t.erases + 1;
-  Queue.push victim t.free_q;
+  Wafl_util.Fifo.push t.free_q victim;
   t.free_count <- t.free_count + 1;
   if t.obs_on then
     Wafl_obs.Trace.complete t.obs ~cat:"flash" ~name:"flash gc" ~ts:t0 ~dur
@@ -354,7 +354,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cfg ~lpns ~rg =
       wear = Array.make nblocks 0;
       btime = Array.make nblocks 0.0;
       closed = Array.make nblocks false;
-      free_q = Queue.create ();
+      free_q = Wafl_util.Fifo.create ~dummy:(-1);
       free_count = nblocks;
       streams_tbl = Array.init (cfg.streams + 1) Stream.make;
       rng = Wafl_util.Rng.create ~seed:(cfg.seed + (rg * 7919));
@@ -376,7 +376,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cfg ~lpns ~rg =
   pull "flash.gc_runs" (fun () -> t.gc_runs);
   Metrics.pull_counter m "flash.gc_stall_us" (fun () -> t.gc_stall_us);
   for b = 0 to nblocks - 1 do
-    Queue.push b t.free_q
+    Wafl_util.Fifo.push t.free_q b
   done;
   (* Device aging: map the first [prefill] fraction of the logical space
      as data, then season to steady state — random overwrites within the

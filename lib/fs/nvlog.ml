@@ -23,7 +23,7 @@ type t = {
   mutable filling_len : int;
   mutable cp_active : bool;
   mutable torn : int; (* newest filling records torn by a crash *)
-  mutable wm : watermarks option;
+  wm : watermarks option;
 }
 
 let slot_bytes = 32
@@ -109,10 +109,6 @@ let pending t = t.filling_len
 let in_cp t = t.cp_len
 let total_pending t = t.filling_len + t.cp_len
 let watermarks t = t.wm
-
-let set_watermarks t wm =
-  check_watermarks wm;
-  t.wm <- wm
 
 let cp_begin t =
   if t.cp_active then invalid_arg "Nvlog.cp_begin: CP already active";

@@ -82,7 +82,6 @@ val total_pending : t -> int
 (** [pending + in_cp]: all operations occupying NVRAM. *)
 
 val watermarks : t -> watermarks option
-val set_watermarks : t -> watermarks option -> unit
 
 val cp_begin : t -> unit
 (** Swap halves: everything logged so far is now covered by the starting

@@ -47,7 +47,7 @@ and t = {
   quantum : float;
   clock : fbox;
   mutable free_cores : int;
-  runnable : fiber Queue.t;
+  runnable : fiber Wafl_util.Fifo.t; (* cleared slots hold [dummy_fiber] *)
   (* Event min-heap on (time, seq), struct-of-arrays so a push/pop
      allocates nothing on the hot path (the time array stays a flat
      unboxed float array).  ev_resume.(i) distinguishes a Resume (consume
@@ -193,7 +193,7 @@ let create ?(quantum = 100.0) ?(sanitize = false) ~cores () =
     quantum;
     clock = { v = 0.0 };
     free_cores = cores;
-    runnable = Queue.create ();
+    runnable = Wafl_util.Fifo.create ~dummy:dummy_fiber;
     ev_time = Array.make 64 0.0;
     ev_seq = Array.make 64 0;
     ev_fiber = Array.make 64 dummy_fiber;
@@ -216,6 +216,7 @@ let create ?(quantum = 100.0) ?(sanitize = false) ~cores () =
     metrics = Metrics.create ();
   }
 
+let fiber_fifo () = Wafl_util.Fifo.create ~dummy:dummy_fiber
 let cores t = t.n_cores
 let metrics t = t.metrics
 let now t = t.clock.v
@@ -311,7 +312,7 @@ let charge t f d =
 
 let enqueue_runnable t f =
   f.state <- Runnable;
-  Queue.push f t.runnable
+  Wafl_util.Fifo.push t.runnable f
 
 let release_core t = t.free_cores <- t.free_cores + 1
 
@@ -411,8 +412,8 @@ let resume_fiber t f =
 
 (* Dispatch runnable fibers onto free cores. *)
 let dispatch t =
-  while t.free_cores > 0 && not (Queue.is_empty t.runnable) do
-    let f = Queue.pop t.runnable in
+  while t.free_cores > 0 && not (Wafl_util.Fifo.is_empty t.runnable) do
+    let f = Wafl_util.Fifo.pop t.runnable in
     t.free_cores <- t.free_cores - 1;
     t.switches <- t.switches + 1;
     f.hold_start <- t.clock.v;
@@ -486,7 +487,7 @@ let run ?until t =
               else if
                 t.quantum > 0.0
                 && t.clock.v -. f.hold_start >= t.quantum
-                && not (Queue.is_empty t.runnable)
+                && not (Wafl_util.Fifo.is_empty t.runnable)
               then begin
                 release_core t;
                 enqueue_runnable t f
@@ -497,7 +498,7 @@ let run ?until t =
       (* If we stopped because of [until] there may still be runnable fibers;
          leave them queued for the next call. *)
       (match until with
-      | Some limit when t.clock.v < limit && t.heap_len = 0 && Queue.is_empty t.runnable ->
+      | Some limit when t.clock.v < limit && t.heap_len = 0 && Wafl_util.Fifo.is_empty t.runnable ->
           t.clock.v <- limit
       | _ -> ());
       (* The host context now observes everything that ran (cooperative,
@@ -505,7 +506,7 @@ let run ?until t =
       match t.race with Some r -> Race.absorb_all r | None -> ())
 
 let stalled_fibers t =
-  if t.heap_len > 0 || not (Queue.is_empty t.runnable) then []
+  if t.heap_len > 0 || not (Wafl_util.Fifo.is_empty t.runnable) then []
   else
     let rec collect acc f =
       if f == dummy_fiber then List.rev acc
@@ -517,7 +518,7 @@ let stalled_fibers t =
     collect [] t.newest
 
 let live_fibers t = t.live
-let pending_work t = t.heap_len > 0 || not (Queue.is_empty t.runnable)
+let pending_work t = t.heap_len > 0 || not (Wafl_util.Fifo.is_empty t.runnable)
 
 (* --- fiber-context operations --- *)
 
@@ -536,7 +537,7 @@ let consume d =
     match dc.running with
     | Some t
       when t.current != dummy_fiber
-           && Queue.is_empty t.runnable
+           && Wafl_util.Fifo.is_empty t.runnable
            && (t.heap_len = 0 || t.clock.v +. d < t.ev_time.(0))
            && t.clock.v +. d <= t.run_limit ->
         let f = t.current in

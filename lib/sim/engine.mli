@@ -29,6 +29,11 @@ type t
 type fiber
 (** Handle to a simulated thread. *)
 
+val fiber_fifo : unit -> fiber Wafl_util.Fifo.t
+(** An empty FIFO of fibers for a wait queue.  Its cleared slots hold a
+    placeholder that is never popped, so a woken fiber is not kept
+    alive by the queue it waited on. *)
+
 val create : ?quantum:float -> ?sanitize:bool -> cores:int -> unit -> t
 (** [create ~cores ()] makes an engine with [cores] virtual cores and an
     empty event queue at virtual time 0.  [quantum] (default [100.0]

@@ -67,7 +67,7 @@ type t = {
       (* the same live fibers by slot (live fibers hold distinct slots):
          the enumeration order, fixed by construction *)
   finished : (int, vc) Hashtbl.t; (* final clocks, for join-after-finish *)
-  finished_order : int Queue.t; (* finish order, oldest first, for pruning *)
+  finished_order : int Wafl_util.Fifo.t; (* finish order, oldest first, for pruning *)
   ancient : vc; (* join of all pruned finished clocks *)
   slot_clock : vc; (* per-slot scalar-clock floor, monotonic across recycling *)
   mutable free_slots : int list;
@@ -98,7 +98,7 @@ let create () =
       fibers = Hashtbl.create 64;
       by_slot = Array.make 64 None;
       finished = Hashtbl.create 256;
-      finished_order = Queue.create ();
+      finished_order = Wafl_util.Fifo.create ~dummy:0;
       ancient = vc_create ();
       slot_clock = vc_create ();
       free_slots = [];
@@ -160,12 +160,12 @@ let add_fiber t ~parent ~fid =
 let finish_fiber t ~fid =
   let f = fib t fid in
   Hashtbl.replace t.finished fid f.vc;
-  Queue.push fid t.finished_order;
+  Wafl_util.Fifo.push t.finished_order fid;
   Hashtbl.remove t.fibers fid;
   t.by_slot.(f.slot) <- None;
   t.free_slots <- f.slot :: t.free_slots;
   while Hashtbl.length t.finished > finished_cap do
-    let old = Queue.pop t.finished_order in
+    let old = Wafl_util.Fifo.pop t.finished_order in
     match Hashtbl.find_opt t.finished old with
     | Some v ->
         join t.ancient v;

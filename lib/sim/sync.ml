@@ -1,27 +1,32 @@
-module Waitq = struct
-  type t = { eng : Engine.t; q : Engine.fiber Queue.t }
+module Fifo = Wafl_util.Fifo
 
-  let create eng = { eng; q = Queue.create () }
+(* Wake the oldest fiber parked on [q], if any. *)
+let wake_first eng q =
+  if Fifo.is_empty q then false
+  else begin
+    Engine.wake eng (Fifo.pop q);
+    true
+  end
+
+module Waitq = struct
+  type t = { eng : Engine.t; q : Engine.fiber Fifo.t }
+
+  let create eng = { eng; q = Engine.fiber_fifo () }
 
   let wait t =
-    Queue.push (Engine.self t.eng) t.q;
+    Fifo.push t.q (Engine.self t.eng);
     Engine.park t.eng
 
-  let wake_one t =
-    match Queue.take_opt t.q with
-    | None -> false
-    | Some f ->
-        Engine.wake t.eng f;
-        true
+  let wake_one t = wake_first t.eng t.q
 
   let wake_all t =
-    let n = Queue.length t.q in
+    let n = Fifo.length t.q in
     while wake_one t do
       ()
     done;
     n
 
-  let waiters t = Queue.length t.q
+  let waiters t = Fifo.length t.q
 end
 
 module Mutex = struct
@@ -30,7 +35,7 @@ module Mutex = struct
     mutex_name : string;
     acquire_cost : float;
     mutable owner : Engine.fiber option;
-    waiters : Engine.fiber Queue.t;
+    waiters : Engine.fiber Fifo.t;
     mutable n_acquires : int;
     mutable n_contended : int;
     race_sync : int option; (* release/acquire clock when sanitizing *)
@@ -45,7 +50,7 @@ module Mutex = struct
       mutex_name = name;
       acquire_cost;
       owner = None;
-      waiters = Queue.create ();
+      waiters = Engine.fiber_fifo ();
       n_acquires = 0;
       n_contended = 0;
       race_sync = (match Engine.race eng with Some r -> Some (Race.new_sync r) | None -> None);
@@ -75,7 +80,7 @@ module Mutex = struct
           invalid_arg
             (Printf.sprintf "Mutex %s: recursive lock by %s" t.mutex_name (fiber_desc me));
         t.n_contended <- t.n_contended + 1;
-        Queue.push me t.waiters;
+        Fifo.push t.waiters me;
         Engine.park t.eng
         (* Ownership is transferred by [unlock]; when we resume we already
            hold the mutex. *));
@@ -90,11 +95,12 @@ module Mutex = struct
           (Printf.sprintf "Mutex %s: unlock by %s but held by %s" t.mutex_name (fiber_desc me)
              (holder_desc t)));
     race_release t;
-    match Queue.take_opt t.waiters with
-    | None -> t.owner <- None
-    | Some next ->
-        t.owner <- Some next;
-        Engine.wake t.eng next
+    if Fifo.is_empty t.waiters then t.owner <- None
+    else begin
+      let next = Fifo.pop t.waiters in
+      t.owner <- Some next;
+      Engine.wake t.eng next
+    end
 
   let with_lock t f =
     lock t;
@@ -112,9 +118,9 @@ module Mutex = struct
 end
 
 module Condition = struct
-  type t = { eng : Engine.t; waiters : Engine.fiber Queue.t }
+  type t = { eng : Engine.t; waiters : Engine.fiber Fifo.t }
 
-  let create eng = { eng; waiters = Queue.create () }
+  let create eng = { eng; waiters = Engine.fiber_fifo () }
 
   (* The simulation is cooperatively scheduled, so "enqueue self, unlock,
      park" cannot lose a wakeup: no other fiber runs between the unlock and
@@ -127,17 +133,16 @@ module Condition = struct
         invalid_arg
           (Printf.sprintf "Condition.wait: mutex %s not held by %s but by %s"
              (Mutex.name m) (Mutex.fiber_desc me) (Mutex.holder_desc m)));
-    Queue.push me t.waiters;
+    Fifo.push t.waiters me;
     Mutex.unlock m;
     Engine.park t.eng;
     Mutex.lock m
 
-  let signal t =
-    match Queue.take_opt t.waiters with None -> () | Some f -> Engine.wake t.eng f
+  let signal t = ignore (wake_first t.eng t.waiters)
 
   let broadcast t =
-    while not (Queue.is_empty t.waiters) do
-      signal t
+    while wake_first t.eng t.waiters do
+      ()
     done
 end
 
@@ -145,9 +150,9 @@ module Channel = struct
   type 'a t = {
     eng : Engine.t;
     capacity : int option;
-    items : 'a Queue.t;
-    senders : Engine.fiber Queue.t;
-    receivers : Engine.fiber Queue.t;
+    items : 'a option Fifo.t; (* each [Some v] as sent; cleared slots hold [None] *)
+    senders : Engine.fiber Fifo.t;
+    receivers : Engine.fiber Fifo.t;
     race_sync : int option;
   }
 
@@ -158,9 +163,9 @@ module Channel = struct
     {
       eng;
       capacity;
-      items = Queue.create ();
-      senders = Queue.create ();
-      receivers = Queue.create ();
+      items = Fifo.create ~dummy:None;
+      senders = Engine.fiber_fifo ();
+      receivers = Engine.fiber_fifo ();
       race_sync = (match Engine.race eng with Some r -> Some (Race.new_sync r) | None -> None);
     }
 
@@ -177,41 +182,32 @@ module Channel = struct
     | _ -> ()
 
   let is_full t =
-    match t.capacity with None -> false | Some c -> Queue.length t.items >= c
+    match t.capacity with None -> false | Some c -> Fifo.length t.items >= c
 
   let send t v =
     while is_full t do
-      Queue.push (Engine.self t.eng) t.senders;
+      Fifo.push t.senders (Engine.self t.eng);
       Engine.park t.eng
     done;
-    Queue.push v t.items;
+    Fifo.push t.items (Some v);
     race_release t;
-    match Queue.take_opt t.receivers with
-    | None -> ()
-    | Some f -> Engine.wake t.eng f
+    ignore (wake_first t.eng t.receivers)
+
+  (* The oldest item, as sent; the caller has checked there is one. *)
+  let take t =
+    let item = Fifo.pop t.items in
+    race_acquire t;
+    ignore (wake_first t.eng t.senders);
+    item
 
   let rec recv t =
-    match Queue.take_opt t.items with
-    | Some v ->
-        race_acquire t;
-        (match Queue.take_opt t.senders with
-        | None -> ()
-        | Some f -> Engine.wake t.eng f);
-        v
-    | None ->
-        Queue.push (Engine.self t.eng) t.receivers;
-        Engine.park t.eng;
-        recv t
+    if Fifo.is_empty t.items then begin
+      Fifo.push t.receivers (Engine.self t.eng);
+      Engine.park t.eng;
+      recv t
+    end
+    else Option.get (take t)
 
-  let try_recv t =
-    match Queue.take_opt t.items with
-    | Some v ->
-        race_acquire t;
-        (match Queue.take_opt t.senders with
-        | None -> ()
-        | Some f -> Engine.wake t.eng f);
-        Some v
-    | None -> None
-
-  let length t = Queue.length t.items
+  let try_recv t = if Fifo.is_empty t.items then None else take t
+  let length t = Fifo.length t.items
 end

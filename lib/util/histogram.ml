@@ -122,7 +122,3 @@ let delta ~baseline cur =
     sum = cur.sum -. baseline.sum;
     max_seen = cur.max_seen;
   }
-
-let pp_summary ppf t =
-  Format.fprintf ppf "p50=%.1f p95=%.1f p99=%.1f max=%.1f (n=%d)" (percentile t 50.0)
-    (percentile t 95.0) (percentile t 99.0) t.max_seen t.n

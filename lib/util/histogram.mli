@@ -59,6 +59,3 @@ val of_counts :
   lo:float -> buckets_per_decade:int -> counts:int array -> sum:float -> max_seen:float -> t
 (** Rebuild a histogram from exported raw state ([n] is the sum of
     [counts]; the array is copied). *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** One-line "p50/p95/p99/max" rendering. *)

@@ -122,8 +122,6 @@ let team ~domains =
   in
   { st; workers = List.init (n - 1) (fun _ -> Domain.spawn worker); n; stopped = false }
 
-let team_domains tm = tm.n
-
 let team_run tm tasks =
   match tasks with
   | [] -> ()

@@ -53,8 +53,6 @@ val team : domains:int -> team
     participates in every batch, so total concurrency is [domains]).
     [domains <= 1] spawns nothing and [team_run] executes inline. *)
 
-val team_domains : team -> int
-
 val team_run : team -> (unit -> unit) list -> unit
 (** Execute one batch with {!run} semantics: tasks are claimed from a
     shared index, the call returns only after every task finished (a

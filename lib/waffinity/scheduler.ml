@@ -12,7 +12,7 @@ type node = {
   parent : node option;
   mutable active : bool;
   mutable desc_active : int;
-  q : msg Queue.t; (* this node's pending messages, oldest first *)
+  q : msg Wafl_util.Fifo.t; (* this node's pending messages, oldest first *)
   kind : string; (* Affinity.kind_name aff *)
   span_name : string; (* "msg " ^ kind *)
   post_kind : string; (* "post " ^ kind: the causal-edge kind for this node *)
@@ -29,12 +29,19 @@ and msg = {
   h : Wafl_obs.Causal.handoff; (* poster's causal context (no_handoff unless causal) *)
 }
 
+(* Fills every empty message slot: a node's cleared queue slots and an
+   idle worker's [msg].  It is never queued, so never granted. *)
+let no_msg =
+  { label = ""; body = ignore; posted_at = 0.0; seq = -1; h = Wafl_obs.Causal.no_handoff }
+
 (* A pooled worker fiber.  Workers are daemons: spawned on demand up to
    (roughly) the worker count, they execute one granted message at a
    time and park between grants instead of being created and torn down
-   per message — the real Waffinity worker-thread model. *)
+   per message — the real Waffinity worker-thread model.  A grant fills
+   [node] and [msg] in place, so it allocates nothing. *)
 type worker = {
-  mutable slot : (node * msg) option; (* the granted message to run next *)
+  mutable node : node; (* the node of the granted message *)
+  mutable msg : msg; (* the granted message to run next; [no_msg] when idle *)
   mutable fiber : Engine.fiber option; (* set right after spawn *)
 }
 
@@ -87,7 +94,7 @@ let new_node ~aff ~parent ~kind ~executed_n =
     parent;
     active = false;
     desc_active = 0;
-    q = Queue.create ();
+    q = Wafl_util.Fifo.create ~dummy:no_msg;
     kind;
     span_name = "msg " ^ kind;
     post_kind = "post " ^ kind;
@@ -331,17 +338,17 @@ let exec t n m =
    per-message fiber did the same on its way out), then parks in the
    idle pool until the next grant fills its slot. *)
 let rec worker_loop t w =
-  (match w.slot with
-  | None -> ()
-  | Some (n, m) ->
-      w.slot <- None;
-      exec t n m;
-      (* Workers are reused across unrelated messages: drop any span the
-         body left open and deactivate its causal context, so message A's
-         leftovers can never parent message B's spans. *)
-      if t.obs_on then Wafl_obs.Causal.fiber_reset t.obs;
-      if t.executing = 0 && t.pending_count = 0 then ignore (Sync.Waitq.wake_all t.idle);
-      dispatch t);
+  if w.msg != no_msg then begin
+    let n = w.node and m = w.msg in
+    w.msg <- no_msg;
+    exec t n m;
+    (* Workers are reused across unrelated messages: drop any span the
+       body left open and deactivate its causal context, so message A's
+       leftovers can never parent message B's spans. *)
+    if t.obs_on then Wafl_obs.Causal.fiber_reset t.obs;
+    if t.executing = 0 && t.pending_count = 0 then ignore (Sync.Waitq.wake_all t.idle);
+    dispatch t
+  end;
   t.idle_workers <- w :: t.idle_workers;
   Engine.park t.eng;
   worker_loop t w
@@ -359,7 +366,8 @@ and start t n m =
   match t.idle_workers with
   | w :: rest ->
       t.idle_workers <- rest;
-      w.slot <- Some (n, m);
+      w.node <- n;
+      w.msg <- m;
       let f = Option.get w.fiber in
       (* Charge the worker's CPU to the message's class, and let the
          dispatch observability hook see that class, exactly as the old
@@ -370,7 +378,7 @@ and start t n m =
       (* No idle worker: grow the pool.  [executing] <= workers bounds
          the busy workers, so the pool stays within one fiber of the
          worker count (the one transiently between finish and park). *)
-      let w = { slot = Some (n, m); fiber = None } in
+      let w = { node = n; msg = m; fiber = None } in
       w.fiber <- Some (Engine.spawn t.eng ~label:m.label ~daemon:true (fun () -> worker_loop t w))
 
 and dispatch t =
@@ -382,10 +390,10 @@ and dispatch t =
     let seq = t.hp_seq.(0) and n = t.hp_node.(0) in
     hp_remove_min t;
     if grantable n then begin
-      let m = Queue.pop n.q in
+      let m = Wafl_util.Fifo.pop n.q in
       t.pending_count <- t.pending_count - 1;
       Metrics.set t.g_queued (float_of_int t.pending_count);
-      if not (Queue.is_empty n.q) then hp_push t (Queue.peek n.q).seq n;
+      if not (Wafl_util.Fifo.is_empty n.q) then hp_push t (Wafl_util.Fifo.peek n.q).seq n;
       start t n m
     end
     else stash t seq n
@@ -415,8 +423,8 @@ let post t ~affinity ~label body =
     }
   in
   t.next_seq <- t.next_seq + 1;
-  let was_empty = Queue.is_empty n.q in
-  Queue.push m n.q;
+  let was_empty = Wafl_util.Fifo.is_empty n.q in
+  Wafl_util.Fifo.push n.q m;
   if was_empty then hp_push t m.seq n;
   t.pending_count <- t.pending_count + 1;
   Metrics.set t.g_queued (float_of_int t.pending_count);

@@ -20,6 +20,10 @@ let _bad_recycle spares img = Wafl_util.Packed.recycle spares img
 let _bad_registry t = Wafl_obs.Trace.metrics t
 let _bad_global_ref = ref 0
 let _bad_shared_record = { kind = ""; pending = Queue.create () }
+let _bad_queue q = Queue.push 1 q
+let _bad_queue_type (q : int Stdlib.Queue.t) = q
+let _bad_queue_module () = let module Q = Queue in Q.create ()
+let _bad_queue_escape q = Queue.pop q (* lint-ok: the Queue rule takes no escape *)
 
 (* Suppressed: the fold result is sorted before use. lint-ok *)
 let _ok_fold tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []

@@ -513,6 +513,43 @@ let prop_no_fiber_starves =
       Engine.run eng;
       !finished = n && Engine.live_fibers eng = 0)
 
+(* --- Promotion guard: the engine's queues keep no popped element --- *)
+
+(* Eight producers each send a fresh item and park on a wait queue; one
+   consumer receives an item and wakes the oldest producer.  The
+   channel's items and the wait queue never drain, and each round trip
+   also passes through the runnable queue twice.  After a [Gc.minor]
+   that promotes the engine and its fibers, an item consumed before the
+   next minor collection must stay young.  A queue that links its cells
+   promotes every cell pushed after its first promoted one while it stays
+   non-empty, with what the cell holds: about 7 words per round trip. *)
+let test_queues_promote_nothing () =
+  let eng = Engine.create ~cores:2 () in
+  let items = Sync.Channel.create eng and parked = Sync.Waitq.create eng in
+  let producers = 8 and n = 100_000 in
+  ignore
+    (Engine.spawn eng ~label:"consumer" (fun () ->
+         for _ = 1 to n do
+           ignore (Sys.opaque_identity !(Sync.Channel.recv items));
+           Engine.consume 1.0;
+           ignore (Sync.Waitq.wake_one parked)
+         done));
+  for p = 1 to producers do
+    ignore
+      (Engine.spawn eng ~label:"producer" (fun () ->
+           for i = 1 to n / producers do
+             Sync.Channel.send items (ref (p + i));
+             Sync.Waitq.wait parked
+           done))
+  done;
+  Gc.minor ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  Engine.run eng;
+  let per_trip = ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int n in
+  Alcotest.(check int) "every round trip ran" 0 (Engine.live_fibers eng);
+  if not (per_trip < 1.0) then
+    Alcotest.failf "%.2f words promoted per send/recv/wake round trip" per_trip
+
 let () =
   Alcotest.run "wafl_sim"
     [
@@ -553,6 +590,7 @@ let () =
           Alcotest.test_case "channel try_recv" `Quick test_channel_try_recv;
           Alcotest.test_case "waitq" `Quick test_waitq;
           Alcotest.test_case "mutex FIFO fairness" `Quick test_mutex_fairness_fifo;
+          Alcotest.test_case "queues promote nothing" `Quick test_queues_promote_nothing;
         ] );
       ( "properties",
         [

@@ -624,6 +624,96 @@ let test_word_table_negative () =
   Alcotest.check_raises "negative key" (Invalid_argument "Word_table.replace: negative key")
     (fun () -> Word_table.replace (Word_table.create ()) (-1) 0L)
 
+(* --- Fifo --- *)
+
+let pop_n q n = List.init n (fun _ -> Fifo.pop q)
+
+(* The ring wraps, doubles from its first 8 slots, halves once it is at
+   most one-eighth full, and hands elements back in push order through
+   all three. *)
+let test_fifo_order () =
+  let q = Fifo.create ~dummy:(-1) in
+  Alcotest.(check int) "no slots before the first push" 0 (Fifo.capacity q);
+  List.iter (Fifo.push q) [ 0; 1; 2; 3; 4; 5 ];
+  Alcotest.(check (list int)) "front" [ 0; 1; 2; 3 ] (pop_n q 4);
+  for i = 6 to 9 do
+    Fifo.push q i
+  done;
+  Alcotest.(check int) "wrapped without growing" 8 (Fifo.capacity q);
+  for i = 10 to 999 do
+    Fifo.push q i
+  done;
+  Alcotest.(check int) "grown" 1024 (Fifo.capacity q);
+  Alcotest.(check int) "peek" 4 (Fifo.peek q);
+  Alcotest.(check (list int)) "through growth" (List.init 900 (fun i -> i + 4)) (pop_n q 900);
+  Alcotest.(check bool) "shrunk while draining" true (Fifo.capacity q < 1024);
+  for i = 1000 to 1099 do
+    Fifo.push q i
+  done;
+  Alcotest.(check (list int)) "through shrink" (List.init 196 (fun i -> i + 904))
+    (pop_n q (Fifo.length q));
+  Alcotest.(check bool) "empty" true (Fifo.is_empty q);
+  Alcotest.(check int) "back to the smallest ring" 8 (Fifo.capacity q);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Fifo.pop: empty") (fun () ->
+      ignore (Fifo.pop q));
+  Alcotest.check_raises "peek empty" (Invalid_argument "Fifo.peek: empty") (fun () ->
+      ignore (Fifo.peek q))
+
+(* Bursts of pushes and pops against a list model. *)
+let prop_fifo_models_list =
+  QCheck.Test.make ~name:"fifo matches a list model" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 60) (pair bool (int_bound 300)))
+    (fun bursts ->
+      let q = Fifo.create ~dummy:(-1) and model = ref [] and next = ref 0 in
+      List.for_all
+        (fun (is_push, n) ->
+          if is_push then begin
+            for _ = 1 to n do
+              Fifo.push q !next;
+              model := !model @ [ !next ];
+              incr next
+            done;
+            true
+          end
+          else
+            let k = min n (List.length !model) in
+            let want = List.filteri (fun i _ -> i < k) !model in
+            model := List.filteri (fun i _ -> i >= k) !model;
+            pop_n q k = want
+            && Fifo.length q = List.length !model
+            && Fifo.capacity q <= max 8 (8 * Fifo.length q))
+        bursts)
+
+(* A drained ring keeps neither its elements nor its peak capacity. *)
+let test_fifo_drain_bounded () =
+  let q = Fifo.create ~dummy:"" in
+  for i = 1 to 100_000 do
+    Fifo.push q (string_of_int i)
+  done;
+  while not (Fifo.is_empty q) do
+    ignore (Fifo.pop q)
+  done;
+  let words = Obj.reachable_words (Obj.repr q) in
+  if words > 32 then Alcotest.failf "drained ring reaches %d words" words
+
+(* Allocate an element out of line, so no register or stack slot of the
+   test keeps it alive. *)
+let[@inline never] push_watched q w i =
+  let x = ref i in
+  Weak.set w i (Some x);
+  Fifo.push q x
+
+let test_fifo_pop_releases () =
+  let q = Fifo.create ~dummy:(ref (-1)) and w = Weak.create 3 in
+  for i = 0 to 2 do
+    push_watched q w i
+  done;
+  ignore (Sys.opaque_identity (Fifo.pop q));
+  Gc.full_major ();
+  Alcotest.(check bool) "popped element collected" false (Weak.check w 0);
+  Alcotest.(check bool) "queued elements kept" true (Weak.check w 1 && Weak.check w 2);
+  Alcotest.(check int) "rest in order" 1 !(Fifo.pop q)
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~verbose:false) tests
 
 let () =
@@ -689,6 +779,13 @@ let () =
           Alcotest.test_case "negative member" `Quick test_dense_set_negative;
         ] );
       ("int_table", [ QCheck_alcotest.to_alcotest ~verbose:false prop_int_table_models_assoc ]);
+      ( "fifo",
+        [
+          Alcotest.test_case "order through wrap, growth and shrink" `Quick test_fifo_order;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_fifo_models_list;
+          Alcotest.test_case "drained ring is small" `Quick test_fifo_drain_bounded;
+          Alcotest.test_case "pop releases the element" `Quick test_fifo_pop_releases;
+        ] );
       ( "wordtable",
         [
           QCheck_alcotest.to_alcotest ~verbose:false prop_word_table_models_hashtbl;

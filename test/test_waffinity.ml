@@ -438,6 +438,38 @@ let test_alloc_metrics_only () =
   let metrics_only = words_per_post_wait Wafl_obs.Trace.metrics_only in
   Alcotest.(check (float 0.0)) "minor words per message" disabled metrics_only
 
+(* --- Promotion guard: a granted message does not outlive its grant --- *)
+
+(* Eight clients each [post_wait] in a loop, alternating between two
+   stripes, so each stripe's queue stays non-empty, every grant wakes a
+   pooled worker and every message body wakes its poster.  After a
+   [Gc.minor] that promotes the scheduler and its fibers, a message
+   granted before the next minor collection must stay young.  A queue
+   that links its cells promotes every message pushed after its first
+   promoted cell while it stays non-empty, with the message's closure:
+   about 21 words per round trip. *)
+let test_post_wait_promotes_nothing () =
+  let eng = Engine.create ~cores:2 () in
+  let sched = Scheduler.create eng ~cost:Cost.default () in
+  let clients = 8 and n = 100_000 in
+  let running = ref clients and p_end = ref Float.nan in
+  for c = 1 to clients do
+    ignore
+      (Engine.spawn eng (fun () ->
+           for i = 1 to n / clients do
+             Scheduler.post_wait sched ~affinity:(Affinity.Stripe (0, 1, (c + i) land 1))
+               ~label:"client" ignore
+           done;
+           decr running;
+           if !running = 0 then p_end := (Gc.quick_stat ()).Gc.promoted_words))
+  done;
+  Gc.minor ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  Engine.run eng;
+  let per_trip = (!p_end -. p0) /. float_of_int n in
+  if not (per_trip < 1.0) then
+    Alcotest.failf "%.2f words promoted per post/grant/wake round trip" per_trip
+
 let () =
   Alcotest.run "wafl_waffinity"
     [
@@ -478,5 +510,8 @@ let () =
           QCheck_alcotest.to_alcotest ~verbose:false prop_no_conflicting_coschedule;
         ] );
       ( "alloc",
-        [ Alcotest.test_case "post_wait: metrics-only = disabled" `Quick test_alloc_metrics_only ] );
+        [
+          Alcotest.test_case "post_wait: metrics-only = disabled" `Quick test_alloc_metrics_only;
+          Alcotest.test_case "post_wait promotes nothing" `Quick test_post_wait_promotes_nothing;
+        ] );
     ]

@@ -38,11 +38,11 @@ let containers =
     ( "Array",
       [ "set"; "unsafe_set"; "fill"; "blit"; "sort"; "fast_sort" ],
       [ "get"; "unsafe_get" ] );
-    ("Queue", [ "add"; "push"; "pop"; "take"; "clear"; "transfer" ], [ "peek"; "top"; "length" ]);
     ("Stack", [ "push"; "pop"; "clear" ], [ "top"; "length" ]);
     ("Buffer", [ "add_string"; "add_char"; "clear"; "reset" ], [ "contents"; "length" ]);
     ("Bytes", [ "set"; "unsafe_set"; "fill"; "blit" ], [ "get"; "unsafe_get" ]);
     (* lib/util containers *)
+    ("Fifo", [ "push"; "pop" ], [ "peek"; "length"; "is_empty" ]);
     ("Histogram", [ "add"; "merge"; "clear" ], [ "percentile"; "count"; "mean"; "max" ]);
     ( "Intvec",
       [ "push"; "set"; "clear"; "extract"; "blit"; "sort" ],

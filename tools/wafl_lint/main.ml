@@ -28,12 +28,16 @@
      makes a [ref], a [Hashtbl]/[Queue]/[Stack]/[Buffer] ([create]) or
      an [Atomic] ([make]), even inside a record or tuple.  Every run in
      the process, on every worker domain, would share it; per-run state
-     belongs to a value the run is built with.
+     belongs to a value the run is built with;
+   - [Stdlib.Queue], named anywhere: in a value, a type or a module
+     path.  A queue that links its cells drags every cell pushed after
+     its first promoted one into the major heap, with what the cell
+     holds, even once popped; long-lived queues use [Wafl_util.Fifo].
 
    A finding is suppressed when the token "lint-ok" appears on the
    flagged line or the line directly above it (typically in a comment
    explaining why the use is safe, e.g. a Hashtbl.fold whose result is
-   sorted before use).
+   sorted before use).  The [Queue] rule takes no escape.
 
    Escapes are ratcheted: with [--max-lint-ok N], the run also fails
    when the linted files carry more than N lines with the token.  The
@@ -61,12 +65,12 @@ let suppressed src lnum =
   let check i = i >= 1 && i <= Array.length src.lines && contains_sub src.lines.(i - 1) "lint-ok" in
   check lnum || check (lnum - 1)
 
+let report_always src (loc : Location.t) msg =
+  incr findings;
+  Printf.printf "%s:%d: %s\n" src.name loc.loc_start.pos_lnum msg
+
 let report src (loc : Location.t) msg =
-  let lnum = loc.loc_start.pos_lnum in
-  if not (suppressed src lnum) then begin
-    incr findings;
-    Printf.printf "%s:%d: %s\n" src.name lnum msg
-  end
+  if not (suppressed src loc.loc_start.pos_lnum) then report_always src loc msg
 
 let base name = Filename.basename name
 
@@ -186,6 +190,15 @@ let check_path src loc path =
                  field)
       | _ -> ())
 
+(* [Stdlib.Queue] in any path; reported even under lint-ok. *)
+let check_queue src loc = function
+  | "Queue" :: _ | "Stdlib" :: "Queue" :: _ ->
+      report_always src loc
+        "Stdlib.Queue links a cell per push, and once one cell of a busy queue is \
+         promoted the minor GC promotes every later cell with its element, popped or not; \
+         use Wafl_util.Fifo (this rule takes no lint-ok)"
+  | _ -> ()
+
 let makes_mutable_state path =
   match List.rev path with
   | [ "ref" ] | [ "ref"; "Stdlib" ]
@@ -266,7 +279,9 @@ let iterator src =
   let open Ast_iterator in
   let expr it (e : Parsetree.expression) =
     (match e.pexp_desc with
-    | Pexp_ident { txt; loc } -> check_path src loc (Longident.flatten txt)
+    | Pexp_ident { txt; loc } ->
+        check_path src loc (Longident.flatten txt);
+        check_queue src loc (Longident.flatten txt)
     | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident { txt; loc }; _ }; _ }, _) ->
         (* [let open Random in ...] smuggles the module in unqualified. *)
         check_path src loc (Longident.flatten txt)
@@ -277,9 +292,22 @@ let iterator src =
   in
   let open_description it (od : Parsetree.open_description) =
     check_path src od.popen_expr.loc (Longident.flatten od.popen_expr.txt);
+    check_queue src od.popen_expr.loc (Longident.flatten od.popen_expr.txt);
     default_iterator.open_description it od
   in
-  { default_iterator with expr; open_description }
+  let typ it (ty : Parsetree.core_type) =
+    (match ty.ptyp_desc with
+    | Ptyp_constr ({ txt; loc }, _) -> check_queue src loc (Longident.flatten txt)
+    | _ -> ());
+    default_iterator.typ it ty
+  in
+  let module_expr it (me : Parsetree.module_expr) =
+    (match me.pmod_desc with
+    | Pmod_ident { txt; loc } -> check_queue src loc (Longident.flatten txt)
+    | _ -> ());
+    default_iterator.module_expr it me
+  in
+  { default_iterator with expr; open_description; typ; module_expr }
 
 let lint_file path =
   let text, lines = read_lines path in
