@@ -46,7 +46,6 @@ type t = {
   rgs : rg_state array;
   vols : vol_state Wafl_util.Int_table.t; (* by volume id *)
   (* statistics *)
-  mutable n_committed : int;
   mutable n_allocated : int;
   mutable n_freed : int;
   mutable n_touched : int;
@@ -235,7 +234,6 @@ let commit_phys_bucket t st bucket =
     done
   end;
   t.n_allocated <- t.n_allocated + used;
-  t.n_committed <- t.n_committed + 1;
   if Engine.sanitizing t.eng then
     Engine.probe_atomic t.eng ~shared:(Printf.sprintf "infra.rg%d.cycle" st.rg);
   st.returned <- st.returned + 1;
@@ -305,7 +303,6 @@ let commit_virt_bucket t vs ~under bucket =
     done
   end;
   t.n_allocated <- t.n_allocated + used;
-  t.n_committed <- t.n_committed + 1;
   refill_virt t vs ~under
 
 (* --- public operations -------------------------------------------------- *)
@@ -504,7 +501,6 @@ let create ?(obs = Wafl_obs.Trace.disabled) sched agg cfg =
       phys_cache = Sync.Channel.create eng;
       rgs;
       vols = Wafl_util.Int_table.create ();
-      n_committed = 0;
       n_allocated = 0;
       n_freed = 0;
       n_touched = 0;
@@ -558,4 +554,3 @@ let dump t out =
   Printf.fprintf out "  infra: physcache=%d pending_commits=%d messages=%d\n%!"
     (Sync.Channel.length t.phys_cache) t.pending_commits t.n_messages
 
-let buckets_committed t = t.n_committed

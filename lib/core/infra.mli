@@ -91,7 +91,5 @@ val live_tetrises : t -> Tetris.t list
 
 (** {1 Statistics} *)
 
-val buckets_committed : t -> int
-
 val dump : t -> out_channel -> unit
 (** Diagnostic dump of cycle and cache state. *)

@@ -51,8 +51,6 @@ let[@inline] enqueue_data t ~vbn ~vol ~file ~fbn ~content =
   dispatch_probe t;
   Wafl_fs.Layout.add_data (batch t) vbn ~vol ~file ~fbn ~content
 
-let pending_blocks t = match t.batch with Some b -> Raid.batch_length b | None -> 0
-
 let submit_now t =
   dispatch_probe t;
   match t.batch with

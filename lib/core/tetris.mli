@@ -36,7 +36,6 @@ val enqueue_data : t -> vbn:int -> vol:int -> file:int -> fbn:int -> content:int
 (** Append a data block by its fields, as {!Wafl_fs.Layout.add_data}
     does: its codec key and content word, without building its image. *)
 
-val pending_blocks : t -> int
 val bucket_done : t -> unit
 (** Atomically decrement the outstanding-bucket count; submits the I/O at
     zero.  Must be called from fiber context (I/O dispatch charges CPU). *)

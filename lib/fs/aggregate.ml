@@ -281,7 +281,6 @@ let read_pvbn t pvbn =
   | `Absent -> None
   | `Lost -> raise (lost pvbn)
 
-let flash_enabled t = t.flash_on
 let ftls t = Array.to_list t.raids |> List.filter_map Raid.flash
 
 (* Route tetris writes to flash write streams (no-op without a media
@@ -493,7 +492,6 @@ let select_best counts ~exclude =
 let select_aa t ~rg ~exclude = select_best t.aa_free_tbl.(rg) ~exclude
 let aa_free t ~rg ~aa = t.aa_free_tbl.(rg).(aa)
 let select_vvbn_region t ~vol ~exclude = select_best (region_free t vol) ~exclude
-let vvbn_region_free t ~vol ~region = (region_free t vol).(region)
 
 (* --- consistency-point support --- *)
 

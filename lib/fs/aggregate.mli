@@ -74,8 +74,6 @@ val dirty_buffers : t -> int
 val counters : t -> Counters.t
 val agg_map : t -> Bitmap_file.t
 
-val flash_enabled : t -> bool
-
 val ftls : t -> Wafl_flash.Ftl.t list
 (** The per-RAID-group FTLs, in group order; empty without a media
     model. *)
@@ -171,7 +169,6 @@ val select_aa : t -> rg:int -> exclude:int list -> int option
 
 val aa_free : t -> rg:int -> aa:int -> int
 val select_vvbn_region : t -> vol:Volume.t -> exclude:int list -> int option
-val vvbn_region_free : t -> vol:Volume.t -> region:int -> int
 val vvbn_region_bits : int
 
 (** {1 Sanitizer data domains}

@@ -2,15 +2,12 @@ open Wafl_util
 
 let words_per_block = Layout.bits_per_map_block / 64
 
-(* The bit array lives in [Bytes], 8 bytes per word, read and written
-   through the raw 64-bit primitives: an inlined [get]/[set] keeps the
-   word unboxed, where an [int64 array] boxes every word it stores. *)
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
-
+(* The bit array lives in a slab, 8 bytes per word, off the heap: an
+   inlined [get]/[set] keeps the word unboxed, where an [int64 array]
+   boxes every word it stores. *)
 type t = {
   nbits : int;
-  words : Bytes.t;
+  words : Slab.t;
   mutable free : int;
   dirty : Dense_set.t;
   mutable last_dirty : int; (* last block marked; skips the set test *)
@@ -22,7 +19,7 @@ let create ~bits =
   if bits <= 0 then invalid_arg "Bitmap_file.create: bits must be positive";
   {
     nbits = bits;
-    words = Bytes.make (8 * ((bits + 63) / 64)) '\000';
+    words = Slab.make (8 * ((bits + 63) / 64)) '\000';
     free = bits;
     dirty = Dense_set.create ();
     last_dirty = -1;
@@ -30,9 +27,9 @@ let create ~bits =
     scanned = 0;
   }
 
-let nwords t = Bytes.length t.words / 8
-let word t w = get64 t.words (8 * w)
-let set_word t w x = set64 t.words (8 * w) x
+let nwords t = Slab.length t.words / 8
+let word t w = Slab.get64 t.words (8 * w)
+let set_word t w x = Slab.set64 t.words (8 * w) x
 let nbits t = t.nbits
 let nblocks t = (t.nbits + Layout.bits_per_map_block - 1) / Layout.bits_per_map_block
 let block_of_bit bit = bit / Layout.bits_per_map_block
@@ -178,6 +175,7 @@ let load_block t i payload =
   done
 
 let snapshot_words t = Array.init (nwords t) (word t)
+let slab_bytes t = Slab.length t.words + Intvec.bytes t.locations
 
 let location t i = Intvec.get t.locations i
 let locations t = Intvec.bindings t.locations

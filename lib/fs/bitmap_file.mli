@@ -58,8 +58,6 @@ val dirty_blocks_desc : t -> int list
     that would otherwise reverse the ascending list. *)
 
 val dirty_count : t -> int
-val mark_dirty : t -> int -> unit
-(** Explicitly dirty a block (used when relocating the block itself). *)
 
 val clear_dirty : t -> unit
 val words_of_block : ?spares:Wafl_util.Packed.spares -> t -> int -> Wafl_util.Packed.words
@@ -70,6 +68,10 @@ val words_of_block : ?spares:Wafl_util.Packed.spares -> t -> int -> Wafl_util.Pa
 val snapshot_words : t -> int64 array
 (** Copy of the whole bit array; used to capture the block-usage state a
     snapshot pins. *)
+
+val slab_bytes : t -> int
+(** Bytes of slab behind the map: its bit array (8 bytes per 64 bits)
+    and its location map. *)
 
 val load_block : t -> int -> Wafl_util.Packed.words -> unit
 (** Overwrite block [i]'s words from a disk image (recovery). *)

@@ -12,6 +12,7 @@
     index over an array-slot doubly-linked LRU list: O(1) probe, insert
     and evict, with no allocation once the arrays have grown to the
     working set (they double up to [capacity] slots as the cache fills).
+    Both arrays are {!Wafl_util.Slab}s of 64-bit words, off the heap.
     An index entry packs a pvbn and its slot into one word, and a slot
     packs its two list links into one, 31 bits a field: so pvbns and the
     capacity are below 2^31, as on every geometry the storage layer

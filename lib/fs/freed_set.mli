@@ -17,5 +17,8 @@ val add : t -> int -> unit
 
 val mem : t -> int -> bool
 
+val slab_bytes : t -> int
+(** Bytes of slab behind the set: one bit per VBN and the lists. *)
+
 val release : t -> (int -> unit) -> unit
 (** [release t f] calls [f] on every member and empties the set. *)

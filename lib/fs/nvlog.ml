@@ -1,3 +1,5 @@
+open Wafl_util
+
 type op =
   | Create_vol of { vol : int; vvbn_space : int }
   | Create_file of { vol : int; file : int }
@@ -16,7 +18,7 @@ type watermarks = { soft : float; hard : float; pace : float }
    is zero.  The ring doubles when full and never shrinks. *)
 type t = {
   half_capacity : int;
-  mutable ring : Bytes.t;
+  mutable ring : Slab.t;
   mutable slots : int; (* a power of two *)
   mutable head : int;
   mutable cp_len : int;
@@ -28,9 +30,6 @@ type t = {
 
 let slot_bytes = 32
 let initial_slots = 64
-
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let check_watermarks = function
   | None -> ()
@@ -44,7 +43,7 @@ let create ?(half_capacity = 16384) ?watermarks () =
   check_watermarks watermarks;
   {
     half_capacity;
-    ring = Bytes.make (slot_bytes * initial_slots) '\000';
+    ring = Slab.make (slot_bytes * initial_slots) '\000';
     slots = initial_slots;
     head = 0;
     cp_len = 0;
@@ -60,10 +59,10 @@ let offset t i = slot_bytes * ((t.head + i) land (t.slots - 1))
 
 (* Double the ring, copying the records oldest first to slot 0. *)
 let grow t =
-  let ring = Bytes.make (2 * Bytes.length t.ring) '\000' in
+  let ring = Slab.make (2 * Slab.length t.ring) '\000' in
   let first = t.slots - t.head in
-  Bytes.blit t.ring (slot_bytes * t.head) ring 0 (slot_bytes * first);
-  Bytes.blit t.ring 0 ring (slot_bytes * first) (slot_bytes * t.head);
+  Slab.blit t.ring (slot_bytes * t.head) ring 0 (slot_bytes * first);
+  Slab.blit t.ring 0 ring (slot_bytes * first) (slot_bytes * t.head);
   t.ring <- ring;
   t.slots <- 2 * t.slots;
   t.head <- 0
@@ -72,10 +71,10 @@ let push t ~kind ~vol a b content =
   if is_exhausted t then raise Exhausted;
   if t.cp_len + t.filling_len = t.slots then grow t;
   let off = offset t (t.cp_len + t.filling_len) in
-  set64 t.ring off (Int64.of_int ((vol lsl 2) lor kind));
-  set64 t.ring (off + 8) (Int64.of_int a);
-  set64 t.ring (off + 16) (Int64.of_int b);
-  set64 t.ring (off + 24) content;
+  Slab.unsafe_set64 t.ring off (Int64.of_int ((vol lsl 2) lor kind));
+  Slab.unsafe_set64 t.ring (off + 8) (Int64.of_int a);
+  Slab.unsafe_set64 t.ring (off + 16) (Int64.of_int b);
+  Slab.unsafe_set64 t.ring (off + 24) content;
   t.filling_len <- t.filling_len + 1;
   if t.filling_len >= t.half_capacity then `Half_full else `Ok
 
@@ -90,14 +89,19 @@ let append t = function
 (* Decode record [i]: only the crash and recovery paths build ops. *)
 let op_at t i =
   let off = offset t i in
-  let w0 = Int64.to_int (get64 t.ring off) in
-  let vol = w0 asr 2 and a = Int64.to_int (get64 t.ring (off + 8)) in
+  let w0 = Int64.to_int (Slab.unsafe_get64 t.ring off) in
+  let vol = w0 asr 2 and a = Int64.to_int (Slab.unsafe_get64 t.ring (off + 8)) in
   match w0 land 3 with
   | 0 -> Create_vol { vol; vvbn_space = a }
   | 1 -> Create_file { vol; file = a }
   | 2 ->
       Write
-        { vol; file = a; fbn = Int64.to_int (get64 t.ring (off + 16)); content = get64 t.ring (off + 24) }
+        {
+          vol;
+          file = a;
+          fbn = Int64.to_int (Slab.unsafe_get64 t.ring (off + 16));
+          content = Slab.unsafe_get64 t.ring (off + 24);
+        }
   | _ -> Delete_file { vol; file = a }
 
 let is_half_full t = t.filling_len >= t.half_capacity

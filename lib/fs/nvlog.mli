@@ -11,11 +11,12 @@
     operations fill the other.  {!append} reports when the filling half
     has reached its capacity, which is the primary CP trigger.
 
-    Records are fixed-width slots of four unboxed words in one ring that
-    grows on demand: the CP half and the filling half are two contiguous
-    ranges of it, so {!cp_begin} and {!cp_commit} only move indices, and
-    {!append_write} (the client write path) allocates nothing once the
-    ring has grown.  Only the crash and recovery paths ({!tear},
+    Records are fixed-width slots of four unboxed words in one ring, a
+    {!Wafl_util.Slab} off the heap, that grows on demand: the CP half
+    and the filling half are two contiguous ranges of it, so
+    {!cp_begin} and {!cp_commit} only move indices, and {!append_write}
+    (the client write path) allocates nothing once the ring has
+    grown.  Only the crash and recovery paths ({!tear},
     {!replay_ops}) decode slots back into {!op} values. *)
 
 type op =

@@ -128,6 +128,10 @@ let pvbn_of_vvbn t vvbn =
 
 let container_capacity t = Intvec.capacity t.container
 
+let slab_bytes t =
+  Intvec.bytes t.container + Intvec.bytes t.container_locations + Intvec.bytes t.inode_locations
+  + Bitmap_file.slab_bytes t.vol_map + Freed_set.slab_bytes t.recent_frees
+
 let map_vvbn t ~vvbn ~pvbn =
   check_vvbn t vvbn;
   let old = Intvec.get t.container vvbn in

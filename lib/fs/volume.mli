@@ -60,6 +60,11 @@ val container_capacity : t -> int
 (** Entries the container map holds: one per vvbn, made at creation, so
     mapping never grows it. *)
 
+val slab_bytes : t -> int
+(** Bytes of slab behind the volume's own maps: the container map (4 a
+    vvbn), the activemap and frozen-vvbn bitmaps and the location maps,
+    not its files' block maps. *)
+
 (** {1 Volume activemap} *)
 
 val vol_map : t -> Bitmap_file.t

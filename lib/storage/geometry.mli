@@ -60,9 +60,6 @@ val rg_offset : t -> vbn -> int
 (** Position of [v] within its RAID group's VBN range:
     [drive * drive_blocks + dbn] for [locate t v]. *)
 
-val drive_base : t -> rg:int -> drive:int -> vbn
-(** First VBN of the given drive's contiguous range. *)
-
 val vbn_valid : t -> vbn -> bool
 val aa_of_dbn : t -> int -> int
 (** Which Allocation Area a drive offset falls in. *)

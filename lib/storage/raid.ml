@@ -1,17 +1,17 @@
 open Wafl_sim
 
 (* A batch is one write I/O's entries in submission order, 24 bytes each
-   in [slots]: the vbn, the disk codec's key and its word.  A compact
-   image is that key (>= 0) and word, exactly the disk slot it becomes;
-   a boxed one has key [boxed_entry] and its payload in [boxed], at the
-   index its word holds.  [slots] and [boxed] grow on demand and are kept
-   when the group recycles the batch, but [boxed] is refilled with the
-   codec's vacant image (or dropped, without one), so a recycled batch
-   keeps no payload reachable. *)
+   in the slab [slots]: the vbn, the disk codec's key and its word.  A
+   compact image is that key (>= 0) and word, exactly the disk slot it
+   becomes; a boxed one has key [boxed_entry] and its payload in
+   [boxed], at the index its word holds.  [slots] and [boxed] grow on
+   demand and are kept when the group recycles the batch, but [boxed] is
+   refilled with the codec's vacant image (or dropped, without one), so
+   a recycled batch keeps no payload reachable. *)
 type 'b batch = {
   disk : 'b Disk.t;
   mutable n : int;
-  mutable slots : Bytes.t;
+  mutable slots : Wafl_util.Slab.t;
   mutable boxed : 'b array;
   mutable n_boxed : int;
 }
@@ -62,15 +62,14 @@ type 'b t = {
 
 (* --- batches ------------------------------------------------------------ *)
 
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+module Slab = Wafl_util.Slab
 
 let entry_bytes = 24
 let boxed_entry = -1
 let batch_length (b : _ batch) = b.n
-let[@inline] entry_vbn b i = Int64.to_int (get64u b.slots (entry_bytes * i))
-let[@inline] entry_key b i = Int64.to_int (get64u b.slots ((entry_bytes * i) + 8))
-let[@inline] entry_word b i = get64u b.slots ((entry_bytes * i) + 16)
+let[@inline] entry_vbn b i = Int64.to_int (Slab.unsafe_get64 b.slots (entry_bytes * i))
+let[@inline] entry_key b i = Int64.to_int (Slab.unsafe_get64 b.slots ((entry_bytes * i) + 8))
+let[@inline] entry_word b i = Slab.unsafe_get64 b.slots ((entry_bytes * i) + 16)
 let entry_boxed b i = b.boxed.(Int64.to_int (entry_word b i))
 
 (* The payload of entry [i], for the failure path: the only place a
@@ -80,16 +79,16 @@ let entry_payload (b : _ batch) i =
   if key >= 0 then (Disk.codec b.disk).Disk.unpack key (entry_word b i) else entry_boxed b i
 
 let grow_slots (b : _ batch) =
-  let bigger = Bytes.create (max (64 * entry_bytes) (2 * Bytes.length b.slots)) in
-  Bytes.blit b.slots 0 bigger 0 (entry_bytes * b.n);
+  let bigger = Slab.create (max (64 * entry_bytes) (2 * Slab.length b.slots)) in
+  Slab.blit b.slots 0 bigger 0 (entry_bytes * b.n);
   b.slots <- bigger
 
 let[@inline] add_entry (b : _ batch) vbn key word =
-  if entry_bytes * (b.n + 1) > Bytes.length b.slots then grow_slots b;
+  if entry_bytes * (b.n + 1) > Slab.length b.slots then grow_slots b;
   let o = entry_bytes * b.n in
-  set64u b.slots o (Int64.of_int vbn);
-  set64u b.slots (o + 8) (Int64.of_int key);
-  set64u b.slots (o + 16) word;
+  Slab.unsafe_set64 b.slots o (Int64.of_int vbn);
+  Slab.unsafe_set64 b.slots (o + 8) (Int64.of_int key);
+  Slab.unsafe_set64 b.slots (o + 16) word;
   b.n <- b.n + 1
 
 let[@inline] add_compact b vbn ~key ~word =
@@ -122,7 +121,7 @@ let batch t =
   | b :: rest ->
       t.spare_batches <- rest;
       b
-  | [] -> { disk = t.disk; n = 0; slots = Bytes.empty; boxed = [||]; n_boxed = 0 }
+  | [] -> { disk = t.disk; n = 0; slots = Slab.empty; boxed = [||]; n_boxed = 0 }
 
 let recycle t (b : _ batch) =
   (match (Disk.codec t.disk).Disk.vacant with

@@ -23,7 +23,6 @@ let create ?(lo = 1.0) ?(hi = 1e8) ?(buckets_per_decade = 20) () =
   }
 
 let lo t = t.lo
-let nbuckets t = Array.length t.counts
 let counts t = Array.copy t.counts
 
 let buckets_per_decade t = int_of_float (Float.round (t.scale *. log 10.0))

@@ -45,7 +45,6 @@ val delta : baseline:t -> t -> t
 
 val lo : t -> float
 val buckets_per_decade : t -> int
-val nbuckets : t -> int
 val sum : t -> float
 val max_seen : t -> float
 

@@ -1,33 +1,30 @@
-(* Entries are signed 32-bit ints, 4 bytes apiece in one [Bytes] (the
-   layout of a {!Packed} entry image), so the GC never scans them and
+(* Entries are signed 32-bit ints, 4 bytes apiece in one slab (the
+   layout of a {!Packed} entry image), so they live off the heap and
    [extract] is one blit.  Every slot at or past [len] holds the
    default. *)
-type t = { default : int; mutable data : Bytes.t; mutable len : int }
-
-external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+type t = { default : int; mutable data : Slab.t; mutable len : int }
 
 let in_range v = v >= Packed.min_entry && v <= Packed.max_entry
 
 let fill data ~from ~upto v =
-  let x = Int32.of_int v in
   for i = from to upto - 1 do
-    set32u data (4 * i) x
+    Slab.unsafe_set32 data (4 * i) v
   done
 
 let create ?(initial_capacity = 16) ~default () =
   if initial_capacity <= 0 then invalid_arg "Intvec.create: bad capacity";
   if not (in_range default) then invalid_arg "Intvec.create: default outside [-2^31, 2^31)";
-  let data = Bytes.create (4 * initial_capacity) in
+  let data = Slab.create (4 * initial_capacity) in
   fill data ~from:0 ~upto:initial_capacity default;
   { default; data; len = 0 }
 
 let default t = t.default
 let length t = t.len
-let capacity t = Bytes.length t.data / 4
+let capacity t = Slab.length t.data / 4
+let bytes t = Slab.length t.data
 
 (* Below [t.len], so inside [data]. *)
-let[@inline] raw t i = Int32.to_int (get32u t.data (4 * i))
+let[@inline] raw t i = Slab.unsafe_get32 t.data (4 * i)
 
 let get t i =
   if i < 0 then invalid_arg "Intvec.get: negative index";
@@ -42,12 +39,12 @@ let set t i v =
     while i >= !n do
       n := !n * 2
     done;
-    let bigger = Bytes.create (4 * !n) in
-    Bytes.blit t.data 0 bigger 0 (4 * cap);
+    let bigger = Slab.create (4 * !n) in
+    Slab.blit t.data 0 bigger 0 (4 * cap);
     fill bigger ~from:cap ~upto:!n t.default;
     t.data <- bigger
   end;
-  set32u t.data (4 * i) (Int32.of_int v);
+  Slab.unsafe_set32 t.data (4 * i) v;
   if i >= t.len then t.len <- i + 1
 
 let extract ?spares t ~pos ~len = Packed.of_entries ?spares t.data ~pos ~len ~default:t.default
@@ -71,4 +68,4 @@ let clear t =
   fill t.data ~from:0 ~upto:t.len t.default;
   t.len <- 0
 
-let copy t = { t with data = Bytes.copy t.data }
+let copy t = { t with data = Slab.copy t.data }

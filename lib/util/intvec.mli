@@ -3,8 +3,8 @@
     extended.  Reads beyond the current length return the default rather
     than raising, which matches "hole" semantics in sparse files.
 
-    Entries are signed 32-bit ints, 4 bytes apiece in one [Bytes] that
-    the GC never scans: every value, the default included, must lie in
+    Entries are signed 32-bit ints, 4 bytes apiece in one {!Slab}, off
+    the heap: every value, the default included, must lie in
     [[-2^31, 2^31)] ({!Packed.min_entry} .. {!Packed.max_entry}).  A VBN
     is below 2^31 on every geometry the storage layer accepts. *)
 
@@ -20,6 +20,9 @@ val length : t -> int
 
 val capacity : t -> int
 (** Entries in the backing array: {!set} below it never reallocates. *)
+
+val bytes : t -> int
+(** Bytes of slab behind the vector: 4 per entry of {!capacity}. *)
 
 val get : t -> int -> int
 val set : t -> int -> int -> unit

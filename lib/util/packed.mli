@@ -1,5 +1,5 @@
 (** Packed block images: a fixed-length vector of slots stored in one
-    [Bytes.t], in one of two kinds.
+    {!Slab}, in one of two kinds.
 
     - An {e entry} image ({!entries}) holds signed 32-bit slots, 4 bytes
       apiece: the block-map and container entries, each a VBN or -1.
@@ -9,9 +9,10 @@
 
     The kind is in the type, so no read branches on slot width.  This is
     the on-disk form of every metafile block whose payload is a run of
-    numbers.  A bytes block holds no pointers, so the major GC never
-    scans an image's contents, however many images the simulated disk
-    retains.  Builders write every slot exactly once; nothing pre-fills.
+    numbers.  The slots live off the heap, so an image costs the major
+    heap only its slab's small custom block, however many images the
+    simulated disk retains.  Builders write every slot exactly once;
+    nothing pre-fills.
 
     An image is immutable for as long as anything can read it.  Once it
     is dead, its owner may {!recycle} the buffer into a {!spares} pool;
@@ -51,7 +52,7 @@ val recycle : spares -> _ t -> unit
 val drop_spares : spares -> unit
 (** Leave every pooled buffer to the GC. *)
 
-val of_entries : ?spares:spares -> Bytes.t -> pos:int -> len:int -> default:int -> entries
+val of_entries : ?spares:spares -> Slab.t -> pos:int -> len:int -> default:int -> entries
 (** [of_entries src ~pos ~len ~default] has [len] slots, read from the
     signed 32-bit entries of [src] (4 bytes apiece, native byte order,
     the layout of an {!entries} image): slot [i] holds entry [pos + i]
@@ -67,10 +68,10 @@ val length : entries -> int
 val get : entries -> int -> int
 (** Slot [i], sign-extended. *)
 
-val of_words : ?spares:spares -> Bytes.t -> pos:int -> len:int -> words
+val of_words : ?spares:spares -> Slab.t -> pos:int -> len:int -> words
 (** [of_words src ~pos ~len] copies the 64-bit words [pos] ..
     [pos + len - 1] of [src] (8 bytes apiece, native byte order, the
-    layout of a bitmap kept in [Bytes]), filled into a pooled buffer as
+    layout of a bitmap kept in a slab), filled into a pooled buffer as
     {!of_entries} does.  Raises [Invalid_argument] if that range is not
     inside [src]. *)
 
@@ -79,3 +80,6 @@ val word_count : words -> int
 
 val get_int64 : words -> int -> int64
 (** Slot [i] as raw 64 bits, including words with bit 63 set. *)
+
+val bytes : _ t -> int
+(** Bytes of slab the image holds: 4 a slot for entries, 8 for words. *)

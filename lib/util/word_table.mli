@@ -2,10 +2,10 @@
 
     Built for the aggregate's dirty buffers (one binding per buffered
     client write, keyed by file, fbn and CP generation; see {!File}).
-    Slots live in one [Bytes]: each is two 64-bit words, the key plus
-    one (zero marks an empty slot) and the value.  Collisions probe
-    linearly and {!remove} shifts the rest of the run back into the
-    hole, so there are no tombstones.  The table doubles when an insert
+    Slots live in one {!Slab}, off the heap: each is two 64-bit words,
+    the key plus one (zero marks an empty slot) and the value.
+    Collisions probe linearly and {!remove} shifts the rest of the run
+    back into the hole, so there are no tombstones.  The table doubles when an insert
     would take it past half full and never shrinks.  Once it has grown
     to its working size, {!replace}, {!find}, {!mem} and {!remove}
     allocate nothing: a value is copied in, not kept as a box. *)

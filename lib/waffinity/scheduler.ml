@@ -73,7 +73,6 @@ type t = {
   mutable executed : int;
   by_kind_tbl : (string, int ref) Hashtbl.t;
   mutable by_kind : (string * int ref) list; (* same refs, kind-sorted *)
-  mutable wait_time : float;
   idle : Sync.Waitq.t; (* drain waiters *)
   mutable idle_workers : worker list; (* parked workers, most recent first *)
   isolation : Isolation.t option;
@@ -126,7 +125,6 @@ let create ?workers ?isolation ?(obs = Wafl_obs.Trace.disabled) eng ~cost () =
     executed = 0;
     by_kind_tbl = Hashtbl.create 16;
     by_kind = [];
-    wait_time = 0.0;
     idle = Sync.Waitq.create eng;
     idle_workers = [];
     isolation;
@@ -357,7 +355,6 @@ and start t n m =
   activate n;
   t.executing <- t.executing + 1;
   let wait = Engine.now t.eng -. m.posted_at in
-  t.wait_time <- t.wait_time +. wait;
   Metrics.observe (wait_histo t n) wait;
   Metrics.set t.g_executing (float_of_int t.executing);
   (* The queue hand-off orders the poster before the message body even
@@ -454,4 +451,3 @@ let executed_total t = t.executed
 (* [by_kind] is maintained kind-sorted at insertion; no hash-order walk,
    no re-sort per call. *)
 let executed_by_kind t = List.map (fun (k, r) -> (k, !r)) t.by_kind
-let wait_time_total t = t.wait_time

@@ -62,6 +62,3 @@ val executed_total : t -> int
 val executed_by_kind : t -> (string * int) list
 (** Completed-message counts per affinity kind, sorted by kind name. *)
 
-val wait_time_total : t -> float
-(** Total virtual µs messages spent queued before starting; queueing here
-    is affinity-conflict or worker-saturation delay. *)

@@ -24,6 +24,8 @@ let _bad_queue q = Queue.push 1 q
 let _bad_queue_type (q : int Stdlib.Queue.t) = q
 let _bad_queue_module () = let module Q = Queue in Q.create ()
 let _bad_queue_escape q = Queue.pop q (* lint-ok: the Queue rule takes no escape *)
+let _bad_bigarray n = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n
+let _bad_bigarray_type (b : (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t) = b
 
 (* Suppressed: the fold result is sorted before use. lint-ok *)
 let _ok_fold tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []

@@ -176,8 +176,8 @@ let test_temperature_classifier () =
   let classify (key, boxed) = stream key boxed in
   let boxed p = (-1, Some p) in
   (* Metafile payloads are always hot. *)
-  let entries = Wafl_util.Packed.of_entries Bytes.empty ~pos:0 ~len:0 ~default:(-1) in
-  let words = Wafl_util.Packed.of_words Bytes.empty ~pos:0 ~len:0 in
+  let entries = Wafl_util.Packed.of_entries Wafl_util.Slab.empty ~pos:0 ~len:0 ~default:(-1) in
+  let words = Wafl_util.Packed.of_words Wafl_util.Slab.empty ~pos:0 ~len:0 in
   Alcotest.(check int) "bmap hot" 1
     (classify (boxed (Wafl_fs.Layout.Bmap { vol = 0; file = 1; index = 0; entries })));
   Alcotest.(check int) "aggmap hot" 1

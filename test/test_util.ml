@@ -333,8 +333,8 @@ let prop_packed_words_roundtrip =
       let words = Array.of_list (List.map top_bit cells) in
       let n = Array.length words in
       (* laid out as a bitmap keeps them: 8 native-order bytes apiece *)
-      let src = Bytes.create (8 * n) in
-      Array.iteri (fun i w -> Bytes.set_int64_ne src (8 * i) w) words;
+      let src = Slab.create (8 * n) in
+      Array.iteri (fun i w -> Slab.set64 src (8 * i) w) words;
       let pos = if n = 0 then 0 else a mod n in
       let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
       let img = Packed.of_words src ~pos ~len in
@@ -346,7 +346,7 @@ let test_packed_bad_ranges () =
   Alcotest.check_raises "negative pos rejected" (Invalid_argument "Packed.of_entries")
     (fun () -> ignore (Intvec.extract v ~pos:(-1) ~len:2));
   Alcotest.check_raises "words past the end rejected" (Invalid_argument "Packed.of_words")
-    (fun () -> ignore (Packed.of_words (Bytes.create 16) ~pos:1 ~len:2))
+    (fun () -> ignore (Packed.of_words (Slab.create 16) ~pos:1 ~len:2))
 
 
 let test_intvec_defaults () =
@@ -476,8 +476,82 @@ let test_packed_entry_edges () =
     (fun x ->
       Alcotest.check_raises (Printf.sprintf "of_entries default %d" x)
         (Invalid_argument "Packed.of_entries") (fun () ->
-          ignore (Packed.of_entries Bytes.empty ~pos:0 ~len:2 ~default:x)))
+          ignore (Packed.of_entries Slab.empty ~pos:0 ~len:2 ~default:x)))
     [ wide; -wide - 1 ]
+
+(* --- Slab --- *)
+
+let test_slab_get_set () =
+  let b = Slab.create 12 in
+  Alcotest.(check int) "length" 12 (Slab.length b);
+  Alcotest.(check int) "empty" 0 (Slab.length Slab.empty);
+  (* Unaligned offsets, sign-extended on read. *)
+  Slab.set32 b 1 Packed.min_entry;
+  Alcotest.(check int) "-2^31" Packed.min_entry (Slab.get32 b 1);
+  Slab.set32 b 5 Packed.max_entry;
+  Alcotest.(check int) "2^31 - 1" Packed.max_entry (Slab.get32 b 5);
+  Alcotest.(check int) "-1" (-1) (Slab.set32 b 0 (-1); Slab.get32 b 0);
+  Alcotest.(check int) "low 32 bits kept" (-1) (Slab.set32 b 8 0xFFFF_FFFF; Slab.get32 b 8);
+  List.iter
+    (fun w ->
+      Slab.set64 b 3 w;
+      Alcotest.(check int64) (Int64.to_string w) w (Slab.get64 b 3);
+      Alcotest.(check int64) "unchecked read" w (Slab.unsafe_get64 b 3))
+    [ 0L; -1L; Int64.min_int; Int64.max_int; 0x0123_4567_89ab_cdefL ];
+  Alcotest.check_raises "read past the end" (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Slab.get64 b 5));
+  Alcotest.check_raises "write past the end" (Invalid_argument "index out of bounds") (fun () ->
+      Slab.set32 b 9 0)
+
+(* The 32-bit cells of a slab, at offsets 0, 4, 8, ...: endian-neutral
+   views of what fill and blit moved. *)
+let cells b = List.init (Slab.length b / 4) (fun k -> Slab.get32 b (4 * k))
+
+let slab_of_cells l =
+  let b = Slab.create (4 * List.length l) in
+  List.iteri (fun k v -> Slab.set32 b (4 * k) v) l;
+  b
+
+let test_slab_fill_blit () =
+  let a = 0x6161_6161 and z = 0x7a7a_7a7a in
+  let b = Slab.make 24 'a' in
+  Alcotest.(check (list int)) "make" [ a; a; a; a; a; a ] (cells b);
+  (* 12 bytes from offset 4: one word and a 4-byte tail. *)
+  Slab.fill b ~pos:4 ~len:12 'z';
+  Alcotest.(check (list int)) "fill a range" [ a; z; z; z; a; a ] (cells b);
+  (* Two odd bytes, mid-cell: a z z a reads the same either way round. *)
+  Slab.fill b ~pos:21 ~len:2 'z';
+  Alcotest.(check int) "fill odd bytes" 0x617a_7a61 (Slab.get32 b 20);
+  Alcotest.check_raises "fill past the end" (Invalid_argument "Slab.fill") (fun () ->
+      Slab.fill b ~pos:10 ~len:15 'x');
+  let src = slab_of_cells [ 1; 2; 3; 4; 5; 6; 7; 8 ] and dst = Slab.make 28 '\000' in
+  Slab.blit src 4 dst 8 12;
+  Alcotest.(check (list int)) "across slabs" [ 0; 0; 2; 3; 4; 0; 0 ] (cells dst);
+  Alcotest.check_raises "blit past the end" (Invalid_argument "Slab.blit") (fun () ->
+      Slab.blit src 0 dst 20 12);
+  (* Within one slab, both directions, overlapping by less than a word:
+     20 bytes is two words and a 4-byte tail. *)
+  let s = slab_of_cells [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
+  Slab.blit s 0 s 4 20;
+  Alcotest.(check (list int)) "overlap upward" [ 1; 1; 2; 3; 4; 5; 7; 8 ] (cells s);
+  let s = slab_of_cells [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
+  Slab.blit s 4 s 0 20;
+  Alcotest.(check (list int)) "overlap downward" [ 2; 3; 4; 5; 6; 6; 7; 8 ] (cells s);
+  let c = Slab.copy s in
+  Slab.fill s ~pos:0 ~len:32 '\000';
+  Alcotest.(check (list int)) "copy is independent" [ 2; 3; 4; 5; 6; 6; 7; 8 ] (cells c)
+
+(* A full block-map image's 512 entries live in the slab: the heap holds
+   only the slab's custom block. *)
+let test_slab_image_off_heap () =
+  let v = Intvec.create ~default:(-1) () in
+  for i = 0 to 511 do
+    Intvec.set v i i
+  done;
+  let img = Intvec.extract v ~pos:0 ~len:512 in
+  Alcotest.(check int) "slab bytes" 2048 (Packed.bytes img);
+  let words = Obj.reachable_words (Obj.repr img) in
+  if words > 8 then Alcotest.failf "a 2 KiB image costs %d heap words" words
 
 (* --- Table --- *)
 
@@ -790,6 +864,12 @@ let () =
         [
           QCheck_alcotest.to_alcotest ~verbose:false prop_word_table_models_hashtbl;
           Alcotest.test_case "negative key" `Quick test_word_table_negative;
+        ] );
+      ( "slab",
+        [
+          Alcotest.test_case "32- and 64-bit get/set" `Quick test_slab_get_set;
+          Alcotest.test_case "fill, blit, copy" `Quick test_slab_fill_blit;
+          Alcotest.test_case "image bytes off the heap" `Quick test_slab_image_off_heap;
         ] );
       ( "packed",
         [

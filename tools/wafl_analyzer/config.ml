@@ -42,6 +42,9 @@ let containers =
     ("Buffer", [ "add_string"; "add_char"; "clear"; "reset" ], [ "contents"; "length" ]);
     ("Bytes", [ "set"; "unsafe_set"; "fill"; "blit" ], [ "get"; "unsafe_get" ]);
     (* lib/util containers *)
+    ( "Slab",
+      [ "set32"; "set64"; "unsafe_set32"; "unsafe_set64"; "fill"; "blit" ],
+      [ "get32"; "get64"; "unsafe_get32"; "unsafe_get64"; "length" ] );
     ("Fifo", [ "push"; "pop" ], [ "peek"; "length"; "is_empty" ]);
     ("Histogram", [ "add"; "merge"; "clear" ], [ "percentile"; "count"; "mean"; "max" ]);
     ( "Intvec",

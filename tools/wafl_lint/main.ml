@@ -32,12 +32,16 @@
    - [Stdlib.Queue], named anywhere: in a value, a type or a module
      path.  A queue that links its cells drags every cell pushed after
      its first promoted one into the major heap, with what the cell
-     holds, even once popped; long-lived queues use [Wafl_util.Fifo].
+     holds, even once popped; long-lived queues use [Wafl_util.Fifo];
+   - [Bigarray], named anywhere outside lib/util/slab.ml: off-heap
+     bytes go through [Wafl_util.Slab], whose owners keep and reuse
+     their buffers (every fresh bigarray speeds up the major GC).
 
    A finding is suppressed when the token "lint-ok" appears on the
    flagged line or the line directly above it (typically in a comment
    explaining why the use is safe, e.g. a Hashtbl.fold whose result is
-   sorted before use).  The [Queue] rule takes no escape.
+   sorted before use).  The [Queue] and [Bigarray] rules take no
+   escape.
 
    Escapes are ratcheted: with [--max-lint-ok N], the run also fails
    when the linted files carry more than N lines with the token.  The
@@ -199,6 +203,24 @@ let check_queue src loc = function
          use Wafl_util.Fifo (this rule takes no lint-ok)"
   | _ -> ()
 
+(* The one file allowed to name [Bigarray]. *)
+let slab_owner = "lib/util/slab.ml"
+
+(* [Bigarray] in any path outside the slab module; reported even under
+   lint-ok. *)
+let check_bigarray src loc = function
+  | ("Bigarray" :: _ | "Stdlib" :: "Bigarray" :: _)
+    when not (String.ends_with ~suffix:slab_owner src.name) ->
+      report_always src loc
+        "Bigarray outside Wafl_util.Slab; keep off-heap bytes in a Slab, which owns the \
+         primitives and whose owners reuse their buffers (this rule takes no lint-ok)"
+  | _ -> ()
+
+(* Both path rules that hold wherever a module path appears. *)
+let check_anywhere src loc path =
+  check_queue src loc path;
+  check_bigarray src loc path
+
 let makes_mutable_state path =
   match List.rev path with
   | [ "ref" ] | [ "ref"; "Stdlib" ]
@@ -281,7 +303,7 @@ let iterator src =
     (match e.pexp_desc with
     | Pexp_ident { txt; loc } ->
         check_path src loc (Longident.flatten txt);
-        check_queue src loc (Longident.flatten txt)
+        check_anywhere src loc (Longident.flatten txt)
     | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident { txt; loc }; _ }; _ }, _) ->
         (* [let open Random in ...] smuggles the module in unqualified. *)
         check_path src loc (Longident.flatten txt)
@@ -292,18 +314,18 @@ let iterator src =
   in
   let open_description it (od : Parsetree.open_description) =
     check_path src od.popen_expr.loc (Longident.flatten od.popen_expr.txt);
-    check_queue src od.popen_expr.loc (Longident.flatten od.popen_expr.txt);
+    check_anywhere src od.popen_expr.loc (Longident.flatten od.popen_expr.txt);
     default_iterator.open_description it od
   in
   let typ it (ty : Parsetree.core_type) =
     (match ty.ptyp_desc with
-    | Ptyp_constr ({ txt; loc }, _) -> check_queue src loc (Longident.flatten txt)
+    | Ptyp_constr ({ txt; loc }, _) -> check_anywhere src loc (Longident.flatten txt)
     | _ -> ());
     default_iterator.typ it ty
   in
   let module_expr it (me : Parsetree.module_expr) =
     (match me.pmod_desc with
-    | Pmod_ident { txt; loc } -> check_queue src loc (Longident.flatten txt)
+    | Pmod_ident { txt; loc } -> check_anywhere src loc (Longident.flatten txt)
     | _ -> ());
     default_iterator.module_expr it me
   in
