@@ -126,7 +126,6 @@ val relabel : fiber -> string -> unit
 
 val fiber_id : fiber -> int
 val fiber_label : fiber -> string
-val finished : fiber -> bool
 val join : t -> fiber -> unit
 (** Park until the given fiber finishes (returns immediately if it has). *)
 
@@ -150,14 +149,9 @@ val busy : t -> string -> float
 (** Virtual microseconds of CPU consumed by fibers under the given label
     since the last {!reset_accounting}. *)
 
-val busy_labels : t -> (string * float) list
-(** All (label, busy) pairs, sorted by label. *)
-
-val window : t -> float
-(** Length of the current measurement window ([now - window start]). *)
-
 val cores_used : t -> string -> float
-(** [busy t label / window t] — average number of cores the label kept
+(** [busy t label] divided by the time since the last {!reset_accounting}
+    (or since creation) — average number of cores the label kept
     busy, the unit in which the paper reports "core usage". *)
 
 val utilization : t -> float

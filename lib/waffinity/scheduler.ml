@@ -74,7 +74,11 @@ type t = {
   by_kind_tbl : (string, int ref) Hashtbl.t;
   mutable by_kind : (string * int ref) list; (* same refs, kind-sorted *)
   idle : Sync.Waitq.t; (* drain waiters *)
-  mutable idle_workers : worker list; (* parked workers, most recent first *)
+  (* Parked workers, a stack: [idle_workers.(n_idle - 1)] parked last.
+     Slots at and above [n_idle] are stale (workers live as long as the
+     scheduler, so a stale slot keeps nothing alive). *)
+  mutable idle_workers : worker array;
+  mutable n_idle : int;
   isolation : Isolation.t option;
   obs : Wafl_obs.Trace.t;
   obs_on : bool; (* Trace.enabled obs, hoisted off the hot path *)
@@ -126,7 +130,8 @@ let create ?workers ?isolation ?(obs = Wafl_obs.Trace.disabled) eng ~cost () =
     by_kind_tbl = Hashtbl.create 16;
     by_kind = [];
     idle = Sync.Waitq.create eng;
-    idle_workers = [];
+    idle_workers = Array.make 8 { node = filler; msg = no_msg; fiber = None };
+    n_idle = 0;
     isolation;
     obs;
     obs_on = Wafl_obs.Trace.enabled obs;
@@ -347,7 +352,13 @@ let rec worker_loop t w =
     if t.executing = 0 && t.pending_count = 0 then ignore (Sync.Waitq.wake_all t.idle);
     dispatch t
   end;
-  t.idle_workers <- w :: t.idle_workers;
+  if t.n_idle = Array.length t.idle_workers then begin
+    let a = Array.make (2 * t.n_idle) w in
+    Array.blit t.idle_workers 0 a 0 t.n_idle;
+    t.idle_workers <- a
+  end;
+  t.idle_workers.(t.n_idle) <- w;
+  t.n_idle <- t.n_idle + 1;
   Engine.park t.eng;
   worker_loop t w
 
@@ -360,23 +371,25 @@ and start t n m =
   (* The queue hand-off orders the poster before the message body even
      when the granting dispatch runs in an unrelated fiber. *)
   Engine.probe_atomic t.eng ~shared:"sched.queue";
-  match t.idle_workers with
-  | w :: rest ->
-      t.idle_workers <- rest;
-      w.node <- n;
-      w.msg <- m;
-      let f = Option.get w.fiber in
-      (* Charge the worker's CPU to the message's class, and let the
-         dispatch observability hook see that class, exactly as the old
-         fresh-fiber-per-message spawn did. *)
-      Engine.relabel f m.label;
-      Engine.wake t.eng f
-  | [] ->
-      (* No idle worker: grow the pool.  [executing] <= workers bounds
-         the busy workers, so the pool stays within one fiber of the
-         worker count (the one transiently between finish and park). *)
-      let w = { node = n; msg = m; fiber = None } in
-      w.fiber <- Some (Engine.spawn t.eng ~label:m.label ~daemon:true (fun () -> worker_loop t w))
+  if t.n_idle > 0 then begin
+    t.n_idle <- t.n_idle - 1;
+    let w = t.idle_workers.(t.n_idle) in
+    w.node <- n;
+    w.msg <- m;
+    let f = Option.get w.fiber in
+    (* Charge the worker's CPU to the message's class, and let the
+       dispatch observability hook see that class, exactly as the old
+       fresh-fiber-per-message spawn did. *)
+    Engine.relabel f m.label;
+    Engine.wake t.eng f
+  end
+  else begin
+    (* No idle worker: grow the pool.  [executing] <= workers bounds
+       the busy workers, so the pool stays within one fiber of the
+       worker count (the one transiently between finish and park). *)
+    let w = { node = n; msg = m; fiber = None } in
+    w.fiber <- Some (Engine.spawn t.eng ~label:m.label ~daemon:true (fun () -> worker_loop t w))
+  end
 
 and dispatch t =
   (* Pop grantable heads oldest-first; stash skipped (blocked) nodes and
@@ -444,8 +457,6 @@ let drain t =
     Sync.Waitq.wait t.idle
   done
 
-let queued t = t.pending_count
-let executing t = t.executing
 let executed_total t = t.executed
 
 (* [by_kind] is maintained kind-sorted at insertion; no hash-order walk,

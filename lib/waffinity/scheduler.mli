@@ -56,8 +56,6 @@ val post_wait : t -> affinity:Affinity.t -> label:string -> (unit -> 'a) -> 'a
 val drain : t -> unit
 (** Park until no message is queued or executing. *)
 
-val queued : t -> int
-val executing : t -> int
 val executed_total : t -> int
 val executed_by_kind : t -> (string * int) list
 (** Completed-message counts per affinity kind, sorted by kind name. *)

@@ -356,6 +356,72 @@ let cli_top_b2b =
             chaos = { Wafl_storage.Fault.no_chaos with force_b2b = true };
           }))
 
+(* The engine alone: a seeded fiber program over every scheduling
+   primitive (consume, sleep, yield, park/wake, join, spawn ~at and
+   quantum preemption), digested as the (time, fid, label) sequence the
+   observability hooks see.  Durations are whole microseconds, so events
+   tie often and the tie order is pinned too. *)
+let engine_schedule =
+  subject ~owner:"schedule trace matches its golden" "engine schedule trace" (fun st ->
+      let module E = Wafl_sim.Engine in
+      let module Fifo = Wafl_util.Fifo in
+      let module Rng = Wafl_util.Rng in
+      let eng = E.create ~quantum:20.0 ~sanitize:st.sanitize ~cores:3 () in
+      let seen = ref [] in
+      let note now fid label = seen := (now, fid, label) :: !seen in
+      E.set_obs_hooks eng
+        {
+          E.on_consume = (fun ~fid ~label ~amount:_ ~now -> note now fid label);
+          on_switch = (fun ~fid ~label ~now -> note now fid label);
+          on_wake = (fun ~waker:_ ~wakee ~now -> note now wakee "wake");
+          on_spawn = (fun ~parent:_ ~child ~now -> note now child "spawn");
+        };
+      let rng = Rng.create ~seed:2017 and parked = E.fiber_fifo () in
+      let workers = 10 in
+      let running = ref workers in
+      ignore
+        (E.spawn eng ~label:"waker" ~daemon:true (fun () ->
+             while !running > 0 do
+               E.sleep 7.0;
+               while not (Fifo.is_empty parked) do
+                 E.wake eng (Fifo.pop parked)
+               done
+             done));
+      for i = 0 to workers - 1 do
+        let r = Rng.split rng in
+        let whole lo hi = float_of_int (Rng.int_in r lo hi) in
+        let label = Printf.sprintf "w%d" i in
+        let at = if i mod 3 = 2 then Some (whole 1 30) else None in
+        ignore
+          (E.spawn eng ~label ?at (fun () ->
+               for _ = 1 to 25 do
+                 match Rng.int r 6 with
+                 | 0 -> E.consume (whole 1 8)
+                 | 1 ->
+                     for _ = 1 to 6 do
+                       E.consume (whole 3 9)
+                     done
+                 | 2 -> E.sleep (whole 0 12)
+                 | 3 -> E.yield ()
+                 | 4 ->
+                     Fifo.push parked (E.self eng);
+                     E.park eng
+                 | _ ->
+                     let at = if Rng.bool r then Some (E.now eng +. whole 1 10) else None in
+                     let child =
+                       E.spawn eng ~label:(label ^ ".c") ?at (fun () ->
+                           E.consume (whole 1 6);
+                           E.sleep (whole 1 4))
+                     in
+                     (* A long consume first often joins a finished child. *)
+                     if Rng.bool r then E.consume (whole 1 20);
+                     E.join eng child
+               done;
+               decr running))
+      done;
+      E.run eng;
+      (List.rev !seen, E.now eng, E.context_switches eng))
+
 let entries = List.rev !registry
 
 (* --- the plain suite and the printer ------------------------------------- *)

@@ -41,4 +41,5 @@ let recorded =
     ("wafl_sim fig6 --scale 0.1", "4c47d01c37ed3f8edec10d90bbbce2d8");
     ("wafl_sim top --live --measure 0.5 --json", "11ae08adec1f8acf712b6030642254de");
     ("wafl_sim top --live --measure 0.5 --think 300 --cp-ms 3 --window 200 --inject-b2b --json", "976bd0fe6d5660b23a873234d6135d3a");
+    ("engine schedule trace", "82a17d797daea0d13433366475153c42");
   ]

@@ -232,6 +232,72 @@ let test_fiber_registry_bounded () =
   if words > 2_000 then
     Alcotest.failf "engine reaches %d words after %d finished fibers" words n
 
+(* Slots of finished fibers are reused: a fiber spawned after a burst of
+   100 K others has finished still sleeps, wakes, runs and is joined. *)
+let test_spawn_after_burst () =
+  let eng = Engine.create ~cores:4 () in
+  for _ = 1 to 100_000 do
+    ignore (Engine.spawn eng (fun () -> Engine.consume 1.0))
+  done;
+  Engine.run eng;
+  let t0 = Engine.now eng and woke = ref 0.0 and joined = ref 0.0 in
+  let late =
+    Engine.spawn eng ~label:"late" (fun () ->
+        Engine.sleep 5.0;
+        woke := Engine.now eng;
+        Engine.consume 2.0)
+  in
+  ignore
+    (Engine.spawn eng ~label:"joiner" (fun () ->
+         Engine.join eng late;
+         joined := Engine.now eng));
+  Engine.run eng;
+  check_float "the late fiber woke on time" (t0 +. 5.0) !woke;
+  check_float "its joiner resumed when it finished" (t0 +. 7.0) !joined;
+  Alcotest.(check int) "nothing left live" 0 (Engine.live_fibers eng);
+  check_float "late fiber's work charged" 2.0 (Engine.busy eng "late")
+
+(* The engine alone, against its golden (test/golden.ml), plain and
+   sanitized. *)
+let test_schedule_trace () =
+  ignore (Golden.check Golden.engine_schedule Golden.Plain);
+  ignore (Golden.check Golden.engine_schedule Golden.Sanitize)
+
+(* Allocation guard: after warm-up, a suspend/resume round trip
+   allocates only the continuation the runtime makes per perform (2
+   words): the operand, the stored continuation, the event and the
+   dispatch allocate nothing.  Two fibers consuming in lock step on two
+   cores tie on every resume event, so every consume takes the slow
+   path. *)
+let minor_words_per_trip ~cores ~trips step =
+  let eng = Engine.create ~quantum:0.0 ~cores () in
+  let warm = 1_000 in
+  for _ = 1 to cores do
+    ignore
+      (Engine.spawn eng (fun () ->
+           for _ = 1 to warm + trips do
+             step ()
+           done))
+  done;
+  Engine.run ~until:(float_of_int warm) eng;
+  let w0 = Gc.minor_words () in
+  Engine.run eng;
+  let w = Gc.minor_words () -. w0 in
+  w /. float_of_int (cores * trips)
+
+let test_suspend_allocation () =
+  let trips = 50_000 in
+  (* Read from a flat float record, as call sites read costs: a computed
+     duration, not a preallocated constant. *)
+  let d = { Cost.default with Cost.msg_dispatch = 1.0 } in
+  let consume =
+    minor_words_per_trip ~cores:2 ~trips (fun () -> Engine.consume d.Cost.msg_dispatch)
+  in
+  let sleep = minor_words_per_trip ~cores:1 ~trips (fun () -> Engine.sleep d.Cost.msg_dispatch) in
+  if consume > 2.05 || sleep > 2.05 then
+    Alcotest.failf "minor words per round trip: consume %.2f, sleep %.2f (at most 2 each)"
+      consume sleep
+
 let test_determinism () =
   let trace () =
     let eng = Engine.create ~cores:3 () in
@@ -575,6 +641,9 @@ let () =
           Alcotest.test_case "join finished fiber" `Quick test_join_finished_fiber;
           Alcotest.test_case "stalled fiber detection" `Quick test_stalled_fiber_detection;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "spawn after a burst" `Quick test_spawn_after_burst;
+          Alcotest.test_case "schedule trace matches its golden" `Quick test_schedule_trace;
+          Alcotest.test_case "suspend round trips allocate little" `Quick test_suspend_allocation;
         ] );
       ( "sync",
         [
