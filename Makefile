@@ -17,19 +17,16 @@ golden:
 	@./_build/default/test/print_golden.exe
 
 LINT = ./_build/default/tools/wafl_lint/main.exe
-LINT_OK_CEILING = $(shell cat tools/wafl_lint/lint_ok_ceiling)
 
 # Determinism lint: AST walk over lib/ and bin/ flagging stray RNG use,
 # wall-clock reads, hash-order iteration and partition-state mutation
-# outside the owning modules.  lib/ also may not carry more lint-ok
-# escapes than the checked-in ceiling (tools/wafl_lint/lint_ok_ceiling;
-# lower it when an escape goes away).  The last two invocations are
-# self-checks: the negative fixture must be flagged (exit non-zero), and
-# the escape fixture must fail a ceiling one below its own count and
-# pass at its count, otherwise the lint or its ratchet has gone blind.
+# outside the owning modules.  No rule takes an escape.  The last two
+# invocations are self-checks: the negative fixture must be flagged
+# (exit non-zero), each of its _bad_ lines included, otherwise the lint
+# has gone blind.
 lint:
 	dune build tools/wafl_lint/main.exe
-	$(LINT) --max-lint-ok $(LINT_OK_CEILING) lib
+	$(LINT) lib
 	$(LINT) bin
 	@if $(LINT) test/fixtures/lint_negative.ml >/dev/null 2>&1; then \
 	  echo "lint self-check FAILED: negative fixture produced no findings"; \
@@ -46,31 +43,39 @@ lint:
 	else \
 	  echo "lint self-check OK: every _bad_ line of the negative fixture flagged"; \
 	fi
-	@if $(LINT) --max-lint-ok 1 test/fixtures/lint_escapes.ml >/dev/null 2>&1 \
-	  || ! $(LINT) --max-lint-ok 2 test/fixtures/lint_escapes.ml >/dev/null 2>&1; then \
-	  echo "lint ratchet self-check FAILED: escape fixture not counted exactly"; \
-	  exit 1; \
-	else \
-	  echo "lint ratchet self-check OK: escape fixture counted"; \
-	fi
 
 ANALYZER = ./_build/default/tools/wafl_analyzer/main.exe
+EXPORTS_DIRS = $(addprefix _build/default/,lib bin bench tools examples test)
 
 # Whole-program static analysis over the typedtrees (.cmt files):
 # probe coverage for shared mutable state on scheduler-reachable paths,
 # blocking calls under held mutexes, lock-order cycles, and the
-# probe_locked-domain / Isolation-owner cross-check.  `dune build @all`
-# first so every .cmt exists.  The second invocation is a self-check:
-# the defect fixtures under test/fixtures/analyzer must be flagged
-# (exit non-zero), otherwise the analyzer has gone blind.
+# probe_locked-domain / Isolation-owner cross-check.  Then the exports
+# ratchet: lib/ may not export more unused or test-only values than
+# tools/wafl_analyzer/exports_ceiling (lower it when one goes away).
+# `dune build @all @check` first so every .cmt exists and is current
+# (@check is what builds the test executables' .cmt files).  The last
+# two invocations are self-checks: the defect fixtures under
+# test/fixtures/analyzer must be flagged (exit non-zero), and the
+# exports fixture's one dead value must be the one unused export,
+# otherwise the analyzer has gone blind.
 analyze:
-	dune build @all
+	dune build @all @check
 	$(ANALYZER) _build/default/lib _build/default/bin
+	$(ANALYZER) --exports --ceiling tools/wafl_analyzer/exports_ceiling $(EXPORTS_DIRS)
 	@if $(ANALYZER) _build/default/test/fixtures/analyzer >/dev/null 2>&1; then \
 	  echo "analyzer self-check FAILED: defect fixtures produced no findings"; \
 	  exit 1; \
 	else \
 	  echo "analyzer self-check OK: defect fixtures flagged"; \
+	fi
+	@out=$$($(ANALYZER) --exports --prefix test/fixtures/exports/ _build/default/test/fixtures/exports); \
+	if [ $$? -eq 0 ] || ! echo "$$out" | grep -q '^== exports: 1 unused ==$$' \
+	  || ! echo "$$out" | grep -q ': Fix_exports\.dead$$'; then \
+	  echo "exports self-check FAILED: the fixture's dead export was not flagged alone"; \
+	  exit 1; \
+	else \
+	  echo "exports self-check OK: the fixture's dead export flagged"; \
 	fi
 
 # Sanitized smoke: an ad-hoc run plus the 5-seed crash harness under the

@@ -20,7 +20,6 @@ val make : target:target -> ?tetris:Tetris.t -> vbns:int array -> unit -> t
 val target : t -> target
 val tetris : t -> Tetris.t option
 val capacity : t -> int
-val remaining : t -> int
 val is_exhausted : t -> bool
 
 val take : t -> int option

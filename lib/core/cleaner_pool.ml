@@ -334,19 +334,6 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra ~max_threads ~initial_threads 
     t.cleaners;
   t
 
-let dump t out =
-  Array.iter
-    (fun c ->
-      Printf.fprintf out "  cleaner %d: queued=%d phys=%s virt=%s\n%!" c.idx c.queued
-        (match c.phys with
-        | Some b -> Printf.sprintf "held(%d left)" (Bucket.remaining b)
-        | None -> "-")
-        (match c.virt with
-        | Some (vid, b) -> Printf.sprintf "vol%d(%d left)" vid (Bucket.remaining b)
-        | None -> "-"))
-    t.cleaners;
-  Printf.fprintf out "  pool: pending_msgs=%d active=%d\n%!" t.pending_msgs t.n_active
-
 let engine t = t.eng
 let max_threads t = Array.length t.cleaners
 let active t = t.n_active

@@ -64,6 +64,3 @@ val messages_processed : t -> int
 
 val utilization_busy : t -> float
 (** Cumulative virtual µs cleaners spent busy (for the dynamic tuner). *)
-
-val dump : t -> out_channel -> unit
-(** Diagnostic dump of per-cleaner bucket/queue state. *)

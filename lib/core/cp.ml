@@ -16,17 +16,6 @@ type config = {
          cannot monopolize the front of a checkpoint (DESIGN.md §4.11) *)
 }
 
-let default_config =
-  {
-    batching = true;
-    batch_max_inodes = 16;
-    batch_max_buffers = 64;
-    segment_buffers = 4096;
-    timer_interval = None;
-    serial_cleaning = false;
-    fair_cp = false;
-  }
-
 type serial_state = {
   mutable pvbn_cursor : int;
   vvbn_cursors : (int, int ref) Hashtbl.t;

@@ -28,8 +28,6 @@ type config = {
           historical volume-order walk exactly *)
 }
 
-val default_config : config
-
 type t
 
 val create : ?obs:Wafl_obs.Trace.t -> Infra.t -> Cleaner_pool.t -> config -> t

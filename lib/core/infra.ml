@@ -13,9 +13,6 @@ type config = {
   stage_capacity : int;
 }
 
-let default_config =
-  { parallel = true; chunk = 64; ranges = 8; vol_buckets_per_cycle = 8; stage_capacity = 64 }
-
 type rg_state = {
   rg : int;
   drives : (int * int) list; (* (drive index, base vbn) *)
@@ -540,17 +537,4 @@ let create ?(obs = Wafl_obs.Trace.disabled) sched agg cfg =
   t
 
 let live_tetrises t = Array.to_list t.rgs |> List.map (fun st -> st.tetris)
-
-let dump t out =
-  Array.iter
-    (fun st ->
-      Printf.fprintf out "  rg %d: aa=%d next_dbn=%d returned=%d/%d refills_left=%d\n%!"
-        st.rg st.aa st.next_dbn st.returned (List.length st.drives) st.refills_left)
-    t.rgs;
-  Wafl_util.Int_table.bindings t.vols
-  |> List.iter (fun (vid, vs) ->
-         Printf.fprintf out "  vol %d: cache=%d region=%d next_bit=%d\n%!" vid
-           (Sync.Channel.length vs.cache) vs.region vs.next_bit);
-  Printf.fprintf out "  infra: physcache=%d pending_commits=%d messages=%d\n%!"
-    (Sync.Channel.length t.phys_cache) t.pending_commits t.n_messages
 

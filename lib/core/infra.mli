@@ -24,8 +24,6 @@ type config = {
   stage_capacity : int;  (** frees per stage before commit *)
 }
 
-val default_config : config
-
 type t
 
 val create :
@@ -88,8 +86,3 @@ val quiesce_commits : t -> unit
 
 val live_tetrises : t -> Tetris.t list
 (** Current tetris of every RAID group, for CP-boundary flushing. *)
-
-(** {1 Statistics} *)
-
-val dump : t -> out_channel -> unit
-(** Diagnostic dump of cycle and cache state. *)

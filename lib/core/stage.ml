@@ -6,7 +6,6 @@ let create ~target ~capacity =
   if capacity <= 0 then invalid_arg "Stage.create: capacity must be positive";
   { target; items = Array.make capacity 0; len = 0 }
 
-let target t = t.target
 let capacity t = Array.length t.items
 let length t = t.len
 let is_empty t = t.len = 0

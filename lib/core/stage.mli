@@ -13,7 +13,6 @@ type target = Phys | Virt of { vol : int }
 type t
 
 val create : target:target -> capacity:int -> t
-val target : t -> target
 val capacity : t -> int
 val length : t -> int
 val is_empty : t -> bool

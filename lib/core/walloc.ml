@@ -115,8 +115,6 @@ let create ?(obs = Wafl_obs.Trace.disabled) agg cfg =
   let tuner = if cfg.dynamic_cleaners then Some (Tuner.create pool cfg.tuner) else None in
   { cfg; agg; sched; infra; pool; cp; tuner }
 
-let config t = t.cfg
-let aggregate t = t.agg
 let scheduler t = t.sched
 let infra t = t.infra
 let pool t = t.pool

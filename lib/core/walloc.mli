@@ -64,8 +64,6 @@ val create : ?obs:Wafl_obs.Trace.t -> Wafl_fs.Aggregate.t -> config -> t
     ({!Wafl_fs.Aggregate.set_cp_trigger}), which NVLog watermark
     admission uses; a no-op unless watermarks are configured. *)
 
-val config : t -> config
-val aggregate : t -> Wafl_fs.Aggregate.t
 val scheduler : t -> Wafl_waffinity.Scheduler.t
 val infra : t -> Infra.t
 val pool : t -> Cleaner_pool.t

@@ -400,7 +400,6 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cfg ~lpns ~rg =
 
 (* --- introspection -------------------------------------------------------- *)
 
-let config t = t.cfg
 let lpn_count t = t.lpns
 let block_count t = t.nblocks
 let logical_pages t = t.lblocks * t.cfg.pages_per_block

@@ -76,7 +76,6 @@ val preload : t -> int list -> unit
 
 (** {2 Introspection} *)
 
-val config : t -> config
 val lpn_count : t -> int
 val block_count : t -> int
 

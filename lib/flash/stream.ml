@@ -13,7 +13,6 @@ type t = {
 }
 
 let make id = { id; block = -1; ptr = 0; opened_at = 0.0; appended = 0 }
-let id t = t.id
 let block t = t.block
 let has_block t = t.block >= 0
 

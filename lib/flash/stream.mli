@@ -8,7 +8,6 @@
 type t
 
 val make : int -> t
-val id : t -> int
 
 val block : t -> int
 (** Currently open erase block, [-1] when none. *)

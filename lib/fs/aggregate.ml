@@ -647,7 +647,6 @@ let publish_superblock t sb =
 
 let superblock t = t.pers.p_sb
 let generation t = t.generation
-let cp_count t = t.cp_count
 
 (* --- snapshots --- *)
 

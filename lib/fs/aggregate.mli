@@ -181,12 +181,6 @@ val vvbn_region_bits : int
 val agg_map_domain : index:int -> string
 val vol_map_domain : vol:int -> index:int -> string
 
-val pvbn_domain : int -> string
-(** Domain of the aggregate-map block covering this pvbn. *)
-
-val vvbn_domain : vol:int -> int -> string
-(** Domain of the volume-map block covering this vvbn. *)
-
 (** {1 Consistency-point support} *)
 
 val cp_snapshot : t -> (Volume.t * File.t list) list
@@ -226,7 +220,6 @@ val publish_superblock : t -> Layout.superblock -> unit
 
 val superblock : t -> Layout.superblock option
 val generation : t -> int
-val cp_count : t -> int
 
 (** {1 Snapshots} *)
 

@@ -214,11 +214,3 @@ let evictions t = t.n_evictions
 let hit_rate t =
   let total = t.n_hits + t.n_misses in
   if total = 0 then 0.0 else float_of_int t.n_hits /. float_of_int total
-
-let clear t =
-  let nslots = words t.slots / 2 in
-  Slab.fill t.index ~pos:0 ~len:(Slab.length t.index) '\255';
-  chain_free t ~from:0 ~nslots;
-  t.head <- nil;
-  t.tail <- nil;
-  t.len <- 0

@@ -44,5 +44,3 @@ val misses : t -> int
 val evictions : t -> int
 val hit_rate : t -> float
 (** hits / (hits + misses); 0.0 before any probe. *)
-
-val clear : t -> unit

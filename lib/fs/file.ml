@@ -58,7 +58,6 @@ let create_in buffers ~vol ~id =
   }
 
 let create ~vol ~id = create_in (buffers ()) ~vol ~id
-let vol t = t.vol
 let id t = t.id
 let nfbns t = t.nfbns
 let key t fbn gen = t.base lor (fbn lsl 1) lor gen

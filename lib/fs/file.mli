@@ -34,7 +34,6 @@ val create : vol:int -> id:int -> t
 val create_in : buffers -> vol:int -> id:int -> t
 (** A file whose buffers live in a shared table. *)
 
-val vol : t -> int
 val id : t -> int
 val nfbns : t -> int
 (** One past the highest fbn ever written. *)

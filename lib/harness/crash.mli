@@ -46,34 +46,6 @@ type outcome = {
   races : int;  (** race-detector reports across crash run + recovery (0 unless sanitizing) *)
 }
 
-val run_one :
-  ?ops:int ->
-  ?fbn_space:int ->
-  ?horizon:float ->
-  ?sanitize:bool ->
-  ?overload:bool ->
-  ?flash:bool ->
-  ?chaos:Wafl_storage.Fault.chaos ->
-  seed:int ->
-  unit ->
-  outcome
-(** One crash-recover-verify cycle.  [ops] (default 100_000) caps the
-    workload; the client keeps writing until the horizon so the crash
-    lands mid-activity.  [horizon] (default 60_000 µs) bounds the
-    virtual run; the plan crashes in its back 70%.  [sanitize] (default
-    false) runs both the crash run and the recovery engine under the
-    race detector and isolation checker.  [overload] (default false)
-    runs a small NVRAM with watermark back-pressure under a seeded
-    bursty open-loop arrival plan, so crash points land inside
-    throttled and back-to-back-CP windows; acknowledged-write read-back
-    is verified the same way (a shed write is never acknowledged).
-    [flash] (default false) attaches a nearly-full {!Wafl_flash.Ftl} to
-    every RAID group so the crash routinely lands mid-GC-cycle; the
-    volatile L2P table is rebuilt on recovery and read-back must still
-    hold.  [chaos] (default [Fault.no_chaos]) is the run's chaos plan;
-    the recovered aggregate keeps it, so the post-recovery CP runs under
-    it too. *)
-
 val passed : outcome -> bool
 (** No acknowledged write lost and fsck clean. *)
 
@@ -82,9 +54,25 @@ val run_seeds :
   ?flash:bool -> ?chaos:Wafl_storage.Fault.chaos -> ?domains:int -> first_seed:int ->
   count:int -> unit -> outcome list
 (** [count] outcomes for consecutive seeds from [first_seed], in seed
-    order.  [domains] (default 1) fans the seeds out over that many
-    worker domains ({!Wafl_util.Pool}); outcomes are byte-identical at
-    any domain count. *)
+    order, each one crash-recover-verify cycle.  [domains] (default 1)
+    fans the seeds out over that many worker domains
+    ({!Wafl_util.Pool}); outcomes are byte-identical at any domain count.
+
+    [ops] (default 100_000) caps each workload; the client keeps writing
+    until the horizon so the crash lands mid-activity.  [horizon]
+    (default 60_000 µs) bounds the virtual run; the plan crashes in its
+    back 70%.  [sanitize] (default false) runs both the crash run and the
+    recovery engine under the race detector and isolation checker.
+    [overload] (default false) runs a small NVRAM with watermark
+    back-pressure under a seeded bursty open-loop arrival plan, so crash
+    points land inside throttled and back-to-back-CP windows;
+    acknowledged-write read-back is verified the same way (a shed write
+    is never acknowledged).  [flash] (default false) attaches a
+    nearly-full {!Wafl_flash.Ftl} to every RAID group so the crash
+    routinely lands mid-GC-cycle; the volatile L2P table is rebuilt on
+    recovery and read-back must still hold.  [chaos] (default
+    [Fault.no_chaos]) is the run's chaos plan; the recovered aggregate
+    keeps it, so the post-recovery CP runs under it too. *)
 
 val summarize : outcome list -> string
 (** Multi-line human-readable summary: pass/fail count, how many seeds

@@ -12,17 +12,11 @@ type scenario = Steady of { fill : float; op : float; streaming : bool } | B2b_i
 
 val scenario_name : scenario -> string
 
-val scenarios : scenario list
-(** The canonical row order: fill {50, 85}% x streaming {off, on} at 10%
-    OP, one 25%-OP point, and the B2B-interference row. *)
-
 type row = { scenario : scenario; r : Wafl_workload.Driver.result }
 
 val run : Exp.ctx -> row list
 (** All scenarios, deterministic per seed (the spec seed comes from
     {!Exp.spec_base}). *)
-
-val find : row list -> scenario -> row
 
 val waf : row -> float
 (** Measured write amplification over the window. *)

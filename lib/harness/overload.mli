@@ -23,10 +23,6 @@ val run : Exp.ctx -> row list
 (** All three scenarios, deterministic per seed (the spec seed comes from
     {!Exp.spec_base}). *)
 
-val find : row list -> scenario -> row
-val victims : row -> Wafl_workload.Driver.tenant_stat list
-val hot : row -> Wafl_workload.Driver.tenant_stat option
-
 val goodput : row -> float
 (** Completed windowed ops per virtual second. *)
 
@@ -35,9 +31,6 @@ val shed_rate : row -> float
 
 val victim_p99 : row -> float
 (** p99 of the merged victim write-latency histogram, virtual µs. *)
-
-val backlog : Wafl_workload.Driver.tenant_stat -> int
-(** Admitted minus completed at the end of the window. *)
 
 val print : row list -> unit
 val shapes : row list -> (string * bool) list

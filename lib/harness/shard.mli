@@ -41,9 +41,5 @@ val run :
 (** [run ~scale ~shards ~domains ~seed ()] — [shards] (default 4)
     partitions, fanned over [domains] (default 1) worker domains. *)
 
-val digest : outcome -> string
-(** One-line deterministic digest of every field, for byte-identity
-    checks across domain counts. *)
-
 val shapes : outcome -> (string * bool) list
 val print : shards:int -> domains:int -> outcome -> unit

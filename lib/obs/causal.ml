@@ -25,7 +25,6 @@ let no_handoff = Trace.no_handoff
 let capture = Trace.capture
 let restore = Trace.restore
 let with_root = Trace.with_root
-let current_ctx = Trace.current_ctx
 let fiber_reset = Trace.fiber_reset
 let enabled = Trace.causal
 
@@ -160,6 +159,18 @@ let percentile sorted q =
 
 (* --- critical-path extraction -------------------------------------------- *)
 
+module Imap = Map.Make (Int)
+module Smap = Map.Make (String)
+
+(* Accumulate [d] µs on [cls]. *)
+let add_time cls d acc = Smap.update cls (fun r -> Some (Option.value ~default:0.0 r +. d)) acc
+
+(* Per-class totals, largest first (ties by name). *)
+let by_time_desc totals =
+  List.sort
+    (fun (ka, va) (kb, vb) -> if va <> vb then compare vb va else String.compare ka kb)
+    (Smap.bindings totals)
+
 (* Walk backward from the end of [cp] following, at each point, the most
    recent causal edge into the current fiber: run intervals attribute to
    the innermost enclosing span, post edges contribute their queue wait,
@@ -179,29 +190,21 @@ let critical_path ~spans ~edges cp =
         | None -> Hashtbl.add spans_by sp.sp_tid (ref [ sp ])
       end)
     spans;
-  let edges_by : (int, edge array) Hashtbl.t = Hashtbl.create 64 in
-  let edge_lists : (int, edge list ref) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun e ->
-      if e.ed_dst_ts >= t0 -. eps && e.ed_dst_ts <= t1 +. eps then begin
-        match Hashtbl.find_opt edge_lists e.ed_dst_tid with
-        | Some l -> l := e :: !l
-        | None -> Hashtbl.add edge_lists e.ed_dst_tid (ref [ e ])
-      end)
-    edges;
-  (* Input is dst_ts-ascending, so the reversed lists are ascending again
-     after [List.rev]. *)
-  List.iter
-    (fun tid ->
-      match Hashtbl.find_opt edge_lists tid with
-      | Some l -> Hashtbl.replace edges_by tid (Array.of_list (List.rev !l))
-      | None -> ())
-    (* keys listed for per-key array conversion; order irrelevant. lint-ok *)
-    (Hashtbl.fold (fun k _ acc -> k :: acc) edge_lists []);
+  (* Input is dst_ts-ascending; walking it backward and prepending leaves
+     each tid's edges ascending too. *)
+  let edges_by =
+    let lists = ref Imap.empty in
+    for i = Array.length edges - 1 downto 0 do
+      let e = edges.(i) in
+      if e.ed_dst_ts >= t0 -. eps && e.ed_dst_ts <= t1 +. eps then
+        lists := Imap.update e.ed_dst_tid (fun l -> Some (e :: Option.value ~default:[] l)) !lists
+    done;
+    Imap.map Array.of_list !lists
+  in
   let cursors : (int, int) Hashtbl.t = Hashtbl.create 64 in
   (* Latest unconsumed edge into [tid] with dst_ts <= t. *)
   let find_edge tid t =
-    match Hashtbl.find_opt edges_by tid with
+    match Imap.find_opt tid edges_by with
     | None -> None
     | Some arr ->
         let limit =
@@ -302,21 +305,13 @@ let critical_path ~spans ~edges cp =
   done;
   let walked_to = !t in
   let segs = !segments in
-  let by_class : (string, float ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun sg ->
-      let d = sg.sg_until -. sg.sg_from in
-      if d > 0.0 then
-        let cls = resource_of_class sg.sg_class in
-        match Hashtbl.find_opt by_class cls with
-        | Some r -> r := !r +. d
-        | None -> Hashtbl.add by_class cls (ref d))
-    segs;
   let classes =
-    (* lint-ok: sorted before use. *)
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) by_class []
-    |> List.sort (fun (ka, va) (kb, vb) ->
-           if va <> vb then compare vb va else String.compare ka kb)
+    List.fold_left
+      (fun acc sg ->
+        let d = sg.sg_until -. sg.sg_from in
+        if d > 0.0 then add_time (resource_of_class sg.sg_class) d acc else acc)
+      Smap.empty segs
+    |> by_time_desc
   in
   {
     p_ts = cp.sp_ts;
@@ -407,31 +402,21 @@ let analyze doc =
         |> List.filter (fun sp -> sp.sp_cat = "cp" && sp.sp_name = "CP")
         |> List.map (critical_path ~spans:span_arr ~edges:edge_arr)
       in
-      let agg : (string, float ref) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (fun p ->
-          List.iter
-            (fun (cls, us) ->
-              match Hashtbl.find_opt agg cls with
-              | Some r -> r := !r +. us
-              | None -> Hashtbl.add agg cls (ref us))
-            p.p_classes)
-        cps;
       let bottlenecks =
-        (* lint-ok: sorted before use. *)
-        Hashtbl.fold (fun k r acc -> (k, !r) :: acc) agg []
-        |> List.sort (fun (ka, va) (kb, vb) ->
-               if va <> vb then compare vb va else String.compare ka kb)
+        List.fold_left
+          (fun acc p -> List.fold_left (fun acc (cls, us) -> add_time cls us acc) acc p.p_classes)
+          Smap.empty cps
+        |> by_time_desc
       in
       (* Per-op end-to-end latency (cat "op" spans, grouped by name). *)
-      let op_tbl : (string, float list ref) Hashtbl.t = Hashtbl.create 8 in
-      Array.iter
-        (fun sp ->
-          if sp.sp_cat = "op" then
-            match Hashtbl.find_opt op_tbl sp.sp_name with
-            | Some l -> l := sp.sp_dur :: !l
-            | None -> Hashtbl.add op_tbl sp.sp_name (ref [ sp.sp_dur ]))
-        span_arr;
+      let op_tbl =
+        Array.fold_left
+          (fun acc sp ->
+            if sp.sp_cat = "op" then
+              Smap.update sp.sp_name (fun l -> Some (sp.sp_dur :: Option.value ~default:[] l)) acc
+            else acc)
+          Smap.empty span_arr
+      in
       let stats_of name l =
         let arr = Array.of_list l in
         Array.sort compare arr;
@@ -445,38 +430,27 @@ let analyze doc =
           o_p99 = percentile arr 0.99;
         }
       in
-      let ops =
-        (* lint-ok: sorted before use. *)
-        Hashtbl.fold (fun k l acc -> (k, !l) :: acc) op_tbl []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        |> List.map (fun (name, l) -> stats_of name l)
-      in
+      let ops = Smap.bindings op_tbl |> List.map (fun (name, l) -> stats_of name l) in
       (* Per-stage queue-wait vs service decomposition. *)
-      let stage_tbl : (string, (float list ref * float list ref)) Hashtbl.t =
-        Hashtbl.create 16
+      let stage_tbl =
+        Array.fold_left
+          (fun acc sp ->
+            match sp.sp_cat with
+            | "sched" | "cleaner" | "raid" | "tetris" | "flash" ->
+                Smap.update sp.sp_name
+                  (fun cell ->
+                    let svc, wait = Option.value ~default:([], []) cell in
+                    Some
+                      ( sp.sp_dur :: svc,
+                        if sp.sp_wait >= 0.0 then sp.sp_wait :: wait else wait ))
+                  acc
+            | _ -> acc)
+          Smap.empty span_arr
       in
-      Array.iter
-        (fun sp ->
-          match sp.sp_cat with
-          | "sched" | "cleaner" | "raid" | "tetris" | "flash" ->
-              let svc, wait =
-                match Hashtbl.find_opt stage_tbl sp.sp_name with
-                | Some cell -> cell
-                | None ->
-                    let cell = (ref [], ref []) in
-                    Hashtbl.add stage_tbl sp.sp_name cell;
-                    cell
-              in
-              svc := sp.sp_dur :: !svc;
-              if sp.sp_wait >= 0.0 then wait := sp.sp_wait :: !wait
-          | _ -> ())
-        span_arr;
       let stages =
-        (* lint-ok: sorted before use. *)
-        Hashtbl.fold (fun k cell acc -> (k, cell) :: acc) stage_tbl []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        Smap.bindings stage_tbl
         |> List.map (fun (name, (svc, wait)) ->
-               let s = Array.of_list !svc and w = Array.of_list !wait in
+               let s = Array.of_list svc and w = Array.of_list wait in
                Array.sort compare s;
                Array.sort compare w;
                {

@@ -24,7 +24,6 @@ val no_handoff : handoff
 val capture : Trace.t -> kind:string -> handoff
 val restore : Trace.t -> kind:string -> handoff -> unit
 val with_root : Trace.t -> (unit -> 'a) -> 'a
-val current_ctx : Trace.t -> int
 val fiber_reset : Trace.t -> unit
 
 val enabled : Trace.t -> bool
@@ -95,13 +94,15 @@ type analysis = {
   a_stages : stage_stat list;
 }
 
-val analyze : Json.t -> (analysis, string) result
-(** Analyze a parsed Chrome trace (as exported by {!Trace.export}). *)
-
 val analyze_string : string -> (analysis, string) result
+(** Parse and analyze a Chrome trace, as {!Trace.export_string} writes
+    it. *)
 
 val dominant : cp_path -> string * float
-(** The class holding the largest critical-path share of one CP. *)
+(** The class holding the largest critical-path share of one CP.  Only
+    {!render} calls it today; it stays exported as the offline answer an
+    online per-CP bottleneck attribution must agree with (ROADMAP.md,
+    open item 4). *)
 
 val render : analysis -> string
 (** Human-readable report: completeness, per-CP critical paths, the

@@ -50,10 +50,6 @@ val create : ?capacity:int -> rules:rule list -> Rollup.t -> t
     The event log holds at most [capacity] (default 256) events; later
     events are counted in {!dropped} and discarded. *)
 
-val emit : t -> event -> unit
-(** The single typed append into the event log.  All health events flow
-    through here ([wafl_lint] flags calls outside health.ml). *)
-
 val events : t -> event list
 (** Oldest first. *)
 

@@ -14,13 +14,9 @@ val num_str : float -> string
 (** Canonical float image: integral values print with no fractional part,
     everything else with three decimals. *)
 
-val escape_into : Buffer.t -> string -> unit
-(** Append the JSON-escaped body of a string (no surrounding quotes). *)
-
 val str_into : Buffer.t -> string -> unit
 (** Append a quoted, escaped JSON string. *)
 
-val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 
 val of_string : string -> (t, string) result

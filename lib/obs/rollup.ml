@@ -101,8 +101,6 @@ let create ?(config = default_config) eng =
     cur_seq = seq_of cfg (Engine.now eng);
   }
 
-let config t = t.cfg
-
 let watch t ~counters ~gauges ~histograms =
   let names = List.sort_uniq String.compare in
   let reg = Engine.metrics t.eng in

@@ -58,8 +58,6 @@ val create : ?config:config -> Wafl_sim.Engine.t -> t
 (** Raises [Invalid_argument] if the configured ring cannot fit in
     [vol_budget_bytes] per volume. *)
 
-val config : t -> config
-
 val vol_window_bytes : config -> int
 (** Approximate bytes one volume costs per retained window (row plus
     latency sketch); the budget check is

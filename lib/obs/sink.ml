@@ -47,9 +47,3 @@ let iter t f =
   for i = 0 to t.len - 1 do
     match t.buf.((start + i) mod t.cap) with Some ev -> f ev | None -> ()
   done
-
-let clear t =
-  Array.fill t.buf 0 t.cap None;
-  t.next <- 0;
-  t.len <- 0;
-  t.n_dropped <- 0

@@ -30,5 +30,3 @@ val dropped : t -> int
 
 val iter : t -> (ev -> unit) -> unit
 (** Visit retained events oldest to newest. *)
-
-val clear : t -> unit

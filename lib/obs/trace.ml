@@ -157,11 +157,6 @@ let with_root t f =
       Fun.protect ~finally:(fun () -> set_ctx s fid prev) f
   | _ -> f ()
 
-let current_ctx t =
-  match t.state with
-  | Some s when s.causal -> ctx_of s (Engine.current_fid s.eng)
-  | _ -> 0
-
 (* Pooled worker fibers call this between messages: whatever the previous
    message left behind — an unclosed span, an active causal context —
    must not leak into the next, unrelated message (see DESIGN.md §4.10). *)

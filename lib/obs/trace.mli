@@ -78,7 +78,10 @@ val begin_span : t -> cat:string -> name:string -> unit
 val end_span : t -> unit
 (** Non-lexical span pair for open/close sites in different scopes.
     [end_span] on an empty stack is a no-op; a span left open on a pooled
-    worker fiber is discarded by {!fiber_reset} between messages. *)
+    worker fiber is discarded by {!fiber_reset} between messages.  No
+    component opens a span this way today: the pair stays as the one way
+    to leave a span open, which the causal tests use to check that
+    {!fiber_reset} drops it. *)
 
 val instant : t -> cat:string -> name:string -> ?args:(string * string) list -> unit -> unit
 (** Record a zero-duration instant ('i') event at the current virtual
@@ -100,7 +103,7 @@ val complete :
 
 val event_count : t -> int
 val dropped : t -> int
-(** The counts {!export} writes: the ring's events and drops, with the
+(** The counts {!export_string} writes: the ring's events and drops, with the
     closing counter sample counted as if recorded. *)
 
 (** {1 Causal edges}
@@ -133,9 +136,6 @@ val with_root : t -> (unit -> 'a) -> 'a
 (** Run the thunk under a fresh causal context (a new request root); the
     fiber's previous context is restored afterwards. *)
 
-val current_ctx : t -> int
-(** The current fiber's active context id; 0 when none or not causal. *)
-
 val fiber_reset : t -> unit
 (** Clear the current fiber's span stack and causal context.  Pooled
     worker fibers call this between messages so state leaked by one
@@ -143,16 +143,14 @@ val fiber_reset : t -> unit
 
 (** {1 Export} *)
 
-val export : t -> Buffer.t -> unit
-(** Append the whole trace as Chrome trace-event JSON
+val export_string : t -> string
+(** The whole trace as Chrome trace-event JSON
     ([{"traceEvents": [...], ...}]), loadable in Perfetto or
     chrome://tracing.  Timestamps and durations are virtual microseconds,
     [tid] is the fiber id, and counter samples appear as 'C' events.
     The document ends with a closing sample of every metric, counted as
     if the ring had recorded it, but the ring is left as it is: two
     exports of one tracer are equal. *)
-
-val export_string : t -> string
 
 (** {1 Virtual-CPU profile} *)
 

@@ -32,5 +32,4 @@ let reserve t ~now ~max_debt =
   end
 
 let tokens t = t.tokens
-let last_update t = t.last
 let state t = (t.tokens, t.last)

@@ -23,7 +23,6 @@ val reserve : t -> now:float -> max_debt:float -> decision
 (** Refill to [now], then take one token. *)
 
 val tokens : t -> float
-val last_update : t -> float
 
 val state : t -> float * float
 (** [(tokens, last_update)] — the full observable state, for the

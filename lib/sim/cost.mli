@@ -9,7 +9,7 @@
 
 type t = {
   (* scheduling and synchronization *)
-  lock_acquire : float;  (** charged per mutex acquisition *)
+  lock_acquire : float;  (** charged flat per lock the real system takes *)
   msg_dispatch : float;  (** Waffinity message dispatch + completion overhead *)
   thread_wake : float;  (** waking an inactive cleaner thread *)
   (* client-side (protocol + front-end file system) per operation *)

@@ -672,7 +672,6 @@ let self t = if t.cur < 0 then invalid_arg "Engine.self: no fiber is running" el
 let set_label t label = (self t).label <- label
 let relabel f label = f.label <- label
 let fiber_id f = f.fid
-let fiber_label f = f.label
 
 let park t =
   ignore (self t);

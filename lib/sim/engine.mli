@@ -125,7 +125,6 @@ val relabel : fiber -> string -> unit
     the message ran on a fresh fiber with that label. *)
 
 val fiber_id : fiber -> int
-val fiber_label : fiber -> string
 val join : t -> fiber -> unit
 (** Park until the given fiber finishes (returns immediately if it has). *)
 
@@ -219,7 +218,7 @@ type obs_hooks = {
   on_wake : waker:int -> wakee:int -> now:float -> unit;
       (** [waker] made the parked fiber [wakee] runnable ({!wake}, or a
           finishing fiber releasing its {!join} waiters).  Every [Sync]
-          mutex/condvar/waitq/channel wakeup funnels through here, so
+          waitq/channel wakeup funnels through here, so
           this is the engine-level causal edge for blocking handoffs. *)
   on_spawn : parent:int -> child:int -> now:float -> unit;
       (** [parent] spawned [child] ([Race.main_fid] when spawned from

@@ -62,7 +62,6 @@ let histogram ?(lo = 0.01) ?(hi = 1e9) t name =
 
 let incr c = c.value <- c.value +. 1.0
 let add c n = c.value <- c.value +. float_of_int n
-let addf c d = c.value <- c.value +. d
 let set g v = g.value <- v
 let observe h v = Wafl_util.Histogram.add h.h_hist v
 

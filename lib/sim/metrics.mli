@@ -42,7 +42,6 @@ val histogram : ?lo:float -> ?hi:float -> t -> string -> histo
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val addf : counter -> float -> unit
 val set : gauge -> float -> unit
 val observe : histo -> float -> unit
 

@@ -44,8 +44,6 @@ let create ?quantum ?(sanitize = false) ~parts ~cores_per_part ~lookahead () =
     horizon = 0.0;
   }
 
-let parts t = Array.length t.parts
-let lookahead t = t.lookahead
 let engine t pid = t.parts.(pid).eng
 let now t = t.horizon
 

@@ -42,9 +42,6 @@ val create :
     minimum cross-partition delivery delay.  [quantum] / [sanitize] are
     passed to every {!Engine.create}. *)
 
-val parts : t -> int
-val lookahead : t -> float
-
 val engine : t -> int -> Engine.t
 (** The partition's engine, for initial spawns and end-of-run reads.
     During {!run} it must only be touched from fibers of that same

@@ -273,41 +273,9 @@ let access t ~fid ~label ~now ~shared mode =
 let reports t = List.rev t.reports
 let n_reports t = t.n_reports
 
-type stats = {
-  live_fibers : int;
-  n_slots : int;
-  finished_kept : int;
-  n_syncs : int;
-  n_vars : int;
-  max_vc_words : int;
-}
-
-let stats t =
-  let max_vc = ref (Array.length t.slot_clock.a) in
-  let see (v : vc) = if Array.length v.a > !max_vc then max_vc := Array.length v.a in
-  Array.iter (Option.iter (fun f -> see f.vc)) t.by_slot;
-  for id = 0 to t.next_sync - 1 do
-    see t.syncs.(id)
-  done;
-  {
-    live_fibers = Hashtbl.length t.fibers;
-    n_slots = t.n_slots;
-    finished_kept = Hashtbl.length t.finished;
-    n_syncs = t.next_sync;
-    n_vars = Hashtbl.length t.vars;
-    max_vc_words = !max_vc;
-  }
-
 let absorb_all t =
   let m = fib t main_fid in
   Array.iter (Option.iter (fun f -> if f != m then join m.vc f.vc)) t.by_slot;
   for id = 0 to t.next_sync - 1 do
     join m.vc t.syncs.(id)
   done
-
-let mode_name = function Read -> "read" | Write -> "write"
-
-let pp_report ppf r =
-  Format.fprintf ppf "race on %s: %s by %s#%d at %.1fus vs %s by %s#%d at %.1fus" r.shared
-    (mode_name r.first_mode) r.first_label r.first_fid r.first_time (mode_name r.second_mode)
-    r.second_label r.second_fid r.second_time

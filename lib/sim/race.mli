@@ -3,7 +3,7 @@
     The engine (when created with [~sanitize:true]) maintains one
     detector instance and drives it from every scheduling edge it
     produces: fiber spawn, finish/join, park/wake.  {!Sync} adds
-    release/acquire edges for mutexes, conditions and channels.
+    release/acquire edges for channels.
     Instrumented code then declares its touches of shared mutable state
     with {!access} probes (via [Engine.probe]); any two accesses to the
     same shared id that are not ordered by the recorded happens-before
@@ -94,19 +94,3 @@ val absorb_all : t -> unit
     The engine calls this when [run] returns: the host context then
     observes results of everything that ran, which is sound because the
     simulation is cooperative and single-threaded. *)
-
-val pp_report : Format.formatter -> report -> unit
-
-(** {1 Introspection} *)
-
-type stats = {
-  live_fibers : int;
-  n_slots : int;  (** distinct fiber slots ever needed (peak concurrency) *)
-  finished_kept : int;  (** final clocks retained individually *)
-  n_syncs : int;
-  n_vars : int;  (** distinct shared ids probed *)
-  max_vc_words : int;  (** capacity of the largest vector clock *)
-}
-
-val stats : t -> stats
-(** Size counters for memory diagnosis; O(live fibers + syncs). *)

@@ -1,15 +1,16 @@
 (** Virtual-time synchronization primitives built on {!Engine} parking.
 
-    These model the lock-protected structures of the paper (bucket cache,
-    used-bucket queue, stages, tetris dispatch): acquiring a held mutex or
-    receiving from an empty channel parks the fiber, so contention and
-    backpressure cost virtual time.  All wait queues are FIFO, preserving
+    A fiber that waits for an event (a drain, log space, a CP's
+    completion) or receives from an empty channel (a RAID group's
+    request queue, a cleaner's work queue, the bucket caches) parks until
+    another fiber wakes it, so waiting costs virtual time.  Locks are not
+    modelled here: the model charges a flat [Cost.lock_acquire] where the
+    paper takes a lock.  All wait queues are FIFO, preserving
     determinism.
 
     Every operation must be called from fiber context. *)
 
-(** Plain FIFO wait queue; building block for the other primitives and for
-    ad-hoc waits (e.g. tetris completion). *)
+(** Plain FIFO wait queue, for ad-hoc waits (e.g. tetris completion). *)
 module Waitq : sig
   type t
 
@@ -22,60 +23,20 @@ module Waitq : sig
 
   val wake_all : t -> int
   (** Wake every waiter; returns how many were woken. *)
-
-  val waiters : t -> int
 end
 
-module Mutex : sig
-  type t
-
-  val create : ?name:string -> ?acquire_cost:float -> Engine.t -> t
-  (** [acquire_cost] is virtual µs of CPU charged per [lock] (default
-      {!Cost.default}[.lock_acquire]), modelling the atomic-op cost that
-      the paper amortizes via buckets. *)
-
-  val lock : t -> unit
-  val unlock : t -> unit
-  (** Raises [Invalid_argument] — naming the mutex, the calling fiber
-      and the actual holder — if the calling fiber does not hold [t]. *)
-
-  val with_lock : t -> (unit -> 'a) -> 'a
-  val name : t -> string
-  val contended_acquires : t -> int
-  (** Number of [lock] calls that had to park. *)
-
-  val acquires : t -> int
-end
-
-module Condition : sig
-  type t
-
-  val create : Engine.t -> t
-  val wait : t -> Mutex.t -> unit
-  (** Atomically release the mutex and park; the mutex is re-acquired
-      before returning.  Raises [Invalid_argument] — naming the mutex,
-      the caller and the actual holder — if the caller does not hold
-      it. *)
-
-  val signal : t -> unit
-  val broadcast : t -> unit
-end
-
-(** Bounded or unbounded FIFO channel (multi-producer, multi-consumer). *)
+(** Unbounded FIFO channel (multi-producer, multi-consumer).  A send is a
+    release and a receive an acquire for the race detector. *)
 module Channel : sig
   type 'a t
 
-  val create : ?capacity:int -> Engine.t -> 'a t
-  (** Unbounded when [capacity] is omitted. *)
+  val create : Engine.t -> 'a t
 
   val send : 'a t -> 'a -> unit
-  (** Parks while the channel is full. *)
+  (** Never parks. *)
 
   val recv : 'a t -> 'a
   (** Parks while the channel is empty. *)
-
-  val try_recv : 'a t -> 'a option
-  (** Non-blocking receive. *)
 
   val length : 'a t -> int
 end

@@ -178,12 +178,6 @@ let[@inline] compact_key t vbn =
 let[@inline] compact_word t vbn = word_at t vbn
 let codec t = t.codec
 
-let read_checked t vbn =
-  check t vbn;
-  match t.fault with
-  | Some f when Fault.media_error f vbn -> `Media_error
-  | _ -> ( match read t vbn with Some p -> `Ok p | None -> `Absent)
-
 let read_exn t vbn =
   match read t vbn with
   | Some p -> p

@@ -84,9 +84,9 @@ val read : 'b t -> Geometry.vbn -> 'b option
 (** Raw store read, bypassing the fault plan: [None] if the block was
     never written (or was discarded).  A boxed image is returned by
     reference; a compact one is unpacked into a fresh value-equal copy.
-    Fault-aware callers use {!read_checked} or {!Raid.read}; outside the
-    storage layer, [wafl_lint] rejects raw reads ({!read},
-    {!read_checked}, {!read_exn}, {!compact_key}, {!compact_word}). *)
+    Fault-aware callers use {!Raid.read}; outside the storage layer,
+    [wafl_lint] rejects raw reads ({!read}, {!read_exn}, {!compact_key},
+    {!compact_word}). *)
 
 val compact_key : 'b t -> Geometry.vbn -> int
 (** The codec key of the compact image a slot holds, or -1 if it holds
@@ -96,10 +96,6 @@ val compact_key : 'b t -> Geometry.vbn -> int
 val compact_word : 'b t -> Geometry.vbn -> int64
 (** The word of the compact image a slot holds; meaningless unless
     {!compact_key} is non-negative.  A raw read, as {!read}. *)
-
-val read_checked : 'b t -> Geometry.vbn -> [ `Ok of 'b | `Absent | `Media_error ]
-(** Like {!read} but surfaces latent media errors from the fault plan;
-    {!Raid.read} reconstructs such blocks from the parity model. *)
 
 val read_exn : 'b t -> Geometry.vbn -> 'b
 

@@ -84,12 +84,6 @@ let quantile t q =
 
 let percentile t p = quantile t (p /. 100.0)
 
-let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.n <- 0;
-  t.sum <- 0.0;
-  t.max_seen <- 0.0
-
 let merge_into ~dst src =
   if Array.length dst.counts <> Array.length src.counts then
     invalid_arg "Histogram.merge_into: shape mismatch";

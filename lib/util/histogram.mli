@@ -22,7 +22,6 @@ val quantile : t -> float -> float
 val percentile : t -> float -> float
 (** [percentile t 99.0] = [quantile t 0.99]. *)
 
-val clear : t -> unit
 val merge_into : dst:t -> t -> unit
 (** Adds all of the source's buckets into [dst]; the histograms must have
     been created with identical parameters. *)

@@ -18,7 +18,6 @@ let create ?(initial_capacity = 16) ~default () =
   fill data ~from:0 ~upto:initial_capacity default;
   { default; data; len = 0 }
 
-let default t = t.default
 let length t = t.len
 let capacity t = Slab.length t.data / 4
 let bytes t = Slab.length t.data

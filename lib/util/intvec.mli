@@ -14,7 +14,6 @@ val create : ?initial_capacity:int -> default:int -> unit -> t
 (** Raises [Invalid_argument] on a non-positive capacity or a default
     outside the 32-bit range. *)
 
-val default : t -> int
 val length : t -> int
 (** One past the highest index ever written. *)
 

@@ -7,7 +7,6 @@ type t = {
 
 let create () = { owners = Hashtbl.create 256; running = Hashtbl.create 64 }
 let register_owner t ~shared affinity = Hashtbl.replace t.owners shared affinity
-let owner t ~shared = Hashtbl.find_opt t.owners shared
 let enter t ~fid ~affinity ~label = Hashtbl.replace t.running fid (affinity, label)
 let exit t ~fid = Hashtbl.remove t.running fid
 

@@ -27,8 +27,6 @@ val register_owner : t -> shared:string -> Affinity.t -> unit
 (** Declare that the data domain [shared] is private to [affinity]'s
     partition.  Re-registering replaces the owner. *)
 
-val owner : t -> shared:string -> Affinity.t option
-
 val enter : t -> fid:int -> affinity:Affinity.t -> label:string -> unit
 (** Record that fiber [fid] is executing a message under [affinity];
     called by the scheduler when the message fiber starts. *)

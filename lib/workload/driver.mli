@@ -214,10 +214,5 @@ val run : spec -> result
     1, [measure] is not positive, or the working set does not fit the
     geometry. *)
 
-val paper_geometry : unit -> Wafl_storage.Geometry.t
-(** 2 RAID groups x (10 data + 2 parity), 262144 blocks per drive —
-    5.2 M physical blocks, comparable bitmap-block counts to a real
-    mid-range aggregate. *)
-
 val small_geometry : unit -> Wafl_storage.Geometry.t
 (** Scaled-down geometry for fast tests. *)

@@ -22,7 +22,7 @@ let start eng =
          shared.total <- shared.total + 1))
 
 let consistent a b =
-  Sync.Mutex.lock a;
-  Sync.Mutex.lock b;
-  Sync.Mutex.unlock b;
-  Sync.Mutex.unlock a
+  Mutex.lock a;
+  Mutex.lock b;
+  Mutex.unlock b;
+  Mutex.unlock a

@@ -1,15 +1,13 @@
 (* Positive fixture: AB/BA lock ordering — a classic deadlock shape the
    lock-order pass must report as a cycle. *)
-open Wafl_sim
-
 let ab a b =
-  Sync.Mutex.lock a;
-  Sync.Mutex.lock b;
-  Sync.Mutex.unlock b;
-  Sync.Mutex.unlock a
+  Mutex.lock a;
+  Mutex.lock b;
+  Mutex.unlock b;
+  Mutex.unlock a
 
 let ba a b =
-  Sync.Mutex.lock b;
-  Sync.Mutex.lock a;
-  Sync.Mutex.unlock a;
-  Sync.Mutex.unlock b
+  Mutex.lock b;
+  Mutex.lock a;
+  Mutex.unlock a;
+  Mutex.unlock b

@@ -3,8 +3,10 @@
    Teeth in both directions: the deliberately defective fixture modules
    under test/fixtures/analyzer must be caught (unprobed shared state,
    blocking under a held mutex, an AB/BA lock-order cycle), the clean
-   fixture and the real simulator libraries must analyze silently, and
-   the --json output must parse back through Wafl_obs.Json.
+   fixture and the real simulator libraries must analyze silently, the
+   exports pass must single out the one dead value of
+   test/fixtures/exports, and the --json output must parse back through
+   Wafl_obs.Json.
 
    The fixture .cmt files are produced by dune as a side effect of
    compiling the analyzer_fixtures library; dune runs tests from
@@ -83,6 +85,12 @@ let test_blocking_transitive () =
     (has_finding ~pass:"blocking" ~subject_sub:"Fix_block_under_lock.indirect"
        ~message_sub:"Fix_block_under_lock.slow_path" ())
 
+let test_blocking_protect () =
+  Alcotest.(check bool)
+    "Engine.sleep inside Mutex.protect flagged" true
+    (has_finding ~pass:"blocking" ~subject_sub:"Fix_block_under_lock.scoped"
+       ~message_sub:"Engine.sleep called while holding" ())
+
 (* --- lock-order --------------------------------------------------------- *)
 
 let test_lock_cycle () =
@@ -146,6 +154,27 @@ let test_repo_lib_clean () =
       Alcotest.failf "repo libraries not clean: %d finding(s), first: [%s] %s:%d %s"
         (List.length fs) f.Ir.pass f.Ir.loc.Ir.file f.Ir.loc.Ir.line f.Ir.message
 
+(* --- exports -------------------------------------------------------------- *)
+
+let exports_fixture =
+  lazy
+    (Exports.analyze ~prefix:"test/fixtures/exports/"
+       [ Filename.concat test_dir "fixtures/exports" ])
+
+let test_dead_export_flagged () =
+  let r = Lazy.force exports_fixture in
+  Alcotest.(check (list string))
+    "the dead value is the one unused export" [ "Fix_exports.dead" ]
+    (List.map (fun x -> x.Exports.x_name) r.unused)
+
+let test_used_export_counted () =
+  (* Fix_user, itself under test/, is the one user of [live]. *)
+  let r = Lazy.force exports_fixture in
+  Alcotest.(check (list (pair string (list string))))
+    "live is referenced from test/ only"
+    [ ("Fix_exports.live", [ "test/fixtures/exports/fix_user" ]) ]
+    (List.map (fun (x, us) -> (x.Exports.x_name, us)) r.test_only)
+
 (* --- JSON round trip ---------------------------------------------------- *)
 
 let test_json_parses_back () =
@@ -187,6 +216,7 @@ let () =
         [
           Alcotest.test_case "direct sleep under lock" `Quick test_blocking_direct;
           Alcotest.test_case "transitive block under lock" `Quick test_blocking_transitive;
+          Alcotest.test_case "sleep inside Mutex.protect" `Quick test_blocking_protect;
         ] );
       ("lock-order", [ Alcotest.test_case "AB/BA cycle" `Quick test_lock_cycle ]);
       ( "domain-safety",
@@ -196,5 +226,10 @@ let () =
           Alcotest.test_case "guarded twin silent" `Quick test_domain_guarded_silent;
         ] );
       ("clean-repo", [ Alcotest.test_case "lib analyzes clean" `Quick test_repo_lib_clean ]);
+      ( "exports",
+        [
+          Alcotest.test_case "dead export flagged" `Quick test_dead_export_flagged;
+          Alcotest.test_case "used export counted" `Quick test_used_export_counted;
+        ] );
       ("json", [ Alcotest.test_case "round trip" `Quick test_json_parses_back ]);
     ]

@@ -1201,7 +1201,7 @@ let prop_file_dirty_table =
       let cp = Array.init shared_files (fun _ -> Hashtbl.create 16) in
       let outstanding = Array.make shared_files false in
       let agrees i =
-        let sorted = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) cp.(i) []) (* lint-ok: sorted *) in
+        let sorted = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) cp.(i) []) (* sorted *) in
         File.dirty_front files.(i) = Hashtbl.length front.(i)
         && File.cp_buffer_count files.(i) = Hashtbl.length cp.(i)
         && cp_buffers files.(i) = sorted
@@ -1221,7 +1221,7 @@ let prop_file_dirty_table =
               if not outstanding.(i) then begin
                 File.cp_snapshot files.(i);
                 Hashtbl.reset cp.(i);
-                Hashtbl.iter (fun k v -> Hashtbl.replace cp.(i) k v) front.(i); (* lint-ok: a copy *)
+                Hashtbl.iter (fun k v -> Hashtbl.replace cp.(i) k v) front.(i); (* a copy *)
                 Hashtbl.reset front.(i);
                 outstanding.(i) <- true
               end;

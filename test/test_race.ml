@@ -1,8 +1,7 @@
 (* Tests for the sanitizers: the happens-before race detector (teeth in
    both directions: a seeded racy pair must be flagged, properly
    synchronized pairs must not), the affinity-isolation checker (a
-   message touching another partition's data must abort), and the named
-   lock diagnostics. *)
+   message touching another partition's data must abort). *)
 
 open Wafl_sim
 module Affinity = Wafl_waffinity.Affinity
@@ -55,18 +54,6 @@ let test_distinct_ids_clean () =
   Alcotest.(check int) "different ids never race" 0 (Engine.race_report_count eng)
 
 (* --- synchronized pairs stay clean --- *)
-
-let test_mutex_ordered_clean () =
-  let eng = Engine.create ~cores:2 ~sanitize:true () in
-  let m = Sync.Mutex.create ~name:"guard" eng in
-  for _ = 1 to 3 do
-    spawn eng (fun () ->
-        Sync.Mutex.with_lock m (fun () ->
-            Engine.probe eng ~shared:"protected" Race.Write;
-            Engine.consume 5.0))
-  done;
-  Engine.run eng;
-  Alcotest.(check int) "mutex orders the accesses" 0 (Engine.race_report_count eng)
 
 let test_channel_ordered_clean () =
   let eng = Engine.create ~cores:2 ~sanitize:true () in
@@ -130,45 +117,22 @@ let test_disabled_probes_are_noops () =
 let test_sanitize_does_not_change_timing () =
   let run sanitize =
     let eng = Engine.create ~cores:2 ~sanitize () in
-    let m = Sync.Mutex.create eng in
+    (* A one-token channel serializes the critical sections: [recv]
+       takes the token, parking while another fiber holds it. *)
+    let token = Sync.Channel.create eng in
+    Sync.Channel.send token ();
     for _ = 1 to 3 do
       spawn eng (fun () ->
-          Sync.Mutex.with_lock m (fun () ->
-              Engine.probe eng ~shared:"s" Race.Write;
-              Engine.consume 7.0);
+          Sync.Channel.recv token;
+          Engine.probe eng ~shared:"s" Race.Write;
+          Engine.consume 7.0;
+          Sync.Channel.send token ();
           Engine.consume 2.0)
     done;
     Engine.run eng;
     Engine.now eng
   in
   Alcotest.(check (float 0.0)) "identical end time" (run false) (run true)
-
-(* --- named lock diagnostics --- *)
-
-let test_unlock_diagnostic_names_parties () =
-  let eng = Engine.create ~cores:2 ~sanitize:true () in
-  let m = Sync.Mutex.create ~name:"bucket_cache" eng in
-  spawn eng ~label:"holder" (fun () ->
-      Sync.Mutex.lock m;
-      Engine.consume 50.0;
-      Sync.Mutex.unlock m);
-  spawn eng ~label:"intruder" (fun () ->
-      Engine.consume 10.0;
-      Sync.Mutex.unlock m);
-  let msg =
-    try
-      Engine.run eng;
-      Alcotest.fail "unlock by non-owner did not raise"
-    with Invalid_argument m -> m
-  in
-  let contains sub =
-    let ls = String.length sub and lm = String.length msg in
-    let rec go i = i + ls <= lm && (String.sub msg i ls = sub || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) ("mutex named in: " ^ msg) true (contains "bucket_cache");
-  Alcotest.(check bool) ("holder named in: " ^ msg) true (contains "holder");
-  Alcotest.(check bool) ("caller named in: " ^ msg) true (contains "intruder")
 
 (* --- affinity-isolation checker --- *)
 
@@ -253,7 +217,6 @@ let () =
           Alcotest.test_case "racy read/write flagged" `Quick test_read_write_race_flagged;
           Alcotest.test_case "concurrent reads clean" `Quick test_concurrent_reads_clean;
           Alcotest.test_case "distinct ids clean" `Quick test_distinct_ids_clean;
-          Alcotest.test_case "mutex-ordered clean" `Quick test_mutex_ordered_clean;
           Alcotest.test_case "channel-ordered clean" `Quick test_channel_ordered_clean;
           Alcotest.test_case "join-ordered clean" `Quick test_join_ordered_clean;
           Alcotest.test_case "probe_atomic exempt" `Quick test_probe_atomic_never_reports;
@@ -261,7 +224,6 @@ let () =
           Alcotest.test_case "disabled probes no-op" `Quick test_disabled_probes_are_noops;
           Alcotest.test_case "sanitize keeps timing" `Quick
             test_sanitize_does_not_change_timing;
-          Alcotest.test_case "unlock diagnostic" `Quick test_unlock_diagnostic_names_parties;
         ] );
       ( "isolation",
         [

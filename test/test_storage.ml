@@ -486,7 +486,7 @@ let prop_stripe_mix_matches_tally =
             (fun (_, dbn) ->
               Hashtbl.replace per_dbn dbn (1 + Option.value ~default:0 (Hashtbl.find_opt per_dbn dbn)))
             io;
-          Hashtbl.iter (* lint-ok: counting commutes *)
+          Hashtbl.iter (* counting commutes *)
             (fun _ n -> if n >= 4 then incr full else incr partial)
             per_dbn)
         ios;

@@ -1,7 +1,7 @@
 (* Typedtree collection: one walk per compilation unit producing the IR
    nodes.  The walk resolves value paths against the whole-program unit
    set, so cross-library references (Wafl_qos.Qos.admit,
-   Wafl_sim.Engine.probe, Sync.Mutex.lock) all normalize to
+   Wafl_sim.Engine.probe, Mutex.lock) all normalize to
    (unit, function) pairs regardless of how dune mangles module names.
 
    Attribution model:
@@ -18,7 +18,7 @@
      bind it is a *captured* family (the closure smuggled state across a
      spawn boundary);
    - lock acquisition is tracked syntactically through sequence chains
-     ([lock m; ...; unlock m]) and [Mutex.with_lock]; blocking
+     ([lock m; ...; unlock m]) and [Mutex.protect]; blocking
      primitives and outgoing calls made while a lock is held are
      recorded for the blocking / lock-order passes. *)
 
@@ -378,7 +378,7 @@ and handle_apply ctx (e : expression) f args =
           ctx.domain_arg <- true;
           walk_args ();
           ctx.domain_arg <- saved
-      | _ when Config.is_with_lock (m2, fn2) -> (
+      | _ when Config.is_protect (m2, fn2) -> (
           match positional args with
           | m :: rest ->
               let cls = lock_class ctx m in

@@ -91,7 +91,7 @@ let domain_spawners =
 let shared_fields = [ ("Exp", "runs"); ("Exp", "asked") ]
 
 (* Blocking primitives for the blocking-while-holding-lock pass.
-   [Sync.Mutex.lock] is deliberately absent: acquiring a second lock is
+   [Mutex.lock] is deliberately absent: acquiring a second lock is
    the subject of the lock-order pass, not a blocking finding. *)
 let blocking =
   [
@@ -109,10 +109,11 @@ let blocking =
 
 let is_blocking ~unit_ ~fn = List.mem (unit_, fn) blocking
 
-(* Lock primitives (Sync.Mutex / Sync.Condition live in nested modules,
-   so call paths end with ["Mutex"; op] etc.). *)
+(* Lock primitives: the host Stdlib Mutex and Condition (the model takes
+   no simulated lock).  Matched on a call path's last two parts,
+   ["Mutex"; op] etc., however the module was reached. *)
 let is_lock = function "Mutex", "lock" -> true | _ -> false
 let is_unlock = function "Mutex", "unlock" -> true | _ -> false
-let is_with_lock = function "Mutex", "with_lock" -> true | _ -> false
+let is_protect = function "Mutex", "protect" -> true | _ -> false
 let is_condition_wait = function "Condition", "wait" -> true | _ -> false
 let is_register_owner ~unit_ ~fn = unit_ = "Isolation" && fn = "register_owner"

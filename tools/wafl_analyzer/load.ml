@@ -5,13 +5,13 @@
    to the collector.  Interface-only artifacts (.cmti) and units without
    a full implementation annotation are skipped. *)
 
-let rec find_cmts acc dir =
+let rec find_files ~suffix acc dir =
   match Sys.is_directory dir with
   | exception Sys_error _ -> acc
-  | false -> if Filename.check_suffix dir ".cmt" then dir :: acc else acc
+  | false -> if Filename.check_suffix dir suffix then dir :: acc else acc
   | true ->
       Array.fold_left
-        (fun acc entry -> find_cmts acc (Filename.concat dir entry))
+        (fun acc entry -> find_files ~suffix acc (Filename.concat dir entry))
         acc (Sys.readdir dir)
 
 (* "Wafl_qos__Token_bucket" -> "Token_bucket"; "Dune__exe__Main" -> "Main" *)
@@ -33,7 +33,7 @@ let read_one path =
    unit table so call paths into them resolve, but their bodies are not
    analyzed.  Returns the program and the list of units collected. *)
 let load_program dirs =
-  let paths = List.fold_left find_cmts [] dirs in
+  let paths = List.fold_left (find_files ~suffix:".cmt") [] dirs in
   let loaded = List.filter_map read_one (List.sort compare paths) in
   let prog = Ir.create_program () in
   let known_units = Hashtbl.create 64 in

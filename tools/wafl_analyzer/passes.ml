@@ -499,7 +499,7 @@ let pass_ownership prog =
    Acceptable disciplines the collector sees through:
    - [Mutex]: the write site carries the held lock class ([a_held]), or
      its node acquires some lock (the coarse fallback covers
-     [with_lock]-style bodies the sequence tracker cannot scope);
+     [Mutex.protect]-style bodies the sequence tracker cannot scope);
    - [Atomic] / [Domain.DLS]: their operations never register as plain
      family accesses, so guarded state is naturally silent;
    - per-domain ownership: per-run records allocated inside the closure

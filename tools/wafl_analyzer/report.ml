@@ -1,47 +1,6 @@
-(* Finding output: text or JSON, with the same line-level `lint-ok`
-   suppression convention as tools/wafl_lint — a finding whose source
-   line (or the line above it) carries "lint-ok" is acknowledged and
-   dropped. *)
+(* Finding output: text or JSON. *)
 
 open Ir
-
-let read_lines path =
-  match open_in path with
-  | exception Sys_error _ -> [||]
-  | ic ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      close_in ic;
-      Array.of_list (List.rev !lines)
-
-let file_cache : (string, string array) Hashtbl.t = Hashtbl.create 16
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m > 0 && go 0
-
-(* .cmt locations name sources relative to the dune build context root
-   (e.g. "lib/qos/qos.ml"); resolve them against --src-root. *)
-let suppressed ~src_root (f : finding) =
-  let path = Filename.concat src_root f.loc.file in
-  let lines =
-    match Hashtbl.find_opt file_cache path with
-    | Some l -> l
-    | None ->
-        let l = read_lines path in
-        Hashtbl.replace file_cache path l;
-        l
-  in
-  let has n = n >= 1 && n <= Array.length lines && contains_sub lines.(n - 1) "lint-ok" in
-  has f.loc.line || has (f.loc.line - 1)
-
-let filter_suppressed ~src_root findings =
-  List.filter (fun f -> not (suppressed ~src_root f)) findings
 
 let print_text findings =
   let by_pass p = List.filter (fun f -> f.pass = p) findings in

@@ -18,7 +18,7 @@
    - [Disk.discard] or [Packed.recycle] outside lib/fs/aggregate.ml
      (block images die only at a superblock publish, and only that
      publish may hand a dead image's buffer to the spare pool);
-   - raw store reads ([Disk.read], [Disk.read_checked], [Disk.read_exn],
+   - raw store reads ([Disk.read], [Disk.read_exn],
      [Disk.compact_key], [Disk.compact_word]) outside lib/storage
      (everything else reads through [Raid.read] or [Raid.read_word],
      which apply the fault plan);
@@ -37,44 +37,20 @@
      bytes go through [Wafl_util.Slab], whose owners keep and reuse
      their buffers (every fresh bigarray speeds up the major GC).
 
-   A finding is suppressed when the token "lint-ok" appears on the
-   flagged line or the line directly above it (typically in a comment
-   explaining why the use is safe, e.g. a Hashtbl.fold whose result is
-   sorted before use).  The [Queue] and [Bigarray] rules take no
-   escape.
-
-   Escapes are ratcheted: with [--max-lint-ok N], the run also fails
-   when the linted files carry more than N lines with the token.  The
-   ceiling for lib/ is checked in next to this file (lint_ok_ceiling);
-   lower it when an escape goes away, never raise it. *)
+   No rule takes an escape: a use that looks order-insensitive or safe
+   is rewritten (a [Map], an [Int_table], a sorted list) rather than
+   annotated. *)
 
 let findings = ref 0
-let escapes = ref 0
-
-type source = { name : string; lines : string array }
-
-let read_lines path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  (s, Array.of_list (String.split_on_char '\n' s))
 
 let contains_sub line sub =
   let ls = String.length sub and ll = String.length line in
   let rec go i = i + ls <= ll && (String.sub line i ls = sub || go (i + 1)) in
   go 0
 
-let suppressed src lnum =
-  let check i = i >= 1 && i <= Array.length src.lines && contains_sub src.lines.(i - 1) "lint-ok" in
-  check lnum || check (lnum - 1)
-
-let report_always src (loc : Location.t) msg =
-  incr findings;
-  Printf.printf "%s:%d: %s\n" src.name loc.loc_start.pos_lnum msg
-
 let report src (loc : Location.t) msg =
-  if not (suppressed src loc.loc_start.pos_lnum) then report_always src loc msg
+  incr findings;
+  Printf.printf "%s:%d: %s\n" src loc.loc_start.pos_lnum msg
 
 let base name = Filename.basename name
 
@@ -100,12 +76,6 @@ let sink_whitelist = [ "trace.ml"; "metrics.ml"; "sink.ml" ]
 let causal_primitives = [ "capture"; "restore"; "with_root"; "fiber_reset" ]
 let causal_whitelist = [ "trace.ml"; "causal.ml" ]
 
-(* Files allowed to append raw health events: the watchdog itself.  Every
-   alert elsewhere must come from a typed rule evaluated at window seal,
-   so the event stream stays structured (and the fleet view can trust
-   rule names). *)
-let health_whitelist = [ "health.ml" ]
-
 (* The one file allowed to drop block images from the simulated disk and
    recycle their buffers: the aggregate, which discards a freed block
    only once the superblock that stops referencing it is published and
@@ -119,18 +89,18 @@ let image_owner = "lib/fs/aggregate.ml"
    reconstructed and counted, a block lost in a degraded group reported
    as lost).  A raw read anywhere else returns stored data the fault
    plan says is unreadable. *)
-let in_storage src = contains_sub src.name "lib/storage/"
+let in_storage src = contains_sub src "lib/storage/"
 
 (* The one directory allowed to reach the metrics registry through a
    tracer: the observability subsystem.  The registry belongs to the
    engine, so components read [Engine.metrics]; a tracer that stood in
    for it would make the registry's owner depend on how a run is
    traced. *)
-let in_obs src = Filename.basename (Filename.dirname src.name) = "obs"
+let in_obs src = Filename.basename (Filename.dirname src) = "obs"
 
 let check_path src loc path =
   match path with
-  | "Random" :: _ when base src.name <> "rng.ml" ->
+  | "Random" :: _ when base src <> "rng.ml" ->
       report src loc
         "use of the global Random module; draw from the seeded Util.Rng instead (determinism)"
   | [ "Unix"; ("gettimeofday" | "time") ] | [ "Sys"; "time" ] ->
@@ -143,31 +113,26 @@ let check_path src loc path =
           report src loc
             (Printf.sprintf
                "Hashtbl.%s visits in hash order; iterate a sorted or insertion-ordered key \
-                list (or mark lint-ok if the result is order-insensitive)"
+                list, a Map or an Int_table instead"
                field)
       | field :: _ :: _ when List.mem field partition_mutators ->
-          if not (List.mem (base src.name) mutator_whitelist) then
+          if not (List.mem (base src) mutator_whitelist) then
             report src loc
               (Printf.sprintf
                  "%s mutates partitioned bitmap state; only Infra/Cp may call it — post a \
                   message under the owning affinity instead"
                  field)
       | "record" :: "Sink" :: _ ->
-          if not (List.mem (base src.name) sink_whitelist) then
+          if not (List.mem (base src) sink_whitelist) then
             report src loc
               "Sink.record writes raw trace events; go through the Wafl_obs.Trace API \
                (with_span / instant / complete) instead"
-      | "emit" :: "Health" :: _ ->
-          if not (List.mem (base src.name) health_whitelist) then
-            report src loc
-              "Health.emit appends raw watchdog events; add a typed Health.rule evaluated \
-               at window seal instead"
       | "discard" :: "Disk" :: _ ->
-          if not (String.ends_with ~suffix:image_owner src.name) then
+          if not (String.ends_with ~suffix:image_owner src) then
             report src loc
               "Disk.discard drops a block image; only the aggregate's superblock publish may \
                discard, once no durable tree or snapshot can read the block"
-      | (("read" | "read_checked" | "read_exn" | "compact_key" | "compact_word") as field)
+      | (("read" | "read_exn" | "compact_key" | "compact_word") as field)
         :: "Disk" :: _ ->
           if not (in_storage src) then
             report src loc
@@ -176,7 +141,7 @@ let check_path src loc path =
                   (Aggregate.read_pvbn in the file system) instead"
                  field)
       | "recycle" :: "Packed" :: _ ->
-          if not (String.ends_with ~suffix:image_owner src.name) then
+          if not (String.ends_with ~suffix:image_owner src) then
             report src loc
               "Packed.recycle hands an image's buffer to a spare pool for refilling; only the \
                aggregate's superblock publish may recycle, and only images it just discarded"
@@ -186,7 +151,7 @@ let check_path src loc path =
               "Trace.metrics reaches the registry through a tracer; read the engine's own \
                registry with Engine.metrics instead"
       | field :: "Trace" :: _ when List.mem field causal_primitives ->
-          if not (List.mem (base src.name) causal_whitelist) then
+          if not (List.mem (base src) causal_whitelist) then
             report src loc
               (Printf.sprintf
                  "Trace.%s emits raw causal flow events; instrument through Wafl_obs.Causal \
@@ -194,26 +159,25 @@ let check_path src loc path =
                  field)
       | _ -> ())
 
-(* [Stdlib.Queue] in any path; reported even under lint-ok. *)
+(* [Stdlib.Queue] in any path. *)
 let check_queue src loc = function
   | "Queue" :: _ | "Stdlib" :: "Queue" :: _ ->
-      report_always src loc
+      report src loc
         "Stdlib.Queue links a cell per push, and once one cell of a busy queue is \
          promoted the minor GC promotes every later cell with its element, popped or not; \
-         use Wafl_util.Fifo (this rule takes no lint-ok)"
+         use Wafl_util.Fifo"
   | _ -> ()
 
 (* The one file allowed to name [Bigarray]. *)
 let slab_owner = "lib/util/slab.ml"
 
-(* [Bigarray] in any path outside the slab module; reported even under
-   lint-ok. *)
+(* [Bigarray] in any path outside the slab module. *)
 let check_bigarray src loc = function
   | ("Bigarray" :: _ | "Stdlib" :: "Bigarray" :: _)
-    when not (String.ends_with ~suffix:slab_owner src.name) ->
-      report_always src loc
+    when not (String.ends_with ~suffix:slab_owner src) ->
+      report src loc
         "Bigarray outside Wafl_util.Slab; keep off-heap bytes in a Slab, which owns the \
-         primitives and whose owners reuse their buffers (this rule takes no lint-ok)"
+         primitives and whose owners reuse their buffers"
   | _ -> ()
 
 (* Both path rules that hold wherever a module path appears. *)
@@ -285,7 +249,7 @@ let check_catch_all src (cases : Parsetree.case list) ~in_try =
       let flag loc =
         report src loc
           "catch-all exception handler swallows typed faults (e.g. Nvlog.Exhausted); match \
-           the exceptions you mean, or mark lint-ok with a reason"
+           the exceptions you mean"
       in
       if in_try then begin
         if catch_all c.pc_lhs then flag c.pc_lhs.ppat_loc
@@ -332,16 +296,13 @@ let iterator src =
   { default_iterator with expr; open_description; typ; module_expr }
 
 let lint_file path =
-  let text, lines = read_lines path in
-  let src = { name = path; lines } in
-  Array.iter (fun line -> if contains_sub line "lint-ok" then incr escapes) lines;
-  let lexbuf = Lexing.from_string text in
+  let lexbuf = Lexing.from_string (In_channel.with_open_bin path In_channel.input_all) in
   Location.init lexbuf path;
   match Parse.implementation lexbuf with
   | ast ->
-      let it = iterator src in
+      let it = iterator path in
       it.Ast_iterator.structure it ast;
-      check_module_state src ast
+      check_module_state path ast
   | exception _ ->
       incr findings;
       Printf.printf "%s:1: parse error (file skipped)\n" path
@@ -358,27 +319,9 @@ let rec walk path =
   else if Filename.check_suffix path ".ml" then lint_file path
 
 let () =
-  let max_lint_ok = ref None and roots = ref [] in
-  Arg.parse
-    [
-      ( "--max-lint-ok",
-        Arg.Int (fun n -> max_lint_ok := Some n),
-        "N fail when the linted files carry more than N lint-ok escapes" );
-    ]
-    (fun root -> roots := root :: !roots)
-    "wafl_lint [--max-lint-ok N] [PATH ...]";
+  let roots = ref [] in
+  Arg.parse [] (fun root -> roots := root :: !roots) "wafl_lint [PATH ...]";
   List.iter walk (if !roots = [] then [ "lib" ] else List.rev !roots);
-  (match !max_lint_ok with
-  | Some ceiling when !escapes > ceiling ->
-      incr findings;
-      Printf.printf
-        "%d lint-ok escapes exceed the checked-in ceiling of %d; fix the new finding instead \
-         of suppressing it\n"
-        !escapes ceiling
-  | Some ceiling when !escapes < ceiling ->
-      Printf.printf "note: %d lint-ok escapes, below the ceiling of %d; lower the ceiling\n" !escapes
-        ceiling
-  | Some _ | None -> ());
   if !findings > 0 then begin
     Printf.printf "wafl_lint: %d finding(s)\n" !findings;
     exit 1
