@@ -58,9 +58,7 @@ val flush_and_wait : t -> unit
 
 (** {1 Statistics} *)
 
-val buffers_cleaned : t -> int
 val inodes_cleaned : t -> int
-val messages_processed : t -> int
 
 val utilization_busy : t -> float
 (** Cumulative virtual µs cleaners spent busy (for the dynamic tuner). *)

@@ -49,7 +49,6 @@ type t = {
   completion : Sync.Waitq.t;
   mutable n_cps : int;
   mutable last_duration : float;
-  mutable last_buffers : int;
   mutable last_meta : int;
   mutable last_passes : int;
   mutable phase : string;
@@ -692,7 +691,6 @@ let run_cp_body t =
   if not chaos.publish_before_quiesce then publish_commit t;
   t.n_cps <- t.n_cps + 1;
   t.last_duration <- Engine.now t.eng -. started;
-  t.last_buffers <- buffers_total;
   t.last_meta <- meta_blocks;
   t.last_passes <- passes;
   Metrics.observe t.h_cp t.last_duration;
@@ -779,7 +777,6 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra pool cfg =
       completion = Sync.Waitq.create eng;
       n_cps = 0;
       last_duration = 0.0;
-      last_buffers = 0;
       last_meta = 0;
       last_passes = 0;
       phase = "idle";
@@ -809,6 +806,5 @@ let running t = t.is_running
 let phase t = t.phase
 let cps_completed t = t.n_cps
 let b2b_cps t = t.n_b2b
-let buffers_last_cp t = t.last_buffers
 let meta_blocks_last_cp t = t.last_meta
 let meta_passes_last_cp t = t.last_passes

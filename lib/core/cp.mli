@@ -35,8 +35,9 @@ val create : ?obs:Wafl_obs.Trace.t -> Infra.t -> Cleaner_pool.t -> config -> t
     timer fiber.  [obs] (default disabled) records the CP phase timeline:
     one ["cp <phase>"] span per phase and a whole-["CP"] span with
     buffer/metafile counts.  The engine's registry gets per-phase
-    duration histograms (["cp.phase_us.<phase>"]) and CP count/duration
-    metrics.  Every CP runs under its aggregate's chaos plan
+    duration histograms (["cp.phase_us.<phase>"]), CP count/duration
+    metrics and the counter ["cp.buffers_cleaned"], to which each CP adds
+    the buffers it cleaned when it commits.  Every CP runs under its aggregate's chaos plan
     ({!Wafl_fs.Aggregate.chaos}).  The CP
     count and the back-to-back counts ({!b2b_cps} and its episodes) are
     published as the pull counters ["cp.count"], ["cp.b2b"] and
@@ -63,7 +64,6 @@ val b2b_cps : t -> int
     log-half-full trigger already reached again (paper §II-C).  Maximal
     runs of them are published as ["cp.b2b_episodes"]. *)
 
-val buffers_last_cp : t -> int
 val meta_blocks_last_cp : t -> int
 val meta_passes_last_cp : t -> int
 (** Iterations the metafile fixpoint took (bounded; typically 2-3). *)

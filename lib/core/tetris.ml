@@ -9,8 +9,6 @@ type t = {
   m_fill : Metrics.histo;
   mutable batch : Wafl_fs.Layout.block Raid.batch option; (* taken at the first enqueue *)
   mutable outstanding : int;
-  mutable ios : int;
-  mutable blocks : int;
 }
 
 let create ?(obs = Wafl_obs.Trace.disabled) eng ~cost ~raid ~expected_buckets =
@@ -24,8 +22,6 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cost ~raid ~expected_buckets =
     m_fill = Metrics.histogram (Engine.metrics eng) "tetris.fill_blocks";
     batch = None;
     outstanding = expected_buckets;
-    ios = 0;
-    blocks = 0;
   }
 
 (* The tetris dispatch structure is lock-protected in real WAFL (the I/O
@@ -58,8 +54,6 @@ let submit_now t =
       let blocks = Raid.batch_length b in
       Metrics.observe t.m_fill (float_of_int blocks);
       t.batch <- None;
-      t.ios <- t.ios + 1;
-      t.blocks <- t.blocks + blocks;
       let submit () = Raid.submit_batch t.raid b ~on_complete:(fun () -> ()) in
       if t.obs_on then
         Wafl_obs.Trace.with_span t.obs ~cat:"tetris" ~name:"stripe fill"
@@ -72,9 +66,6 @@ let bucket_done t =
   dispatch_probe t;
   t.outstanding <- t.outstanding - 1;
   if t.outstanding <= 0 then submit_now t
-
-let ios_submitted t = t.ios
-let blocks_submitted t = t.blocks
 
 (* Temperature classifier for the flash [streams] policy: every metafile
    class is hot (re-dirtied each CP), and a data block is hot when its

@@ -27,7 +27,8 @@ val create :
 (** [obs] (default disabled) records a ["stripe fill"] span per submitted
     I/O.  The tetris fill — blocks accumulated per submitted I/O, the
     quantity behind the full-vs-partial-stripe mix — goes to the engine's
-    ["tetris.fill_blocks"] histogram. *)
+    ["tetris.fill_blocks"] histogram, one sample per submitted I/O: its
+    count is the I/Os submitted and its sum the blocks they carry. *)
 
 val enqueue : t -> vbn:int -> payload:Wafl_fs.Layout.block -> unit
 (** Append a block image, packed through the disk codec when it packs. *)
@@ -42,9 +43,6 @@ val bucket_done : t -> unit
 
 val submit_now : t -> unit
 (** Submit whatever has accumulated (no-op when empty). *)
-
-val ios_submitted : t -> int
-val blocks_submitted : t -> int
 
 val make_temperature_stream : unit -> int -> Wafl_fs.Layout.block option -> int
 (** Build a flash write-stream classifier ({!Wafl_storage.Raid.set_stream_of}:

@@ -404,17 +404,12 @@ let lpn_count t = t.lpns
 let block_count t = t.nblocks
 let logical_pages t = t.lblocks * t.cfg.pages_per_block
 let stream_appended t = Array.map Stream.appended t.streams_tbl
-let host_pages t = t.host_pages
 let gc_pages t = t.gc_pages
 let erases t = t.erases
 let trims t = t.trims
 let free_blocks t = t.free_count
 
 let valid_pages t = Array.fold_left ( + ) 0 t.valid
-
-let waf t =
-  if t.host_pages = 0 then 1.0
-  else float_of_int (t.host_pages + t.gc_pages) /. float_of_int t.host_pages
 
 let max_wear t = Array.fold_left max 0 t.wear
 

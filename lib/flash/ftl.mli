@@ -87,7 +87,6 @@ val stream_appended : t -> int array
 (** Lifetime pages appended per stream (index [streams] is the internal
     GC relocation stream). *)
 
-val host_pages : t -> int
 val gc_pages : t -> int
 val erases : t -> int
 
@@ -95,10 +94,6 @@ val trims : t -> int
 val free_blocks : t -> int
 val valid_pages : t -> int
 val max_wear : t -> int
-
-val waf : t -> float
-(** Measured write amplification, [(host + gc pages) / host pages];
-    [1.0] before any host write. *)
 
 val block_of_lpn : t -> int -> int
 (** Erase block currently holding [lpn], [-1] if unmapped. *)

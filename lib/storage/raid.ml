@@ -46,8 +46,6 @@ type 'b t = {
   queue : 'b request Sync.Channel.t;
   done_q : Sync.Waitq.t;
   mutable outstanding : int;
-  mutable ios : int;
-  mutable blocks : int;
   mutable full : int;
   mutable partial : int;
   mutable busy : float;
@@ -55,8 +53,6 @@ type 'b t = {
   mutable degraded : bool;
   mutable rebuild_spawned : bool;
   mutable failed_writes : (Geometry.vbn * 'b) list; (* newest first *)
-  mutable retries : int;
-  mutable degraded_reads_served : int;
   mutable rebuilt : int;
 }
 
@@ -266,7 +262,6 @@ let service_fiber t () =
                 else if n >= Fault.max_retries f then `Give_up
                 else begin
                   Fault.note_transient_retry f;
-                  t.retries <- t.retries + 1;
                   Engine.sleep backoff;
                   t.busy <- t.busy +. backoff;
                   attempt (n + 1) (backoff *. 2.0)
@@ -301,8 +296,6 @@ let service_fiber t () =
             ();
         write_batch t batch ~give_up:(outcome = `Give_up);
         recycle t batch;
-        t.ios <- t.ios + 1;
-        t.blocks <- t.blocks + nblocks;
         t.full <- t.full + full;
         t.partial <- t.partial + partial;
         t.busy <- t.busy +. service;
@@ -341,16 +334,12 @@ let create ?(queue_depth = 4) ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost 
       queue = Sync.Channel.create eng;
       done_q = Sync.Waitq.create eng;
       outstanding = 0;
-      ios = 0;
-      blocks = 0;
       full = 0;
       partial = 0;
       busy = 0.0;
       degraded = false;
       rebuild_spawned = false;
       failed_writes = [];
-      retries = 0;
-      degraded_reads_served = 0;
       rebuilt = 0;
     }
   in
@@ -419,7 +408,6 @@ let read_path t vbn =
         end
         else begin
           Fault.note_degraded_read fault;
-          t.degraded_reads_served <- t.degraded_reads_served + 1;
           `Degraded
         end
       end
@@ -440,7 +428,6 @@ let read_path t vbn =
         else begin
           Fault.note_media_error fault;
           Fault.note_degraded_read fault;
-          t.degraded_reads_served <- t.degraded_reads_served + 1;
           (* The reconstructed block is rewritten, repairing the sector. *)
           Fault.clear_media_error fault vbn;
           `Degraded
@@ -501,11 +488,5 @@ let take_failed t =
   List.rev failed
 
 let degraded t = t.degraded
-let ios_completed t = t.ios
-let blocks_written t = t.blocks
-let full_stripes t = t.full
-let partial_stripes t = t.partial
 let device_busy t = t.busy
-let transient_retries t = t.retries
-let degraded_reads t = t.degraded_reads_served
 let rebuild_blocks t = t.rebuilt

@@ -16,8 +16,9 @@
     I/O's batch is emptied (keeping no payload reachable) and handed out
     again by {!batch}; its arrays grow on demand.
 
-    Statistics exposed here (full vs partial stripe counts) back the
-    allocation-quality ablation benchmarks.
+    The group's counts (I/Os, blocks, full vs partial stripes, which
+    back the allocation-quality ablation benchmarks) are published to the
+    engine's metrics registry ({!create}) and read there by name.
 
     Failure surface: when a {!Fault} plan is attached to the disk, I/Os
     can fail transiently (retried with bounded exponential backoff in
@@ -25,8 +26,10 @@
     writes to the CP engine for re-allocation); a scheduled whole-disk
     loss flips the group into degraded mode, where {!read} reconstructs
     lost blocks from the parity model while a background rebuild fiber
-    (label ["rebuild"]) recreates the drive, its progress and device-busy
-    cost observable through {!rebuild_blocks} and {!device_busy}. *)
+    (label ["rebuild"]) recreates the drive.  The plan counts transient
+    retries and degraded reads ({!Fault.transient_retries},
+    {!Fault.degraded_reads}); the rebuild's progress is
+    {!rebuild_blocks}. *)
 
 type 'b t
 
@@ -41,15 +44,17 @@ val create :
   'b t
 (** Spawns [queue_depth] (default 4) service fibers labelled ["io"].
     [obs] (default disabled) records a ["raid io"] span per serviced I/O
-    with stripe mix args.  The engine's registry gets service-time
-    histogram and I/O counters under the ["raid."] metric prefix; the
-    group's own stripe and rebuild counts are published as the pull
-    counters ["raid.full_stripes"], ["raid.partial_stripes"] and
-    ["rebuild.blocks"] and the pull gauge ["rebuild.active"] (1 while
-    degraded), each summed over the engine's groups.  [flash] (default none) attaches an
-    FTL media model: durable writes additionally program NAND pages —
-    charging program time and GC-induced stalls to the I/O before its
-    completion is signalled — and freed blocks should be {!trim}med. *)
+    with stripe mix args.  The engine's registry gets the service- and
+    wait-time histograms ["raid.io_service_us"] and ["raid.io_wait_us"]
+    and the counters ["raid.ios"] and ["raid.blocks"] (I/Os serviced,
+    blocks they carried); the group's own stripe and rebuild counts are
+    published as the pull counters ["raid.full_stripes"],
+    ["raid.partial_stripes"] and ["rebuild.blocks"] and the pull gauge
+    ["rebuild.active"] (1 while degraded), each summed over the engine's
+    groups.  [flash] (default none) attaches an FTL media model: durable
+    writes additionally program NAND pages — charging program time and
+    GC-induced stalls to the I/O before its completion is signalled —
+    and freed blocks should be {!trim}med. *)
 
 val rg : 'b t -> int
 
@@ -132,14 +137,8 @@ val take_failed : 'b t -> (Geometry.vbn * 'b) list
 val degraded : 'b t -> bool
 (** A drive of this group is lost and not yet fully rebuilt. *)
 
-val ios_completed : 'b t -> int
-val blocks_written : 'b t -> int
-val full_stripes : 'b t -> int
-val partial_stripes : 'b t -> int
 val device_busy : 'b t -> float
 (** Total device service time consumed, in virtual µs (includes retry
     backoff and rebuild work). *)
 
-val transient_retries : 'b t -> int
-val degraded_reads : 'b t -> int
 val rebuild_blocks : 'b t -> int

@@ -18,7 +18,6 @@ type node = {
   post_kind : string; (* "post " ^ kind: the causal-edge kind for this node *)
   mutable wait_h : Metrics.histo option; (* registered on first use *)
   mutable service_h : Metrics.histo option;
-  mutable executed_n : int ref; (* this kind's [by_kind] cell; the filler's until the first *)
 }
 
 and msg = {
@@ -57,9 +56,7 @@ type t = {
   mutable hp_seq : int array;
   mutable hp_node : node array;
   mutable hp_len : int;
-  filler : node;
-      (* fills empty heap and stash slots and is never granted; its
-         [executed_n] marks a node whose kind has no count cell yet *)
+  filler : node; (* fills empty heap and stash slots; never granted *)
   (* Nodes popped but not grantable during the current dispatch round;
      re-pushed when the round ends.  Within a round grantability only
      shrinks (grants add blockers, releases re-enter dispatch), so a
@@ -70,9 +67,6 @@ type t = {
   mutable next_seq : int;
   mutable pending_count : int;
   mutable executing : int;
-  mutable executed : int;
-  by_kind_tbl : (string, int ref) Hashtbl.t;
-  mutable by_kind : (string * int ref) list; (* same refs, kind-sorted *)
   idle : Sync.Waitq.t; (* drain waiters *)
   (* Parked workers, a stack: [idle_workers.(n_idle - 1)] parked last.
      Slots at and above [n_idle] are stale (workers live as long as the
@@ -91,7 +85,7 @@ type t = {
          affinity, as if a grant guard were dropped *)
 }
 
-let new_node ~aff ~parent ~kind ~executed_n =
+let new_node ~aff ~parent ~kind =
   {
     aff;
     parent;
@@ -103,14 +97,13 @@ let new_node ~aff ~parent ~kind ~executed_n =
     post_kind = "post " ^ kind;
     wait_h = None;
     service_h = None;
-    executed_n;
   }
 
 let create ?workers ?isolation ?(obs = Wafl_obs.Trace.disabled) eng ~cost () =
   let workers = match workers with Some w -> w | None -> Engine.cores eng in
   if workers <= 0 then invalid_arg "Scheduler.create: workers must be positive";
   let m = Engine.metrics eng in
-  let filler = new_node ~aff:Affinity.Serial ~parent:None ~kind:"" ~executed_n:(ref 0) in
+  let filler = new_node ~aff:Affinity.Serial ~parent:None ~kind:"" in
   {
     eng;
     cost;
@@ -126,9 +119,6 @@ let create ?workers ?isolation ?(obs = Wafl_obs.Trace.disabled) eng ~cost () =
     next_seq = 0;
     pending_count = 0;
     executing = 0;
-    executed = 0;
-    by_kind_tbl = Hashtbl.create 16;
-    by_kind = [];
     idle = Sync.Waitq.create eng;
     idle_workers = Array.make 8 { node = filler; msg = no_msg; fiber = None };
     n_idle = 0;
@@ -150,9 +140,7 @@ let rec node t aff =
   | n -> n
   | exception Not_found ->
       let parent = Option.map (node t) (Affinity.parent aff) in
-      let n =
-        new_node ~aff ~parent ~kind:(Affinity.kind_name aff) ~executed_n:t.filler.executed_n
-      in
+      let n = new_node ~aff ~parent ~kind:(Affinity.kind_name aff) in
       Nodes.add t.nodes aff n;
       n
 
@@ -207,24 +195,6 @@ let service_histo t n =
       in
       n.service_h <- Some h;
       h
-
-let rec insert_sorted key r = function
-  | [] -> [ (key, r) ]
-  | (k, _) :: _ as rest when String.compare key k < 0 -> (key, r) :: rest
-  | kv :: rest -> kv :: insert_sorted key r rest
-
-(* The kind's cell is looked up once per node and cached on it. *)
-let count_kind t n =
-  if n.executed_n == t.filler.executed_n then
-    n.executed_n <-
-      (match Hashtbl.find_opt t.by_kind_tbl n.kind with
-      | Some r -> r
-      | None ->
-          let r = ref 0 in
-          Hashtbl.add t.by_kind_tbl n.kind r;
-          t.by_kind <- insert_sorted n.kind r t.by_kind;
-          r);
-  incr n.executed_n
 
 (* --- the grantable-head heap (min-heap on head-message seq) --- *)
 
@@ -333,9 +303,7 @@ let exec t n m =
   Metrics.observe (service_histo t n) (Engine.now t.eng -. t0);
   Metrics.incr t.m_msgs;
   t.executing <- t.executing - 1;
-  t.executed <- t.executed + 1;
-  Metrics.set t.g_executing (float_of_int t.executing);
-  count_kind t n
+  Metrics.set t.g_executing (float_of_int t.executing)
 
 (* A worker executes its granted message, re-enters dispatch (the old
    per-message fiber did the same on its way out), then parks in the
@@ -456,9 +424,3 @@ let drain t =
   while t.executing > 0 || t.pending_count > 0 do
     Sync.Waitq.wait t.idle
   done
-
-let executed_total t = t.executed
-
-(* [by_kind] is maintained kind-sorted at insertion; no hash-order walk,
-   no re-sort per call. *)
-let executed_by_kind t = List.map (fun (k, r) -> (k, !r)) t.by_kind

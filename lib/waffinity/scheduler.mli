@@ -30,9 +30,10 @@ val create :
     against the message's affinity (see {!Isolation}).  [obs] (default
     disabled) wraps each message body in a ["msg <kind>"] span.  The
     engine's registry gets queue-wait and service-time histograms per
-    affinity kind
-    (["sched.wait_us.<kind>"], ["sched.service_us.<kind>"]) plus queue
-    depth gauges. *)
+    affinity kind (["sched.wait_us.<kind>"], ["sched.service_us.<kind>"],
+    the latter registered at a kind's first completion and observed once
+    per completed message), the completed-message counter
+    ["sched.messages"], and queue depth gauges. *)
 
 val isolation : t -> Isolation.t option
 
@@ -55,8 +56,4 @@ val post_wait : t -> affinity:Affinity.t -> label:string -> (unit -> 'a) -> 'a
 
 val drain : t -> unit
 (** Park until no message is queued or executing. *)
-
-val executed_total : t -> int
-val executed_by_kind : t -> (string * int) list
-(** Completed-message counts per affinity kind, sorted by kind name. *)
 

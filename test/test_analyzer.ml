@@ -168,11 +168,17 @@ let test_dead_export_flagged () =
     (List.map (fun x -> x.Exports.x_name) r.unused)
 
 let test_used_export_counted () =
-  (* Fix_user, itself under test/, is the one user of [live]. *)
+  (* Fix_user, itself under test/, is the one user of [live]; Fix_functor
+     passes the unit to [Hashtbl.Make], whose parameter takes [equal] and
+     [hash] and nothing else. *)
   let r = Lazy.force exports_fixture in
   Alcotest.(check (list (pair string (list string))))
-    "live is referenced from test/ only"
-    [ ("Fix_exports.live", [ "test/fixtures/exports/fix_user" ]) ]
+    "live, equal and hash are referenced from test/ only"
+    [
+      ("Fix_exports.equal", [ "test/fixtures/exports/fix_functor" ]);
+      ("Fix_exports.hash", [ "test/fixtures/exports/fix_functor" ]);
+      ("Fix_exports.live", [ "test/fixtures/exports/fix_user" ]);
+    ]
     (List.map (fun (x, us) -> (x.Exports.x_name, us)) r.test_only)
 
 (* --- JSON round trip ---------------------------------------------------- *)

@@ -73,10 +73,12 @@ let test_tetris_submits_on_last_bucket () =
          Tetris.enqueue tetris ~vbn:0 ~payload:(data 0);
          Tetris.enqueue tetris ~vbn:1024 ~payload:(data 1024);
          Tetris.bucket_done tetris;
-         Alcotest.(check int) "no IO before last bucket" 0 (Tetris.ios_submitted tetris);
+         (* One fill sample per submitted I/O, its value the I/O's blocks. *)
+         Alcotest.(check int) "no IO before last bucket" 0
+           (Reg.histo_count eng "tetris.fill_blocks");
          Tetris.bucket_done tetris;
-         Alcotest.(check int) "IO on last bucket" 1 (Tetris.ios_submitted tetris);
-         Alcotest.(check int) "both blocks" 2 (Tetris.blocks_submitted tetris);
+         Alcotest.(check int) "IO on last bucket" 1 (Reg.histo_count eng "tetris.fill_blocks");
+         Alcotest.(check int) "both blocks" 2 (Reg.histo_sum eng "tetris.fill_blocks");
          Wafl_storage.Raid.quiesce raid;
          Alcotest.(check bool) "durable" true (Wafl_storage.Disk.read disk 0 <> None)));
   Engine.run eng
@@ -95,7 +97,7 @@ let test_tetris_submit_now_then_more () =
             picks them up (the CP metafile pass relies on this). *)
          Tetris.enqueue tetris ~vbn:2 ~payload:(data 2);
          Tetris.submit_now tetris;
-         Alcotest.(check int) "two IOs" 2 (Tetris.ios_submitted tetris);
+         Alcotest.(check int) "two IOs" 2 (Reg.histo_count eng "tetris.fill_blocks");
          Wafl_storage.Raid.quiesce raid;
          Alcotest.(check bool) "late block durable" true
            (Wafl_storage.Disk.read disk 2 <> None)));
@@ -335,7 +337,7 @@ let test_pool_cleans_and_is_idempotent_on_wait () =
       Cleaner_pool.wait_idle pool;
       Cleaner_pool.wait_idle pool;
       (* second wait returns immediately *)
-      Alcotest.(check int) "ten buffers cleaned" 10 (Cleaner_pool.buffers_cleaned pool);
+      Alcotest.(check int) "ten buffers cleaned" 10 (Reg.count st.eng "cleaner.buffers");
       Alcotest.(check int) "one inode" 1 (Cleaner_pool.inodes_cleaned pool);
       (* Every cleaned fbn now has a vvbn and a container mapping. *)
       for fbn = 0 to 9 do
@@ -411,9 +413,17 @@ let test_tuner_deactivates_when_idle () =
 
 (* --- CP engine specifics --- *)
 
+(* Fiber context: run one CP and return the buffers it cleaned, the
+   change in the registry's running total across it. *)
+let cp_buffers st cp =
+  let before = Reg.count st.eng "cp.buffers_cleaned" in
+  Cp.run_now cp;
+  Reg.count st.eng "cp.buffers_cleaned" - before
+
 let test_cp_converges_and_counts () =
   let st = make_stack () in
   let cp = Walloc.cp st.walloc in
+  let cleaned = ref (-1) in
   in_sim st (fun () ->
       let f = Aggregate.create_file st.agg ~vol:(Volume.id st.vol) in
       for fbn = 0 to 499 do
@@ -421,8 +431,8 @@ let test_cp_converges_and_counts () =
           (Aggregate.write st.agg ~vol:(Volume.id st.vol) ~file:(File.id f) ~fbn
              ~content:(Int64.of_int fbn))
       done;
-      Cp.run_now cp);
-  Alcotest.(check int) "buffers counted" 500 (Cp.buffers_last_cp cp);
+      cleaned := cp_buffers st cp);
+  Alcotest.(check int) "buffers counted" 500 !cleaned;
   Alcotest.(check bool) "meta blocks written" true (Cp.meta_blocks_last_cp cp > 0);
   Alcotest.(check bool)
     (Printf.sprintf "fixpoint converged in %d passes" (Cp.meta_passes_last_cp cp))
@@ -433,18 +443,18 @@ let test_cp_converges_and_counts () =
 let test_cp_empty_is_cheap_and_correct () =
   let st = make_stack () in
   let cp = Walloc.cp st.walloc in
+  let cleaned = ref (-1) in
   in_sim st (fun () ->
       Cp.run_now cp;
-      Cp.run_now cp);
+      cleaned := cp_buffers st cp);
   Alcotest.(check int) "two CPs" 2 (Cp.cps_completed cp);
-  Alcotest.(check int) "nothing cleaned" 0 (Cp.buffers_last_cp cp);
+  Alcotest.(check int) "nothing cleaned" 0 !cleaned;
   Aggregate.fsck st.agg
 
 let test_cp_batching_reduces_messages () =
   let messages_with batching =
     let cfg = { Walloc.default_config with batching } in
     let st = make_stack ~cfg () in
-    let pool = Walloc.pool st.walloc in
     in_sim st (fun () ->
         (* Many small files: one dirty buffer each. *)
         for _ = 1 to 60 do
@@ -454,7 +464,7 @@ let test_cp_batching_reduces_messages () =
                ~content:1L)
         done;
         Cp.run_now (Walloc.cp st.walloc));
-    Cleaner_pool.messages_processed pool
+    Reg.count st.eng "cleaner.messages"
   in
   let batched = messages_with true and unbatched = messages_with false in
   Alcotest.(check bool)
@@ -476,9 +486,9 @@ let test_cp_segments_large_inode () =
       done;
       Cp.run_now (Walloc.cp st.walloc));
   (* 450 buffers / 100 per segment = 5 messages for one inode. *)
-  Alcotest.(check int) "five segments" 5 (Cleaner_pool.messages_processed pool);
+  Alcotest.(check int) "five segments" 5 (Reg.count st.eng "cleaner.messages");
   Alcotest.(check int) "inode counted once" 1 (Cleaner_pool.inodes_cleaned pool);
-  Alcotest.(check int) "all buffers cleaned" 450 (Cleaner_pool.buffers_cleaned pool);
+  Alcotest.(check int) "all buffers cleaned" 450 (Reg.count st.eng "cleaner.buffers");
   Aggregate.fsck st.agg
 
 let () =

@@ -307,16 +307,12 @@ let test_full_stripe_writes_dominate_sequential () =
       let f = Aggregate.create_file env.agg ~vol:(Volume.id env.vol) in
       write_file env ~file:(File.id f) ~blocks:3000 ~gen:0;
       run_cp env);
-  let full = ref 0 and partial = ref 0 in
-  Array.iter
-    (fun raid ->
-      full := !full + Wafl_storage.Raid.full_stripes raid;
-      partial := !partial + Wafl_storage.Raid.partial_stripes raid)
-    (Aggregate.raid_groups env.agg);
+  (* Summed over both RAID groups. *)
+  let full = Reg.count env.eng "raid.full_stripes"
+  and partial = Reg.count env.eng "raid.partial_stripes" in
   Alcotest.(check bool)
-    (Printf.sprintf "full stripes dominate (%d full vs %d partial)" !full !partial)
-    true
-    (!full > !partial)
+    (Printf.sprintf "full stripes dominate (%d full vs %d partial)" full partial)
+    true (full > partial)
 
 let test_delete_file_reclaims_space () =
   let env = make_env () in

@@ -105,6 +105,22 @@ let test_metrics () =
   Alcotest.(check bool) "its registry is the engine's" true
     (Trace.metrics off == Engine.metrics eng)
 
+(* The suites' checked reader: where the registry reads an unknown name
+   as 0, [Reg] fails the test, so a misspelt name cannot pass a check
+   that expects 0. *)
+let test_checked_reader () =
+  let eng = Engine.create ~cores:1 () in
+  let m = Engine.metrics eng in
+  ignore (Metrics.counter m "raid.ios");
+  ignore (Metrics.histogram m "tetris.fill_blocks");
+  Alcotest.(check int) "registered counter reads" 0 (Reg.count eng "raid.ios");
+  Alcotest.(check int) "registered histogram reads" 0 (Reg.histo_count eng "tetris.fill_blocks");
+  let fails f =
+    Alcotest.match_raises "misspelt name fails" (fun _ -> true) (fun () -> ignore (f ()))
+  in
+  fails (fun () -> Reg.count eng "raid.iso");
+  fails (fun () -> Reg.histo_count eng "tetris.fil_blocks")
+
 (* Pull instruments: a component publishes a value it keeps anyway. *)
 let test_pull_instruments () =
   let m = Metrics.create () in
@@ -256,6 +272,7 @@ let () =
         [
           Alcotest.test_case "registry" `Quick test_metrics;
           Alcotest.test_case "pull instruments" `Quick test_pull_instruments;
+          Alcotest.test_case "checked reader" `Quick test_checked_reader;
         ] );
       ( "export",
         [

@@ -119,7 +119,7 @@ let test_serialized_infra_is_truly_serial () =
          Wafl_core.Cp.run_now (Wafl_core.Walloc.cp walloc)));
   Engine.run eng;
   (* In serialized mode no Range-affinity messages may execute. *)
-  let kinds = Wafl_waffinity.Scheduler.executed_by_kind (Wafl_core.Walloc.scheduler walloc) in
+  let kinds = Reg.histo_counts eng ~prefix:"sched.service_us." in
   List.iter
     (fun (kind, n) ->
       if kind = "agg_range" || kind = "vol_range" || kind = "volume_vbn" then

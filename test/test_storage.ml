@@ -465,9 +465,9 @@ let test_raid_full_vs_partial_stripes () =
       in
       submit raid ~writes ~on_complete:(fun () -> ());
       Raid.quiesce raid;
-      Alcotest.(check int) "one full stripe" 1 (Raid.full_stripes raid);
-      Alcotest.(check int) "one partial stripe" 1 (Raid.partial_stripes raid);
-      Alcotest.(check int) "five blocks" 5 (Raid.blocks_written raid);
+      Alcotest.(check int) "one full stripe" 1 (Reg.count eng "raid.full_stripes");
+      Alcotest.(check int) "one partial stripe" 1 (Reg.count eng "raid.partial_stripes");
+      Alcotest.(check int) "five blocks" 5 (Reg.count eng "raid.blocks");
       Raid.shutdown raid)
 
 (* Random I/Os (duplicate blocks included) against a per-dbn Hashtbl
@@ -500,7 +500,8 @@ let prop_stripe_mix_matches_tally =
             ios;
           Raid.quiesce raid;
           Raid.shutdown raid;
-          Raid.full_stripes raid = !full && Raid.partial_stripes raid = !partial))
+          Reg.count eng "raid.full_stripes" = !full
+          && Reg.count eng "raid.partial_stripes" = !partial))
 
 let test_raid_partial_pays_parity_penalty () =
   let g = geom () in
@@ -557,7 +558,7 @@ let test_raid_many_ios_in_order_counts () =
           ~on_complete:(fun () -> ())
       done;
       Raid.quiesce raid;
-      Alcotest.(check int) "all IOs done" 10 (Raid.ios_completed raid);
+      Alcotest.(check int) "all IOs done" 10 (Reg.count eng "raid.ios");
       Raid.shutdown raid)
 
 (* --- Fault injection --- *)
@@ -580,7 +581,7 @@ let test_media_error_reconstructed_and_repaired () =
       (match Raid.read raid vbn with
       | `Ok v -> Alcotest.(check int) "sector repaired" 41 v
       | _ -> Alcotest.fail "expected a clean read after repair");
-      Alcotest.(check int) "degraded read counted" 1 (Raid.degraded_reads raid);
+      Alcotest.(check int) "degraded read counted" 1 (Fault.degraded_reads plan);
       Alcotest.(check int) "media error counted" 1 (Fault.media_errors_seen plan);
       Raid.shutdown raid)
 
@@ -602,7 +603,7 @@ let test_transient_failures_retried_in_virtual_time () =
           Alcotest.(check (option int)) "durable despite transients" (Some i)
             (Disk.read d (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:i))
         done;
-        let retries = Raid.transient_retries raid and busy = Raid.device_busy raid in
+        let retries = Fault.transient_retries plan and busy = Raid.device_busy raid in
         Raid.shutdown raid;
         (retries, busy))
   in
@@ -694,7 +695,7 @@ let test_shutdown_drains_queued_ios () =
       done;
       Raid.shutdown raid;
       Raid.quiesce raid;
-      Alcotest.(check int) "all queued IOs completed" 12 (Raid.ios_completed raid);
+      Alcotest.(check int) "all queued IOs completed" 12 (Reg.count eng "raid.ios");
       for i = 0 to 11 do
         Alcotest.(check (option int)) "payload durable" (Some i)
           (Disk.read d (Geometry.vbn_of g ~rg:0 ~drive:0 ~dbn:i))
@@ -843,7 +844,7 @@ let test_quiesce_races_concurrent_submit () =
          Engine.sleep 10.0;
          let r = Option.get !raid in
          Raid.quiesce r;
-         ios_at_quiesce := Raid.ios_completed r;
+         ios_at_quiesce := Reg.count eng "raid.ios";
          Raid.shutdown r));
   Engine.run eng;
   Alcotest.(check int) "quiesce covered the racing submits" 3 !ios_at_quiesce

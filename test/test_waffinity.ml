@@ -59,11 +59,11 @@ let run_sched ?(cores = 8) ?workers f =
   let sched = Scheduler.create ?workers eng ~cost:Cost.default () in
   f eng sched;
   Engine.run eng;
-  sched
+  eng
 
 let test_messages_execute () =
   let count = ref 0 in
-  let sched =
+  let eng =
     run_sched (fun _eng sched ->
         for i = 0 to 9 do
           Scheduler.post sched
@@ -73,7 +73,7 @@ let test_messages_execute () =
         done)
   in
   Alcotest.(check int) "all executed" 10 !count;
-  Alcotest.(check int) "stat agrees" 10 (Scheduler.executed_total sched)
+  Alcotest.(check int) "stat agrees" 10 (Reg.count eng "sched.messages")
 
 let test_same_affinity_serializes () =
   let eng = Engine.create ~cores:8 () in
@@ -215,7 +215,7 @@ let test_blocked_message_does_not_block_younger_compatible () =
   Alcotest.(check string) "agg1 ran first" "agg1" (List.nth (List.rev !order) 0)
 
 let test_executed_by_kind () =
-  let sched =
+  let eng =
     run_sched (fun _eng sched ->
         Scheduler.post sched ~affinity:(Affinity.Stripe (0, 0, 0)) ~label:"x" (fun () -> ());
         Scheduler.post sched ~affinity:(Affinity.Stripe (0, 0, 1)) ~label:"x" (fun () -> ());
@@ -224,7 +224,7 @@ let test_executed_by_kind () =
   Alcotest.(check (list (pair string int)))
     "kind counts"
     [ ("agg_range", 1); ("stripe", 2) ]
-    (Scheduler.executed_by_kind sched)
+    (Reg.histo_counts eng ~prefix:"sched.service_us.")
 
 let test_drain () =
   let eng = Engine.create ~cores:4 () in

@@ -12,8 +12,13 @@
    re-exporting [include].  Matching on that location is exact where a
    name match would be fooled by shadowing.  A module passed whole to a
    functor ([Hashtbl.Make (Affinity)]) uses the values the functor's
-   parameter asks for; those are matched by unit and name, and when the
-   module passes uncoerced, all of its values count as used.
+   parameter asks for: the application's coercion gives, for each
+   runtime component of the parameter's signature, the position of the
+   argument's component it takes, and the argument's interface names the
+   value at that position ([equal] and [hash], not [Affinity.ancestors]).
+   Those are matched by unit and name.  When the argument passes with no
+   coercion (its layout is the parameter's), all of its values count as
+   used.
 
    A value with no reference outside its own unit is "unused"; one whose
    only outside references come from test/ is "test-only".  Both counts
@@ -51,13 +56,32 @@ let rec sig_values prefix (sg : Typedtree.signature) =
       | _ -> [])
     sg.sig_items
 
+(* A signature's runtime components (Includemod's: what a module of that
+   signature holds at run time), in layout order: a value's name, or
+   [None] for a module, class or extension constructor. *)
+let runtime_values (sg : Types.signature) =
+  List.filter_map
+    (function
+      | Types.Sig_value (_, { val_kind = Val_prim _; _ }, _)
+      | Sig_type _ | Sig_modtype _ | Sig_class_type _
+      | Sig_module (_, Mp_absent, _, _, _) ->
+          None
+      | Sig_value (id, _, _) -> Some (Some (Ident.name id))
+      | Sig_typext _ | Sig_module (_, Mp_present, _, _, _) | Sig_class _ -> Some None)
+    sg
+  |> Array.of_list
+
 let analyze ~prefix dirs =
+  (* Unit -> its interface's runtime components, to name what a functor
+     application takes from an argument by position. *)
+  let layouts = Hashtbl.create 64 in
   let exports =
     read_cmts ~suffix:".cmti" dirs
     |> List.concat_map (fun (src, cmt) ->
            match cmt.Cmt_format.cmt_annots with
            | Cmt_format.Interface sg when String.starts_with ~prefix src ->
                let unit_ = Collect.norm_part cmt.Cmt_format.cmt_modname in
+               Hashtbl.replace layouts unit_ (runtime_values sg.sig_type);
                List.map
                  (fun (name, loc) -> (key loc, { x_name = unit_ ^ "." ^ name; x_loc = Ir.loc_of loc }))
                  (sig_values "" sg)
@@ -83,16 +107,23 @@ let analyze ~prefix dirs =
           let module_expr it (me : Typedtree.module_expr) =
             (match me.mod_desc with
             | Tmod_apply
-                (_, { mod_desc = Tmod_constraint ({ mod_desc = Tmod_ident (p, _); _ }, _, _, c); _ }, _)
-              ->
+                (_, { mod_desc = Tmod_constraint ({ mod_desc = Tmod_ident (p, _); _ }, _, _, _); _ }, c)
+              -> (
                 let m = List.hd (List.rev (Collect.path_parts p)) in
-                let rec uses = function
-                  | Typedtree.Tcoerce_structure (_, fs) ->
-                      List.iter (fun (id, _, _) -> use here (`Named (m ^ "." ^ Ident.name id))) fs
-                  | Tcoerce_alias (_, _, c) -> uses c
-                  | _ -> use here (`Whole m)
+                let value_at pos =
+                  match Hashtbl.find_opt layouts m with
+                  | Some a when pos < Array.length a -> a.(pos)
+                  | _ -> None
                 in
-                uses c
+                match c with
+                | Typedtree.Tcoerce_structure (taken, _) ->
+                    List.iter
+                      (fun (pos, _) ->
+                        match value_at pos with
+                        | Some v -> use here (`Named (m ^ "." ^ v))
+                        | None -> use here (`Whole m))
+                      taken
+                | _ -> use here (`Whole m))
             | _ -> ());
             Tast_iterator.default_iterator.module_expr it me
           in
