@@ -399,7 +399,7 @@ let top_run file live json out workload clients volumes cores measure_s seed win
           rcfg0 with
           Wafl_obs.Rollup.vol_budget_bytes =
             max Wafl_obs.Rollup.default_config.Wafl_obs.Rollup.vol_budget_bytes
-              ((windows + 1) * Wafl_obs.Rollup.vol_window_bytes rcfg0);
+              ((windows + 1) * Wafl_obs.Rollup.vol_window_bytes);
         }
       in
       let spec () =

@@ -131,15 +131,13 @@ let stage_phys t c pvbn =
       Infra.commit_frees ~owner:c.idx t.infra ~target:Stage.Phys
         ~vbns:(Stage.drain c.phys_stage) ~token:c.token
 
-let virt_stage t c vol =
+let virt_stage c vol =
   let vid = Volume.id vol in
   match Wafl_util.Int_table.find_opt c.virt_stages vid with
   | Some s -> s
   | None ->
       let s =
-        Stage.create
-          ~target:(Stage.Virt { vol = vid })
-          ~capacity:(Infra.config t.infra).Infra.stage_capacity
+        Stage.create ~target:(Stage.Virt { vol = vid }) ~capacity:Infra.stage_capacity
       in
       Wafl_util.Int_table.replace c.virt_stages vid s;
       s
@@ -147,7 +145,7 @@ let virt_stage t c vol =
 let stage_virt t c vol vvbn =
   charge t t.cost.Cost.stage_free;
   stage_probe t c;
-  let s = virt_stage t c vol in
+  let s = virt_stage c vol in
   match Stage.add s vvbn with
   | `Ok -> ()
   | `Full ->
@@ -253,8 +251,8 @@ let cleaner_loop t c () =
             ~num_args:(if t.causal_on then [ ("wait_us", t0 -. posted_at) ] else [])
             (fun () -> List.iter (clean_segment t c) segments)
         else List.iter (clean_segment t c) segments;
-        (* Cleaner fibers are reused across unrelated work items: drop any
-           leftover span/context so item A can never parent item B. *)
+        (* Cleaner fibers are reused across unrelated work items: drop the
+           leftover causal context so item A can never parent item B. *)
         if t.obs_on then Wafl_obs.Causal.fiber_reset t.obs;
         (* ["cleaner.work_msgs"] and ["cleaner.messages"] count the same
            messages, yet both stay: returning the last bucket can submit a
@@ -311,9 +309,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra ~max_threads ~initial_threads 
               queued = 0;
               phys = None;
               virt = None;
-              phys_stage =
-                Stage.create ~target:Stage.Phys
-                  ~capacity:(Infra.config infra).Infra.stage_capacity;
+              phys_stage = Stage.create ~target:Stage.Phys ~capacity:Infra.stage_capacity;
               virt_stages = Wafl_util.Int_table.create ();
               token;
               c_freed = Counters.token_cell token "cleaner_blocks_freed";

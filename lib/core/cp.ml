@@ -3,8 +3,6 @@ open Wafl_fs
 
 type config = {
   batching : bool;
-  batch_max_inodes : int;
-  batch_max_buffers : int;
   segment_buffers : int;
   timer_interval : float option;
   serial_cleaning : bool;
@@ -102,6 +100,11 @@ let load_fbns t file ~cursor =
   cursor := first + File.cp_buffer_count file;
   first
 
+(* A batch closes at 16 inodes or 64 dirty buffers, whichever comes
+   first. *)
+let batch_max_inodes = 16
+let batch_max_buffers = 64
+
 let build_work_seq t snapshot ~cursor =
   let units = ref [] in
   let batch = ref [] and batch_inodes = ref 0 and batch_buffers = ref 0 in
@@ -135,8 +138,8 @@ let build_work_seq t snapshot ~cursor =
             end
             else if t.cfg.batching then begin
               if
-                !batch_inodes >= t.cfg.batch_max_inodes
-                || !batch_buffers + n > t.cfg.batch_max_buffers && !batch_inodes > 0
+                !batch_inodes >= batch_max_inodes
+                || !batch_buffers + n > batch_max_buffers && !batch_inodes > 0
               then flush_batch ();
               batch := segment ~first ~len:n ~whole_inode:true :: !batch;
               incr batch_inodes;

@@ -12,9 +12,9 @@
     are split into segments processed by multiple cleaners in parallel. *)
 
 type config = {
-  batching : bool;  (** batch small inodes into one message *)
-  batch_max_inodes : int;
-  batch_max_buffers : int;
+  batching : bool;
+      (** batch small inodes into one message, up to 16 inodes or 64
+          dirty buffers per batch *)
   segment_buffers : int;  (** split inodes with more dirty buffers than this *)
   timer_interval : float option;  (** periodic CP trigger, virtual µs *)
   serial_cleaning : bool;

@@ -10,8 +10,9 @@ type config = {
   chunk : int;
   ranges : int;
   vol_buckets_per_cycle : int;
-  stage_capacity : int;
 }
+
+let stage_capacity = 64
 
 type rg_state = {
   rg : int;
@@ -51,7 +52,6 @@ type t = {
   commit_idle : Sync.Waitq.t;
 }
 
-let config t = t.cfg
 let aggregate t = t.agg
 let scheduler t = t.sched
 

@@ -21,8 +21,10 @@ type config = {
   chunk : int;  (** VBNs per bucket; "typically a multiple of 64" *)
   ranges : int;  (** Range-affinity instances per metafile *)
   vol_buckets_per_cycle : int;  (** concurrent vvbn buckets per volume *)
-  stage_capacity : int;  (** frees per stage before commit *)
 }
+
+val stage_capacity : int
+(** Frees a cleaner stages before committing them (64). *)
 
 type t
 
@@ -38,7 +40,6 @@ val create :
     sequential write, §V-A2) and ["infra.messages"]. *)
 
 val register_volume : t -> Wafl_fs.Volume.t -> unit
-val config : t -> config
 val aggregate : t -> Wafl_fs.Aggregate.t
 val scheduler : t -> Wafl_waffinity.Scheduler.t
 

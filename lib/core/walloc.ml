@@ -1,5 +1,4 @@
 type config = {
-  workers : int option;
   parallel_infra : bool;
   cleaner_threads : int;
   max_cleaner_threads : int;
@@ -7,11 +6,7 @@ type config = {
   tuner : Tuner.config;
   chunk : int;
   ranges : int;
-  vol_buckets : int;
-  stage_capacity : int;
   batching : bool;
-  batch_max_inodes : int;
-  batch_max_buffers : int;
   segment_buffers : int;
   cp_timer : float option;
   serial_cleaning : bool;
@@ -21,7 +16,6 @@ type config = {
 
 let default_config =
   {
-    workers = None;
     parallel_infra = true;
     cleaner_threads = 4;
     max_cleaner_threads = 8;
@@ -29,11 +23,7 @@ let default_config =
     tuner = Tuner.default_config;
     chunk = 128;
     ranges = 8;
-    vol_buckets = 8;
-    stage_capacity = 64;
     batching = true;
-    batch_max_inodes = 16;
-    batch_max_buffers = 64;
     segment_buffers = 4096;
     cp_timer = None;
     serial_cleaning = false;
@@ -69,7 +59,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) agg cfg =
     else None
   in
   let sched =
-    Wafl_waffinity.Scheduler.create ?workers:cfg.workers ?isolation ~obs eng
+    Wafl_waffinity.Scheduler.create ?isolation ~obs eng
       ~cost:(Wafl_fs.Aggregate.cost agg) ()
   in
   let infra =
@@ -82,8 +72,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) agg cfg =
            that parks while holding a physical bucket: with more virtual
            buckets than cleaner threads, the per-volume cache can never be
            fully drained by held buckets (deadlock avoidance). *)
-        vol_buckets_per_cycle = max cfg.vol_buckets (cfg.max_cleaner_threads + 2);
-        stage_capacity = cfg.stage_capacity;
+        vol_buckets_per_cycle = max 8 (cfg.max_cleaner_threads + 2);
       }
   in
   let pool =
@@ -94,8 +83,6 @@ let create ?(obs = Wafl_obs.Trace.disabled) agg cfg =
     Cp.create ~obs infra pool
       {
         Cp.batching = cfg.batching;
-        batch_max_inodes = cfg.batch_max_inodes;
-        batch_max_buffers = cfg.batch_max_buffers;
         segment_buffers = cfg.segment_buffers;
         timer_interval = cfg.cp_timer;
         serial_cleaning = cfg.serial_cleaning;

@@ -13,7 +13,6 @@
     matching the instrumented-kernel methodology of §V-A. *)
 
 type config = {
-  workers : int option;  (** Waffinity worker threads; default = cores *)
   parallel_infra : bool;
   cleaner_threads : int;  (** initial / static active cleaner count *)
   max_cleaner_threads : int;
@@ -21,11 +20,7 @@ type config = {
   tuner : Tuner.config;
   chunk : int;
   ranges : int;
-  vol_buckets : int;
-  stage_capacity : int;
   batching : bool;
-  batch_max_inodes : int;
-  batch_max_buffers : int;
   segment_buffers : int;
   cp_timer : float option;
   serial_cleaning : bool;
@@ -44,7 +39,13 @@ type config = {
 
 val default_config : config
 (** Full White Alligator: parallel infrastructure, 4 cleaner threads (max
-    8), no dynamic tuning, batching on. *)
+    8), no dynamic tuning, batching on.
+
+    Fixed in every configuration: the Waffinity scheduler has one worker
+    per engine core; each volume keeps [max 8 (max_cleaner_threads + 2)]
+    vvbn buckets in flight; a cleaner stages 64 frees before committing
+    them ({!Infra.stage_capacity}); and a batch closes at 16 inodes or 64
+    dirty buffers. *)
 
 val serialized_config : config
 (** The pre-White-Alligator baseline: one cleaner thread and serialized

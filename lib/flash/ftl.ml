@@ -10,20 +10,12 @@ open Wafl_sim
    come from a {!Wafl_util.Rng} derived from the config seed, all scans
    are index-ordered, and all waits are FIFO. *)
 
-type victim_policy = Greedy | Cost_benefit
-
 type config = {
   pages_per_block : int;  (* erase-block size in (4 KiB) pages *)
   logical_capacity : float;  (* advertised capacity, fraction of the lpn space *)
   op_ratio : float;  (* over-provisioned spare capacity, fraction of logical *)
-  gc_low : float;  (* GC starts when free blocks fall below this fraction of spare *)
-  gc_high : float;  (* ... and runs until free blocks reach this fraction *)
-  policy : victim_policy;
   streams : int;  (* host write streams; the FTL adds an internal GC stream *)
   prefill : float;  (* fraction of logical pages mapped at create (device aging) *)
-  page_program_us : float;
-  page_read_us : float;
-  block_erase_us : float;
   seed : int;
 }
 
@@ -32,16 +24,20 @@ let default_config =
     pages_per_block = 64;
     logical_capacity = 1.0;
     op_ratio = 0.10;
-    gc_low = 0.50;
-    gc_high = 0.75;
-    policy = Greedy;
     streams = 2;
     prefill = 0.0;
-    page_program_us = 8.0;
-    page_read_us = 4.0;
-    block_erase_us = 400.0;
     seed = 1;
   }
+
+(* NAND timing, virtual µs. *)
+let page_program_us = 8.0
+let page_read_us = 4.0
+let block_erase_us = 400.0
+
+(* GC wakes when free blocks fall below [gc_low] of the spare pool and
+   parks again once they reach [gc_high]. *)
+let gc_low = 0.50
+let gc_high = 0.75
 
 (* Free blocks only GC may take: the relocation stream must always be
    able to open a block, or a full device deadlocks against its own
@@ -62,7 +58,6 @@ type t = {
   p2l : int array;  (* ppn -> lpn while valid, -1 otherwise *)
   valid : int array;  (* per block: count of valid pages *)
   wear : int array;  (* per block: erase count *)
-  btime : float array;  (* per block: virtual time of last open (CB age) *)
   closed : bool array;  (* per block: fully programmed, GC candidate *)
   free_q : int Wafl_util.Fifo.t;  (* erased blocks, FIFO for natural wear rotation *)
   mutable free_count : int;
@@ -81,10 +76,10 @@ type t = {
 
 let probe t = Engine.probe_atomic t.eng ~shared:t.shared
 let spare t = t.nblocks - t.lblocks
-let low_blocks t = max (gc_reserve + 1) (int_of_float (t.cfg.gc_low *. float_of_int (spare t)))
+let low_blocks t = max (gc_reserve + 1) (int_of_float (gc_low *. float_of_int (spare t)))
 
 let high_blocks t =
-  max (low_blocks t + 1) (int_of_float (t.cfg.gc_high *. float_of_int (spare t)))
+  max (low_blocks t + 1) (int_of_float (gc_high *. float_of_int (spare t)))
 
 let gc_stream t = t.streams_tbl.(t.cfg.streams)
 
@@ -103,7 +98,6 @@ let close_block t (s : Stream.t) =
   if Stream.has_block s then begin
     let b = Stream.block s in
     t.closed.(b) <- true;
-    t.btime.(b) <- Engine.now t.eng;
     Stream.close s
   end
 
@@ -117,7 +111,7 @@ let try_append t (s : Stream.t) ~for_gc =
   if Stream.full s ~pages_per_block:t.cfg.pages_per_block then close_block t s;
   (if not (Stream.has_block s) then
      match take_free t ~for_gc with
-     | Some b -> Stream.open_block s ~block:b ~now:(Engine.now t.eng)
+     | Some b -> Stream.open_block s ~block:b
      | None -> ());
   if not (Stream.has_block s) then None
   else begin
@@ -142,29 +136,19 @@ let map t lpn ppn =
 
 (* --- victim selection ---------------------------------------------------- *)
 
-(* Deterministic scan over closed blocks; ties are broken by the seeded
-   RNG (same seed, same history -> same victim).  Greedy minimizes valid
-   pages; cost-benefit weighs (1-u)/(1+u) against block age so cold,
-   mostly-valid blocks are eventually cleaned too. *)
+(* Greedy: the closed block with the fewest valid pages.  The scan is
+   index-ordered and ties are broken by the seeded RNG (same seed, same
+   history -> same victim). *)
 let pick_victim t =
-  let now = Engine.now t.eng in
-  let best_score = ref neg_infinity and ties = ref [] in
+  let best = ref max_int and ties = ref [] in
   for b = 0 to t.nblocks - 1 do
-    if t.closed.(b) && t.valid.(b) < t.cfg.pages_per_block then begin
-      let score =
-        match t.cfg.policy with
-        | Greedy -> float_of_int (t.cfg.pages_per_block - t.valid.(b))
-        | Cost_benefit ->
-            let u = float_of_int t.valid.(b) /. float_of_int t.cfg.pages_per_block in
-            let age = Float.max 1.0 (now -. t.btime.(b)) in
-            (1.0 -. u) /. (1.0 +. u) *. age
-      in
-      if score > !best_score +. 1e-12 then begin
-        best_score := score;
+    let v = t.valid.(b) in
+    if t.closed.(b) && v < t.cfg.pages_per_block then
+      if v < !best then begin
+        best := v;
         ties := [ b ]
       end
-      else if score >= !best_score -. 1e-12 then ties := b :: !ties
-    end
+      else if v = !best then ties := b :: !ties
   done;
   match !ties with
   | [] -> None
@@ -194,12 +178,12 @@ let gc_cycle t victim =
   done;
   t.gc_pages <- t.gc_pages + !moved;
   let t0 = Engine.now t.eng in
-  Engine.sleep (float_of_int !moved *. (t.cfg.page_read_us +. t.cfg.page_program_us));
+  Engine.sleep (float_of_int !moved *. (page_read_us +. page_program_us));
   (* The erase occupies the die: host programs arriving inside this
      window queue behind it (the erase-suspend-free NAND contract) —
      that queueing is the GC push-back the experiments measure. *)
-  t.erase_until <- Engine.now t.eng +. t.cfg.block_erase_us;
-  Engine.sleep t.cfg.block_erase_us;
+  t.erase_until <- Engine.now t.eng +. block_erase_us;
+  Engine.sleep block_erase_us;
   let dur = Engine.now t.eng -. t0 in
   (* Erase: the block (fully invalid by now) returns to the free pool. *)
   t.valid.(victim) <- 0;
@@ -285,7 +269,7 @@ let host_write t pairs =
        Engine.sleep w
      end);
   let t0 = Engine.now t.eng in
-  let dur = float_of_int !n *. t.cfg.page_program_us in
+  let dur = float_of_int !n *. page_program_us in
   Engine.sleep dur;
   if t.obs_on && !n > 0 then
     Wafl_obs.Trace.complete t.obs ~cat:"flash" ~name:"flash program" ~ts:t0 ~dur
@@ -352,7 +336,6 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cfg ~lpns ~rg =
       p2l = Array.make (nblocks * ppb) (-1);
       valid = Array.make nblocks 0;
       wear = Array.make nblocks 0;
-      btime = Array.make nblocks 0.0;
       closed = Array.make nblocks false;
       free_q = Wafl_util.Fifo.create ~dummy:(-1);
       free_count = nblocks;

@@ -6,11 +6,13 @@
     runs a background garbage-collection fiber over erase blocks, and
     charges program/read/erase time plus GC-induced host stalls in
     virtual time.  All behavior is seeded-deterministic: same seed and
-    same host write history yield an identical {!signature}. *)
+    same host write history yield an identical {!signature}.
 
-type victim_policy =
-  | Greedy  (** victim = closed block with fewest valid pages *)
-  | Cost_benefit  (** weigh utilization against block age (LFS-style) *)
+    The device model's constants: a page programs in 8 µs and reads in
+    4 µs, a block erases in 400 µs; GC wakes when free blocks fall below
+    half the spare pool and parks again at three quarters of it, and its
+    victim is always the closed block with the fewest valid pages
+    (greedy, ties broken by the seeded RNG). *)
 
 type config = {
   pages_per_block : int;  (** erase-block size in pages (one page = one VBN) *)
@@ -24,10 +26,6 @@ type config = {
           beyond the advertised capacity is operator overcommit: the
           device runs out of free blocks and stalls the host. *)
   op_ratio : float;  (** over-provisioned spare capacity, fraction of logical *)
-  gc_low : float;
-      (** GC wakes when free blocks fall below this fraction of the spare pool *)
-  gc_high : float;  (** ... and parks again at this fraction *)
-  policy : victim_policy;
   streams : int;  (** host write streams; an internal GC stream is added *)
   prefill : float;
       (** fraction of the logical space mapped as data at create — the
@@ -35,9 +33,6 @@ type config = {
           prefill also seasons the device to steady state: deterministic
           random churn within the aged span drains the free pool to the
           GC-idle threshold, as on a long-written drive *)
-  page_program_us : float;
-  page_read_us : float;
-  block_erase_us : float;
   seed : int;
 }
 

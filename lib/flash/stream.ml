@@ -8,18 +8,16 @@ type t = {
   id : int;  (* stream index; the last index is the GC relocation stream *)
   mutable block : int;  (* open erase block, -1 when none *)
   mutable ptr : int;  (* next page offset within [block] *)
-  mutable opened_at : float;  (* virtual time the block was opened *)
   mutable appended : int;  (* lifetime pages appended through this stream *)
 }
 
-let make id = { id; block = -1; ptr = 0; opened_at = 0.0; appended = 0 }
+let make id = { id; block = -1; ptr = 0; appended = 0 }
 let block t = t.block
 let has_block t = t.block >= 0
 
-let open_block t ~block ~now =
+let open_block t ~block =
   t.block <- block;
-  t.ptr <- 0;
-  t.opened_at <- now
+  t.ptr <- 0
 
 let close t = t.block <- -1
 

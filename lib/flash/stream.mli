@@ -13,7 +13,7 @@ val block : t -> int
 (** Currently open erase block, [-1] when none. *)
 
 val has_block : t -> bool
-val open_block : t -> block:int -> now:float -> unit
+val open_block : t -> block:int -> unit
 val close : t -> unit
 
 val append : t -> int

@@ -788,8 +788,8 @@ let load_tree t (sb : Layout.superblock) =
       t.snaps <- t.snaps @ [ Snapshot.make ~name ~sb:snap_sb ~words ])
     sb.snap_roots
 
-let recover ?cache_blocks ?(obs = Wafl_obs.Trace.disabled) eng ~cost pers =
-  let t = build ?cache_blocks ~obs eng ~cost pers in
+let recover eng ~cost pers =
+  let t = build ~obs:Wafl_obs.Trace.disabled eng ~cost pers in
   let geom = t.geom in
   Option.iter
     (fun (sb : Layout.superblock) ->

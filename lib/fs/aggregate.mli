@@ -250,19 +250,15 @@ val delete_snapshot : t -> Snapshot.t -> unit
 (** {1 Crash and recovery} *)
 
 val crash : t -> persist
-val recover :
-  ?cache_blocks:int ->
-  ?obs:Wafl_obs.Trace.t ->
-  Wafl_sim.Engine.t ->
-  cost:Wafl_sim.Cost.t ->
-  persist ->
-  t
+val recover : Wafl_sim.Engine.t -> cost:Wafl_sim.Cost.t -> persist -> t
 (** Mount from the persistent image: load the superblock's tree, walked
     by {!Blockref.iter} with each block read by {!Blockref.fetch} on
     {!read_pvbn}, and each snapshot's activemap chunks the same way;
     recompute allocation summaries and counters; replay the NVRAM log.
     Raises {!Corruption} (["recovery: "] and the fetch's message) at the
-    first block that is missing, lost or not the one referenced. *)
+    first block that is missing, lost or not the one referenced.  The
+    mounted aggregate has {!create}'s default buffer cache and no
+    tracer. *)
 
 (** {1 Integrity checking (tests)} *)
 

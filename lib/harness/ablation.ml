@@ -4,7 +4,7 @@ open Wafl_util
 type chunk_row = { chunk : int; result : Driver.result }
 type ranges_row = { ranges : int; result : Driver.result }
 
-let run_chunk ?(chunks = [ 1; 8; 64; 128; 256 ]) ctx =
+let run_chunk ctx =
   let scale = Exp.scale ctx in
   (* Smaller working set than the figure experiments: one-VBN buckets do
      twenty times the infrastructure message traffic, and the comparison
@@ -23,7 +23,7 @@ let run_chunk ?(chunks = [ 1; 8; 64; 128; 256 ]) ctx =
     (fun chunk ->
       let cfg = { (Exp.wa_config ~cleaners:6 ~max_cleaners:6 ()) with Wafl_core.Walloc.chunk } in
       { chunk; result = Exp.run ctx { spec with Driver.cfg } })
-    chunks
+    [ 1; 8; 64; 128; 256 ]
 
 let print_chunk rows =
   Printf.printf
@@ -78,7 +78,7 @@ let shapes_chunk rows =
       (tput 256 < 1.15 *. tput 128);
   ]
 
-let run_ranges ?(range_counts = [ 1; 2; 4; 8; 16 ]) ctx =
+let run_ranges ctx =
   let scale = Exp.scale ctx in
   let spec =
     {
@@ -90,7 +90,7 @@ let run_ranges ?(range_counts = [ 1; 2; 4; 8; 16 ]) ctx =
     (fun ranges ->
       let cfg = { (Exp.wa_config ~cleaners:6 ~max_cleaners:6 ()) with Wafl_core.Walloc.ranges } in
       { ranges; result = Exp.run ctx { spec with Driver.cfg } })
-    range_counts
+    [ 1; 2; 4; 8; 16 ]
 
 let print_ranges rows =
   Printf.printf "\nAblation: Range-affinity instances (random write; SIV-B2)\n";

@@ -14,10 +14,14 @@
 type chunk_row = { chunk : int; result : Wafl_workload.Driver.result }
 type ranges_row = { ranges : int; result : Wafl_workload.Driver.result }
 
-val run_chunk : ?chunks:int list -> Exp.ctx -> chunk_row list
+val run_chunk : Exp.ctx -> chunk_row list
+(** Chunk sizes 1, 8, 64, 128 and 256 VBNs. *)
+
 val print_chunk : chunk_row list -> unit
 val shapes_chunk : chunk_row list -> (string * bool) list
 
-val run_ranges : ?range_counts:int list -> Exp.ctx -> ranges_row list
+val run_ranges : Exp.ctx -> ranges_row list
+(** 1, 2, 4, 8 and 16 Range instances. *)
+
 val print_ranges : ranges_row list -> unit
 val shapes_ranges : ranges_row list -> (string * bool) list

@@ -3,7 +3,7 @@ open Wafl_util
 
 type row = { random_fraction : float; result : Driver.result }
 
-let run ?(fractions = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]) ctx =
+let run ctx =
   let scale = Exp.scale ctx in
   let file_blocks = max 2048 (int_of_float (16384.0 *. scale)) in
   let spec = Exp.spec_base ~scale in
@@ -16,7 +16,7 @@ let run ?(fractions = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]) ctx =
           Exp.run ctx
             { spec with Driver.workload; cfg = Exp.wa_config ~cleaners:6 ~max_cleaners:6 () };
       })
-    fractions
+    [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
 
 (* Per-operation virtual µs of each component. *)
 let per_op_us cores (r : Driver.result) = cores *. 1e6 /. Float.max 1.0 r.Driver.throughput

@@ -9,6 +9,8 @@
 
 type row = { random_fraction : float; result : Wafl_workload.Driver.result }
 
-val run : ?fractions:float list -> Exp.ctx -> row list
+val run : Exp.ctx -> row list
+(** Random fractions 0, 0.25, 0.5, 0.75 and 1. *)
+
 val print : row list -> unit
 val shapes : row list -> (string * bool) list

@@ -3,15 +3,14 @@ open Wafl_util
 
 type row = { name : string; result : Driver.result; gain : float }
 
-let run ?(cleaners = 6) ~workload ctx =
+let run ~workload ctx =
   let base_spec = { (Exp.spec_base ~scale:(Exp.scale ctx)) with Driver.workload } in
   let configs =
     [
       ("serialized baseline", Exp.wa_config ~cleaners:1 ~max_cleaners:1 ~parallel_infra:false ());
       ("parallel infrastructure", Exp.wa_config ~cleaners:1 ~max_cleaners:1 ~parallel_infra:true ());
-      ( "parallel cleaner threads",
-        Exp.wa_config ~cleaners ~max_cleaners:cleaners ~parallel_infra:false () );
-      ("white alligator (both)", Exp.wa_config ~cleaners ~max_cleaners:cleaners ~parallel_infra:true ());
+      ("parallel cleaner threads", Exp.wa_config ~cleaners:6 ~max_cleaners:6 ~parallel_infra:false ());
+      ("white alligator (both)", Exp.wa_config ~cleaners:6 ~max_cleaners:6 ~parallel_infra:true ());
     ]
   in
   (* Rows run concurrently (Exp.par_map), so the serialized baseline is

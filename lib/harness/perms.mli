@@ -9,9 +9,9 @@ type row = {
   gain : float;  (** throughput gain over the serialized baseline, % *)
 }
 
-val run : ?cleaners:int -> workload:Wafl_workload.Driver.workload -> Exp.ctx -> row list
+val run : workload:Wafl_workload.Driver.workload -> Exp.ctx -> row list
 (** Rows in order: serialized baseline, parallel infrastructure only,
-    parallel cleaners only, full White Alligator. [cleaners] (default 6)
-    is the thread count used in the "parallel cleaners" configurations. *)
+    parallel cleaners only, full White Alligator.  The "parallel
+    cleaners" configurations run 6 cleaner threads. *)
 
 val print : title:string -> row list -> unit

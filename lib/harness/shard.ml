@@ -16,13 +16,7 @@ type outcome = {
 
 (* Per-shard rollup config: fine windows so even the scaled-down smoke
    run seals a few, with the ring budget sized to match. *)
-let rollup_config =
-  {
-    Wafl_obs.Rollup.default_config with
-    Wafl_obs.Rollup.window_us = 2_000.0;
-    windows = 16;
-    vol_budget_bytes = 8192;
-  }
+let rollup_config = { Wafl_obs.Rollup.window_us = 2_000.0; windows = 16; vol_budget_bytes = 8192 }
 
 (* Cross-partition delivery bound; the global CP epoch is a coarse
    multiple of it, as the real barriers are. *)

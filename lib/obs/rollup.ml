@@ -5,9 +5,6 @@ type config = {
   window_us : float;
   windows : int;
   vol_budget_bytes : int;
-  lat_lo : float;
-  lat_hi : float;
-  lat_buckets_per_decade : int;
 }
 
 let default_config =
@@ -15,9 +12,6 @@ let default_config =
     window_us = 100_000.0;
     windows = 8;
     vol_budget_bytes = 4096;
-    lat_lo = 1.0;
-    lat_hi = 1e7;
-    lat_buckets_per_decade = 4;
   }
 
 type vol_row = {
@@ -74,20 +68,18 @@ type t = {
   mutable cur_seq : int;  (* grid index of the open window *)
 }
 
-let mk_lat cfg =
-  Histogram.create ~lo:cfg.lat_lo ~hi:cfg.lat_hi
-    ~buckets_per_decade:cfg.lat_buckets_per_decade ()
+(* Latency sketch: 4 buckets per decade over [1, 1e7] µs. *)
+let mk_lat () = Histogram.create ~lo:1.0 ~hi:1e7 ~buckets_per_decade:4 ()
 
-let vol_window_bytes cfg =
-  (* Sealed row: record header + 7 fields; plus the latency sketch. *)
-  (8 * 8) + Histogram.approx_bytes (mk_lat cfg)
+(* Sealed row: record header + 7 fields; plus the latency sketch. *)
+let vol_window_bytes = (8 * 8) + Histogram.approx_bytes (mk_lat ())
 
 let seq_of cfg now = int_of_float (Float.floor (now /. cfg.window_us))
 
 let create ?(config = default_config) eng =
   let cfg = config in
   if cfg.window_us <= 0.0 || cfg.windows <= 0 then invalid_arg "Rollup.create";
-  if (cfg.windows + 1) * vol_window_bytes cfg > cfg.vol_budget_bytes then
+  if (cfg.windows + 1) * vol_window_bytes > cfg.vol_budget_bytes then
     invalid_arg "Rollup.create: ring exceeds vol_budget_bytes";
   {
     eng;
@@ -154,7 +146,7 @@ let seal_window t seq =
               vr_shed = n s.a_shed;
               vr_completed = n s.a_completed;
               vr_backlog = s.t_admitted - s.t_completed;
-              vr_lat = (if fed then s.a_lat else mk_lat t.cfg);
+              vr_lat = (if fed then s.a_lat else mk_lat ());
             } )
           :: !vols
     | _ -> ()
@@ -201,13 +193,13 @@ let slot_of t vol =
     | None ->
         let s =
           { seq = -1; a_writes = 0; a_admitted = 0; a_throttled = 0; a_shed = 0;
-            a_completed = 0; a_lat = mk_lat t.cfg; t_admitted = 0; t_completed = 0 }
+            a_completed = 0; a_lat = mk_lat (); t_admitted = 0; t_completed = 0 }
         in
         t.slots.(vol) <- Some s;
         s
   in
   if s.seq <> t.cur_seq then begin
-    if s.seq >= 0 then s.a_lat <- mk_lat t.cfg;
+    if s.seq >= 0 then s.a_lat <- mk_lat ();
     s.seq <- t.cur_seq;
     s.a_writes <- 0;
     s.a_admitted <- 0;

@@ -21,14 +21,11 @@ type config = {
   vol_budget_bytes : int;
       (** hard per-volume memory budget; {!create} rejects configs whose
           ring would exceed it *)
-  lat_lo : float;  (** latency sketch range and resolution *)
-  lat_hi : float;
-  lat_buckets_per_decade : int;
 }
 
 val default_config : config
-(** 8 windows of 100ms virtual time, 4 buckets/decade over [1, 1e7] us,
-    4 KiB per volume. *)
+(** 8 windows of 100ms virtual time, 4 KiB per volume.  Every latency
+    sketch has 4 buckets/decade over [1, 1e7] us. *)
 
 type vol_row = {
   vr_writes : int;  (** write ops completed this window *)
@@ -58,7 +55,7 @@ val create : ?config:config -> Wafl_sim.Engine.t -> t
 (** Raises [Invalid_argument] if the configured ring cannot fit in
     [vol_budget_bytes] per volume. *)
 
-val vol_window_bytes : config -> int
+val vol_window_bytes : int
 (** Approximate bytes one volume costs per retained window (row plus
     latency sketch); the budget check is
     [(windows + 1) * vol_window_bytes <= vol_budget_bytes] (the +1 is the

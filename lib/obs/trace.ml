@@ -157,16 +157,13 @@ let with_root t f =
       Fun.protect ~finally:(fun () -> set_ctx s fid prev) f
   | _ -> f ()
 
-(* Pooled worker fibers call this between messages: whatever the previous
-   message left behind — an unclosed span, an active causal context —
-   must not leak into the next, unrelated message (see DESIGN.md §4.10). *)
+(* Pooled worker fibers call this between messages: the previous
+   message's causal context must not leak into the next, unrelated
+   message (see DESIGN.md §4.10). *)
 let fiber_reset t =
   match t.state with
-  | None -> ()
-  | Some s ->
-      let fid = Engine.current_fid s.eng in
-      (match Hashtbl.find_opt s.stacks fid with Some st -> st := [] | None -> ());
-      if s.causal then Hashtbl.remove s.ctxs fid
+  | Some s when s.causal -> Hashtbl.remove s.ctxs (Engine.current_fid s.eng)
+  | _ -> ()
 
 (* In causal mode every recorded span carries its fiber's active context
    as a numeric arg, which is how the analyzer groups spans per request. *)
@@ -266,41 +263,6 @@ let with_span t ~cat ~name ?(args = []) ?(num_args = []) f =
       | exception exn ->
           finish ();
           raise exn)
-
-(* Non-lexical span pair for callers whose open and close sites are in
-   different scopes.  [end_span] with an empty stack is a no-op, so an
-   unmatched begin is survivable (and cleaned up by {!fiber_reset}). *)
-let begin_span t ~cat ~name =
-  match t.state with
-  | None -> ()
-  | Some s ->
-      let fid = Engine.current_fid s.eng in
-      let stack = stack_of s fid in
-      stack := { f_cat = cat; f_name = name; f_ts = Engine.now s.eng } :: !stack
-
-let end_span t =
-  match t.state with
-  | None -> ()
-  | Some s -> (
-      let fid = Engine.current_fid s.eng in
-      match Hashtbl.find_opt s.stacks fid with
-      | Some ({ contents = fr :: rest } as stack) ->
-          stack := rest;
-          let now = Engine.now s.eng in
-          Sink.record s.sink
-            {
-              ph = 'X';
-              cat = fr.f_cat;
-              name = fr.f_name;
-              ts = fr.f_ts;
-              dur = now -. fr.f_ts;
-              tid = fid;
-              flow = 0;
-              args = [];
-              num_args = span_num_args s ~fid [];
-            };
-          maybe_sample s ~now
-      | _ -> ())
 
 let instant t ~cat ~name ?(args = []) () =
   match t.state with

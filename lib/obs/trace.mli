@@ -74,15 +74,6 @@ val with_span :
     charged within to the span stack (see {!profile_rows}).  The span is
     closed (and recorded) even if the thunk raises. *)
 
-val begin_span : t -> cat:string -> name:string -> unit
-val end_span : t -> unit
-(** Non-lexical span pair for open/close sites in different scopes.
-    [end_span] on an empty stack is a no-op; a span left open on a pooled
-    worker fiber is discarded by {!fiber_reset} between messages.  No
-    component opens a span this way today: the pair stays as the one way
-    to leave a span open, which the causal tests use to check that
-    {!fiber_reset} drops it. *)
-
 val instant : t -> cat:string -> name:string -> ?args:(string * string) list -> unit -> unit
 (** Record a zero-duration instant ('i') event at the current virtual
     time. *)
@@ -137,9 +128,10 @@ val with_root : t -> (unit -> 'a) -> 'a
     fiber's previous context is restored afterwards. *)
 
 val fiber_reset : t -> unit
-(** Clear the current fiber's span stack and causal context.  Pooled
-    worker fibers call this between messages so state leaked by one
-    message cannot attach to the next. *)
+(** Clear the current fiber's causal context.  Pooled worker fibers call
+    this between messages so one message's context cannot attach to the
+    next.  (Spans need no reset: {!with_span} is the only way to open
+    one, and it closes on return or raise.) *)
 
 (** {1 Export} *)
 

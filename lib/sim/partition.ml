@@ -28,14 +28,14 @@ type t = {
   mutable horizon : float; (* every partition's clock has reached this *)
 }
 
-let create ?quantum ?(sanitize = false) ~parts ~cores_per_part ~lookahead () =
+let create ~parts ~cores_per_part ~lookahead () =
   if parts <= 0 then invalid_arg "Partition.create: parts must be positive";
   if not (lookahead > 0.0) then invalid_arg "Partition.create: lookahead must be positive";
   {
     parts =
       Array.init parts (fun _ ->
           {
-            eng = Engine.create ?quantum ~sanitize ~cores:cores_per_part ();
+            eng = Engine.create ~cores:cores_per_part ();
             out_rev = [];
             out_seq = 0;
             inbox = [];

@@ -28,19 +28,12 @@
 
 type t
 
-val create :
-  ?quantum:float ->
-  ?sanitize:bool ->
-  parts:int ->
-  cores_per_part:int ->
-  lookahead:float ->
-  unit ->
-  t
+val create : parts:int -> cores_per_part:int -> lookahead:float -> unit -> t
 (** [create ~parts ~cores_per_part ~lookahead ()] builds [parts]
     engines, each with [cores_per_part] virtual cores, all at virtual
     time 0.  [lookahead] (virtual µs, > 0) is the window length and the
-    minimum cross-partition delivery delay.  [quantum] / [sanitize] are
-    passed to every {!Engine.create}. *)
+    minimum cross-partition delivery delay.  Each engine has
+    {!Engine.create}'s default quantum and does not sanitize. *)
 
 val engine : t -> int -> Engine.t
 (** The partition's engine, for initial spawns and end-of-run reads.

@@ -80,9 +80,6 @@ type t = {
   m_msgs : Metrics.counter;
   g_queued : Metrics.gauge;
   g_executing : Metrics.gauge;
-  mutable chaos_misattribute : Affinity.t option;
-      (* test-only: the next posted message is mislabelled with this
-         affinity, as if a grant guard were dropped *)
 }
 
 let new_node ~aff ~parent ~kind =
@@ -129,11 +126,9 @@ let create ?workers ?isolation ?(obs = Wafl_obs.Trace.disabled) eng ~cost () =
     m_msgs = Metrics.counter m "sched.messages";
     g_queued = Metrics.gauge m "sched.queued";
     g_executing = Metrics.gauge m "sched.executing";
-    chaos_misattribute = None;
   }
 
 let isolation t = t.isolation
-let set_chaos_misattribute t aff = t.chaos_misattribute <- aff
 
 let rec node t aff =
   match Nodes.find t.nodes aff with
@@ -313,9 +308,9 @@ let rec worker_loop t w =
     let n = w.node and m = w.msg in
     w.msg <- no_msg;
     exec t n m;
-    (* Workers are reused across unrelated messages: drop any span the
-       body left open and deactivate its causal context, so message A's
-       leftovers can never parent message B's spans. *)
+    (* Workers are reused across unrelated messages: deactivate the
+       body's causal context, so message A's can never parent message
+       B's spans. *)
     if t.obs_on then Wafl_obs.Causal.fiber_reset t.obs;
     if t.executing = 0 && t.pending_count = 0 then ignore (Sync.Waitq.wake_all t.idle);
     dispatch t
@@ -383,13 +378,6 @@ and dispatch t =
   t.st_len <- 0
 
 let post t ~affinity ~label body =
-  let affinity =
-    match t.chaos_misattribute with
-    | Some chaos ->
-        t.chaos_misattribute <- None;
-        chaos
-    | None -> affinity
-  in
   let n = node t affinity in
   let m =
     {

@@ -37,13 +37,6 @@ val create :
 
 val isolation : t -> Isolation.t option
 
-val set_chaos_misattribute : t -> Affinity.t option -> unit
-(** Test-only chaos hook (compare [Wafl_storage.Fault.chaos]): the next
-    posted message is granted and checked under the given affinity
-    instead of its own — simulating a message posted to the
-    wrong affinity, i.e. a dropped isolation guard.  The sanitizers must
-    catch the resulting violation. *)
-
 val post : t -> affinity:Affinity.t -> label:string -> (unit -> unit) -> unit
 (** Fire-and-forget message.  [label] is the CPU accounting class the
     body's work is charged to. *)

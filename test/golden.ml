@@ -322,7 +322,7 @@ let cli_fig6 = subject "wafl_sim fig6 --scale 0.1" (fun st -> H.Fig6.run (ctx ~s
 let top_live ?(window_us = 100_000.0) tweak =
   let module Rollup = Wafl_obs.Rollup in
   let ring = { Rollup.default_config with Rollup.window_us; windows = 8 } in
-  let budget = max ring.Rollup.vol_budget_bytes (9 * Rollup.vol_window_bytes ring) in
+  let budget = max ring.Rollup.vol_budget_bytes (9 * Rollup.vol_window_bytes) in
   let rollup = { ring with Rollup.vol_budget_bytes = budget } in
   let r =
     Driver.run

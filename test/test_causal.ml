@@ -1,22 +1,18 @@
 (* Wafl_obs.Causal: causal edges, the trace analyzer, and the guarantees
    the tentpole rests on.
 
-   Four legs: (1) every causal trace of a figure run parses into a
+   Three legs: (1) every causal trace of a figure run parses into a
    connected, acyclic DAG whose per-CP critical paths cover the whole CP
    interval; (2) causal tracing is deterministic (the same-seed trace
    matches its golden digest) and invisible (traced results match the
-   plain runs' goldens, golden.ml); (3) pooled worker fibers reset their
-   span stack and causal context between messages, so state leaked by one
-   message cannot attach to the next; (4) ring-buffer drops are surfaced through the analyzer
-   so a truncated trace is never mistaken for a complete one. *)
+   plain runs' goldens, golden.ml); (3) ring-buffer drops are surfaced
+   through the analyzer so a truncated trace is never mistaken for a
+   complete one. *)
 
 module H = Wafl_harness
 module Driver = Wafl_workload.Driver
-module Engine = Wafl_sim.Engine
 module Trace = Wafl_obs.Trace
 module Causal = Wafl_obs.Causal
-module Sched = Wafl_waffinity.Scheduler
-module Aff = Wafl_waffinity.Affinity
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -24,42 +20,6 @@ let contains hay needle =
   go 0
 
 let scale = 0.02
-
-(* --- pooled workers must not leak spans or contexts across messages ------ *)
-
-let profile_total rows key =
-  match List.find_opt (fun (k, _, _) -> k = key) rows with
-  | Some (_, total, _) -> total
-  | None -> 0.0
-
-let test_worker_reset () =
-  let eng = Engine.create ~cores:1 () in
-  let t = Trace.create ~sample_interval:0.0 ~causal:true eng in
-  let sched = Sched.create ~workers:1 ~obs:t eng ~cost:Wafl_sim.Cost.default () in
-  ignore
-    (Engine.spawn eng ~label:"poster" (fun () ->
-         (* Message A opens a span it never closes — a bug in a message
-            body.  Serial affinity forces both messages onto the same
-            pooled worker fiber, back to back. *)
-         Sched.post sched ~affinity:Aff.Serial ~label:"test" (fun () ->
-             Trace.begin_span t ~cat:"test" ~name:"leaked";
-             Engine.consume 5.0);
-         Sched.post sched ~affinity:Aff.Serial ~label:"test" (fun () ->
-             Engine.consume 7.0);
-         Sched.drain sched));
-  Engine.run eng;
-  let rows = Trace.profile_rows t in
-  (* A's charge lands under the leaked span... *)
-  Alcotest.(check (float 1e-6)) "A charged under its leaked span" 5.0
-    (profile_total rows "msg serial/leaked");
-  (* ...but B starts from a clean stack: its charge sits directly under
-     its own message span, not under A's leftovers. *)
-  Alcotest.(check (float 1e-6)) "B charged under its own span only" 7.0
-    (profile_total rows "msg serial");
-  Alcotest.(check bool) "no doubled message-span path" false
-    (List.exists (fun (k, _, _) -> contains k "msg serial/msg serial") rows);
-  Alcotest.(check bool) "no leak onto B's path" false
-    (List.exists (fun (k, _, _) -> contains k "leaked/msg serial") rows)
 
 (* --- figure traces form connected, acyclic causal DAGs ------------------- *)
 
@@ -158,11 +118,6 @@ let test_drops_surfaced () =
 let () =
   Alcotest.run "causal"
     [
-      ( "workers",
-        [
-          Alcotest.test_case "pooled worker resets span stack and context between messages"
-            `Quick test_worker_reset;
-        ] );
       ( "dag",
         [
           Alcotest.test_case "fig4 trace is a connected acyclic DAG" `Slow test_dag_fig4;

@@ -126,6 +126,42 @@ let test_gc_reclaims () =
   done;
   Alcotest.(check int) "valid = mapped" !mapped (Ftl.valid_pages t)
 
+(* Greedy victim choice: of two closed blocks, GC takes the one with the
+   fewer valid pages.  The device advertises 4 blocks of 16 pages in 11
+   physical ones, so GC wakes once host writes leave fewer than 3 free.
+   The check runs inside the first cycle's 400 µs erase, after its
+   relocation and before a second cycle can pick another victim. *)
+let test_gc_greedy_victim () =
+  let cfg = { cfg0 with Ftl.logical_capacity = 0.25 } in
+  in_fiber (fun eng ->
+      let t = Ftl.create eng ~cfg ~lpns:256 ~rg:0 in
+      let write lo hi = Ftl.host_write t (List.init (hi - lo + 1) (fun i -> (lo + i, 0))) in
+      (* Block A holds lpns 0-15, block B 16-31; lpn 32 closes B. *)
+      write 0 32;
+      let a = Ftl.block_of_lpn t 0 and b = Ftl.block_of_lpn t 16 in
+      for lpn = 0 to 11 do
+        Ftl.trim t ~lpn
+      done;
+      Ftl.trim t ~lpn:16;
+      (* Fill fresh, fully valid blocks until GC wakes. *)
+      let next = ref 33 in
+      while Ftl.free_blocks t >= 3 do
+        write !next !next;
+        incr next
+      done;
+      Alcotest.(check int) "no gc yet" 0 (Ftl.gc_pages t);
+      Engine.sleep 100.0;
+      Alcotest.(check int) "A's 4 survivors relocated" 4 (Ftl.gc_pages t);
+      for lpn = 12 to 15 do
+        let blk = Ftl.block_of_lpn t lpn in
+        Alcotest.(check bool) (Printf.sprintf "lpn %d left A" lpn) true (blk >= 0 && blk <> a)
+      done;
+      for lpn = 17 to 31 do
+        Alcotest.(check int) (Printf.sprintf "lpn %d still in B" lpn) b (Ftl.block_of_lpn t lpn)
+      done;
+      Engine.sleep 400.0;
+      Alcotest.(check int) "A erased" 1 (Ftl.erases t))
+
 (* --- replay identity ---------------------------------------------------- *)
 
 let run_history cfg ~lpns ops =
@@ -213,6 +249,7 @@ let () =
           Alcotest.test_case "stream ids clamp" `Quick test_stream_clamping;
           Alcotest.test_case "overwrite and trim" `Quick test_overwrite_and_trim;
           Alcotest.test_case "gc reclaims under churn" `Quick test_gc_reclaims;
+          Alcotest.test_case "gc victim is the emptier block" `Quick test_gc_greedy_victim;
           Alcotest.test_case "seed changes signature" `Quick test_seed_changes_signature;
           test_replay_identity_qcheck ();
         ] );

@@ -178,11 +178,11 @@ let test_isolation_chaos_misattribution_caught () =
   let eng, iso, sched = make_checked_stack () in
   Isolation.register_owner iso ~shared:vol_map_domain (Affinity.Volume_vbn (0, 0));
   (* Drop the isolation guard: the same body, posted to the wrong
-     affinity by the chaos hook, must be caught. *)
+     affinity (a Stripe, which runs concurrently with Volume_vbn), must
+     be caught. *)
   let body () = Engine.probe eng ~shared:vol_map_domain Race.Write in
   Scheduler.post sched ~affinity:(Affinity.Volume_vbn (0, 0)) ~label:"infra" body;
-  Scheduler.set_chaos_misattribute sched (Some (Affinity.Stripe (0, 0, 3)));
-  Scheduler.post sched ~affinity:(Affinity.Volume_vbn (0, 0)) ~label:"infra" body;
+  Scheduler.post sched ~affinity:(Affinity.Stripe (0, 0, 3)) ~label:"infra" body;
   let msg =
     try
       Engine.run eng;

@@ -326,38 +326,6 @@ let prop_scheduler_replay_identical =
       in
       run_once () = run_once ())
 
-(* --- Classical Waffinity (SIII-B) --- *)
-
-let test_classical_mapping () =
-  let open Classical in
-  (* Data ops in different stripes parallelize. *)
-  Alcotest.(check bool) "different stripes parallel" true
-    (parallelizable (User_data { volume = 0; fbn = 0 })
-       (User_data { volume = 0; fbn = default_stripe_blocks }));
-  (* Same stripe serializes. *)
-  Alcotest.(check bool) "same stripe serializes" false
-    (parallelizable (User_data { volume = 0; fbn = 0 }) (User_data { volume = 0; fbn = 1 }));
-  (* Anything involving metadata excludes everything. *)
-  Alcotest.(check bool) "metadata blocks data" false
-    (parallelizable Metadata (User_data { volume = 0; fbn = 0 }));
-  Alcotest.(check bool) "metadata blocks metadata" false (parallelizable Metadata Metadata);
-  Alcotest.(check bool) "spanning ops serialize" false
-    (parallelizable (Spanning { volume = 0 }) (Spanning { volume = 1 }))
-
-let test_classical_stripe_rotation () =
-  let open Classical in
-  (* Stripes rotate: fbn ranges [0, sb) and [sb*stripes, sb*(stripes+1))
-     map to the same Stripe affinity instance. *)
-  let a0 = affinity_of ~aggregate:0 (User_data { volume = 3; fbn = 0 }) in
-  let a_wrap =
-    affinity_of ~aggregate:0
-      (User_data { volume = 3; fbn = default_stripe_blocks * default_stripes })
-  in
-  Alcotest.(check bool) "rotation wraps" true (a0 = a_wrap);
-  match a0 with
-  | Affinity.Stripe (0, 3, 0) -> ()
-  | other -> Alcotest.failf "unexpected affinity %s" (Format.asprintf "%a" Affinity.pp other)
-
 (* Property: whatever is posted, two conflicting affinities never execute
    concurrently.  Messages record their (start, end, affinity) intervals
    in virtual time; afterwards every overlapping pair must be
@@ -478,11 +446,6 @@ let () =
           Alcotest.test_case "parent chains" `Quick test_parent_chain;
           Alcotest.test_case "conflict matrix" `Quick test_conflicts;
           QCheck_alcotest.to_alcotest ~verbose:false prop_conflicts_symmetric;
-        ] );
-      ( "classical",
-        [
-          Alcotest.test_case "operation mapping" `Quick test_classical_mapping;
-          Alcotest.test_case "stripe rotation" `Quick test_classical_stripe_rotation;
         ] );
       ( "scheduler",
         [
