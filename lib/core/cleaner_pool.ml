@@ -53,13 +53,13 @@ type t = {
   mutable n_inodes : int;
   mutable n_messages : int;
   mutable n_get_waits : int;
-  mutable busy : float;
+  busy : Engine.fbox; (* cumulative cleaner CPU, µs *)
 }
 
 (* All cleaner CPU goes through here so the dynamic tuner can read a
    cumulative busy figure that survives engine accounting resets. *)
 let charge t d =
-  t.busy <- t.busy +. d;
+  t.busy.v <- t.busy.v +. d;
   Engine.consume d
 
 (* --- bucket acquisition ------------------------------------------------- *)
@@ -322,7 +322,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra ~max_threads ~initial_threads 
       n_inodes = 0;
       n_messages = 0;
       n_get_waits = 0;
-      busy = 0.0;
+      busy = { Engine.v = 0.0 };
     }
   in
   Metrics.set t.g_active (float_of_int initial);
@@ -330,7 +330,7 @@ let create ?(obs = Wafl_obs.Trace.disabled) infra ~max_threads ~initial_threads 
   pull "cleaner.buffers" (fun () -> t.n_buffers);
   pull "cleaner.messages" (fun () -> t.n_messages);
   pull "cleaner.get_waits" (fun () -> t.n_get_waits);
-  Metrics.pull_counter m "cleaner.busy_us" (fun () -> t.busy);
+  Metrics.pull_counter m "cleaner.busy_us" (fun () -> t.busy.v);
   Array.iter
     (fun c -> ignore (Engine.spawn eng ~label:"cleaner" (cleaner_loop t c)))
     t.cleaners;
@@ -390,4 +390,4 @@ let flush_and_wait t =
   if !remaining > 0 then Engine.park t.eng
 
 let inodes_cleaned t = t.n_inodes
-let utilization_busy t = t.busy
+let utilization_busy t = t.busy.v

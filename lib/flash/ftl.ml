@@ -203,7 +203,7 @@ let gc_cycle t victim =
       ();
   ignore (Sync.Waitq.wake_all t.host_q)
 
-let gc_fiber t () =
+let gc_fiber t () : unit =
   let rec loop () =
     probe t;
     if t.free_count >= high_blocks t then Sync.Waitq.wait t.gc_q
@@ -378,7 +378,10 @@ let create ?(obs = Wafl_obs.Trace.disabled) eng ~cfg ~lpns ~rg =
       | None -> assert false (* free pool > high mark > GC reserve *)
     done
   end;
-  ignore (Engine.spawn eng ~label:"io" ~daemon:true (gc_fiber t));
+  (* Called, not tail-called, so the loop's frame is not the fiber's
+     bottom frame, where a host-profiler sample finds no source location
+     (DESIGN.md §4.9, Profiling). *)
+  ignore (Engine.spawn eng ~label:"io" ~daemon:true (fun () -> gc_fiber t (); ()));
   t
 
 (* --- introspection -------------------------------------------------------- *)

@@ -29,6 +29,11 @@ type t
 type fiber
 (** Handle to a simulated thread. *)
 
+type fbox = { mutable v : float }
+(** A float cell stored flat: unlike a mutable float field of a mixed
+    record, assigning [v] boxes no float and calls no write barrier.
+    Counters updated on a hot path keep their totals in one. *)
+
 val fiber_fifo : unit -> fiber Wafl_util.Fifo.t
 (** An empty FIFO of fibers for a wait queue.  Its cleared slots hold a
     placeholder that is never popped, so a woken fiber is not kept

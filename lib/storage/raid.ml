@@ -48,7 +48,7 @@ type 'b t = {
   mutable outstanding : int;
   mutable full : int;
   mutable partial : int;
-  mutable busy : float;
+  busy : Engine.fbox; (* device busy time, µs *)
   (* fault surface *)
   mutable degraded : bool;
   mutable rebuild_spawned : bool;
@@ -206,7 +206,7 @@ let rebuild_fiber t fault (failure : Fault.disk_failure) () =
     (* rebuild progress lives in the shared fault plan, also read by the
        service fiber and the crash harness *)
     Engine.probe_atomic t.eng ~shared:"raid.fault";
-    t.busy <- t.busy +. t.cost.Cost.rebuild_block;
+    t.busy.v <- t.busy.v +. t.cost.Cost.rebuild_block;
     failure.Fault.rebuilt_to <- failure.Fault.rebuilt_to + 1;
     t.rebuilt <- t.rebuilt + 1;
     Fault.note_rebuild_block fault
@@ -263,7 +263,7 @@ let service_fiber t () =
                 else begin
                   Fault.note_transient_retry f;
                   Engine.sleep backoff;
-                  t.busy <- t.busy +. backoff;
+                  t.busy.v <- t.busy.v +. backoff;
                   attempt (n + 1) (backoff *. 2.0)
                 end
               in
@@ -298,7 +298,7 @@ let service_fiber t () =
         recycle t batch;
         t.full <- t.full + full;
         t.partial <- t.partial + partial;
-        t.busy <- t.busy +. service;
+        t.busy.v <- t.busy.v +. service;
         on_complete ();
         (* Service fibers are reused across unrelated requests: deactivate
            this request's causal context before dequeuing the next. *)
@@ -336,7 +336,7 @@ let create ?(queue_depth = 4) ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost 
       outstanding = 0;
       full = 0;
       partial = 0;
-      busy = 0.0;
+      busy = { Engine.v = 0.0 };
       degraded = false;
       rebuild_spawned = false;
       failed_writes = [];
@@ -349,7 +349,9 @@ let create ?(queue_depth = 4) ?(obs = Wafl_obs.Trace.disabled) ?flash eng ~cost 
   pull "rebuild.blocks" (fun () -> t.rebuilt);
   Metrics.pull_gauge m "rebuild.active" (fun () -> if t.degraded then 1.0 else 0.0);
   for _ = 1 to queue_depth do
-    ignore (Engine.spawn eng ~label:"io" (service_fiber t))
+    (* Called, not tail-called, so [loop]'s frame is not the fiber's
+       bottom frame (DESIGN.md §4.9, Profiling). *)
+    ignore (Engine.spawn eng ~label:"io" (fun () -> service_fiber t (); ()))
   done;
   (* A drive lost before a crash is still lost after recovery: resume the
      degraded mode and rebuild immediately. *)
@@ -488,5 +490,5 @@ let take_failed t =
   List.rev failed
 
 let degraded t = t.degraded
-let device_busy t = t.busy
+let device_busy t = t.busy.v
 let rebuild_blocks t = t.rebuilt

@@ -2,16 +2,22 @@ open Wafl_sim
 
 module Nodes = Hashtbl.Make (Affinity)
 
-(* One node per affinity instance.  Besides the conflict-tracking state
-   (active / desc_active, as before), each node owns the FIFO of its own
-   pending messages and caches everything derivable from its affinity
-   (kind name, span name, metric handles) so the per-message hot path
-   computes no strings and performs no hash lookups. *)
+(* One node per affinity instance, numbered densely in creation order:
+   [id] is its slot in the scheduler's node table.  Besides the conflict
+   state (active / desc_active), a node owns the FIFO of its own pending
+   messages and the ids of the blocked nodes parked on it, and caches
+   everything derivable from its affinity (kind name, span name, metric
+   handles), so the per-message hot path computes no strings and
+   performs no hash lookups. *)
 type node = {
+  id : int;
   aff : Affinity.t;
   parent : node option;
   mutable active : bool;
   mutable desc_active : int;
+  mutable self_parked : bool; (* blocked by itself: active, or a descendant is *)
+  mutable parked : int array; (* ids of the nodes parked on this active one *)
+  mutable n_parked : int;
   q : msg Wafl_util.Fifo.t; (* this node's pending messages, oldest first *)
   kind : string; (* Affinity.kind_name aff *)
   span_name : string; (* "msg " ^ kind *)
@@ -36,42 +42,47 @@ let no_msg =
 (* A pooled worker fiber.  Workers are daemons: spawned on demand up to
    (roughly) the worker count, they execute one granted message at a
    time and park between grants instead of being created and torn down
-   per message — the real Waffinity worker-thread model.  A grant fills
-   [node] and [msg] in place, so it allocates nothing. *)
+   per message — the real Waffinity worker-thread model.  [wid] is its
+   slot in the scheduler's worker table.  A grant fills [node] and [msg]
+   in place, so it allocates nothing. *)
 type worker = {
-  mutable node : node; (* the node of the granted message *)
+  wid : int;
+  mutable node : int; (* id of the granted message's node *)
   mutable msg : msg; (* the granted message to run next; [no_msg] when idle *)
   mutable fiber : Engine.fiber option; (* set right after spawn *)
 }
 
+(* Every node with pending messages is in exactly one place:
+   - in the heap, keyed by the seq of its head (oldest) message;
+   - parked on itself ([self_parked]), while it or one of its
+     descendants is active;
+   - or parked on its one active ancestor, in that ancestor's [parked].
+   A parked node is blocked until [release] puts it back in the heap,
+   so [dispatch] pops a blocked node once per blocker, not once per
+   round.  A node back in the heap may be blocked again (by another
+   ancestor, say); it is checked when popped.  The heap and every list
+   here hold ints (seqs, node and worker ids), so a push, pop or sift
+   writes no pointer. *)
 type t = {
   eng : Engine.t;
   cost : Cost.t;
   workers : int;
-  nodes : node Nodes.t;
-  (* Grantable-head index: a binary min-heap of nodes keyed by the
-     sequence number of each node's head (oldest) pending message.
-     Invariant: a node appears in the heap or the round's stash exactly
-     when its queue is non-empty, keyed by its current head's seq. *)
+  nodes : node Nodes.t; (* by affinity, for [post] *)
+  mutable tbl : node array; (* by id; slots at and above [n_nodes] hold [filler] *)
+  mutable n_nodes : int;
+  (* A binary min-heap of node ids keyed by head-message seq. *)
   mutable hp_seq : int array;
-  mutable hp_node : node array;
+  mutable hp_id : int array;
   mutable hp_len : int;
-  filler : node; (* fills empty heap and stash slots; never granted *)
-  (* Nodes popped but not grantable during the current dispatch round;
-     re-pushed when the round ends.  Within a round grantability only
-     shrinks (grants add blockers, releases re-enter dispatch), so a
-     skipped node stays skipped — exactly the old rescan semantics. *)
-  mutable st_seq : int array;
-  mutable st_node : node array;
-  mutable st_len : int;
+  filler : node; (* "no node": fills empty table slots; never queued or active *)
   mutable next_seq : int;
   mutable pending_count : int;
   mutable executing : int;
   idle : Sync.Waitq.t; (* drain waiters *)
-  (* Parked workers, a stack: [idle_workers.(n_idle - 1)] parked last.
-     Slots at and above [n_idle] are stale (workers live as long as the
-     scheduler, so a stale slot keeps nothing alive). *)
-  mutable idle_workers : worker array;
+  mutable pool : worker array; (* every worker, by [wid] *)
+  mutable n_pool : int;
+  (* Parked workers' ids, a stack: [idle_ids.(n_idle - 1)] parked last. *)
+  mutable idle_ids : int array;
   mutable n_idle : int;
   isolation : Isolation.t option;
   obs : Wafl_obs.Trace.t;
@@ -82,12 +93,16 @@ type t = {
   g_executing : Metrics.gauge;
 }
 
-let new_node ~aff ~parent ~kind =
+let new_node ~id ~aff ~parent ~kind =
   {
+    id;
     aff;
     parent;
     active = false;
     desc_active = 0;
+    self_parked = false;
+    parked = [||];
+    n_parked = 0;
     q = Wafl_util.Fifo.create ~dummy:no_msg;
     kind;
     span_name = "msg " ^ kind;
@@ -100,24 +115,25 @@ let create ?workers ?isolation ?(obs = Wafl_obs.Trace.disabled) eng ~cost () =
   let workers = match workers with Some w -> w | None -> Engine.cores eng in
   if workers <= 0 then invalid_arg "Scheduler.create: workers must be positive";
   let m = Engine.metrics eng in
-  let filler = new_node ~aff:Affinity.Serial ~parent:None ~kind:"" in
+  let filler = new_node ~id:(-1) ~aff:Affinity.Serial ~parent:None ~kind:"" in
   {
     eng;
     cost;
     workers;
     nodes = Nodes.create 64;
+    tbl = Array.make 64 filler;
+    n_nodes = 0;
     hp_seq = Array.make 64 0;
-    hp_node = Array.make 64 filler;
+    hp_id = Array.make 64 0;
     hp_len = 0;
     filler;
-    st_seq = Array.make 64 0;
-    st_node = Array.make 64 filler;
-    st_len = 0;
     next_seq = 0;
     pending_count = 0;
     executing = 0;
     idle = Sync.Waitq.create eng;
-    idle_workers = Array.make 8 { node = filler; msg = no_msg; fiber = None };
+    pool = Array.make 8 { wid = -1; node = -1; msg = no_msg; fiber = None };
+    n_pool = 0;
+    idle_ids = Array.make 8 0;
     n_idle = 0;
     isolation;
     obs;
@@ -135,38 +151,16 @@ let rec node t aff =
   | n -> n
   | exception Not_found ->
       let parent = Option.map (node t) (Affinity.parent aff) in
-      let n = new_node ~aff ~parent ~kind:(Affinity.kind_name aff) in
+      let n = new_node ~id:t.n_nodes ~aff ~parent ~kind:(Affinity.kind_name aff) in
+      if t.n_nodes = Array.length t.tbl then begin
+        let a = Array.make (2 * t.n_nodes) t.filler in
+        Array.blit t.tbl 0 a 0 t.n_nodes;
+        t.tbl <- a
+      end;
+      t.tbl.(t.n_nodes) <- n;
+      t.n_nodes <- t.n_nodes + 1;
       Nodes.add t.nodes aff n;
       n
-
-let grantable n =
-  if n.active || n.desc_active > 0 then false
-  else
-    let rec up = function
-      | None -> true
-      | Some p -> (not p.active) && up p.parent
-    in
-    up n.parent
-
-let activate n =
-  n.active <- true;
-  let rec up = function
-    | None -> ()
-    | Some p ->
-        p.desc_active <- p.desc_active + 1;
-        up p.parent
-  in
-  up n.parent
-
-let release n =
-  n.active <- false;
-  let rec up = function
-    | None -> ()
-    | Some p ->
-        p.desc_active <- p.desc_active - 1;
-        up p.parent
-  in
-  up n.parent
 
 (* Per-affinity-kind histograms, registered on first use and cached on
    the node (the metrics registry dedups by name, so nodes of the same
@@ -191,17 +185,17 @@ let service_histo t n =
       n.service_h <- Some h;
       h
 
-(* --- the grantable-head heap (min-heap on head-message seq) --- *)
+(* --- the pending-head heap (node ids, min-heap on head-message seq) --- *)
 
-let hp_push t seq n =
+let hp_push t n =
+  let seq = (Wafl_util.Fifo.peek n.q).seq in
   let cap = Array.length t.hp_seq in
   if t.hp_len = cap then begin
-    let cap' = 2 * cap in
-    let sq = Array.make cap' 0 and nd = Array.make cap' t.filler in
+    let sq = Array.make (2 * cap) 0 and id = Array.make (2 * cap) 0 in
     Array.blit t.hp_seq 0 sq 0 t.hp_len;
-    Array.blit t.hp_node 0 nd 0 t.hp_len;
+    Array.blit t.hp_id 0 id 0 t.hp_len;
     t.hp_seq <- sq;
-    t.hp_node <- nd
+    t.hp_id <- id
   end;
   let i = ref t.hp_len in
   t.hp_len <- t.hp_len + 1;
@@ -211,21 +205,19 @@ let hp_push t seq n =
     if t.hp_seq.(parent) < seq then continue_up := false
     else begin
       t.hp_seq.(!i) <- t.hp_seq.(parent);
-      t.hp_node.(!i) <- t.hp_node.(parent);
+      t.hp_id.(!i) <- t.hp_id.(parent);
       i := parent
     end
   done;
   t.hp_seq.(!i) <- seq;
-  t.hp_node.(!i) <- n
+  t.hp_id.(!i) <- n.id
 
 (* Remove the minimum (slot 0); the caller has already read it. *)
 let hp_remove_min t =
   t.hp_len <- t.hp_len - 1;
   let n = t.hp_len in
-  if n = 0 then t.hp_node.(0) <- t.filler
-  else begin
-    let seq = t.hp_seq.(n) and node = t.hp_node.(n) in
-    t.hp_node.(n) <- t.filler;
+  if n > 0 then begin
+    let seq = t.hp_seq.(n) and id = t.hp_id.(n) in
     let i = ref 0 in
     let continue_down = ref true in
     while !continue_down do
@@ -237,28 +229,72 @@ let hp_remove_min t =
         if !s < 0 then continue_down := false
         else begin
           t.hp_seq.(!i) <- t.hp_seq.(!s);
-          t.hp_node.(!i) <- t.hp_node.(!s);
+          t.hp_id.(!i) <- t.hp_id.(!s);
           i := !s
         end
       end
     done;
     t.hp_seq.(!i) <- seq;
-    t.hp_node.(!i) <- node
+    t.hp_id.(!i) <- id
   end
 
-let stash t seq n =
-  let cap = Array.length t.st_seq in
-  if t.st_len = cap then begin
-    let cap' = 2 * cap in
-    let sq = Array.make cap' 0 and nd = Array.make cap' t.filler in
-    Array.blit t.st_seq 0 sq 0 t.st_len;
-    Array.blit t.st_node 0 nd 0 t.st_len;
-    t.st_seq <- sq;
-    t.st_node <- nd
+(* --- conflict state and parking --- *)
+
+(* The walks up the parent chain are top-level functions: a local
+   recursive closure, or an [option] result, would allocate on every
+   grant and release. *)
+
+(* The nearest active node among [p] and its ancestors (pass a node's
+   parent for its active ancestor); [t.filler] when there is none.  At
+   most one node on a chain is active. *)
+let rec active_above t = function
+  | None -> t.filler
+  | Some p -> if p.active then p else active_above t p.parent
+
+let park_on b n =
+  if b.n_parked = Array.length b.parked then begin
+    let a = Array.make (max 4 (2 * b.n_parked)) 0 in
+    Array.blit b.parked 0 a 0 b.n_parked;
+    b.parked <- a
   end;
-  t.st_seq.(t.st_len) <- seq;
-  t.st_node.(t.st_len) <- n;
-  t.st_len <- t.st_len + 1
+  b.parked.(b.n_parked) <- n.id;
+  b.n_parked <- b.n_parked + 1
+
+let rec activate_up = function
+  | None -> ()
+  | Some p ->
+      p.desc_active <- p.desc_active + 1;
+      activate_up p.parent
+
+let activate n =
+  n.active <- true;
+  activate_up n.parent
+
+(* One descendant fewer is active at [p] and above; an ancestor parked
+   on itself goes back into the heap once none is left. *)
+let rec release_up t = function
+  | None -> ()
+  | Some p ->
+      p.desc_active <- p.desc_active - 1;
+      if p.desc_active = 0 && p.self_parked then begin
+        p.self_parked <- false;
+        hp_push t p
+      end;
+      release_up t p.parent
+
+(* [n] stops executing: every node parked on it, and [n] itself if it
+   still has messages, goes back into the heap. *)
+let release t n =
+  n.active <- false;
+  release_up t n.parent;
+  for i = 0 to n.n_parked - 1 do
+    hp_push t t.tbl.(n.parked.(i))
+  done;
+  n.n_parked <- 0;
+  if n.self_parked && n.desc_active = 0 then begin
+    n.self_parked <- false;
+    hp_push t n
+  end
 
 (* --- dispatch: grant oldest pending messages whose affinity is free --- *)
 
@@ -289,12 +325,12 @@ let exec t n m =
      (match t.isolation with
      | Some iso -> Isolation.exit iso ~fid:(Engine.current_fid t.eng)
      | None -> ());
-     release n;
+     release t n;
      raise exn);
   (match t.isolation with
   | Some iso -> Isolation.exit iso ~fid:(Engine.current_fid t.eng)
   | None -> ());
-  release n;
+  release t n;
   Metrics.observe (service_histo t n) (Engine.now t.eng -. t0);
   Metrics.incr t.m_msgs;
   t.executing <- t.executing - 1;
@@ -305,7 +341,7 @@ let exec t n m =
    idle pool until the next grant fills its slot. *)
 let rec worker_loop t w =
   if w.msg != no_msg then begin
-    let n = w.node and m = w.msg in
+    let n = t.tbl.(w.node) and m = w.msg in
     w.msg <- no_msg;
     exec t n m;
     (* Workers are reused across unrelated messages: deactivate the
@@ -315,12 +351,12 @@ let rec worker_loop t w =
     if t.executing = 0 && t.pending_count = 0 then ignore (Sync.Waitq.wake_all t.idle);
     dispatch t
   end;
-  if t.n_idle = Array.length t.idle_workers then begin
-    let a = Array.make (2 * t.n_idle) w in
-    Array.blit t.idle_workers 0 a 0 t.n_idle;
-    t.idle_workers <- a
+  if t.n_idle = Array.length t.idle_ids then begin
+    let a = Array.make (2 * t.n_idle) 0 in
+    Array.blit t.idle_ids 0 a 0 t.n_idle;
+    t.idle_ids <- a
   end;
-  t.idle_workers.(t.n_idle) <- w;
+  t.idle_ids.(t.n_idle) <- w.wid;
   t.n_idle <- t.n_idle + 1;
   Engine.park t.eng;
   worker_loop t w
@@ -336,8 +372,8 @@ and start t n m =
   Engine.probe_atomic t.eng ~shared:"sched.queue";
   if t.n_idle > 0 then begin
     t.n_idle <- t.n_idle - 1;
-    let w = t.idle_workers.(t.n_idle) in
-    w.node <- n;
+    let w = t.pool.(t.idle_ids.(t.n_idle)) in
+    w.node <- n.id;
     w.msg <- m;
     let f = Option.get w.fiber in
     (* Charge the worker's CPU to the message's class, and let the
@@ -350,32 +386,39 @@ and start t n m =
     (* No idle worker: grow the pool.  [executing] <= workers bounds
        the busy workers, so the pool stays within one fiber of the
        worker count (the one transiently between finish and park). *)
-    let w = { node = n; msg = m; fiber = None } in
+    let w = { wid = t.n_pool; node = n.id; msg = m; fiber = None } in
+    if t.n_pool = Array.length t.pool then begin
+      let a = Array.make (2 * t.n_pool) w in
+      Array.blit t.pool 0 a 0 t.n_pool;
+      t.pool <- a
+    end;
+    t.pool.(t.n_pool) <- w;
+    t.n_pool <- t.n_pool + 1;
     w.fiber <- Some (Engine.spawn t.eng ~label:m.label ~daemon:true (fun () -> worker_loop t w))
   end
 
+(* Grant pending heads oldest-first until every worker is busy.  A
+   popped head that is blocked parks on its blocker (see [t]).  A parked
+   node is one a rescan of every pending message would skip, so each
+   grant is still the oldest grantable message. *)
 and dispatch t =
-  (* Pop grantable heads oldest-first; stash skipped (blocked) nodes and
-     re-push them once the round ends.  Equivalent to the old "rescan
-     the whole pending list after every grant" because a node blocked at
-     its pop stays blocked for the rest of the round. *)
   while t.executing < t.workers && t.hp_len > 0 do
-    let seq = t.hp_seq.(0) and n = t.hp_node.(0) in
+    let n = t.tbl.(t.hp_id.(0)) in
     hp_remove_min t;
-    if grantable n then begin
-      let m = Wafl_util.Fifo.pop n.q in
-      t.pending_count <- t.pending_count - 1;
-      Metrics.set t.g_queued (float_of_int t.pending_count);
-      if not (Wafl_util.Fifo.is_empty n.q) then hp_push t (Wafl_util.Fifo.peek n.q).seq n;
-      start t n m
-    end
-    else stash t seq n
-  done;
-  for i = 0 to t.st_len - 1 do
-    hp_push t t.st_seq.(i) t.st_node.(i);
-    t.st_node.(i) <- t.filler
-  done;
-  t.st_len <- 0
+    if n.active || n.desc_active > 0 then n.self_parked <- true
+    else
+      let b = active_above t n.parent in
+      if b != t.filler then park_on b n
+      else begin
+        let m = Wafl_util.Fifo.pop n.q in
+        t.pending_count <- t.pending_count - 1;
+        Metrics.set t.g_queued (float_of_int t.pending_count);
+        (* Granted with messages left: [n] is active now, so the rest
+           wait on it. *)
+        if not (Wafl_util.Fifo.is_empty n.q) then n.self_parked <- true;
+        start t n m
+      end
+  done
 
 let post t ~affinity ~label body =
   let n = node t affinity in
@@ -391,7 +434,7 @@ let post t ~affinity ~label body =
   t.next_seq <- t.next_seq + 1;
   let was_empty = Wafl_util.Fifo.is_empty n.q in
   Wafl_util.Fifo.push n.q m;
-  if was_empty then hp_push t m.seq n;
+  if was_empty then hp_push t n;
   t.pending_count <- t.pending_count + 1;
   Metrics.set t.g_queued (float_of_int t.pending_count);
   Engine.probe_atomic t.eng ~shared:"sched.queue";

@@ -528,7 +528,10 @@ let run spec =
     | None ->
         for c = 0 to spec.clients - 1 do
           let is = issuer c (Wafl_util.Rng.split master_rng) in
-          ignore (Engine.spawn eng ~label:"client" (closed_client is))
+          (* Called, not tail-called, so the loop's frame is not the
+             fiber's bottom frame, where a host-profiler sample finds no
+             source location (DESIGN.md §4.9, Profiling). *)
+          ignore (Engine.spawn eng ~label:"client" (fun () -> closed_client is (); ()))
         done;
         [||]
     | Some ol ->

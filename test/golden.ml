@@ -422,6 +422,55 @@ let engine_schedule =
       E.run eng;
       (List.rev !seen, E.now eng, E.context_switches eng))
 
+(* The Waffinity scheduler alone: a seeded script of posts over a deep
+   affinity tree (Serial down to Stripe and Vol_range), where some
+   bodies post again, digested as the (label, start time) sequence of
+   the granted messages at 1, 3 and 20 workers.  Work is whole
+   microseconds, so grants often tie in time and the order among
+   simultaneous grants is pinned too. *)
+let grant_order =
+  subject ~owner:"grant order matches its golden" "waffinity grant order" (fun st ->
+      let module E = Wafl_sim.Engine in
+      let module A = Wafl_waffinity.Affinity in
+      let module S = Wafl_waffinity.Scheduler in
+      let module Rng = Wafl_util.Rng in
+      let run workers =
+        let eng = E.create ~sanitize:st.sanitize ~cores:4 () in
+        let sched = S.create ~workers eng ~cost:Wafl_sim.Cost.default () in
+        let rng = Rng.create ~seed:39 in
+        let agg () = Rng.int rng 2 and vol () = Rng.int rng 2 in
+        let affinity () =
+          match Rng.int rng 16 with
+          | 0 -> A.Serial
+          | 1 -> A.Aggregate (agg ())
+          | 2 -> A.Aggregate_vbn (agg ())
+          | 3 | 4 -> A.Agg_range (agg (), Rng.int rng 3)
+          | 5 -> A.Volume (agg (), vol ())
+          | 6 -> A.Volume_logical (agg (), vol ())
+          | 7 -> A.Volume_vbn (agg (), vol ())
+          | 8 | 9 | 10 -> A.Vol_range (agg (), vol (), Rng.int rng 3)
+          | _ -> A.Stripe (agg (), vol (), Rng.int rng 4)
+        in
+        let starts = ref [] in
+        let rec post label depth =
+          let affinity = affinity () and work = float_of_int (Rng.int_in rng 1 12) in
+          let again = depth < 2 && Rng.int rng 4 = 0 in
+          S.post sched ~affinity ~label (fun () ->
+              starts := (label, E.now eng) :: !starts;
+              E.consume work;
+              if again then post (label ^ "+") (depth + 1))
+        in
+        ignore
+          (E.spawn eng ~label:"poster" (fun () ->
+               for i = 0 to 299 do
+                 post (Printf.sprintf "m%d" i) 0;
+                 if Rng.int rng 3 = 0 then E.sleep (float_of_int (Rng.int rng 6))
+               done));
+        E.run eng;
+        (workers, List.rev !starts, E.now eng)
+      in
+      List.map run [ 1; 3; 20 ])
+
 let entries = List.rev !registry
 
 (* --- the plain suite and the printer ------------------------------------- *)

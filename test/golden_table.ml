@@ -42,4 +42,5 @@ let recorded =
     ("wafl_sim top --live --measure 0.5 --json", "11ae08adec1f8acf712b6030642254de");
     ("wafl_sim top --live --measure 0.5 --think 300 --cp-ms 3 --window 200 --inject-b2b --json", "976bd0fe6d5660b23a873234d6135d3a");
     ("engine schedule trace", "82a17d797daea0d13433366475153c42");
+    ("waffinity grant order", "f5f0ec4ee6990d6d9f2d0c77e36229f7");
   ]

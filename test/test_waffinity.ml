@@ -376,6 +376,90 @@ let prop_no_conflicting_coschedule =
       check !intervals;
       !pairs_ok && List.length !intervals = List.length affs)
 
+(* --- Blocked heads: each way a pending message waits on its blocker --- *)
+
+(* An 8-worker scheduler whose [post aff label work] logs each message's
+   label and start time, then consumes [work]; [check] runs the engine
+   and returns the log in start order. *)
+let start_log () =
+  let eng = Engine.create ~cores:8 () in
+  let sched = Scheduler.create eng ~cost:Cost.default () in
+  let log = ref [] and ends = Hashtbl.create 8 in
+  let post affinity label work =
+    Scheduler.post sched ~affinity ~label (fun () ->
+        log := (label, Engine.now eng) :: !log;
+        Engine.consume work;
+        Hashtbl.replace ends label (Engine.now eng))
+  in
+  let run () =
+    Engine.run eng;
+    List.rev !log
+  in
+  (eng, post, run, Hashtbl.find ends)
+
+let start_of log label = List.assoc label log
+
+(* While an Aggregate message runs, messages posted under it wait for
+   its release, then start in post order. *)
+let test_parked_on_active_ancestor () =
+  let eng, post, run, end_of = start_log () in
+  post (Affinity.Aggregate 0) "agg" 100.0;
+  ignore
+    (Engine.spawn eng ~label:"poster" (fun () ->
+         Engine.sleep 10.0;
+         post (Affinity.Stripe (0, 0, 1)) "stripe" 5.0;
+         post (Affinity.Volume (0, 1)) "volume" 5.0;
+         post (Affinity.Vol_range (0, 0, 2)) "vol_range" 5.0;
+         post (Affinity.Agg_range (0, 1)) "agg_range" 5.0;
+         post (Affinity.Stripe (0, 2, 0)) "stripe2" 5.0));
+  let log = run () in
+  Alcotest.(check (list string)) "start order"
+    [ "agg"; "stripe"; "volume"; "vol_range"; "agg_range"; "stripe2" ]
+    (List.map fst log);
+  List.iter
+    (fun l ->
+      if start_of log l < end_of "agg" then Alcotest.failf "%s started while agg ran" l)
+    [ "stripe"; "volume"; "vol_range"; "agg_range"; "stripe2" ]
+
+(* An older Volume message waits on a running Stripe of its volume; a
+   younger Stripe of the same volume starts first, and the Volume
+   message starts once both Stripes are done. *)
+let test_parked_on_running_descendant () =
+  let _eng, post, run, end_of = start_log () in
+  post (Affinity.Stripe (0, 0, 0)) "stripe0" 100.0;
+  post (Affinity.Volume (0, 0)) "volume" 5.0;
+  post (Affinity.Stripe (0, 0, 1)) "stripe1" 50.0;
+  let log = run () in
+  Alcotest.(check (list string)) "start order" [ "stripe0"; "stripe1"; "volume" ]
+    (List.map fst log);
+  Alcotest.(check bool) "volume started after both stripes ended" true
+    (start_of log "volume" >= Float.max (end_of "stripe0") (end_of "stripe1"))
+
+(* A node granted with messages still queued waits on itself: its queue
+   keeps FIFO order while more messages arrive, and a disjoint node's
+   message does not wait for it. *)
+let test_parked_on_itself () =
+  let eng, post, run, _ = start_log () in
+  let vbn = Affinity.Volume_vbn (0, 0) in
+  post vbn "q0" 100.0;
+  post vbn "q1" 10.0;
+  post (Affinity.Stripe (0, 0, 0)) "other" 10.0;
+  post vbn "q2" 10.0;
+  ignore
+    (Engine.spawn eng ~label:"poster" (fun () ->
+         Engine.sleep 50.0;
+         post vbn "q3" 10.0;
+         post vbn "q4" 10.0));
+  let log = run () in
+  Alcotest.(check (list string)) "start order" [ "q0"; "other"; "q1"; "q2"; "q3"; "q4" ]
+    (List.map fst log)
+
+(* The scheduler alone, against its golden (test/golden.ml), plain and
+   sanitized. *)
+let test_grant_order_golden () =
+  ignore (Golden.check Golden.grant_order Golden.Plain);
+  ignore (Golden.check Golden.grant_order Golden.Sanitize)
+
 (* --- Allocation guard: a tracer that records nothing costs nothing --- *)
 
 (* Minor words per [Scheduler.post_wait] message, over [n] messages
@@ -471,6 +555,12 @@ let () =
           Alcotest.test_case "executed by kind" `Quick test_executed_by_kind;
           Alcotest.test_case "drain" `Quick test_drain;
           QCheck_alcotest.to_alcotest ~verbose:false prop_no_conflicting_coschedule;
+          Alcotest.test_case "parked on an active ancestor" `Quick
+            test_parked_on_active_ancestor;
+          Alcotest.test_case "parked on a running descendant" `Quick
+            test_parked_on_running_descendant;
+          Alcotest.test_case "parked on itself keeps FIFO" `Quick test_parked_on_itself;
+          Alcotest.test_case "grant order matches its golden" `Quick test_grant_order_golden;
         ] );
       ( "alloc",
         [
